@@ -99,11 +99,6 @@ def bernoulli_number(n: int) -> Fraction:
     return bernoulli_poly(n).get(0, Fraction(0))
 
 
-def bernoulli_at(n: int, x: Fraction) -> Fraction:
-    poly = bernoulli_poly(n)
-    return sum((c * x ** e for e, c in poly.items()), Fraction(0))
-
-
 def poly_derivative(poly: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e - 1: c * e for e, c in poly.items() if e}
 

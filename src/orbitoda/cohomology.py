@@ -165,9 +165,6 @@ class QuantumRing:
         self.coh = Cohomology(k, m)
 
     # elements are dicts basis_key -> TruncSeries in q
-    def zero_elem(self) -> dict:
-        return {}
-
     def one_elem(self) -> dict:
         return {ONE: _qpoly({0: 1})}
 

@@ -480,12 +480,6 @@ def mult_part(f: TruncSeries, miwa: TruncSeries, sign: int, barred: bool,
     return miwa * arg.exp()
 
 
-def apply_2toda_gamma(f: TruncSeries, sign: int, barred: bool, leg: str,
-                      depth: int, eps_win: VarWindow, span: int) -> TruncSeries:
-    miwa = miwa_part(f, sign, barred, leg, depth)
-    return mult_part(f, miwa, sign, barred, leg, depth, eps_win, span)
-
-
 def toda_hqe_eval(tau: "TauJet", n: int, l: int, depth: int,
                   eps_win: VarWindow, lam_span: int | None = None) -> TruncSeries:
     """The lambda-residue of the bilinear form at the pair (n, l):
@@ -709,14 +703,8 @@ def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
     lam_span = mode_max + abs(n - l) + 2
     k0 = SectorIndex("k", 0)
     m0 = SectorIndex("m", 0)
-    legs1 = []
-    legs2 = []
-    for sign, leg, elem in ((-1, "a", d1), (+1, "b", d2)):
-        shifted = translate(elem, leg,
-                            {k0: n + 1, m0: n} if leg == "a" else
-                            {k0: l, m0: l + 1}, eps_win)
-        legs1.append(shifted)
-    term1 = None
+    legs1 = [translate(d1, "a", {k0: n + 1, m0: n}, eps_win),
+             translate(d2, "b", {k0: l, m0: l + 1}, eps_win)]
     if mode_max > 0:
         ga = build_gamma(k, m, -1, False, mode_max, depth)
         gb = build_gamma(k, m, +1, False, mode_max, depth)
@@ -726,7 +714,9 @@ def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
         lam_w = exact_win(-lam_span, lam_span)
         a = legs1[0] + TruncSeries.scalar(0, {"lam": lam_w})
         b = legs1[1] + TruncSeries.scalar(0, {"lam": lam_w})
-    term1 = (a * b).shift_exponent("lam", n - l)
+    # [lam^0] of lam^{n-l} a b and of lam^{l-n} ab bb: only the lambda-pairs
+    # that reach the residue are formed
+    term1 = a.mul_coeff(b, "lam", l - n)
     if mode_max > 0:
         gab = build_gamma(k, m, +1, True, mode_max, depth)
         gbb = build_gamma(k, m, -1, True, mode_max, depth)
@@ -734,8 +724,8 @@ def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
         bb = apply_vertex(gbb, legs1[1], "b", eps_win, lam_span, qdeg_cap)
     else:
         ab, bb = a, b
-    term2 = (ab * bb).shift_exponent("lam", l - n).shift_exponent("Q", n - l)
-    resid = (term1 - term2).coeff_of("lam", 0)
+    term2 = ab.mul_coeff(bb, "lam", n - l).shift_exponent("Q", n - l)
+    resid = term1 - term2
     # q' = x + y, q'' = x - y on every Fock slot present
     for name in [v for v in resid.vars if v.startswith("qa") or v.startswith("qb")]:
         root = name[2:]

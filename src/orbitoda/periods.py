@@ -50,12 +50,6 @@ def d_x_operator(k: int, m: int) -> DOp:
     return DOp(k=k, nu=PR.nu(k), tail={m: qm})
 
 
-def d_y_operator(k: int, m: int) -> DOp:
-    """The y-side operator (feet exchanged)."""
-    qk = TruncSeries.from_poly("q", {k: Fraction(k, m)})
-    return DOp(k=m, nu=PR.nubar(m), tail={k: qk})
-
-
 def d_classical(k: int) -> DOp:
     """tail-free operator: phi = k lam^{k-1} + (nu1 - nu0)/lam."""
     return DOp(k=k, nu=PR.nu(k))

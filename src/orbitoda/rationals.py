@@ -94,13 +94,6 @@ class ParamRat:
     def is_rational(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
 
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return _FRAC_ZERO
-        if self.is_rational():
-            return self.terms[(0, 0)]
-        raise ValueError(f"not a pure rational: {self}")
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -224,6 +217,9 @@ class ParamRat:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a pure rational equals its Fraction (and int), so it hashes as one
+        if self.is_rational():
+            return hash(self.terms.get((0, 0), _FRAC_ZERO))
         return hash(frozenset(self.terms.items()))
 
     # -- display -----------------------------------------------------------
@@ -428,16 +424,6 @@ class RootRing:
         if r == 0:
             return {(0, 0): c.inverse()}
         return {(self.k - r, 0): inv_c}
-
-    def eval_laurent(self, coeffs: dict[int, ParamRat], at_zeta: int) -> dict:
-        """Evaluate sum_e coeffs[e] * x^e at x = zeta^at_zeta * rho."""
-        x = self.root(at_zeta)
-        out: dict = {}
-        for e, c in coeffs.items():
-            term = self.mul_scalar(self.pow(x, e) if e >= 0
-                                   else self.pow(self.inv_root_monomial(x), -e), c)
-            out = self.add(out, term)
-        return {k: v for k, v in out.items() if not v.is_zero()}
 
     def eq(self, a: dict, b: dict) -> bool:
         ka = {k: v for k, v in a.items() if not v.is_zero()}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .errors import NonUnit, NotInvertible, WindowUnderflow
@@ -147,25 +148,17 @@ class TruncSeries:
     # -- bookkeeping -------------------------------------------------------
 
     def _pruned(self) -> "TruncSeries":
+        lows, highs, capspec = _key_bounds(self.vars, self.wins, self.caps)
         out = {}
-        idx = {v: i for i, v in enumerate(self.vars)}
         for key, c in self.terms.items():
             if c.is_zero():
                 continue
-            keep = True
-            for i, v in enumerate(self.vars):
-                w = self.wins[v]
-                if not (w.lo <= key[i] <= w.hi):
-                    keep = False
+            for e, lo, hi in zip(key, lows, highs):
+                if e < lo or e > hi:
                     break
-            if keep and self.caps:
-                for group, cap in self.caps.items():
-                    tot = sum(key[idx[v]] for v in group if v in idx)
-                    if tot > cap:
-                        keep = False
-                        break
-            if keep:
-                out[key] = c
+            else:
+                if not capspec or _under_caps(key, capspec):
+                    out[key] = c
         return TruncSeries(self.vars, self.wins, out, self.caps)
 
     def _win(self, v: str, den_hint: int = 1) -> VarWindow:
@@ -306,13 +299,9 @@ class TruncSeries:
         return TruncSeries(self.vars, self.wins,
                            {k: v * c for k, v in self.terms.items()}, self.caps)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ParamRat)):
-            return self.scale(other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        allvars, ta, tb = self._aligned(other)
-        caps = _cap_merge(self.caps, other.caps)
+    def _product_wins(self, other: "TruncSeries", allvars) -> dict:
+        """Per-variable windows of self * other; every window is the point
+        0 when a factor is identically zero."""
         wins = {}
         for v in allvars:
             wa = self._win(v, other._win(v).den)
@@ -323,10 +312,9 @@ class TruncSeries:
             sb_lo, sb_hi = other.support_bounds(v)
             if sa_lo > sa_hi or sb_lo > sb_hi:
                 # one factor is identically zero
-                zwins = {u: VarWindow(0, 0, True, True,
-                                      max(self._win(u).den, other._win(u).den))
-                         for u in allvars}
-                return TruncSeries(allvars, zwins, {}, caps)
+                return {u: VarWindow(0, 0, True, True,
+                                     max(self._win(u).den, other._win(u).den))
+                        for u in allvars}
             plo = _add_b(sa_lo, sb_lo)
             phi = _add_b(sa_hi, sb_hi)
             khi = POS_INF
@@ -360,40 +348,44 @@ class TruncSeries:
                 raise WindowUnderflow(
                     f"variable {v}: unrepresentable window in product (lo={lo}, hi={hi})")
             wins[v] = VarWindow(int(lo), int(hi), lo_hard, hi_hard, wa.den)
-        idx = {v: i for i, v in enumerate(allvars)}
-        lows = tuple(wins[v].lo for v in allvars)
-        highs = tuple(wins[v].hi for v in allvars)
-        capspec = [(tuple(idx[v] for v in g if v in idx), cap)
-                   for g, cap in caps.items()]
-        out: dict[tuple[int, ...], ParamRat] = {}
-        for ka, ca in ta.items():
+        return wins
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, ParamRat)):
+            return self.scale(other)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        allvars, ta, tb = self._aligned(other)
+        caps = _cap_merge(self.caps, other.caps)
+        wins = self._product_wins(other, allvars)
+        tb_items = tb.items()
+        terms = _pair_products(((ka, ca, tb_items) for ka, ca in ta.items()),
+                               _key_bounds(allvars, wins, caps))
+        return TruncSeries(allvars, wins, terms, caps)
+
+    def mul_coeff(self, other: "TruncSeries", v: str, e: int) -> "TruncSeries":
+        """``(self * other).coeff_of(v, e)``, forming only the term pairs
+        whose v-exponents sum to e.
+
+        The result has the same terms, windows and caps as the full product
+        followed by ``coeff_of``; ``other``'s terms are bucketed by their
+        v-exponent so every pair that cannot reach v^e is skipped unformed.
+        """
+        if v not in self.wins and v not in other.wins:
+            return (self * other).coeff_of(v, e)
+        allvars, ta, tb = self._aligned(other)
+        caps = _cap_merge(self.caps, other.caps)
+        wins = self._product_wins(other, allvars)
+        terms = {}
+        i = allvars.index(v)
+        if wins[v].lo <= e <= wins[v].hi:
+            buckets: dict[int, list] = {}
             for kb, cb in tb.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                drop = False
-                for i, e in enumerate(key):
-                    if e < lows[i] or e > highs[i]:
-                        drop = True
-                        break
-                if not drop and capspec:
-                    for positions, cap in capspec:
-                        if sum(key[i] for i in positions) > cap:
-                            drop = True
-                            break
-                if drop:
-                    continue
-                prod = ca * cb
-                if prod.is_zero():
-                    continue
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = prod
-                else:
-                    s = cur + prod
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-        return TruncSeries(allvars, wins, out, caps)
+                buckets.setdefault(kb[i], []).append((kb, cb))
+            pairs = ((ka, ca, buckets[e - ka[i]]) for ka, ca in ta.items()
+                     if e - ka[i] in buckets)
+            terms = _pair_products(pairs, _key_bounds(allvars, wins, caps))
+        return TruncSeries(allvars, wins, terms, caps).coeff_of(v, e)
 
     __rmul__ = __mul__
 
@@ -809,6 +801,56 @@ def _remap(s: TruncSeries, allvars: tuple[str, ...]) -> dict:
     out = {}
     for key, c in s.terms.items():
         out[tuple(0 if p is None else key[p] for p in pos)] = c
+    return out
+
+
+def _key_bounds(vars: tuple[str, ...], wins: Mapping[str, VarWindow],
+                caps: Mapping[frozenset, int]):
+    """(lows, highs, capspec) of a window: per-position exponent bounds and,
+    per group cap, the key positions it sums with its cap."""
+    lows = tuple(wins[v].lo for v in vars)
+    highs = tuple(wins[v].hi for v in vars)
+    capspec = []
+    if caps:
+        idx = {v: i for i, v in enumerate(vars)}
+        capspec = [(tuple(idx[v] for v in g if v in idx), cap)
+                   for g, cap in caps.items()]
+    return lows, highs, capspec
+
+
+def _under_caps(key, capspec) -> bool:
+    for positions, cap in capspec:
+        if sum(key[i] for i in positions) > cap:
+            return False
+    return True
+
+
+def _pair_products(pairs, bounds) -> dict:
+    """Sum ca * cb at key ka + kb over ``(ka, ca, [(kb, cb), ...])`` pairs,
+    skipping keys outside ``bounds`` (see ``_key_bounds``) and zero sums."""
+    lows, highs, capspec = bounds
+    out: dict[tuple[int, ...], ParamRat] = {}
+    for ka, ca, tb in pairs:
+        for kb, cb in tb:
+            key = tuple(map(add, ka, kb))
+            for e, lo, hi in zip(key, lows, highs):
+                if e < lo or e > hi:
+                    break
+            else:
+                if capspec and not _under_caps(key, capspec):
+                    continue
+                prod = ca * cb
+                if prod.is_zero():
+                    continue
+                cur = out.get(key)
+                if cur is None:
+                    out[key] = prod
+                else:
+                    s = cur + prod
+                    if s.is_zero():
+                        del out[key]
+                    else:
+                        out[key] = s
     return out
 
 

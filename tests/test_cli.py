@@ -96,3 +96,16 @@ def test_series_canonical_json():
     ser = (TS.from_poly("u", {2: 1}).scale(PR.diff().inverse()) +
            TS.var("z", down_win(-2), power=-2, coeff=PR.diff()))
     assert ser.to_json() == GOLDEN_SERIES_JSON
+
+
+def test_bilinearity_fails_on_zero_residue(monkeypatch):
+    # scaling an identically zero residue would pass vacuously
+    import orbitoda.hqe
+    from orbitoda.cli import hqe_jobs
+    from orbitoda.series import TruncSeries
+    monkeypatch.setattr(orbitoda.hqe, "hqe_residue_eval",
+                        lambda *args, **kwargs: TruncSeries.zero())
+    rep = hqe_jobs(3, 2, 1, False)[1]()
+    assert rep.name == "hqe-bilinearity"
+    assert rep.status == "fail" and rep.first_discrepancy is not None
+    assert rep.elapsed_ms > 0

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 from orbitoda.cohomology import SectorIndex
-from orbitoda.hqe import (a_matrix_entry, build_gamma,
+from orbitoda.hqe import (a_matrix_entry, apply_vertex, build_gamma,
                           commutation_factor, fock_one, fock_var,
                           hqe_residue_eval, toda_hqe_eval, translate,
                           translation_symbol, verify_change_matrix,
@@ -109,6 +109,47 @@ def test_hqe_bilinearity():
     s2 = hqe_residue_eval(3, 2, d_a, d_b, 1, 0, 4, EW) + \
         hqe_residue_eval(3, 2, d_c, d_b, 1, 0, 4, EW)
     assert (s - s2).is_zero()
+
+
+def _full_product_residue(k, m, d1, d2, n, l, mode_max, eps_win,
+                          qdeg_cap=2, depth=4):
+    """The residue formula that forms both full products over every
+    lambda-degree before keeping [lam^0]: the reference for the
+    residue-only products in hqe_residue_eval."""
+    span = mode_max + abs(n - l) + 2
+    k0, m0 = SectorIndex("k", 0), SectorIndex("m", 0)
+    leg_a = translate(d1, "a", {k0: n + 1, m0: n}, eps_win)
+    leg_b = translate(d2, "b", {k0: l, m0: l + 1}, eps_win)
+
+    def dressed(sign, barred, leg, elem):
+        sym = build_gamma(k, m, sign, barred, mode_max, depth)
+        return apply_vertex(sym, elem, leg, eps_win, span, qdeg_cap)
+
+    term1 = (dressed(-1, False, "a", leg_a) * dressed(+1, False, "b", leg_b)) \
+        .shift_exponent("lam", n - l)
+    term2 = (dressed(+1, True, "a", leg_a) * dressed(-1, True, "b", leg_b)) \
+        .shift_exponent("lam", l - n).shift_exponent("Q", n - l)
+    resid = (term1 - term2).coeff_of("lam", 0)
+    for name in [v for v in resid.vars if v[:2] in ("qa", "qb")]:
+        w = resid.wins[name]
+        xs, ys = TS.var("x" + name[2:], w), TS.var("y" + name[2:], w)
+        if not any(name in g for g in resid.caps):
+            resid = resid.subst(name, xs + ys if name[:2] == "qa" else xs - ys)
+    return resid
+
+
+def test_residue_only_products_match_full_products():
+    d_a = fock_one(EW) + TS.var(fock_var("a", 0, SectorIndex("k", 0)),
+                                up_win(3)).truncated({"eps": EW})
+    d_b = fock_one(EW)
+    for (n, l) in [(1, 0), (0, 1)]:
+        got = hqe_residue_eval(3, 2, d_a, d_b, n, l, 2, EW)
+        want = _full_product_residue(3, 2, d_a, d_b, n, l, 2, EW)
+        assert not got.is_zero()
+        assert got.vars == want.vars
+        assert got.terms == want.terms
+        assert got.wins == want.wins
+        assert got.caps == want.caps
 
 
 def test_toda_hqe_vacuum_family():

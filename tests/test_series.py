@@ -211,3 +211,63 @@ def test_taylor_shift_is_multiplicative(a, b, r):
     rhs = taylor_shift(A.truncated(wins), "x", "eps", r) * \
         taylor_shift(B.truncated(wins), "x", "eps", r)
     assert (lhs - rhs).is_zero()
+
+
+NAMES = ("u", "v", "w")
+
+
+@st.composite
+def windowed_series(draw, min_vars):
+    """A small series over some of NAMES: up, down or exact windows, random
+    terms inside them (or none), and an optional group cap."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES),
+                                      min_size=min_vars))))
+    wins = {}
+    for v in names:
+        kind = draw(st.sampled_from(["up", "down", "exact"]))
+        lo = draw(st.integers(-3, 1))
+        wins[v] = VarWindow(lo, lo + draw(st.integers(0, 4)),
+                            kind != "down", kind != "up")
+    key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
+    coeff = st.integers(-5, 5).filter(bool).map(PR.rational)
+    terms = draw(st.dictionaries(key, coeff, min_size=1, max_size=6))
+    if draw(st.sampled_from(["terms"] * 5 + ["zero factor"])) == "zero factor":
+        terms = {}
+    s = TS(names, wins, terms)
+    if draw(st.booleans()):
+        group = draw(st.sets(st.sampled_from(names), min_size=1))
+        s = s.with_cap(group, draw(st.integers(0, 5)))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_series(2), windowed_series(1),
+       st.sampled_from(NAMES * 3 + ("z",)), st.integers(-5, 7),
+       st.integers(0, 63))
+def test_mul_coeff_matches_full_product(a, b, v, e, pick):
+    try:
+        prod = a * b
+        if pick and v in prod.vars and prod.terms:
+            # aim at an exponent the product reaches (else e may miss it)
+            keys = sorted(prod.terms)
+            e = keys[pick % len(keys)][prod.vars.index(v)]
+        want = prod.coeff_of(v, e)
+    except (WindowUnderflow, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            a.mul_coeff(b, v, e)
+        return
+    got = a.mul_coeff(b, v, e)
+    assert got.vars == want.vars
+    assert got.terms == want.terms
+    assert got.wins == want.wins
+    assert got.caps == want.caps
+
+
+def test_paramrat_hash_agrees_with_equality():
+    assert PR.one() == 1 and {PR.one(): 0}.get(1) == 0
+    assert {1: "one"}.get(PR.one()) == "one"
+    assert hash(PR.zero()) == hash(0) == hash(F(0))
+    assert hash(PR.rational(F(3, 4))) == hash(F(3, 4))
+    x = PR.nu(3) + PR.nu1()
+    assert hash(x) == hash(PR.nu1() + PR.nu(3))
+    assert len({PR.rational(2), 2, F(2)}) == 1
