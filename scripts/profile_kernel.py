@@ -6,6 +6,7 @@ chosen after sympy's generic fraction field benchmarked ~1000x slower on
 the bounded-degree shapes these verifications produce.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -21,6 +22,24 @@ def bench(label, fn, n=2000):
     print(f"{label:40s} {dt * 1e6:9.2f} us/op")
 
 
+def capped_unit():
+    """1 + 60 terms shaped like the chart-change Newton steps of
+    mirror-pairing: lam down to lam^-10, q up to q^13, and seven jet times
+    t1..t7 under a joint degree cap of 2."""
+    times = [f"t{i}" for i in range(1, 8)]
+    wins = {"lam": down_win(-10), "q": up_win(13)}
+    wins.update({t: up_win(2) for t in times})
+    rng = random.Random(5)
+    s = TS.scalar(1, wins)
+    for _ in range(60):
+        exps = {"lam": -rng.randint(1, 10), "q": rng.randint(0, 3)}
+        for t in rng.sample(times, rng.randint(0, 2)):
+            exps[t] = 1
+        s = s + TS.monomial(exps, wins, Fraction(rng.randint(1, 9),
+                                                 rng.randint(1, 9)))
+    return s.with_cap(times, 2)
+
+
 def main():
     a = PR.nu(3) * PR.nu0() + PR.rational(Fraction(2, 7))
     b = PR.nubar(2) ** 3
@@ -32,6 +51,7 @@ def main():
     poly = TS.from_poly("z", {0: PR.nu(3), 1: Fraction(2, 3), 2: 1})
     bench("series reciprocal (window 14)",
           lambda: poly.recip_within({"z": down_win(-12, hi=2)}), n=200)
+    bench("capped 9-variable reciprocal", capped_unit().recip, n=10)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
 

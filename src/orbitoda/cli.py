@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import click
 
@@ -31,6 +32,18 @@ def _pairs(matrix: str):
         k, m = chunk.split(",")
         out.append((int(k), int(m)))
     return out
+
+
+def _zwindow(ctx, param, value):
+    """Parse a ``lo:hi`` z-window with lo <= hi."""
+    try:
+        zlo, zhi = (int(x) for x in value.split(":"))
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is not of the form lo:hi") from None
+    if zlo > zhi:
+        raise click.BadParameter(f"empty window {value!r}: lo > hi")
+    return zlo, zhi
 
 
 def _run_all(jobs, out):
@@ -64,19 +77,23 @@ def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
 
 
 @main.command()
-@click.option("--k", required=True, type=int)
-@click.option("--m", required=True, type=int)
-@click.option("--qdeg", type=int, default=None,
+@click.option("--k", required=True, type=click.IntRange(min=1))
+@click.option("--m", required=True, type=click.IntRange(min=1))
+@click.option("--qdeg", type=click.IntRange(min=0), default=None,
               help="q-degree to verify through (default 2km).")
-@click.option("--zdeg", type=str, default="-6:2", help="z-window lo:hi.")
+@click.option("--zdeg", type=str, default="-6:2", callback=_zwindow,
+              help="z-window lo:hi.")
 @click.option("--negate", is_flag=True,
               help="Perturb one operator as a negative control.")
 @OUT_OPT
 def jfunc(k, m, qdeg, zdeg, negate, out):
     """The derivative-operator ladder identities and the quantum
     differential equation."""
+    if k == m or gcd(k, m) != 1:
+        raise click.BadParameter(f"k={k}, m={m} must be distinct and coprime",
+                                 param_hint="'--k'/'--m'")
     qdeg = qdeg if qdeg is not None else 2 * k * m
-    zlo, zhi = (int(x) for x in zdeg.split(":"))
+    zlo, zhi = zdeg
     ok = _run_all(jfunc_jobs(k, m, qdeg, zlo, zhi, negate), out)
     sys.exit(0 if ok else 1)
 
@@ -128,31 +145,36 @@ def asymptotics_jobs(k, m, n):
     from .rationals import PR
 
     def run_a_polys():
-        rep = CheckReport(name="a-polynomials", params={"n": n})
-        a2 = stationary_phase_A(2)
-        if poly_derivative(a2) != {1: Fraction(1), 0: Fraction(-1, 2)}:
-            rep.fail({"n": 2}, str(a2), "A_2' = s - 1/2")
-        for j in range(2, n + 1):
-            an = stationary_phase_A(j)
-            if sum(an.values(), Fraction(0)) != \
-                    bernoulli_number(j) / (j * (j - 1)):
-                rep.fail({"n": j}, "A_n(1)", "B_n/(n(n-1))")
-                break
-            if j < n:
-                lhs = poly_derivative(stationary_phase_A(j + 1))
-                rhs = {e: -(j - 1) * c for e, c in an.items()}
-                if lhs != rhs:
-                    rep.fail({"n": j}, "A_{n+1}'", "-(n-1) A_n")
+        with Stopwatch() as sw:
+            rep = CheckReport(name="a-polynomials", params={"n": n})
+            a2 = stationary_phase_A(2)
+            if poly_derivative(a2) != {1: Fraction(1), 0: Fraction(-1, 2)}:
+                rep.fail({"n": 2}, str(a2), "A_2' = s - 1/2")
+            for j in range(2, n + 1):
+                an = stationary_phase_A(j)
+                if sum(an.values(), Fraction(0)) != \
+                        bernoulli_number(j) / (j * (j - 1)):
+                    rep.fail({"n": j}, "A_n(1)", "B_n/(n(n-1))")
                     break
+                if j < n:
+                    lhs = poly_derivative(stationary_phase_A(j + 1))
+                    rhs = {e: -(j - 1) * c for e, c in an.items()}
+                    if lhs != rhs:
+                        rep.fail({"n": j}, "A_{n+1}'", "-(n-1) A_n")
+                        break
+        rep.elapsed_ms = sw.ms
         return rep
 
     def run_classical_r():
-        rep = CheckReport(name="classical-r", params={"k": k, "m": m})
-        for (foot, j, barred) in [(k, 1, False), (k, k, False), (m, 1, True)]:
-            power, series = classical_R(foot, j, 8, barred=barred, m=m)
-            if series.terms.get((0,)) != PR.one():
-                rep.fail({"foot": foot, "j": j}, str(series), "1 + O(z)")
-                break
+        with Stopwatch() as sw:
+            rep = CheckReport(name="classical-r", params={"k": k, "m": m})
+            for (foot, j, barred) in [(k, 1, False), (k, k, False),
+                                      (m, 1, True)]:
+                power, series = classical_R(foot, j, 8, barred=barred, m=m)
+                if series.terms.get((0,)) != PR.one():
+                    rep.fail({"foot": foot, "j": j}, str(series), "1 + O(z)")
+                    break
+        rep.elapsed_ms = sw.ms
         return rep
 
     return [run_a_polys, lambda: gaussian_moment_oracle(min(n, 5)),
@@ -293,20 +315,23 @@ def hqe_jobs(k, m, times, negate):
                 for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]]
 
     def run_negative():
-        rep = CheckReport(name="toda-hqe-negative-control", params={})
-        yw = up_win(8)
-        arg = TruncSeries.monomial(
-            {"y1": 1, "yb1": 1, "Q": 1, "eps": -2},
-            {"y1": yw, "yb1": yw, "Q": exact_win(-16, 16), "eps": ew},
-            coeff=2)
-        arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
-        bad = TauJet(arg.exp().as_exact(), 1, 1)
-        inner = toda_hqe_report(bad, 1, 0, 1, ew, dcap=2)
-        if inner.ok:
-            rep.fail({}, "undetected perturbation", "a located discrepancy")
-        else:
-            rep.detail = "perturbation located at " + \
-                str(inner.first_discrepancy)
+        with Stopwatch() as sw:
+            rep = CheckReport(name="toda-hqe-negative-control", params={})
+            yw = up_win(8)
+            arg = TruncSeries.monomial(
+                {"y1": 1, "yb1": 1, "Q": 1, "eps": -2},
+                {"y1": yw, "yb1": yw, "Q": exact_win(-16, 16), "eps": ew},
+                coeff=2)
+            arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
+            bad = TauJet(arg.exp().as_exact(), 1, 1)
+            inner = toda_hqe_report(bad, 1, 0, 1, ew, dcap=2)
+            if inner.ok:
+                rep.fail({}, "undetected perturbation",
+                         "a located discrepancy")
+            else:
+                rep.detail = "perturbation located at " + \
+                    str(inner.first_discrepancy)
+        rep.elapsed_ms = sw.ms
         return rep
 
     jobs = [run_trivial, run_bilinear, run_vacuum]

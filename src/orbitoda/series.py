@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Mapping
 
 from .errors import NonUnit, NotInvertible, WindowUnderflow
@@ -452,19 +452,18 @@ class TruncSeries:
                               f"(candidate {best}, offender {key})")
         return best
 
-    def recip(self) -> "TruncSeries":
-        """1/self.  Every variable the tail moves must carry a truncation."""
+    def _recip_parts(self):
+        """(lead, c0^-1, tail, gwins) of 1/self = x^-lead c0^-1 / (1 + h).
+
+        ``tail`` holds h = self / (c0 x^lead) - 1 by exponent offset from the
+        leading key; ``gwins`` is the window of the geometric sum
+        sum_j (-h)^j (support starts at 0).  Exactly-tracked variables keep
+        a neutral window and grow freely.
+        """
         lead = self._leading_key()
-        c0 = self.terms[lead]
-        c0_inv = c0.inverse()
-        h_terms = {}
-        for key, c in self.terms.items():
-            if key == lead:
-                continue
-            delta = tuple(a - b for a, b in zip(key, lead))
-            h_terms[delta] = c * c0_inv
-        # window of the geometric sum sum_j (-h)^j (support starts at 0);
-        # exactly-tracked variables keep a neutral window and grow freely
+        c0_inv = self.terms[lead].inverse()
+        tail = {tuple(a - b for a, b in zip(key, lead)): c * c0_inv
+                for key, c in self.terms.items() if key != lead}
         gwins = {}
         for i, v in enumerate(self.vars):
             w = self.wins[v]
@@ -476,11 +475,80 @@ class TruncSeries:
                 gwins[v] = VarWindow(w.lo - lead[i], 0, False, True, w.den)
             else:
                 raise NonUnit(f"variable {v}: window soft on both sides")
+        for i, v in enumerate(self.vars):
+            if gwins[v].lo > gwins[v].hi:
+                raise WindowUnderflow(
+                    f"variable {v}: empty window in recip (leading exponent "
+                    f"{lead[i]} outside {self.wins[v]})")
+        return lead, c0_inv, tail, gwins
+
+    def _times_lead_inverse(self, total: "TruncSeries", lead, c0_inv):
+        """total * c0^-1 x^-lead, the last step of both reciprocals."""
+        minv = TruncSeries(self.vars,
+                           {v: VarWindow(-lead[i], -lead[i], True, True,
+                                         self.wins[v].den)
+                            for i, v in enumerate(self.vars)},
+                           {tuple(-e for e in lead): c0_inv})
+        return total * minv
+
+    def recip(self) -> "TruncSeries":
+        """1/self.  Every variable the tail moves must carry a truncation.
+
+        Solves b = 1 - h b one grade at a time, where the grade of a key is
+        its oriented exponent sum over the soft-truncated variables: every
+        tail term has grade >= 1, so once a grade of b is complete each of
+        its terms is pushed forward by each tail term, and each (tail term,
+        result term) pair is formed once.  A pushed key is kept by the same
+        window and cap test as the power-by-power sum of (-h)^j, so the
+        result equals that sum term for term.  A tail that moves an
+        exactly-tracked variable grows that variable's window with the
+        support of each power; such inputs go through
+        ``_recip_by_powers``.
+        """
+        lead, c0_inv, tail, gwins = self._recip_parts()
+        exact = [i for i, v in enumerate(self.vars) if gwins[v].lo_hard
+                 and gwins[v].hi_hard]
+        if any(key[i] for key in tail for i in exact):
+            return self._recip_by_powers()
+        dirs = [0 if i in exact else self._direction(v)
+                for i, v in enumerate(self.vars)]
+        top = sum(gwins[v].hi if d > 0 else -gwins[v].lo
+                  for v, d in zip(self.vars, dirs) if d)
+        lows, highs, capspec = _key_bounds(self.vars, gwins, self.caps)
+        push = [(t, -c, sum(map(mul, dirs, t))) for t, c in tail.items()]
+        grades: list[dict] = [{} for _ in range(top + 1)]
+        zero = (0,) * len(self.vars)
+        if _under_caps(zero, capspec):     # every gwins window holds 0
+            grades[0][zero] = PR.one()
+        terms = {}
+        for g, layer in enumerate(grades):
+            for key, c in layer.items():
+                if c.is_zero():
+                    continue
+                terms[key] = c
+                for t, ct, gt in push:
+                    nk = tuple(map(add, key, t))
+                    for e, lo, hi in zip(nk, lows, highs):
+                        if e < lo or e > hi:
+                            break
+                    else:
+                        if capspec and not _under_caps(nk, capspec):
+                            continue
+                        nxt = grades[g + gt]
+                        cur = nxt.get(nk)
+                        nxt[nk] = c * ct if cur is None else cur + c * ct
+        total = TruncSeries(self.vars, gwins, terms, dict(self.caps))
+        return self._times_lead_inverse(total, lead, c0_inv)
+
+    def _recip_by_powers(self) -> "TruncSeries":
+        """1/self as the truncated geometric sum of (-h)^j, one full power at
+        a time; windows of exactly-tracked variables grow with each power."""
+        lead, c0_inv, tail, gwins = self._recip_parts()
         hwins = {v: VarWindow(w.lo - lead[i], w.hi - lead[i], w.lo_hard,
                               w.hi_hard, w.den)
                  for i, (v, w) in enumerate(
                      (v, self.wins[v]) for v in self.vars)}
-        h = TruncSeries(self.vars, hwins, h_terms, self.caps)
+        h = TruncSeries(self.vars, hwins, tail, self.caps)
         total = TruncSeries.scalar(1, gwins, self.caps)
         power = total
         guard = 0
@@ -492,12 +560,7 @@ class TruncSeries:
             guard += 1
             if guard > 100000:
                 raise NonUnit("reciprocal expansion did not terminate")
-        minv = TruncSeries(self.vars,
-                           {v: VarWindow(-lead[i], -lead[i], True, True,
-                                         self.wins[v].den)
-                            for i, v in enumerate(self.vars)},
-                           {tuple(-e for e in lead): c0_inv})
-        return total * minv
+        return self._times_lead_inverse(total, lead, c0_inv)
 
     def recip_within(self, wins: Mapping[str, VarWindow]) -> "TruncSeries":
         return self.truncated(wins).recip()

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from orbitoda.cli import main
@@ -47,6 +48,28 @@ def test_bad_flags_exit_2():
     runner = CliRunner()
     result = runner.invoke(main, ["jfunc", "--k", "3"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "3", "--m", "2", "--qdeg", "-1"], "--qdeg"),
+    (["--k", "3", "--m", "2", "--zdeg", "-6"], "lo:hi"),
+    (["--k", "3", "--m", "2", "--zdeg", "2:-6"], "lo > hi"),
+    (["--k", "2", "--m", "4"], "coprime"),
+    (["--k", "2", "--m", "2"], "distinct"),
+])
+def test_bad_jfunc_flags_exit_2(flags, message):
+    result = CliRunner().invoke(main, ["jfunc"] + flags)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+@pytest.mark.parametrize("args", [["asymptotics"],
+                                  ["hqe", "--times", "1", "--negate"]])
+def test_every_report_is_timed(args):
+    reps = _reports(CliRunner().invoke(main, args))
+    assert reps
+    assert all(r["elapsed_ms"] > 0 for r in reps), \
+        [r["check"] for r in reps if not r["elapsed_ms"] > 0]
 
 
 def test_deterministic_reports():

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitoda.errors import NonUnit, WindowUnderflow
@@ -261,6 +261,64 @@ def test_mul_coeff_matches_full_product(a, b, v, e, pick):
     assert got.terms == want.terms
     assert got.wins == want.wins
     assert got.caps == want.caps
+
+
+@st.composite
+def unit_series(draw):
+    """A ``windowed_series`` plus a dominating leading monomial: the lowest
+    exponent of an up window, the highest of a down window, any exponent of
+    an exact window.  The tail leaves some exact variables alone, and an
+    optional group cap sits a little above the leading monomial's degree
+    (caps bound the tail's powers only when that degree is positive)."""
+    s = draw(windowed_series(1))
+    lead, still = [], []
+    for i, v in enumerate(s.vars):
+        w = s.wins[v]
+        if w.lo_hard and w.hi_hard:
+            lead.append(draw(st.integers(w.lo, w.hi)))
+            if draw(st.booleans()):
+                still.append(i)
+        else:
+            lead.append(w.lo if w.lo_hard else w.hi)
+    terms = {}
+    for key, c in s.terms.items():
+        key = tuple(lead[i] if i in still else e for i, e in enumerate(key))
+        terms[key] = c
+    terms[tuple(lead)] = PR.rational(draw(st.integers(-3, 3).filter(bool)))
+    s = TS(s.vars, s.wins, terms, s.caps)._pruned()
+    if draw(st.booleans()):
+        group = draw(st.sets(st.sampled_from(s.vars), min_size=1))
+        degree = sum(lead[s.vars.index(v)] for v in group)
+        s = s.with_cap(group, degree + draw(st.integers(0, 3)))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_series())
+@example(TS.from_poly("u", {1: 1, 2: 1}).truncated({"u": up_win(5)}))
+@example(TS.from_poly("u", {1: 1, 3: 1}).truncated({"u": up_win(5)})
+         .with_cap({"u"}, 3))
+def test_recip_matches_power_loop(s):
+    try:
+        want = s._recip_by_powers()
+    except (NonUnit, WindowUnderflow) as exc:
+        with pytest.raises(type(exc)):
+            s.recip()
+        return
+    got = s.recip()
+    assert got.vars == want.vars
+    assert got.terms == want.terms
+    assert got.wins == want.wins
+    assert got.caps == want.caps
+
+
+def test_recip_empty_window_names_variable():
+    # the leading term u^3 lies above the u window [0, 2]
+    s = TS(("u", "w"), {"u": up_win(2), "w": exact_win(0, 0)},
+           {(3, 0): PR.one(), (4, 0): PR.one()})
+    with pytest.raises(WindowUnderflow, match="variable u: empty window "
+                       "in recip .*leading exponent 3"):
+        s.recip()
 
 
 def test_paramrat_hash_agrees_with_equality():
