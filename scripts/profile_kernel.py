@@ -22,14 +22,14 @@ def bench(label, fn, n=2000):
     print(f"{label:40s} {dt * 1e6:9.2f} us/op")
 
 
-def capped_unit():
+def capped_unit(seed=5):
     """1 + 60 terms shaped like the chart-change Newton steps of
     mirror-pairing: lam down to lam^-10, q up to q^13, and seven jet times
     t1..t7 under a joint degree cap of 2."""
     times = [f"t{i}" for i in range(1, 8)]
     wins = {"lam": down_win(-10), "q": up_win(13)}
     wins.update({t: up_win(2) for t in times})
-    rng = random.Random(5)
+    rng = random.Random(seed)
     s = TS.scalar(1, wins)
     for _ in range(60):
         exps = {"lam": -rng.randint(1, 10), "q": rng.randint(0, 3)}
@@ -52,6 +52,9 @@ def main():
     bench("series reciprocal (window 14)",
           lambda: poly.recip_within({"z": down_win(-12, hi=2)}), n=200)
     bench("capped 9-variable reciprocal", capped_unit().recip, n=10)
+    a = capped_unit()
+    b = capped_unit(6).truncated({"lam": down_win(-6)})
+    bench("capped 9-variable product, lam window 6", lambda: a * b, n=50)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
 

@@ -26,11 +26,29 @@ def _emit(report: CheckReport, out):
     return report.ok
 
 
-def _pairs(matrix: str):
+def _check_pair(k, m, param_hint=None):
+    """Exit 2 unless k and m are positive, distinct and coprime."""
+    if k < 1 or m < 1 or k == m or gcd(k, m) != 1:
+        raise click.BadParameter(
+            f"k={k}, m={m} must be positive, distinct and coprime",
+            param_hint=param_hint)
+
+
+POSITIVE = click.IntRange(min=1)
+KM_HINT = "'--k'/'--m'"
+
+
+def _matrix(ctx, param, value):
+    """Parse a ``k,m;k,m;...`` matrix of valid (k, m) pairs."""
     out = []
-    for chunk in matrix.split(";"):
-        k, m = chunk.split(",")
-        out.append((int(k), int(m)))
+    for chunk in value.split(";"):
+        try:
+            k, m = (int(x) for x in chunk.split(","))
+        except ValueError:
+            raise click.BadParameter(
+                f"{chunk!r} is not of the form k,m") from None
+        _check_pair(k, m)
+        out.append((k, m))
     return out
 
 
@@ -77,8 +95,8 @@ def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
 
 
 @main.command()
-@click.option("--k", required=True, type=click.IntRange(min=1))
-@click.option("--m", required=True, type=click.IntRange(min=1))
+@click.option("--k", required=True, type=POSITIVE)
+@click.option("--m", required=True, type=POSITIVE)
 @click.option("--qdeg", type=click.IntRange(min=0), default=None,
               help="q-degree to verify through (default 2km).")
 @click.option("--zdeg", type=str, default="-6:2", callback=_zwindow,
@@ -89,9 +107,7 @@ def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
 def jfunc(k, m, qdeg, zdeg, negate, out):
     """The derivative-operator ladder identities and the quantum
     differential equation."""
-    if k == m or gcd(k, m) != 1:
-        raise click.BadParameter(f"k={k}, m={m} must be distinct and coprime",
-                                 param_hint="'--k'/'--m'")
+    _check_pair(k, m, KM_HINT)
     qdeg = qdeg if qdeg is not None else 2 * k * m
     zlo, zhi = zdeg
     ok = _run_all(jfunc_jobs(k, m, qdeg, zlo, zhi, negate), out)
@@ -125,8 +141,8 @@ def mirror_jobs(k, m, degree, seed, points):
 
 
 @main.command("mirror-pairing")
-@click.option("--k", required=True, type=int)
-@click.option("--m", required=True, type=int)
+@click.option("--k", required=True, type=POSITIVE)
+@click.option("--m", required=True, type=POSITIVE)
 @click.option("--degree", type=int, default=2, help="Symbolic jet degree.")
 @click.option("--seed", type=int, default=0)
 @click.option("--points", type=int, default=3,
@@ -134,6 +150,7 @@ def mirror_jobs(k, m, degree, seed, points):
 @OUT_OPT
 def mirror_pairing(k, m, degree, seed, points, out):
     """Residue pairing vs the Poincare pairing; flat-coordinate routes."""
+    _check_pair(k, m, KM_HINT)
     ok = _run_all(mirror_jobs(k, m, degree, seed, points), out)
     sys.exit(0 if ok else 1)
 
@@ -182,12 +199,13 @@ def asymptotics_jobs(k, m, n):
 
 
 @main.command()
-@click.option("--k", type=int, default=3)
-@click.option("--m", type=int, default=2)
+@click.option("--k", type=POSITIVE, default=3)
+@click.option("--m", type=POSITIVE, default=2)
 @click.option("--n", type=int, default=12, help="Highest A_n checked.")
 @OUT_OPT
 def asymptotics(k, m, n, out):
     """Stationary-phase polynomials and the Gaussian-moment oracle."""
+    _check_pair(k, m, KM_HINT)
     ok = _run_all(asymptotics_jobs(k, m, n), out)
     sys.exit(0 if ok else 1)
 
@@ -210,12 +228,13 @@ def periods_jobs(k, m):
 
 
 @main.command()
-@click.option("--k", required=True, type=int)
-@click.option("--m", required=True, type=int)
+@click.option("--k", required=True, type=POSITIVE)
+@click.option("--m", required=True, type=POSITIVE)
 @OUT_OPT
 def periods(k, m, out):
     """Lemma-D branches, bi-infinite sums, the transformation law, and the
     phase-form primitives."""
+    _check_pair(k, m, KM_HINT)
     ok = _run_all(periods_jobs(k, m), out)
     sys.exit(0 if ok else 1)
 
@@ -239,8 +258,8 @@ def toda_jobs(k, m, eps_order, x_order, times):
 
 
 @main.command()
-@click.option("--k", type=int, default=2)
-@click.option("--m", type=int, default=1)
+@click.option("--k", type=POSITIVE, default=2)
+@click.option("--m", type=POSITIVE, default=1)
 @click.option("--eps-order", type=int, default=3)
 @click.option("--x-order", type=int, default=4)
 @click.option("--times", type=int, default=3,
@@ -248,6 +267,7 @@ def toda_jobs(k, m, eps_order, x_order, times):
 @OUT_OPT
 def toda(k, m, eps_order, x_order, times, out):
     """Shift-operator flows, wave equations, and the bi-graded reduction."""
+    _check_pair(k, m, KM_HINT)
     ok = _run_all(toda_jobs(k, m, eps_order, x_order, times), out)
     sys.exit(0 if ok else 1)
 
@@ -263,13 +283,14 @@ def vertex_jobs(k, m, modes, negate):
 
 
 @main.command()
-@click.option("--k", required=True, type=int)
-@click.option("--m", required=True, type=int)
+@click.option("--k", required=True, type=POSITIVE)
+@click.option("--m", required=True, type=POSITIVE)
 @click.option("--modes", type=int, default=12)
 @click.option("--negate", is_flag=True)
 @OUT_OPT
 def vertex(k, m, modes, negate, out):
     """The flow-variable change of the vertex operators and its inversion."""
+    _check_pair(k, m, KM_HINT)
     ok = _run_all(vertex_jobs(k, m, modes, negate), out)
     sys.exit(0 if ok else 1)
 
@@ -341,8 +362,8 @@ def hqe_jobs(k, m, times, negate):
 
 
 @main.command()
-@click.option("--k", type=int, default=3)
-@click.option("--m", type=int, default=2)
+@click.option("--k", type=POSITIVE, default=3)
+@click.option("--m", type=POSITIVE, default=2)
 @click.option("--times", type=int, default=2,
               help="Flow depth of the bilinear residue checks.")
 @click.option("--negate", is_flag=True,
@@ -350,12 +371,13 @@ def hqe_jobs(k, m, times, negate):
 @OUT_OPT
 def hqe(k, m, times, negate, out):
     """Bilinear residue checks on truncated Fock elements and tau jets."""
+    _check_pair(k, m, KM_HINT)
     ok = _run_all(hqe_jobs(k, m, times, negate), out)
     sys.exit(0 if ok else 1)
 
 
 @main.command("all")
-@click.option("--matrix", type=str, default="2,1;3,2",
+@click.option("--matrix", default="2,1;3,2", callback=_matrix,
               help="Semicolon-separated k,m pairs.")
 @click.option("--qdeg", type=int, default=None)
 @click.option("--modes", type=int, default=12)
@@ -364,7 +386,7 @@ def hqe(k, m, times, negate, out):
 def run_everything(matrix, qdeg, modes, seed, out):
     """Aggregate verification over a (k, m) matrix."""
     jobs = []
-    for (k, m) in _pairs(matrix):
+    for (k, m) in matrix:
         jobs += jfunc_jobs(k, m, qdeg if qdeg is not None else 2 * k * m,
                            -6, 2, False)
         jobs += mirror_jobs(k, m, 2, seed, 1)

@@ -98,13 +98,32 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
     u0 = TruncSeries.scalar(0, {"lam": lamw, "q": qwin})
     lam_pow = {e: TruncSeries.from_poly("lam", {e: 1}) for e in range(-sp.m, k + 1)}
 
-    def subst_x(u, e):
-        # (lam (1+u))^e
-        base = (1 + u) ** e if e >= 0 else ((1 + u).recip()) ** (-e)
-        return base * TruncSeries.from_poly("lam", {e: 1})
+    def unit_powers(u):
+        """e -> (1+u)^e.  1/(1+u) and its powers are built once per iterate
+        and shared by G and G'.  A power e >= 0 is rebuilt at each use:
+        keeping those alive through G raised the peak memory of the
+        geometry checks by about 2%."""
+        one_u = 1 + u
+        negative = {}
 
-    def G(u):
-        acc = subst_x(u, k) - lam_pow[k] + sp.tN_term
+        def upow(e):
+            # no call to upow in here: a self-reference would keep the
+            # table alive in a cycle until the garbage collector runs
+            if e >= 0:
+                return one_u ** e
+            if e not in negative:
+                if -1 not in negative:
+                    negative[-1] = one_u.recip()
+                negative[e] = negative[-1] ** (-e)
+            return negative[e]
+        return upow
+
+    def subst_x(upow, e):
+        # (lam (1+u))^e
+        return upow(e) * TruncSeries.from_poly("lam", {e: 1})
+
+    def G(u, upow):
+        acc = subst_x(upow, k) - lam_pow[k] + sp.tN_term
         for key, c in sp.rational.terms.items():
             exps = dict(zip(sp.rational.vars, key))
             e = exps.get("x", 0)
@@ -113,21 +132,13 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
             rest = {n: v for n, v in exps.items() if n != "x"}
             mono = TruncSeries.monomial(
                 rest, {n: sp.rational.wins[n] for n in rest}, coeff=c)
-            acc = acc + mono * subst_x(u, e)
+            acc = acc + mono * subst_x(upow, e)
         return acc + u.log1p().scale(sp.log_x)
 
-    def Gprime(u):
+    def Gprime(upow):
         # d/du of G: from the rational part, e * lam^e (1+u)^{e-1}, plus
         # log-term c/(1+u)
         acc = TruncSeries.scalar(0, {"lam": lamw, "q": qwin})
-        one_u = 1 + u
-        inv = one_u.recip()
-        pows = {}
-
-        def upow(e):
-            if e not in pows:
-                pows[e] = one_u ** e if e >= 0 else inv ** (-e)
-            return pows[e]
         for key, c in sp.rational.terms.items():
             exps = dict(zip(sp.rational.vars, key))
             e = exps.get("x", 0)
@@ -137,16 +148,19 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
             mono = TruncSeries.monomial(
                 rest, {n: sp.rational.wins[n] for n in rest}, coeff=c * e)
             acc = acc + mono * upow(e - 1) * TruncSeries.from_poly("lam", {e: 1})
-        return acc + inv.scale(sp.log_x)
+        return acc + upow(-1).scale(sp.log_x)
 
     u = u0
     for _ in range(depth + 3):
-        g = G(u)
+        upow = unit_powers(u)
+        g = G(u, upow)
         if g.is_zero():
             break
-        u = u - g * Gprime(u).recip()
+        gp = Gprime(upow)
+        del upow  # release this iterate's powers before the next
+        u = u - g * gp.recip()
     else:
-        gc = G(u)
+        gc = G(u, unit_powers(u))
         if not gc.is_zero():
             raise SingularFiber("chart-change Newton did not converge")
     return (1 + u) * TruncSeries.from_poly("lam", {1: 1})

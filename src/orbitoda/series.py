@@ -358,9 +358,8 @@ class TruncSeries:
         allvars, ta, tb = self._aligned(other)
         caps = _cap_merge(self.caps, other.caps)
         wins = self._product_wins(other, allvars)
-        tb_items = tb.items()
-        terms = _pair_products(((ka, ca, tb_items) for ka, ca in ta.items()),
-                               _key_bounds(allvars, wins, caps))
+        bounds = _key_bounds(allvars, wins, caps)
+        terms = _pair_products(_window_pairs(ta, tb, bounds), bounds)
         return TruncSeries(allvars, wins, terms, caps)
 
     def mul_coeff(self, other: "TruncSeries", v: str, e: int) -> "TruncSeries":
@@ -452,13 +451,20 @@ class TruncSeries:
                               f"(candidate {best}, offender {key})")
         return best
 
+    def _lead_degrees(self, lead) -> dict:
+        """Per group cap, the leading key's degree in the group."""
+        return {g: sum(e for v, e in zip(self.vars, lead) if v in g)
+                for g in self.caps}
+
     def _recip_parts(self):
-        """(lead, c0^-1, tail, gwins) of 1/self = x^-lead c0^-1 / (1 + h).
+        """(lead, c0^-1, tail, gwins, gcaps) of 1/self = x^-lead c0^-1 / (1 + h).
 
         ``tail`` holds h = self / (c0 x^lead) - 1 by exponent offset from the
-        leading key; ``gwins`` is the window of the geometric sum
-        sum_j (-h)^j (support starts at 0).  Exactly-tracked variables keep
-        a neutral window and grow freely.
+        leading key; ``gwins`` and ``gcaps`` are the window and group caps of
+        the geometric sum sum_j (-h)^j (support starts at 0).  A cap C on a
+        group where the leading key has degree d knows h to offset degree
+        C - d.  Exactly-tracked variables keep a neutral window and grow
+        freely.
         """
         lead = self._leading_key()
         c0_inv = self.terms[lead].inverse()
@@ -480,16 +486,25 @@ class TruncSeries:
                 raise WindowUnderflow(
                     f"variable {v}: empty window in recip (leading exponent "
                     f"{lead[i]} outside {self.wins[v]})")
-        return lead, c0_inv, tail, gwins
+        degrees = self._lead_degrees(lead)
+        gcaps = {g: c - degrees[g] for g, c in self.caps.items()}
+        return lead, c0_inv, tail, gwins, gcaps
 
     def _times_lead_inverse(self, total: "TruncSeries", lead, c0_inv):
-        """total * c0^-1 x^-lead, the last step of both reciprocals."""
+        """total * c0^-1 x^-lead, the last step of both reciprocals.
+
+        The shift by -lead moves each cap of ``total`` down by the leading
+        degree d, so the result is known to degree C - 2d; the product tests
+        the shifted caps on the shifted keys.
+        """
         minv = TruncSeries(self.vars,
                            {v: VarWindow(-lead[i], -lead[i], True, True,
                                          self.wins[v].den)
                             for i, v in enumerate(self.vars)},
                            {tuple(-e for e in lead): c0_inv})
-        return total * minv
+        degrees = self._lead_degrees(lead)
+        caps = {g: c - degrees[g] for g, c in total.caps.items()}
+        return TruncSeries(total.vars, total.wins, total.terms, caps) * minv
 
     def recip(self) -> "TruncSeries":
         """1/self.  Every variable the tail moves must carry a truncation.
@@ -505,7 +520,7 @@ class TruncSeries:
         support of each power; such inputs go through
         ``_recip_by_powers``.
         """
-        lead, c0_inv, tail, gwins = self._recip_parts()
+        lead, c0_inv, tail, gwins, gcaps = self._recip_parts()
         exact = [i for i, v in enumerate(self.vars) if gwins[v].lo_hard
                  and gwins[v].hi_hard]
         if any(key[i] for key in tail for i in exact):
@@ -514,7 +529,7 @@ class TruncSeries:
                 for i, v in enumerate(self.vars)]
         top = sum(gwins[v].hi if d > 0 else -gwins[v].lo
                   for v, d in zip(self.vars, dirs) if d)
-        lows, highs, capspec = _key_bounds(self.vars, gwins, self.caps)
+        lows, highs, capspec = _key_bounds(self.vars, gwins, gcaps)
         push = [(t, -c, sum(map(mul, dirs, t))) for t, c in tail.items()]
         grades: list[dict] = [{} for _ in range(top + 1)]
         zero = (0,) * len(self.vars)
@@ -537,19 +552,19 @@ class TruncSeries:
                         nxt = grades[g + gt]
                         cur = nxt.get(nk)
                         nxt[nk] = c * ct if cur is None else cur + c * ct
-        total = TruncSeries(self.vars, gwins, terms, dict(self.caps))
+        total = TruncSeries(self.vars, gwins, terms, gcaps)
         return self._times_lead_inverse(total, lead, c0_inv)
 
     def _recip_by_powers(self) -> "TruncSeries":
         """1/self as the truncated geometric sum of (-h)^j, one full power at
         a time; windows of exactly-tracked variables grow with each power."""
-        lead, c0_inv, tail, gwins = self._recip_parts()
+        lead, c0_inv, tail, gwins, gcaps = self._recip_parts()
         hwins = {v: VarWindow(w.lo - lead[i], w.hi - lead[i], w.lo_hard,
                               w.hi_hard, w.den)
                  for i, (v, w) in enumerate(
                      (v, self.wins[v]) for v in self.vars)}
-        h = TruncSeries(self.vars, hwins, tail, self.caps)
-        total = TruncSeries.scalar(1, gwins, self.caps)
+        h = TruncSeries(self.vars, hwins, tail, gcaps)
+        total = TruncSeries.scalar(1, gwins, gcaps)
         power = total
         guard = 0
         while True:
@@ -754,24 +769,25 @@ class TruncSeries:
             else:
                 ng = frozenset((g - {v}) | set(repl.vars))
                 caps[ng] = min(caps.get(ng, cval), cval)
-        pows: dict[int, TruncSeries] = {}
+        pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, repl.wins)}
         repl_inv = None
 
         def power(e: int) -> TruncSeries:
+            # Steps out from the nearest power already built.  It does not
+            # call itself: a self-reference would hold the table in a cycle
+            # until the garbage collector runs, well after this call ends.
             nonlocal repl_inv
-            p = pows.get(e)
-            if p is not None:
-                return p
-            if e == 0:
-                p = TruncSeries.scalar(1, repl.wins)
-            elif e > 0:
-                p = power(e - 1) * repl
-            else:
-                if repl_inv is None:
-                    repl_inv = repl.recip()
-                p = power(e + 1) * repl_inv
-            pows[e] = p
-            return p
+            step = 1 if e > 0 else -1
+            j = e
+            while j not in pows:
+                j -= step
+            if j != e and step < 0 and repl_inv is None:
+                repl_inv = repl.recip()
+            factor = repl if step > 0 else repl_inv
+            while j != e:
+                j += step
+                pows[j] = pows[j - step] * factor
+            return pows[e]
 
         out = TruncSeries(nvars, nwins, {}, caps) + TruncSeries.scalar(0, repl.wins)
         for e, sub in sorted(groups.items()):
@@ -886,6 +902,45 @@ def _under_caps(key, capspec) -> bool:
         if sum(key[i] for i in positions) > cap:
             return False
     return True
+
+
+def _window_pairs(ta: dict, tb: dict, bounds):
+    """``(ka, ca, right terms)`` triples of ``ta * tb`` for ``_pair_products``.
+
+    Each left term gets only the right terms whose exponent at one position
+    p can land inside the window there: kb[p] in [lo - ka[p], hi - ka[p]].
+    p is where the factors' exponent ranges overhang the window the most;
+    every pair dropped here would fail ``_pair_products``' window test, and
+    each selection keeps ``tb``'s order, so the product is the same dict in
+    the same order.  Small products, and products whose ranges fit inside
+    the window, skip the scan and pair with all of ``tb``.
+    """
+    na, nb = len(ta), len(tb)
+    unfiltered = ((ka, ca, tb.items()) for ka, ca in ta.items())
+    if na * nb <= 4 * (na + nb):
+        return unfiltered
+    lows, highs, _ = bounds
+    p, most = None, 0
+    for i, (acol, bcol, lo, hi) in enumerate(zip(zip(*ta), zip(*tb),
+                                                 lows, highs)):
+        over = max(lo - min(acol) - min(bcol), 0) + \
+            max(max(acol) + max(bcol) - hi, 0)
+        if over > most:
+            p, most = i, over
+    if p is None:
+        return unfiltered
+    lo, hi = lows[p], highs[p]
+    chosen: dict[int, list] = {}
+
+    def pairs():
+        for ka, ca in ta.items():
+            e = ka[p]
+            sel = chosen.get(e)
+            if sel is None:
+                sel = chosen[e] = [(kb, cb) for kb, cb in tb.items()
+                                   if lo - e <= kb[p] <= hi - e]
+            yield ka, ca, sel
+    return pairs()
 
 
 def _pair_products(pairs, bounds) -> dict:

@@ -63,6 +63,23 @@ def test_bad_jfunc_flags_exit_2(flags, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["mirror-pairing", "--k", "2", "--m", "4"], "coprime"),
+    (["vertex", "--k", "2", "--m", "4"], "coprime"),
+    (["periods", "--k", "1", "--m", "1"], "distinct"),
+    (["toda", "--k", "3", "--m", "3"], "distinct"),
+    (["asymptotics", "--k", "4", "--m", "6"], "coprime"),
+    (["hqe", "--k", "0"], "x>=1"),
+    (["all", "--matrix", "2,4"], "coprime"),
+    (["all", "--matrix", "2;3"], "not of the form k,m"),
+    (["all", "--matrix", "2,1;3,x"], "not of the form k,m"),
+])
+def test_bad_pair_flags_exit_2(args, message):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 @pytest.mark.parametrize("args", [["asymptotics"],
                                   ["hqe", "--times", "1", "--negate"]])
 def test_every_report_is_timed(args):

@@ -1,6 +1,7 @@
 """Mirror family: flat coordinates, residue pairing, tangent algebra,
 classical limits, stationary-phase polynomials."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +11,9 @@ from orbitoda.cohomology import Cohomology, SectorIndex
 from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
                              flat_coords_binomial, flat_coords_residue,
                              gaussian_moment_oracle, residue_pairing_matrix,
-                             small_slice_reduce, stationary_phase_A,
-                             tname, verify_flat_coordinates,
-                             verify_tangent_product)
+                             small_slice_reduce, solve_chart_change,
+                             stationary_phase_A, superpotential, tname,
+                             verify_flat_coordinates, verify_tangent_product)
 from orbitoda.rationals import ParamRat as PR, RootRing
 from orbitoda.series import TruncSeries as TS
 
@@ -37,6 +38,19 @@ def test_flat_coordinate_k3_correction():
 @pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3), (5, 2)])
 def test_flat_routes_agree(k, m):
     assert verify_flat_coordinates(k, m, 4).ok
+
+
+def test_chart_change_leaves_no_cyclic_garbage():
+    # each Newton step's powers of 1 + u are freed with the step, not later
+    # by the cycle collector
+    sp = superpotential(2, 1, None, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_chart_change(sp, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_y_chart_flat_coordinates():

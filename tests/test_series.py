@@ -1,11 +1,13 @@
 """Truncated-series kernel: windows, arithmetic, reversion, shifts."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orbitoda import series
 from orbitoda.errors import NonUnit, WindowUnderflow
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win, exact_win,
@@ -264,6 +266,86 @@ def test_mul_coeff_matches_full_product(a, b, v, e, pick):
 
 
 @st.composite
+def truncated_factors(draw):
+    """Two factors of 12-20 terms over u (truncated, both up or both down),
+    v (exact) and maybe w (truncated up).  Each factor has terms at both
+    ends of its u window, so the product's u window rejects about half of
+    the pairs, and w another share; an optional cap on v and w."""
+    names = ("u", "v", "w") if draw(st.booleans()) else ("u", "v")
+    kind = draw(st.sampled_from(["up", "down"]))
+    coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
+    factors = []
+    for _ in range(2):
+        depth = draw(st.integers(4, 9))
+        wins = {"u": up_win(depth) if kind == "up" else down_win(-depth),
+                "v": exact_win(-2, 2), "w": up_win(draw(st.integers(2, 5)))}
+        wins = {v: wins[v] for v in names}
+        key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
+        terms = draw(st.dictionaries(key, coeff, min_size=12, max_size=18))
+        rest = (0,) * (len(names) - 1)
+        for e in (wins["u"].lo, wins["u"].hi):
+            terms[(e,) + rest] = draw(coeff)
+        s = TS(names, wins, terms)
+        if draw(st.booleans()):
+            s = s.with_cap(set(names) - {"u"}, draw(st.integers(2, 6)))
+        factors.append(s)
+    return factors
+
+
+def every_pair_product(a, b):
+    """a * b for factors over the same variables, by the schoolbook loop
+    over every pair of terms: the keep test of the window and the caps."""
+    wins = a._product_wins(b, a.vars)
+    caps = dict(a.caps)
+    for g, c in b.caps.items():
+        caps[g] = min(caps.get(g, c), c)
+    terms = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if any(not wins[v].lo <= e <= wins[v].hi
+                   for v, e in zip(a.vars, key)):
+                continue
+            if any(sum(e for v, e in zip(a.vars, key) if v in g) > c
+                   for g, c in caps.items()):
+                continue
+            s = terms.get(key, PR.zero()) + ca * cb
+            if s.is_zero():
+                del terms[key]
+            else:
+                terms[key] = s
+    return TS(a.vars, wins, terms, caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_factors())
+def test_windowed_product_matches_every_pair_loop(factors):
+    a, b = factors
+    assume(len(a.terms) >= 10 and len(b.terms) >= 10)
+    formed = 0
+    pair_products = series._pair_products
+
+    def counting(pairs, bounds):
+        def counted():
+            nonlocal formed
+            for ka, ca, tb in pairs:
+                formed += len(tb)
+                yield ka, ca, tb
+        return pair_products(counted(), bounds)
+    series._pair_products = counting
+    try:
+        got = a * b
+    finally:
+        series._pair_products = pair_products
+    assert formed < len(a.terms) * len(b.terms)   # the window filter ran
+    want = every_pair_product(a, b)
+    assert got.vars == want.vars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.wins == want.wins
+    assert got.caps == want.caps
+
+
+@st.composite
 def unit_series(draw):
     """A ``windowed_series`` plus a dominating leading monomial: the lowest
     exponent of an up window, the highest of a down window, any exponent of
@@ -310,6 +392,32 @@ def test_recip_matches_power_loop(s):
     assert got.terms == want.terms
     assert got.wins == want.wins
     assert got.caps == want.caps
+
+
+def test_recip_cap_counts_leading_degree():
+    # input known to degree 3 and led by u: 1/(u + u^3 + O(u^4)) is known
+    # to degree 3 - 2 = 1 only
+    s = TS.from_poly("u", {1: 1, 3: 1}).truncated({"u": up_win(5)}) \
+        .with_cap({"u"}, 3)
+    r = s.recip()
+    assert r.terms == {(-1,): PR.one(), (1,): -PR.one()}
+    assert r.caps == {frozenset({"u"}): 1}
+
+
+def test_subst_leaves_no_cyclic_garbage():
+    # the power table of a substitution is freed when subst returns, not
+    # later by the cycle collector
+    f = TS.from_poly("lam", {1: 1, -1: 5, -2: 3}).truncated(
+        {"lam": down_win(-6, hi=1)})
+    g = TS.from_poly("lam", {1: 1, 0: 2, -1: 1}).truncated(
+        {"lam": down_win(-6, hi=1)})
+    gc.collect()
+    gc.disable()
+    try:
+        f.subst("lam", g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_recip_empty_window_names_variable():
