@@ -35,6 +35,7 @@ def _check_pair(k, m, param_hint=None):
 
 
 POSITIVE = click.IntRange(min=1)
+NONNEGATIVE = click.IntRange(min=0)
 KM_HINT = "'--k'/'--m'"
 
 
@@ -97,7 +98,7 @@ def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
 @main.command()
 @click.option("--k", required=True, type=POSITIVE)
 @click.option("--m", required=True, type=POSITIVE)
-@click.option("--qdeg", type=click.IntRange(min=0), default=None,
+@click.option("--qdeg", type=NONNEGATIVE, default=None,
               help="q-degree to verify through (default 2km).")
 @click.option("--zdeg", type=str, default="-6:2", callback=_zwindow,
               help="z-window lo:hi.")
@@ -143,9 +144,10 @@ def mirror_jobs(k, m, degree, seed, points):
 @main.command("mirror-pairing")
 @click.option("--k", required=True, type=POSITIVE)
 @click.option("--m", required=True, type=POSITIVE)
-@click.option("--degree", type=int, default=2, help="Symbolic jet degree.")
+@click.option("--degree", type=NONNEGATIVE, default=2,
+              help="Symbolic jet degree.")
 @click.option("--seed", type=int, default=0)
-@click.option("--points", type=int, default=3,
+@click.option("--points", type=NONNEGATIVE, default=3,
               help="Random rational parameter points to test.")
 @OUT_OPT
 def mirror_pairing(k, m, degree, seed, points, out):
@@ -201,7 +203,8 @@ def asymptotics_jobs(k, m, n):
 @main.command()
 @click.option("--k", type=POSITIVE, default=3)
 @click.option("--m", type=POSITIVE, default=2)
-@click.option("--n", type=int, default=12, help="Highest A_n checked.")
+@click.option("--n", type=click.IntRange(min=2), default=12,
+              help="Highest A_n checked.")
 @OUT_OPT
 def asymptotics(k, m, n, out):
     """Stationary-phase polynomials and the Gaussian-moment oracle."""
@@ -260,9 +263,10 @@ def toda_jobs(k, m, eps_order, x_order, times):
 @main.command()
 @click.option("--k", type=POSITIVE, default=2)
 @click.option("--m", type=POSITIVE, default=1)
-@click.option("--eps-order", type=int, default=3)
-@click.option("--x-order", type=int, default=4)
-@click.option("--times", type=int, default=3,
+@click.option("--eps-order", type=click.IntRange(min=3), default=3,
+              help="eps-truncation order of the jets.")
+@click.option("--x-order", type=NONNEGATIVE, default=4)
+@click.option("--times", type=POSITIVE, default=3,
               help="Flow times carried by tau jets.")
 @OUT_OPT
 def toda(k, m, eps_order, x_order, times, out):
@@ -285,7 +289,7 @@ def vertex_jobs(k, m, modes, negate):
 @main.command()
 @click.option("--k", required=True, type=POSITIVE)
 @click.option("--m", required=True, type=POSITIVE)
-@click.option("--modes", type=int, default=12)
+@click.option("--modes", type=POSITIVE, default=12)
 @click.option("--negate", is_flag=True)
 @OUT_OPT
 def vertex(k, m, modes, negate, out):
@@ -364,7 +368,7 @@ def hqe_jobs(k, m, times, negate):
 @main.command()
 @click.option("--k", type=POSITIVE, default=3)
 @click.option("--m", type=POSITIVE, default=2)
-@click.option("--times", type=int, default=2,
+@click.option("--times", type=POSITIVE, default=2,
               help="Flow depth of the bilinear residue checks.")
 @click.option("--negate", is_flag=True,
               help="Also run the perturbed-tau negative control.")
@@ -379,8 +383,8 @@ def hqe(k, m, times, negate, out):
 @main.command("all")
 @click.option("--matrix", default="2,1;3,2", callback=_matrix,
               help="Semicolon-separated k,m pairs.")
-@click.option("--qdeg", type=int, default=None)
-@click.option("--modes", type=int, default=12)
+@click.option("--qdeg", type=NONNEGATIVE, default=None)
+@click.option("--modes", type=POSITIVE, default=12)
 @click.option("--seed", type=int, default=0)
 @OUT_OPT
 def run_everything(matrix, qdeg, modes, seed, out):

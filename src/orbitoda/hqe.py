@@ -19,9 +19,11 @@ from fractions import Fraction
 
 from .algebra import frac_factorial, symmetric_e, symmetric_h
 from .cohomology import Cohomology, SectorIndex
+from .errors import WindowUnderflow
 from .rationals import ParamRat, PR
 from .reports import CheckReport, Stopwatch
 from .series import TruncSeries, VarWindow, down_win, exact_win, up_win
+from .toda import TauJet, miwa_shift, ybname, yname
 
 
 @dataclass
@@ -425,34 +427,8 @@ def miwa_part(f: TruncSeries, sign: int, barred: bool, leg: str,
               depth: int) -> TruncSeries:
     """exp(-sign * sum (lam^{-n}/n) eps d_{y_n}) f — exact on a polynomial
     jet, producing nonpositive lambda-powers."""
-    def apply_a(g: TruncSeries) -> TruncSeries:
-        acc = None
-        for n in range(1, depth + 1):
-            name = flow_var(leg, barred, n)
-            if name not in g.wins:
-                continue
-            d = g.derivative(name)
-            if d.is_zero():
-                continue
-            term = d.shift_exponent("eps", 1).scale(Fraction(-sign, n))
-            term = term * TruncSeries.from_poly("lam", {-n: 1})
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return TruncSeries.scalar(0) * g
-        return acc
-
-    total = f + TruncSeries.scalar(0, {"lam": POINT_LAM})
-    power = total
-    j = 0
-    fact = 1
-    while True:
-        j += 1
-        fact *= j
-        power = apply_a(power)
-        if power.is_zero():
-            break
-        total = total + power.scale(Fraction(1, fact))
-    return total
+    names = [flow_var(leg, barred, n) for n in range(1, depth + 1)]
+    return f.exp_derivation(miwa_shift(names, sign), {"lam": POINT_LAM})
 
 
 def lam_depth(ser: TruncSeries) -> int:
@@ -480,7 +456,7 @@ def mult_part(f: TruncSeries, miwa: TruncSeries, sign: int, barred: bool,
     return miwa * arg.exp()
 
 
-def toda_hqe_eval(tau: "TauJet", n: int, l: int, depth: int,
+def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
                   eps_win: VarWindow, lam_span: int | None = None) -> TruncSeries:
     """The lambda-residue of the bilinear form at the pair (n, l):
 
@@ -490,7 +466,6 @@ def toda_hqe_eval(tau: "TauJet", n: int, l: int, depth: int,
     with independent flow variables on the two legs.  Returns the residue
     as a series; the tau family satisfies the equations iff it vanishes.
     """
-    from .toda import yname, ybname  # local import avoids a cycle
     extra = abs(n - l) + 2 if lam_span is None else lam_span
 
     def leg_series(r: int, leg: str) -> TruncSeries:
@@ -500,27 +475,25 @@ def toda_hqe_eval(tau: "TauJet", n: int, l: int, depth: int,
             names[yname(j)] = flow_var(leg, False, j)
         for j in range(1, tau.ybtimes + 1):
             names[ybname(j)] = flow_var(leg, True, j)
-        return _rename(shifted, names)
+        return shifted.rename(names)
 
-    m1a = miwa_part(leg_series(l, "a"), +1, False, "a", depth)
-    m1b = miwa_part(leg_series(n + 1, "b"), -1, False, "b", depth)
-    m2a = miwa_part(leg_series(l + 1, "a"), -1, True, "a", depth)
-    m2b = miwa_part(leg_series(n, "b"), +1, True, "b", depth)
+    fa1, fb1 = leg_series(l, "a"), leg_series(n + 1, "b")
+    fa2, fb2 = leg_series(l + 1, "a"), leg_series(n, "b")
+    m1a = miwa_part(fa1, +1, False, "a", depth)
+    m1b = miwa_part(fb1, -1, False, "b", depth)
+    m2a = miwa_part(fa2, -1, True, "a", depth)
+    m2b = miwa_part(fb2, +1, True, "b", depth)
     # spans sized so every lambda-pairing against the partner's hard bottom
     # is reachable: a_p pairs with b_{shift - p}
     s1 = l - n
     span1 = lam_depth(m1a) + lam_depth(m1b) + abs(s1) + extra
-    ga = mult_part(leg_series(l, "a"), m1a, +1, False, "a", depth, eps_win,
-                   span1)
-    gb = mult_part(leg_series(n + 1, "b"), m1b, -1, False, "b", depth,
-                   eps_win, span1)
+    ga = mult_part(fa1, m1a, +1, False, "a", depth, eps_win, span1)
+    gb = mult_part(fb1, m1b, -1, False, "b", depth, eps_win, span1)
     term1 = _lam_zero_of_product(ga, gb, s1)
     s2 = n - l
     span2 = lam_depth(m2a) + lam_depth(m2b) + abs(s2) + extra
-    gab = mult_part(leg_series(l + 1, "a"), m2a, -1, True, "a", depth,
-                    eps_win, span2)
-    gbb = mult_part(leg_series(n, "b"), m2b, +1, True, "b", depth, eps_win,
-                    span2)
+    gab = mult_part(fa2, m2a, -1, True, "a", depth, eps_win, span2)
+    gbb = mult_part(fb2, m2b, +1, True, "b", depth, eps_win, span2)
     term2 = _lam_zero_of_product(gab, gbb, s2).shift_exponent("Q", l - n)
     resid = term1 - term2
     # Hirota substitution: leg a = s + d, leg b = s - d
@@ -563,11 +536,6 @@ def _lam_zero_of_product(a: TruncSeries, b: TruncSeries, shift: int) -> TruncSer
     if total is None:
         total = a.coeff_of("lam", lo_a) * TruncSeries.scalar(0)
     return total
-
-
-def _rename(ser: TruncSeries, names: dict) -> TruncSeries:
-    from .mirror import _rename_vars
-    return _rename_vars(ser, names)
 
 
 def residual_bidegree(resid: TruncSeries, key) -> tuple[int, int]:
@@ -625,36 +593,11 @@ def apply_vertex(sym: VertexSymbol, elem: TruncSeries, leg: str,
     """exp(creation) exp(annihilation) applied to a truncated Fock element."""
     lam_w = exact_win(-lam_span, lam_span)
 
-    def apply_a(g: TruncSeries) -> TruncSeries:
-        acc = None
-        for p, slot in sym.annihilation.items():
-            if abs(p) > lam_span:
-                continue
-            for (L, alpha), c in slot.items():
-                name = fock_var(leg, L, alpha)
-                if name not in g.wins:
-                    continue
-                d = g.derivative(name)
-                if d.is_zero():
-                    continue
-                term = d.shift_exponent("eps", 1).scale(c)
-                term = term * TruncSeries.from_poly("lam", {p: 1})
-                acc = term if acc is None else acc + term
-        if acc is None:
-            return TruncSeries.scalar(0, {"lam": lam_w}) * g
-        return acc
-
-    total = elem + TruncSeries.scalar(0, {"lam": lam_w})
-    j = 0
-    fact = 1
-    power = total
-    while True:
-        j += 1
-        fact *= j
-        power = apply_a(power)
-        if power.is_zero():
-            break
-        total = total + power.scale(Fraction(1, fact))
+    parts = [(fock_var(leg, L, alpha), TruncSeries.from_poly("eps", {1: c})
+              * TruncSeries.from_poly("lam", {p: 1}))
+             for p, slot in sym.annihilation.items() if abs(p) <= lam_span
+             for (L, alpha), c in slot.items()]
+    total = elem.exp_derivation(parts, {"lam": lam_w})
     # creation exponential: declared q-variable windows with a group cap
     arg = None
     group = []
@@ -697,8 +640,10 @@ def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
 
     Vertex operators enter through their symbols with |mode| <= mode_max
     (mode_max = 0 strips them entirely); translations shift the untwisted
-    q_0-slots per the (n, l)-bookkeeping.  Returns the residue series after
-    the substitution q' = x + y, q'' = x - y.
+    q_0-slots per the (n, l)-bookkeeping.  The residue is returned in the
+    two legs' own Fock slots q' = ``qa*`` and q'' = ``qb*``: the change
+    q' = x + y, q'' = x - y is linear and invertible, so it does not change
+    whether the residue vanishes.
     """
     lam_span = mode_max + abs(n - l) + 2
     k0 = SectorIndex("k", 0)
@@ -725,15 +670,4 @@ def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
     else:
         ab, bb = a, b
     term2 = ab.mul_coeff(bb, "lam", n - l).shift_exponent("Q", n - l)
-    resid = term1 - term2
-    # q' = x + y, q'' = x - y on every Fock slot present
-    for name in [v for v in resid.vars if v.startswith("qa") or v.startswith("qb")]:
-        root = name[2:]
-        xw = resid.wins[name]
-        xs = TruncSeries.var("x" + root, xw)
-        ys = TruncSeries.var("y" + root, xw)
-        repl = xs + ys if name.startswith("qa") else xs - ys
-        caps_ok = not any(name in g for g in resid.caps)
-        if caps_ok:
-            resid = resid.subst(name, repl)
-    return resid
+    return term1 - term2

@@ -377,7 +377,7 @@ class FlatChart:
             self.tau[("k", i)] = ser
         # y-chart: feet exchanged (nu0 <-> nu1) and t-indices reflected
         for (_side, j), ser in taus_y.items():
-            self.tau[("m", j)] = _swap_nu_series(_rename_vars(ser, rename))
+            self.tau[("m", j)] = ser.rename(rename).map_coeffs(PR.swap_nu)
         self.jacobian = [[self.tau[alpha].derivative(tn)
                           for tn in self.tnames] for alpha in self.alphas]
 
@@ -410,33 +410,6 @@ class FlatChart:
         jac = [[_const_part(_eval_t(self.jacobian[r][c], tvals))
                 for c in range(n)] for r in range(n)]
         return _gauss_invert(jac)
-
-
-def _rename_vars(ser: TruncSeries, names: dict[str, str]) -> TruncSeries:
-    vars_new = tuple(names.get(v, v) for v in ser.vars)
-    order = sorted(range(len(vars_new)), key=lambda i: vars_new[i])
-    vars_sorted = tuple(vars_new[i] for i in order)
-    wins = {names.get(v, v): w for v, w in ser.wins.items()}
-    terms = {tuple(key[i] for i in order): c for key, c in ser.terms.items()}
-    caps = {frozenset(names.get(v, v) for v in g): c
-            for g, c in ser.caps.items()}
-    return TruncSeries(vars_sorted, wins, terms, caps)
-
-
-def _swap_nu_series(ser: TruncSeries) -> TruncSeries:
-    return TruncSeries(ser.vars, ser.wins,
-                       {k: _swap_nu_pr(c) for k, c in ser.terms.items()},
-                       ser.caps)
-
-
-def _swap_nu_pr(c: ParamRat) -> ParamRat:
-    # nu0 <-> nu1: D -> -D, S -> S + D
-    out = PR.zero()
-    nu0 = PR.nu0()
-    for (a, b), v in c.terms.items():
-        term = PR.monomial(v * (-1) ** (a % 2), a, 0) * (nu0 ** b)
-        out = out + term
-    return out
 
 
 def _const_part(ser: TruncSeries) -> ParamRat:

@@ -204,8 +204,8 @@ def verify_fixed_point(k: int, m: int, alpha: SectorIndex,
         # z^0 mode: phi_alpha(x) / (x f'(x)) expanded at infinity
         z0 = f.coeff_of("z", 0)
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
-        fprime = _rename_x_to_lam(sp.df_dx())
-        phi = _rename_x_to_lam(_phi_poly(k, m, alpha))
+        fprime = sp.df_dx().rename({"x": "lam"})
+        phi = _phi_poly(k, m, alpha).rename({"x": "lam"})
         den = TruncSeries.from_poly("lam", {1: 1}) * fprime
         want = phi * den.recip_within({"lam": down_win(lam_lo, hi=k),
                                        "q": up_win(abs(lam_lo) + 4)})
@@ -232,13 +232,8 @@ def _phi_poly(k: int, m: int, alpha: SectorIndex) -> TruncSeries:
 
 def _phi_mode_seed(k: int, m: int, alpha: SectorIndex) -> TruncSeries:
     """k^{-1} phi_alpha(lam) lam^{-k}: the seed of the x-side mode sum."""
-    phi = _rename_x_to_lam(_phi_poly(k, m, alpha))
+    phi = _phi_poly(k, m, alpha).rename({"x": "lam"})
     return phi.shift_exponent("lam", -k).scale(Fraction(1, k))
-
-
-def _rename_x_to_lam(ser: TruncSeries) -> TruncSeries:
-    from .mirror import _rename_vars
-    return _rename_vars(ser, {"x": "lam"})
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +334,8 @@ def mode_chain(k: int, m: int, alpha: SectorIndex, n_max: int,
     else:
         # y-chart: feet exchanged
         spy = superpotential(m, k, {i: 0 for i in range(1, k + m)})
-        fprime = _swap_nu_ts(spy.df_dx())
-        phi = _swap_nu_ts(_phi_poly(m, k, _flip(alpha)))
+        fprime = spy.df_dx().map_coeffs(PR.swap_nu)
+        phi = _phi_poly(m, k, _flip(alpha)).map_coeffs(PR.swap_nu)
         var = "x"
     if fprime.is_zero():
         raise SingularFiber("df vanishes identically")
@@ -356,11 +351,6 @@ def mode_chain(k: int, m: int, alpha: SectorIndex, n_max: int,
 
 def _flip(alpha: SectorIndex) -> SectorIndex:
     return SectorIndex("k" if alpha.side == "m" else "m", alpha.i)
-
-
-def _swap_nu_ts(ser: TruncSeries) -> TruncSeries:
-    from .mirror import _swap_nu_series
-    return _swap_nu_series(ser)
 
 
 def verify_mode_recursion(k: int, m: int) -> CheckReport:

@@ -210,6 +210,14 @@ class ParamRat:
             n >>= 1
         return out
 
+    def swap_nu(self) -> "ParamRat":
+        """The image under nu0 <-> nu1: D -> -D, S -> S + D."""
+        out = ParamRat.zero()
+        nu0 = ParamRat.nu0()
+        for (a, b), v in self.terms.items():
+            out = out + ParamRat.monomial(v * (-1) ** (a % 2), a, 0) * nu0 ** b
+        return out
+
     def __eq__(self, other):
         other = _as_paramrat(other)
         if other is NotImplemented:

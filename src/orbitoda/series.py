@@ -231,6 +231,24 @@ class TruncSeries:
         caps[g] = min(caps.get(g, cap), cap)
         return TruncSeries(self.vars, self.wins, self.terms, caps)._pruned()
 
+    def rename(self, names: Mapping[str, str]) -> "TruncSeries":
+        """The same series with each variable v called ``names.get(v, v)``;
+        windows and caps follow their variables, and vars stay sorted."""
+        vars_new = tuple(names.get(v, v) for v in self.vars)
+        order = sorted(range(len(vars_new)), key=lambda i: vars_new[i])
+        wins = {names.get(v, v): w for v, w in self.wins.items()}
+        terms = {tuple(key[i] for i in order): c
+                 for key, c in self.terms.items()}
+        caps = {frozenset(names.get(v, v) for v in g): c
+                for g, c in self.caps.items()}
+        return TruncSeries(tuple(vars_new[i] for i in order), wins, terms, caps)
+
+    def map_coeffs(self, fn) -> "TruncSeries":
+        """fn applied to every coefficient; fn must keep nonzero ones
+        nonzero (a ring automorphism such as ``ParamRat.swap_nu``)."""
+        return TruncSeries(self.vars, self.wins,
+                           {k: fn(c) for k, c in self.terms.items()}, self.caps)
+
     # -- alignment ---------------------------------------------------------
 
     def _aligned(self, other: "TruncSeries"):
@@ -666,6 +684,34 @@ class TruncSeries:
         wins[v] = VarWindow(w.lo - w.den, w.hi - w.den, w.lo_hard, w.hi_hard, w.den)
         caps = {g: (c - w.den if v in g else c) for g, c in self.caps.items()}
         return TruncSeries(self.vars, wins, out, caps)._pruned()
+
+    def exp_derivation(self, parts, wins: Mapping[str, VarWindow]) -> "TruncSeries":
+        """exp(D) self for the derivation D = sum_i m_i d/dv_i.
+
+        ``parts`` lists the pairs (v_i, m_i); each m_i is an exact monomial
+        series free of the v_i, so D lowers v_i-degrees and the sum
+        terminates on a polynomial jet in the v_i.  The sum starts as ``self`` with ``wins``
+        declared, and each power D^j self is truncated to ``wins``.
+        """
+        total = self + TruncSeries.scalar(0, wins)
+        power = total
+        j = 0
+        while True:
+            j += 1
+            acc = None
+            for v, m in parts:
+                d = power.derivative(v)
+                if d:
+                    acc = d * m if acc is None else acc + d * m
+            if acc is None:
+                break
+            power = acc.truncated(wins)
+            if power.is_zero():
+                break
+            total = total + power.scale(Fraction(1, _factorial(j)))
+            if j > 100000:
+                raise NonUnit("exp of a derivation did not terminate")
+        return total
 
     def shift_exponent(self, v: str, delta: int) -> "TruncSeries":
         """Multiply by v^(delta/den) exactly; the window shifts along."""

@@ -294,50 +294,25 @@ class TauJet:
         return taylor_shift(self.series, "x", "eps", r, eps_win)
 
 
+def miwa_shift(names, sign: int) -> list:
+    """The parts of -sign * sum_n (lam^-n / n) eps d/d names[n-1], for
+    ``TruncSeries.exp_derivation``: the Miwa shift of the times."""
+    return [(name, TruncSeries.from_poly("eps", {1: Fraction(-sign, n)})
+             * TruncSeries.from_poly("lam", {-n: 1}))
+            for n, name in enumerate(names, 1)]
+
+
 def tau_to_wave(tau: TauJet, depth: int, eps_win: VarWindow) -> tuple[ShiftOp, ShiftOp]:
     """The wave pair from the shifted-ratio expansions.
 
     P = 1 + sum w_i Lambda^{-i} from [exp(-sum (lam^-n/n) eps d_{y_n}) tau]/tau,
     Q = sum wbar_i (Lambda/Q)^i from [exp(+...ybar...) tau(x+eps)]/tau(x).
     """
-    lam_win = down_win(-depth, hi=0)
+    lam_win = {"lam": down_win(-depth, hi=0)}
     tau_inv = tau.series.recip()
-
-    def expanded(barred: bool, shifted: TruncSeries) -> TruncSeries:
-        def apply_a(f: TruncSeries) -> TruncSeries:
-            acc = None
-            declared = tau.ybtimes if barred else tau.ytimes
-            for n in range(1, depth + 1):
-                name = ybname(n) if barred else yname(n)
-                if name not in f.wins:
-                    continue
-                d = f.derivative(name)
-                if d.is_zero():
-                    continue
-                term = d.shift_exponent("eps", 1).scale(
-                    Fraction(1 if barred else -1, n))
-                term = term * TruncSeries.from_poly("lam", {-n: 1})
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = TruncSeries.scalar(0, {"lam": lam_win}) * f
-            return acc.truncated({"lam": lam_win})
-
-        total = shifted + TruncSeries.scalar(0, {"lam": lam_win})
-        power = total
-        j = 0
-        fact = 1
-        while True:
-            j += 1
-            fact *= j
-            power = apply_a(power)
-            if power.is_zero():
-                break
-            total = total + power.scale(Fraction(1, fact))
-            if j > 500:
-                raise NonUnit("wave expansion did not terminate")
-        return total
-
-    ratio_p = expanded(False, tau.series) * tau_inv
+    times = range(1, depth + 1)
+    ratio_p = tau.series.exp_derivation(
+        miwa_shift([yname(n) for n in times], +1), lam_win) * tau_inv
     p_bands = {0: TruncSeries.scalar(1)}
     for i in range(1, depth + 1):
         w = ratio_p.coeff_of("lam", -i)
@@ -345,7 +320,8 @@ def tau_to_wave(tau: TauJet, depth: int, eps_win: VarWindow) -> tuple[ShiftOp, S
             p_bands[-i] = w
     p_op = ShiftOp(p_bands, -depth, False)
 
-    ratio_q = expanded(True, tau.shifted(1, eps_win)) * tau_inv
+    ratio_q = tau.shifted(1, eps_win).exp_derivation(
+        miwa_shift([ybname(n) for n in times], -1), lam_win) * tau_inv
     q_bands = {}
     for i in range(0, depth + 1):
         w = ratio_q.coeff_of("lam", -i)
@@ -581,81 +557,6 @@ def reduced_operator(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int,
         .mul(q_inv, eps_win).ceiled(depth).split_minus()
     out = plus + minus
     return ShiftOp(out.bands, out.lo, out.lo_hard, deriv=-PR.diff())
-
-
-def check_reduction(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int,
-                    eps_win: VarWindow, depth: int,
-                    tau: TauJet | None = None) -> list[CheckReport]:
-    """Shape of curly-L, its two defining equations, the wave constraint
-    (when tau is supplied), and band preservation of the flows."""
-    reports = []
-    curly = reduced_operator(p_op, q_op, k, m, eps_win, depth)
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduction-shape", params={"k": k, "m": m})
-        nz = [i for i, c in curly.bands.items() if not c.is_zero()]
-        if nz and (max(nz) > k or min(nz) < -m):
-            rep.fail({"band": [min(nz), max(nz)]}, "band", f"[-{m}, {k}]")
-        top = curly.bands.get(k)
-        if top is None or not (top - TruncSeries.scalar(1, top.wins)).is_zero():
-            rep.fail({"band": k}, str(top), "1")
-    rep.elapsed_ms = sw.ms
-    reports.append(rep)
-
-    L, lbar = dress(p_op, q_op, eps_win, depth)
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduction-defining-L", params={"k": k, "m": m})
-        lhs = L.pow(k, eps_win) + log_lax(p_op, eps_win).scale(-PR.diff())
-        d = lhs.eq_report(curly)
-        if d is not None:
-            rep.fail(d, "L^k + (nu1-nu0) log L", "curly-L")
-    rep.elapsed_ms = sw.ms
-    reports.append(rep)
-
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduction-defining-Lbar", params={"k": k, "m": m})
-        logq_less = log_lax_bar(q_op, eps_win, depth)
-        # log(Q^{-1} Lbar) = log Lbar - log Q: the formal log Q cancels
-        logq_less = ShiftOp(logq_less.bands, logq_less.lo, logq_less.lo_hard,
-                            deriv=logq_less.deriv,
-                            logq=logq_less.logq - PR.one())
-        lhs = lbar.pow(m, eps_win).ceiled(depth) + logq_less.scale(PR.diff())
-        d = lhs.eq_report(curly)
-        if d is not None:
-            rep.fail(d, "Lbar^m + (nu0-nu1) log(Q^-1 Lbar)", "curly-L")
-    rep.elapsed_ms = sw.ms
-    reports.append(rep)
-
-    if tau is not None:
-        with Stopwatch() as sw:
-            rep = CheckReport(name="reduction-constraint", params={"k": k, "m": m})
-            for op, nm in ((p_op, "P"), (q_op, "Q")):
-                for i, c in op.bands.items():
-                    lhs = c.derivative("x").scale(PR.diff())
-                    dy = c.derivative(yname(k)) if yname(k) in c.wins else \
-                        TruncSeries.scalar(0)
-                    dyb = c.derivative(ybname(m)) if ybname(m) in c.wins else \
-                        TruncSeries.scalar(0)
-                    if not (lhs - (dy - dyb)).is_zero():
-                        rep.fail({"operator": nm, "band": i},
-                                 "(nu0-nu1) d_x", "d_{y_k} - d_{yb_m}")
-                        break
-                if not rep.ok:
-                    break
-        rep.elapsed_ms = sw.ms
-        reports.append(rep)
-
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduction-flow-band", params={"k": k, "m": m})
-        for n in (1, min(2, k)):
-            gen = L.pow(n, eps_win).split_plus()
-            rhs = gen.commutator(curly, eps_win)
-            bad = [i for i in rhs.bands if i >= k or i < -m]
-            if bad:
-                rep.fail({"flow": f"y{n}", "bands": bad}, "outside [-m, k-1]", "")
-                break
-    rep.elapsed_ms = sw.ms
-    reports.append(rep)
-    return reports
 
 
 def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,

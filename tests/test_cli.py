@@ -73,6 +73,16 @@ def test_bad_jfunc_flags_exit_2(flags, message):
     (["all", "--matrix", "2,4"], "coprime"),
     (["all", "--matrix", "2;3"], "not of the form k,m"),
     (["all", "--matrix", "2,1;3,x"], "not of the form k,m"),
+    (["all", "--matrix", "2,1", "--qdeg", "-1"], "x>=0"),
+    (["all", "--modes", "0"], "x>=1"),
+    (["vertex", "--k", "2", "--m", "1", "--modes", "0"], "x>=1"),
+    (["hqe", "--times", "0"], "x>=1"),
+    (["toda", "--times", "0"], "x>=1"),
+    (["toda", "--eps-order", "-1"], "x>=3"),
+    (["toda", "--x-order", "-1"], "x>=0"),
+    (["mirror-pairing", "--k", "2", "--m", "1", "--degree", "-1"], "x>=0"),
+    (["mirror-pairing", "--k", "2", "--m", "1", "--points", "-1"], "x>=0"),
+    (["asymptotics", "--n", "-5"], "x>=2"),
 ])
 def test_bad_pair_flags_exit_2(args, message):
     result = CliRunner().invoke(main, args)

@@ -2,14 +2,17 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from orbitoda.cohomology import SectorIndex
+from orbitoda.errors import WindowUnderflow
 from orbitoda.hqe import (a_matrix_entry, apply_vertex, build_gamma,
                           commutation_factor, fock_one, fock_var,
                           hqe_residue_eval, toda_hqe_eval, translate,
                           translation_symbol, verify_change_matrix,
                           verify_lemma_inv, verify_theorem2_transform)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, exact_win, up_win
+from orbitoda.series import TruncSeries as TS, down_win, exact_win, up_win
 from orbitoda.toda import TauJet, two_toda_vacuum_tau
 
 EW = exact_win(-16, 16)
@@ -129,13 +132,7 @@ def _full_product_residue(k, m, d1, d2, n, l, mode_max, eps_win,
         .shift_exponent("lam", n - l)
     term2 = (dressed(+1, True, "a", leg_a) * dressed(-1, True, "b", leg_b)) \
         .shift_exponent("lam", l - n).shift_exponent("Q", n - l)
-    resid = (term1 - term2).coeff_of("lam", 0)
-    for name in [v for v in resid.vars if v[:2] in ("qa", "qb")]:
-        w = resid.wins[name]
-        xs, ys = TS.var("x" + name[2:], w), TS.var("y" + name[2:], w)
-        if not any(name in g for g in resid.caps):
-            resid = resid.subst(name, xs + ys if name[:2] == "qa" else xs - ys)
-    return resid
+    return (term1 - term2).coeff_of("lam", 0)
 
 
 def test_residue_only_products_match_full_products():
@@ -218,3 +215,12 @@ def test_lowest_hirota_golden_extraction():
         if v != "c2":
             d2 = d2.coeff_of(v, 0)
     assert str(d2) == GOLDEN_HIROTA_D2
+
+
+def test_lambda_residue_refuses_soft_bottom():
+    from orbitoda.hqe import _lam_zero_of_product
+    hard = TS.from_poly("lam", {-1: 1, 0: 2})
+    soft = TS.from_poly("lam", {-1: 1, 0: 2}).truncated(
+        {"lam": down_win(-3, hi=0)})
+    with pytest.raises(WindowUnderflow, match="hard bottoms"):
+        _lam_zero_of_product(hard, soft, 0)

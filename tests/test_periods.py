@@ -133,11 +133,10 @@ def test_bi_infinite_sum_linear_in_seed():
 def test_mode_chain_y_side():
     # the mirrored chain satisfies its own defining recursion
     from orbitoda.mirror import superpotential
-    from orbitoda.periods import _swap_nu_ts
     k, m = 3, 2
     modes = mode_chain(k, m, SectorIndex("m", 1), 2, chart="y")
     spy = superpotential(m, k, {i: 0 for i in range(1, k + m)})
-    fprime = _swap_nu_ts(spy.df_dx())
+    fprime = spy.df_dx().map_coeffs(PR.swap_nu)
     fsecond = fprime.derivative("x")
     for n in range(2):
         lhs = modes[n].num.derivative("x") * fprime - \

@@ -437,3 +437,55 @@ def test_paramrat_hash_agrees_with_equality():
     x = PR.nu(3) + PR.nu1()
     assert hash(x) == hash(PR.nu1() + PR.nu(3))
     assert len({PR.rational(2), 2, F(2)}) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_coeff, min_size=1, max_size=5),
+       st.integers(-3, 3).filter(bool))
+def test_exp_derivation_is_taylor_shift(coeffs, c):
+    # exp(c eps d/dy) f(y) = f(y + c eps) by Taylor's theorem; the eps
+    # window holds every power, so neither side truncates
+    f = TS.from_poly("y", dict(enumerate(coeffs))) + \
+        TS.scalar(0, {"eps": exact_win(0, 8)})
+    got = f.exp_derivation([("y", TS.from_poly("eps", {1: c}))], {})
+    want = taylor_shift(f, "y", "eps", c)
+    assert got.terms == want.terms
+    assert got == want
+
+
+def test_exp_derivation_of_commuting_parts_is_substitution():
+    # exp(eps (2 d/dy - 3 d/dw)) f(y, w) = f(y + 2 eps, w - 3 eps)
+    f = TS.from_poly("y", {0: 1, 1: -2, 3: F(1, 2)}) * \
+        TS.from_poly("w", {0: 3, 2: 1}) + TS.from_poly("w", {1: 5})
+    parts = [("y", TS.from_poly("eps", {1: 2})),
+             ("w", TS.from_poly("eps", {1: -3}))]
+    got = f.exp_derivation(parts, {})
+    want = f.subst("y", TS.from_poly("y", {1: 1}) + TS.from_poly("eps", {1: 2})) \
+        .subst("w", TS.from_poly("w", {1: 1}) + TS.from_poly("eps", {1: -3}))
+    assert got.terms == want.terms
+    assert got == want
+
+
+def test_rename_round_trips():
+    s = (TS.var("a", up_win(4)) * TS.var("b", down_win(-3, hi=1))
+         + TS.var("c", exact_win(0, 2), power=2)).with_cap({"a", "c"}, 3)
+    r = s.rename({"a": "z", "c": "d"})
+    assert r.vars == ("b", "d", "z")
+    assert r.wins["z"] == s.wins["a"] and r.caps == {frozenset("dz"): 3}
+    back = r.rename({"z": "a", "d": "c"})
+    assert back.vars == s.vars
+    assert back.wins == s.wins
+    assert back.caps == s.caps
+    assert list(back.terms.items()) == list(s.terms.items())
+
+
+def test_swap_nu_twice_is_identity():
+    assert PR.nu0().swap_nu() == PR.nu1()
+    assert PR.diff().swap_nu() == -PR.diff()
+    s = TS.from_poly("x", {0: PR.nu0(), 1: PR.nu1() * PR.diff().inverse(),
+                           3: PR.nu(3) + PR.nu1() ** 2})
+    once = s.map_coeffs(PR.swap_nu)
+    assert once != s
+    twice = once.map_coeffs(PR.swap_nu)
+    assert (twice.vars, twice.wins, twice.caps) == (s.vars, s.wins, s.caps)
+    assert twice.terms == s.terms
