@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from orbitoda.jfunction import inv_poch, poch
 from orbitoda.rationals import PR
 from orbitoda.series import TruncSeries as TS, down_win, up_win
 
@@ -51,6 +52,11 @@ def main():
     poly = TS.from_poly("z", {0: PR.nu(3), 1: Fraction(2, 3), 2: 1})
     bench("series reciprocal (window 14)",
           lambda: poly.recip_within({"z": down_win(-12, hi=2)}), n=200)
+    nu, x, zwin = PR.nu(5), Fraction(37, 5), down_win(-14, hi=2)
+    bench("1/poch by product and recip (n=8, 23 terms)",
+          lambda: poch(nu, x).recip_within({"z": zwin}), n=50)
+    bench("1/poch in closed form (inv_poch)", lambda: inv_poch(nu, x, zwin),
+          n=50)
     bench("capped 9-variable reciprocal", capped_unit().recip, n=10)
     a = capped_unit()
     b = capped_unit(6).truncated({"lam": down_win(-6)})

@@ -242,7 +242,7 @@ def periods(k, m, out):
     sys.exit(0 if ok else 1)
 
 
-def toda_jobs(k, m, eps_order, x_order, times):
+def toda_jobs(k, m, eps_order, times):
     from .toda import (check_wave_equations, gauge_qpower_check,
                        two_toda_vacuum_tau, verify_flow_band_shape,
                        verify_reduced_vacuum, verify_solve_recovery,
@@ -250,7 +250,7 @@ def toda_jobs(k, m, eps_order, x_order, times):
     ew = up_win(eps_order)
     return [
         lambda: verify_vacuum(ew),
-        lambda: verify_zakharov_shabat(min(times, 3), eps_order, x_order),
+        lambda: verify_zakharov_shabat(min(times, 3), eps_order),
         lambda: check_wave_equations(two_toda_vacuum_tau(times, 3), times,
                                      ew, flows=min(times, 2)),
         lambda: verify_reduced_vacuum(k, m, eps_order),
@@ -265,14 +265,13 @@ def toda_jobs(k, m, eps_order, x_order, times):
 @click.option("--m", type=POSITIVE, default=1)
 @click.option("--eps-order", type=click.IntRange(min=3), default=3,
               help="eps-truncation order of the jets.")
-@click.option("--x-order", type=NONNEGATIVE, default=4)
 @click.option("--times", type=POSITIVE, default=3,
               help="Flow times carried by tau jets.")
 @OUT_OPT
-def toda(k, m, eps_order, x_order, times, out):
+def toda(k, m, eps_order, times, out):
     """Shift-operator flows, wave equations, and the bi-graded reduction."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(toda_jobs(k, m, eps_order, x_order, times), out)
+    ok = _run_all(toda_jobs(k, m, eps_order, times), out)
     sys.exit(0 if ok else 1)
 
 
@@ -397,7 +396,7 @@ def run_everything(matrix, qdeg, modes, seed, out):
         jobs += periods_jobs(k, m)
         jobs += vertex_jobs(k, m, modes, False)
     jobs += asymptotics_jobs(3, 2, 12)
-    jobs += toda_jobs(2, 1, 3, 4, 2)
+    jobs += toda_jobs(2, 1, 3, 2)
     jobs += hqe_jobs(3, 2, 2, True)
     ok = _run_all(jobs, out)
     sys.exit(0 if ok else 1)

@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from .algebra import frac_part_unit
 from .cohomology import Cohomology, SectorIndex
-from .errors import BadIndex, NotCoprime
+from .errors import BadIndex, NonUnit, NotCoprime
 from .rationals import ParamRat, PR
 from .reports import CheckReport, Stopwatch
 from .series import TruncSeries, VarWindow
 
-from math import gcd
+from math import gcd, prod
 
 
 def poch(param: ParamRat, x: Fraction) -> TruncSeries:
@@ -39,6 +39,60 @@ def poch(param: ParamRat, x: Fraction) -> TruncSeries:
     return out
 
 
+def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
+    """``poch(param, x).recip_within({"z": zwin})`` in closed form: the same
+    terms, in the same order, with the same window.
+
+    With b_i = {x} + i - 1 (i = 1..n) the factors of ``poch``,
+
+        1/poch = sum_j (-param)^j h_j(1/b_1, ..., 1/b_n) z^(-n-j) / prod b_i,
+
+    h_j the complete homogeneous symmetric polynomial, kept for
+    -n-j >= zwin.lo - 2n; the window is [zwin.lo - 2n, -n], soft below and
+    hard above, as ``recip`` makes it.  Writing b_i = N_i/D and L = lcm(N_i),
+    h_j = (D/L)^j H_j with H_j the integer h_j of the L/N_i, so each
+    coefficient costs integer adds and one Fraction.  ``zwin`` must be soft
+    below and hard above with unit denominator, the shape every J-function
+    window has.
+    """
+    if zwin.lo_hard or not zwin.hi_hard or zwin.den != 1:
+        raise ValueError(f"inv_poch needs a z-window soft below and hard "
+                         f"above with unit denominator, got {zwin}")
+    x = Fraction(x)
+    f = frac_part_unit(x)
+    n = int(x - f) + 1 if x >= f else 0
+    if zwin.lo > n:
+        raise NonUnit(f"1/poch: the leading power z^{n} lies below the "
+                      f"window {zwin}")
+    den = f.denominator
+    nums = [f.numerator + i * den for i in range(n)]
+    lcm = 1
+    for num in nums:
+        lcm = lcm * num // gcd(lcm, num)
+    top = n - zwin.lo
+    h = [1] + [0] * top
+    for num in nums:
+        a = lcm // num
+        for j in range(1, top + 1):
+            h[j] += a * h[j - 1]
+    neg = -param
+    power = PR.one()
+    num_scale, den_scale = den ** n, prod(nums)
+    terms = {}
+    for j in range(top + 1):
+        if j:
+            power = power * neg
+            num_scale *= den
+            den_scale *= lcm
+        if h[j] and not power.is_zero():
+            num = h[j] * num_scale
+            terms[(-n - j,)] = ParamRat({
+                key: Fraction(num * v.numerator, den_scale * v.denominator)
+                for key, v in power.terms.items()})
+    return TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2 * n, -n,
+                                               False, True)}, terms)
+
+
 def poch_ratio(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     """[prod_{b<{x}} / prod_{b<=x}] (param + b z), by tail cancellation.
 
@@ -48,7 +102,7 @@ def poch_ratio(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     x = Fraction(x)
     f = frac_part_unit(x)
     if x >= f:
-        return poch(param, x).recip_within({"z": zwin})
+        return inv_poch(param, x, zwin)
     out = TruncSeries.from_poly("z", {0: 1})
     b = f - 1
     while b > x:
@@ -161,7 +215,7 @@ def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> JSeries:
         if d > 0:
             fact *= d
         x = Fraction(d * m, k)
-        ser = poch(nu, x).recip_within({"z": zwin}) if d > 0 else \
+        ser = inv_poch(nu, x, zwin) if d > 0 else \
             TruncSeries.scalar(1, {"z": zwin})
         ser = ser.shift_exponent("z", 1 - d).scale(Fraction(1, 1) / fact)
         out.add_term("0", d * m, SectorIndex("k", (-d * m) % k), ser)
@@ -170,7 +224,7 @@ def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> JSeries:
         if d > 0:
             fact *= d
         x = Fraction(d * k, m)
-        ser = poch(nubar, x).recip_within({"z": zwin}) if d > 0 else \
+        ser = inv_poch(nubar, x, zwin) if d > 0 else \
             TruncSeries.scalar(1, {"z": zwin})
         ser = ser.shift_exponent("z", 1 - d).scale(Fraction(1, 1) / fact)
         out.add_term("inf", d * k, SectorIndex("m", (-d * k) % m), ser)
@@ -209,7 +263,7 @@ def build_dj(k: int, m: int, side: str, index: int, qmax: int,
         while d * k + i <= qmax:
             if d > 0:
                 fact *= d
-            ser = poch(nubar, Fraction(d * k + i, m)).recip_within({"z": zwin})
+            ser = inv_poch(nubar, Fraction(d * k + i, m), zwin)
             ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
             out.add_term("inf", d * k + i, SectorIndex("m", (-(d * k + i)) % m), ser)
             d += 1
@@ -224,7 +278,7 @@ def build_dj(k: int, m: int, side: str, index: int, qmax: int,
         while d * m + j <= qmax:
             if d > 0:
                 fact *= d
-            ser = poch(nu, Fraction(d * m + j, k)).recip_within({"z": zwin})
+            ser = inv_poch(nu, Fraction(d * m + j, k), zwin)
             ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
             out.add_term("0", d * m + j, SectorIndex("k", (-(d * m + j)) % k), ser)
             d += 1
@@ -340,7 +394,7 @@ def verify_ladder_identities(k: int, m: int, qcheck: int,
     K, M = max(k, m), min(k, m)
     pad = K + M  # one z-order of erosion per delta application
     zwin = VarWindow(zlo - pad, zhi + pad, False, True)
-    zwin_check = VarWindow(zlo, zhi, False, True)
+    zwin_check = _check_window(zlo, zhi)
     qmax = qcheck + K * M
     j = build_j(k, m, qmax, zwin)
     coh = Cohomology(k, m)
@@ -413,6 +467,14 @@ def verify_ladder_identities(k: int, m: int, qcheck: int,
     return reports
 
 
+def _check_window(zlo: int, zhi: int) -> VarWindow:
+    """The declared window [zlo, zhi], soft on both sides, so truncating to
+    it drops every term outside.  A hard top would keep the terms above zhi,
+    where J and its derivatives need not agree: J's d = 0 term 1 is pruned
+    when 0 lies above the build window, while dJ keeps its own."""
+    return VarWindow(zlo, zhi, False, False)
+
+
 def _truncate_j(j: JSeries, zwin: VarWindow) -> JSeries:
     return j.map_terms(lambda s, a, idx, z: z.truncated({"z": zwin}))
 
@@ -446,7 +508,7 @@ def verify_qde(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
     _require_coprime(k, m)
     pad = k + m
     zwin = VarWindow(zlo - pad, zhi + pad, False, True)
-    zwin_check = VarWindow(zlo, zhi, False, True)
+    zwin_check = _check_window(zlo, zhi)
     qmax = qcheck + k * m
     with Stopwatch() as sw:
         j = build_j(k, m, qmax, zwin)

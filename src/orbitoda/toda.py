@@ -456,18 +456,17 @@ def verify_vacuum(eps_win: VarWindow, depth: int = 4) -> CheckReport:
     return rep
 
 
-def verify_zakharov_shabat(k_flows: int, eps_ord: int, x_ord: int,
+def verify_zakharov_shabat(k_flows: int, eps_ord: int,
                            band_depth: int = 3) -> CheckReport:
     """eps d_{y_l}(L^n)_+ - eps d_{y_n}(L^l)_+ + [(L^n)_+, (L^l)_+] = 0 when
     the time derivatives are substituted via the Lax equations, on a generic
     banded L; plus commutation of the first mixed flows on L."""
     with Stopwatch() as sw:
         rep = CheckReport(name="zakharov-shabat",
-                          params={"flows": k_flows, "eps_ord": eps_ord,
-                                  "x_ord": x_ord})
+                          params={"flows": k_flows, "eps_ord": eps_ord})
         eps_win = up_win(eps_ord)
-        L = _generic_l(eps_win, x_ord, band_depth)
-        lbar = _generic_lbar(eps_win, x_ord, band_depth)
+        L = _generic_l(eps_win, band_depth)
+        lbar = _generic_lbar(eps_win, band_depth)
         powers = {n: L.pow(n, eps_win) for n in range(1, k_flows + 1)}
         delta = {n: powers[n].split_plus().commutator(L, eps_win)
                  for n in range(1, k_flows + 1)}
@@ -509,10 +508,9 @@ def _dpow_plus(L: ShiftOp, dL: ShiftOp, n: int, eps_win: VarWindow) -> ShiftOp:
     return total.split_plus()
 
 
-def _generic_l(eps_win: VarWindow, x_ord: int, band_depth: int) -> ShiftOp:
+def _generic_l(eps_win: VarWindow, band_depth: int) -> ShiftOp:
     # finite band with a hard floor: the flow identities are algebraic in
     # the coefficients, so a terminating tail gives an unconditional check
-    xw = up_win(x_ord)
     coeffs = {
         0: TruncSeries.from_poly("x", {0: Fraction(1, 2), 1: 1}),
         -1: TruncSeries.from_poly("x", {0: -1, 2: Fraction(1, 3)}),
@@ -525,8 +523,7 @@ def _generic_l(eps_win: VarWindow, x_ord: int, band_depth: int) -> ShiftOp:
     return ShiftOp(bands, min(bands), True)
 
 
-def _generic_lbar(eps_win: VarWindow, x_ord: int, band_depth: int) -> ShiftOp:
-    xw = up_win(x_ord)
+def _generic_lbar(eps_win: VarWindow, band_depth: int) -> ShiftOp:
     q1 = TruncSeries.from_poly("Q", {1: 1})
     bands = {
         -1: (q1 * (1 + TruncSeries.from_poly("x", {1: Fraction(1, 4)})
@@ -560,7 +557,7 @@ def reduced_operator(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int,
 
 
 def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
-                  w_depth: int, x_ord: int) -> tuple[ShiftOp, ShiftOp]:
+                  w_depth: int) -> tuple[ShiftOp, ShiftOp]:
     """Solve L^k + (nu1-nu0) log L = curly-L for L = Lambda + a_0 + ...
 
     Uses the linear form curly-L o P = P o (Lambda^k + (nu1-nu0) eps d_x):
@@ -585,7 +582,7 @@ def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
             r = r - w[j - k].derivative("x").shift_exponent("eps", 1) \
                 .scale(diffc)
         # w_j(x + k eps) - w_j(x) = -R_j, solved by eps-orders
-        w[j] = _solve_difference(r.scale(-1), k, eps_win, x_ord)
+        w[j] = _solve_difference(r.scale(-1), k, eps_win)
     p_op = ShiftOp({-i: c for i, c in w.items() if not c.is_zero()},
                    -w_depth, False)
     p_inv = p_op.inverse(eps_win)
@@ -593,7 +590,7 @@ def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
 
 
 def solve_reduced_bar(curly: ShiftOp, m: int, eps_win: VarWindow,
-                      w_depth: int, x_ord: int) -> tuple[ShiftOp, ShiftOp]:
+                      w_depth: int) -> tuple[ShiftOp, ShiftOp]:
     """Solve Lbar^m + (nu0-nu1) log(Q^-1 Lbar) = curly-L for the raising
     solution Lbar = Q e^v Lambda^{-1} + ..., via
     curly-L o Q = Q o (Q^m Lambda^{-m} - (nu0-nu1) eps d_x).  Returns
@@ -615,7 +612,7 @@ def solve_reduced_bar(curly: ShiftOp, m: int, eps_win: VarWindow,
         if j - m >= 0 and j - m in wb:
             r = r - wb[j - m].derivative("x").shift_exponent("eps", 1) \
                 .scale(diffc)
-        wb[j] = _solve_difference(r.scale(-1) * qm.recip(), -m, eps_win, x_ord)
+        wb[j] = _solve_difference(r.scale(-1) * qm.recip(), -m, eps_win)
     q_op = ShiftOp({i: c for i, c in wb.items() if not c.is_zero()}, 0, True)
     q_inv = q_op.inverse(eps_win, depth=w_depth)
     lbar = q_op.mul(vacuum_lbar(), eps_win).mul(q_inv, eps_win) \
@@ -623,8 +620,8 @@ def solve_reduced_bar(curly: ShiftOp, m: int, eps_win: VarWindow,
     return lbar, q_op
 
 
-def _solve_difference(rhs: TruncSeries, k: int, eps_win: VarWindow,
-                      x_ord: int) -> TruncSeries:
+def _solve_difference(rhs: TruncSeries, k: int,
+                      eps_win: VarWindow) -> TruncSeries:
     """w with w(x + k eps) - w(x) = rhs, order by order in eps.
 
     The eps^{r+1} slot forces k d_x w^{(r)} = rhs^{(r+1)} - higher-shift
@@ -709,7 +706,7 @@ def vacuum_curly(k: int, m: int, eps_win: VarWindow,
 
 
 def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
-                          w_depth: int = 4, x_ord: int = 4) -> list[CheckReport]:
+                          w_depth: int = 4) -> list[CheckReport]:
     """Acceptance-facing vacuum facts for the reduction: the split formula
     at the trivial wave pair, zero flows there, and the defining equations
     verified on the operators solved from the vacuum curly-L."""
@@ -735,7 +732,7 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
     with Stopwatch() as sw:
         rep = CheckReport(name="reduced-vacuum-solve",
                           params={"k": k, "m": m, "w_depth": w_depth})
-        L, p_op = solve_reduced(curly, k, eps_win, w_depth, x_ord)
+        L, p_op = solve_reduced(curly, k, eps_win, w_depth)
         # L = Lambda at Q^0
         q0 = {i: c.coeff_of("Q", 0) for i, c in L.bands.items()}
         for i, c in q0.items():
@@ -747,7 +744,7 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
         d = lhs.eq_report(curly)
         if d is not None:
             rep.fail(d, "L^k + (nu1-nu0) log L", "vacuum curly-L")
-        lbar, q_op = solve_reduced_bar(curly, m, eps_win, w_depth, x_ord)
+        lbar, q_op = solve_reduced_bar(curly, m, eps_win, w_depth)
         logq_less = log_lax_bar(q_op, eps_win, w_depth)
         logq_less = ShiftOp(logq_less.bands, logq_less.lo, logq_less.lo_hard,
                             deriv=logq_less.deriv,
@@ -763,8 +760,8 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
     return reports
 
 
-def verify_solve_recovery(k: int, eps_ord: int = 3, w_depth: int = 3,
-                          x_ord: int = 3) -> CheckReport:
+def verify_solve_recovery(k: int, eps_ord: int = 3,
+                          w_depth: int = 3) -> CheckReport:
     """Build curly-L = L^k + (nu1-nu0) log L from a nontrivial dressing and
     check the order-by-order solve reproduces L."""
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
@@ -781,7 +778,7 @@ def verify_solve_recovery(k: int, eps_ord: int = 3, w_depth: int = 3,
         p_inv = p0.inverse(eps_win)
         L0 = p0.mul(lambda_op(1), eps_win).mul(p_inv, eps_win)
         curly = L0.pow(k, eps_win) + log_lax(p0, eps_win).scale(-PR.diff())
-        L, _ = solve_reduced(curly, k, eps_win, w_depth, x_ord)
+        L, _ = solve_reduced(curly, k, eps_win, w_depth)
         d = L.eq_report(L0)
         if d is not None:
             rep.fail(d, "solved L", "original L")
@@ -790,7 +787,7 @@ def verify_solve_recovery(k: int, eps_ord: int = 3, w_depth: int = 3,
 
 
 def verify_flow_band_shape(k: int, m: int, eps_ord: int = 2,
-                           w_depth: int = 3, x_ord: int = 3) -> CheckReport:
+                           w_depth: int = 3) -> CheckReport:
     """The flow right-hand sides [(L^n)_+, curly-L] stay inside the band
     [-m, k-1] for operators solved from a perturbed banded curly-L."""
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
@@ -800,7 +797,7 @@ def verify_flow_band_shape(k: int, m: int, eps_ord: int = 2,
                 TruncSeries.from_poly("eps", {1: 1}) *
                 TruncSeries.from_poly("Q", {1: 1})).truncated({"eps": eps_win})
         curly = vacuum_curly(k, m, eps_win, perturb=bump, perturb_band=0)
-        L, _ = solve_reduced(curly, k, eps_win, w_depth, x_ord)
+        L, _ = solve_reduced(curly, k, eps_win, w_depth)
         for n in (1, 2):
             gen = L.pow(n, eps_win).split_plus()
             rhs = gen.commutator(curly, eps_win)

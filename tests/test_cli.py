@@ -79,7 +79,7 @@ def test_bad_jfunc_flags_exit_2(flags, message):
     (["hqe", "--times", "0"], "x>=1"),
     (["toda", "--times", "0"], "x>=1"),
     (["toda", "--eps-order", "-1"], "x>=3"),
-    (["toda", "--x-order", "-1"], "x>=0"),
+    (["toda", "--x-order", "4"], "No such option"),
     (["mirror-pairing", "--k", "2", "--m", "1", "--degree", "-1"], "x>=0"),
     (["mirror-pairing", "--k", "2", "--m", "1", "--points", "-1"], "x>=0"),
     (["asymptotics", "--n", "-5"], "x>=2"),

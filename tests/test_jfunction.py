@@ -3,12 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitoda.cohomology import SectorIndex
-from orbitoda.errors import NotCoprime
+from orbitoda.errors import NonUnit, NotCoprime
 from orbitoda.jfunction import (JSeries, operator_ladder, build_dj, build_j,
-                                j_small_z_expansion, poch, poch_ratio,
-                                verify_ladder_identities, verify_qde)
+                                inv_poch, j_small_z_expansion, poch,
+                                poch_ratio, verify_ladder_identities,
+                                verify_qde)
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, VarWindow
 
@@ -48,6 +51,53 @@ def test_poch_conventions():
     assert (p - TS.from_poly("z", {0: nu, 1: F(2, 3)})).is_zero()
     # empty product when x < {x}
     assert (poch(nu, F(-1, 3)) - 1).is_zero()
+
+
+def _outcome(build):
+    """Every field of a series, term order included, or the error raised."""
+    try:
+        ser = build()
+    except NonUnit:
+        return "NonUnit"
+    return ser.vars, ser.wins, ser.caps, list(ser.terms.items())
+
+
+INV_POCH_PARAMS = {"nu": PR.nu(3), "nubar": PR.nubar(2), "nu0": PR.nu0()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-12, 24), st.integers(1, 7),
+       st.sampled_from(sorted(INV_POCH_PARAMS)), st.integers(-8, 2),
+       st.integers(0, 12))
+@example(0, 1, "nu", 2, 0)
+def test_inv_poch_equals_recip_of_poch(num, den, param, zlo, pad):
+    # N <= 0 gives the empty product; zlo above the leading power z^n
+    # raises NonUnit on both paths
+    x, p = F(num, den), INV_POCH_PARAMS[param]
+    zwin = VarWindow(zlo - pad, 2 + pad, False, True)
+    assert _outcome(lambda: inv_poch(p, x, zwin)) == \
+        _outcome(lambda: poch(p, x).recip_within({"z": zwin}))
+
+
+def test_inv_poch_rejects_other_window_shapes():
+    with pytest.raises(ValueError):
+        inv_poch(PR.nu(3), F(5, 3), VarWindow(-4, 2, True, True))
+
+
+@pytest.mark.parametrize("k, m, zlo, zhi", [(2, 1, -9, -5), (3, 2, -12, -6)])
+def test_low_z_windows(k, m, zlo, zhi):
+    # zhi + k + m < 0: 0 lies above the build window, so J's d = 0 term is
+    # pruned while dJ keeps its own; the checks must look only inside
+    qdeg = 2 * k * m
+    reps = verify_ladder_identities(k, m, qdeg, zlo, zhi) + \
+        [verify_qde(k, m, qdeg, zlo, zhi)]
+    assert all(r.ok for r in reps), [r.first_discrepancy for r in reps]
+    neg = verify_ladder_identities(k, m, qdeg, zlo, zhi, negate=True) + \
+        [verify_qde(k, m, qdeg, zlo, zhi, negate=True)]
+    found = [r.first_discrepancy["at"] for r in neg if not r.ok]
+    assert found
+    for at in found:
+        assert zlo <= int(at["z_power"]) <= zhi, at
 
 
 def test_poch_ratio_d0_simplifies_to_one():

@@ -145,7 +145,7 @@ def test_log_lax_vacuum_forms():
 
 
 def test_zakharov_shabat():
-    assert verify_zakharov_shabat(3, 3, 4).ok
+    assert verify_zakharov_shabat(3, 3).ok
 
 
 def test_reduction_suite():
