@@ -1,29 +1,24 @@
 """Command-line driver: every verification as a reproducible JSON-line check.
 
-Each subcommand streams one JSON object per completed check and exits 0 iff
-all of them pass (2 on bad flags).  Truncation parameters are explicit flags
-with defaults and are echoed into the reports, so a "pass" always names its
-window.  Checks run one after another, and every report carries a stable
-check id.
+Each subcommand is a table of rows, and each row is one call to a library
+check.  It streams one JSON object per report and exits 0 iff all of them
+pass, 1 if any fails, 2 on bad flags and 3 if any row raised.  A row that
+raises becomes a report with status "error", named by the row id, and the
+next row runs.  Truncation parameters are explicit flags with defaults and
+are echoed into the reports, so a "pass" always names its window.  Checks
+run one after another, and every report carries a stable check id.
 """
 
 from __future__ import annotations
 
-import random
 import sys
-from fractions import Fraction
 from math import gcd
 
 import click
 
 from .cohomology import SectorIndex
-from .reports import CheckReport, Stopwatch
-from .series import TruncSeries, exact_win, up_win
-
-
-def _emit(report: CheckReport, out):
-    click.echo(report.to_json(), file=out)
-    return report.ok
+from .reports import CheckReport
+from .series import up_win
 
 
 def _check_pair(k, m, param_hint=None):
@@ -65,16 +60,21 @@ def _zwindow(ctx, param, value):
     return zlo, zhi
 
 
-def _run_all(jobs, out):
-    ok = True
-    for job in jobs:
-        for rep in _as_list(job()):
-            ok = _emit(rep, out) and ok
-    return ok
-
-
-def _as_list(result):
-    return result if isinstance(result, list) else [result]
+def _run(rows, out):
+    """Run the rows in order, stream their reports and exit."""
+    statuses = set()
+    for row_id, call in rows:
+        with CheckReport(name=row_id, params={}) as error:
+            try:
+                reps = call()
+            except Exception as exc:
+                error.status = "error"
+                error.detail = f"{type(exc).__name__}: {exc}"
+                reps = error
+        for rep in reps if isinstance(reps, list) else [reps]:
+            click.echo(rep.to_json(), file=out)
+            statuses.add(rep.status)
+    sys.exit(3 if "error" in statuses else 0 if statuses <= {"pass"} else 1)
 
 
 @click.group()
@@ -90,8 +90,9 @@ OUT_OPT = click.option("--out", type=click.File("w"), default="-",
 def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
     from .jfunction import verify_ladder_identities, verify_qde
     return [
-        lambda: verify_ladder_identities(k, m, qdeg, zlo, zhi, negate=negate),
-        lambda: verify_qde(k, m, qdeg, zlo, zhi, negate=negate),
+        ("ladder", lambda: verify_ladder_identities(k, m, qdeg, zlo, zhi,
+                                                    negate=negate)),
+        ("qde", lambda: verify_qde(k, m, qdeg, zlo, zhi, negate=negate)),
     ]
 
 
@@ -109,36 +110,20 @@ def jfunc(k, m, qdeg, zdeg, negate, out):
     """The derivative-operator ladder identities and the quantum
     differential equation."""
     _check_pair(k, m, KM_HINT)
-    qdeg = qdeg if qdeg is not None else 2 * k * m
-    zlo, zhi = zdeg
-    ok = _run_all(jfunc_jobs(k, m, qdeg, zlo, zhi, negate), out)
-    sys.exit(0 if ok else 1)
+    _run(jfunc_jobs(k, m, 2 * k * m if qdeg is None else qdeg, *zdeg,
+                    negate), out)
 
 
 def mirror_jobs(k, m, degree, seed, points):
-    from .mirror import (classical_critical_data, residue_pairing_matrix,
-                         verify_flat_coordinates, verify_tangent_product)
-
-    def run_pairing_sym():
-        _, _, rep = residue_pairing_matrix(k, m, None, degree)
-        return rep
-
-    def run_points():
-        rng = random.Random(seed)
-        reps = []
-        for i in range(points):
-            tv = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for j in range(1, k + m + 1)}
-            _, _, rep = residue_pairing_matrix(k, m, tv, degree)
-            rep.name = f"mirror-pairing-point-{i}"
-            rep.params["seed"] = seed
-            reps.append(rep)
-        return reps
-
-    return [run_pairing_sym, run_points,
-            lambda: verify_flat_coordinates(k, m, 4),
-            lambda: verify_tangent_product(k, m),
-            lambda: classical_critical_data(k, m)]
+    from .mirror import (classical_critical_data, verify_flat_coordinates,
+                         verify_residue_pairing, verify_tangent_product)
+    return [
+        ("mirror-pairing",
+         lambda: verify_residue_pairing(k, m, degree, seed, points)),
+        ("flat-coordinates", lambda: verify_flat_coordinates(k, m, 4)),
+        ("tangent-product", lambda: verify_tangent_product(k, m)),
+        ("classical-critical", lambda: classical_critical_data(k, m)),
+    ]
 
 
 @main.command("mirror-pairing")
@@ -153,51 +138,17 @@ def mirror_jobs(k, m, degree, seed, points):
 def mirror_pairing(k, m, degree, seed, points, out):
     """Residue pairing vs the Poincare pairing; flat-coordinate routes."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(mirror_jobs(k, m, degree, seed, points), out)
-    sys.exit(0 if ok else 1)
+    _run(mirror_jobs(k, m, degree, seed, points), out)
 
 
 def asymptotics_jobs(k, m, n):
-    from .algebra import bernoulli_number, poly_derivative
-    from .mirror import (classical_R, gaussian_moment_oracle,
-                         stationary_phase_A)
-    from .rationals import PR
-
-    def run_a_polys():
-        with Stopwatch() as sw:
-            rep = CheckReport(name="a-polynomials", params={"n": n})
-            a2 = stationary_phase_A(2)
-            if poly_derivative(a2) != {1: Fraction(1), 0: Fraction(-1, 2)}:
-                rep.fail({"n": 2}, str(a2), "A_2' = s - 1/2")
-            for j in range(2, n + 1):
-                an = stationary_phase_A(j)
-                if sum(an.values(), Fraction(0)) != \
-                        bernoulli_number(j) / (j * (j - 1)):
-                    rep.fail({"n": j}, "A_n(1)", "B_n/(n(n-1))")
-                    break
-                if j < n:
-                    lhs = poly_derivative(stationary_phase_A(j + 1))
-                    rhs = {e: -(j - 1) * c for e, c in an.items()}
-                    if lhs != rhs:
-                        rep.fail({"n": j}, "A_{n+1}'", "-(n-1) A_n")
-                        break
-        rep.elapsed_ms = sw.ms
-        return rep
-
-    def run_classical_r():
-        with Stopwatch() as sw:
-            rep = CheckReport(name="classical-r", params={"k": k, "m": m})
-            for (foot, j, barred) in [(k, 1, False), (k, k, False),
-                                      (m, 1, True)]:
-                power, series = classical_R(foot, j, 8, barred=barred, m=m)
-                if series.terms.get((0,)) != PR.one():
-                    rep.fail({"foot": foot, "j": j}, str(series), "1 + O(z)")
-                    break
-        rep.elapsed_ms = sw.ms
-        return rep
-
-    return [run_a_polys, lambda: gaussian_moment_oracle(min(n, 5)),
-            run_classical_r]
+    from .mirror import (gaussian_moment_oracle, verify_a_polynomials,
+                         verify_classical_r)
+    return [
+        ("a-polynomials", lambda: verify_a_polynomials(n)),
+        ("gaussian-moment-oracle", lambda: gaussian_moment_oracle(min(n, 5))),
+        ("classical-r", lambda: verify_classical_r(k, m)),
+    ]
 
 
 @main.command()
@@ -209,8 +160,7 @@ def asymptotics_jobs(k, m, n):
 def asymptotics(k, m, n, out):
     """Stationary-phase polynomials and the Gaussian-moment oracle."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(asymptotics_jobs(k, m, n), out)
-    sys.exit(0 if ok else 1)
+    _run(asymptotics_jobs(k, m, n), out)
 
 
 def periods_jobs(k, m):
@@ -219,14 +169,15 @@ def periods_jobs(k, m):
                           verify_mode_recursion, verify_s_action_replay,
                           verify_transformation_law, verify_w_derivative)
     return [
-        lambda: verify_lemma_d_branches(k),
-        lambda: verify_fixed_point(k, m, SectorIndex("k", min(1, k - 1))),
-        lambda: verify_transformation_law(k, m),
-        lambda: verify_s_action_replay(k, m),
-        lambda: verify_mode_recursion(k, m),
-        lambda: phase_primitive_check(k, m),
-        lambda: verify_w_derivative(k, m),
-        lambda: verify_c_constant(k, m),
+        ("lemma-d-branches", lambda: verify_lemma_d_branches(k)),
+        ("bi-infinite-fixed-point", lambda: verify_fixed_point(
+            k, m, SectorIndex("k", min(1, k - 1)))),
+        ("transformation", lambda: verify_transformation_law(k, m)),
+        ("s-action-replay", lambda: verify_s_action_replay(k, m)),
+        ("mode-chain", lambda: verify_mode_recursion(k, m)),
+        ("phase-primitives", lambda: phase_primitive_check(k, m)),
+        ("w-derivative", lambda: verify_w_derivative(k, m)),
+        ("c-constant", lambda: verify_c_constant(k, m)),
     ]
 
 
@@ -238,8 +189,7 @@ def periods(k, m, out):
     """Lemma-D branches, bi-infinite sums, the transformation law, and the
     phase-form primitives."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(periods_jobs(k, m), out)
-    sys.exit(0 if ok else 1)
+    _run(periods_jobs(k, m), out)
 
 
 def toda_jobs(k, m, eps_order, times):
@@ -247,16 +197,18 @@ def toda_jobs(k, m, eps_order, times):
                        two_toda_vacuum_tau, verify_flow_band_shape,
                        verify_reduced_vacuum, verify_solve_recovery,
                        verify_vacuum, verify_zakharov_shabat)
-    ew = up_win(eps_order)
     return [
-        lambda: verify_vacuum(ew),
-        lambda: verify_zakharov_shabat(min(times, 3), eps_order),
-        lambda: check_wave_equations(two_toda_vacuum_tau(times, 3), times,
-                                     ew, flows=min(times, 2)),
-        lambda: verify_reduced_vacuum(k, m, eps_order),
-        lambda: verify_solve_recovery(k, eps_order),
-        lambda: verify_flow_band_shape(k, m),
-        lambda: gauge_qpower_check(),
+        ("toda-vacuum", lambda: verify_vacuum(up_win(eps_order))),
+        ("zakharov-shabat",
+         lambda: verify_zakharov_shabat(min(times, 3), eps_order)),
+        ("wave-equations", lambda: check_wave_equations(
+            two_toda_vacuum_tau(times, 3), times, up_win(eps_order),
+            flows=min(times, 2))),
+        ("reduced-vacuum", lambda: verify_reduced_vacuum(k, m, eps_order)),
+        ("reduced-solve-recovery",
+         lambda: verify_solve_recovery(k, eps_order)),
+        ("reduced-flow-band", lambda: verify_flow_band_shape(k, m)),
+        ("gauge-qpower", gauge_qpower_check),
     ]
 
 
@@ -271,17 +223,17 @@ def toda_jobs(k, m, eps_order, times):
 def toda(k, m, eps_order, times, out):
     """Shift-operator flows, wave equations, and the bi-graded reduction."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(toda_jobs(k, m, eps_order, times), out)
-    sys.exit(0 if ok else 1)
+    _run(toda_jobs(k, m, eps_order, times), out)
 
 
 def vertex_jobs(k, m, modes, negate):
     from .hqe import (verify_change_matrix, verify_lemma_inv,
                       verify_theorem2_transform)
     return [
-        lambda: verify_theorem2_transform(k, m, modes, negate=negate),
-        lambda: verify_lemma_inv(k, 8),
-        lambda: verify_change_matrix(k, 4, 8),
+        ("theorem2",
+         lambda: verify_theorem2_transform(k, m, modes, negate=negate)),
+        ("lemma-inv", lambda: verify_lemma_inv(k, 8)),
+        ("change-matrix", lambda: verify_change_matrix(k, 4, 8)),
     ]
 
 
@@ -294,74 +246,18 @@ def vertex_jobs(k, m, modes, negate):
 def vertex(k, m, modes, negate, out):
     """The flow-variable change of the vertex operators and its inversion."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(vertex_jobs(k, m, modes, negate), out)
-    sys.exit(0 if ok else 1)
+    _run(vertex_jobs(k, m, modes, negate), out)
 
 
 def hqe_jobs(k, m, times, negate):
-    from .hqe import fock_one, fock_var, hqe_residue_eval, toda_hqe_report
-    from .toda import TauJet, two_toda_vacuum_tau
-    ew = exact_win(-24, 24)
-
-    def run_trivial():
-        with Stopwatch() as sw:
-            rep = CheckReport(name="hqe-trivial-residue",
-                              params={"k": k, "m": m})
-            one = fock_one(ew)
-            for (n, l) in [(0, 0), (1, 0), (0, 1)]:
-                if not hqe_residue_eval(k, m, one, one, n, l, 0, ew).is_zero():
-                    rep.fail({"n": n, "l": l}, "nonzero", "0")
-                    break
-        rep.elapsed_ms = sw.ms
-        return rep
-
-    def run_bilinear():
-        with Stopwatch() as sw:
-            rep = CheckReport(name="hqe-bilinearity", params={"k": k, "m": m})
-            da = fock_one(ew) + TruncSeries.var(
-                fock_var("a", 0, SectorIndex("k", 0)), up_win(3)) \
-                .truncated({"eps": ew})
-            db = fock_one(ew)
-            lhs = hqe_residue_eval(k, m, da.scale(2), db, 1, 0, 4, ew)
-            resid = hqe_residue_eval(k, m, da, db, 1, 0, 4, ew)
-            if resid.is_zero():
-                # scaling a zero residue proves nothing
-                rep.fail({}, "0", "a nonzero residue",
-                         detail="the residue being scaled vanishes identically")
-            elif not (lhs - resid.scale(2)).is_zero():
-                rep.fail({}, "scaling", "bilinear")
-        rep.elapsed_ms = sw.ms
-        return rep
-
-    def run_vacuum():
-        tau = two_toda_vacuum_tau(times, 3, exact_jet=True)
-        return [toda_hqe_report(tau, n, l, times, ew, dcap=2)
-                for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-
-    def run_negative():
-        with Stopwatch() as sw:
-            rep = CheckReport(name="toda-hqe-negative-control", params={})
-            yw = up_win(8)
-            arg = TruncSeries.monomial(
-                {"y1": 1, "yb1": 1, "Q": 1, "eps": -2},
-                {"y1": yw, "yb1": yw, "Q": exact_win(-16, 16), "eps": ew},
-                coeff=2)
-            arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
-            bad = TauJet(arg.exp().as_exact(), 1, 1)
-            inner = toda_hqe_report(bad, 1, 0, 1, ew, dcap=2)
-            if inner.ok:
-                rep.fail({}, "undetected perturbation",
-                         "a located discrepancy")
-            else:
-                rep.detail = "perturbation located at " + \
-                    str(inner.first_discrepancy)
-        rep.elapsed_ms = sw.ms
-        return rep
-
-    jobs = [run_trivial, run_bilinear, run_vacuum]
-    if negate:
-        jobs.append(run_negative)
-    return jobs
+    from .hqe import (verify_bilinearity, verify_toda_hqe_negative_control,
+                      verify_toda_hqe_vacuum, verify_trivial_residue)
+    return [
+        ("hqe-trivial-residue", lambda: verify_trivial_residue(k, m)),
+        ("hqe-bilinearity", lambda: verify_bilinearity(k, m)),
+        ("toda-hqe-vacuum", lambda: verify_toda_hqe_vacuum(times)),
+    ] + ([("toda-hqe-negative-control", verify_toda_hqe_negative_control)]
+         if negate else [])
 
 
 @main.command()
@@ -375,8 +271,18 @@ def hqe_jobs(k, m, times, negate):
 def hqe(k, m, times, negate, out):
     """Bilinear residue checks on truncated Fock elements and tau jets."""
     _check_pair(k, m, KM_HINT)
-    ok = _run_all(hqe_jobs(k, m, times, negate), out)
-    sys.exit(0 if ok else 1)
+    _run(hqe_jobs(k, m, times, negate), out)
+
+
+def all_jobs(matrix, qdeg, modes, seed):
+    return [row for (k, m) in matrix for row in
+            jfunc_jobs(k, m, 2 * k * m if qdeg is None else qdeg, -6, 2,
+                       False) +
+            mirror_jobs(k, m, 2, seed, 1) +
+            periods_jobs(k, m) +
+            vertex_jobs(k, m, modes, False)] + \
+        asymptotics_jobs(3, 2, 12) + toda_jobs(2, 1, 3, 2) + \
+        hqe_jobs(3, 2, 2, True)
 
 
 @main.command("all")
@@ -388,18 +294,7 @@ def hqe(k, m, times, negate, out):
 @OUT_OPT
 def run_everything(matrix, qdeg, modes, seed, out):
     """Aggregate verification over a (k, m) matrix."""
-    jobs = []
-    for (k, m) in matrix:
-        jobs += jfunc_jobs(k, m, qdeg if qdeg is not None else 2 * k * m,
-                           -6, 2, False)
-        jobs += mirror_jobs(k, m, 2, seed, 1)
-        jobs += periods_jobs(k, m)
-        jobs += vertex_jobs(k, m, modes, False)
-    jobs += asymptotics_jobs(3, 2, 12)
-    jobs += toda_jobs(2, 1, 3, 2)
-    jobs += hqe_jobs(3, 2, 2, True)
-    ok = _run_all(jobs, out)
-    sys.exit(0 if ok else 1)
+    _run(all_jobs(matrix, qdeg, modes, seed), out)
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ from .algebra import frac_factorial, symmetric_e, symmetric_h
 from .cohomology import Cohomology, SectorIndex
 from .errors import WindowUnderflow
 from .rationals import ParamRat, PR
-from .reports import CheckReport, Stopwatch
+from .reports import CheckReport
 from .series import TruncSeries, VarWindow, down_win, exact_win, up_win
-from .toda import TauJet, miwa_shift, ybname, yname
+from .toda import TauJet, miwa_shift, two_toda_vacuum_tau, ybname, yname
 
 
 @dataclass
@@ -36,21 +36,11 @@ class VertexSymbol:
     creation: dict = field(default_factory=dict)
     annihilation: dict = field(default_factory=dict)
 
-    def add_creation(self, p: int, key, c: ParamRat):
+    def add(self, kind: str, p: int, key, c: ParamRat):
+        """Accumulate c at (p, key) of one kind, dropping what cancels."""
         if c.is_zero():
             return
-        slot = self.creation.setdefault(p, {})
-        cur = slot.get(key)
-        s = c if cur is None else cur + c
-        if s.is_zero():
-            slot.pop(key, None)
-        else:
-            slot[key] = s
-
-    def add_annihilation(self, p: int, key, c: ParamRat):
-        if c.is_zero():
-            return
-        slot = self.annihilation.setdefault(p, {})
+        slot = getattr(self, kind).setdefault(p, {})
         cur = slot.get(key)
         s = c if cur is None else cur + c
         if s.is_zero():
@@ -62,27 +52,6 @@ class VertexSymbol:
         return VertexSymbol(
             {p: d for p, d in self.creation.items() if d},
             {p: d for p, d in self.annihilation.items() if d})
-
-    def scaled(self, c) -> "VertexSymbol":
-        out = VertexSymbol()
-        for p, slot in self.creation.items():
-            for key, v in slot.items():
-                out.add_creation(p, key, v * c)
-        for p, slot in self.annihilation.items():
-            for key, v in slot.items():
-                out.add_annihilation(p, key, v * c)
-        return out
-
-    def plus(self, other: "VertexSymbol") -> "VertexSymbol":
-        out = VertexSymbol()
-        for sym in (self, other):
-            for p, slot in sym.creation.items():
-                for key, v in slot.items():
-                    out.add_creation(p, key, v)
-            for p, slot in sym.annihilation.items():
-                for key, v in slot.items():
-                    out.add_annihilation(p, key, v)
-        return out
 
     def eq_report(self, other: "VertexSymbol"):
         for kind in ("creation", "annihilation"):
@@ -132,7 +101,7 @@ def build_gamma(k: int, m: int, sign: int, barred: bool,
                 poly = poly * TruncSeries.from_poly(
                     "z", {0: nu, 1: Fraction(-i, kk) + l})
             for (e,), c in poly.terms.items():
-                out.add_annihilation(p, (e, alpha), c * sgn)
+                out.add("annihilation", p, (e, alpha), c * sgn)
         n += 1
     # creation side: n = -N-1, lambda^{N kk + i}
     N = 0
@@ -154,8 +123,8 @@ def build_gamma(k: int, m: int, sign: int, barred: bool,
                     # phi (−z)^{-L-1} quantizes to -eps^-1 q_L; the vector is
                     # g_alpha 1^{i/kk}, so the slot is q_L^{i/kk}
                     coeff = c * ((-1) ** (L + 1))
-                    out.add_creation(p, (L, SectorIndex(side, i % kk)),
-                                     -coeff * sgn)
+                    out.add("creation", p, (L, SectorIndex(side, i % kk)),
+                            -coeff * sgn)
         N += 1
     return out.cleaned()
 
@@ -200,10 +169,9 @@ def a_matrix_row_generating(k: int, i: int, N: int, L_max: int,
 
 def verify_change_matrix(k: int, N_max: int, L_max: int) -> CheckReport:
     """The h-polynomial display of the change equals its generating series."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="change-matrix",
-                          params={"k": k, "N_max": N_max, "L_max": L_max},
-                          max_order_verified={"N": N_max, "L": L_max})
+    with CheckReport(name="change-matrix",
+                     params={"k": k, "N_max": N_max, "L_max": L_max},
+                     max_order_verified={"N": N_max, "L": L_max}) as rep:
         for i in range(1, k + 1):
             for N in range(N_max + 1):
                 row = a_matrix_row_generating(k, i, N, L_max)
@@ -211,9 +179,7 @@ def verify_change_matrix(k: int, N_max: int, L_max: int) -> CheckReport:
                     want = a_matrix_entry(k, i, N, L)
                     if not (row[L] - want).is_zero():
                         rep.fail({"i": i, "N": N, "L": L}, str(row[L]), str(want))
-                        rep.elapsed_ms = sw.ms
                         return rep
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -225,9 +191,8 @@ def verify_lemma_inv(k: int, L_max: int) -> CheckReport:
     and the L > N case vanishes as the nu^{L-N} coefficient of a polynomial
     of lower degree.
     """
-    with Stopwatch() as sw:
-        rep = CheckReport(name="lemma-inv", params={"k": k, "L_max": L_max},
-                          max_order_verified={"L": L_max})
+    with CheckReport(name="lemma-inv", params={"k": k, "L_max": L_max},
+                     max_order_verified={"L": L_max}) as rep:
         for i in range(1, k + 1):
             base = Fraction(i, k)
             for L in range(L_max + 1):
@@ -241,7 +206,6 @@ def verify_lemma_inv(k: int, L_max: int) -> CheckReport:
                     want = PR.one() if L == N else PR.zero()
                     if not (acc - want).is_zero():
                         rep.fail({"i": i, "N": N, "L": L}, str(acc), str(want))
-                        rep.elapsed_ms = sw.ms
                         return rep
                     if L > N:
                         # generating-product route: the product is a polynomial
@@ -260,9 +224,7 @@ def verify_lemma_inv(k: int, L_max: int) -> CheckReport:
                         if not top.is_zero():
                             rep.fail({"i": i, "N": N, "L": L, "route": "generating"},
                                      str(top), "0")
-                            rep.elapsed_ms = sw.ms
                             return rep
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -277,17 +239,15 @@ def verify_theorem2_transform(k: int, m: int, mode_max: int,
     out = []
     for barred in (False, True):
         kk = m if barred else k
-        with Stopwatch() as sw:
-            rep = CheckReport(
+        with CheckReport(
                 name="theorem2-" + ("barred" if barred else "unbarred"),
                 params={"k": k, "m": m, "modes": mode_max, "L_pad": L_pad},
-                max_order_verified={"lambda": mode_max})
+                max_order_verified={"lambda": mode_max}) as rep:
             gamma = build_gamma(k, m, +1, barred, mode_max,
                                 depth=mode_max // kk + L_pad)
             disc = _check_modes(gamma, k, m, barred, mode_max, L_pad, negate)
             if disc is not None:
                 rep.fail(disc, disc.get("lhs", "?"), disc.get("rhs", "?"))
-        rep.elapsed_ms = sw.ms
         out.append(rep)
     return out
 
@@ -368,41 +328,28 @@ def _check_modes(gamma: VertexSymbol, k: int, m: int, barred: bool,
 def commutation_factor(f: VertexSymbol, g: VertexSymbol) -> dict[int, ParamRat]:
     """Omega(f, g) per lambda-power: sum f_annih * g_creation - g_annih * f_creation."""
     out: dict[int, ParamRat] = {}
-    for pa, slot_a in f.annihilation.items():
-        for pc, slot_c in g.creation.items():
-            acc = PR.zero()
-            for key, c in slot_a.items():
-                other = slot_c.get(key)
-                if other is not None:
-                    acc = acc + c * other
-            if not acc.is_zero():
-                p = pa + pc
-                cur = out.get(p, PR.zero()) + acc
-                if cur.is_zero():
-                    out.pop(p, None)
-                else:
-                    out[p] = cur
-    for pa, slot_a in g.annihilation.items():
-        for pc, slot_c in f.creation.items():
-            acc = PR.zero()
-            for key, c in slot_a.items():
-                other = slot_c.get(key)
-                if other is not None:
-                    acc = acc + c * other
-            if not acc.is_zero():
-                p = pa + pc
-                cur = out.get(p, PR.zero()) - acc
-                if cur.is_zero():
-                    out.pop(p, None)
-                else:
-                    out[p] = cur
+    for ann, cre, negate in ((f, g, False), (g, f, True)):
+        for pa, slot_a in ann.annihilation.items():
+            for pc, slot_c in cre.creation.items():
+                acc = PR.zero()
+                for key, c in slot_a.items():
+                    other = slot_c.get(key)
+                    if other is not None:
+                        acc = acc + c * other
+                if not acc.is_zero():
+                    p = pa + pc
+                    cur = out.get(p, PR.zero()) + (-acc if negate else acc)
+                    if cur.is_zero():
+                        out.pop(p, None)
+                    else:
+                        out[p] = cur
     return out
 
 
 def translation_symbol(side: str, c=1) -> VertexSymbol:
     """The symbol of c * 1-hat_{0/side} = c eps d/dq_0^{0/side}."""
     sym = VertexSymbol()
-    sym.add_annihilation(0, (0, SectorIndex(side, 0)), PR.rational(c))
+    sym.add("annihilation", 0, (0, SectorIndex(side, 0)), PR.rational(c))
     return sym
 
 
@@ -554,10 +501,9 @@ def toda_hqe_report(tau, n: int, l: int, depth: int, eps_win: VarWindow,
     """All-zero check of the (n, l) residue through flow-bidegree
     (dcap, dcap); jet errors above the declared degrees are reported as the
     verified boundary, not failures."""
-    rep = CheckReport(name=f"toda-hqe-{n}-{l}",
-                      params={"n": n, "l": l, "depth": depth,
-                              "bidegree": [dcap, dcap]})
-    with Stopwatch() as sw:
+    with CheckReport(name=f"toda-hqe-{n}-{l}",
+                     params={"n": n, "l": l, "depth": depth,
+                             "bidegree": [dcap, dcap]}) as rep:
         resid = toda_hqe_eval(tau, n, l, depth, eps_win)
         offenders = []
         beyond = None
@@ -574,7 +520,6 @@ def toda_hqe_report(tau, n: int, l: int, depth: int, eps_win: VarWindow,
             rep.fail({"at": str({v: e for v, e in zip(resid.vars, key) if e}),
                       "bidegree": list(bid)},
                      str(resid.terms[key]), "0")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -671,3 +616,71 @@ def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
         ab, bb = a, b
     term2 = ab.mul_coeff(bb, "lam", n - l).shift_exponent("Q", n - l)
     return term1 - term2
+
+
+# ---------------------------------------------------------------------------
+# the HQE checks
+# ---------------------------------------------------------------------------
+
+
+HQE_EPS = exact_win(-24, 24)
+
+
+def verify_trivial_residue(k: int, m: int) -> CheckReport:
+    """With the vertex operators stripped, 1 (x) 1 has zero residue at
+    (n, l) = (0, 0), (1, 0) and (0, 1)."""
+    with CheckReport(name="hqe-trivial-residue",
+                     params={"k": k, "m": m}) as rep:
+        one = fock_one(HQE_EPS)
+        for (n, l) in [(0, 0), (1, 0), (0, 1)]:
+            if not hqe_residue_eval(k, m, one, one, n, l, 0,
+                                    HQE_EPS).is_zero():
+                rep.fail({"n": n, "l": l}, "nonzero", "0")
+                break
+    return rep
+
+
+def verify_bilinearity(k: int, m: int) -> CheckReport:
+    """Scaling the first leg by 2 scales a nonzero residue by 2."""
+    with CheckReport(name="hqe-bilinearity", params={"k": k, "m": m}) as rep:
+        da = fock_one(HQE_EPS) + TruncSeries.var(
+            fock_var("a", 0, SectorIndex("k", 0)), up_win(3)) \
+            .truncated({"eps": HQE_EPS})
+        db = fock_one(HQE_EPS)
+        lhs = hqe_residue_eval(k, m, da.scale(2), db, 1, 0, 4, HQE_EPS)
+        resid = hqe_residue_eval(k, m, da, db, 1, 0, 4, HQE_EPS)
+        if resid.is_zero():
+            # scaling a zero residue proves nothing
+            rep.fail({}, "0", "a nonzero residue",
+                     detail="the residue being scaled vanishes identically")
+        elif not (lhs - resid.scale(2)).is_zero():
+            rep.fail({}, "scaling", "bilinear")
+    return rep
+
+
+def verify_toda_hqe_vacuum(times: int) -> list[CheckReport]:
+    """The 2-Toda HQE on the vacuum exponential carrying ``times`` flow
+    times, at (n, l) in {0, 1}^2 through flow-bidegree (2, 2)."""
+    tau = two_toda_vacuum_tau(times, 3, exact_jet=True)
+    return [toda_hqe_report(tau, n, l, times, HQE_EPS, dcap=2)
+            for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+
+
+def verify_toda_hqe_negative_control() -> CheckReport:
+    """A tau jet that is not a 2-Toda tau function must fail the HQE at a
+    located discrepancy."""
+    with CheckReport(name="toda-hqe-negative-control", params={}) as rep:
+        yw = up_win(8)
+        arg = TruncSeries.monomial(
+            {"y1": 1, "yb1": 1, "Q": 1, "eps": -2},
+            {"y1": yw, "yb1": yw, "Q": exact_win(-16, 16), "eps": HQE_EPS},
+            coeff=2)
+        arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
+        bad = TauJet(arg.exp().as_exact(), 1, 1)
+        inner = toda_hqe_report(bad, 1, 0, 1, HQE_EPS, dcap=2)
+        if inner.first_discrepancy is None:
+            rep.fail({}, "undetected perturbation", "a located discrepancy")
+        else:
+            rep.detail = "perturbation located at " + \
+                str(inner.first_discrepancy)
+    return rep

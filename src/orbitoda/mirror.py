@@ -9,14 +9,16 @@ two orientations of the same variable.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import bernoulli_poly, binom_frac
+from .algebra import (bernoulli_number, bernoulli_poly, binom_frac,
+                      poly_derivative)
 from .cohomology import Cohomology, QuantumRing, SectorIndex
 from .errors import SingularFiber
 from .rationals import ParamRat, PR, RootRing
-from .reports import CheckReport, Stopwatch
+from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, exact_win,
                      series_reversion, up_win)
 
@@ -227,10 +229,9 @@ def flat_coords_binomial(k: int, m: int, degree: int | None = None) -> dict:
 
 def verify_flat_coordinates(k: int, m: int, degree: int = 4) -> CheckReport:
     """Residue route == truncated-binomial route, plus the pinned values."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="flat-coordinates",
-                          params={"k": k, "m": m, "degree": degree},
-                          max_order_verified={"t": degree})
+    with CheckReport(name="flat-coordinates",
+                     params={"k": k, "m": m, "degree": degree},
+                     max_order_verified={"t": degree}) as rep:
         res_route = flat_coords_residue(k, m, degree)
         bin_route = flat_coords_binomial(k, m, degree)
         for key in sorted(bin_route):
@@ -247,7 +248,6 @@ def verify_flat_coordinates(k: int, m: int, degree: int = 4) -> CheckReport:
         got0 = res_route[("k", 0)]
         if (got0 - want0.truncated(got0.wins)).is_zero() is False:
             rep.fail({"tau": f"0/{k}"}, str(got0), str(want0))
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -464,7 +464,12 @@ def residue_pairing_matrix(k: int, m: int, tvals: dict | None = None,
     With ``tvals`` the check is exact at that rational parameter point;
     without, it is symbolic in t through jet degree ``degree``.
     """
-    with Stopwatch() as sw:
+    with CheckReport(name="mirror-pairing",
+                     params={"k": k, "m": m, "degree": degree,
+                             "t": "symbolic" if tvals is None else
+                             {i: str(v) for i, v in tvals.items()}},
+                     max_order_verified={"t_jet": degree if tvals is None
+                                         else 0}) as rep:
         chart = FlatChart(k, m, degree)
         sp = superpotential(k, m, tvals, degree)
         coh = Cohomology(k, m)
@@ -474,34 +479,19 @@ def residue_pairing_matrix(k: int, m: int, tvals: dict | None = None,
         if fprime.is_zero():
             raise SingularFiber("df/dx vanishes identically")
         den = TruncSeries.from_poly("x", {2: 1}) * fprime
-        rep = CheckReport(name="mirror-pairing",
-                          params={"k": k, "m": m, "degree": degree,
-                                  "t": "symbolic" if tvals is None else
-                                  {i: str(v) for i, v in tvals.items()}},
-                          max_order_verified={"t_jet": degree if tvals is None else 0})
+        # the inverse Jacobian is a jet in t, or scalars at a point
+        minv = chart.dt_dtau_jet() if tvals is None else \
+            chart.dt_dtau_at(tvals)
         v_alpha = []
-        if tvals is None:
-            minv = chart.dt_dtau_jet()
-            for a_pos in range(n):
-                acc = None
-                for b in range(n):
-                    w = minv[b][a_pos]
-                    if w.is_zero():
-                        continue
-                    term = dfdt[b] * w
-                    acc = term if acc is None else acc + term
-                v_alpha.append(acc)
-        else:
-            minv = chart.dt_dtau_at(tvals)
-            for a_pos in range(n):
-                acc = None
-                for b in range(n):
-                    c = minv[b][a_pos]
-                    if c.is_zero():
-                        continue
-                    term = dfdt[b].scale(c)
-                    acc = term if acc is None else acc + term
-                v_alpha.append(acc)
+        for a_pos in range(n):
+            acc = None
+            for b in range(n):
+                w = minv[b][a_pos]
+                if w.is_zero():
+                    continue
+                term = dfdt[b] * w if tvals is None else dfdt[b].scale(w)
+                acc = term if acc is None else acc + term
+            v_alpha.append(acc)
         matrix = []
         for a_pos in range(n):
             row = []
@@ -517,8 +507,24 @@ def residue_pairing_matrix(k: int, m: int, tvals: dict | None = None,
                               "beta": str(chart.alphas[b_pos])},
                              str(val), str(want))
             matrix.append(row)
-    rep.elapsed_ms = sw.ms
     return matrix, chart.alphas, rep
+
+
+def verify_residue_pairing(k: int, m: int, degree: int = 2, seed: int = 0,
+                           points: int = 3) -> list[CheckReport]:
+    """The residue pairing against eta: symbolic in t through jet
+    ``degree``, then exactly at ``points`` random rational t drawn from
+    ``seed``."""
+    reps = [residue_pairing_matrix(k, m, None, degree)[2]]
+    rng = random.Random(seed)
+    for i in range(points):
+        tv = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+              for j in range(1, k + m + 1)}
+        rep = residue_pairing_matrix(k, m, tv, degree)[2]
+        rep.name = f"mirror-pairing-point-{i}"
+        rep.params["seed"] = seed
+        reps.append(rep)
+    return reps
 
 
 def _eval_t(ser: TruncSeries, tvals: dict) -> TruncSeries:
@@ -551,9 +557,8 @@ def small_slice_reduce(k: int, m: int, poly: TruncSeries) -> TruncSeries:
 
 def verify_tangent_product(k: int, m: int) -> CheckReport:
     """Tangent-algebra products at the small slice match the quantum ring."""
-    with Stopwatch() as sw:
+    with CheckReport(name="tangent-product", params={"k": k, "m": m}) as rep:
         ring = QuantumRing(k, m)
-        rep = CheckReport(name="tangent-product", params={"k": k, "m": m})
         x = TruncSeries.from_poly("x", {1: 1})
         q = TruncSeries.from_poly("q", {1: 1})
 
@@ -590,7 +595,6 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
                 if not (lhs - rhs).is_zero():
                     rep.fail({"a": a.label(k, m), "b": b.label(k, m)},
                              str(lhs), str(rhs))
-                    rep.elapsed_ms = sw.ms
                     return rep
         # unit acts trivially
         unit = phi(SectorIndex("k", 0)) + phi(SectorIndex("m", 0))
@@ -600,7 +604,6 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
             if not (lhs - rhs).is_zero():
                 rep.fail({"a": a.label(k, m), "b": "unit"}, str(lhs), str(rhs))
                 break
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -612,8 +615,8 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
 def classical_critical_data(k: int, m: int) -> CheckReport:
     """At Q = 0: xi_i^k = nu exactly and the Hessians are k^2 nu (x-side),
     m^2 nubar (y-side), in the unimodular coordinate."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="classical-critical", params={"k": k, "m": m})
+    with CheckReport(name="classical-critical",
+                     params={"k": k, "m": m}) as rep:
         for (n, val) in ((k, PR.nu(k)), (m, PR.nubar(m))):
             ring = RootRing(n, val)
             # (x d_x)^2 (x^n + c log x) = n^2 x^n; at x = zeta^i rho:
@@ -628,7 +631,6 @@ def classical_critical_data(k: int, m: int) -> CheckReport:
                 if not ring.eq(hess, ring.scalar(val * (n * n))):
                     rep.fail({"foot": n, "i": i}, "hessian", f"{n}^2 nu")
                     break
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -675,6 +677,39 @@ def classical_R(k: int, j: int, n_max: int, barred: bool = False,
     return (s - Fraction(1, 2), arg.exp())
 
 
+def verify_a_polynomials(n: int) -> CheckReport:
+    """A_2' = s - 1/2, A_j(1) = B_j/(j(j-1)) and A_{j+1}' = -(j-1) A_j for
+    2 <= j <= n."""
+    with CheckReport(name="a-polynomials", params={"n": n}) as rep:
+        a2 = stationary_phase_A(2)
+        if poly_derivative(a2) != {1: Fraction(1), 0: Fraction(-1, 2)}:
+            rep.fail({"n": 2}, str(a2), "A_2' = s - 1/2")
+        for j in range(2, n + 1):
+            an = stationary_phase_A(j)
+            if sum(an.values(), Fraction(0)) != \
+                    bernoulli_number(j) / (j * (j - 1)):
+                rep.fail({"n": j}, "A_n(1)", "B_n/(n(n-1))")
+                break
+            if j < n:
+                lhs = poly_derivative(stationary_phase_A(j + 1))
+                rhs = {e: -(j - 1) * c for e, c in an.items()}
+                if lhs != rhs:
+                    rep.fail({"n": j}, "A_{n+1}'", "-(n-1) A_n")
+                    break
+    return rep
+
+
+def verify_classical_r(k: int, m: int) -> CheckReport:
+    """R = 1 + O(z) for the factors (k, 1), (k, k) and the barred (m, 1)."""
+    with CheckReport(name="classical-r", params={"k": k, "m": m}) as rep:
+        for (foot, j, barred) in [(k, 1, False), (k, k, False), (m, 1, True)]:
+            power, series = classical_R(foot, j, 8, barred=barred, m=m)
+            if series.terms.get((0,)) != PR.one():
+                rep.fail({"foot": foot, "j": j}, str(series), "1 + O(z)")
+                break
+    return rep
+
+
 def gaussian_moment_oracle(n_max: int) -> CheckReport:
     """Machine stationary-phase expansion of the model integral.
 
@@ -683,9 +718,8 @@ def gaussian_moment_oracle(n_max: int) -> CheckReport:
     u^{2p} -> (2p-1)!! (-w)^p with w = z/nu), and compare the log of the
     normalized series against sum A_n(s) (-w)^{n-1}.
     """
-    with Stopwatch() as sw:
-        rep = CheckReport(name="gaussian-moment-oracle", params={"n": n_max},
-                          max_order_verified={"w": n_max - 1})
+    with CheckReport(name="gaussian-moment-oracle", params={"n": n_max},
+                     max_order_verified={"w": n_max - 1}) as rep:
         U = 6 * n_max + 2
         uw = up_win(U)
         vw = up_win(2 * n_max + 2)   # v counts 1/w powers
@@ -741,7 +775,6 @@ def gaussian_moment_oracle(n_max: int) -> CheckReport:
         d = logR.eq_report(want)
         if d is not None:
             rep.fail({"at": str(d[0])}, "moment expansion", "A_n closed form")
-    rep.elapsed_ms = sw.ms
     return rep
 
 

@@ -21,7 +21,7 @@ from .cohomology import Cohomology, SectorIndex
 from .errors import NonConvergent, SingularFiber
 from .mirror import superpotential, solve_chart_change
 from .rationals import ParamRat, PR
-from .reports import CheckReport, Stopwatch
+from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win,
                      series_reversion, up_win)
 
@@ -148,9 +148,8 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
     Checked for all alpha in (1/k)Z with |alpha| <= alpha_bound on both a
     tail-free operator and the mirror x-side operator.
     """
-    with Stopwatch() as sw:
-        rep = CheckReport(name="lemma-d-branches",
-                          params={"k": k, "alpha_bound": alpha_bound})
+    with CheckReport(name="lemma-d-branches",
+                     params={"k": k, "alpha_bound": alpha_bound}) as rep:
         zwin = down_win(-6, hi=0)
         for D in (d_classical(k), d_x_operator(k, max(1, k - 1))):
             for a in range(-alpha_bound * k, alpha_bound * k + 1):
@@ -180,17 +179,15 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
                     break
             if not rep.ok:
                 break
-    rep.elapsed_ms = sw.ms
     return rep
 
 
 def verify_fixed_point(k: int, m: int, alpha: SectorIndex,
                        lam_lo: int = -10, z_lo: int = -5) -> CheckReport:
     """D f = f for the bi-infinite sum, and its z^0 mode is phi_alpha w/df."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="bi-infinite-fixed-point",
-                          params={"k": k, "m": m,
-                                  "alpha": alpha.label(k, m)})
+    with CheckReport(name="bi-infinite-fixed-point",
+                     params={"k": k, "m": m,
+                             "alpha": alpha.label(k, m)}) as rep:
         D = d_x_operator(k, m)
         lam_win = down_win(lam_lo, hi=2 * k)
         zwin = down_win(z_lo, hi=abs(lam_lo) // 1 + 2)
@@ -212,7 +209,6 @@ def verify_fixed_point(k: int, m: int, alpha: SectorIndex,
         d2 = z0.eq_report(want.truncated(z0.wins))
         if d2 is not None:
             rep.fail({"mode": "z^0", "at": str(d2[0])}, "sum", "phi w/df")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -279,11 +275,10 @@ def verify_transformation_law(k: int, m: int, zlo: int = -4,
     ops = [("classical", d_classical(k)), ("mirror-x", d_x_operator(k, m))]
     for cname, change in cases:
         for oname, D in ops:
-            with Stopwatch() as sw:
-                rep = CheckReport(
+            with CheckReport(
                     name=f"transformation-{cname}-{oname}",
                     params={"k": k, "m": m, "zwin": [zlo, 0],
-                            "lam": [lam_lo, 0]})
+                            "lam": [lam_lo, 0]}) as rep:
                 lam_win = down_win(lam_lo, hi=2 * k + 2)
                 zwin = down_win(zlo, hi=0)
                 g = TruncSeries.from_poly("lam", {-k: Fraction(1, k)})
@@ -302,9 +297,8 @@ def verify_transformation_law(k: int, m: int, zlo: int = -4,
                 window = {"lam": down_win(lam_lo + k + m + 2, hi=k),
                           "z": zwin}
                 d = lhs.truncated(window).eq_report(rhs.truncated(window))
-            rep.elapsed_ms = sw.ms
-            if d is not None:
-                rep.fail({"at": str(d[0])}, "f(x(lam))", "f(lam) exp(...)")
+                if d is not None:
+                    rep.fail({"at": str(d[0])}, "f(x(lam))", "f(lam) exp(...)")
             reports.append(rep)
     return reports
 
@@ -356,8 +350,7 @@ def _flip(alpha: SectorIndex) -> SectorIndex:
 def verify_mode_recursion(k: int, m: int) -> CheckReport:
     """d_x I^{(n)} - f' I^{(n+1)} = 0 replayed on cleared denominators,
     plus the closed first-derivative oracle for I^{(1)}."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="mode-chain", params={"k": k, "m": m})
+    with CheckReport(name="mode-chain", params={"k": k, "m": m}) as rep:
         coh = Cohomology(k, m)
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
         fprime = sp.df_dx()
@@ -375,7 +368,6 @@ def verify_mode_recursion(k: int, m: int) -> CheckReport:
             # by construction: num stays an exact Laurent polynomial
             if not rep.ok:
                 break
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -398,8 +390,7 @@ def pairing_quadratic_form(k: int, m: int) -> TruncSeries:
 
 def phase_primitive_check(k: int, m: int) -> CheckReport:
     """The three exact rational identities behind the W-formulas."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="phase-primitives", params={"k": k, "m": m})
+    with CheckReport(name="phase-primitives", params={"k": k, "m": m}) as rep:
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
         fprime = sp.df_dx()
         x2f = TruncSeries.from_poly("x", {2: 1}) * fprime
@@ -434,7 +425,6 @@ def phase_primitive_check(k: int, m: int) -> CheckReport:
         quad = pairing_quadratic_form(k, m)
         if not (quad - target_num).is_zero():
             rep.fail({"identity": "(I0,I0) df"}, str(quad), str(target_num))
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -452,8 +442,7 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
     the derivative formulas require coprime feet, so it stays untested.
     """
     from .jfunction import build_dj, expand_prefactors
-    with Stopwatch() as sw:
-        rep = CheckReport(name="c-constant", params={"k": k, "m": m})
+    with CheckReport(name="c-constant", params={"k": k, "m": m}) as rep:
         zwin = down_win(-4, hi=1)
         dj = build_dj(k, m, "k", k, 2 * max(k, m), zwin)
         expanded = expand_prefactors(dj, 1)
@@ -478,7 +467,6 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
         top = arg.coeff_of("x", 0).coeff_of("q", 0)
         if not (top - TruncSeries.scalar(1)).is_zero():
             rep.fail({"route": "W log-argument at infinity"}, str(top), "1")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -490,9 +478,8 @@ def verify_w_derivative(k: int, m: int, depth: int | None = None) -> CheckReport
     the inverse of the chart change at the small slice.
     """
     depth = depth or (3 * (k + m) + 4)
-    with Stopwatch() as sw:
-        rep = CheckReport(name="w-derivative", params={"k": k, "m": m,
-                                                       "depth": depth})
+    with CheckReport(name="w-derivative", params={"k": k, "m": m,
+                                                  "depth": depth}) as rep:
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
         x_of_lam = solve_chart_change(sp, depth)
         lam_of_x = series_reversion(x_of_lam, "lam", out_var="x")
@@ -535,7 +522,6 @@ def verify_w_derivative(k: int, m: int, depth: int | None = None) -> CheckReport
             key = min(diff.terms)
             rep.fail({"at": str(dict(zip(diff.vars, key)))},
                      "dW/dx", "phase-form difference")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -549,10 +535,9 @@ def verify_s_action_replay(k: int, m: int, alpha_i: int = 1,
     zero on this slice), and the fixed-point sum transforms by exactly that
     exponential: f(x(lam)) = exp(z^{-1} q^m lam^{-m}) f(lam).
     """
-    with Stopwatch() as sw:
-        rep = CheckReport(name="s-action-replay",
-                          params={"k": k, "m": m, "alpha": f"{alpha_i}/{k}",
-                                  "lam": [lam_lo, 0], "z": [z_lo, 0]})
+    with CheckReport(name="s-action-replay",
+                     params={"k": k, "m": m, "alpha": f"{alpha_i}/{k}",
+                             "lam": [lam_lo, 0], "z": [z_lo, 0]}) as rep:
         D = d_x_operator(k, m)
         depth = -lam_lo + k + m + 2
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
@@ -565,7 +550,6 @@ def verify_s_action_replay(k: int, m: int, alpha_i: int = 1,
         if d is not None:
             rep.fail({"at": str(d[0])}, "primitive difference",
                      "q^m lam^-m")
-            rep.elapsed_ms = sw.ms
             return rep
         lam_win = down_win(lam_lo - k - m, hi=2 * k + 2)
         zwin = down_win(z_lo, hi=0)
@@ -581,5 +565,4 @@ def verify_s_action_replay(k: int, m: int, alpha_i: int = 1,
         if d is not None:
             rep.fail({"at": str(d[0])}, "f(x(lam))",
                      "exp(q^m lam^-m / z) f(lam)")
-    rep.elapsed_ms = sw.ms
     return rep

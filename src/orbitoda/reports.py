@@ -11,9 +11,15 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class CheckReport:
+    """One check's verdict.  Used as a context manager it times itself:
+
+        with CheckReport(name=..., params=...) as rep:
+            ...
+
+    stamps ``elapsed_ms`` when the block exits, by any route."""
     name: str
     params: dict
-    status: str = "pass"                      # pass | fail | skipped
+    status: str = "pass"                      # pass | fail | error
     max_order_verified: dict = field(default_factory=dict)
     first_discrepancy: dict | None = None
     elapsed_ms: float = 0.0
@@ -26,6 +32,14 @@ class CheckReport:
         if detail:
             self.detail = detail
         return self
+
+    def __enter__(self):
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
+        return False
 
     @property
     def ok(self) -> bool:
@@ -45,20 +59,3 @@ class CheckReport:
         if self.detail:
             payload["detail"] = self.detail
         return json.dumps(payload, sort_keys=True)
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        self._final = None
-        return self
-
-    def __exit__(self, *exc):
-        self._final = (time.monotonic() - self.t0) * 1000.0
-        return False
-
-    @property
-    def ms(self) -> float:
-        if self._final is not None:
-            return self._final
-        return (time.monotonic() - self.t0) * 1000.0

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from .rationals import ParamRat, PR
-from .reports import CheckReport, Stopwatch
+from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, exact_win,
                      taylor_shift, up_win)
 
@@ -376,9 +376,8 @@ def check_wave_equations(tau: TauJet, depth: int, eps_win: VarWindow,
                          flows: int = 1) -> CheckReport:
     """eps d_{y_n} P = -(L^n)_- P and eps d_{y_n} Q = (L^n)_+ Q (and the
     ybar variants) for the wave pair of a polynomially-declared tau."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="wave-equations",
-                          params={"depth": depth, "flows": flows})
+    with CheckReport(name="wave-equations",
+                     params={"depth": depth, "flows": flows}) as rep:
         p_op, q_op = tau_to_wave(tau, depth, eps_win)
         L, lbar = dress(p_op, q_op, eps_win, depth)
         for n in range(1, flows + 1):
@@ -404,9 +403,7 @@ def check_wave_equations(tau: TauJet, depth: int, eps_win: VarWindow,
                 if d is not None:
                     rep.fail({"flow": f"{time}{n}", "operator": opname, **d},
                              "eps d(wave)", "Lax generator action")
-                    rep.elapsed_ms = sw.ms
                     return rep
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -424,8 +421,7 @@ def _d_time_op(op: ShiftOp, tau: TauJet, barred: bool, n: int,
 
 def verify_vacuum(eps_win: VarWindow, depth: int = 4) -> CheckReport:
     """tau = 1: P = Q = 1, L = Lambda, Lbar = Q Lambda^{-1}, zero flows."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="toda-vacuum", params={"depth": depth})
+    with CheckReport(name="toda-vacuum", params={"depth": depth}) as rep:
         tau = TauJet(TruncSeries.scalar(1, {"eps": eps_win}), 0, 0)
         p_op, q_op = tau_to_wave(tau, depth, eps_win)
         if p_op.eq_report(identity_op()) is not None:
@@ -452,7 +448,6 @@ def verify_vacuum(eps_win: VarWindow, depth: int = 4) -> CheckReport:
                 or not (lgb.deriv + PR.one()).is_zero() \
                 or not (lgb.logq - PR.one()).is_zero():
             rep.fail({"op": "log Lbar"}, "extra terms", "-eps d_x + log Q")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -461,9 +456,8 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int,
     """eps d_{y_l}(L^n)_+ - eps d_{y_n}(L^l)_+ + [(L^n)_+, (L^l)_+] = 0 when
     the time derivatives are substituted via the Lax equations, on a generic
     banded L; plus commutation of the first mixed flows on L."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="zakharov-shabat",
-                          params={"flows": k_flows, "eps_ord": eps_ord})
+    with CheckReport(name="zakharov-shabat",
+                     params={"flows": k_flows, "eps_ord": eps_ord}) as rep:
         eps_win = up_win(eps_ord)
         L = _generic_l(eps_win, band_depth)
         lbar = _generic_lbar(eps_win, band_depth)
@@ -480,7 +474,6 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int,
                     d = lhs.eq_report(ShiftOp({}, lhs.lo, lhs.lo_hard))
                     rep.fail({"n": n, "l": l, **(d or {})},
                              "ZS residual", "0")
-                    rep.elapsed_ms = sw.ms
                     return rep
         # mixed flows commute on L: d_{y1} d_{yb1} L = d_{yb1} d_{y1} L
         dy_l = powers[1].split_plus().commutator(L, eps_win)
@@ -494,7 +487,6 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int,
             powers[1].split_plus().commutator(dyb_l, eps_win)
         if not (lhs - rhs).is_zero():
             rep.fail({"check": "mixed-flow commutation"}, "nonzero", "0")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -671,8 +663,7 @@ def _x_antiderivative(ser: TruncSeries) -> TruncSeries:
 def gauge_qpower_check() -> CheckReport:
     """tau' = Q^{((x/eps)^2 - (x/eps))/2} tau multiplies each wbar_i by
     Q^{x/eps}: pure bookkeeping on the quadratic Q-exponents."""
-    with Stopwatch() as sw:
-        rep = CheckReport(name="gauge-qpower", params={})
+    with CheckReport(name="gauge-qpower", params={}) as rep:
         # P(X) = (X^2 - X)/2; the (def_tau_q)-ratio produces P(X+1) - P(X)
         p = {2: Fraction(1, 2), 1: Fraction(-1, 2)}
         shifted = {}
@@ -688,7 +679,6 @@ def gauge_qpower_check() -> CheckReport:
         diff = {e: c for e, c in diff.items() if c}
         if diff != {1: Fraction(1)}:
             rep.fail({"exponent": str(diff)}, str(diff), "X")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -712,8 +702,8 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
     verified on the operators solved from the vacuum curly-L."""
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
     reports = []
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduced-vacuum-split", params={"k": k, "m": m})
+    with CheckReport(name="reduced-vacuum-split",
+                     params={"k": k, "m": m}) as rep:
         p_id, q_id = identity_op(), identity_op()
         curly_split = reduced_operator(p_id, q_id, k, m, eps_win, w_depth)
         want = vacuum_curly(k, m, eps_win)
@@ -725,13 +715,11 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
             rhs = lambda_op(n).commutator(want, eps_win)
             if not rhs.is_zero():
                 rep.fail({"flow": f"y{n}"}, "nonzero", "0")
-    rep.elapsed_ms = sw.ms
     reports.append(rep)
 
     curly = vacuum_curly(k, m, eps_win)
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduced-vacuum-solve",
-                          params={"k": k, "m": m, "w_depth": w_depth})
+    with CheckReport(name="reduced-vacuum-solve",
+                     params={"k": k, "m": m, "w_depth": w_depth}) as rep:
         L, p_op = solve_reduced(curly, k, eps_win, w_depth)
         # L = Lambda at Q^0
         q0 = {i: c.coeff_of("Q", 0) for i, c in L.bands.items()}
@@ -755,7 +743,6 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
             curly.ceiled(min(k, w_depth - m)))
         if d is not None:
             rep.fail(d, "Lbar^m + (nu0-nu1) log(Q^-1 Lbar)", "vacuum curly-L")
-    rep.elapsed_ms = sw.ms
     reports.append(rep)
     return reports
 
@@ -765,9 +752,8 @@ def verify_solve_recovery(k: int, eps_ord: int = 3,
     """Build curly-L = L^k + (nu1-nu0) log L from a nontrivial dressing and
     check the order-by-order solve reproduces L."""
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduced-solve-recovery",
-                          params={"k": k, "w_depth": w_depth})
+    with CheckReport(name="reduced-solve-recovery",
+                     params={"k": k, "w_depth": w_depth}) as rep:
         w1 = TruncSeries.from_poly("x", {1: Fraction(1, 2)}) * \
             TruncSeries.from_poly("eps", {1: 1})
         w2 = TruncSeries.from_poly("x", {0: Fraction(-1, 3)}) * \
@@ -782,7 +768,6 @@ def verify_solve_recovery(k: int, eps_ord: int = 3,
         d = L.eq_report(L0)
         if d is not None:
             rep.fail(d, "solved L", "original L")
-    rep.elapsed_ms = sw.ms
     return rep
 
 
@@ -791,8 +776,7 @@ def verify_flow_band_shape(k: int, m: int, eps_ord: int = 2,
     """The flow right-hand sides [(L^n)_+, curly-L] stay inside the band
     [-m, k-1] for operators solved from a perturbed banded curly-L."""
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
-    with Stopwatch() as sw:
-        rep = CheckReport(name="reduced-flow-band", params={"k": k, "m": m})
+    with CheckReport(name="reduced-flow-band", params={"k": k, "m": m}) as rep:
         bump = (TruncSeries.from_poly("x", {1: Fraction(1, 2)}) *
                 TruncSeries.from_poly("eps", {1: 1}) *
                 TruncSeries.from_poly("Q", {1: 1})).truncated({"eps": eps_win})
@@ -807,7 +791,6 @@ def verify_flow_band_shape(k: int, m: int, eps_ord: int = 2,
                 rep.fail({"flow": f"y{n}", "bands": sorted(bad)},
                          "outside [-m, k-1]", "")
                 break
-    rep.elapsed_ms = sw.ms
     return rep
 
 

@@ -8,11 +8,9 @@ exponential is run alongside as the passing positive control.
 """
 
 import time
-from fractions import Fraction as F
 
 import pytest
 
-from orbitoda.cohomology import SectorIndex
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, exact_win, up_win
 
@@ -71,8 +69,7 @@ def test_criterion_4_theorem2():
 
 
 def test_criterion_5_mirror_pairing():
-    from orbitoda.mirror import residue_pairing_matrix
-    import random
+    from orbitoda.mirror import residue_pairing_matrix, verify_residue_pairing
     ok = True
     for (k, m) in [(2, 1), (3, 2)]:
         matrix, alphas, rep = residue_pairing_matrix(k, m, None, 2)
@@ -83,12 +80,10 @@ def test_criterion_5_mirror_pairing():
         vals_ok = vals_ok and matrix[i0][0] == TS.scalar(
             PR.diff().inverse(), matrix[i0][0].wins)
         ok = _line(f"5 pairing ({k},{m}) symbolic jet 2", vals_ok) and ok
-    rng = random.Random(11)
-    for i in range(3):
-        tv = {j: F(rng.randint(-9, 9), rng.randint(1, 9))
-              for j in range(1, 8)}
-        _, _, rep = residue_pairing_matrix(4, 3, tv, 2)
-        ok = _line(f"5 pairing (4,3) rational point {i+1}", rep.ok) and ok
+    for i, rep in enumerate(verify_residue_pairing(4, 3, 2, seed=11,
+                                                   points=3)):
+        where = "symbolic jet 2" if i == 0 else f"rational point {i}"
+        ok = _line(f"5 pairing (4,3) {where}", rep.ok) and ok
     assert ok
 
 
@@ -109,25 +104,17 @@ def test_criterion_6_flat_coordinates():
 
 
 def test_criterion_7_asymptotics():
-    from orbitoda.algebra import bernoulli_number, poly_derivative
-    from orbitoda.mirror import classical_R, gaussian_moment_oracle, \
-        stationary_phase_A
+    from orbitoda.mirror import (classical_R, gaussian_moment_oracle,
+                                 verify_a_polynomials, verify_classical_r)
     ok = True
-    good = poly_derivative(stationary_phase_A(2)) == {1: F(1), 0: F(-1, 2)}
-    for n in range(2, 13):
-        an = stationary_phase_A(n)
-        good = good and sum(an.values(), F(0)) == \
-            bernoulli_number(n) / (n * (n - 1))
-        if n < 12:
-            lhs = poly_derivative(stationary_phase_A(n + 1))
-            good = good and lhs == {e: -(n - 1) * c for e, c in an.items()}
     ok = _line("7 A_n recursion + initial conditions n<=12 "
                "(weight n-1 per the defining PDE; display typo at n>=3)",
-               good) and ok
+               verify_a_polynomials(12).ok) and ok
     ok = _line("7 gaussian-moment oracle n<=5", gaussian_moment_oracle(5).ok) \
         and ok
-    rz = all(classical_R(k, j, 8)[1].terms.get((0,)) == PR.one()
-             for (k, j) in [(3, 1), (5, 2)])
+    # verify_classical_r(3, 2) covers (3, 1); (5, 2) is not one of its cases
+    rz = verify_classical_r(3, 2).ok and \
+        classical_R(5, 2, 8)[1].terms.get((0,)) == PR.one()
     ok = _line("7 classical factors R = 1 + O(z)", rz) and ok
     assert ok
 
@@ -173,42 +160,23 @@ def test_criterion_9_toda():
 
 
 def test_criterion_10_hqe_vacuum_family():
-    from orbitoda.hqe import hqe_residue_eval, fock_one, toda_hqe_report
-    from orbitoda.toda import two_toda_vacuum_tau
-    ew = exact_win(-24, 24)
+    from orbitoda.hqe import verify_toda_hqe_vacuum, verify_trivial_residue
     ok = True
-    tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
-    for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        rep = toda_hqe_report(tau, n, l, 2, ew, dcap=2)
+    for rep in verify_toda_hqe_vacuum(2):
+        n, l = rep.params["n"], rep.params["l"]
         ok = _line(f"10 hqe vacuum exponential ({n},{l}) bidegree (2,2)",
                    rep.ok) and ok
-    one = fock_one(ew)
-    triv = all(hqe_residue_eval(3, 2, one, one, n, l, 0, ew).is_zero()
-               for (n, l) in [(0, 0), (1, 0), (0, 1)])
-    ok = _line("10 trivial residue (zero vertex windows)", triv) and ok
+    ok = _line("10 trivial residue (zero vertex windows)",
+               verify_trivial_residue(3, 2).ok) and ok
     assert ok
 
 
 def test_criterion_10_bilinearity_and_negative_control():
-    from orbitoda.hqe import fock_var, fock_one, hqe_residue_eval, \
-        toda_hqe_report
-    from orbitoda.toda import TauJet
-    ew = exact_win(-24, 24)
-    k0 = SectorIndex("k", 0)
-    da = fock_one(ew) + TS.var(fock_var("a", 0, k0), up_win(3)) \
-        .truncated({"eps": ew})
-    db = fock_one(ew)
-    lhs = hqe_residue_eval(3, 2, da.scale(2), db, 1, 0, 4, ew)
-    rhs = hqe_residue_eval(3, 2, da, db, 1, 0, 4, ew).scale(2)
-    ok = _line("10 bilinearity", (lhs - rhs).is_zero())
-    yw = up_win(8)
-    arg = TS.monomial({"y1": 1, "yb1": 1, "Q": 1, "eps": -2},
-                      {"y1": yw, "yb1": yw, "Q": exact_win(-16, 16),
-                       "eps": ew}, coeff=2)
-    arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
-    bad = TauJet(arg.exp().as_exact(), 1, 1)
-    rep = toda_hqe_report(bad, 1, 0, 1, ew, dcap=2)
-    located = (not rep.ok) and rep.first_discrepancy is not None
+    from orbitoda.hqe import (verify_bilinearity,
+                              verify_toda_hqe_negative_control)
+    ok = _line("10 bilinearity", verify_bilinearity(3, 2).ok)
+    rep = verify_toda_hqe_negative_control()
+    located = rep.ok and rep.detail.startswith("perturbation located at {")
     ok = _line("10 negative control: perturbed tau located", located) and ok
     assert ok
 

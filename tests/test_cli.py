@@ -151,11 +151,60 @@ def test_series_canonical_json():
 def test_bilinearity_fails_on_zero_residue(monkeypatch):
     # scaling an identically zero residue would pass vacuously
     import orbitoda.hqe
-    from orbitoda.cli import hqe_jobs
     from orbitoda.series import TruncSeries
     monkeypatch.setattr(orbitoda.hqe, "hqe_residue_eval",
                         lambda *args, **kwargs: TruncSeries.zero())
-    rep = hqe_jobs(3, 2, 1, False)[1]()
+    rep = orbitoda.hqe.verify_bilinearity(3, 2)
     assert rep.name == "hqe-bilinearity"
     assert rep.status == "fail" and rep.first_discrepancy is not None
+    assert rep.elapsed_ms > 0
+
+
+def test_raising_check_becomes_error_report(monkeypatch):
+    import orbitoda.mirror
+
+    def broken(n):
+        raise ZeroDivisionError("planted")
+    monkeypatch.setattr(orbitoda.mirror, "verify_a_polynomials", broken)
+    result = CliRunner().invoke(main, ["asymptotics", "--n", "4"])
+    assert result.exit_code == 3
+    reps = _reports(result)
+    errors = [r for r in reps if r["status"] == "error"]
+    assert len(errors) == 1
+    assert errors[0]["check"] == "a-polynomials"
+    assert "ZeroDivisionError" in errors[0]["detail"]
+    assert errors[0]["elapsed_ms"] > 0
+    assert [r["check"] for r in reps] == [
+        "a-polynomials", "gaussian-moment-oracle", "classical-r"]
+    assert all(r["status"] == "pass" for r in reps[1:])
+
+
+def test_all_is_the_concatenation_of_the_subcommand_rows():
+    from orbitoda import cli
+
+    def ids(rows):
+        return [row_id for row_id, _ in rows]
+    assert ids(cli.all_jobs([(2, 1)], None, 12, 0)) == ids(
+        cli.jfunc_jobs(2, 1, 4, -6, 2, False) +
+        cli.mirror_jobs(2, 1, 2, 0, 1) + cli.periods_jobs(2, 1) +
+        cli.vertex_jobs(2, 1, 12, False) + cli.asymptotics_jobs(3, 2, 12) +
+        cli.toda_jobs(2, 1, 3, 2) + cli.hqe_jobs(3, 2, 2, True))
+
+
+def _timed(exit_by):
+    from orbitoda.reports import CheckReport
+    with CheckReport(name="timed", params={}) as rep:
+        if exit_by == "return":
+            return rep
+        if exit_by == "raise":
+            raise ValueError(rep)
+    return rep
+
+
+@pytest.mark.parametrize("exit_by", ["end", "return", "raise"])
+def test_report_times_itself(exit_by):
+    try:
+        rep = _timed(exit_by)
+    except ValueError as exc:
+        rep = exc.args[0]
     assert rep.elapsed_ms > 0

@@ -84,10 +84,12 @@ def test_inv_poch_rejects_other_window_shapes():
         inv_poch(PR.nu(3), F(5, 3), VarWindow(-4, 2, True, True))
 
 
-@pytest.mark.parametrize("k, m, zlo, zhi", [(2, 1, -9, -5), (3, 2, -12, -6)])
+@pytest.mark.parametrize("k, m, zlo, zhi", [(2, 1, -9, -5), (3, 2, -12, -6),
+                                            (3, 2, -3, -1), (3, 2, 0, 0)])
 def test_low_z_windows(k, m, zlo, zhi):
     # zhi + k + m < 0: 0 lies above the build window, so J's d = 0 term is
-    # pruned while dJ keeps its own; the checks must look only inside
+    # pruned while dJ keeps its own; the checks must look only inside.
+    # Narrow windows below z^1 must still catch the QDE negative control.
     qdeg = 2 * k * m
     reps = verify_ladder_identities(k, m, qdeg, zlo, zhi) + \
         [verify_qde(k, m, qdeg, zlo, zhi)]
@@ -98,6 +100,9 @@ def test_low_z_windows(k, m, zlo, zhi):
     assert found
     for at in found:
         assert zlo <= int(at["z_power"]) <= zhi, at
+    qde = neg[-1]
+    assert qde.name == "qde" and qde.status == "fail"
+    assert zlo <= int(qde.first_discrepancy["at"]["z_power"]) <= zhi
 
 
 def test_poch_ratio_d0_simplifies_to_one():
@@ -186,9 +191,13 @@ def test_qde():
 
 
 def test_qde_negative_control():
-    rep = verify_qde(3, 2, 6, negate=True)
-    assert not rep.ok
-    assert rep.first_discrepancy is not None
+    # at qdeg 3 < km the QDE compares only q-degrees that the shifted J
+    # never reaches; the perturbation must land there all the same
+    for qdeg in (6, 3):
+        rep = verify_qde(3, 2, qdeg, negate=True)
+        assert not rep.ok
+        assert rep.first_discrepancy is not None
+        assert rep.first_discrepancy["at"]["q_degree"] <= qdeg
 
 
 def test_swapped_feet_engine():
