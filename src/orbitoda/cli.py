@@ -1,12 +1,14 @@
 """Command-line driver: every verification as a reproducible JSON-line check.
 
-Each subcommand is a table of rows, and each row is one call to a library
-check.  It streams one JSON object per report and exits 0 iff all of them
-pass, 1 if any fails, 2 on bad flags and 3 if any row raised.  A row that
-raises becomes a report with status "error", named by the row id, and the
-next row runs.  Truncation parameters are explicit flags with defaults and
-are echoed into the reports, so a "pass" always names its window.  Checks
-run one after another, and every report carries a stable check id.
+Each subcommand is a table of rows (row id, params, call): one call to a
+library check, with the subcommand's arguments as params.  It streams one
+JSON object per report and exits 0 iff all of them pass, 1 if any fails, 2
+on bad flags and 3 if any row raised.  A row that raises becomes a report
+with status "error", named by the row id and carrying the row's params,
+and the next row runs.  Truncation parameters are explicit flags with
+defaults and are echoed into the reports, so a "pass" always names its
+window.  Checks run one after another, and every report carries a stable
+check id.
 """
 
 from __future__ import annotations
@@ -60,11 +62,16 @@ def _zwindow(ctx, param, value):
     return zlo, zhi
 
 
+def _rows(params, *pairs):
+    """(row id, params, call) rows that share the subcommand's ``params``."""
+    return [(row_id, params, call) for row_id, call in pairs]
+
+
 def _run(rows, out):
     """Run the rows in order, stream their reports and exit."""
     statuses = set()
-    for row_id, call in rows:
-        with CheckReport(name=row_id, params={}) as error:
+    for row_id, params, call in rows:
+        with CheckReport(name=row_id, params=params) as error:
             try:
                 reps = call()
             except Exception as exc:
@@ -89,11 +96,11 @@ OUT_OPT = click.option("--out", type=click.File("w"), default="-",
 
 def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
     from .jfunction import verify_ladder_identities, verify_qde
-    return [
+    return _rows(
+        {"k": k, "m": m, "qdeg": qdeg, "zwin": [zlo, zhi], "negate": negate},
         ("ladder", lambda: verify_ladder_identities(k, m, qdeg, zlo, zhi,
                                                     negate=negate)),
-        ("qde", lambda: verify_qde(k, m, qdeg, zlo, zhi, negate=negate)),
-    ]
+        ("qde", lambda: verify_qde(k, m, qdeg, zlo, zhi, negate=negate)))
 
 
 @main.command()
@@ -117,13 +124,13 @@ def jfunc(k, m, qdeg, zdeg, negate, out):
 def mirror_jobs(k, m, degree, seed, points):
     from .mirror import (classical_critical_data, verify_flat_coordinates,
                          verify_residue_pairing, verify_tangent_product)
-    return [
+    return _rows(
+        {"k": k, "m": m, "degree": degree, "seed": seed, "points": points},
         ("mirror-pairing",
          lambda: verify_residue_pairing(k, m, degree, seed, points)),
         ("flat-coordinates", lambda: verify_flat_coordinates(k, m, 4)),
         ("tangent-product", lambda: verify_tangent_product(k, m)),
-        ("classical-critical", lambda: classical_critical_data(k, m)),
-    ]
+        ("classical-critical", lambda: classical_critical_data(k, m)))
 
 
 @main.command("mirror-pairing")
@@ -144,11 +151,11 @@ def mirror_pairing(k, m, degree, seed, points, out):
 def asymptotics_jobs(k, m, n):
     from .mirror import (gaussian_moment_oracle, verify_a_polynomials,
                          verify_classical_r)
-    return [
+    return _rows(
+        {"k": k, "m": m, "n": n},
         ("a-polynomials", lambda: verify_a_polynomials(n)),
         ("gaussian-moment-oracle", lambda: gaussian_moment_oracle(min(n, 5))),
-        ("classical-r", lambda: verify_classical_r(k, m)),
-    ]
+        ("classical-r", lambda: verify_classical_r(k, m)))
 
 
 @main.command()
@@ -168,7 +175,8 @@ def periods_jobs(k, m):
                           verify_fixed_point, verify_lemma_d_branches,
                           verify_mode_recursion, verify_s_action_replay,
                           verify_transformation_law, verify_w_derivative)
-    return [
+    return _rows(
+        {"k": k, "m": m},
         ("lemma-d-branches", lambda: verify_lemma_d_branches(k)),
         ("bi-infinite-fixed-point", lambda: verify_fixed_point(
             k, m, SectorIndex("k", min(1, k - 1)))),
@@ -177,8 +185,7 @@ def periods_jobs(k, m):
         ("mode-chain", lambda: verify_mode_recursion(k, m)),
         ("phase-primitives", lambda: phase_primitive_check(k, m)),
         ("w-derivative", lambda: verify_w_derivative(k, m)),
-        ("c-constant", lambda: verify_c_constant(k, m)),
-    ]
+        ("c-constant", lambda: verify_c_constant(k, m)))
 
 
 @main.command()
@@ -197,7 +204,8 @@ def toda_jobs(k, m, eps_order, times):
                        two_toda_vacuum_tau, verify_flow_band_shape,
                        verify_reduced_vacuum, verify_solve_recovery,
                        verify_vacuum, verify_zakharov_shabat)
-    return [
+    return _rows(
+        {"k": k, "m": m, "eps_order": eps_order, "times": times},
         ("toda-vacuum", lambda: verify_vacuum(up_win(eps_order))),
         ("zakharov-shabat",
          lambda: verify_zakharov_shabat(min(times, 3), eps_order)),
@@ -208,8 +216,7 @@ def toda_jobs(k, m, eps_order, times):
         ("reduced-solve-recovery",
          lambda: verify_solve_recovery(k, eps_order)),
         ("reduced-flow-band", lambda: verify_flow_band_shape(k, m)),
-        ("gauge-qpower", gauge_qpower_check),
-    ]
+        ("gauge-qpower", gauge_qpower_check))
 
 
 @main.command()
@@ -229,12 +236,12 @@ def toda(k, m, eps_order, times, out):
 def vertex_jobs(k, m, modes, negate):
     from .hqe import (verify_change_matrix, verify_lemma_inv,
                       verify_theorem2_transform)
-    return [
+    return _rows(
+        {"k": k, "m": m, "modes": modes, "negate": negate},
         ("theorem2",
          lambda: verify_theorem2_transform(k, m, modes, negate=negate)),
         ("lemma-inv", lambda: verify_lemma_inv(k, 8)),
-        ("change-matrix", lambda: verify_change_matrix(k, 4, 8)),
-    ]
+        ("change-matrix", lambda: verify_change_matrix(k, 4, 8)))
 
 
 @main.command()
@@ -252,12 +259,13 @@ def vertex(k, m, modes, negate, out):
 def hqe_jobs(k, m, times, negate):
     from .hqe import (verify_bilinearity, verify_toda_hqe_negative_control,
                       verify_toda_hqe_vacuum, verify_trivial_residue)
-    return [
+    return _rows(
+        {"k": k, "m": m, "times": times, "negate": negate},
         ("hqe-trivial-residue", lambda: verify_trivial_residue(k, m)),
         ("hqe-bilinearity", lambda: verify_bilinearity(k, m)),
         ("toda-hqe-vacuum", lambda: verify_toda_hqe_vacuum(times)),
-    ] + ([("toda-hqe-negative-control", verify_toda_hqe_negative_control)]
-         if negate else [])
+        *([("toda-hqe-negative-control", verify_toda_hqe_negative_control)]
+          if negate else []))
 
 
 @main.command()

@@ -30,7 +30,9 @@ class SingularFiber(OrbitodaError):
 
 
 class NonConvergent(OrbitodaError):
-    """A bi-infinite sum fails its adic decay bound inside the declared windows."""
+    """An expansion that should terminate does not: a truncated power sum
+    (exp, log1p, a reciprocal, an operator inverse, a D-chain of a
+    bi-infinite sum) whose powers still do not vanish after its limit."""
 
 
 class DivisionByZeroTau(OrbitodaError):

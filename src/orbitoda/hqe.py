@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .algebra import frac_factorial, symmetric_e, symmetric_h
 from .cohomology import Cohomology, SectorIndex
-from .errors import WindowUnderflow
 from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import TruncSeries, VarWindow, down_win, exact_win, up_win
@@ -430,18 +429,19 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
     m1b = miwa_part(fb1, -1, False, "b", depth)
     m2a = miwa_part(fa2, -1, True, "a", depth)
     m2b = miwa_part(fb2, +1, True, "b", depth)
-    # spans sized so every lambda-pairing against the partner's hard bottom
-    # is reachable: a_p pairs with b_{shift - p}
+    # [lam^0] of lam^s a b is [lam^-s] of a b, formed by mul_coeff from the
+    # pairs a_p b_{-s-p}; spans are sized so every pairing against the
+    # partner's hard bottom is reachable
     s1 = l - n
     span1 = lam_depth(m1a) + lam_depth(m1b) + abs(s1) + extra
     ga = mult_part(fa1, m1a, +1, False, "a", depth, eps_win, span1)
     gb = mult_part(fb1, m1b, -1, False, "b", depth, eps_win, span1)
-    term1 = _lam_zero_of_product(ga, gb, s1)
+    term1 = ga.mul_coeff(gb, "lam", -s1)
     s2 = n - l
     span2 = lam_depth(m2a) + lam_depth(m2b) + abs(s2) + extra
     gab = mult_part(fa2, m2a, -1, True, "a", depth, eps_win, span2)
     gbb = mult_part(fb2, m2b, +1, True, "b", depth, eps_win, span2)
-    term2 = _lam_zero_of_product(gab, gbb, s2).shift_exponent("Q", l - n)
+    term2 = gab.mul_coeff(gbb, "lam", -s2).shift_exponent("Q", l - n)
     resid = term1 - term2
     # Hirota substitution: leg a = s + d, leg b = s - d
     for j in range(1, depth + 1):
@@ -458,31 +458,6 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
             if b_v in resid.wins:
                 resid = resid.subst(b_v, sminus)
     return resid
-
-
-def _lam_zero_of_product(a: TruncSeries, b: TruncSeries, shift: int) -> TruncSeries:
-    """[lam^0] of (a * b * lam^shift), summed over matching lambda-pairs.
-
-    Both factors have hard lambda-bottoms (exact Miwa parts), so pairings
-    outside either declared top are provably zero.
-    """
-    ia = a.vars.index("lam")
-    ib = b.vars.index("lam")
-    lo_a = min((k[ia] for k in a.terms), default=0)
-    lo_b = min((k[ib] for k in b.terms), default=0)
-    if not a.wins["lam"].lo_hard or not b.wins["lam"].lo_hard:
-        raise WindowUnderflow("lambda residue needs hard bottoms")
-    total = None
-    for p in range(lo_a, -shift - lo_b + 1):
-        ca = a.coeff_of("lam", p)
-        cb = b.coeff_of("lam", -shift - p)
-        if ca.is_zero() or cb.is_zero():
-            continue
-        term = ca * cb
-        total = term if total is None else total + term
-    if total is None:
-        total = a.coeff_of("lam", lo_a) * TruncSeries.scalar(0)
-    return total
 
 
 def residual_bidegree(resid: TruncSeries, key) -> tuple[int, int]:

@@ -202,32 +202,30 @@ def _require_coprime(k: int, m: int):
         raise NotCoprime(f"k={k}, m={m} must be coprime")
 
 
+def _points(k: int, m: int) -> dict:
+    """The two orbifold points by side: 0 (side 'k', uniformized by z^k,
+    parameter nu) and infinity (side 'm', w^m, nubar), each as
+    (sector, parameter, own foot, other foot)."""
+    return {"k": ("0", PR.nu(k), k, m), "m": ("inf", PR.nubar(m), m, k)}
+
+
 def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> JSeries:
     """Exact truncation of the equivariant J-series (both sectors)."""
     _require_coprime(k, m)
     if qmax < 0:
         raise ValueError("qmax must be nonnegative")
     out = JSeries(k, m, qmax, zwin)
-    nu = PR.nu(k)
-    nubar = PR.nubar(m)
-    fact = Fraction(1)
-    for d in range(0, qmax // m + 1):
-        if d > 0:
-            fact *= d
-        x = Fraction(d * m, k)
-        ser = inv_poch(nu, x, zwin) if d > 0 else \
-            TruncSeries.scalar(1, {"z": zwin})
-        ser = ser.shift_exponent("z", 1 - d).scale(Fraction(1, 1) / fact)
-        out.add_term("0", d * m, SectorIndex("k", (-d * m) % k), ser)
-    fact = Fraction(1)
-    for d in range(0, qmax // k + 1):
-        if d > 0:
-            fact *= d
-        x = Fraction(d * k, m)
-        ser = inv_poch(nubar, x, zwin) if d > 0 else \
-            TruncSeries.scalar(1, {"z": zwin})
-        ser = ser.shift_exponent("z", 1 - d).scale(Fraction(1, 1) / fact)
-        out.add_term("inf", d * k, SectorIndex("m", (-d * k) % m), ser)
+    for side, (sector, param, own, other) in _points(k, m).items():
+        fact = Fraction(1)
+        for d in range(0, qmax // other + 1):
+            if d > 0:
+                fact *= d
+            x = Fraction(d * other, own)
+            ser = inv_poch(param, x, zwin) if d > 0 else \
+                TruncSeries.scalar(1, {"z": zwin})
+            ser = ser.shift_exponent("z", 1 - d).scale(Fraction(1, 1) / fact)
+            out.add_term(sector, d * other,
+                         SectorIndex(side, (-d * other) % own), ser)
     return out
 
 
@@ -239,58 +237,40 @@ def build_dj(k: int, m: int, side: str, index: int, qmax: int,
 
     Built from the closed derivative formulas, including the k g_alpha
     (resp. m g_alpha) normalization, so the result is exactly z dJ/dtau^alpha.
+    The own point's sector is a sum of Pochhammer ratios at q-degrees
+    d * other; the other point's sector starts at q-degree ``index`` and
+    steps by the own foot.
     """
     _require_coprime(k, m)
-    coh = Cohomology(k, m)
-    nu = PR.nu(k)
-    nubar = PR.nubar(m)
-    out = JSeries(k, m, qmax, zwin)
-    if side == "k":
-        i = index
-        if not (1 <= i <= k):
-            raise BadIndex(f"need 1 <= i <= k, got {i}")
-        galpha = coh.g(SectorIndex("k", i % k))
-        pref = galpha * k
-        fact = Fraction(1)
-        for d in range(0, qmax // m + 1):
-            if d > 0:
-                fact *= d
-            ser = poch_ratio(nu, Fraction(d * m - i, k), zwin)
-            ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
-            out.add_term("0", d * m, SectorIndex("k", (i - d * m) % k), ser)
-        fact = Fraction(1)
-        d = 0
-        while d * k + i <= qmax:
-            if d > 0:
-                fact *= d
-            ser = inv_poch(nubar, Fraction(d * k + i, m), zwin)
-            ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
-            out.add_term("inf", d * k + i, SectorIndex("m", (-(d * k + i)) % m), ser)
-            d += 1
-    elif side == "m":
-        j = index
-        if not (1 <= j <= m):
-            raise BadIndex(f"need 1 <= j <= m, got {j}")
-        galpha = coh.g(SectorIndex("m", j % m))
-        pref = galpha * m
-        fact = Fraction(1)
-        d = 0
-        while d * m + j <= qmax:
-            if d > 0:
-                fact *= d
-            ser = inv_poch(nu, Fraction(d * m + j, k), zwin)
-            ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
-            out.add_term("0", d * m + j, SectorIndex("k", (-(d * m + j)) % k), ser)
-            d += 1
-        fact = Fraction(1)
-        for d in range(0, qmax // k + 1):
-            if d > 0:
-                fact *= d
-            ser = poch_ratio(nubar, Fraction(d * k - j, m), zwin)
-            ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
-            out.add_term("inf", d * k, SectorIndex("m", (j - d * k) % m), ser)
-    else:
+    points = _points(k, m)
+    if side not in points:
         raise BadIndex(f"side must be 'k' or 'm', got {side!r}")
+    sector, param, own, other = points[side]
+    if not (1 <= index <= own):
+        letter = {"k": "i", "m": "j"}[side]
+        raise BadIndex(f"need 1 <= {letter} <= {side}, got {index}")
+    o_side = "m" if side == "k" else "k"
+    o_sector, o_param = points[o_side][:2]
+    pref = Cohomology(k, m).g(SectorIndex(side, index % own)) * own
+    out = JSeries(k, m, qmax, zwin)
+    fact = Fraction(1)
+    for d in range(0, qmax // other + 1):
+        if d > 0:
+            fact *= d
+        ser = poch_ratio(param, Fraction(d * other - index, own), zwin)
+        ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
+        out.add_term(sector, d * other,
+                     SectorIndex(side, (index - d * other) % own), ser)
+    fact = Fraction(1)
+    d = 0
+    while d * own + index <= qmax:
+        if d > 0:
+            fact *= d
+        a = d * own + index
+        ser = inv_poch(o_param, Fraction(a, other), zwin)
+        ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
+        out.add_term(o_sector, a, SectorIndex(o_side, -a % other), ser)
+        d += 1
     return out
 
 

@@ -457,6 +457,34 @@ def df_dt(sp: Superpotential, k: int, m: int, b_index: int) -> TruncSeries:
     return acc
 
 
+def _pairing_vectors(k: int, m: int, tvals: dict | None, degree: int):
+    """(chart, [v_alpha], x^2 f'): v_alpha = sum_b (dt_b/dtau_alpha) df/dt_b
+    for each flat direction alpha, the denominator of the residue pairing.
+
+    The inverse Jacobian is a jet in t when ``tvals`` is None, and scalars
+    at that rational point otherwise."""
+    chart = FlatChart(k, m, degree)
+    sp = superpotential(k, m, tvals, degree)
+    n = len(chart.alphas)
+    dfdt = [df_dt(sp, k, m, b + 1) for b in range(n)]
+    fprime = sp.df_dx()
+    if fprime.is_zero():
+        raise SingularFiber("df/dx vanishes identically")
+    den = TruncSeries.from_poly("x", {2: 1}) * fprime
+    minv = chart.dt_dtau_jet() if tvals is None else chart.dt_dtau_at(tvals)
+    v_alpha = []
+    for a_pos in range(n):
+        acc = None
+        for b in range(n):
+            w = minv[b][a_pos]
+            if w.is_zero():
+                continue
+            term = dfdt[b] * w if tvals is None else dfdt[b].scale(w)
+            acc = term if acc is None else acc + term
+        v_alpha.append(acc)
+    return chart, v_alpha, den
+
+
 def residue_pairing_matrix(k: int, m: int, tvals: dict | None = None,
                            degree: int = 2) -> tuple[list, list, CheckReport]:
     """Full matrix (d/dtau^a, d/dtau^b) via residues; compared to eta.
@@ -470,28 +498,9 @@ def residue_pairing_matrix(k: int, m: int, tvals: dict | None = None,
                              {i: str(v) for i, v in tvals.items()}},
                      max_order_verified={"t_jet": degree if tvals is None
                                          else 0}) as rep:
-        chart = FlatChart(k, m, degree)
-        sp = superpotential(k, m, tvals, degree)
+        chart, v_alpha, den = _pairing_vectors(k, m, tvals, degree)
         coh = Cohomology(k, m)
         n = len(chart.alphas)
-        dfdt = [df_dt(sp, k, m, b + 1) for b in range(n)]
-        fprime = sp.df_dx()
-        if fprime.is_zero():
-            raise SingularFiber("df/dx vanishes identically")
-        den = TruncSeries.from_poly("x", {2: 1}) * fprime
-        # the inverse Jacobian is a jet in t, or scalars at a point
-        minv = chart.dt_dtau_jet() if tvals is None else \
-            chart.dt_dtau_at(tvals)
-        v_alpha = []
-        for a_pos in range(n):
-            acc = None
-            for b in range(n):
-                w = minv[b][a_pos]
-                if w.is_zero():
-                    continue
-                term = dfdt[b] * w if tvals is None else dfdt[b].scale(w)
-                acc = term if acc is None else acc + term
-            v_alpha.append(acc)
         matrix = []
         for a_pos in range(n):
             row = []
@@ -782,38 +791,10 @@ def residue_pairing(k: int, m: int, alpha: SectorIndex, beta: SectorIndex,
                     tvals: dict | None = None, degree: int = 2) -> TruncSeries:
     """(d/dtau^alpha, d/dtau^beta) as a residue; a jet in t when tvals is
     None, an exact scalar series otherwise."""
-    chart = FlatChart(k, m, degree)
-    sp = superpotential(k, m, tvals, degree)
-    fprime = sp.df_dx()
-    if fprime.is_zero():
-        raise SingularFiber("df/dx vanishes identically")
-    den = TruncSeries.from_poly("x", {2: 1}) * fprime
-    n = len(chart.alphas)
+    chart, v_alpha, den = _pairing_vectors(k, m, tvals, degree)
     pos = {a: i for i, a in enumerate(chart.alphas)}
-    dfdt = [df_dt(sp, k, m, b + 1) for b in range(n)]
-
-    def v_of(a: SectorIndex) -> TruncSeries:
-        a_pos = pos[(a.side, a.i)]
-        acc = None
-        if tvals is None:
-            minv = chart.dt_dtau_jet()
-            for b in range(n):
-                w = minv[b][a_pos]
-                if w.is_zero():
-                    continue
-                term = dfdt[b] * w
-                acc = term if acc is None else acc + term
-        else:
-            minv = chart.dt_dtau_at(tvals)
-            for b in range(n):
-                c = minv[b][a_pos]
-                if c.is_zero():
-                    continue
-                term = dfdt[b].scale(c)
-                acc = term if acc is None else acc + term
-        return acc
-
-    return residue_both_ends(v_of(alpha) * v_of(beta), den)
+    return residue_both_ends(v_alpha[pos[(alpha.side, alpha.i)]] *
+                             v_alpha[pos[(beta.side, beta.i)]], den)
 
 
 def tangent_reduce(k: int, m: int, tvals: dict, poly: TruncSeries) -> TruncSeries:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import Cohomology, SectorIndex
-from .errors import NonConvergent, SingularFiber
+from .errors import SingularFiber
 from .mirror import superpotential, solve_chart_change
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import (TruncSeries, VarWindow, down_win,
+from .series import (TruncSeries, VarWindow, down_win, power_sum,
                      series_reversion, up_win)
 
 
@@ -117,29 +117,14 @@ def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow,
 def bi_infinite_sum(D: DOp, g: TruncSeries, lam_win: VarWindow,
                     zwin: VarWindow) -> TruncSeries:
     """sum_{n in Z} D^n g, truncated by the adic decay in both directions."""
-    base = g.truncated({"lam": lam_win, "z": zwin})
-    total = base
-    cur = base
-    guard = 0
-    while True:
-        cur = d_apply(D, cur).truncated({"lam": lam_win, "z": zwin})
-        if cur.is_zero():
-            break
-        total = total + cur
-        guard += 1
-        if guard > 10 * (lam_win.hi - lam_win.lo + zwin.hi - zwin.lo + 4):
-            raise NonConvergent("positive D-chain does not decay")
-    cur = base
-    guard = 0
-    while True:
-        cur = d_inverse(D, cur, zwin).truncated({"lam": lam_win, "z": zwin})
-        if cur.is_zero():
-            break
-        total = total + cur
-        guard += 1
-        if guard > 10 * (lam_win.hi - lam_win.lo + zwin.hi - zwin.lo + 4):
-            raise NonConvergent("negative D-chain does not decay")
-    return total
+    wins = {"lam": lam_win, "z": zwin}
+    base = g.truncated(wins)
+    limit = 10 * (lam_win.hi - lam_win.lo + zwin.hi - zwin.lo + 4)
+    total = power_sum(base, lambda cur: d_apply(D, cur).truncated(wins),
+                      limit=limit, what="positive D-chain")
+    return power_sum(base,
+                     lambda cur: d_inverse(D, cur, zwin).truncated(wins),
+                     total=total, limit=limit, what="negative D-chain")
 
 
 def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:

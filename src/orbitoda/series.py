@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import add, mul
 from typing import Mapping
 
-from .errors import NonUnit, NotInvertible, WindowUnderflow
+from .errors import NonConvergent, NonUnit, NotInvertible, WindowUnderflow
 from .rationals import ParamRat, PR
 
 NEG_INF = float("-inf")
@@ -582,17 +583,9 @@ class TruncSeries:
                  for i, (v, w) in enumerate(
                      (v, self.wins[v]) for v in self.vars)}
         h = TruncSeries(self.vars, hwins, tail, gcaps)
-        total = TruncSeries.scalar(1, gwins, gcaps)
-        power = total
-        guard = 0
-        while True:
-            power = (power * (-1 * h)).truncated(gwins)
-            if power.is_zero():
-                break
-            total = total + power
-            guard += 1
-            if guard > 100000:
-                raise NonUnit("reciprocal expansion did not terminate")
+        total = power_sum(TruncSeries.scalar(1, gwins, gcaps),
+                          lambda p: (p * (-1 * h)).truncated(gwins),
+                          what="reciprocal expansion")
         return self._times_lead_inverse(total, lead, c0_inv)
 
     def recip_within(self, wins: Mapping[str, VarWindow]) -> "TruncSeries":
@@ -631,33 +624,18 @@ class TruncSeries:
 
     def exp(self) -> "TruncSeries":
         gwins = self._smallness_window("exp")
-        total = TruncSeries.scalar(1, gwins, self.caps)
-        power = total
-        j = 0
-        while True:
-            j += 1
-            power = (power * self).truncated(gwins)
-            if power.is_zero():
-                break
-            total = total + power.scale(Fraction(1, _factorial(j)))
-            if j > 100000:
-                raise NonUnit("exp expansion did not terminate")
-        return total
+        return power_sum(TruncSeries.scalar(1, gwins, self.caps),
+                         lambda p: (p * self).truncated(gwins),
+                         lambda j: Fraction(1, _factorial(j)),
+                         what="exp expansion")
 
     def log1p(self) -> "TruncSeries":
         gwins = self._smallness_window("log1p")
-        total = TruncSeries.scalar(0, gwins, self.caps)
-        power = TruncSeries.scalar(1, gwins, self.caps)
-        j = 0
-        while True:
-            j += 1
-            power = (power * self).truncated(gwins)
-            if power.is_zero():
-                break
-            total = total + power.scale(Fraction((-1) ** (j + 1), j))
-            if j > 100000:
-                raise NonUnit("log1p expansion did not terminate")
-        return total
+        return power_sum(TruncSeries.scalar(1, gwins, self.caps),
+                         lambda p: (p * self).truncated(gwins),
+                         lambda j: Fraction((-1) ** (j + 1), j),
+                         TruncSeries.scalar(0, gwins, self.caps),
+                         what="log1p expansion")
 
     def log(self) -> "TruncSeries":
         lead = self._leading_key()
@@ -693,25 +671,17 @@ class TruncSeries:
         terminates on a polynomial jet in the v_i.  The sum starts as ``self`` with ``wins``
         declared, and each power D^j self is truncated to ``wins``.
         """
-        total = self + TruncSeries.scalar(0, wins)
-        power = total
-        j = 0
-        while True:
-            j += 1
+        def apply_d(power):
             acc = None
             for v, m in parts:
                 d = power.derivative(v)
                 if d:
                     acc = d * m if acc is None else acc + d * m
-            if acc is None:
-                break
-            power = acc.truncated(wins)
-            if power.is_zero():
-                break
-            total = total + power.scale(Fraction(1, _factorial(j)))
-            if j > 100000:
-                raise NonUnit("exp of a derivation did not terminate")
-        return total
+            return TruncSeries.zero() if acc is None else acc.truncated(wins)
+
+        return power_sum(self + TruncSeries.scalar(0, wins), apply_d,
+                         lambda j: Fraction(1, _factorial(j)),
+                         what="exp of a derivation")
 
     def shift_exponent(self, v: str, delta: int) -> "TruncSeries":
         """Multiply by v^(delta/den) exactly; the window shifts along."""
@@ -1123,6 +1093,25 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
         out = out.with_window(
             epsvar, VarWindow(w.lo, eps_win.hi, w.lo_hard, False, den))
     return out
+
+
+def power_sum(power, step, coeff=None, total=None, limit=100000,
+              what="power sum"):
+    """total + sum_{j>=1} coeff(j) p_j with p_0 = ``power`` and
+    p_j = step(p_{j-1}), stopping at the first zero p_j.
+
+    ``total`` defaults to p_0 and ``coeff`` to 1; the terms need only
+    ``is_zero``, ``scale`` and ``+``.  NonConvergent once ``limit`` powers
+    have been added and the next one is still nonzero.
+    """
+    total = power if total is None else total
+    for j in count(1):
+        power = step(power)
+        if power.is_zero():
+            return total
+        if j > limit:
+            raise NonConvergent(f"{what} did not terminate")
+        total = total + (power if coeff is None else power.scale(coeff(j)))
 
 
 _FACT = [1]

@@ -18,7 +18,7 @@ from .errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, exact_win,
-                     taylor_shift, up_win)
+                     power_sum, taylor_shift, up_win)
 
 
 def yname(n: int) -> str:
@@ -175,49 +175,27 @@ class ShiftOp:
             # (c Lambda^i)^{-1} = c(x - i eps)^{-1} Lambda^{-i}
             shifted = taylor_shift(c, "x", "eps", -i, eps_win) if i else c
             return ShiftOp({-i: shifted.recip()}, -i, True)
-        t = self.top()
-        lead = self.bands[t]
         if not self.lo_hard:
-            # expansion in the lowering direction, floored by the window
-            rest = ShiftOp({i: c for i, c in self.bands.items() if i != t},
-                           self.lo, False)
-            lead_inv = ShiftOp({-t: lead.recip()}, -t, True)
-            h = lead_inv.mul(rest, eps_win)      # strictly lowering
-            floor = self.lo - t
-            out = identity_op()
-            power = identity_op()
-            sign = 1
-            guard = 0
-            while True:
-                power = power.mul(h, eps_win).floored(floor)
-                if power.is_zero():
-                    break
-                sign = -sign
-                out = out + power.scale(sign)
-                guard += 1
-                if guard > 1000:
-                    raise NonUnit("operator inverse did not terminate")
-            return out.mul(lead_inv, eps_win)
-        # band-raising case: lo_hard with lead at the bottom
-        b = min(self.bands)
-        lead = self.bands[b]
-        if depth is None:
+            # lowering: lead at the top, powers floored by the window
+            t = self.top()
+            trim, bound = ShiftOp.floored, self.lo - t
+        elif depth is None:
             raise NonUnit("raising inverse needs a declared depth")
-        lead_inv = ShiftOp({-b: lead.recip()}, -b, True)
-        rest = ShiftOp({i: c for i, c in self.bands.items() if i != b},
-                       b + 1, True)
-        h = lead_inv.mul(rest, eps_win)          # strictly raising
-        out = identity_op()
-        power = identity_op()
-        sign = 1
-        while True:
-            power = power.mul(h, eps_win).ceiled(depth)
-            if power.is_zero():
-                break
-            sign = -sign
-            out = out + power.scale(sign)
-        out = out.ceiled(depth)
-        return out.mul(lead_inv, eps_win).ceiled(depth)
+        else:
+            # raising: lead at the bottom, powers kept through ``depth``
+            t = min(self.bands)
+            trim, bound = ShiftOp.ceiled, depth
+        lead_inv = ShiftOp({-t: self.bands[t].recip()}, -t, True)
+        rest = ShiftOp({i: c for i, c in self.bands.items() if i != t},
+                       t + 1 if self.lo_hard else self.lo, self.lo_hard)
+        h = lead_inv.mul(rest, eps_win)      # strictly lowering or raising
+        out = power_sum(identity_op(),
+                        lambda p: trim(p.mul(h, eps_win), bound),
+                        lambda j: (-1) ** j, limit=1000,
+                        what="operator inverse")
+        if not self.lo_hard:
+            return out.mul(lead_inv, eps_win)
+        return out.ceiled(depth).mul(lead_inv, eps_win).ceiled(depth)
 
     def floored(self, floor: int) -> "ShiftOp":
         return ShiftOp({i: c for i, c in self.bands.items() if i >= floor},
@@ -557,24 +535,7 @@ def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
     by order in eps (x-antiderivatives fix the x-constants to zero; the
     recovered L is gauge-independent).  Returns (L, P).
     """
-    diffc = PR.diff()
-    w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
-    for j in range(1, w_depth + 1):
-        # R_j = sum_{b<k} curly_b(x) w_{b-k+j}(x + b eps)
-        #       - (nu1-nu0) eps d_x w_{j-k}
-        r = TruncSeries.scalar(0, {"eps": eps_win})
-        for b, c in curly.bands.items():
-            if b == k:
-                continue
-            idx = b - k + j
-            if idx < 0 or idx not in w:
-                continue
-            r = r + c * taylor_shift(w[idx], "x", "eps", b, eps_win)
-        if j - k >= 0 and j - k in w:
-            r = r - w[j - k].derivative("x").shift_exponent("eps", 1) \
-                .scale(diffc)
-        # w_j(x + k eps) - w_j(x) = -R_j, solved by eps-orders
-        w[j] = _solve_difference(r.scale(-1), k, eps_win)
+    w = _dressing_bands(curly, k, 1, None, eps_win, w_depth)
     p_op = ShiftOp({-i: c for i, c in w.items() if not c.is_zero()},
                    -w_depth, False)
     p_inv = p_op.inverse(eps_win)
@@ -587,29 +548,43 @@ def solve_reduced_bar(curly: ShiftOp, m: int, eps_win: VarWindow,
     solution Lbar = Q e^v Lambda^{-1} + ..., via
     curly-L o Q = Q o (Q^m Lambda^{-m} - (nu0-nu1) eps d_x).  Returns
     (Lbar, Q-op); bands of the dressing rise to ``w_depth``."""
-    diffc = PR.diff()
-    wb: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
-    qm = TruncSeries.from_poly("Q", {m: 1})
-    for j in range(1, w_depth + 1):
-        # band Lambda^{j-m}: Q^m [q_j(x) - q_j(x - m eps)] = R_j with
-        # R_j = sum_{b > -m} curly_b q_{j-m-b}(x + b eps) + (nu1-nu0) eps q'_{j-m}
-        r = TruncSeries.scalar(0, {"eps": eps_win})
-        for b, c in curly.bands.items():
-            if b == -m:
-                continue
-            idx = j - m - b
-            if idx < 0 or idx not in wb:
-                continue
-            r = r + c * taylor_shift(wb[idx], "x", "eps", b, eps_win)
-        if j - m >= 0 and j - m in wb:
-            r = r - wb[j - m].derivative("x").shift_exponent("eps", 1) \
-                .scale(diffc)
-        wb[j] = _solve_difference(r.scale(-1) * qm.recip(), -m, eps_win)
+    wb = _dressing_bands(curly, -m, -1,
+                         TruncSeries.from_poly("Q", {m: 1}).recip(),
+                         eps_win, w_depth)
     q_op = ShiftOp({i: c for i, c in wb.items() if not c.is_zero()}, 0, True)
     q_inv = q_op.inverse(eps_win, depth=w_depth)
     lbar = q_op.mul(vacuum_lbar(), eps_win).mul(q_inv, eps_win) \
         .ceiled(w_depth)
     return lbar, q_op
+
+
+def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
+                    eps_win: VarWindow, w_depth: int) -> dict:
+    """Bands w_0 = 1, w_1, ..., w_{w_depth} of the dressing whose leading
+    band of ``curly`` is Lambda^t; w_j sits at Lambda^{-sign j}.
+
+    Band j solves w_j(x + t eps) - w_j(x) = -R_j (times ``factor``, the
+    Q^-m of the raising side, when given) with
+    R_j = sum_{b != t} curly_b w_{j + sign(b - t)}(x + b eps)
+          - (nu1-nu0) eps d_x w_{j - sign t}.
+    """
+    diffc = PR.diff()
+    w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
+    for j in range(1, w_depth + 1):
+        r = TruncSeries.scalar(0, {"eps": eps_win})
+        for b, c in curly.bands.items():
+            if b == t:
+                continue
+            idx = j + sign * (b - t)
+            if idx < 0 or idx not in w:
+                continue
+            r = r + c * taylor_shift(w[idx], "x", "eps", b, eps_win)
+        if j - sign * t >= 0 and j - sign * t in w:
+            r = r - w[j - sign * t].derivative("x") \
+                .shift_exponent("eps", 1).scale(diffc)
+        rhs = r.scale(-1) if factor is None else r.scale(-1) * factor
+        w[j] = _solve_difference(rhs, t, eps_win)
+    return w
 
 
 def _solve_difference(rhs: TruncSeries, k: int,

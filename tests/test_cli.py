@@ -179,11 +179,25 @@ def test_raising_check_becomes_error_report(monkeypatch):
     assert all(r["status"] == "pass" for r in reps[1:])
 
 
+def test_error_report_names_the_row_params(monkeypatch):
+    import orbitoda.jfunction
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("planted")
+    monkeypatch.setattr(orbitoda.jfunction, "verify_qde", broken)
+    result = CliRunner().invoke(main, ["jfunc", "--k", "3", "--m", "2"])
+    assert result.exit_code == 3
+    (error,) = [r for r in _reports(result) if r["status"] == "error"]
+    assert error["check"] == "qde"
+    assert error["params"] == {"k": 3, "m": 2, "qdeg": 12, "zwin": [-6, 2],
+                               "negate": False}
+
+
 def test_all_is_the_concatenation_of_the_subcommand_rows():
     from orbitoda import cli
 
     def ids(rows):
-        return [row_id for row_id, _ in rows]
+        return [row_id for row_id, _, _ in rows]
     assert ids(cli.all_jobs([(2, 1)], None, 12, 0)) == ids(
         cli.jfunc_jobs(2, 1, 4, -6, 2, False) +
         cli.mirror_jobs(2, 1, 2, 0, 1) + cli.periods_jobs(2, 1) +

@@ -217,10 +217,19 @@ def test_lowest_hirota_golden_extraction():
     assert str(d2) == GOLDEN_HIROTA_D2
 
 
-def test_lambda_residue_refuses_soft_bottom():
-    from orbitoda.hqe import _lam_zero_of_product
+def test_lambda_residue_reads_a_soft_bottom_inside_its_window():
+    # toda_hqe_eval takes the lambda-residue with mul_coeff, which reads a
+    # soft-bottomed factor inside the product's known window and refuses
+    # an exponent below it
     hard = TS.from_poly("lam", {-1: 1, 0: 2})
     soft = TS.from_poly("lam", {-1: 1, 0: 2}).truncated(
         {"lam": down_win(-3, hi=0)})
-    with pytest.raises(WindowUnderflow, match="hard bottoms"):
-        _lam_zero_of_product(hard, soft, 0)
+    got = hard.mul_coeff(soft, "lam", 0)
+    want = (hard * soft).coeff_of("lam", 0)
+    assert (got.vars, got.wins, got.caps, list(got.terms.items())) == \
+        (want.vars, want.wins, want.caps, list(want.terms.items()))
+    assert (hard * soft).wins["lam"].known_lo() == -3
+    with pytest.raises(WindowUnderflow):
+        hard.mul_coeff(soft, "lam", -4)
+
+

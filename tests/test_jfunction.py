@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitoda.cohomology import SectorIndex
-from orbitoda.errors import NonUnit, NotCoprime
+from orbitoda.errors import BadIndex, NonUnit, NotCoprime
 from orbitoda.jfunction import (JSeries, operator_ladder, build_dj, build_j,
                                 inv_poch, j_small_z_expansion, poch,
                                 poch_ratio, verify_ladder_identities,
@@ -143,6 +143,19 @@ def test_build_dj_leading_terms():
     djk = build_dj(3, 2, "k", 3, 4, ZWIN)
     ser = djk.sectors["0"][0][SectorIndex("k", 0)]
     assert ser == TS.var("z", ser.wins["z"])
+
+
+@pytest.mark.parametrize("side, index, message", [
+    ("x", 1, "side must be 'k' or 'm', got 'x'"),
+    ("k", 0, "need 1 <= i <= k, got 0"),
+    ("k", 4, "need 1 <= i <= k, got 4"),
+    ("m", 0, "need 1 <= j <= m, got 0"),
+    ("m", 3, "need 1 <= j <= m, got 3"),
+])
+def test_build_dj_rejects_bad_side_and_index(side, index, message):
+    with pytest.raises(BadIndex) as info:
+        build_dj(3, 2, side, index, 2, ZWIN)
+    assert str(info.value) == message
 
 
 def test_operator_ladder_3_2():

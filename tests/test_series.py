@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitoda import series
-from orbitoda.errors import NonUnit, WindowUnderflow
+from orbitoda.errors import NonConvergent, NonUnit, WindowUnderflow
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win, exact_win,
                              series_reversion, taylor_shift, up_win)
@@ -109,6 +109,19 @@ def test_taylor_shift_additivity():
     lhs = taylor_shift(taylor_shift(c, "x", "eps", 2), "x", "eps", 3)
     rhs = taylor_shift(c, "x", "eps", 5)
     assert (lhs - rhs).is_zero()
+
+
+def test_power_sum_guard_names_the_expansion():
+    steps = []
+
+    def never_vanishes(p):
+        steps.append(p)
+        return p
+    with pytest.raises(NonConvergent, match="^toy chain did not terminate$"):
+        series.power_sum(TS.scalar(1), never_vanishes, limit=5,
+                         what="toy chain")
+    # five powers are added; the sixth, still nonzero, raises
+    assert len(steps) == 6
 
 
 def test_nonunit_inverse_raises():
