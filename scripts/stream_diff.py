@@ -8,8 +8,10 @@ Runs, under each tree's ``src``, ``orbitoda all``, the default ``hqe`` and
 ``toda``, and every invocation of the benchmark workloads
 (``perfbench.verdicts.invocations(workload, 1)`` of this checkout), each in
 a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
-reports and the exit codes must then be identical.  Prints the first
-difference and exits 1 on any, else exits 0.
+reports and the exit codes must then be identical.  Then ``--help`` of the
+group and of every subcommand either tree has must print the same text
+with the same exit code.  Prints the first difference and exits 1 on any,
+else exits 0.
 """
 
 import json
@@ -33,6 +35,15 @@ def start(tree: Path, argv: list) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, "-c", RUN, *argv], cwd=tree,
                             env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
+
+
+def commands(tree: Path) -> set:
+    """The subcommand names of the tree's CLI group."""
+    code = "from orbitoda.cli import main; print(*main.commands)"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
 
 
 def finish(proc: subprocess.Popen):
@@ -77,7 +88,18 @@ def main():
         total += len(old[1])
         print(f"same: orbitoda {' '.join(argv)} "
               f"({len(old[1])} reports, exit {old[0]})")
-    print(f"identical: {len(runs)} invocations, {total} reports")
+    helps = [["--help"]] + [[name, "--help"] for name in
+                            sorted(commands(old_tree) | commands(new_tree))]
+    for argv in helps:
+        old, new = ((*p.communicate(), p.returncode) for p in
+                    (start(old_tree, argv), start(new_tree, argv)))
+        if old != new:
+            print(f"DIFFERENT on orbitoda {' '.join(argv)}:\n  old "
+                  f"{old!r}\n  new {new!r}")
+            sys.exit(1)
+        print(f"same: orbitoda {' '.join(argv)} (exit {old[2]})")
+    print(f"identical: {len(runs)} invocations, {total} reports, "
+          f"{len(helps)} help texts")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .rationals import ParamRat, PR
@@ -85,13 +86,13 @@ def _extend_bernoulli():
     # use sum_{j=0}^{n} C(n+1, j) B_j(0) = 0 for n >= 1.
     acc = Fraction(0)
     for j in range(n):
-        acc += _binom_int(n + 1, j) * _bernoulli_cache[j].get(0, Fraction(0))
+        acc += comb(n + 1, j) * _bernoulli_cache[j].get(0, Fraction(0))
     b_n0 = -acc / (n + 1)
     poly: dict[int, Fraction] = {}
     for j in range(n + 1):
         bj0 = b_n0 if j == n else _bernoulli_cache[j].get(0, Fraction(0))
         if bj0:
-            poly[n - j] = poly.get(n - j, Fraction(0)) + _binom_int(n, j) * bj0
+            poly[n - j] = poly.get(n - j, Fraction(0)) + comb(n, j) * bj0
     _bernoulli_cache.append({k: v for k, v in poly.items() if v})
 
 
@@ -101,13 +102,6 @@ def bernoulli_number(n: int) -> Fraction:
 
 def poly_derivative(poly: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e - 1: c * e for e, c in poly.items() if e}
-
-
-def _binom_int(n: int, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
 
 
 def binom_frac(a: Fraction, n: int) -> Fraction:

@@ -42,10 +42,6 @@ class Cohomology:
         self.k = k
         self.m = m
 
-    def sector(self, side: str, i: int) -> SectorIndex:
-        n = self.k if side == "k" else self.m
-        return SectorIndex(side, i % n)
-
     def sectors(self) -> list[SectorIndex]:
         return ([SectorIndex("k", i) for i in range(self.k)]
                 + [SectorIndex("m", j) for j in range(self.m)])
@@ -120,15 +116,6 @@ class CohClass:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        return " + ".join(f"({c})*1[{a.side}:{a.i}]"
-                          for a, c in sorted(self.coords.items()))
-
-    def to_json(self, k: int, m: int) -> dict:
-        return {a.label(k, m): str(c) for a, c in sorted(self.coords.items())}
 
 
 def _is_zero(c) -> bool:

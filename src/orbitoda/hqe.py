@@ -52,22 +52,6 @@ class VertexSymbol:
             {p: d for p, d in self.creation.items() if d},
             {p: d for p, d in self.annihilation.items() if d})
 
-    def eq_report(self, other: "VertexSymbol"):
-        for kind in ("creation", "annihilation"):
-            a = getattr(self, kind)
-            b = getattr(other, kind)
-            for p in sorted(set(a) | set(b)):
-                sa = a.get(p, {})
-                sb = b.get(p, {})
-                for key in sorted(set(sa) | set(sb), key=str):
-                    va = sa.get(key, PR.zero())
-                    vb = sb.get(key, PR.zero())
-                    if not (va - vb).is_zero():
-                        return {"kind": kind, "lambda_power": p,
-                                "slot": str(key), "lhs": str(va),
-                                "rhs": str(vb)}
-        return None
-
 
 def build_gamma(k: int, m: int, sign: int, barred: bool,
                 mode_max: int, depth: int = 8) -> VertexSymbol:
@@ -148,16 +132,16 @@ def _g_untwisted(barred: bool) -> ParamRat:
     return (-PR.diff()).inverse() if barred else PR.diff().inverse()
 
 
-def a_matrix_row_generating(k: int, i: int, N: int, L_max: int,
-                            barred: bool = False) -> list[ParamRat]:
+def a_matrix_row_generating(k: int, i: int, N: int,
+                            L_max: int) -> list[ParamRat]:
     """The same row read off from g / prod_{l=0}^N (nu - (l + i/k) w)."""
-    nu = PR.nubar(k) if barred else PR.nu(k)
+    nu = PR.nu(k)
     denom = TruncSeries.from_poly("w", {0: 1})
     for l in range(N + 1):
         denom = denom * TruncSeries.from_poly(
             "w", {0: nu, 1: -(Fraction(i, k) + l)})
     series = denom.recip_within({"w": down_win(-L_max - 2, hi=0)})
-    series = series.scale(_g_untwisted(barred) if i % k == 0
+    series = series.scale(_g_untwisted(False) if i % k == 0
                           else PR.rational(Fraction(1, k)))
     out = []
     for L in range(L_max + 1):
@@ -228,13 +212,14 @@ def verify_lemma_inv(k: int, L_max: int) -> CheckReport:
 
 
 def verify_theorem2_transform(k: int, m: int, mode_max: int,
-                              L_pad: int = 4, negate: bool = False) -> list[CheckReport]:
+                              negate: bool = False) -> list[CheckReport]:
     """Every vertex mode, rewritten in the flow variables, matches the
     2-Toda form: lambda^{-M} modes give (1/M) eps d/dy_M, lambda^{+M} modes
     give -eps^-1 y_M, and the lambda^0 mode is the untwisted translation.
 
     Both the unbarred (y) and barred (y-bar) sides are checked.
     """
+    L_pad = 4
     out = []
     for barred in (False, True):
         kk = m if barred else k
@@ -394,7 +379,7 @@ def mult_part(f: TruncSeries, miwa: TruncSeries, sign: int, barred: bool,
     for n in range(1, depth + 1):
         name = flow_var(leg, barred, n)
         w = f._win(name) if name in f.wins else exact_win(0, 0)
-        win = VarWindow(w.lo, max(w.hi, 1), w.lo_hard, w.hi_hard, w.den)
+        win = VarWindow(w.lo, max(w.hi, 1), w.lo_hard, w.hi_hard)
         t = TruncSeries.monomial({name: 1, "eps": -1, "lam": n},
                                  {name: win, "eps": eps_win, "lam": lam_up},
                                  coeff=sign)
@@ -403,7 +388,7 @@ def mult_part(f: TruncSeries, miwa: TruncSeries, sign: int, barred: bool,
 
 
 def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
-                  eps_win: VarWindow, lam_span: int | None = None) -> TruncSeries:
+                  eps_win: VarWindow) -> TruncSeries:
     """The lambda-residue of the bilinear form at the pair (n, l):
 
         res [ lam^{l-n} (G+ tau_l)(G- tau_{n+1})
@@ -412,7 +397,7 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
     with independent flow variables on the two legs.  Returns the residue
     as a series; the tau family satisfies the equations iff it vanishes.
     """
-    extra = abs(n - l) + 2 if lam_span is None else lam_span
+    extra = abs(n - l) + 2
 
     def leg_series(r: int, leg: str) -> TruncSeries:
         shifted = tau.shifted(r, eps_win)
@@ -508,8 +493,8 @@ def fock_one(eps_win: VarWindow) -> TruncSeries:
 
 
 def apply_vertex(sym: VertexSymbol, elem: TruncSeries, leg: str,
-                 eps_win: VarWindow, lam_span: int, qdeg_cap: int,
-                 qvar_hi: int = 6) -> TruncSeries:
+                 eps_win: VarWindow, lam_span: int,
+                 qdeg_cap: int) -> TruncSeries:
     """exp(creation) exp(annihilation) applied to a truncated Fock element."""
     lam_w = exact_win(-lam_span, lam_span)
 
@@ -529,7 +514,7 @@ def apply_vertex(sym: VertexSymbol, elem: TruncSeries, leg: str,
             group.append(name)
             t = TruncSeries.monomial(
                 {name: 1, "eps": -1, "lam": p},
-                {name: VarWindow(0, qvar_hi, True, False),
+                {name: up_win(6),
                  "eps": eps_win, "lam": lam_w}, coeff=c)
             arg = t if arg is None else arg + t
     if arg is None:
@@ -554,18 +539,20 @@ def translate(elem: TruncSeries, leg: str, shifts: dict,
 
 
 def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
-                     n: int, l: int, mode_max: int, eps_win: VarWindow,
-                     qdeg_cap: int = 2, depth: int = 4) -> TruncSeries:
+                     n: int, l: int, mode_max: int,
+                     eps_win: VarWindow) -> TruncSeries:
     """The lambda-residue of the orbifold bilinear form on d1 (x) d2.
 
     Vertex operators enter through their symbols with |mode| <= mode_max
-    (mode_max = 0 strips them entirely); translations shift the untwisted
-    q_0-slots per the (n, l)-bookkeeping.  The residue is returned in the
-    two legs' own Fock slots q' = ``qa*`` and q'' = ``qb*``: the change
-    q' = x + y, q'' = x - y is linear and invertible, so it does not change
-    whether the residue vanishes.
+    (mode_max = 0 strips them entirely), their creation parts capped at
+    total q-degree 2 and their mode coefficients kept through q-index 4;
+    translations shift the untwisted q_0-slots per the (n, l)-bookkeeping.
+    The residue is returned in the two legs' own Fock slots q' = ``qa*``
+    and q'' = ``qb*``: the change q' = x + y, q'' = x - y is linear and
+    invertible, so it does not change whether the residue vanishes.
     """
     lam_span = mode_max + abs(n - l) + 2
+    qdeg_cap, depth = 2, 4
     k0 = SectorIndex("k", 0)
     m0 = SectorIndex("m", 0)
     legs1 = [translate(d1, "a", {k0: n + 1, m0: n}, eps_win),
@@ -619,7 +606,7 @@ def verify_bilinearity(k: int, m: int) -> CheckReport:
     """Scaling the first leg by 2 scales a nonzero residue by 2."""
     with CheckReport(name="hqe-bilinearity", params={"k": k, "m": m}) as rep:
         da = fock_one(HQE_EPS) + TruncSeries.var(
-            fock_var("a", 0, SectorIndex("k", 0)), up_win(3)) \
+            fock_var("a", 0, SectorIndex("k", 0)), exact_win(0, 1)) \
             .truncated({"eps": HQE_EPS})
         db = fock_one(HQE_EPS)
         lhs = hqe_residue_eval(k, m, da.scale(2), db, 1, 0, 4, HQE_EPS)

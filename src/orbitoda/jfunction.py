@@ -52,12 +52,11 @@ def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     hard above, as ``recip`` makes it.  Writing b_i = N_i/D and L = lcm(N_i),
     h_j = (D/L)^j H_j with H_j the integer h_j of the L/N_i, so each
     coefficient costs integer adds and one Fraction.  ``zwin`` must be soft
-    below and hard above with unit denominator, the shape every J-function
-    window has.
+    below and hard above, the shape every J-function window has.
     """
-    if zwin.lo_hard or not zwin.hi_hard or zwin.den != 1:
+    if zwin.lo_hard or not zwin.hi_hard:
         raise ValueError(f"inv_poch needs a z-window soft below and hard "
-                         f"above with unit denominator, got {zwin}")
+                         f"above, got {zwin}")
     x = Fraction(x)
     f = frac_part_unit(x)
     n = int(x - f) + 1 if x >= f else 0
@@ -147,10 +146,8 @@ class JSeries:
         """
         return self.map_terms(lambda s, a, idx, z: z * coeff_fn(s, a))
 
-    def shift_q(self, delta: int, new_qmax: int | None = None) -> "JSeries":
-        out = JSeries(self.k, self.m,
-                      self.qmax + delta if new_qmax is None else new_qmax,
-                      self.zwin)
+    def shift_q(self, delta: int) -> "JSeries":
+        out = JSeries(self.k, self.m, self.qmax + delta, self.zwin)
         for sector, grades in self.sectors.items():
             for qdeg, bucket in grades.items():
                 for idx, zser in bucket.items():

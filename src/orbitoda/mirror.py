@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .algebra import (bernoulli_number, bernoulli_poly, binom_frac,
                       poly_derivative)
 from .cohomology import Cohomology, QuantumRing, SectorIndex
 from .errors import SingularFiber
-from .rationals import ParamRat, PR, RootRing
+from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, exact_win,
                      series_reversion, up_win)
@@ -168,15 +169,13 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
     return (1 + u) * TruncSeries.from_poly("lam", {1: 1})
 
 
-def flat_coords_residue(k: int, m: int, degree: int,
-                        depth: int | None = None) -> dict:
+def flat_coords_residue(k: int, m: int, degree: int) -> dict:
     """tau^{i/k}(t) via reversion of the chart change and residues.
 
     Returns {('k', i): polynomial in the t's}; i = 0 holds t_k + nu0 t_N.
     """
     sp = superpotential(k, m, None, degree)
-    depth = depth or (k + m + 3)
-    x_of_lam = solve_chart_change(sp, depth)
+    x_of_lam = solve_chart_change(sp, k + m + 3)
     lam_of_x = series_reversion(x_of_lam, "lam", out_var="x")
     out = {}
     pows = TruncSeries.scalar(1, lam_of_x.wins)
@@ -262,7 +261,7 @@ def _laurent_support(ser: TruncSeries, var: str) -> tuple[int, int]:
     return (min(exps), max(exps))
 
 
-def to_y_chart(ser: TruncSeries, qlo_pad: int = 0) -> TruncSeries:
+def to_y_chart(ser: TruncSeries) -> TruncSeries:
     """Exact monomial remap x^e q^j -> y^{-e} q^{e+j} (y = q/x)."""
     out = {}
     xi = ser.vars.index("x") if "x" in ser.vars else None
@@ -280,7 +279,7 @@ def to_y_chart(ser: TruncSeries, qlo_pad: int = 0) -> TruncSeries:
         yhis.append(-e)
         out[nk] = out.get(nk, PR.zero()) + c
     wins = {"y": exact_win(min(ylos), max(yhis)),
-            "q": exact_win(min(qlos) - qlo_pad, max(qhis))}
+            "q": exact_win(min(qlos), max(qhis))}
     for i in rest:
         wins[ser.vars[i]] = ser.wins[ser.vars[i]]
     vars_all = ("q", "y") + restvars
@@ -295,8 +294,7 @@ def to_y_chart(ser: TruncSeries, qlo_pad: int = 0) -> TruncSeries:
     return TruncSeries(sorted_vars, wins, terms, caps)
 
 
-def residue_both_ends(num: TruncSeries, den: TruncSeries,
-                      qpad: int = 4) -> TruncSeries:
+def residue_both_ends(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     """-(res_0 + res_inf) of (num/den) dx for exact Laurent num, den.
 
     The residue at infinity expands 1/den downward in x; the residue at
@@ -305,7 +303,7 @@ def residue_both_ends(num: TruncSeries, den: TruncSeries,
     """
     nlo, nhi = _laurent_support(num, "x")
     dlo, dhi = _laurent_support(den, "x")
-    qspan = (nhi - nlo) + (dhi - dlo) + qpad
+    qspan = (nhi - nlo) + (dhi - dlo) + 4
     at_inf = TruncSeries.scalar(0)
     if nhi - dhi >= -1:
         # expand 1/den downward from x^{-dhi}; q-degrees only grow
@@ -622,24 +620,33 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
 
 
 def classical_critical_data(k: int, m: int) -> CheckReport:
-    """At Q = 0: xi_i^k = nu exactly and the Hessians are k^2 nu (x-side),
-    m^2 nubar (y-side), in the unimodular coordinate."""
+    """At Q = 0 each foot (n, val) in ((k, nu), (m, nubar)) of the
+    small-slice superpotential has critical points x^n = val and Hessian
+    n^2 val there, in the unimodular coordinate: exactly,
+
+        x f'(x) = n (x^n - val)  and  (x d_x)^2 f = n^2 val + n x f'(x).
+
+    The m-foot is the superpotential with the feet exchanged and
+    nu0 <-> nu1, as on the y-chart of ``periods.mode_chain``."""
     with CheckReport(name="classical-critical",
                      params={"k": k, "m": m}) as rep:
-        for (n, val) in ((k, PR.nu(k)), (m, PR.nubar(m))):
-            ring = RootRing(n, val)
-            # (x d_x)^2 (x^n + c log x) = n^2 x^n; at x = zeta^i rho:
-            # n^2 zeta^{i n} rho^n = n^2 val
-            for i in range(n):
-                xi = ring.root(i)
-                xin = ring.pow(xi, n)
-                if not ring.eq(xin, ring.scalar(val)):
-                    rep.fail({"foot": n, "i": i}, "xi^n", str(val))
-                    break
-                hess = ring.mul_scalar(xin, PR.rational(n * n))
-                if not ring.eq(hess, ring.scalar(val * (n * n))):
-                    rep.fail({"foot": n, "i": i}, "hessian", f"{n}^2 nu")
-                    break
+        small = {i: 0 for i in range(1, k + m)}
+        x = TruncSeries.from_poly("x", {1: 1})
+        feet = ((k, PR.nu(k), superpotential(k, m, small).df_dx()),
+                (m, PR.nubar(m), superpotential(m, k, small).df_dx()
+                 .map_coeffs(PR.swap_nu)))
+        for n, val, fprime in feet:
+            x_f1 = (x * fprime).coeff_of("q", 0)
+            crit = TruncSeries.from_poly("x", {n: n, 0: -n * val})
+            for name, got, want in (
+                    ("x f'", x_f1, crit),
+                    ("(x d_x)^2 f", x * x_f1.derivative("x"),
+                     crit.scale(n) + val * (n * n))):
+                d = got.eq_report(want)
+                if d is not None:
+                    rep.fail({"foot": n, "identity": name, "at": str(d[0])},
+                             str(got), str(want))
+                    return rep
     return rep
 
 
@@ -652,13 +659,8 @@ def stationary_phase_A(n: int) -> dict[int, Fraction]:
     # substitute x -> 1 - s
     for e, c in bn.items():
         # (1-s)^e
-        coeff = Fraction(1)
         for j in range(e + 1):
-            binc = Fraction(1)
-            for t in range(j):
-                binc = binc * (e - t) / (t + 1)
-            val = c * binc * (-1) ** j
-            out[j] = out.get(j, Fraction(0)) + val
+            out[j] = out.get(j, Fraction(0)) + c * comb(e, j) * (-1) ** j
     scale = Fraction(1, n * (n - 1))
     return {e: c * scale for e, c in out.items() if c}
 
@@ -788,10 +790,10 @@ def gaussian_moment_oracle(n_max: int) -> CheckReport:
 
 
 def residue_pairing(k: int, m: int, alpha: SectorIndex, beta: SectorIndex,
-                    tvals: dict | None = None, degree: int = 2) -> TruncSeries:
-    """(d/dtau^alpha, d/dtau^beta) as a residue; a jet in t when tvals is
-    None, an exact scalar series otherwise."""
-    chart, v_alpha, den = _pairing_vectors(k, m, tvals, degree)
+                    tvals: dict | None = None) -> TruncSeries:
+    """(d/dtau^alpha, d/dtau^beta) as a residue; a jet in t to degree 2
+    when tvals is None, an exact scalar series otherwise."""
+    chart, v_alpha, den = _pairing_vectors(k, m, tvals, 2)
     pos = {a: i for i, a in enumerate(chart.alphas)}
     return residue_both_ends(v_alpha[pos[(alpha.side, alpha.i)]] *
                              v_alpha[pos[(beta.side, beta.i)]], den)

@@ -84,7 +84,7 @@ def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
     # the inverse has an infinite descending tail, and a soft seed window
     # pollutes the image k orders higher
     lam_out = VarWindow(lam_w.lo if lam_w.lo_hard else lam_w.lo + D.k,
-                        lam_w.hi + D.k, False, lam_w.hi_hard, lam_w.den)
+                        lam_w.hi + D.k, False, lam_w.hi_hard)
     for a, coeff in sorted(groups.items()):
         inv = _d_inverse_monomial(D, a, lam_out, zwin)
         piece = inv * coeff
@@ -148,7 +148,6 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
                              str(z0), "1/nu iff alpha=-1")
                     break
                 if want_const:
-                    expect = TruncSeries.scalar(D.nu.inverse(), z0.wins)
                     if not (z0.coeff_of("lam", 0) -
                             TruncSeries.scalar(D.nu.inverse())).is_zero():
                         rep.fail({"alpha": f"{a}/{k}"}, str(z0), "1/nu")
@@ -167,15 +166,15 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
     return rep
 
 
-def verify_fixed_point(k: int, m: int, alpha: SectorIndex,
-                       lam_lo: int = -10, z_lo: int = -5) -> CheckReport:
+def verify_fixed_point(k: int, m: int, alpha: SectorIndex) -> CheckReport:
     """D f = f for the bi-infinite sum, and its z^0 mode is phi_alpha w/df."""
+    lam_lo, z_lo = -10, -5
     with CheckReport(name="bi-infinite-fixed-point",
                      params={"k": k, "m": m,
                              "alpha": alpha.label(k, m)}) as rep:
         D = d_x_operator(k, m)
         lam_win = down_win(lam_lo, hi=2 * k)
-        zwin = down_win(z_lo, hi=abs(lam_lo) // 1 + 2)
+        zwin = down_win(z_lo, hi=abs(lam_lo) + 2)
         g = _phi_mode_seed(k, m, alpha)
         f = bi_infinite_sum(D, g, lam_win, zwin)
         shrunk = {"lam": down_win(lam_lo + k + m, hi=k), "z": zwin}
@@ -246,10 +245,10 @@ def _pow_of(x: TruncSeries, e: int) -> TruncSeries:
     return x ** e if e >= 0 else x.recip() ** (-e)
 
 
-def verify_transformation_law(k: int, m: int, zlo: int = -4,
-                              lam_lo: int = -9) -> list[CheckReport]:
+def verify_transformation_law(k: int, m: int) -> list[CheckReport]:
     """f(x(lam)) = f(lam) exp(z^{-1} int_x^lam phi) for two nontrivial
     coordinate changes, on a tail-free and on the mirror x-side operator."""
+    zlo, lam_lo = -4, -9
     reports = []
     cases = []
     c = PR.rational(Fraction(3, 2))
@@ -455,14 +454,14 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
     return rep
 
 
-def verify_w_derivative(k: int, m: int, depth: int | None = None) -> CheckReport:
+def verify_w_derivative(k: int, m: int) -> CheckReport:
     """d/dx of the reconstructed W equals
     [-(I0(x), I0(x)) + (I0(lam), I0(lam))] d_x f, to window order.
 
     W is assembled from the two primitives of the phase forms with lam(x)
     the inverse of the chart change at the small slice.
     """
-    depth = depth or (3 * (k + m) + 4)
+    depth = 3 * (k + m) + 4
     with CheckReport(name="w-derivative", params={"k": k, "m": m,
                                                   "depth": depth}) as rep:
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
@@ -510,8 +509,7 @@ def verify_w_derivative(k: int, m: int, depth: int | None = None) -> CheckReport
     return rep
 
 
-def verify_s_action_replay(k: int, m: int, alpha_i: int = 1,
-                           lam_lo: int = -9, z_lo: int = -4) -> CheckReport:
+def verify_s_action_replay(k: int, m: int) -> CheckReport:
     """The fundamental-solution action through the canonical chart change.
 
     With x(lam) solving the mirror chart equation at the small slice, the
@@ -520,6 +518,7 @@ def verify_s_action_replay(k: int, m: int, alpha_i: int = 1,
     zero on this slice), and the fixed-point sum transforms by exactly that
     exponential: f(x(lam)) = exp(z^{-1} q^m lam^{-m}) f(lam).
     """
+    alpha_i, lam_lo, z_lo = 1, -9, -4
     with CheckReport(name="s-action-replay",
                      params={"k": k, "m": m, "alpha": f"{alpha_i}/{k}",
                              "lam": [lam_lo, 0], "z": [z_lo, 0]}) as rep:

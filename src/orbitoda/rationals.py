@@ -20,6 +20,8 @@ constructors, never independent symbols.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+
 from .errors import NonUnit
 
 _FRAC_ZERO = Fraction(0)
@@ -142,12 +144,6 @@ class ParamRat:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_paramrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _as_paramrat(other)
@@ -278,13 +274,9 @@ class ParamRat:
     __repr__ = __str__
 
 
-def _binomial_signs(e: int) -> list[Fraction]:
+def _binomial_signs(e: int) -> list[int]:
     """Coefficients of (nu0 - nu1)^e as sum of nu0^(e-j) * nu1^j."""
-    out = [Fraction(1)]
-    for j in range(e):
-        out.append(out[-1] * (e - j) / (j + 1) * -1)
-    # note: values are C(e, j) * (-1)^j
-    return out
+    return [(-1) ** j * comb(e, j) for j in range(e + 1)]
 
 
 def _as_paramrat(value):
@@ -297,156 +289,3 @@ def _as_paramrat(value):
 
 PR = ParamRat  # short alias used throughout the package
 
-
-# ---------------------------------------------------------------------------
-# Cyclotomic quotient layer:  ParamRat[rho, zeta] / (rho^k - val, Phi_k(zeta))
-# ---------------------------------------------------------------------------
-
-
-def cyclotomic_poly(k: int) -> list[Fraction]:
-    """Coefficients (ascending) of the k-th cyclotomic polynomial."""
-    # x^k - 1 = prod_{d | k} Phi_d(x); divide out the proper divisors.
-    num = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
-    for d in range(1, k):
-        if k % d == 0:
-            phi_d = cyclotomic_poly(d)
-            num = _polydiv_exact(num, phi_d)
-    return num
-
-
-def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, dv in enumerate(den):
-                num[i + j] -= c * dv
-    assert all(v == 0 for v in num[: len(den) - 1]), "non-exact division"
-    return out
-
-
-class RootRing:
-    """Quotient ring carrying a k-th root rho of ``val`` and zeta = e^(2 pi i/k).
-
-    Elements are dicts (rho_pow, zeta_pow) -> ParamRat with rho_pow in [0,k)
-    and zeta_pow < deg Phi_k.  Activated only by the classical-limit
-    computations; generic code never pays for it.
-    """
-
-    def __init__(self, k: int, val: ParamRat):
-        self.k = k
-        self.val = val
-        phi = cyclotomic_poly(k)
-        self.phi_deg = len(phi) - 1
-        # zeta^phi_deg = -(phi[0] + phi[1] z + ...)/phi[-1]
-        self._zeta_top = [-c / phi[-1] for c in phi[:-1]]
-
-    def scalar(self, c: ParamRat) -> dict:
-        return {(0, 0): c} if not c.is_zero() else {}
-
-    def one(self) -> dict:
-        return self.scalar(ParamRat.one())
-
-    def root(self, zeta_pow: int = 0) -> dict:
-        """zeta^zeta_pow * rho."""
-        elem = {(1, 0): ParamRat.one()}
-        return self.mul(elem, self.zeta_pow(zeta_pow))
-
-    def zeta_pow(self, j: int) -> dict:
-        j %= self.k
-        elem = {(0, 0): ParamRat.one()}
-        for _ in range(j):
-            elem = self._mul_zeta(elem)
-        return elem
-
-    def _mul_zeta(self, elem: dict) -> dict:
-        out: dict = {}
-        for (r, z), c in elem.items():
-            if z + 1 < self.phi_deg:
-                _acc(out, (r, z + 1), c)
-            else:
-                for j, t in enumerate(self._zeta_top):
-                    if t:
-                        _acc(out, (r, j), c * ParamRat.rational(t))
-        return out
-
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for key, c in b.items():
-            _acc(out, key, c)
-        return out
-
-    def mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for (ra, za), ca in a.items():
-            for (rb, zb), cb in b.items():
-                c = ca * cb
-                if c.is_zero():
-                    continue
-                r = ra + rb
-                while r >= self.k:
-                    r -= self.k
-                    c = c * self.val
-                # reduce zeta power
-                tmp = {(r, 0): c}
-                for _ in range(za + zb):
-                    tmp = self._mul_zeta(tmp)
-                for key, cv in tmp.items():
-                    _acc(out, key, cv)
-        return out
-
-    def mul_scalar(self, a: dict, c: ParamRat) -> dict:
-        out = {}
-        for key, v in a.items():
-            p = v * c
-            if not p.is_zero():
-                out[key] = p
-        return out
-
-    def pow(self, a: dict, n: int) -> dict:
-        if n < 0:
-            return self.pow(self.inv_root_monomial(a), -n)
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def inv_root_monomial(self, a: dict) -> dict:
-        """Invert c * zeta^z * rho^r (only monomials in rho are invertible)."""
-        if len(a) != 1:
-            raise NonUnit("can only invert monomial root-ring elements")
-        ((r, z), c), = a.items()
-        if z != 0:
-            # zeta^{-z} = zeta^{k-z}
-            base = {(r, 0): c}
-            inv = self.inv_root_monomial(base)
-            return self.mul(inv, self.zeta_pow(self.k - z))
-        # rho^{-r} = rho^{k-r} / val
-        inv_c = c.inverse() * self.val.inverse()
-        if r == 0:
-            return {(0, 0): c.inverse()}
-        return {(self.k - r, 0): inv_c}
-
-    def eq(self, a: dict, b: dict) -> bool:
-        ka = {k: v for k, v in a.items() if not v.is_zero()}
-        kb = {k: v for k, v in b.items() if not v.is_zero()}
-        return ka == kb
-
-
-def _acc(out: dict, key, c: ParamRat):
-    cur = out.get(key)
-    if cur is None:
-        if not c.is_zero():
-            out[key] = c
-    else:
-        s = cur + c
-        if s.is_zero():
-            del out[key]
-        else:
-            out[key] = s

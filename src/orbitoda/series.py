@@ -1,10 +1,8 @@
 """Truncated multivariate Laurent/power series with provable windows.
 
 A ``TruncSeries`` stores a sparse map exponent-vector -> ParamRat together
-with, per variable, an explicit window ``[lo, hi]`` of scaled exponents and
-two hardness flags.  Exponents are stored as integers ``e`` meaning the
-rational power ``e / den`` (fractional powers with a fixed denominator per
-variable, as needed for xi = x^k charts).
+with, per variable, an explicit window ``[lo, hi]`` of integer exponents
+and two hardness flags.
 
 Window semantics, per variable:
 
@@ -40,7 +38,6 @@ class VarWindow:
     hi: int
     lo_hard: bool
     hi_hard: bool
-    den: int = 1
 
     def known_lo(self):
         return NEG_INF if self.lo_hard else self.lo
@@ -58,21 +55,21 @@ class VarWindow:
         return False
 
 
-POINT = VarWindow(0, 0, True, True, 1)
+POINT = VarWindow(0, 0, True, True)
 
 
-def up_win(hi: int, den: int = 1, lo: int = 0) -> VarWindow:
+def up_win(hi: int, lo: int = 0) -> VarWindow:
     """Power-series-style: true support bounded below, truncated above."""
-    return VarWindow(lo, hi, True, False, den)
+    return VarWindow(lo, hi, True, False)
 
 
-def down_win(lo: int, den: int = 1, hi: int = 0) -> VarWindow:
+def down_win(lo: int, hi: int = 0) -> VarWindow:
     """Laurent-at-infinity style: bounded above, truncated below."""
-    return VarWindow(lo, hi, False, True, den)
+    return VarWindow(lo, hi, False, True)
 
 
-def exact_win(lo: int, hi: int, den: int = 1) -> VarWindow:
-    return VarWindow(lo, hi, True, True, den)
+def exact_win(lo: int, hi: int) -> VarWindow:
+    return VarWindow(lo, hi, True, True)
 
 
 def _as_coeff(value) -> ParamRat:
@@ -107,18 +104,12 @@ class TruncSeries:
         return TruncSeries(vars, wins, terms, dict(caps) if caps else {})._pruned()
 
     @staticmethod
-    def zero(wins: Mapping[str, VarWindow] | None = None) -> "TruncSeries":
-        return TruncSeries.scalar(0, wins)
+    def zero() -> "TruncSeries":
+        return TruncSeries.scalar(0)
 
     @staticmethod
-    def one() -> "TruncSeries":
-        return TruncSeries.scalar(1)
-
-    @staticmethod
-    def var(name: str, win: VarWindow, power: int | None = None, coeff=1) -> "TruncSeries":
-        """coeff * name^(power/den); power defaults to one (= den)."""
-        if power is None:
-            power = win.den
+    def var(name: str, win: VarWindow, power: int = 1, coeff=1) -> "TruncSeries":
+        """coeff * name^power."""
         c = _as_coeff(coeff)
         if c.is_zero() or not (win.lo <= power <= win.hi):
             return TruncSeries((name,), {name: win}, {})
@@ -134,7 +125,7 @@ class TruncSeries:
         return TruncSeries(vars, dict(wins), terms)._pruned()
 
     @staticmethod
-    def from_poly(name: str, coeffs: Mapping[int, object], den: int = 1) -> "TruncSeries":
+    def from_poly(name: str, coeffs: Mapping[int, object]) -> "TruncSeries":
         """Exact Laurent polynomial in one variable (both-hard window)."""
         cc = {}
         for e, c in coeffs.items():
@@ -142,8 +133,8 @@ class TruncSeries:
             if not c.is_zero():
                 cc[e] = c
         if not cc:
-            return TruncSeries((name,), {name: exact_win(0, 0, den)}, {})
-        win = exact_win(min(cc), max(cc), den)
+            return TruncSeries((name,), {name: exact_win(0, 0)}, {})
+        win = exact_win(min(cc), max(cc))
         return TruncSeries((name,), {name: win}, {(e,): c for e, c in cc.items()})
 
     # -- bookkeeping -------------------------------------------------------
@@ -162,9 +153,8 @@ class TruncSeries:
                     out[key] = c
         return TruncSeries(self.vars, self.wins, out, self.caps)
 
-    def _win(self, v: str, den_hint: int = 1) -> VarWindow:
-        w = self.wins.get(v)
-        return w if w is not None else VarWindow(0, 0, True, True, den_hint)
+    def _win(self, v: str) -> VarWindow:
+        return self.wins.get(v, POINT)
 
     def support_bounds(self, v: str):
         """Sharpened (lo, hi) bounds of the true support; (+inf,-inf) if empty."""
@@ -221,9 +211,7 @@ class TruncSeries:
         for v in self.vars:
             i = self.vars.index(v)
             exps = [key[i] for key in self.terms] or [0]
-            w = self.wins[v]
-            wins[v] = VarWindow(min(min(exps), 0), max(max(exps), 0),
-                                True, True, w.den)
+            wins[v] = exact_win(min(min(exps), 0), max(max(exps), 0))
         return TruncSeries(self.vars, wins, dict(self.terms), {})
 
     def with_cap(self, group, cap: int) -> "TruncSeries":
@@ -268,17 +256,14 @@ class TruncSeries:
         allvars, ta, tb = self._aligned(other)
         wins = {}
         for v in allvars:
-            wa = self._win(v, other._win(v).den)
-            wb = other._win(v, wa.den)
-            if wa.den != wb.den:
-                raise ValueError(f"variable {v}: denominator mismatch")
+            wa, wb = self._win(v), other._win(v)
             klo = max(wa.known_lo(), wb.known_lo())
             khi = min(wa.known_hi(), wb.known_hi())
             lo = min(wa.lo, wb.lo) if klo == NEG_INF else max(min(wa.lo, wb.lo), int(klo))
             hi = max(wa.hi, wb.hi) if khi == POS_INF else min(max(wa.hi, wb.hi), int(khi))
             if lo > hi:
                 raise WindowUnderflow(f"variable {v}: empty window in addition")
-            wins[v] = VarWindow(lo, hi, klo == NEG_INF, khi == POS_INF, wa.den)
+            wins[v] = VarWindow(lo, hi, klo == NEG_INF, khi == POS_INF)
         caps = _cap_merge(self.caps, other.caps)
         out = dict(ta)
         for key, c in tb.items():
@@ -306,9 +291,6 @@ class TruncSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     # -- multiplication ----------------------------------------------------
 
     def scale(self, c) -> "TruncSeries":
@@ -323,17 +305,12 @@ class TruncSeries:
         0 when a factor is identically zero."""
         wins = {}
         for v in allvars:
-            wa = self._win(v, other._win(v).den)
-            wb = other._win(v, wa.den)
-            if wa.den != wb.den:
-                raise ValueError(f"variable {v}: denominator mismatch")
+            wa, wb = self._win(v), other._win(v)
             sa_lo, sa_hi = self.support_bounds(v)
             sb_lo, sb_hi = other.support_bounds(v)
             if sa_lo > sa_hi or sb_lo > sb_hi:
                 # one factor is identically zero
-                return {u: VarWindow(0, 0, True, True,
-                                     max(self._win(u).den, other._win(u).den))
-                        for u in allvars}
+                return {u: POINT for u in allvars}
             plo = _add_b(sa_lo, sb_lo)
             phi = _add_b(sa_hi, sb_hi)
             khi = POS_INF
@@ -366,7 +343,7 @@ class TruncSeries:
             if lo in (NEG_INF, POS_INF) or hi in (NEG_INF, POS_INF):
                 raise WindowUnderflow(
                     f"variable {v}: unrepresentable window in product (lo={lo}, hi={hi})")
-            wins[v] = VarWindow(int(lo), int(hi), lo_hard, hi_hard, wa.den)
+            wins[v] = VarWindow(int(lo), int(hi), lo_hard, hi_hard)
         return wins
 
     def __mul__(self, other):
@@ -424,13 +401,6 @@ class TruncSeries:
                 break
             base = base * base
         return out
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, ParamRat)):
-            return self.scale(_as_coeff(other).inverse())
-        if isinstance(other, TruncSeries):
-            return self * other.recip()
-        return NotImplemented
 
     # -- inversion / exp / log ----------------------------------------------
 
@@ -493,11 +463,11 @@ class TruncSeries:
         for i, v in enumerate(self.vars):
             w = self.wins[v]
             if w.lo_hard and w.hi_hard:
-                gwins[v] = VarWindow(0, 0, True, True, w.den)
+                gwins[v] = POINT
             elif w.lo_hard:      # up-type
-                gwins[v] = VarWindow(0, w.hi - lead[i], True, False, w.den)
+                gwins[v] = up_win(w.hi - lead[i])
             elif w.hi_hard:      # down-type
-                gwins[v] = VarWindow(w.lo - lead[i], 0, False, True, w.den)
+                gwins[v] = down_win(w.lo - lead[i])
             else:
                 raise NonUnit(f"variable {v}: window soft on both sides")
         for i, v in enumerate(self.vars):
@@ -517,8 +487,7 @@ class TruncSeries:
         the shifted caps on the shifted keys.
         """
         minv = TruncSeries(self.vars,
-                           {v: VarWindow(-lead[i], -lead[i], True, True,
-                                         self.wins[v].den)
+                           {v: exact_win(-lead[i], -lead[i])
                             for i, v in enumerate(self.vars)},
                            {tuple(-e for e in lead): c0_inv})
         degrees = self._lead_degrees(lead)
@@ -579,7 +548,7 @@ class TruncSeries:
         a time; windows of exactly-tracked variables grow with each power."""
         lead, c0_inv, tail, gwins, gcaps = self._recip_parts()
         hwins = {v: VarWindow(w.lo - lead[i], w.hi - lead[i], w.lo_hard,
-                              w.hi_hard, w.den)
+                              w.hi_hard)
                  for i, (v, w) in enumerate(
                      (v, self.wins[v]) for v in self.vars)}
         h = TruncSeries(self.vars, hwins, tail, gcaps)
@@ -615,11 +584,11 @@ class TruncSeries:
         for v in self.vars:
             w = self.wins[v]
             if v not in soft:
-                gwins[v] = VarWindow(0, 0, True, True, w.den)
+                gwins[v] = POINT
             elif w.lo_hard:
-                gwins[v] = VarWindow(0, w.hi, True, False, w.den)
+                gwins[v] = up_win(w.hi)
             else:
-                gwins[v] = VarWindow(w.lo, 0, False, True, w.den)
+                gwins[v] = down_win(w.lo)
         return gwins
 
     def exp(self) -> "TruncSeries":
@@ -657,10 +626,10 @@ class TruncSeries:
             e = key[i]
             if e == 0:
                 continue
-            out[key[:i] + (e - w.den,) + key[i + 1:]] = c * Fraction(e, w.den)
+            out[key[:i] + (e - 1,) + key[i + 1:]] = c * e
         wins = dict(self.wins)
-        wins[v] = VarWindow(w.lo - w.den, w.hi - w.den, w.lo_hard, w.hi_hard, w.den)
-        caps = {g: (c - w.den if v in g else c) for g, c in self.caps.items()}
+        wins[v] = VarWindow(w.lo - 1, w.hi - 1, w.lo_hard, w.hi_hard)
+        caps = {g: (c - 1 if v in g else c) for g, c in self.caps.items()}
         return TruncSeries(self.vars, wins, out, caps)._pruned()
 
     def exp_derivation(self, parts, wins: Mapping[str, VarWindow]) -> "TruncSeries":
@@ -684,7 +653,7 @@ class TruncSeries:
                          what="exp of a derivation")
 
     def shift_exponent(self, v: str, delta: int) -> "TruncSeries":
-        """Multiply by v^(delta/den) exactly; the window shifts along."""
+        """Multiply by v^delta exactly; the window shifts along."""
         if delta == 0:
             return self
         if v not in self.wins:
@@ -693,7 +662,7 @@ class TruncSeries:
         i = self.vars.index(v)
         w = self.wins[v]
         wins = dict(self.wins)
-        wins[v] = VarWindow(w.lo + delta, w.hi + delta, w.lo_hard, w.hi_hard, w.den)
+        wins[v] = VarWindow(w.lo + delta, w.hi + delta, w.lo_hard, w.hi_hard)
         terms = {key[:i] + (key[i] + delta,) + key[i + 1:]: c
                  for key, c in self.terms.items()}
         return TruncSeries(self.vars, wins, terms, self.caps)
@@ -715,7 +684,7 @@ class TruncSeries:
         terms = {key: c for key, c in self.terms.items() if key[i] >= lo}
         exps = [key[i] for key in terms] or [lo]
         wins = dict(self.wins)
-        wins[v] = VarWindow(min(exps), max(exps), True, True, w.den)
+        wins[v] = exact_win(min(exps), max(exps))
         return TruncSeries(self.vars, wins, terms, self.caps)
 
     def below_slice(self, v: str, lo: int) -> "TruncSeries":
@@ -727,14 +696,14 @@ class TruncSeries:
         i = self.vars.index(v)
         terms = {key: c for key, c in self.terms.items() if key[i] < lo}
         wins = dict(self.wins)
-        wins[v] = VarWindow(w.lo, lo - 1, w.lo_hard, True, w.den)
+        wins[v] = VarWindow(w.lo, lo - 1, w.lo_hard, True)
         return TruncSeries(self.vars, wins, terms, self.caps)
 
     def coeff_of(self, v: str, e: int) -> "TruncSeries":
-        """Exact coefficient of v^(e/den); WindowUnderflow if outside window."""
+        """Exact coefficient of v^e; WindowUnderflow if outside window."""
         w = self._win(v)
         if not w.contains_known(e):
-            raise WindowUnderflow(f"coefficient of {v}^[{e}/{w.den}] outside window {w}")
+            raise WindowUnderflow(f"coefficient of {v}^{e} outside window {w}")
         if v not in self.wins:
             if e == 0:
                 return self
@@ -758,33 +727,33 @@ class TruncSeries:
 
     def residue(self, v: str) -> "TruncSeries":
         """Coefficient of v^-1."""
-        return self.coeff_of(v, -self._win(v).den)
+        return self.coeff_of(v, -1)
 
     def subst(self, v: str, repl: "TruncSeries") -> "TruncSeries":
-        """Substitute repl for v; negative v-powers use recip(repl)."""
+        """Substitute repl for v; negative v-powers use recip(repl).
+
+        A truncation of self in v moves onto the variable that leads repl,
+        which must itself be truncated in repl; v may sit in no cap group.
+        """
         if v not in self.wins:
             return self
         w = self.wins[v]
         if any(v in g for g in self.caps):
-            # a cap transfers through a plain linear substitution: the total
-            # degree of the image equals the degree it replaces
-            if not _is_linear_form(repl):
-                raise NotInvertible("substitution on a cap-grouped variable")
-        if w.den != 1:
-            raise NotInvertible("substitution on fractional-exponent variable")
+            raise NotInvertible("substitution on a cap-grouped variable")
+        lv = None
+        if not (w.lo_hard and w.hi_hard):
+            lv = _leading_var(repl)
+            if lv is None:
+                raise NotInvertible(
+                    f"substitution for truncated variable {v} requires a "
+                    "replacement led by a truncated variable with unit "
+                    "exponent")
         i = self.vars.index(v)
         groups: dict[int, dict] = {}
         for key, c in self.terms.items():
             groups.setdefault(key[i], {})[key[:i] + key[i + 1:]] = c
         nvars = self.vars[:i] + self.vars[i + 1:]
         nwins = {u: wv for u, wv in self.wins.items() if u != v}
-        caps = {}
-        for g, cval in self.caps.items():
-            if v not in g:
-                caps[g] = min(caps.get(g, cval), cval)
-            else:
-                ng = frozenset((g - {v}) | set(repl.vars))
-                caps[ng] = min(caps.get(ng, cval), cval)
         pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, repl.wins)}
         repl_inv = None
 
@@ -805,36 +774,23 @@ class TruncSeries:
                 pows[j] = pows[j - step] * factor
             return pows[e]
 
-        out = TruncSeries(nvars, nwins, {}, caps) + TruncSeries.scalar(0, repl.wins)
+        out = TruncSeries(nvars, nwins, {}, self.caps) + \
+            TruncSeries.scalar(0, repl.wins)
         for e, sub in sorted(groups.items()):
-            out = out + TruncSeries(nvars, nwins, sub, caps) * power(e)
-        # A truncation of self in v becomes a truncation of the image: in
-        # the replacement's leading variable when it is aligned (unit
-        # leading exponent), or as a group cap when the replacement is a
-        # plain linear combination of first-power variables.
-        if not (w.lo_hard and w.hi_hard):
-            lv = _leading_var(repl)
-            if lv is not None:
-                wu = out._win(lv)
-                lo, lo_hard = wu.lo, wu.lo_hard
-                hi, hi_hard = wu.hi, wu.hi_hard
-                if not w.hi_hard:
-                    hi, hi_hard = min(hi, w.hi * wu.den), False
-                if not w.lo_hard:
-                    lo, lo_hard = max(lo, w.lo * wu.den), False
-                if lo > hi:
-                    raise WindowUnderflow(f"empty window after substitution in {v}")
-                out = out.with_window(lv, VarWindow(lo, hi, lo_hard, hi_hard,
-                                                    wu.den))
-                return out
-            if w.lo_hard and w.lo >= 0 and _is_linear_form(repl):
-                group = [u for u in repl.vars
-                         if any(key[repl.vars.index(u)] for key in repl.terms)]
-                return out.with_cap(group, w.hi)
-            raise NotInvertible(
-                f"substitution for truncated variable {v} requires an "
-                "aligned replacement (unit leading exponent)")
-        return out
+            out = out + TruncSeries(nvars, nwins, sub, self.caps) * power(e)
+        # a truncation of self in v becomes one of the image in lv
+        if lv is None:
+            return out
+        wu = out._win(lv)
+        lo, lo_hard = wu.lo, wu.lo_hard
+        hi, hi_hard = wu.hi, wu.hi_hard
+        if not w.hi_hard:
+            hi, hi_hard = min(hi, w.hi), False
+        if not w.lo_hard:
+            lo, lo_hard = max(lo, w.lo), False
+        if lo > hi:
+            raise WindowUnderflow(f"empty window after substitution in {v}")
+        return out.with_window(lv, VarWindow(lo, hi, lo_hard, hi_hard))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -844,8 +800,7 @@ class TruncSeries:
         if diff.is_zero():
             return None
         key = min(diff.terms)
-        return ({v: Fraction(e, diff.wins[v].den)
-                 for v, e in zip(diff.vars, key) if e},
+        return ({v: Fraction(e) for v, e in zip(diff.vars, key) if e},
                 diff.terms[key])
 
     def __eq__(self, other):
@@ -869,8 +824,7 @@ class TruncSeries:
             mono = []
             for v, e in zip(self.vars, key):
                 if e:
-                    p = Fraction(e, self.wins[v].den)
-                    mono.append(f"{v}^{p}" if p != 1 else v)
+                    mono.append(f"{v}^{e}" if e != 1 else v)
             body = "*".join(mono)
             bits.append(f"({c})*{body}" if body else f"({c})")
         return " + ".join(bits)
@@ -881,7 +835,7 @@ class TruncSeries:
         return {
             "vars": list(self.vars),
             "windows": {v: {"lo": w.lo, "hi": w.hi, "lo_hard": w.lo_hard,
-                            "hi_hard": w.hi_hard, "den": w.den}
+                            "hi_hard": w.hi_hard}
                         for v, w in sorted(self.wins.items())},
             "terms": [[list(key), str(self.terms[key])]
                       for key in sorted(self.terms)],
@@ -1007,16 +961,9 @@ def _cap_merge(a: dict, b: dict) -> dict:
     return out
 
 
-def _is_linear_form(s: TruncSeries) -> bool:
-    """Every term is a single first-power variable (den 1)."""
-    for key in s.terms:
-        nz = [(v, e) for v, e in zip(s.vars, key) if e]
-        if len(nz) != 1 or nz[0][1] != s.wins[nz[0][0]].den:
-            return False
-    return bool(s.terms)
-
-
 def _leading_var(s: TruncSeries) -> str | None:
+    """The variable of s's leading monomial when that monomial is a single
+    variable to the first power and s truncates it, else None."""
     try:
         lead = s._leading_key()
     except NonUnit:
@@ -1024,7 +971,8 @@ def _leading_var(s: TruncSeries) -> str | None:
     cands = [(v, e) for v, e in zip(s.vars, lead) if e != 0]
     if len(cands) == 1:
         v, e = cands[0]
-        if e == s.wins[v].den:
+        w = s.wins[v]
+        if e == 1 and not (w.lo_hard and w.hi_hard):
             return v
     return None
 
@@ -1040,15 +988,13 @@ def series_reversion(f: TruncSeries, v: str, out_var: str | None = None) -> Trun
     if v not in f.wins:
         raise NotInvertible("reversion variable absent")
     w = f.wins[v]
-    if w.den != 1:
-        raise NotInvertible("reversion on fractional-exponent variable")
     i = f.vars.index(v)
     lin = {key: c for key, c in f.terms.items() if key[i] == 1}
     unit_key = tuple(1 if j == i else 0 for j in range(len(f.vars)))
     if lin.get(unit_key) != PR.one() or len(lin) != 1:
         raise NotInvertible("reversion requires unit linear coefficient")
     out_var = out_var or v
-    g = TruncSeries.var(out_var, VarWindow(w.lo, w.hi, w.lo_hard, w.hi_hard, 1))
+    g = TruncSeries.var(out_var, w)
     fprime = f.derivative(v)
     for _ in range(4 * (w.hi - w.lo + 2)):
         err = f.subst(v, g) - TruncSeries.var(out_var, g.wins[out_var])
@@ -1071,7 +1017,6 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
         if epsvar not in c.wins:
             raise WindowUnderflow("taylor_shift needs an eps window")
         eps_win = c.wins[epsvar]
-    den = eps_win.den
     out = c
     d = c
     j = 0
@@ -1082,16 +1027,16 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
         if d.is_zero():
             break
         supp_lo, _ = d.support_bounds(epsvar)
-        base = supp_lo if supp_lo != NEG_INF else d._win(epsvar, den).lo
-        if base + j * den > eps_win.hi:
+        base = supp_lo if supp_lo != NEG_INF else d._win(epsvar).lo
+        if base + j > eps_win.hi:
             hit_window = True
             break
-        out = out + d.shift_exponent(epsvar, j * den).scale(
+        out = out + d.shift_exponent(epsvar, j).scale(
             Fraction(step ** j, _factorial(j)))
     if hit_window:
-        w = out._win(epsvar, den)
+        w = out._win(epsvar)
         out = out.with_window(
-            epsvar, VarWindow(w.lo, eps_win.hi, w.lo_hard, False, den))
+            epsvar, VarWindow(w.lo, eps_win.hi, w.lo_hard, False))
     return out
 
 

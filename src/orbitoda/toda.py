@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from .rationals import ParamRat, PR
@@ -58,14 +59,6 @@ class ShiftOp:
             return min(nz) if nz else float("inf")
         return float("-inf")
 
-    def coeff(self, i: int) -> TruncSeries:
-        c = self.bands.get(i)
-        if c is None:
-            if i < self.lo and not self.lo_hard:
-                raise WindowUnderflow(f"band {i} below the known floor {self.lo}")
-            return TruncSeries.scalar(0)
-        return c
-
     def scale(self, c) -> "ShiftOp":
         if isinstance(c, (int, Fraction)):
             c = PR.rational(c)
@@ -93,9 +86,6 @@ class ShiftOp:
 
     def __sub__(self, other: "ShiftOp") -> "ShiftOp":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "ShiftOp":
-        return self.scale(-1)
 
     def mul(self, other: "ShiftOp", eps_win: VarWindow) -> "ShiftOp":
         """Banded product; requires both derivation/log parts to vanish on
@@ -397,8 +387,9 @@ def _d_time_op(op: ShiftOp, tau: TauJet, barred: bool, n: int,
     return ShiftOp(bands, op.lo, op.lo_hard)
 
 
-def verify_vacuum(eps_win: VarWindow, depth: int = 4) -> CheckReport:
+def verify_vacuum(eps_win: VarWindow) -> CheckReport:
     """tau = 1: P = Q = 1, L = Lambda, Lbar = Q Lambda^{-1}, zero flows."""
+    depth = 4
     with CheckReport(name="toda-vacuum", params={"depth": depth}) as rep:
         tau = TauJet(TruncSeries.scalar(1, {"eps": eps_win}), 0, 0)
         p_op, q_op = tau_to_wave(tau, depth, eps_win)
@@ -429,16 +420,15 @@ def verify_vacuum(eps_win: VarWindow, depth: int = 4) -> CheckReport:
     return rep
 
 
-def verify_zakharov_shabat(k_flows: int, eps_ord: int,
-                           band_depth: int = 3) -> CheckReport:
+def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
     """eps d_{y_l}(L^n)_+ - eps d_{y_n}(L^l)_+ + [(L^n)_+, (L^l)_+] = 0 when
     the time derivatives are substituted via the Lax equations, on a generic
     banded L; plus commutation of the first mixed flows on L."""
     with CheckReport(name="zakharov-shabat",
                      params={"flows": k_flows, "eps_ord": eps_ord}) as rep:
         eps_win = up_win(eps_ord)
-        L = _generic_l(eps_win, band_depth)
-        lbar = _generic_lbar(eps_win, band_depth)
+        L = _generic_l(eps_win)
+        lbar = _generic_lbar(eps_win)
         powers = {n: L.pow(n, eps_win) for n in range(1, k_flows + 1)}
         delta = {n: powers[n].split_plus().commutator(L, eps_win)
                  for n in range(1, k_flows + 1)}
@@ -478,7 +468,7 @@ def _dpow_plus(L: ShiftOp, dL: ShiftOp, n: int, eps_win: VarWindow) -> ShiftOp:
     return total.split_plus()
 
 
-def _generic_l(eps_win: VarWindow, band_depth: int) -> ShiftOp:
+def _generic_l(eps_win: VarWindow) -> ShiftOp:
     # finite band with a hard floor: the flow identities are algebraic in
     # the coefficients, so a terminating tail gives an unconditional check
     coeffs = {
@@ -488,12 +478,11 @@ def _generic_l(eps_win: VarWindow, band_depth: int) -> ShiftOp:
     }
     bands = {1: TruncSeries.scalar(1, {"eps": eps_win})}
     for i, c in coeffs.items():
-        if i >= -band_depth:
-            bands[i] = c.truncated({"eps": eps_win})
+        bands[i] = c.truncated({"eps": eps_win})
     return ShiftOp(bands, min(bands), True)
 
 
-def _generic_lbar(eps_win: VarWindow, band_depth: int) -> ShiftOp:
+def _generic_lbar(eps_win: VarWindow) -> ShiftOp:
     q1 = TruncSeries.from_poly("Q", {1: 1})
     bands = {
         -1: (q1 * (1 + TruncSeries.from_poly("x", {1: Fraction(1, 4)})
@@ -504,8 +493,7 @@ def _generic_lbar(eps_win: VarWindow, band_depth: int) -> ShiftOp:
         1: TruncSeries.from_poly("x", {2: Fraction(1, 7)})
         .truncated({"eps": eps_win}),
     }
-    return ShiftOp({i: c for i, c in bands.items() if i <= band_depth},
-                   -1, True)
+    return ShiftOp(bands, -1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +614,7 @@ def _x_antiderivative(ser: TruncSeries) -> TruncSeries:
         e = key[i]
         terms[key[:i] + (e + 1,) + key[i + 1:]] = c / Fraction(e + 1)
     wins = dict(ser.wins)
-    wins["x"] = VarWindow(w.lo + 1, w.hi + 1, w.lo_hard, w.hi_hard, w.den)
+    wins["x"] = VarWindow(w.lo + 1, w.hi + 1, w.lo_hard, w.hi_hard)
     return TruncSeries(ser.vars, wins, terms, ser.caps)
 
 
@@ -645,10 +633,7 @@ def gauge_qpower_check() -> CheckReport:
         for e, c in p.items():
             # (X+1)^e expansion
             for j in range(e + 1):
-                binc = Fraction(1)
-                for t in range(j):
-                    binc = binc * (e - t) / (t + 1)
-                shifted[j] = shifted.get(j, Fraction(0)) + c * binc
+                shifted[j] = shifted.get(j, Fraction(0)) + c * comb(e, j)
         diff = {e: shifted.get(e, Fraction(0)) - p.get(e, Fraction(0))
                 for e in set(shifted) | set(p)}
         diff = {e: c for e, c in diff.items() if c}
@@ -670,11 +655,12 @@ def vacuum_curly(k: int, m: int, eps_win: VarWindow,
     return ShiftOp(bands, -m, True, deriv=-PR.diff())
 
 
-def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
-                          w_depth: int = 4) -> list[CheckReport]:
+def verify_reduced_vacuum(k: int, m: int,
+                          eps_ord: int = 3) -> list[CheckReport]:
     """Acceptance-facing vacuum facts for the reduction: the split formula
     at the trivial wave pair, zero flows there, and the defining equations
     verified on the operators solved from the vacuum curly-L."""
+    w_depth = 4
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
     reports = []
     with CheckReport(name="reduced-vacuum-split",
@@ -722,10 +708,10 @@ def verify_reduced_vacuum(k: int, m: int, eps_ord: int = 3,
     return reports
 
 
-def verify_solve_recovery(k: int, eps_ord: int = 3,
-                          w_depth: int = 3) -> CheckReport:
+def verify_solve_recovery(k: int, eps_ord: int = 3) -> CheckReport:
     """Build curly-L = L^k + (nu1-nu0) log L from a nontrivial dressing and
     check the order-by-order solve reproduces L."""
+    w_depth = 3
     eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
     with CheckReport(name="reduced-solve-recovery",
                      params={"k": k, "w_depth": w_depth}) as rep:
@@ -746,11 +732,11 @@ def verify_solve_recovery(k: int, eps_ord: int = 3,
     return rep
 
 
-def verify_flow_band_shape(k: int, m: int, eps_ord: int = 2,
-                           w_depth: int = 3) -> CheckReport:
+def verify_flow_band_shape(k: int, m: int) -> CheckReport:
     """The flow right-hand sides [(L^n)_+, curly-L] stay inside the band
     [-m, k-1] for operators solved from a perturbed banded curly-L."""
-    eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
+    w_depth = 3
+    eps_win = VarWindow(-(w_depth + 2), 2, True, False)
     with CheckReport(name="reduced-flow-band", params={"k": k, "m": m}) as rep:
         bump = (TruncSeries.from_poly("x", {1: Fraction(1, 2)}) *
                 TruncSeries.from_poly("eps", {1: 1}) *
@@ -769,10 +755,11 @@ def verify_flow_band_shape(k: int, m: int, eps_ord: int = 2,
     return rep
 
 
-def two_toda_vacuum_tau(depth: int, ycap: int, ybcap: int | None = None,
-                        qspan: int = 24, exact_jet: bool = False) -> TauJet:
+def two_toda_vacuum_tau(depth: int, ycap: int,
+                        exact_jet: bool = False) -> TauJet:
     """The vacuum tau of the hierarchy in this Q-gauge:
-    exp(eps^-2 sum_n n y_n yb_n Q^n), truncated by the flow-degree caps.
+    exp(eps^-2 sum_n n y_n yb_n Q^n), truncated by the flow-degree cap
+    ``ycap`` on the y's and on the yb's, with Q and eps exact on [-24, 24].
 
     The constant function is *not* a tau function here (its wave pair fails
     eps d_{y_n} Q-op = (L^n)_+ Q-op); this exponential is, and collapses to
@@ -780,9 +767,8 @@ def two_toda_vacuum_tau(depth: int, ycap: int, ybcap: int | None = None,
     object (both-hard windows, no caps): residue checks on it are exact,
     with jet errors confined to flow-degrees above the caps.
     """
-    ybcap = ycap if ybcap is None else ybcap
-    yw = up_win(2 * max(ycap, ybcap))
-    wins = {"Q": exact_win(-qspan, qspan), "eps": exact_win(-qspan, qspan)}
+    yw = up_win(2 * ycap)
+    wins = {"Q": exact_win(-24, 24), "eps": exact_win(-24, 24)}
     arg = None
     for n in range(1, depth + 1):
         wn = dict(wins)
@@ -792,7 +778,7 @@ def two_toda_vacuum_tau(depth: int, ycap: int, ybcap: int | None = None,
                                  wn, coeff=n)
         arg = t if arg is None else arg + t
     arg = arg.with_cap([yname(n) for n in range(1, depth + 1)], ycap)
-    arg = arg.with_cap([ybname(n) for n in range(1, depth + 1)], ybcap)
+    arg = arg.with_cap([ybname(n) for n in range(1, depth + 1)], ycap)
     ser = arg.exp()
     if exact_jet:
         ser = ser.as_exact()

@@ -130,8 +130,8 @@ def test_golden_vacuum_report():
 GOLDEN_SERIES_JSON = {
     "vars": ["u", "z"],
     "windows": {
-        "u": {"lo": 0, "hi": 2, "lo_hard": True, "hi_hard": True, "den": 1},
-        "z": {"lo": -2, "hi": 0, "lo_hard": False, "hi_hard": True, "den": 1},
+        "u": {"lo": 0, "hi": 2, "lo_hard": True, "hi_hard": True},
+        "z": {"lo": -2, "hi": 0, "lo_hard": False, "hi_hard": True},
     },
     "terms": [
         [[0, -2], "nu0 - nu1"],

@@ -79,7 +79,7 @@ def test_commutation_factors():
 def test_translation_composition():
     # shift by a eps then b eps equals shift by (a+b) eps
     k0 = SectorIndex("k", 0)
-    win = up_win(4)
+    win = exact_win(0, 1)
     name = fock_var("a", 0, k0)
     elem = (1 + TS.var(name, win)) ** 2
     elem = elem.truncated({"eps": EW})
@@ -99,7 +99,7 @@ def test_hqe_trivial_residue():
 
 def test_hqe_bilinearity():
     k0 = SectorIndex("k", 0)
-    win = up_win(3)
+    win = exact_win(0, 1)
     d_a = fock_one(EW) + TS.var(fock_var("a", 0, k0), win) \
         .truncated({"eps": EW})
     d_b = fock_one(EW)
@@ -137,7 +137,7 @@ def _full_product_residue(k, m, d1, d2, n, l, mode_max, eps_win,
 
 def test_residue_only_products_match_full_products():
     d_a = fock_one(EW) + TS.var(fock_var("a", 0, SectorIndex("k", 0)),
-                                up_win(3)).truncated({"eps": EW})
+                                exact_win(0, 1)).truncated({"eps": EW})
     d_b = fock_one(EW)
     for (n, l) in [(1, 0), (0, 1)]:
         got = hqe_residue_eval(3, 2, d_a, d_b, n, l, 2, EW)

@@ -14,7 +14,7 @@ from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
                              small_slice_reduce, solve_chart_change,
                              stationary_phase_A, superpotential, tname,
                              verify_flat_coordinates, verify_tangent_product)
-from orbitoda.rationals import ParamRat as PR, RootRing
+from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS
 
 
@@ -109,10 +109,17 @@ def test_tangent_product_examples():
 def test_classical_critical_data():
     assert classical_critical_data(3, 2).ok
     assert classical_critical_data(5, 3).ok
-    # direct check: xi^k = nu exactly, Hessian = k^2 nu
-    ring = RootRing(3, PR.nu(3))
-    xi = ring.root(1)
-    assert ring.eq(ring.pow(xi, 3), ring.scalar(PR.nu(3)))
+
+
+def test_classical_critical_negative_control(monkeypatch):
+    # a critical value twice nu is not the superpotential's: the x-foot
+    # relation x f' = k (x^k - nu) fails at a located monomial
+    nu = PR.nu
+    monkeypatch.setattr(PR, "nu", staticmethod(lambda k: nu(k) * 2))
+    rep = classical_critical_data(3, 2)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy["at"] == {"foot": 3, "identity": "x f'",
+                                           "at": "{}"}
 
 
 def test_stationary_A_initial_conditions():

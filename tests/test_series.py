@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitoda import series
-from orbitoda.errors import NonConvergent, NonUnit, WindowUnderflow
+from orbitoda.errors import (NonConvergent, NonUnit, NotInvertible,
+                             WindowUnderflow)
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win, exact_win,
                              series_reversion, taylor_shift, up_win)
@@ -172,15 +173,6 @@ def test_recip_is_right_inverse(coeffs):
     f = random_series("u", coeffs)
     inv = f.recip()
     assert (f * inv - 1).is_zero()
-
-
-def test_fractional_exponent_variable():
-    xi = TS.var("xi", VarWindow(-9, 3, False, True, 3))
-    d = xi.derivative("xi")
-    assert d == TS.scalar(1, {"xi": VarWindow(-12, 0, False, True, 3)})
-    r = (xi - 2).recip()
-    assert r.terms[(-3,)] == PR.one()
-    assert r.terms[(-6,)] == PR.rational(2)
 
 
 pr_coeff = st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(0, 2))
@@ -431,6 +423,19 @@ def test_subst_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_subst_keeps_a_truncation_off_exact_variables():
+    # q known through q^3, eps exact: under q -> q + 5 eps the unknown q^4
+    # term feeds eps q^3 (by 4 * 5) and eps^2 q^2 (by 6 * 25), so no window
+    # of the image in q and eps is exact; the substitution must refuse
+    eps = exact_win(-24, 24)
+    f = TS.from_poly("q", {j: 1 for j in range(7)}).truncated(
+        {"q": up_win(3), "eps": eps})
+    shift = TS.var("q", up_win(3)) + \
+        TS.from_poly("eps", {1: 5}).truncated({"eps": eps})
+    with pytest.raises(NotInvertible):
+        f.subst("q", shift)
 
 
 def test_recip_empty_window_names_variable():
