@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from orbitoda.jfunction import inv_poch, poch
+from orbitoda.periods import _d_inverse_monomial, d_x_operator
 from orbitoda.rationals import PR
 from orbitoda.series import TruncSeries as TS, down_win, up_win
 
@@ -61,6 +62,11 @@ def main():
     a = capped_unit()
     b = capped_unit(6).truncated({"lam": down_win(-6)})
     bench("capped 9-variable product, lam window 6", lambda: a * b, n=50)
+    c = capped_unit(7)
+    bench("capped product at the chart-change window", lambda: a * c, n=20)
+    D, zwin = d_x_operator(4, 3), down_win(-6, hi=0)
+    bench("D^-1 lam^-4 (4,3), lemma-d-branches window",
+          lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin), n=20)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
 

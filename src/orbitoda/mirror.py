@@ -20,8 +20,8 @@ from .cohomology import Cohomology, QuantumRing, SectorIndex
 from .errors import SingularFiber
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import (TruncSeries, VarWindow, down_win, exact_win,
-                     series_reversion, up_win)
+from .series import (TruncSeries, down_win, exact_win, series_reversion,
+                     up_win)
 
 
 def tname(i: int) -> str:
@@ -96,9 +96,7 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
     Returns x(lam) with the lam-window soft down to lam^{1-depth}.
     """
     k = sp.k
-    lamw = VarWindow(-depth, 0, False, True)
     qwin = up_win(depth + sp.m)
-    u0 = TruncSeries.scalar(0, {"lam": lamw, "q": qwin})
     lam_pow = {e: TruncSeries.from_poly("lam", {e: 1}) for e in range(-sp.m, k + 1)}
 
     def unit_powers(u):
@@ -125,41 +123,45 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
         # (lam (1+u))^e
         return upow(e) * TruncSeries.from_poly("lam", {e: 1})
 
+    # the rational terms as (x-exponent, rest of the term, whether the rest
+    # is 1), built once for all Newton steps
+    terms = []
+    for key, c in sp.rational.terms.items():
+        exps = dict(zip(sp.rational.vars, key))
+        rest = {n: v for n, v in exps.items() if n != "x"}
+        terms.append((exps.get("x", 0), TruncSeries.monomial(
+            rest, {n: sp.rational.wins[n] for n in rest}, coeff=c),
+            not any(rest.values())))
+
     def G(u, upow):
         acc = subst_x(upow, k) - lam_pow[k] + sp.tN_term
-        for key, c in sp.rational.terms.items():
-            exps = dict(zip(sp.rational.vars, key))
-            e = exps.get("x", 0)
-            if e == k and all(v == 0 for n, v in exps.items() if n != "x"):
-                continue  # the leading x^k handled above
-            rest = {n: v for n, v in exps.items() if n != "x"}
-            mono = TruncSeries.monomial(
-                rest, {n: sp.rational.wins[n] for n in rest}, coeff=c)
-            acc = acc + mono * subst_x(upow, e)
+        for e, mono, bare in terms:
+            if e != k or not bare:  # the leading x^k is handled above
+                acc = acc + mono * subst_x(upow, e)
         return acc + u.log1p().scale(sp.log_x)
 
-    def Gprime(upow):
+    def Gprime(upow, lamw):
         # d/du of G: from the rational part, e * lam^e (1+u)^{e-1}, plus
         # log-term c/(1+u)
         acc = TruncSeries.scalar(0, {"lam": lamw, "q": qwin})
-        for key, c in sp.rational.terms.items():
-            exps = dict(zip(sp.rational.vars, key))
-            e = exps.get("x", 0)
-            if e == 0:
-                continue
-            rest = {n: v for n, v in exps.items() if n != "x"}
-            mono = TruncSeries.monomial(
-                rest, {n: sp.rational.wins[n] for n in rest}, coeff=c * e)
-            acc = acc + mono * upow(e - 1) * TruncSeries.from_poly("lam", {e: 1})
+        for e, mono, _ in terms:
+            if e:
+                acc = acc + mono.scale(e) * upow(e - 1) * \
+                    TruncSeries.from_poly("lam", {e: 1})
         return acc + upow(-1).scale(sp.log_x)
 
-    u = u0
-    for _ in range(depth + 3):
+    # Newton doubles the correct lam-orders per step: step i re-declares the
+    # iterate on lam^[-p, 0], zero below its old bottom, p = 1, 2, 4, ...
+    # capped at depth, and only G = 0 on the full window ends the loop.
+    u = TruncSeries.scalar(0, {"lam": down_win(-1), "q": qwin})
+    for i in range(depth + 3):
+        lamw = down_win(-min(1 << i, depth))
+        u = TruncSeries(u.vars, {**u.wins, "lam": lamw}, u.terms, u.caps)
         upow = unit_powers(u)
         g = G(u, upow)
-        if g.is_zero():
+        if lamw.lo == -depth and g.is_zero():
             break
-        gp = Gprime(upow)
+        gp = Gprime(upow, lamw)
         del upow  # release this iterate's powers before the next
         u = u - g * gp.recip()
     else:

@@ -106,12 +106,30 @@ def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow,
             prev = fj.get(j - i)
             if prev is not None:
                 rhs = rhs - prev * c
-        beta = Fraction(a + D.k - j, D.k)
-        lead = TruncSeries.from_poly("z", {0: D.nu, 1: PR.rational(-beta)})
-        fj[j] = rhs * lead.recip_within({"z": zwin})
+        fj[j] = rhs * _inv_linear(D.nu, Fraction(a + D.k - j, D.k), zwin)
         out = out + fj[j] * TruncSeries.from_poly("lam", {a + D.k - j: 1})
         j += 1
     return out
+
+
+def _inv_linear(nu: ParamRat, beta: Fraction, zwin: VarWindow) -> TruncSeries:
+    """``from_poly("z", {0: nu, 1: -beta}).recip_within({"z": zwin})`` in
+    closed form, term for term and in order: on a z-window soft below the
+    lead is -beta z, so 1/(nu - beta z) = -sum_n nu^n beta^(-n-1) z^(-n-1)
+    on [zwin.lo - 2, -1]; for beta = 0 it is 1/nu on [zwin.lo, 0]."""
+    if zwin.lo_hard or not zwin.hi_hard:
+        raise ValueError(f"1/(nu - beta z) needs a z-window soft below and "
+                         f"hard above, got {zwin}")
+    if not beta:
+        return TruncSeries(("z",), {"z": VarWindow(zwin.lo, 0, False, True)},
+                           {(0,): nu.inverse()})
+    inv = 1 / beta
+    ratio, c, terms = nu * PR.rational(inv), PR.rational(-inv), {}
+    for e in range(-1, zwin.lo - 3, -1):
+        terms[(e,)] = c
+        c = c * ratio
+    return TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2, -1, False, True)},
+                       terms)
 
 
 def bi_infinite_sum(D: DOp, g: TruncSeries, lam_win: VarWindow,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from operator import add, mul
+from operator import add, gt, mul
 from typing import Mapping
 
 from .errors import NonConvergent, NonUnit, NotInvertible, WindowUnderflow
@@ -355,6 +355,7 @@ class TruncSeries:
         caps = _cap_merge(self.caps, other.caps)
         wins = self._product_wins(other, allvars)
         bounds = _key_bounds(allvars, wins, caps)
+        tb = _with_cap_sums(tb, bounds[2])
         terms = _pair_products(_window_pairs(ta, tb, bounds), bounds)
         return TruncSeries(allvars, wins, terms, caps)
 
@@ -374,12 +375,13 @@ class TruncSeries:
         terms = {}
         i = allvars.index(v)
         if wins[v].lo <= e <= wins[v].hi:
+            bounds = _key_bounds(allvars, wins, caps)
             buckets: dict[int, list] = {}
-            for kb, cb in tb.items():
-                buckets.setdefault(kb[i], []).append((kb, cb))
+            for right in _with_cap_sums(tb, bounds[2]):
+                buckets.setdefault(right[0][i], []).append(right)
             pairs = ((ka, ca, buckets[e - ka[i]]) for ka, ca in ta.items()
                      if e - ka[i] in buckets)
-            terms = _pair_products(pairs, _key_bounds(allvars, wins, caps))
+            terms = _pair_products(pairs, bounds)
         return TruncSeries(allvars, wins, terms, caps).coeff_of(v, e)
 
     __rmul__ = __mul__
@@ -518,7 +520,8 @@ class TruncSeries:
         top = sum(gwins[v].hi if d > 0 else -gwins[v].lo
                   for v, d in zip(self.vars, dirs) if d)
         lows, highs, capspec = _key_bounds(self.vars, gwins, gcaps)
-        push = [(t, -c, sum(map(mul, dirs, t))) for t, c in tail.items()]
+        push = [(t, -c, sum(map(mul, dirs, t)), sums)
+                for t, c, sums in _with_cap_sums(tail, capspec)]
         grades: list[dict] = [{} for _ in range(top + 1)]
         zero = (0,) * len(self.vars)
         if _under_caps(zero, capspec):     # every gwins window holds 0
@@ -529,15 +532,16 @@ class TruncSeries:
                 if c.is_zero():
                     continue
                 terms[key] = c
-                for t, ct, gt in push:
+                room = _cap_room(key, capspec) if capspec else ()
+                for t, ct, step, sums in push:
+                    if room and any(map(gt, sums, room)):
+                        continue
                     nk = tuple(map(add, key, t))
                     for e, lo, hi in zip(nk, lows, highs):
                         if e < lo or e > hi:
                             break
                     else:
-                        if capspec and not _under_caps(nk, capspec):
-                            continue
-                        nxt = grades[g + gt]
+                        nxt = grades[g + step]
                         cur = nxt.get(nk)
                         nxt[nk] = c * ct if cur is None else cur + c * ct
         total = TruncSeries(self.vars, gwins, terms, gcaps)
@@ -867,32 +871,44 @@ def _key_bounds(vars: tuple[str, ...], wins: Mapping[str, VarWindow],
     return lows, highs, capspec
 
 
+def _cap_room(key, capspec) -> tuple:
+    """Per group cap, the degree a factor may still add to ``key``."""
+    return tuple([cap - sum([key[i] for i in positions])
+                  for positions, cap in capspec])
+
+
 def _under_caps(key, capspec) -> bool:
-    for positions, cap in capspec:
-        if sum(key[i] for i in positions) > cap:
-            return False
-    return True
+    return min(_cap_room(key, capspec), default=0) >= 0
 
 
-def _window_pairs(ta: dict, tb: dict, bounds):
+def _with_cap_sums(terms: dict, capspec) -> list:
+    """``(key, coeff, degree per group cap)`` of each term."""
+    return [(key, c, tuple([sum([key[i] for i in positions])
+                            for positions, _ in capspec]))
+            for key, c in terms.items()]
+
+
+def _window_pairs(ta: dict, tb: list, bounds):
     """``(ka, ca, right terms)`` triples of ``ta * tb`` for ``_pair_products``.
 
-    Each left term gets only the right terms whose exponent at one position
-    p can land inside the window there: kb[p] in [lo - ka[p], hi - ka[p]].
-    p is where the factors' exponent ranges overhang the window the most;
-    every pair dropped here would fail ``_pair_products``' window test, and
-    each selection keeps ``tb``'s order, so the product is the same dict in
-    the same order.  Small products, and products whose ranges fit inside
-    the window, skip the scan and pair with all of ``tb``.
+    ``tb`` comes from ``_with_cap_sums``.  Each left term gets only the right
+    terms whose exponent at one position p can land inside the window there:
+    kb[p] in [lo - ka[p], hi - ka[p]].  p is where the factors' exponent
+    ranges overhang the window the most; every pair dropped here would fail
+    ``_pair_products``' window test, and each selection keeps ``tb``'s
+    order, so the product is the same dict in the same order.  Small
+    products, and products whose ranges fit inside the window, skip the
+    scan and pair with all of ``tb``.
     """
     na, nb = len(ta), len(tb)
-    unfiltered = ((ka, ca, tb.items()) for ka, ca in ta.items())
+    unfiltered = ((ka, ca, tb) for ka, ca in ta.items())
     if na * nb <= 4 * (na + nb):
         return unfiltered
     lows, highs, _ = bounds
     p, most = None, 0
-    for i, (acol, bcol, lo, hi) in enumerate(zip(zip(*ta), zip(*tb),
-                                                 lows, highs)):
+    bcols = zip(*(kb for kb, _, _ in tb))
+    for i, (acol, bcol, lo, hi) in enumerate(zip(zip(*ta), bcols, lows,
+                                                 highs)):
         over = max(lo - min(acol) - min(bcol), 0) + \
             max(max(acol) + max(bcol) - hi, 0)
         if over > most:
@@ -907,26 +923,27 @@ def _window_pairs(ta: dict, tb: dict, bounds):
             e = ka[p]
             sel = chosen.get(e)
             if sel is None:
-                sel = chosen[e] = [(kb, cb) for kb, cb in tb.items()
-                                   if lo - e <= kb[p] <= hi - e]
+                sel = chosen[e] = [right for right in tb
+                                   if lo - e <= right[0][p] <= hi - e]
             yield ka, ca, sel
     return pairs()
 
 
 def _pair_products(pairs, bounds) -> dict:
-    """Sum ca * cb at key ka + kb over ``(ka, ca, [(kb, cb), ...])`` pairs,
-    skipping keys outside ``bounds`` (see ``_key_bounds``) and zero sums."""
+    """Sum ca * cb at key ka + kb over ``(ka, ca, [(kb, cb, sums), ...])``
+    pairs under the caps (tested first) and ``bounds``, skipping zero sums."""
     lows, highs, capspec = bounds
     out: dict[tuple[int, ...], ParamRat] = {}
     for ka, ca, tb in pairs:
-        for kb, cb in tb:
+        room = _cap_room(ka, capspec) if capspec else ()
+        for kb, cb, sums in tb:
+            if room and any(map(gt, sums, room)):
+                continue
             key = tuple(map(add, ka, kb))
             for e, lo, hi in zip(key, lows, highs):
                 if e < lo or e > hi:
                     break
             else:
-                if capspec and not _under_caps(key, capspec):
-                    continue
                 prod = ca * cb
                 if prod.is_zero():
                     continue

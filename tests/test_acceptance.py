@@ -138,9 +138,9 @@ def test_criterion_8_periods():
 
 
 def test_criterion_9_toda():
-    from orbitoda.toda import (two_toda_vacuum_tau, verify_flow_band_shape,
-                               verify_reduced_vacuum, verify_solve_recovery,
-                               verify_vacuum, verify_zakharov_shabat)
+    from orbitoda.toda import (verify_flow_band_shape, verify_reduced_vacuum,
+                               verify_solve_recovery, verify_vacuum,
+                               verify_zakharov_shabat)
     ok = True
     ok = _line("9 vacuum tau: P=Q=1, L=Lambda, Lbar=Q/Lambda, zero flows",
                verify_vacuum(up_win(3)).ok) and ok

@@ -223,7 +223,6 @@ def test_swapped_feet_engine():
 def test_tau_derivative_decomposes_over_untwisted_directions():
     # z d/dtau J = nu0 * (z d_{0/k} J) + nu1 * (z d_{0/m} J): the pullback of
     # the restriction direction tau p through the derivative formulas
-    from orbitoda.rationals import ParamRat
     k, m, qmax = 3, 2, 8
     j = build_j(k, m, qmax, ZWIN)
     lhs = j.apply_zdtau_affine(

@@ -15,7 +15,7 @@ from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
                              stationary_phase_A, superpotential, tname,
                              verify_flat_coordinates, verify_tangent_product)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS
+from orbitoda.series import TruncSeries as TS, VarWindow, up_win
 
 
 def test_flat_coordinate_displays():
@@ -51,6 +51,70 @@ def test_chart_change_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _chart_change_full_window(sp, depth):
+    """The chart-change Newton loop with every step on the full lam-window,
+    the reference for the precision-doubling ``solve_chart_change``."""
+    k = sp.k
+    lamw = VarWindow(-depth, 0, False, True)
+    qwin = up_win(depth + sp.m)
+    rat = sp.rational
+
+    def lam(e):
+        return TS.from_poly("lam", {e: 1})
+
+    def upow_of(u):
+        one_u = 1 + u
+        inv = one_u.recip()
+        return lambda e: one_u ** e if e >= 0 else inv ** (-e)
+
+    def parts(c, key):
+        exps = dict(zip(rat.vars, key))
+        rest = {n: v for n, v in exps.items() if n != "x"}
+        return exps.get("x", 0), rest, {n: rat.wins[n] for n in rest}
+
+    def G(u, upow):
+        acc = upow(k) * lam(k) - lam(k) + sp.tN_term
+        for key, c in rat.terms.items():
+            e, rest, wins = parts(c, key)
+            if e == k and not any(rest.values()):
+                continue
+            acc = acc + TS.monomial(rest, wins, coeff=c) * upow(e) * lam(e)
+        return acc + u.log1p().scale(sp.log_x)
+
+    def Gprime(upow):
+        acc = TS.scalar(0, {"lam": lamw, "q": qwin})
+        for key, c in rat.terms.items():
+            e, rest, wins = parts(c, key)
+            if e:
+                acc = acc + TS.monomial(rest, wins, coeff=c * e) * \
+                    upow(e - 1) * lam(e)
+        return acc + upow(-1).scale(sp.log_x)
+
+    u = TS.scalar(0, {"lam": lamw, "q": qwin})
+    for _ in range(depth + 3):
+        upow = upow_of(u)
+        g = G(u, upow)
+        if g.is_zero():
+            return (1 + u) * lam(1)
+        u = u - g * Gprime(upow).recip()
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3), (5, 2)])
+def test_chart_change_doubling_matches_full_window(k, m):
+    # a degree-4 t-jet at the flat-coordinate depth, and the small slice at
+    # the depths of the period checks
+    cases = [(superpotential(k, m, None, 4), k + m + 3)]
+    small = superpotential(k, m, {i: 0 for i in range(1, k + m)})
+    cases += [(small, 18), (small, 25)]
+    for sp, depth in cases:
+        got = solve_chart_change(sp, depth)
+        want = _chart_change_full_window(sp, depth)
+        assert (got.vars, got.wins, got.caps) == \
+            (want.vars, want.wins, want.caps)
+        assert got.terms == want.terms
 
 
 def test_y_chart_flat_coordinates():

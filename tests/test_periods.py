@@ -7,8 +7,8 @@ import pytest
 
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import SingularFiber
-from orbitoda.periods import (DOp, bi_infinite_sum, d_apply, d_classical,
-                              d_inverse, d_x_operator, mode_chain,
+from orbitoda.periods import (DOp, _inv_linear, bi_infinite_sum, d_apply,
+                              d_classical, d_inverse, d_x_operator, mode_chain,
                               phase_primitive_check, verify_c_constant,
                               verify_fixed_point, verify_lemma_d_branches,
                               verify_mode_recursion,
@@ -28,6 +28,21 @@ def test_lemma_d_branches():
     # 1/nu constant branch iff alpha = -1, for |alpha| <= 3 in (1/k)Z
     assert verify_lemma_d_branches(2).ok
     assert verify_lemma_d_branches(3).ok
+
+
+@pytest.mark.parametrize("zwin", [down_win(-6, hi=0), down_win(-5, hi=12)])
+def test_inv_linear_matches_recip(zwin):
+    # beta = (a + k - j)/k over a grid that includes beta = 0
+    for k in (1, 2, 3, 5):
+        for nu in (PR.nu(k), PR.nubar(k)):
+            for top in range(-2 * k - 1, 2 * k + 2):
+                beta = F(top, k)
+                got = _inv_linear(nu, beta, zwin)
+                want = TS.from_poly("z", {0: nu, 1: -beta}).recip_within(
+                    {"z": zwin})
+                assert (got.vars, got.wins, got.caps) == \
+                    (want.vars, want.wins, want.caps)
+                assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_d_inverse_leading_term():

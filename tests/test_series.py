@@ -351,6 +351,56 @@ def test_windowed_product_matches_every_pair_loop(factors):
 
 
 @st.composite
+def capped_factors(draw):
+    """Two factors of 10-16 terms over u, v, w (each up, down or exact) under
+    one or two group caps, each cap on one factor or on both."""
+    names = ("u", "v", "w")
+    coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
+    wins = {}
+    for v in names:
+        kind = draw(st.sampled_from(["up", "down", "exact"]))
+        lo = draw(st.integers(-3, 1))
+        wins[v] = VarWindow(lo, lo + draw(st.integers(2, 5)),
+                            kind != "down", kind != "up")
+    key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
+    factors = [TS(names, wins, draw(st.dictionaries(key, coeff, min_size=10,
+                                                    max_size=16)))
+               for _ in range(2)]
+    for _ in range(draw(st.integers(1, 2))):
+        group = draw(st.sets(st.sampled_from(names), min_size=1))
+        cap = draw(st.integers(-2, 6))
+        on = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        factors = [f.with_cap(group, cap) if i in on else f
+                   for i, f in enumerate(factors)]
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_factors())
+def test_capped_product_matches_under_caps_pair_loop(factors):
+    a, b = factors
+    try:
+        got = a * b
+    except WindowUnderflow:
+        return
+    lows, highs, capspec = series._key_bounds(got.vars, got.wins, got.caps)
+    want = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if not all(lo <= e <= hi for e, lo, hi in zip(key, lows, highs)) \
+                    or not series._under_caps(key, capspec):
+                continue
+            s = want.get(key, PR.zero()) + ca * cb
+            if s.is_zero():
+                del want[key]
+            else:
+                want[key] = s
+    assert got.caps == series._cap_merge(a.caps, b.caps)
+    assert list(got.terms.items()) == list(want.items())
+
+
+@st.composite
 def unit_series(draw):
     """A ``windowed_series`` plus a dominating leading monomial: the lowest
     exponent of an up window, the highest of a down window, any exponent of
