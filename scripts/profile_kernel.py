@@ -43,11 +43,17 @@ def capped_unit(seed=5):
 
 
 def main():
-    a = PR.nu(3) * PR.nu0() + PR.rational(Fraction(2, 7))
-    b = PR.nubar(2) ** 3
-    bench("ParamRat multiply", lambda: a * b)
-    bench("ParamRat add", lambda: a + b)
-    bench("ParamRat monomial inverse", lambda: PR.diff().inverse())
+    # the two coefficient shapes the workloads multiply and add: monomials
+    # with small fractions (geometry) and with ~600-bit numerators (ladder)
+    shapes = {"small": (Fraction(-2, 15), Fraction(9, 4)),
+              "600-bit": (Fraction(7 ** 213 + 1, 3 ** 150),
+                          Fraction(-(5 ** 258) - 2, 7 * 2 ** 400))}
+    for label, (p, q) in shapes.items():
+        a, b = PR.monomial(p, 3, 1), PR.monomial(q, -2, 0)
+        bench(f"ParamRat monomial multiply, {label}", lambda: a * b, n=20000)
+        b = PR.monomial(q, 3, 1)
+        bench(f"ParamRat monomial add, {label}", lambda: a + b, n=20000)
+    bench("ParamRat monomial inverse", lambda: PR.diff().inverse(), n=20000)
 
     z = TS.var("z", down_win(-12, hi=2))
     poly = TS.from_poly("z", {0: PR.nu(3), 1: Fraction(2, 3), 2: 1})
@@ -66,7 +72,8 @@ def main():
     bench("capped product at the chart-change window", lambda: a * c, n=20)
     D, zwin = d_x_operator(4, 3), down_win(-6, hi=0)
     bench("D^-1 lam^-4 (4,3), lemma-d-branches window",
-          lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin), n=20)
+          lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin, {}),
+          n=20)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
 

@@ -51,7 +51,7 @@ def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     -n-j >= zwin.lo - 2n; the window is [zwin.lo - 2n, -n], soft below and
     hard above, as ``recip`` makes it.  Writing b_i = N_i/D and L = lcm(N_i),
     h_j = (D/L)^j H_j with H_j the integer h_j of the L/N_i, so each
-    coefficient costs integer adds and one Fraction.  ``zwin`` must be soft
+    coefficient costs integer adds and one content gcd.  ``zwin`` must be soft
     below and hard above, the shape every J-function window has.
     """
     if zwin.lo_hard or not zwin.hi_hard:
@@ -85,9 +85,9 @@ def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
             den_scale *= lcm
         if h[j] and not power.is_zero():
             num = h[j] * num_scale
-            terms[(-n - j,)] = ParamRat({
-                key: Fraction(num * v.numerator, den_scale * v.denominator)
-                for key, v in power.terms.items()})
+            terms[(-n - j,)] = ParamRat.from_ints(
+                {key: num * v for key, v in power.num.items()},
+                den_scale * power.den)
     return TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2 * n, -n,
                                                False, True)}, terms)
 

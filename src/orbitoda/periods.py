@@ -85,8 +85,9 @@ def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
     # pollutes the image k orders higher
     lam_out = VarWindow(lam_w.lo if lam_w.lo_hard else lam_w.lo + D.k,
                         lam_w.hi + D.k, False, lam_w.hi_hard)
+    inv_lin: dict[int, TruncSeries] = {}
     for a, coeff in sorted(groups.items()):
-        inv = _d_inverse_monomial(D, a, lam_out, zwin)
+        inv = _d_inverse_monomial(D, a, lam_out, zwin, inv_lin)
         piece = inv * coeff
         total = piece if total is None else total + piece
     if total is None:
@@ -94,20 +95,27 @@ def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
     return total
 
 
-def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow,
-                        zwin: VarWindow) -> TruncSeries:
-    """f with D f = lam^a, as sum_j f_j(z) lam^{a+k-j}."""
+def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
+                        inv_lin: dict[int, TruncSeries]) -> TruncSeries:
+    """f with D f = lam^a, as sum_j f_j(z) lam^{a+k-j}.
+
+    ``inv_lin`` maps an exponent e to 1/(nu - (e/k) z) on ``zwin``; the
+    missing ones are built here and added to it."""
     fj: dict[int, TruncSeries] = {}
     out = TruncSeries.scalar(0, {"lam": lam_out, "z": zwin})
     j = 0
     while a + D.k - j >= lam_out.lo:
+        e = a + D.k - j
         rhs = TruncSeries.scalar(1 if j == 0 else 0, {"z": zwin})
         for i, c in D.tail.items():
             prev = fj.get(j - i)
             if prev is not None:
                 rhs = rhs - prev * c
-        fj[j] = rhs * _inv_linear(D.nu, Fraction(a + D.k - j, D.k), zwin)
-        out = out + fj[j] * TruncSeries.from_poly("lam", {a + D.k - j: 1})
+        inv = inv_lin.get(e)
+        if inv is None:
+            inv = inv_lin[e] = _inv_linear(D.nu, Fraction(e, D.k), zwin)
+        fj[j] = rhs * inv
+        out = out + fj[j] * TruncSeries.from_poly("lam", {e: 1})
         j += 1
     return out
 
@@ -155,9 +163,10 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
                      params={"k": k, "alpha_bound": alpha_bound}) as rep:
         zwin = down_win(-6, hi=0)
         for D in (d_classical(k), d_x_operator(k, max(1, k - 1))):
+            inv_lin: dict[int, TruncSeries] = {}
             for a in range(-alpha_bound * k, alpha_bound * k + 1):
                 lam_out = down_win(a - 3 * k, hi=a + k)
-                inv = _d_inverse_monomial(D, a, lam_out, zwin)
+                inv = _d_inverse_monomial(D, a, lam_out, zwin, inv_lin)
                 z0 = inv.coeff_of("z", 0)
                 want_const = a == -k  # alpha = a/k = -1
                 got = not z0.is_zero()

@@ -9,9 +9,16 @@ in the adapted symbols
     D := nu0 - nu1  (Laurent, exponent in Z)
     S := nu1        (polynomial, exponent in Z>=0)
 
-with Fraction coefficients.  Addition and multiplication never need a gcd;
-division is only defined by invertible elements (monomials c*D^a*S^b), which
-is what the formulas actually require.
+with integer numerators over one shared integer denominator, the layout of
+FLINT's ``fmpq_poly``: ``num`` maps (d, s) to the integer numerator of
+D^d S^s and ``den`` is shared by all of them.  Every operation returns the
+canonical form -- ``den > 0``, gcd(den, numerators) = 1, no zero numerator,
+``den == 1`` for zero -- so equal elements have equal fields.  Reduction is
+eager, one content gcd per result and none when the denominator is 1; a sum
+takes it against the gcd of its operands' denominators, and a product of
+two monomials cancels crosswise, as ``Fraction`` does.  Division is only
+defined by invertible elements (monomials c*D^a), which is what the
+formulas actually require.
 
 The derived parameters nu = (nu0-nu1)/k and nubar = (nu1-nu0)/m are
 constructors, never independent symbols.
@@ -20,11 +27,9 @@ constructors, never independent symbols.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import NonUnit
-
-_FRAC_ZERO = Fraction(0)
 
 
 def _coerce(value) -> Fraction:
@@ -36,75 +41,99 @@ def _coerce(value) -> Fraction:
 
 
 class ParamRat:
-    """Element of Q[nu1][ (nu0-nu1)^{+-1} ]."""
+    """Element of Q[nu1][ (nu0-nu1)^{+-1} ], in canonical form.
 
-    __slots__ = ("terms",)
+    The constructor takes ``num`` and ``den`` as they are; ``from_ints``
+    brings any integer numerators and denominator into canonical form.
+    """
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction]):
-        self.terms = terms
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict[tuple[int, int], int], den: int = 1):
+        self.num = num
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_ints(num: dict[tuple[int, int], int], den: int) -> "ParamRat":
+        """The element sum num[d, s] D^d S^s / den in canonical form.
+
+        ``num`` holds no zero and is taken over; ``den`` is nonzero.
+        """
+        if not num:
+            return ParamRat({}, 1)
+        if den < 0:
+            den = -den
+            num = {k: -v for k, v in num.items()}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
+        return ParamRat(num, den)
+
+    @staticmethod
     def zero() -> "ParamRat":
-        return ParamRat({})
+        return ParamRat({}, 1)
 
     @staticmethod
     def one() -> "ParamRat":
-        return ParamRat({(0, 0): Fraction(1)})
+        return ParamRat({(0, 0): 1}, 1)
 
     @staticmethod
     def rational(r) -> "ParamRat":
-        r = _coerce(r)
-        return ParamRat({(0, 0): r} if r else {})
+        return ParamRat.monomial(r, 0, 0)
 
     @staticmethod
     def monomial(c, d_pow: int, s_pow: int) -> "ParamRat":
         c = _coerce(c)
         if s_pow < 0:
             raise ValueError("S-exponent must be nonnegative")
-        return ParamRat({(d_pow, s_pow): c} if c else {})
+        if not c:
+            return ParamRat({}, 1)
+        return ParamRat({(d_pow, s_pow): c.numerator}, c.denominator)
 
     @staticmethod
     def nu0() -> "ParamRat":
-        return ParamRat({(1, 0): Fraction(1), (0, 1): Fraction(1)})
+        return ParamRat({(1, 0): 1, (0, 1): 1}, 1)
 
     @staticmethod
     def nu1() -> "ParamRat":
-        return ParamRat({(0, 1): Fraction(1)})
+        return ParamRat({(0, 1): 1}, 1)
 
     @staticmethod
     def diff() -> "ParamRat":
         """nu0 - nu1."""
-        return ParamRat({(1, 0): Fraction(1)})
+        return ParamRat({(1, 0): 1}, 1)
 
     @staticmethod
     def nu(k: int) -> "ParamRat":
         """(nu0 - nu1)/k."""
-        return ParamRat({(1, 0): Fraction(1, k)})
+        return ParamRat.monomial(Fraction(1, k), 1, 0)
 
     @staticmethod
     def nubar(m: int) -> "ParamRat":
         """(nu1 - nu0)/m."""
-        return ParamRat({(1, 0): Fraction(-1, m)})
+        return ParamRat.monomial(Fraction(-1, m), 1, 0)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
+        return not self.num or (len(self.num) == 1 and (0, 0) in self.num)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.num) == 1
 
     def homogeneous_degree(self):
         """Total degree in (nu0, nu1) if homogeneous, else None.
 
         Both D and S carry degree 1, matching deg nu0 = deg nu1 = 1.
         """
-        degs = {a + b for (a, b) in self.terms}
+        degs = {a + b for (a, b) in self.num}
         if not degs:
             return 0
         if len(degs) == 1:
@@ -114,30 +143,62 @@ class ParamRat:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_paramrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.terms:
+        if type(other) is not ParamRat:
+            other = _as_paramrat(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = val
+        # Over the lcm of the denominators, a prime that divides the sum's
+        # den and every numerator divides g = gcd(a.den, b.den) (Knuth,
+        # TAOCP 4.5.1), so the content gcd is taken against g alone.
+        den = g = self.den
+        scale_a = scale_b = 1
+        if den != other.den:
+            g = gcd(den, other.den)
+            scale_a, scale_b = other.den // g, den // g
+            den *= scale_a
+        if len(a) == 1 == len(b):
+            (ka, va), = a.items()
+            (kb, vb), = b.items()
+            va *= scale_a
+            vb *= scale_b
+            if ka != kb:
+                out = {ka: va, kb: vb}
             else:
-                acc = acc + val
-                if acc:
-                    out[key] = acc
+                va += vb
+                if not va:
+                    return ParamRat({}, 1)
+                out = {ka: va}
+        else:
+            out = {k: v * scale_a for k, v in a.items()}
+            for key, val in b.items():
+                val *= scale_b
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = val
                 else:
-                    del out[key]
-        return ParamRat(out)
+                    acc += val
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+            if not out:
+                return ParamRat({}, 1)
+        if g != 1:
+            g = gcd(g, *out.values())
+            if g != 1:
+                den //= g
+                out = {k: v // g for k, v in out.items()}
+        return ParamRat(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamRat({k: -v for k, v in self.terms.items()})
+        return ParamRat({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = _as_paramrat(other)
@@ -146,48 +207,71 @@ class ParamRat:
         return self + (-other)
 
     def __mul__(self, other):
-        other = _as_paramrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return ParamRat({})
-        if len(other.terms) == 1:
-            ((bd, bs), bv), = other.terms.items()
-            return ParamRat({(ad + bd, as_ + bs): av * bv
-                             for (ad, as_), av in self.terms.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ad, as_), av in self.terms.items():
-            for (bd, bs), bv in other.terms.items():
-                key = (ad + bd, as_ + bs)
-                acc = out.get(key)
-                prod = av * bv
-                if acc is None:
-                    out[key] = prod
-                else:
-                    acc = acc + prod
-                    if acc:
-                        out[key] = acc
+        if type(other) is not ParamRat:
+            other = _as_paramrat(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not a or not b:
+            return ParamRat({}, 1)
+        if len(a) == 1 == len(b):
+            # cancel crosswise: two gcds of the factors cost less than one
+            # of the products when the numerators are long
+            ((ad, as_), av), = a.items()
+            ((bd, bs), bv), = b.items()
+            da, db = self.den, other.den
+            if da != 1:
+                g = gcd(bv, da)
+                if g != 1:
+                    bv //= g
+                    da //= g
+            if db != 1:
+                g = gcd(av, db)
+                if g != 1:
+                    av //= g
+                    db //= g
+            return ParamRat({(ad + bd, as_ + bs): av * bv}, da * db)
+        if len(b) == 1:
+            ((bd, bs), bv), = b.items()
+            out = {(ad + bd, as_ + bs): av * bv
+                   for (ad, as_), av in a.items()}
+        else:
+            out = {}
+            for (ad, as_), av in a.items():
+                for (bd, bs), bv in b.items():
+                    key = (ad + bd, as_ + bs)
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = av * bv
                     else:
-                        del out[key]
-        return ParamRat(out)
+                        acc += av * bv
+                        if acc:
+                            out[key] = acc
+                        else:
+                            del out[key]
+        return ParamRat.from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ParamRat":
-        if len(self.terms) != 1:
+        if len(self.num) != 1:
             raise NonUnit(f"cannot invert non-monomial coefficient {self}")
-        ((d, s), v), = self.terms.items()
+        ((d, s), v), = self.num.items()
         if s != 0:
             # 1/nu1^s stays outside the localized ring.
             raise NonUnit(f"cannot invert {self}: nonzero nu1-degree")
-        return ParamRat({(-d, 0): Fraction(1) / v})
+        if v < 0:
+            return ParamRat({(-d, 0): -self.den}, -v)
+        return ParamRat({(-d, 0): self.den}, v)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if not c:
                 raise ZeroDivisionError("division by zero")
-            return ParamRat({k: v / c for k, v in self.terms.items()})
+            return ParamRat.from_ints(
+                {k: v * c.denominator for k, v in self.num.items()},
+                self.den * c.numerator)
         if isinstance(other, ParamRat):
             return self * other.inverse()
         return NotImplemented
@@ -208,38 +292,48 @@ class ParamRat:
 
     def swap_nu(self) -> "ParamRat":
         """The image under nu0 <-> nu1: D -> -D, S -> S + D."""
-        out = ParamRat.zero()
-        nu0 = ParamRat.nu0()
-        for (a, b), v in self.terms.items():
-            out = out + ParamRat.monomial(v * (-1) ** (a % 2), a, 0) * nu0 ** b
-        return out
+        out: dict[tuple[int, int], int] = {}
+        for (a, b), v in self.num.items():
+            if a & 1:
+                v = -v
+            # v D^a (S + D)^b
+            for j in range(b + 1):
+                key = (a + j, b - j)
+                acc = out.get(key, 0) + v * comb(b, j)
+                if acc:
+                    out[key] = acc
+                else:
+                    out.pop(key, None)
+        return ParamRat.from_ints(out, self.den)
 
     def __eq__(self, other):
-        other = _as_paramrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if type(other) is not ParamRat:
+            other = _as_paramrat(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # a pure rational equals its Fraction (and int), so it hashes as one
         if self.is_rational():
-            return hash(self.terms.get((0, 0), _FRAC_ZERO))
-        return hash(frozenset(self.terms.items()))
+            return hash(Fraction(self.num.get((0, 0), 0), self.den))
+        return hash((self.den, frozenset(self.num.items())))
 
     # -- display -----------------------------------------------------------
 
-    def _expanded_nu(self) -> tuple[dict[tuple[int, int], Fraction], int]:
-        """Rewrite as polynomial in (nu0, nu1) over (nu0-nu1)^shift."""
-        shift = -min((d for (d, _s) in self.terms), default=0)
+    def _expanded_nu(self) -> tuple[dict[tuple[int, int], int], int]:
+        """Rewrite as a polynomial in (nu0, nu1) over den * (nu0-nu1)^shift,
+        with integer numerators."""
+        shift = -min((d for (d, _s) in self.num), default=0)
         shift = max(shift, 0)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (d, s), v in self.terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (d, s), v in self.num.items():
             # (nu0-nu1)^(d+shift) * nu1^s
             e = d + shift
             coeffs = _binomial_signs(e)
             for j, b in enumerate(coeffs):
                 key = (e - j, s + j)
-                acc = out.get(key, _FRAC_ZERO) + v * b
+                acc = out.get(key, 0) + v * b
                 if acc:
                     out[key] = acc
                 else:
@@ -247,12 +341,12 @@ class ParamRat:
         return out, shift
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         num, shift = self._expanded_nu()
         parts = []
         for (e0, e1) in sorted(num, reverse=True):
-            v = num[(e0, e1)]
+            v = Fraction(num[(e0, e1)], self.den)
             mono = []
             if e0:
                 mono.append("nu0" + (f"^{e0}" if e0 != 1 else ""))
@@ -282,7 +376,9 @@ def _binomial_signs(e: int) -> list[int]:
 def _as_paramrat(value):
     if isinstance(value, ParamRat):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        return ParamRat({(0, 0): value}, 1) if value else ParamRat({}, 1)
+    if isinstance(value, Fraction):
         return ParamRat.rational(value)
     return NotImplemented
 

@@ -505,6 +505,13 @@ def test_paramrat_hash_agrees_with_equality():
     x = PR.nu(3) + PR.nu1()
     assert hash(x) == hash(PR.nu1() + PR.nu(3))
     assert len({PR.rational(2), 2, F(2)}) == 1
+    # equal elements built by different routes hash equal
+    a, b, c = PR.nubar(5) + F(2, 7), PR.nu(3) * PR.nu1(), x / 6
+    for lhs, rhs in (((a * b) * c, a * (b * c)),
+                     (x / 3, x * PR.rational(F(1, 3))),
+                     (x.swap_nu().swap_nu(), x),
+                     ((a * c).swap_nu().swap_nu(), a * c)):
+        assert lhs == rhs and hash(lhs) == hash(rhs)
 
 
 @settings(max_examples=40, deadline=None)
