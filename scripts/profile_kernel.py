@@ -10,10 +10,12 @@ import random
 import time
 from fractions import Fraction
 
+from orbitoda.hqe import HQE_EPS, toda_hqe_eval, verify_bilinearity
 from orbitoda.jfunction import inv_poch, poch
 from orbitoda.periods import _d_inverse_monomial, d_x_operator
 from orbitoda.rationals import PR
 from orbitoda.series import TruncSeries as TS, down_win, up_win
+from orbitoda.toda import two_toda_vacuum_tau
 
 
 def bench(label, fn, n=2000):
@@ -40,6 +42,23 @@ def capped_unit(seed=5):
         s = s + TS.monomial(exps, wins, Fraction(rng.randint(1, 9),
                                                  rng.randint(1, 9)))
     return s.with_cap(times, 2)
+
+
+def calls_of(name, run):
+    """The (series, *args) of every call of TruncSeries.<name> that run()
+    makes, in order."""
+    seen = []
+    method = getattr(TS, name)
+
+    def spy(self, *args):
+        seen.append((self, *args))
+        return method(self, *args)
+    setattr(TS, name, spy)
+    try:
+        run()
+    finally:
+        setattr(TS, name, method)
+    return seen
 
 
 def main():
@@ -76,6 +95,21 @@ def main():
           n=20)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
+
+    # the hqe workload's shapes, taken from the calls the checks make
+    sums = calls_of("__add__", lambda: verify_bilinearity(3, 2))
+    wide = max((a + b for a, b in sums), key=lambda s: len(s.vars))
+    bench(f"truncated to own window ({len(wide.vars)} variables, "
+          f"{len(wide.terms)} terms)", lambda: wide.truncated(wide.wins), n=20)
+    arg = max((s for s, in calls_of("exp", lambda: verify_bilinearity(3, 2))
+               if s.caps), key=lambda s: len(s.vars))
+    bench(f"apply_vertex exp ({len(arg.vars)} variables, cap "
+          f"{min(arg.caps.values())})", arg.exp, n=5)
+    tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
+    s, v, repl = calls_of("subst", lambda: toda_hqe_eval(tau, 0, 0, 2,
+                                                         HQE_EPS))[2]
+    bench(f"Hirota subst at depth 2 ({len(s.terms)} terms, {v})",
+          lambda: s.subst(v, repl), n=3)
 
 
 if __name__ == "__main__":

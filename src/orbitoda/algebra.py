@@ -24,28 +24,32 @@ def _as_pr(x) -> ParamRat:
     return ParamRat.rational(x)
 
 
-def symmetric_e(l: int, xs: Sequence) -> ParamRat:
-    """Coefficient of t^l in prod (1 + t x_i)."""
+def _e_row(l: int, xs: Sequence) -> list:
+    """[e_0, ..., e_l] of prod (1 + t x_i); factor i updates only
+    row[1..min(i, l)], as the rest is still zero."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     row = [PR.one()] + [PR.zero()] * l
-    for x in xs:
+    for i, x in enumerate(xs, 1):
         x = _as_pr(x)
-        for j in range(min(l, len(row) - 1), 0, -1):
+        for j in range(min(i, l), 0, -1):
             row[j] = row[j] + row[j - 1] * x
-    return row[l]
+    return row
+
+
+def symmetric_e(l: int, xs: Sequence) -> ParamRat:
+    """Coefficient of t^l in prod (1 + t x_i)."""
+    return _e_row(l, xs)[l]
 
 
 def symmetric_h(l: int, xs: Sequence) -> ParamRat:
     """Coefficient of t^l in prod 1/(1 + t x_i)  (signed convention)."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    # inverse of the e-generating series up to t^l
-    es = [symmetric_e(j, xs) for j in range(l + 1)]
+    # inverse of the e-generating series up to t^l; e_i = 0 for i > len(xs)
+    es = _e_row(l, xs)
     hs = [PR.one()]
     for j in range(1, l + 1):
         acc = PR.zero()
-        for i in range(1, j + 1):
+        for i in range(1, min(j, len(xs)) + 1):
             acc = acc + es[i] * hs[j - i]
         hs.append(-acc)
     return hs[l]

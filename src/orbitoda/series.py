@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from functools import reduce
+from itertools import chain, count
 from operator import add, gt, mul
 from typing import Mapping
 
@@ -189,15 +190,10 @@ class TruncSeries:
     def __bool__(self):
         return bool(self.terms)
 
-    def with_window(self, v: str, win: VarWindow) -> "TruncSeries":
-        """Intersect knowledge with an extra declared window for v."""
-        return self + TruncSeries.scalar(0, {v: win})
-
     def truncated(self, wins: Mapping[str, VarWindow]) -> "TruncSeries":
-        out = self
-        for v, w in wins.items():
-            out = out.with_window(v, w)
-        return out
+        """self plus one zero series per declared window in ``wins``."""
+        return _fold(self, (TruncSeries((v,), {v: w}, {})
+                            for v, w in wins.items()), "truncation")
 
     def as_exact(self) -> "TruncSeries":
         """Reinterpret the stored polynomial as the exact object of study.
@@ -244,7 +240,8 @@ class TruncSeries:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        return allvars, _remap(self, allvars), _remap(other, allvars)
+        return (allvars, _remap(self.terms, self.vars, allvars),
+                _remap(other.terms, other.vars, allvars))
 
     # -- addition ----------------------------------------------------------
 
@@ -253,30 +250,7 @@ class TruncSeries:
             other = TruncSeries.scalar(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        allvars, ta, tb = self._aligned(other)
-        wins = {}
-        for v in allvars:
-            wa, wb = self._win(v), other._win(v)
-            klo = max(wa.known_lo(), wb.known_lo())
-            khi = min(wa.known_hi(), wb.known_hi())
-            lo = min(wa.lo, wb.lo) if klo == NEG_INF else max(min(wa.lo, wb.lo), int(klo))
-            hi = max(wa.hi, wb.hi) if khi == POS_INF else min(max(wa.hi, wb.hi), int(khi))
-            if lo > hi:
-                raise WindowUnderflow(f"variable {v}: empty window in addition")
-            wins[v] = VarWindow(lo, hi, klo == NEG_INF, khi == POS_INF)
-        caps = _cap_merge(self.caps, other.caps)
-        out = dict(ta)
-        for key, c in tb.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-        return TruncSeries(allvars, wins, out, caps)._pruned()
+        return _fold(self, (other,), "addition")
 
     __radd__ = __add__
 
@@ -778,10 +752,10 @@ class TruncSeries:
                 pows[j] = pows[j - step] * factor
             return pows[e]
 
-        out = TruncSeries(nvars, nwins, {}, self.caps) + \
-            TruncSeries.scalar(0, repl.wins)
-        for e, sub in sorted(groups.items()):
-            out = out + TruncSeries(nvars, nwins, sub, self.caps) * power(e)
+        images = (TruncSeries(nvars, nwins, sub, self.caps) * power(e)
+                  for e, sub in sorted(groups.items()))
+        out = _fold(TruncSeries(nvars, nwins, {}, self.caps), chain(
+            (TruncSeries.scalar(0, repl.wins),), images), "substitution")
         # a truncation of self in v becomes one of the image in lv
         if lv is None:
             return out
@@ -794,7 +768,7 @@ class TruncSeries:
             lo, lo_hard = max(lo, w.lo), False
         if lo > hi:
             raise WindowUnderflow(f"empty window after substitution in {v}")
-        return out.with_window(lv, VarWindow(lo, hi, lo_hard, hi_hard))
+        return out.truncated({lv: VarWindow(lo, hi, lo_hard, hi_hard)})
 
     # -- comparisons ---------------------------------------------------------
 
@@ -849,12 +823,68 @@ class TruncSeries:
 # -- free functions ------------------------------------------------------
 
 
-def _remap(s: TruncSeries, allvars: tuple[str, ...]) -> dict:
-    pos = [s.vars.index(v) if v in s.vars else None for v in allvars]
+def _remap(terms: dict, vars: tuple[str, ...],
+           allvars: tuple[str, ...]) -> dict:
+    """``terms``, keyed by ``vars``, keyed by ``allvars`` (a superset)."""
+    pos = [vars.index(v) if v in vars else None for v in allvars]
     out = {}
-    for key, c in s.terms.items():
+    for key, c in terms.items():
         out[tuple(0 if p is None else key[p] for p in pos)] = c
     return out
+
+
+def _merge_win(wa: VarWindow, wb: VarWindow, v: str, op: str) -> VarWindow:
+    """The window of v in a sum: the known region is the intersection of
+    both, and the stored window the hull of both clipped to it."""
+    klo = max(wa.known_lo(), wb.known_lo())
+    khi = min(wa.known_hi(), wb.known_hi())
+    lo = min(wa.lo, wb.lo) if klo == NEG_INF else max(min(wa.lo, wb.lo), int(klo))
+    hi = max(wa.hi, wb.hi) if khi == POS_INF else min(max(wa.hi, wb.hi), int(khi))
+    if lo > hi:
+        raise WindowUnderflow(f"variable {v}: empty window in {op} of {wa} and {wb}")
+    merged = (lo, hi, klo == NEG_INF, khi == POS_INF)
+    return wa if merged == (wa.lo, wa.hi, wa.lo_hard, wa.hi_hard) else VarWindow(*merged)
+
+
+def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
+    """first + the series of ``rest``, equal term for term to the chain of
+    ``__add__`` in that order, with one term dict and one prune.
+
+    Window merges commute and the point window 0 of a summand lacking a
+    variable merges once, at the end; the final prune drops every term a
+    prune inside the chain would (see README, Design notes).
+    """
+    vars, wins, caps = first.vars, dict(first.wins), first.caps
+    keyed, terms = vars, dict(first.terms)
+    missing = set()
+    for s in rest:
+        if s.vars != vars:
+            lacking = set(vars).symmetric_difference(s.vars)
+            missing |= lacking
+            if not lacking.isdisjoint(s.vars):      # s brings new variables
+                vars = tuple(sorted(lacking.union(vars)))
+        for v in s.vars:
+            wins[v] = _merge_win(wins[v], s.wins[v], v, op) if v in wins \
+                else s.wins[v]
+        caps = _cap_merge(caps, s.caps)
+        if not s.terms:
+            continue
+        if keyed != vars:
+            terms, keyed = _remap(terms, keyed, vars), vars
+        tb = s.terms if s.vars == vars else _remap(s.terms, s.vars, vars)
+        for key, c in tb.items():
+            cur = terms.get(key)
+            if cur is not None:
+                c = cur + c
+                if c.is_zero():
+                    del terms[key]
+                    continue
+            terms[key] = c
+    for v in missing:
+        wins[v] = _merge_win(wins[v], POINT, v, op)
+    if keyed != vars:
+        terms = _remap(terms, keyed, vars)
+    return TruncSeries(vars, wins, terms, caps)._pruned()
 
 
 def _key_bounds(vars: tuple[str, ...], wins: Mapping[str, VarWindow],
@@ -1052,8 +1082,8 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
             Fraction(step ** j, _factorial(j)))
     if hit_window:
         w = out._win(epsvar)
-        out = out.with_window(
-            epsvar, VarWindow(w.lo, eps_win.hi, w.lo_hard, False))
+        out = out.truncated(
+            {epsvar: VarWindow(w.lo, eps_win.hi, w.lo_hard, False)})
     return out
 
 
@@ -1063,17 +1093,23 @@ def power_sum(power, step, coeff=None, total=None, limit=100000,
     p_j = step(p_{j-1}), stopping at the first zero p_j.
 
     ``total`` defaults to p_0 and ``coeff`` to 1; the terms need only
-    ``is_zero``, ``scale`` and ``+``.  NonConvergent once ``limit`` powers
-    have been added and the next one is still nonzero.
+    ``is_zero``, ``scale`` and ``+``, and series are summed by ``_fold``.
+    NonConvergent once ``limit`` powers have been added and the next one is
+    still nonzero.
     """
+    def terms(power):
+        for j in count(1):
+            power = step(power)
+            if power.is_zero():
+                return
+            if j > limit:
+                raise NonConvergent(f"{what} did not terminate")
+            yield power if coeff is None else power.scale(coeff(j))
+
     total = power if total is None else total
-    for j in count(1):
-        power = step(power)
-        if power.is_zero():
-            return total
-        if j > limit:
-            raise NonConvergent(f"{what} did not terminate")
-        total = total + (power if coeff is None else power.scale(coeff(j)))
+    if isinstance(total, TruncSeries):
+        return _fold(total, terms(power), "addition")
+    return reduce(add, terms(power), total)
 
 
 _FACT = [1]

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitoda.algebra import (bernoulli_number, bernoulli_poly,
                               binom_frac, frac_factorial, frac_part_unit,
-                              poly_derivative, symmetric_polys)
+                              poly_derivative, symmetric_e, symmetric_h,
+                              symmetric_polys)
 from orbitoda.rationals import ParamRat as PR
 
 
@@ -123,3 +126,53 @@ def test_binom_frac():
 def test_symmetric_rejects_bad_kind():
     with pytest.raises(ValueError):
         symmetric_polys("q", 1, [])
+
+
+def per_degree_e(l, xs):
+    """Reference: the row update over every j <= l for each factor."""
+    row = [PR.one()] + [PR.zero()] * l
+    for x in xs:
+        x = x if isinstance(x, PR) else PR.rational(x)
+        for j in range(min(l, len(row) - 1), 0, -1):
+            row[j] = row[j] + row[j - 1] * x
+    return row[l]
+
+
+def per_degree_h(l, xs):
+    """Reference: one ``per_degree_e`` pass per degree, then the inverse of
+    the e-series up to t^l."""
+    es = [per_degree_e(j, xs) for j in range(l + 1)]
+    hs = [PR.one()]
+    for j in range(1, l + 1):
+        acc = PR.zero()
+        for i in range(1, j + 1):
+            acc = acc + es[i] * hs[j - i]
+        hs.append(-acc)
+    return hs[l]
+
+
+symmetric_arg = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(-4, 4, max_denominator=5),
+    st.sampled_from([PR.nu0(), PR.nu1(), PR.nu(3), PR.nubar(2),
+                     PR.nu(2) + F(1, 3), PR.diff()]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.lists(symmetric_arg, max_size=5))
+def test_symmetric_one_row_matches_per_degree_loop(l, xs):
+    # covers empty xs, l = 0 and l > len(xs)
+    assert symmetric_e(l, xs) == per_degree_e(l, xs)
+    assert symmetric_h(l, xs) == per_degree_h(l, xs)
+
+
+def test_symmetric_edge_cases():
+    assert symmetric_e(0, []) == symmetric_h(0, []) == PR.one()
+    assert symmetric_e(2, []).is_zero() and symmetric_h(3, []).is_zero()
+    a = PR.nu0()
+    assert symmetric_e(3, [a, 2]).is_zero()
+    assert symmetric_h(3, [a]) == -(a * a * a)
+    with pytest.raises(ValueError):
+        symmetric_e(-1, [a])
+    with pytest.raises(ValueError):
+        symmetric_h(-1, [a])

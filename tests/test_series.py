@@ -1,6 +1,8 @@
 """Truncated-series kernel: windows, arithmetic, reversion, shifts."""
 
+import functools
 import gc
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -564,3 +566,285 @@ def test_swap_nu_twice_is_identity():
     twice = once.map_coeffs(PR.swap_nu)
     assert (twice.vars, twice.wins, twice.caps) == (s.vars, s.wins, s.caps)
     assert twice.terms == s.terms
+
+
+# -- sums by a chain of binary additions: the references of the accumulator
+
+
+def chain_add(a, b):
+    """a + b as one binary addition: remap both, merge every window, add
+    b's terms into a copy of a's, prune."""
+    if a.vars == b.vars:
+        allvars, ta, tb = a.vars, a.terms, b.terms
+    else:
+        allvars = tuple(sorted(set(a.vars) | set(b.vars)))
+        ta = series._remap(a.terms, a.vars, allvars)
+        tb = series._remap(b.terms, b.vars, allvars)
+    wins = {}
+    for v in allvars:
+        wa, wb = a._win(v), b._win(v)
+        klo = max(wa.known_lo(), wb.known_lo())
+        khi = min(wa.known_hi(), wb.known_hi())
+        lo = min(wa.lo, wb.lo) if klo == series.NEG_INF \
+            else max(min(wa.lo, wb.lo), int(klo))
+        hi = max(wa.hi, wb.hi) if khi == series.POS_INF \
+            else min(max(wa.hi, wb.hi), int(khi))
+        if lo > hi:
+            raise WindowUnderflow(f"variable {v}: empty window in addition")
+        wins[v] = VarWindow(lo, hi, klo == series.NEG_INF,
+                            khi == series.POS_INF)
+    out = dict(ta)
+    for key, c in tb.items():
+        s = out[key] + c if key in out else c
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    return TS(allvars, wins, out, series._cap_merge(a.caps, b.caps))._pruned()
+
+
+def chain_truncated(s, wins):
+    """One ``chain_add`` of a zero series per entry of ``wins``."""
+    for v, w in wins.items():
+        s = chain_add(s, TS.scalar(0, {v: w}))
+    return s
+
+
+def chain_power_sum(power, step, coeff=None, total=None, limit=100000):
+    """``series.power_sum`` with ``total = chain_add(total, term)``."""
+    total = power if total is None else total
+    for j in range(1, limit + 2):
+        power = step(power)
+        if power.is_zero():
+            return total
+        if j > limit:
+            raise NonConvergent("power sum did not terminate")
+        total = chain_add(total, power if coeff is None
+                          else power.scale(coeff(j)))
+
+
+def chain_subst(s, v, repl):
+    """``s.subst(v, repl)`` summing each group * repl^e with ``chain_add``
+    and truncating its image with ``chain_truncated``."""
+    if v not in s.wins:
+        return s
+    w = s.wins[v]
+    if any(v in g for g in s.caps):
+        raise NotInvertible("substitution on a cap-grouped variable")
+    lv = None if w.lo_hard and w.hi_hard else series._leading_var(repl)
+    if lv is None and not (w.lo_hard and w.hi_hard):
+        raise NotInvertible("no leading truncated variable")
+    i = s.vars.index(v)
+    groups = {}
+    for key, c in s.terms.items():
+        groups.setdefault(key[i], {})[key[:i] + key[i + 1:]] = c
+    nvars = s.vars[:i] + s.vars[i + 1:]
+    nwins = {u: wv for u, wv in s.wins.items() if u != v}
+    pows = {0: TS.scalar(1, repl.wins)}
+    for e in range(1, max(groups, default=0) + 1):
+        pows[e] = pows[e - 1] * repl
+    if min(groups, default=0) < 0:
+        inv = repl.recip()
+        for e in range(-1, min(groups) - 1, -1):
+            pows[e] = pows[e + 1] * inv
+    out = chain_add(TS(nvars, nwins, {}, s.caps), TS.scalar(0, repl.wins))
+    for e, sub in sorted(groups.items()):
+        out = chain_add(out, TS(nvars, nwins, sub, s.caps) * pows[e])
+    if lv is None:
+        return out
+    wu = out._win(lv)
+    lo, lo_hard, hi, hi_hard = wu.lo, wu.lo_hard, wu.hi, wu.hi_hard
+    if not w.hi_hard:
+        hi, hi_hard = min(hi, w.hi), False
+    if not w.lo_hard:
+        lo, lo_hard = max(lo, w.lo), False
+    if lo > hi:
+        raise WindowUnderflow(f"empty window after substitution in {v}")
+    return chain_truncated(out, {lv: VarWindow(lo, hi, lo_hard, hi_hard)})
+
+
+def assert_same_series(got, want):
+    """Same vars, windows and caps, and the same terms in the same order."""
+    assert got.vars == want.vars
+    assert got.wins == want.wins
+    assert got.caps == want.caps
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def raises_like(want_call, got_call):
+    """Run the reference; if it raises, the new code must raise the same
+    type.  Returns the pair of results otherwise."""
+    try:
+        want = want_call()
+    except (WindowUnderflow, NonUnit, NotInvertible, NonConvergent) as exc:
+        with pytest.raises(type(exc)):
+            got_call()
+        return None
+    return got_call(), want
+
+
+def any_window(lo_range=(-3, 3)):
+    return st.builds(lambda lo, width, kind: VarWindow(
+        lo, lo + width, kind != "down", kind != "up"),
+        st.integers(*lo_range), st.integers(0, 4),
+        st.sampled_from(["up", "down", "exact"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_series(1),
+       st.dictionaries(st.sampled_from(NAMES + ("z",)), any_window(),
+                       max_size=4))
+def test_truncated_matches_chain_of_additions(s, wins):
+    # multi-key windows, absent variables (z, and names s lacks), lo-hard
+    # windows that exclude 0, and capped series
+    pair = raises_like(lambda: chain_truncated(s, wins),
+                       lambda: s.truncated(wins))
+    if pair:
+        assert_same_series(*pair)
+
+
+def test_truncated_keeps_the_point_merge_of_each_key():
+    # every variable meets the point window 0 of the other key's summand
+    s = TS(("a",), {"a": up_win(6, lo=3)}, {(3,): PR.one()})
+    got = s.truncated({"a": up_win(5, lo=2), "b": up_win(3)})
+    assert got.wins == {"a": up_win(5, lo=0), "b": up_win(3)}
+    assert s.truncated({"a": up_win(5, lo=2)}).wins == {"a": up_win(5, lo=2)}
+
+
+@st.composite
+def summand_lists(draw):
+    """2-5 windowed series; some repeat or negate an earlier one, so a key
+    cancels and is later added again."""
+    out = [draw(windowed_series(1))]
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["new", "new", "negate", "repeat"]))
+        if how == "new":
+            out.append(draw(windowed_series(1)))
+        else:
+            s = draw(st.sampled_from(out))
+            out.append(-s if how == "negate" else s)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(summand_lists())
+def test_fold_matches_chain_of_additions(summands):
+    pair = raises_like(lambda: functools.reduce(chain_add, summands),
+                       lambda: series._fold(summands[0], summands[1:],
+                                            "addition"))
+    if pair:
+        assert_same_series(*pair)
+
+
+def test_fold_takes_the_least_cap_and_readds_a_cancelled_key():
+    u = TS.var("u", up_win(4))
+    a = (1 + u + u * u).with_cap({"u"}, 3)
+    b = (-u).with_cap({"u"}, 1)
+    got = series._fold(a, [b, u * u * u, u], "addition")
+    assert_same_series(got, functools.reduce(chain_add, [a, b, u * u * u, u]))
+    assert got.caps == {frozenset({"u"}): 1}
+    assert list(got.terms) == [(0,), (1,)]
+
+
+@st.composite
+def small_series(draw):
+    """A ``windowed_series`` keeping only the terms that move every soft
+    variable forward (toward its truncation) and some strictly."""
+    s = draw(windowed_series(1))
+    soft = {v: 1 if w.lo_hard else -1 for v, w in s.wins.items()
+            if not (w.lo_hard and w.hi_hard)}
+
+    def small(key):
+        o = [soft[v] * e for v, e in zip(s.vars, key) if v in soft]
+        return all(x >= 0 for x in o) and any(x > 0 for x in o)
+    return TS(s.vars, s.wins, {k: c for k, c in s.terms.items() if small(k)},
+              s.caps)
+
+
+def chain_exp(s):
+    gwins = s._smallness_window("exp")
+    return chain_power_sum(TS.scalar(1, gwins, s.caps),
+                           lambda p: chain_truncated(p * s, gwins),
+                           lambda j: F(1, math.factorial(j)))
+
+
+def chain_log1p(s):
+    gwins = s._smallness_window("log1p")
+    return chain_power_sum(TS.scalar(1, gwins, s.caps),
+                           lambda p: chain_truncated(p * s, gwins),
+                           lambda j: F((-1) ** (j + 1), j),
+                           TS.scalar(0, gwins, s.caps))
+
+
+def chain_recip_by_powers(s):
+    lead, c0_inv, tail, gwins, gcaps = s._recip_parts()
+    hwins = {v: VarWindow(s.wins[v].lo - lead[i], s.wins[v].hi - lead[i],
+                          s.wins[v].lo_hard, s.wins[v].hi_hard)
+             for i, v in enumerate(s.vars)}
+    h = TS(s.vars, hwins, tail, gcaps)
+    total = chain_power_sum(TS.scalar(1, gwins, gcaps),
+                            lambda p: chain_truncated(p * (-1 * h), gwins))
+    return s._times_lead_inverse(total, lead, c0_inv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_series())
+def test_exp_and_log1p_match_chain_of_additions(s):
+    for got, want in ((s.exp, lambda: chain_exp(s)),
+                      (s.log1p, lambda: chain_log1p(s))):
+        pair = raises_like(want, got)
+        if pair:
+            assert_same_series(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_series())
+def test_recip_by_powers_matches_chain_of_additions(s):
+    pair = raises_like(lambda: chain_recip_by_powers(s), s._recip_by_powers)
+    if pair:
+        assert_same_series(*pair)
+
+
+@st.composite
+def substitutions(draw):
+    """(s, v, repl): an exact v takes any series; a truncated v takes a
+    replacement x + (terms further along x's truncation)."""
+    s = draw(windowed_series(1))
+    v = draw(st.sampled_from(s.vars))
+    w = s.wins[v]
+    if w.lo_hard and w.hi_hard and draw(st.booleans()):
+        return s, v, draw(windowed_series(1))
+    x = draw(st.sampled_from(NAMES + ("z",)))
+    depth = draw(st.integers(2, 4))
+    up = draw(st.booleans())
+    exps = st.integers(2, depth) if up else st.integers(-depth, 0)
+    tail = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                                max_size=3))
+    win = up_win(depth) if up else down_win(-depth, hi=1)
+    return s, v, TS.from_poly(x, {1: 1, **tail}).truncated({x: win})
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_subst_matches_chain_of_additions(case):
+    s, v, repl = case
+    pair = raises_like(lambda: chain_subst(s, v, repl),
+                       lambda: s.subst(v, repl))
+    if pair:
+        assert_same_series(*pair)
+
+
+def test_window_underflow_names_variable_windows_and_operation():
+    s = TS(("v",), {"v": VarWindow(2, 5, False, True)}, {})
+    both = (r"of VarWindow\(lo=2, hi=5, lo_hard=False, hi_hard=True\) and "
+            r"VarWindow\(lo=0, hi=1, lo_hard=True, hi_hard=False\)")
+    with pytest.raises(WindowUnderflow,
+                       match="^variable v: empty window in truncation " + both):
+        s.truncated({"v": up_win(1)})
+    with pytest.raises(WindowUnderflow,
+                       match="^variable v: empty window in addition " + both):
+        s + TS.scalar(0, {"v": up_win(1)})
+    f = s + TS.scalar(0, {"y": exact_win(0, 2)})
+    with pytest.raises(WindowUnderflow,
+                       match="^variable v: empty window in substitution"):
+        f.subst("y", TS.var("v", up_win(1)))
