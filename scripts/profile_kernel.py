@@ -10,8 +10,10 @@ import random
 import time
 from fractions import Fraction
 
-from orbitoda.hqe import HQE_EPS, toda_hqe_eval, verify_bilinearity
+from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
+                          verify_lemma_inv)
 from orbitoda.jfunction import inv_poch, poch
+from orbitoda.mirror import solve_chart_change, superpotential
 from orbitoda.periods import _d_inverse_monomial, d_x_operator
 from orbitoda.rationals import PR
 from orbitoda.series import TruncSeries as TS, down_win, up_win
@@ -93,6 +95,10 @@ def main():
     bench("D^-1 lam^-4 (4,3), lemma-d-branches window",
           lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin, {}),
           n=20)
+    sp = superpotential(4, 3, None, 4)
+    bench("chart change (4,3), degree 4, depth 10",
+          lambda: solve_chart_change(sp, 10), n=3)
+    bench("verify_lemma_inv(5, 8)", lambda: verify_lemma_inv(5, 8), n=3)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
 

@@ -24,7 +24,7 @@ def _as_pr(x) -> ParamRat:
     return ParamRat.rational(x)
 
 
-def _e_row(l: int, xs: Sequence) -> list:
+def e_row(l: int, xs: Sequence) -> list:
     """[e_0, ..., e_l] of prod (1 + t x_i); factor i updates only
     row[1..min(i, l)], as the rest is still zero."""
     if l < 0:
@@ -37,22 +37,27 @@ def _e_row(l: int, xs: Sequence) -> list:
     return row
 
 
-def symmetric_e(l: int, xs: Sequence) -> ParamRat:
-    """Coefficient of t^l in prod (1 + t x_i)."""
-    return _e_row(l, xs)[l]
-
-
-def symmetric_h(l: int, xs: Sequence) -> ParamRat:
-    """Coefficient of t^l in prod 1/(1 + t x_i)  (signed convention)."""
+def h_row(l: int, xs: Sequence) -> list:
+    """[h_0, ..., h_l] of prod 1/(1 + t x_i)  (signed convention)."""
     # inverse of the e-generating series up to t^l; e_i = 0 for i > len(xs)
-    es = _e_row(l, xs)
+    es = e_row(l, xs)
     hs = [PR.one()]
     for j in range(1, l + 1):
         acc = PR.zero()
         for i in range(1, min(j, len(xs)) + 1):
             acc = acc + es[i] * hs[j - i]
         hs.append(-acc)
-    return hs[l]
+    return hs
+
+
+def symmetric_e(l: int, xs: Sequence) -> ParamRat:
+    """Coefficient of t^l in prod (1 + t x_i)."""
+    return e_row(l, xs)[l]
+
+
+def symmetric_h(l: int, xs: Sequence) -> ParamRat:
+    """Coefficient of t^l in prod 1/(1 + t x_i)  (signed convention)."""
+    return h_row(l, xs)[l]
 
 
 def symmetric_polys(kind: str, l: int, xs: Sequence) -> ParamRat:

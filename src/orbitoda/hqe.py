@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import frac_factorial, symmetric_e, symmetric_h
+from .algebra import e_row, frac_factorial, h_row, symmetric_h
 from .cohomology import Cohomology, SectorIndex
 from .rationals import ParamRat, PR
 from .reports import CheckReport
@@ -166,48 +166,58 @@ def verify_change_matrix(k: int, N_max: int, L_max: int) -> CheckReport:
     return rep
 
 
+def lemma_inv_sums(k: int, L_max: int):
+    """Yield (i, L, N, acc, top) for 1 <= i <= k and 0 <= N <= L <= L_max:
+    acc = sum_n e_{L-n}(1/(i/k)...1/(i/k+L-1)) h_{n-N}(1/(i/k)...1/(i/k+N))
+    and, for L > N, top = the nu^{L-N} coefficient of
+    prod_{a<L} (1 + nu/(i/k+a)) / prod_{a<=N} (1 + nu/(i/k+a)) (None when
+    L = N).
+
+    Per i, the h-row of each N, the reciprocal of each prod_{a<=N} (at
+    window L_max-N+1, exact in every slot read) and the running product
+    prod_{a<L} are built once.
+    """
+    for i in range(1, k + 1):
+        base = Fraction(i, k)
+        xs = [PR.rational(1 / (base + a)) for a in range(L_max + 1)]
+        h_rows = [h_row(L_max - N, xs[:N + 1]) for N in range(L_max + 1)]
+        prod = TruncSeries.from_poly("nu", {0: 1})  # prod_{a<L}
+        recips = []  # recips[N] = 1/prod_{a<=N}
+        for L in range(L_max + 1):
+            e = e_row(L, xs[:L])
+            for N in range(L + 1):
+                h = h_rows[N]
+                acc = PR.zero()
+                for n in range(N, L + 1):
+                    acc = acc + e[L - n] * h[n - N]
+                top = None
+                if L > N:
+                    top = prod.mul_coeff(recips[N], "nu", L - N).terms.get(
+                        (), PR.zero())
+                yield i, L, N, acc, top
+            if L < L_max:
+                prod = prod * TruncSeries.from_poly("nu", {0: 1, 1: xs[L]})
+                recips.append(prod.recip_within({"nu": up_win(L_max - L + 1)}))
+
+
 def verify_lemma_inv(k: int, L_max: int) -> CheckReport:
     """forward(h) o inverse(e) = identity: the Kronecker-delta sums.
 
-    For every 1 <= i <= k and 0 <= N <= L <= L_max,
-    sum_n e_{L-n}(1/(i/k)...1/(i/k+L-1)) h_{n-N}(1/(i/k)...1/(i/k+N)) = delta,
-    and the L > N case vanishes as the nu^{L-N} coefficient of a polynomial
-    of lower degree.
+    Every ``lemma_inv_sums`` acc is delta_{L,N}, and every top vanishes:
+    the generating product is a polynomial of degree L-N-1 in nu, so its
+    nu^{L-N} slot is zero.
     """
     with CheckReport(name="lemma-inv", params={"k": k, "L_max": L_max},
                      max_order_verified={"L": L_max}) as rep:
-        for i in range(1, k + 1):
-            base = Fraction(i, k)
-            for L in range(L_max + 1):
-                e_args = [PR.rational(1 / (base + a)) for a in range(L)]
-                for N in range(L + 1):
-                    h_args = [PR.rational(1 / (base + a)) for a in range(N + 1)]
-                    acc = PR.zero()
-                    for n in range(N, L + 1):
-                        acc = acc + symmetric_e(L - n, e_args) * \
-                            symmetric_h(n - N, h_args)
-                    want = PR.one() if L == N else PR.zero()
-                    if not (acc - want).is_zero():
-                        rep.fail({"i": i, "N": N, "L": L}, str(acc), str(want))
-                        return rep
-                    if L > N:
-                        # generating-product route: the product is a polynomial
-                        # of degree L-N-1 in nu, so its nu^{L-N} slot vanishes
-                        prod = TruncSeries.from_poly("nu", {0: 1})
-                        for a in range(L):
-                            prod = prod * TruncSeries.from_poly(
-                                "nu", {0: 1, 1: PR.rational(1 / (base + a))})
-                        inv = TruncSeries.from_poly("nu", {0: 1})
-                        for a in range(N + 1):
-                            inv = inv * TruncSeries.from_poly(
-                                "nu", {0: 1, 1: PR.rational(1 / (base + a))})
-                        ratio = prod * inv.recip_within(
-                            {"nu": up_win(L - N + 1)})
-                        top = ratio.terms.get((L - N,), PR.zero())
-                        if not top.is_zero():
-                            rep.fail({"i": i, "N": N, "L": L, "route": "generating"},
-                                     str(top), "0")
-                            return rep
+        for i, L, N, acc, top in lemma_inv_sums(k, L_max):
+            want = PR.one() if L == N else PR.zero()
+            if not (acc - want).is_zero():
+                rep.fail({"i": i, "N": N, "L": L}, str(acc), str(want))
+                return rep
+            if top is not None and not top.is_zero():
+                rep.fail({"i": i, "N": N, "L": L, "route": "generating"},
+                         str(top), "0")
+                return rep
     return rep
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb
 
 from .algebra import (bernoulli_number, bernoulli_poly, binom_frac,
@@ -90,6 +91,31 @@ def _retname_map(k: int, m: int) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
+def unit_powers(one_u: TruncSeries, lo: int, hi: int) -> dict[int, TruncSeries]:
+    """{e: one_u^e for lo <= e <= hi}, lo <= 0 <= hi: each power is one
+    product from its neighbour nearer 0 (one_u^-1 is one reciprocal), and
+    equals ``one_u ** e`` term for term."""
+    out = {0: TruncSeries.scalar(1)}
+    if hi >= 1:
+        out[1] = one_u
+    if lo <= -1:
+        out[-1] = one_u.recip()
+    for e in range(2, hi + 1):
+        out[e] = out[e - 1] * one_u
+    for e in range(-2, lo - 1, -1):
+        out[e] = out[e + 1] * out[-1]
+    return out
+
+
+def newton_schedule(depth: int) -> list[int]:
+    """Precisions 1, ..., ceil(depth/4), ceil(depth/2), depth: the top-down
+    halving of depth, run bottom up (Brent-Kung 1978)."""
+    out = [depth]
+    while out[-1] > 1:
+        out.append(-(-out[-1] // 2))
+    return out[::-1]
+
+
 def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
     """x(lam) = lam (1 + u) solving f_t(x) = lam^k + (log-normal form).
 
@@ -99,29 +125,9 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
     qwin = up_win(depth + sp.m)
     lam_pow = {e: TruncSeries.from_poly("lam", {e: 1}) for e in range(-sp.m, k + 1)}
 
-    def unit_powers(u):
-        """e -> (1+u)^e.  1/(1+u) and its powers are built once per iterate
-        and shared by G and G'.  A power e >= 0 is rebuilt at each use:
-        keeping those alive through G raised the peak memory of the
-        geometry checks by about 2%."""
-        one_u = 1 + u
-        negative = {}
-
-        def upow(e):
-            # no call to upow in here: a self-reference would keep the
-            # table alive in a cycle until the garbage collector runs
-            if e >= 0:
-                return one_u ** e
-            if e not in negative:
-                if -1 not in negative:
-                    negative[-1] = one_u.recip()
-                negative[e] = negative[-1] ** (-e)
-            return negative[e]
-        return upow
-
-    def subst_x(upow, e):
+    def subst_x(powers, e):
         # (lam (1+u))^e
-        return upow(e) * TruncSeries.from_poly("lam", {e: 1})
+        return powers[e] * TruncSeries.from_poly("lam", {e: 1})
 
     # the rational terms as (x-exponent, rest of the term, whether the rest
     # is 1), built once for all Newton steps
@@ -133,39 +139,43 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
             rest, {n: sp.rational.wins[n] for n in rest}, coeff=c),
             not any(rest.values())))
 
-    def G(u, upow):
-        acc = subst_x(upow, k) - lam_pow[k] + sp.tN_term
+    def G(u, powers):
+        acc = subst_x(powers, k) - lam_pow[k] + sp.tN_term
         for e, mono, bare in terms:
             if e != k or not bare:  # the leading x^k is handled above
-                acc = acc + mono * subst_x(upow, e)
+                acc = acc + mono * subst_x(powers, e)
         return acc + u.log1p().scale(sp.log_x)
 
-    def Gprime(upow, lamw):
+    def Gprime(powers, lamw):
         # d/du of G: from the rational part, e * lam^e (1+u)^{e-1}, plus
         # log-term c/(1+u)
         acc = TruncSeries.scalar(0, {"lam": lamw, "q": qwin})
         for e, mono, _ in terms:
             if e:
-                acc = acc + mono.scale(e) * upow(e - 1) * \
+                acc = acc + mono.scale(e) * powers[e - 1] * \
                     TruncSeries.from_poly("lam", {e: 1})
-        return acc + upow(-1).scale(sp.log_x)
+        return acc + powers[-1].scale(sp.log_x)
 
-    # Newton doubles the correct lam-orders per step: step i re-declares the
-    # iterate on lam^[-p, 0], zero below its old bottom, p = 1, 2, 4, ...
-    # capped at depth, and only G = 0 on the full window ends the loop.
+    # An iterate exact to lam^-p before a step is exact to lam^-(2p+1)
+    # after it, so step i re-declares the iterate on lam^[-p_i, 0], zero
+    # below its old bottom, for p_i in ``newton_schedule(depth)``; only
+    # G = 0 on the full window ends the loop.  G and G' share one table of
+    # the powers (1+u)^e, -m-1 <= e <= k; the table, g and G' are freed
+    # before the next step builds its own.
     u = TruncSeries.scalar(0, {"lam": down_win(-1), "q": qwin})
-    for i in range(depth + 3):
-        lamw = down_win(-min(1 << i, depth))
+    for p in chain(newton_schedule(depth), repeat(depth, 3)):
+        lamw = down_win(-p)
         u = TruncSeries(u.vars, {**u.wins, "lam": lamw}, u.terms, u.caps)
-        upow = unit_powers(u)
-        g = G(u, upow)
-        if lamw.lo == -depth and g.is_zero():
+        powers = unit_powers(1 + u, -sp.m - 1, k)
+        g = G(u, powers)
+        if p == depth and g.is_zero():
             break
-        gp = Gprime(upow, lamw)
-        del upow  # release this iterate's powers before the next
+        gp = Gprime(powers, lamw)
+        del powers
         u = u - g * gp.recip()
+        del g, gp
     else:
-        gc = G(u, unit_powers(u))
+        gc = G(u, unit_powers(1 + u, -sp.m - 1, k))
         if not gc.is_zero():
             raise SingularFiber("chart-change Newton did not converge")
     return (1 + u) * TruncSeries.from_poly("lam", {1: 1})
@@ -553,21 +563,51 @@ def _eval_t(ser: TruncSeries, tvals: dict) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def small_slice_reduce(k: int, m: int, poly: TruncSeries) -> TruncSeries:
-    """Normal form modulo <x^{m+1} d_x f> at the small slice
-    t = (0,..,0,t_N): support on x^0..x^{k+m-1}.
+def tangent_relation(k: int, m: int, tvals: dict) -> TruncSeries:
+    """The cleared relation x^{m+1} d_x f_t of the tangent algebra at a
+    rational parameter point.  At the small slice t = (0,..,0,t_N) it is
+    k x^{k+m} + (nu1-nu0) x^m - m q^m."""
+    return TruncSeries.from_poly("x", {m + 1: 1}) * \
+        superpotential(k, m, tvals).df_dx()
 
-    The cleared relation is g = k x^{k+m} + (nu1-nu0) x^m - m q^m, whose top
-    and constant coefficients are invertible, so Euclidean reduction works
-    from both ends of the Laurent range.
-    """
-    return tangent_reduce(k, m, {i: 0 for i in range(1, k + m)}, poly)
+
+def tangent_reduce(k: int, m: int, rel: TruncSeries,
+                   poly: TruncSeries) -> TruncSeries:
+    """Normal form modulo <rel>, rel = ``tangent_relation(k, m, t)``:
+    support x^0..x^{k+m-1}.  Euclidean reduction works from both ends of
+    the Laurent range for any t, since rel keeps its unit top coefficient k
+    and its monomial constant term -m q^m."""
+    out = poly
+    guard = 0
+    while "x" in out.vars and out.terms:
+        guard += 1
+        if guard > 10000:
+            raise SingularFiber("reduction did not terminate")
+        xi = out.vars.index("x")
+        xs = [key[xi] for key in out.terms]
+        hi, lo = max(xs), min(xs)
+        if hi >= k + m:
+            lead = out.coeff_of("x", hi)
+            out = out - lead.scale(Fraction(1, k)) * rel * \
+                TruncSeries.from_poly("x", {hi - (k + m): 1})
+        elif lo < 0:
+            lead = out.coeff_of("x", lo)
+            quot = lead.shift_exponent("q", -m).scale(Fraction(-1, m))
+            out = out - quot * rel * TruncSeries.from_poly("x", {lo: 1})
+        else:
+            break
+    return out
 
 
 def verify_tangent_product(k: int, m: int) -> CheckReport:
     """Tangent-algebra products at the small slice match the quantum ring."""
     with CheckReport(name="tangent-product", params={"k": k, "m": m}) as rep:
         ring = QuantumRing(k, m)
+        rel = tangent_relation(k, m, {i: 0 for i in range(1, k + m)})
+
+        def normal_form(poly: TruncSeries) -> TruncSeries:
+            return tangent_reduce(k, m, rel, poly)
+
         x = TruncSeries.from_poly("x", {1: 1})
         q = TruncSeries.from_poly("q", {1: 1})
 
@@ -592,14 +632,14 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
                     base = (q ** key[1]) * TruncSeries.from_poly(
                         "x", {-key[1]: 1})
                 acc = acc + base * c
-            return small_slice_reduce(k, m, acc)
+            return normal_form(acc)
 
         coh = Cohomology(k, m)
         sectors = coh.sectors()
         ring_elems = {a: ring.from_sector(a) for a in sectors}
         for a in sectors:
             for b in sectors:
-                lhs = small_slice_reduce(k, m, phi(a) * phi(b))
+                lhs = normal_form(phi(a) * phi(b))
                 rhs = ring_to_poly(ring.mul(ring_elems[a], ring_elems[b]))
                 if not (lhs - rhs).is_zero():
                     rep.fail({"a": a.label(k, m), "b": b.label(k, m)},
@@ -608,8 +648,8 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
         # unit acts trivially
         unit = phi(SectorIndex("k", 0)) + phi(SectorIndex("m", 0))
         for a in sectors:
-            lhs = small_slice_reduce(k, m, unit * phi(a))
-            rhs = small_slice_reduce(k, m, phi(a))
+            lhs = normal_form(unit * phi(a))
+            rhs = normal_form(phi(a))
             if not (lhs - rhs).is_zero():
                 rep.fail({"a": a.label(k, m), "b": "unit"}, str(lhs), str(rhs))
                 break
@@ -799,38 +839,3 @@ def residue_pairing(k: int, m: int, alpha: SectorIndex, beta: SectorIndex,
     pos = {a: i for i, a in enumerate(chart.alphas)}
     return residue_both_ends(v_alpha[pos[(alpha.side, alpha.i)]] *
                              v_alpha[pos[(beta.side, beta.i)]], den)
-
-
-def tangent_reduce(k: int, m: int, tvals: dict, poly: TruncSeries) -> TruncSeries:
-    """Normal form modulo <x^{m+1} d_x f_t> at a rational parameter point:
-    support x^0..x^{k+m-1}; valid whenever the cleared relation keeps its
-    unit top and monomial constant term (any t, since those coefficients
-    are k and -m q^m)."""
-    sp = superpotential(k, m, tvals)
-    g = TruncSeries.from_poly("x", {m + 1: 1}) * sp.df_dx()
-    out = poly
-    guard = 0
-    while "x" in out.vars and out.terms:
-        guard += 1
-        if guard > 10000:
-            raise SingularFiber("reduction did not terminate")
-        xi = out.vars.index("x")
-        xs = [key[xi] for key in out.terms]
-        hi, lo = max(xs), min(xs)
-        if hi >= k + m:
-            lead = out.coeff_of("x", hi)
-            out = out - lead.scale(Fraction(1, k)) * g * \
-                TruncSeries.from_poly("x", {hi - (k + m): 1})
-        elif lo < 0:
-            lead = out.coeff_of("x", lo)
-            quot = lead.shift_exponent("q", -m).scale(Fraction(-1, m))
-            out = out - quot * g * TruncSeries.from_poly("x", {lo: 1})
-        else:
-            break
-    return out
-
-
-def tangent_product(k: int, m: int, tvals: dict, phi1: TruncSeries,
-                    phi2: TruncSeries) -> TruncSeries:
-    """Product of tangent-algebra classes reduced to normal form."""
-    return tangent_reduce(k, m, tvals, phi1 * phi2)

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbitoda import hqe
+from orbitoda.algebra import symmetric_e, symmetric_h
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import WindowUnderflow
 from orbitoda.hqe import (a_matrix_entry, apply_vertex, build_gamma,
                           commutation_factor, fock_one, fock_var,
-                          hqe_residue_eval, toda_hqe_eval, translate,
-                          translation_symbol, verify_change_matrix,
+                          hqe_residue_eval, lemma_inv_sums, toda_hqe_eval,
+                          translate, translation_symbol, verify_change_matrix,
                           verify_lemma_inv, verify_theorem2_transform)
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, down_win, exact_win, up_win
@@ -21,6 +23,60 @@ EW = exact_win(-16, 16)
 def test_lemma_inv_matrix():
     for k in range(1, 6):
         assert verify_lemma_inv(k, 8).ok
+
+
+def _lemma_inv_sums_per_pair(k, L_max):
+    """The lemma-inv sums with every symmetric polynomial, product and
+    reciprocal built afresh for each (i, L, N): the reference for the
+    hoisted ``lemma_inv_sums``."""
+    for i in range(1, k + 1):
+        base = F(i, k)
+        for L in range(L_max + 1):
+            e_args = [PR.rational(1 / (base + a)) for a in range(L)]
+            for N in range(L + 1):
+                h_args = [PR.rational(1 / (base + a)) for a in range(N + 1)]
+                acc = PR.zero()
+                for n in range(N, L + 1):
+                    acc = acc + symmetric_e(L - n, e_args) * \
+                        symmetric_h(n - N, h_args)
+                top = None
+                if L > N:
+                    prod = TS.from_poly("nu", {0: 1})
+                    for a in range(L):
+                        prod = prod * TS.from_poly(
+                            "nu", {0: 1, 1: PR.rational(1 / (base + a))})
+                    inv = TS.from_poly("nu", {0: 1})
+                    for a in range(N + 1):
+                        inv = inv * TS.from_poly(
+                            "nu", {0: 1, 1: PR.rational(1 / (base + a))})
+                    ratio = prod * inv.recip_within({"nu": up_win(L - N + 1)})
+                    top = ratio.terms.get((L - N,), PR.zero())
+                yield i, L, N, acc, top
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_lemma_inv_sums_match_per_pair_reference(k):
+    got = list(lemma_inv_sums(k, 8))
+    want = list(_lemma_inv_sums_per_pair(k, 8))
+    assert len(got) == len(want) == k * 45
+    for g, w in zip(got, want):
+        assert g == w
+
+
+def test_lemma_inv_negative_control(monkeypatch):
+    # one perturbed h-row entry: h_1 of the N = 1 row breaks the first sum
+    # that reads it, at i = 1, L = 2
+    h_row = hqe.h_row
+
+    def perturbed(l, xs):
+        row = h_row(l, xs)
+        if len(xs) == 2:
+            row[1] = row[1] + 1
+        return row
+    monkeypatch.setattr(hqe, "h_row", perturbed)
+    rep = verify_lemma_inv(3, 8)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy["at"] == {"i": 1, "N": 1, "L": 2}
 
 
 def test_change_matrix_routes_agree():

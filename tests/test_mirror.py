@@ -11,9 +11,11 @@ from orbitoda.cohomology import Cohomology, SectorIndex
 from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
                              flat_coords_binomial, flat_coords_residue,
                              gaussian_moment_oracle, residue_pairing_matrix,
-                             small_slice_reduce, solve_chart_change,
-                             stationary_phase_A, superpotential, tname,
-                             verify_flat_coordinates, verify_tangent_product)
+                             newton_schedule, solve_chart_change,
+                             stationary_phase_A, superpotential,
+                             tangent_reduce, tangent_relation, tname,
+                             unit_powers, verify_flat_coordinates,
+                             verify_tangent_product)
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, VarWindow, up_win
 
@@ -117,6 +119,31 @@ def test_chart_change_doubling_matches_full_window(k, m):
         assert got.terms == want.terms
 
 
+def test_unit_power_table_matches_powers():
+    # 1 + u of a degree-2 (4,3) chart change: lam soft below, q soft above,
+    # seven capped t's
+    k, m = 4, 3
+    one_u = solve_chart_change(superpotential(k, m, None, 2), 7) * \
+        TS.from_poly("lam", {-1: 1})
+    table = unit_powers(one_u, -m - 1, k)
+    assert sorted(table) == list(range(-m - 1, k + 1))
+    inv = one_u.recip()
+    for e, got in table.items():
+        want = one_u ** e if e >= 0 else inv ** (-e)
+        assert (got.vars, got.wins, got.caps, got.terms) == \
+            (want.vars, want.wins, want.caps, want.terms), e
+
+
+def test_newton_schedule_halves_down_from_depth():
+    assert newton_schedule(1) == [1]
+    assert newton_schedule(10) == [1, 2, 3, 5, 10]
+    assert newton_schedule(25) == [1, 2, 4, 7, 13, 25]
+    for depth in range(1, 40):
+        sched = newton_schedule(depth)
+        # a step from precision p reaches 2p + 1, so each step is in reach
+        assert all(b <= 2 * a + 1 for a, b in zip([0] + sched, sched))
+
+
 def test_y_chart_flat_coordinates():
     # mirror-symmetric displays: tau^{1/m} = t_{k+m-1}, tau^{0/m} = t_k + nu1 t_N
     chart = FlatChart(3, 2, 2)
@@ -158,15 +185,21 @@ def test_tangent_product_matches_quantum_ring():
     assert verify_tangent_product(3, 2).ok
 
 
+def tangent_product(k, m, rel, phi1, phi2):
+    """Product of tangent-algebra classes reduced to normal form."""
+    return tangent_reduce(k, m, rel, phi1 * phi2)
+
+
 def test_tangent_product_examples():
     # x * y-image = q * 1 at the small slice
     k, m = 3, 2
+    rel = tangent_relation(k, m, {i: 0 for i in range(1, k + m)})
     x = TS.from_poly("x", {1: 1})
     y = TS.from_poly("q", {1: 1}) * TS.from_poly("x", {-1: 1})
-    red = small_slice_reduce(k, m, x * y)
+    red = tangent_product(k, m, rel, x, y)
     assert (red - TS.from_poly("q", {1: 1})).is_zero()
     # x^{k-1} * x reduces to the class of x^k
-    red2 = small_slice_reduce(k, m, TS.from_poly("x", {k: 1}))
+    red2 = tangent_reduce(k, m, rel, TS.from_poly("x", {k: 1}))
     assert (red2 - TS.from_poly("x", {k: 1})).is_zero()
 
 
@@ -240,14 +273,14 @@ def test_residue_pairing_single_pair_surface():
 
 
 def test_tangent_product_generic_t():
-    from orbitoda.mirror import tangent_product, tangent_reduce
     tv = {1: F(1, 2), 2: F(-1, 3), 3: F(1, 7), 4: F(2, 5), 5: F(1, 9)}
+    rel = tangent_relation(3, 2, tv)
     x = TS.from_poly("x", {1: 1})
     # unit acts trivially and the reduction is idempotent
-    red = tangent_product(3, 2, tv, x, TS.scalar(1))
+    red = tangent_product(3, 2, rel, x, TS.scalar(1))
     assert (red - x).is_zero()
-    big = tangent_reduce(3, 2, tv, TS.from_poly("x", {7: 1, -2: F(1, 2)}))
-    again = tangent_reduce(3, 2, tv, big)
+    big = tangent_reduce(3, 2, rel, TS.from_poly("x", {7: 1, -2: F(1, 2)}))
+    again = tangent_reduce(3, 2, rel, big)
     assert (big - again).is_zero()
     xs = [key[big.vars.index("x")] for key in big.terms]
     assert min(xs) >= 0 and max(xs) <= 4
