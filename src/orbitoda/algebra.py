@@ -60,14 +60,6 @@ def symmetric_h(l: int, xs: Sequence) -> ParamRat:
     return h_row(l, xs)[l]
 
 
-def symmetric_polys(kind: str, l: int, xs: Sequence) -> ParamRat:
-    if kind == "e":
-        return symmetric_e(l, xs)
-    if kind == "h":
-        return symmetric_h(l, xs)
-    raise ValueError(f"kind must be 'e' or 'h', got {kind!r}")
-
-
 # -- Bernoulli polynomials ---------------------------------------------------
 
 _bernoulli_cache: list[dict[int, Fraction]] = []

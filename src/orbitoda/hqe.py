@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import e_row, frac_factorial, h_row, symmetric_h
-from .cohomology import Cohomology, SectorIndex
+from .algebra import e_row, frac_factorial, h_row
+from .cohomology import SectorIndex
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import TruncSeries, VarWindow, down_win, exact_win, up_win
+from .series import (TruncSeries, VarWindow, down_win, exact_win, sum_series,
+                     up_win)
 from .toda import TauJet, miwa_shift, two_toda_vacuum_tau, ybname, yname
 
 
@@ -61,9 +62,8 @@ def build_gamma(k: int, m: int, sign: int, barred: bool,
     of the rational mode coefficients, kept through q-index <= depth.
     The barred operator is the same construction with the feet exchanged.
     """
-    kk, mm = (m, k) if barred else (k, m)
+    kk = m if barred else k
     side = "m" if barred else "k"
-    coh = Cohomology(k, m)
     nu = PR.nubar(m) if barred else PR.nu(k)
     out = VertexSymbol()
     sgn = PR.rational(sign)
@@ -86,29 +86,15 @@ def build_gamma(k: int, m: int, sign: int, barred: bool,
             for (e,), c in poly.terms.items():
                 out.add("annihilation", p, (e, alpha), c * sgn)
         n += 1
-    # creation side: n = -N-1, lambda^{N kk + i}
-    N = 0
-    while N * kk + 1 <= mode_max:
-        for i in range(1, kk + 1):
-            p = N * kk + i
-            if p > mode_max:
-                continue
-            galpha = coh.g(SectorIndex(side, i % kk))
-            denom = TruncSeries.from_poly("z", {0: 1})
-            for l in range(0, N + 1):
-                denom = denom * TruncSeries.from_poly(
-                    "z", {0: nu, 1: -(Fraction(i, kk) + l)})
-            series = denom.recip_within({"z": down_win(-depth - 1, hi=0)})
-            series = series.scale(galpha)
-            for (e,), c in series.terms.items():
-                L = -e - 1
-                if 0 <= L <= depth:
-                    # phi (−z)^{-L-1} quantizes to -eps^-1 q_L; the vector is
-                    # g_alpha 1^{i/kk}, so the slot is q_L^{i/kk}
-                    coeff = c * ((-1) ** (L + 1))
-                    out.add("creation", p, (L, SectorIndex(side, i % kk)),
-                            -coeff * sgn)
-        N += 1
+    # creation side: n = -N-1, lambda^{N kk + i}; phi (-z)^{-L-1} quantizes
+    # to -eps^-1 q_L, and the vector is g_alpha 1^{i/kk}, so the slot of
+    # a_{N,L} is q_L^{i/kk}
+    for p in range(1, mode_max + 1):
+        i = (p - 1) % kk + 1
+        alpha = SectorIndex(side, i % kk)
+        row = a_matrix_row_generating(kk, i, (p - i) // kk, depth, barred)
+        for L, c in enumerate(row):
+            out.add("creation", p, (L, alpha), -c * sgn)
     return out.cleaned()
 
 
@@ -117,37 +103,38 @@ def build_gamma(k: int, m: int, sign: int, barred: bool,
 # ---------------------------------------------------------------------------
 
 
-def a_matrix_entry(k: int, i: int, N: int, L: int, barred: bool = False) -> ParamRat:
-    """a_{N,L} in y_{Nk+i} = sum_L a_{N,L} q_L^{i/k}, via the h-polynomials."""
-    if L < N:
-        return PR.zero()
+def _nu_and_g(k: int, i: int, barred: bool) -> tuple[ParamRat, ParamRat]:
+    """nu (nubar on the barred side) and g_alpha of the slot q^{i/k}."""
     nu = PR.nubar(k) if barred else PR.nu(k)
-    coh_g = PR.rational(Fraction(1, k)) if i % k else _g_untwisted(barred)
-    args = [Fraction(k, i + a * k) for a in range(N + 1)]  # 1/(i/k + a)
-    h = symmetric_h(L - N, [PR.rational(x) for x in args])
-    return (nu ** (L - N)) * h * coh_g / frac_factorial(Fraction(N * k + i, k))
+    if i % k:
+        return nu, PR.rational(Fraction(1, k))
+    return nu, (-PR.diff()).inverse() if barred else PR.diff().inverse()
 
 
-def _g_untwisted(barred: bool) -> ParamRat:
-    return (-PR.diff()).inverse() if barred else PR.diff().inverse()
+def a_matrix_row(k: int, i: int, N: int, L_max: int,
+                 barred: bool = False) -> list[ParamRat]:
+    """[a_{N,0}, ..., a_{N,L_max}] in y_{Nk+i} = sum_L a_{N,L} q_L^{i/k}:
+    a_{N,L} = nu^{L-N} h_{L-N}(1/(i/k), ..., 1/(i/k+N)) g / (N + i/k)!,
+    zero for L < N; one h-row serves every L."""
+    nu, g = _nu_and_g(k, i, barred)
+    unit = g / frac_factorial(Fraction(N * k + i, k))
+    h = h_row(L_max - N, [PR.rational(Fraction(k, i + a * k))
+                          for a in range(N + 1)]) if L_max >= N else []
+    return [PR.zero()] * min(N, L_max + 1) + \
+        [(nu ** j) * hj * unit for j, hj in enumerate(h)]
 
 
-def a_matrix_row_generating(k: int, i: int, N: int,
-                            L_max: int) -> list[ParamRat]:
+def a_matrix_row_generating(k: int, i: int, N: int, L_max: int,
+                            barred: bool = False) -> list[ParamRat]:
     """The same row read off from g / prod_{l=0}^N (nu - (l + i/k) w)."""
-    nu = PR.nu(k)
+    nu, g = _nu_and_g(k, i, barred)
     denom = TruncSeries.from_poly("w", {0: 1})
     for l in range(N + 1):
         denom = denom * TruncSeries.from_poly(
             "w", {0: nu, 1: -(Fraction(i, k) + l)})
-    series = denom.recip_within({"w": down_win(-L_max - 2, hi=0)})
-    series = series.scale(_g_untwisted(False) if i % k == 0
-                          else PR.rational(Fraction(1, k)))
-    out = []
-    for L in range(L_max + 1):
-        c = series.terms.get((-L - 1,), PR.zero())
-        out.append(c * ((-1) ** (L + 1)))
-    return out
+    series = denom.recip_within({"w": down_win(-L_max - 2, hi=0)}).scale(g)
+    return [series.terms.get((-L - 1,), PR.zero()) * ((-1) ** (L + 1))
+            for L in range(L_max + 1)]
 
 
 def verify_change_matrix(k: int, N_max: int, L_max: int) -> CheckReport:
@@ -158,10 +145,11 @@ def verify_change_matrix(k: int, N_max: int, L_max: int) -> CheckReport:
         for i in range(1, k + 1):
             for N in range(N_max + 1):
                 row = a_matrix_row_generating(k, i, N, L_max)
+                want = a_matrix_row(k, i, N, L_max)
                 for L in range(L_max + 1):
-                    want = a_matrix_entry(k, i, N, L)
-                    if not (row[L] - want).is_zero():
-                        rep.fail({"i": i, "N": N, "L": L}, str(row[L]), str(want))
+                    if not (row[L] - want[L]).is_zero():
+                        rep.fail({"i": i, "N": N, "L": L}, str(row[L]),
+                                 str(want[L]))
                         return rep
     return rep
 
@@ -250,8 +238,12 @@ def _check_modes(gamma: VertexSymbol, k: int, m: int, barred: bool,
                  mode_max: int, L_pad: int, negate: bool = False):
     kk = m if barred else k
     side = "m" if barred else "k"
-    nu = PR.nubar(m) if barred else PR.nu(k)
-    coh = Cohomology(k, m)
+    # rows[i][N] = a_{N, 0..L_max}: N <= mode_max // kk covers every mode,
+    # and the slots read reach L <= N + L_pad
+    L_max = mode_max // kk + L_pad
+    rows = {i: [a_matrix_row(kk, i, N, L_max, barred)
+                for N in range(mode_max // kk + 1)]
+            for i in range(1, kk + 1)}
     # negative modes: coefficient of eps d/dy_M must be 1/M
     for M in range(1, mode_max + 1):
         p = -M
@@ -261,7 +253,7 @@ def _check_modes(gamma: VertexSymbol, k: int, m: int, barred: bool,
         for (l, alpha), c in slot.items():
             i = alpha.i if alpha.i else kk          # q-variables q^{i/kk}, i=kk for untwisted
             for N in range(l + 1):
-                a = a_matrix_entry(kk, i, N, l, barred=barred)
+                a = rows[i][N][l]
                 if a.is_zero():
                     continue
                 idx = N * kk + i
@@ -300,14 +292,14 @@ def _check_modes(gamma: VertexSymbol, k: int, m: int, barred: bool,
             if alpha != expect_alpha:
                 return {"mode": p, "slot": str((L, alpha)), "lhs": str(c),
                         "rhs": "0", "side": side}
-            want = -a_matrix_entry(kk, i, N, L, barred=barred)
+            want = -rows[i][N][L]
             if not (c - want).is_zero():
                 return {"mode": p, "slot": str((L, alpha)), "lhs": str(c),
                         "rhs": str(want), "side": side}
         for L in range(N, N + L_pad + 1):
             key = (L, SectorIndex(side, i % kk))
             if key not in slot:
-                want = a_matrix_entry(kk, i, N, L, barred=barred)
+                want = rows[i][N][L]
                 if not want.is_zero():
                     return {"mode": p, "slot": str(key), "lhs": "0",
                             "rhs": str(-want), "side": side}
@@ -385,16 +377,16 @@ def mult_part(f: TruncSeries, miwa: TruncSeries, sign: int, barred: bool,
     """Multiply by exp(sign * sum (y_n/eps) lam^n) expanded to the given
     lambda-span (recorded as a soft lambda-top)."""
     lam_up = VarWindow(0, span, True, False)
-    arg = None
-    for n in range(1, depth + 1):
+
+    def term(n):
         name = flow_var(leg, barred, n)
         w = f._win(name) if name in f.wins else exact_win(0, 0)
         win = VarWindow(w.lo, max(w.hi, 1), w.lo_hard, w.hi_hard)
-        t = TruncSeries.monomial({name: 1, "eps": -1, "lam": n},
-                                 {name: win, "eps": eps_win, "lam": lam_up},
-                                 coeff=sign)
-        arg = t if arg is None else arg + t
-    return miwa * arg.exp()
+        return TruncSeries.monomial({name: 1, "eps": -1, "lam": n},
+                                    {name: win, "eps": eps_win, "lam": lam_up},
+                                    coeff=sign)
+
+    return miwa * sum_series(map(term, range(1, depth + 1))).exp()
 
 
 def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
@@ -514,22 +506,16 @@ def apply_vertex(sym: VertexSymbol, elem: TruncSeries, leg: str,
              for (L, alpha), c in slot.items()]
     total = elem.exp_derivation(parts, {"lam": lam_w})
     # creation exponential: declared q-variable windows with a group cap
-    arg = None
-    group = []
-    for p, slot in sym.creation.items():
-        if abs(p) > lam_span:
-            continue
-        for (L, alpha), c in slot.items():
-            name = fock_var(leg, L, alpha)
-            group.append(name)
-            t = TruncSeries.monomial(
-                {name: 1, "eps": -1, "lam": p},
-                {name: up_win(6),
-                 "eps": eps_win, "lam": lam_w}, coeff=c)
-            arg = t if arg is None else arg + t
-    if arg is None:
+    slots = [(fock_var(leg, L, alpha), p, c)
+             for p, slot in sym.creation.items() if abs(p) <= lam_span
+             for (L, alpha), c in slot.items()]
+    if not slots:
         return total
-    arg = arg.with_cap(group, qdeg_cap)
+    arg = sum_series(TruncSeries.monomial(
+        {name: 1, "eps": -1, "lam": p},
+        {name: up_win(6), "eps": eps_win, "lam": lam_w}, coeff=c)
+        for name, p, c in slots)
+    arg = arg.with_cap([name for name, _, _ in slots], qdeg_cap)
     return total * arg.exp()
 
 

@@ -19,7 +19,7 @@ from .cohomology import Cohomology, SectorIndex
 from .errors import BadIndex, NonUnit, NotCoprime
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import TruncSeries, VarWindow
+from .series import TruncSeries, VarWindow, sum_series
 
 from math import gcd, prod
 
@@ -518,7 +518,7 @@ def expand_prefactors(j: JSeries, tau_order: int) -> dict:
     into an exact polynomial variable.  Used by the small-z sanity check; the
     verification engine itself never expands prefactors.
     """
-    out: dict = {}
+    terms: dict = {}
     tau_win = VarWindow(0, tau_order, True, False)
     for sector, grades in j.sectors.items():
         nus = PR.nu0() if sector == "0" else PR.nu1()
@@ -527,9 +527,10 @@ def expand_prefactors(j: JSeries, tau_order: int) -> dict:
         pref = pref_arg.exp()
         for qdeg, bucket in grades.items():
             for idx, zser in bucket.items():
-                term = (zser * pref).shift_exponent("q", qdeg)
-                out[idx] = out.get(idx, 0) + term
-    return out
+                terms.setdefault(idx, []).append(
+                    (zser * pref).shift_exponent("q", qdeg))
+    return {idx: sum_series(t, TruncSeries.scalar(0))
+            for idx, t in terms.items()}
 
 
 def j_small_z_expansion(k: int, m: int) -> bool:

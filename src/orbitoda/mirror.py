@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
+from operator import mul
 
 from .algebra import (bernoulli_number, bernoulli_poly, binom_frac,
                       poly_derivative)
@@ -22,7 +23,7 @@ from .errors import SingularFiber
 from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import (TruncSeries, down_win, exact_win, series_reversion,
-                     up_win)
+                     sum_series, up_win)
 
 
 def tname(i: int) -> str:
@@ -64,13 +65,12 @@ def superpotential(k: int, m: int, tvals: dict | None = None,
 
     x = TruncSeries.from_poly("x", {1: 1})
     q = TruncSeries.from_poly("q", {1: 1})
-    rational = x ** k
-    for i in range(1, k + 1):
-        rational = rational + tvar(i) * TruncSeries.from_poly("x", {k - i: 1})
-    for j in range(1, m):
-        rational = rational + tvar(k + j) * (q ** j) * \
-            TruncSeries.from_poly("x", {-j: 1})
-    rational = rational + (q ** m) * TruncSeries.from_poly("x", {-m: 1})
+    rational = sum_series(chain(
+        (tvar(i) * TruncSeries.from_poly("x", {k - i: 1})
+         for i in range(1, k + 1)),
+        (tvar(k + j) * (q ** j) * TruncSeries.from_poly("x", {-j: 1})
+         for j in range(1, m)),
+        ((q ** m) * TruncSeries.from_poly("x", {-m: 1}),)), x ** k)
     return Superpotential(
         k=k, m=m, rational=rational,
         log_x=PR.nu1() - PR.nu0(), log_q=PR.nu0(),
@@ -140,21 +140,22 @@ def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
             not any(rest.values())))
 
     def G(u, powers):
-        acc = subst_x(powers, k) - lam_pow[k] + sp.tN_term
-        for e, mono, bare in terms:
-            if e != k or not bare:  # the leading x^k is handled above
-                acc = acc + mono * subst_x(powers, e)
-        return acc + u.log1p().scale(sp.log_x)
+        # the leading x^k is the start
+        return sum_series(chain(
+            (mono * subst_x(powers, e) for e, mono, bare in terms
+             if e != k or not bare),
+            (u.log1p().scale(sp.log_x),)),
+            subst_x(powers, k) - lam_pow[k] + sp.tN_term)
 
     def Gprime(powers, lamw):
         # d/du of G: from the rational part, e * lam^e (1+u)^{e-1}, plus
         # log-term c/(1+u)
-        acc = TruncSeries.scalar(0, {"lam": lamw, "q": qwin})
-        for e, mono, _ in terms:
-            if e:
-                acc = acc + mono.scale(e) * powers[e - 1] * \
-                    TruncSeries.from_poly("lam", {e: 1})
-        return acc + powers[-1].scale(sp.log_x)
+        return sum_series(chain(
+            (mono.scale(e) * powers[e - 1] *
+             TruncSeries.from_poly("lam", {e: 1})
+             for e, mono, _ in terms if e),
+            (powers[-1].scale(sp.log_x),)),
+            TruncSeries.scalar(0, {"lam": lamw, "q": qwin}))
 
     # An iterate exact to lam^-p before a step is exact to lam^-(2p+1)
     # after it, so step i re-declares the iterate on lam^[-p_i, 0], zero
@@ -219,17 +220,14 @@ def flat_coords_binomial(k: int, m: int, degree: int | None = None) -> dict:
             continue
         # f_{i/k}: coefficient of x^{-i} in (1/(i/k)) sum_{n=2}^{i}
         # binom(i/k, n) (t_1/x + ... + t_{i-1}/x^{i-1})^n
-        inner = TruncSeries.scalar(0, {"x": exact_win(-(i - 1), -1)})
-        for a in range(1, i):
-            inner = inner + TruncSeries.from_poly(tname(a), {1: 1}) * \
-                TruncSeries.from_poly("x", {-a: 1})
-        acc = TruncSeries.scalar(0)
-        inner_pow = inner
-        for n in range(2, i + 1):
-            inner_pow = inner_pow * inner
-            c = binom_frac(Fraction(i, k), n)
-            if c:
-                acc = acc + inner_pow.scale(c)
+        inner = sum_series(
+            (TruncSeries.from_poly(tname(a), {1: 1}) *
+             TruncSeries.from_poly("x", {-a: 1}) for a in range(1, i)),
+            TruncSeries.scalar(0, {"x": exact_win(-(i - 1), -1)}))
+        inner_pows = enumerate(accumulate(repeat(inner, i), mul), 1)
+        acc = sum_series((inner_pow.scale(c) for n, inner_pow in inner_pows
+                          if n >= 2 and (c := binom_frac(Fraction(i, k), n))),
+                         TruncSeries.scalar(0))
         f_ik = acc.coeff_of("x", -i).scale(Fraction(k, i))
         out[("k", i)] = ti + f_ik
     if degree is not None:
@@ -404,15 +402,15 @@ class FlatChart:
         CN = _mat_mul_scalar(Cinv, Nmat)
         term = [[TruncSeries.scalar(Cinv[r][c]) for c in range(n)]
                 for r in range(n)]
-        total = [row[:] for row in term]
+        terms = [term]
         for _ in range(self.degree + 1):
             term = _mat_mul_series(CN, term)
             term = [[(-1) * e for e in row] for row in term]
             if all(e.is_zero() for row in term for e in row):
                 break
-            total = [[t + e for t, e in zip(rt, re)]
-                     for rt, re in zip(total, term)]
-        return total
+            terms.append(term)
+        return [[sum_series(t[r][c] for t in terms) for c in range(n)]
+                for r in range(n)]
 
     def dt_dtau_at(self, tvals: dict) -> list[list[ParamRat]]:
         """Exact J(t0)^{-1} at a rational parameter point."""
@@ -429,21 +427,14 @@ def _const_part(ser: TruncSeries) -> ParamRat:
 
 def _mat_mul_scalar(A: list[list[ParamRat]], B: list[list[TruncSeries]]):
     n = len(A)
-    return [[_sum_series([B[r][c].scale(A[i][r]) for r in range(n)])
+    return [[sum_series(B[r][c].scale(A[i][r]) for r in range(n))
              for c in range(n)] for i in range(n)]
 
 
 def _mat_mul_series(A: list[list[TruncSeries]], B: list[list[TruncSeries]]):
     n = len(A)
-    return [[_sum_series([A[i][r] * B[r][c] for r in range(n)])
+    return [[sum_series(A[i][r] * B[r][c] for r in range(n))
              for c in range(n)] for i in range(n)]
-
-
-def _sum_series(items):
-    out = items[0]
-    for s in items[1:]:
-        out = out + s
-    return out
 
 
 def df_dt(sp: Superpotential, k: int, m: int, b_index: int) -> TruncSeries:
@@ -456,15 +447,12 @@ def df_dt(sp: Superpotential, k: int, m: int, b_index: int) -> TruncSeries:
         j = b_index - k
         return (q ** j) * TruncSeries.from_poly("x", {-j: 1})
     # t_N: q-dependence q = Q e^{t_N} plus the log-term nu0
-    acc = TruncSeries.scalar(PR.nu0())
-    for key, c in sp.rational.terms.items():
-        exps = dict(zip(sp.rational.vars, key))
-        jq = exps.get("q", 0)
-        if jq:
-            mono = TruncSeries.monomial(
-                exps, {n: sp.rational.wins[n] for n in exps}, coeff=c * jq)
-            acc = acc + mono
-    return acc
+    wins = sp.rational.wins
+    qi = sp.rational.vars.index("q")
+    return sum_series((TruncSeries.monomial(dict(zip(sp.rational.vars, key)),
+                                            wins, coeff=c * key[qi])
+                       for key, c in sp.rational.terms.items() if key[qi]),
+                      TruncSeries.scalar(PR.nu0()))
 
 
 def _pairing_vectors(k: int, m: int, tvals: dict | None, degree: int):
@@ -482,16 +470,10 @@ def _pairing_vectors(k: int, m: int, tvals: dict | None, degree: int):
         raise SingularFiber("df/dx vanishes identically")
     den = TruncSeries.from_poly("x", {2: 1}) * fprime
     minv = chart.dt_dtau_jet() if tvals is None else chart.dt_dtau_at(tvals)
-    v_alpha = []
-    for a_pos in range(n):
-        acc = None
-        for b in range(n):
-            w = minv[b][a_pos]
-            if w.is_zero():
-                continue
-            term = dfdt[b] * w if tvals is None else dfdt[b].scale(w)
-            acc = term if acc is None else acc + term
-        v_alpha.append(acc)
+    v_alpha = [sum_series(dfdt[b] * w if tvals is None else dfdt[b].scale(w)
+                          for b in range(n)
+                          if not (w := minv[b][a_pos]).is_zero())
+               for a_pos in range(n)]
     return chart, v_alpha, den
 
 
@@ -599,6 +581,23 @@ def tangent_reduce(k: int, m: int, rel: TruncSeries,
     return out
 
 
+def phi_poly(k: int, m: int, alpha: SectorIndex) -> TruncSeries:
+    """The Laurent polynomial of the sector ``alpha``: x^i and (q/x)^i for
+    i > 0; the untwisted ones k x^k / (nu0 - nu1) and
+    m (q/x)^m / (nu1 - nu0)."""
+    if alpha.side == "k":
+        if alpha.i == 0:
+            return TruncSeries.from_poly("x", {k: 1}).scale(
+                PR.rational(k) * PR.diff().inverse())
+        return TruncSeries.from_poly("x", {alpha.i: 1})
+    if alpha.i == 0:
+        return (TruncSeries.from_poly("q", {m: 1}) *
+                TruncSeries.from_poly("x", {-m: 1})).scale(
+                    PR.rational(m) * (-PR.diff()).inverse())
+    return TruncSeries.from_poly("q", {alpha.i: 1}) * \
+        TruncSeries.from_poly("x", {-alpha.i: 1})
+
+
 def verify_tangent_product(k: int, m: int) -> CheckReport:
     """Tangent-algebra products at the small slice match the quantum ring."""
     with CheckReport(name="tangent-product", params={"k": k, "m": m}) as rep:
@@ -611,45 +610,36 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
         x = TruncSeries.from_poly("x", {1: 1})
         q = TruncSeries.from_poly("q", {1: 1})
 
-        def phi(a: SectorIndex) -> TruncSeries:
-            if a.side == "k":
-                if a.i == 0:
-                    return (x ** k).scale(PR.rational(k) * PR.diff().inverse())
-                return x ** a.i
-            if a.i == 0:
-                return (q ** m) * TruncSeries.from_poly("x", {-m: 1}) \
-                    .scale(PR.rational(m) * (-PR.diff()).inverse())
-            return (q ** a.i) * TruncSeries.from_poly("x", {-a.i: 1})
+        def ring_base(key) -> TruncSeries:
+            if key == ("one", 0):
+                return TruncSeries.scalar(1)
+            if key[0] == "x":
+                return x ** key[1]
+            return (q ** key[1]) * TruncSeries.from_poly("x", {-key[1]: 1})
 
         def ring_to_poly(elem: dict) -> TruncSeries:
-            acc = TruncSeries.scalar(0)
-            for key, c in elem.items():
-                if key == ("one", 0):
-                    base = TruncSeries.scalar(1)
-                elif key[0] == "x":
-                    base = x ** key[1]
-                else:
-                    base = (q ** key[1]) * TruncSeries.from_poly(
-                        "x", {-key[1]: 1})
-                acc = acc + base * c
-            return normal_form(acc)
+            return normal_form(sum_series(
+                (ring_base(key) * c for key, c in elem.items()),
+                TruncSeries.scalar(0)))
 
         coh = Cohomology(k, m)
         sectors = coh.sectors()
         ring_elems = {a: ring.from_sector(a) for a in sectors}
         for a in sectors:
             for b in sectors:
-                lhs = normal_form(phi(a) * phi(b))
+                lhs = normal_form(phi_poly(k, m, a) * phi_poly(k, m, b))
                 rhs = ring_to_poly(ring.mul(ring_elems[a], ring_elems[b]))
                 if not (lhs - rhs).is_zero():
                     rep.fail({"a": a.label(k, m), "b": b.label(k, m)},
                              str(lhs), str(rhs))
                     return rep
         # unit acts trivially
-        unit = phi(SectorIndex("k", 0)) + phi(SectorIndex("m", 0))
+        unit = phi_poly(k, m, SectorIndex("k", 0)) + \
+            phi_poly(k, m, SectorIndex("m", 0))
         for a in sectors:
-            lhs = normal_form(unit * phi(a))
-            rhs = normal_form(phi(a))
+            phi = phi_poly(k, m, a)
+            lhs = normal_form(unit * phi)
+            rhs = normal_form(phi)
             if not (lhs - rhs).is_zero():
                 rep.fail({"a": a.label(k, m), "b": "unit"}, str(lhs), str(rhs))
                 break
@@ -719,14 +709,17 @@ def classical_R(k: int, j: int, n_max: int, barred: bool = False,
     """
     foot = k
     nu = PR.nubar(m) if barred else PR.nu(k)
-    arg = TruncSeries.scalar(0, {"z": up_win(n_max - 1)})
+    zwin = up_win(n_max - 1)
     s = Fraction(j, foot)
-    for n in range(2, n_max + 1):
-        an = stationary_phase_A(n)
-        val = sum((c * s ** e for e, c in an.items()), Fraction(0))
+
+    def term(n):
+        val = sum((c * s ** e for e, c in stationary_phase_A(n).items()),
+                  Fraction(0))
         coeff = PR.rational(val) * ((-1 * nu).inverse() ** (n - 1))
-        arg = arg + TruncSeries.var("z", up_win(n_max - 1), power=n - 1,
-                                    coeff=coeff)
+        return TruncSeries.var("z", zwin, power=n - 1, coeff=coeff)
+
+    arg = sum_series(map(term, range(2, n_max + 1)),
+                     TruncSeries.scalar(0, {"z": zwin}))
     return (s - Fraction(1, 2), arg.exp())
 
 
@@ -779,63 +772,57 @@ def gaussian_moment_oracle(n_max: int) -> CheckReport:
         sw_deg = U + 1
         # u - log(1+u) = sum_{r>=2} (-1)^r u^r / r; the r = 2 term is the
         # Gaussian kernel, the rest exponentiates against 1/w
-        arg = TruncSeries.scalar(0, {"u": uw, "v": vw})
-        for r in range(3, U + 1):
-            arg = arg + TruncSeries.monomial(
-                {"u": r, "v": 1}, {"u": uw, "v": vw},
-                coeff=Fraction((-1) ** r, r))
+        arg = sum_series((TruncSeries.monomial(
+            {"u": r, "v": 1}, {"u": uw, "v": vw}, coeff=Fraction((-1) ** r, r))
+            for r in range(3, U + 1)),
+            TruncSeries.scalar(0, {"u": uw, "v": vw}))
         F = arg.exp()
         # times (1+u)^{s-1} with symbolic s: sum_c binom(s-1, c) u^c
         swin = up_win(sw_deg)
-        splus = TruncSeries.scalar(0, {"s": swin, "u": uw})
-        binom_c = TruncSeries.scalar(1, {"s": swin})
         spoly = TruncSeries.var("s", swin) - 1
-        fact = Fraction(1)
-        for c in range(0, U + 1):
-            if c:
-                binom_c = binom_c * (spoly - (c - 1))
-                fact *= c
-            splus = splus + binom_c.scale(Fraction(1, fact)) * \
-                TruncSeries.monomial({"u": c}, {"u": uw})
-        F = F * splus
+
+        def binomial_terms():
+            binom_c = TruncSeries.scalar(1, {"s": swin})
+            fact = Fraction(1)
+            for c in range(0, U + 1):
+                if c:
+                    binom_c = binom_c * (spoly - (c - 1))
+                    fact *= c
+                yield binom_c.scale(Fraction(1, fact)) * \
+                    TruncSeries.monomial({"u": c}, {"u": uw})
+
+        F = F * sum_series(binomial_terms(),
+                           TruncSeries.scalar(0, {"s": swin, "u": uw}))
         # moment integration: u^a v^b -> (a-1)!! (-1)^{a/2} w^{a/2-b}
         wwin = up_win(n_max - 1)
-        total = TruncSeries.scalar(0, {"w": wwin, "s": swin})
-        for key, c in F.terms.items():
-            exps = dict(zip(F.vars, key))
-            a = exps.get("u", 0)
-            b = exps.get("v", 0)
-            if a % 2:
-                continue
-            wexp = a // 2 - b
-            if wexp < 0 or wexp > n_max - 1:
-                continue
-            mom = Fraction(1)
-            for t in range(1, a, 2):
-                mom *= t
-            mom *= (-1) ** (a // 2)
-            total = total + TruncSeries.monomial(
-                {"w": wexp, "s": exps.get("s", 0)},
-                {"w": wwin, "s": swin}, coeff=c * mom)
-        logR = total.log()
-        want = TruncSeries.scalar(0, {"w": wwin, "s": swin})
-        for n in range(2, n_max + 1):
-            an = stationary_phase_A(n)
-            for e, c in an.items():
-                want = want + TruncSeries.monomial(
-                    {"w": n - 1, "s": e}, {"w": wwin, "s": swin},
-                    coeff=c * (-1) ** (n - 1))
+
+        def moments():
+            for key, c in F.terms.items():
+                exps = dict(zip(F.vars, key))
+                a = exps.get("u", 0)
+                b = exps.get("v", 0)
+                if a % 2:
+                    continue
+                wexp = a // 2 - b
+                if wexp < 0 or wexp > n_max - 1:
+                    continue
+                mom = Fraction(1)
+                for t in range(1, a, 2):
+                    mom *= t
+                mom *= (-1) ** (a // 2)
+                yield TruncSeries.monomial(
+                    {"w": wexp, "s": exps.get("s", 0)},
+                    {"w": wwin, "s": swin}, coeff=c * mom)
+
+        logR = sum_series(moments(),
+                          TruncSeries.scalar(0, {"w": wwin, "s": swin})).log()
+        want = sum_series((TruncSeries.monomial(
+            {"w": n - 1, "s": e}, {"w": wwin, "s": swin},
+            coeff=c * (-1) ** (n - 1))
+            for n in range(2, n_max + 1)
+            for e, c in stationary_phase_A(n).items()),
+            TruncSeries.scalar(0, {"w": wwin, "s": swin}))
         d = logR.eq_report(want)
         if d is not None:
             rep.fail({"at": str(d[0])}, "moment expansion", "A_n closed form")
     return rep
-
-
-def residue_pairing(k: int, m: int, alpha: SectorIndex, beta: SectorIndex,
-                    tvals: dict | None = None) -> TruncSeries:
-    """(d/dtau^alpha, d/dtau^beta) as a residue; a jet in t to degree 2
-    when tvals is None, an exact scalar series otherwise."""
-    chart, v_alpha, den = _pairing_vectors(k, m, tvals, 2)
-    pos = {a: i for i, a in enumerate(chart.alphas)}
-    return residue_both_ends(v_alpha[pos[(alpha.side, alpha.i)]] *
-                             v_alpha[pos[(beta.side, beta.i)]], den)

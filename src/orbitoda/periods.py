@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .cohomology import Cohomology, SectorIndex
 from .errors import SingularFiber
-from .mirror import superpotential, solve_chart_change
+from .mirror import phi_poly, superpotential, solve_chart_change
 from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, power_sum,
-                     series_reversion, up_win)
+                     series_reversion, sum_series, up_win)
 
 
 @dataclass
@@ -57,11 +58,10 @@ def d_classical(k: int) -> DOp:
 
 def d_apply(D: DOp, g: TruncSeries) -> TruncSeries:
     zf = TruncSeries.from_poly("z", {1: Fraction(-1, D.k)})
-    out = g.derivative("lam").shift_exponent("lam", 1 - D.k) * zf
-    out = out + g.shift_exponent("lam", -D.k).scale(D.nu)
-    for i, c in D.tail.items():
-        out = out + g.shift_exponent("lam", -D.k - i) * c
-    return out
+    return sum_series(chain(
+        (g.derivative("lam").shift_exponent("lam", 1 - D.k) * zf,
+         g.shift_exponent("lam", -D.k).scale(D.nu)),
+        (g.shift_exponent("lam", -D.k - i) * c for i, c in D.tail.items())))
 
 
 def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
@@ -71,28 +71,22 @@ def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
         g = g + TruncSeries.scalar(0, {"lam": down_win(-1, hi=0)})
     lam_w = g.wins["lam"]
     li = g.vars.index("lam")
-    groups: dict[int, TruncSeries] = {}
+    rest_vars = g.vars[:li] + g.vars[li + 1:]
+    rest_wins = {v: w for v, w in g.wins.items() if v != "lam"}
+    groups: dict[int, list] = {}
     for key, c in g.terms.items():
-        a = key[li]
-        rest = key[:li] + key[li + 1:]
-        cur = groups.get(a)
-        piece = TruncSeries(g.vars[:li] + g.vars[li + 1:],
-                            {v: w for v, w in g.wins.items() if v != "lam"},
-                            {rest: c}, g.caps)
-        groups[a] = piece if cur is None else cur + piece
-    total = None
+        groups.setdefault(key[li], []).append(TruncSeries(
+            rest_vars, rest_wins, {key[:li] + key[li + 1:]: c}, g.caps))
     # the inverse has an infinite descending tail, and a soft seed window
     # pollutes the image k orders higher
     lam_out = VarWindow(lam_w.lo if lam_w.lo_hard else lam_w.lo + D.k,
                         lam_w.hi + D.k, False, lam_w.hi_hard)
+    if not groups:
+        return TruncSeries.scalar(0, {"lam": lam_out, "z": zwin})
     inv_lin: dict[int, TruncSeries] = {}
-    for a, coeff in sorted(groups.items()):
-        inv = _d_inverse_monomial(D, a, lam_out, zwin, inv_lin)
-        piece = inv * coeff
-        total = piece if total is None else total + piece
-    if total is None:
-        total = TruncSeries.scalar(0, {"lam": lam_out, "z": zwin})
-    return total
+    return sum_series(_d_inverse_monomial(D, a, lam_out, zwin, inv_lin) *
+                      sum_series(pieces)
+                      for a, pieces in sorted(groups.items()))
 
 
 def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
@@ -102,22 +96,21 @@ def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
     ``inv_lin`` maps an exponent e to 1/(nu - (e/k) z) on ``zwin``; the
     missing ones are built here and added to it."""
     fj: dict[int, TruncSeries] = {}
-    out = TruncSeries.scalar(0, {"lam": lam_out, "z": zwin})
-    j = 0
-    while a + D.k - j >= lam_out.lo:
-        e = a + D.k - j
-        rhs = TruncSeries.scalar(1 if j == 0 else 0, {"z": zwin})
-        for i, c in D.tail.items():
-            prev = fj.get(j - i)
-            if prev is not None:
-                rhs = rhs - prev * c
-        inv = inv_lin.get(e)
-        if inv is None:
-            inv = inv_lin[e] = _inv_linear(D.nu, Fraction(e, D.k), zwin)
-        fj[j] = rhs * inv
-        out = out + fj[j] * TruncSeries.from_poly("lam", {e: 1})
-        j += 1
-    return out
+
+    def modes():
+        for j in range(a + D.k - lam_out.lo + 1):
+            e = a + D.k - j
+            rhs = sum_series(
+                (-(fj[j - i] * c) for i, c in D.tail.items() if j - i in fj),
+                TruncSeries.scalar(1 if j == 0 else 0, {"z": zwin}))
+            inv = inv_lin.get(e)
+            if inv is None:
+                inv = inv_lin[e] = _inv_linear(D.nu, Fraction(e, D.k), zwin)
+            fj[j] = rhs * inv
+            yield fj[j] * TruncSeries.from_poly("lam", {e: 1})
+
+    return sum_series(modes(),
+                      TruncSeries.scalar(0, {"lam": lam_out, "z": zwin}))
 
 
 def _inv_linear(nu: ParamRat, beta: Fraction, zwin: VarWindow) -> TruncSeries:
@@ -213,7 +206,7 @@ def verify_fixed_point(k: int, m: int, alpha: SectorIndex) -> CheckReport:
         z0 = f.coeff_of("z", 0)
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
         fprime = sp.df_dx().rename({"x": "lam"})
-        phi = _phi_poly(k, m, alpha).rename({"x": "lam"})
+        phi = phi_poly(k, m, alpha).rename({"x": "lam"})
         den = TruncSeries.from_poly("lam", {1: 1}) * fprime
         want = phi * den.recip_within({"lam": down_win(lam_lo, hi=k),
                                        "q": up_win(abs(lam_lo) + 4)})
@@ -223,23 +216,9 @@ def verify_fixed_point(k: int, m: int, alpha: SectorIndex) -> CheckReport:
     return rep
 
 
-def _phi_poly(k: int, m: int, alpha: SectorIndex) -> TruncSeries:
-    if alpha.side == "k":
-        if alpha.i == 0:
-            return TruncSeries.from_poly("x", {k: 1}).scale(
-                PR.rational(k) * PR.diff().inverse())
-        return TruncSeries.from_poly("x", {alpha.i: 1})
-    if alpha.i == 0:
-        return (TruncSeries.from_poly("q", {m: 1}) *
-                TruncSeries.from_poly("x", {-m: 1})).scale(
-                    PR.rational(m) * (-PR.diff()).inverse())
-    return TruncSeries.from_poly("q", {alpha.i: 1}) * \
-        TruncSeries.from_poly("x", {-alpha.i: 1})
-
-
 def _phi_mode_seed(k: int, m: int, alpha: SectorIndex) -> TruncSeries:
     """k^{-1} phi_alpha(lam) lam^{-k}: the seed of the x-side mode sum."""
-    phi = _phi_poly(k, m, alpha).rename({"x": "lam"})
+    phi = phi_poly(k, m, alpha).rename({"x": "lam"})
     return phi.shift_exponent("lam", -k).scale(Fraction(1, k))
 
 
@@ -258,18 +237,14 @@ def phi_primitive_difference(D: DOp, x_of_lam: TruncSeries) -> TruncSeries:
     """
     k = D.k
     x = x_of_lam
-    diff = TruncSeries.from_poly("lam", {k: 1}) - _pow_of(x, k)
-    for i, c in D.tail.items():
-        # primitive of -k tail_i lam^{-i-1} is (k/i) tail_i lam^{-i}
-        diff = diff + c.scale(Fraction(k, i)) * \
-            (TruncSeries.from_poly("lam", {-i: 1}) - _pow_of(x, -i))
     u = x * TruncSeries.from_poly("lam", {-1: 1}) - 1
-    diff = diff + u.log1p().scale(D.nu * k)
-    return diff
-
-
-def _pow_of(x: TruncSeries, e: int) -> TruncSeries:
-    return x ** e if e >= 0 else x.recip() ** (-e)
+    # primitive of -k tail_i lam^{-i-1} is (k/i) tail_i lam^{-i}
+    return sum_series(chain(
+        (c.scale(Fraction(k, i)) *
+         (TruncSeries.from_poly("lam", {-i: 1}) - x ** -i)
+         for i, c in D.tail.items()),
+        (u.log1p().scale(D.nu * k),)),
+        TruncSeries.from_poly("lam", {k: 1}) - x ** k)
 
 
 def verify_transformation_law(k: int, m: int) -> list[CheckReport]:
@@ -334,13 +309,13 @@ def mode_chain(k: int, m: int, alpha: SectorIndex, n_max: int,
     sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
     if chart == "x":
         fprime = sp.df_dx()
-        phi = _phi_poly(k, m, alpha)
+        phi = phi_poly(k, m, alpha)
         var = "x"
     else:
         # y-chart: feet exchanged
         spy = superpotential(m, k, {i: 0 for i in range(1, k + m)})
         fprime = spy.df_dx().map_coeffs(PR.swap_nu)
-        phi = _phi_poly(m, k, _flip(alpha)).map_coeffs(PR.swap_nu)
+        phi = phi_poly(m, k, _flip(alpha)).map_coeffs(PR.swap_nu)
         var = "x"
     if fprime.is_zero():
         raise SingularFiber("df vanishes identically")
@@ -391,12 +366,10 @@ def pairing_quadratic_form(k: int, m: int) -> TruncSeries:
     """sum eta^{ab} phi_a phi_b = k nu^{-1} x^{2k} + m nubar^{-1} (q/x)^{2m}
     + k(k-1) x^k + m(m-1)(q/x)^m, assembled from the dual pairing."""
     coh = Cohomology(k, m)
-    total = TruncSeries.scalar(0)
-    for a in coh.sectors():
-        dual = coh.dual(a)
-        for b, gb in dual.coords.items():
-            total = total + (_phi_poly(k, m, a) * _phi_poly(k, m, b)).scale(gb)
-    return total
+    return sum_series(((phi_poly(k, m, a) * phi_poly(k, m, b)).scale(gb)
+                       for a in coh.sectors()
+                       for b, gb in coh.dual(a).coords.items()),
+                      TruncSeries.scalar(0))
 
 
 def phase_primitive_check(k: int, m: int) -> CheckReport:
@@ -472,7 +445,7 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
         x_of_lam = solve_chart_change(sp, depth)
         lam = series_reversion(x_of_lam, "lam", out_var="x")
         x2f = TruncSeries.from_poly("x", {2: 1}) * sp.df_dx()
-        arg = lam * (_pow_of(lam, k).scale(PR.rational(k)) - PR.diff()) * \
+        arg = lam * ((lam ** k).scale(PR.rational(k)) - PR.diff()) * \
             x2f.recip_within({"x": down_win(lam.wins["x"].lo, hi=0),
                               "q": up_win(depth)})
         top = arg.coeff_of("x", 0).coeff_of("q", 0)
@@ -508,20 +481,20 @@ def verify_w_derivative(k: int, m: int) -> CheckReport:
         lam_prime = lam.derivative("x")
         lam_inv = lam.recip_within({"x": down_win(xwin["x"].lo - 2, hi=0),
                                     "q": xwin["q"]})
-        lam_k = _pow_of(lam, k)
+        lam_k = lam ** k
         denom_k = lam_k.scale(PR.rational(k)) - diffc
         x2f = TruncSeries.from_poly("x", {2: 1}) * fprime
         lhs = (qx ** m).scale(PR.rational(-2 * m) * diffc.inverse()) * \
             TruncSeries.from_poly("x", {-1: 1}) + \
             lam_prime * lam_inv + \
-            (_pow_of(lam, k - 1) * lam_prime).scale(k * k) * \
+            (lam ** (k - 1) * lam_prime).scale(k * k) * \
             denom_k.recip_within(xwin) - \
             x2f.derivative("x") * x2f.recip_within(xwin)
         # rhs: -(quad_x)/(x^2 f') + ((k-1)lam^k + nu^{-1}lam^{2k})
         #       / (lam(lam^k - nu)) * lam'
         quad = pairing_quadratic_form(k, m)
         rhs = -quad * x2f.recip_within(xwin) + \
-            (lam_k.scale(k - 1) + _pow_of(lam, 2 * k).scale(nu.inverse())) * \
+            (lam_k.scale(k - 1) + (lam ** (2 * k)).scale(nu.inverse())) * \
             (lam * (lam_k - nu)).recip_within(xwin) * lam_prime
         diff = lhs - rhs
         got = diff.wins["x"]

@@ -619,12 +619,9 @@ class TruncSeries:
         declared, and each power D^j self is truncated to ``wins``.
         """
         def apply_d(power):
-            acc = None
-            for v, m in parts:
-                d = power.derivative(v)
-                if d:
-                    acc = d * m if acc is None else acc + d * m
-            return TruncSeries.zero() if acc is None else acc.truncated(wins)
+            acc = sum_series(d * m for v, m in parts
+                             if (d := power.derivative(v)))
+            return acc.truncated(wins) if acc else acc
 
         return power_sum(self + TruncSeries.scalar(0, wins), apply_d,
                          lambda j: Fraction(1, _factorial(j)),
@@ -888,6 +885,25 @@ def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
     return TruncSeries(vars, wins, terms, caps)._pruned()
 
 
+def sum_series(summands, start: TruncSeries | None = None) -> TruncSeries:
+    """start + each series of ``summands`` in turn, equal term for term to
+    ``functools.reduce(add, summands, start)``; ``start`` defaults to the
+    first summand, and an empty sum is ``TruncSeries.zero()``.
+
+    Library code adds series in a loop only through here: the summands
+    (often a generator, building one summand at a time) go into one term
+    dict and are pruned once (``_fold``)."""
+    it = iter(summands)
+    if start is None:
+        start = next(it, None)
+        if start is None:
+            return TruncSeries.zero()
+    second = next(it, None)
+    if second is None:
+        return start
+    return _fold(start, chain((second,), it), "addition")
+
+
 def _key_bounds(vars: tuple[str, ...], wins: Mapping[str, VarWindow],
                 caps: Mapping[frozenset, int]):
     """(lows, highs, capspec) of a window: per-position exponent bounds and,
@@ -1065,22 +1081,24 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
         if epsvar not in c.wins:
             raise WindowUnderflow("taylor_shift needs an eps window")
         eps_win = c.wins[epsvar]
-    out = c
-    d = c
-    j = 0
     hit_window = False
-    while True:
-        j += 1
-        d = d.derivative(xvar)
-        if d.is_zero():
-            break
-        supp_lo, _ = d.support_bounds(epsvar)
-        base = supp_lo if supp_lo != NEG_INF else d._win(epsvar).lo
-        if base + j > eps_win.hi:
-            hit_window = True
-            break
-        out = out + d.shift_exponent(epsvar, j).scale(
-            Fraction(step ** j, _factorial(j)))
+
+    def terms():
+        nonlocal hit_window
+        d = c
+        for j in count(1):
+            d = d.derivative(xvar)
+            if d.is_zero():
+                return
+            supp_lo, _ = d.support_bounds(epsvar)
+            base = supp_lo if supp_lo != NEG_INF else d._win(epsvar).lo
+            if base + j > eps_win.hi:
+                hit_window = True
+                return
+            yield d.shift_exponent(epsvar, j).scale(
+                Fraction(step ** j, _factorial(j)))
+
+    out = sum_series(terms(), c)
     if hit_window:
         w = out._win(epsvar)
         out = out.truncated(

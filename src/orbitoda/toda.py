@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add
 
 from .errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, exact_win,
-                     power_sum, taylor_shift, up_win)
+                     power_sum, sum_series, taylor_shift, up_win)
 
 
 def yname(n: int) -> str:
@@ -104,16 +106,15 @@ class ShiftOp:
             klo = max(klo, other.lo + self.top())
         lo_hard = klo == float("-inf")
         lo = int(sa + sb) if lo_hard else int(max(sa + sb, klo))
-        bands: dict = {}
+        terms: dict = {}
         for i, a in self.bands.items():
             for j, b in other.bands.items():
-                n = i + j
-                if n < lo:
-                    continue
-                term = a * taylor_shift(b, "x", "eps", i, eps_win) if i else a * b
-                cur = bands.get(n)
-                bands[n] = term if cur is None else cur + term
-        return ShiftOp(bands, lo, lo_hard).cleaned()
+                if i + j >= lo:
+                    terms.setdefault(i + j, []).append(
+                        a * taylor_shift(b, "x", "eps", i, eps_win) if i
+                        else a * b)
+        return ShiftOp({n: sum_series(t) for n, t in terms.items()},
+                       lo, lo_hard).cleaned()
 
     def commutator(self, other: "ShiftOp", eps_win: VarWindow) -> "ShiftOp":
         """[self, other] with scalar eps d_x parts handled by the rule
@@ -429,13 +430,13 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
         eps_win = up_win(eps_ord)
         L = _generic_l(eps_win)
         lbar = _generic_lbar(eps_win)
-        powers = {n: L.pow(n, eps_win) for n in range(1, k_flows + 1)}
+        powers = {n: L.pow(n, eps_win) for n in range(k_flows + 1)}
         delta = {n: powers[n].split_plus().commutator(L, eps_win)
                  for n in range(1, k_flows + 1)}
         for n in range(1, k_flows + 1):
             for l in range(1, k_flows + 1):
-                lhs = _dpow_plus(L, delta[l], n, eps_win) \
-                    - _dpow_plus(L, delta[n], l, eps_win) \
+                lhs = _dpow_plus(powers, delta[l], n, eps_win) \
+                    - _dpow_plus(powers, delta[n], l, eps_win) \
                     + powers[n].split_plus().commutator(
                         powers[l].split_plus(), eps_win)
                 if not lhs.is_zero():
@@ -447,7 +448,6 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
         dy_l = powers[1].split_plus().commutator(L, eps_win)
         dy_lbar = powers[1].split_plus().commutator(lbar, eps_win)
         dyb_l = lbar.split_minus().commutator(L, eps_win).scale(-1)
-        dyb_lbar = lbar.split_minus().commutator(lbar, eps_win).scale(-1)
         # eps^2 d_y d_yb L = [ (eps d_y Lbar)_-, L ]*(-1) + [Lbar_-, eps d_y L]*(-1)
         lhs = dy_lbar.split_minus().commutator(L, eps_win).scale(-1) + \
             lbar.split_minus().commutator(dy_l, eps_win).scale(-1)
@@ -458,14 +458,13 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
     return rep
 
 
-def _dpow_plus(L: ShiftOp, dL: ShiftOp, n: int, eps_win: VarWindow) -> ShiftOp:
-    """(d (L^n))_+ with dL substituted for the derivative of L."""
-    total = None
-    for r in range(n):
-        piece = L.pow(r, eps_win).mul(dL, eps_win).mul(
-            L.pow(n - 1 - r, eps_win), eps_win)
-        total = piece if total is None else total + piece
-    return total.split_plus()
+def _dpow_plus(powers: dict, dL: ShiftOp, n: int,
+               eps_win: VarWindow) -> ShiftOp:
+    """(d (L^n))_+ with dL substituted for the derivative of L, from
+    ``powers = {r: L^r}`` (r from 0)."""
+    return reduce(add, (powers[r].mul(dL, eps_win).mul(powers[n - 1 - r],
+                                                        eps_win)
+                        for r in range(n))).split_plus()
 
 
 def _generic_l(eps_win: VarWindow) -> ShiftOp:
@@ -559,15 +558,12 @@ def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
     diffc = PR.diff()
     w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
     for j in range(1, w_depth + 1):
-        r = TruncSeries.scalar(0, {"eps": eps_win})
-        for b, c in curly.bands.items():
-            if b == t:
-                continue
-            idx = j + sign * (b - t)
-            if idx < 0 or idx not in w:
-                continue
-            r = r + c * taylor_shift(w[idx], "x", "eps", b, eps_win)
-        if j - sign * t >= 0 and j - sign * t in w:
+        r = sum_series((c * taylor_shift(w[j + sign * (b - t)], "x", "eps", b,
+                                         eps_win)
+                        for b, c in curly.bands.items()
+                        if b != t and j + sign * (b - t) in w),
+                       TruncSeries.scalar(0, {"eps": eps_win}))
+        if j - sign * t in w:
             r = r - w[j - sign * t].derivative("x") \
                 .shift_exponent("eps", 1).scale(diffc)
         rhs = r.scale(-1) if factor is None else r.scale(-1) * factor
@@ -769,14 +765,10 @@ def two_toda_vacuum_tau(depth: int, ycap: int,
     """
     yw = up_win(2 * ycap)
     wins = {"Q": exact_win(-24, 24), "eps": exact_win(-24, 24)}
-    arg = None
-    for n in range(1, depth + 1):
-        wn = dict(wins)
-        wn[yname(n)] = yw
-        wn[ybname(n)] = yw
-        t = TruncSeries.monomial({yname(n): 1, ybname(n): 1, "Q": n, "eps": -2},
-                                 wn, coeff=n)
-        arg = t if arg is None else arg + t
+    arg = sum_series(TruncSeries.monomial(
+        {yname(n): 1, ybname(n): 1, "Q": n, "eps": -2},
+        {**wins, yname(n): yw, ybname(n): yw}, coeff=n)
+        for n in range(1, depth + 1))
     arg = arg.with_cap([yname(n) for n in range(1, depth + 1)], ycap)
     arg = arg.with_cap([ybname(n) for n in range(1, depth + 1)], ycap)
     ser = arg.exp()

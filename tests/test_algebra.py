@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from orbitoda.algebra import (bernoulli_number, bernoulli_poly,
                               binom_frac, frac_factorial, frac_part_unit,
-                              poly_derivative, symmetric_e, symmetric_h,
-                              symmetric_polys)
+                              poly_derivative, symmetric_e, symmetric_h)
 from orbitoda.rationals import ParamRat as PR
 
 
@@ -34,20 +33,20 @@ def brute_e(l, xs):
 
 
 def test_e_trivial():
-    assert symmetric_polys("e", 0, [PR.nu0(), PR.nu1()]) == PR.one()
+    assert symmetric_e(0, [PR.nu0(), PR.nu1()]) == PR.one()
     a, b = PR.nu0(), PR.nu1()
-    assert symmetric_polys("e", 1, [a, b]) == a + b
+    assert symmetric_e(1, [a, b]) == a + b
 
 
 def test_h2_brute_force():
     # h_2(a,b) = a^2 + a b + b^2 by direct expansion
     a, b = PR.nu0(), PR.nu1()
-    assert symmetric_polys("h", 2, [a, b]) == a * a + a * b + b * b
+    assert symmetric_h(2, [a, b]) == a * a + a * b + b * b
     for xs in [(F(1, 2), F(3)), (F(2), F(5), F(-1, 3))]:
         for l in range(5):
-            got = symmetric_polys("h", l, [PR.rational(x) for x in xs])
+            got = symmetric_h(l, [PR.rational(x) for x in xs])
             assert got == PR.rational(brute_h(l, xs))
-            got_e = symmetric_polys("e", l, [PR.rational(x) for x in xs])
+            got_e = symmetric_e(l, [PR.rational(x) for x in xs])
             assert got_e == PR.rational(brute_e(l, xs))
 
 
@@ -121,11 +120,6 @@ def test_frac_part_unit():
 def test_binom_frac():
     assert binom_frac(F(2, 3), 2) == F(2, 3) * F(-1, 3) / 2
     assert binom_frac(F(5), 2) == 10
-
-
-def test_symmetric_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        symmetric_polys("q", 1, [])
 
 
 def per_degree_e(l, xs):

@@ -8,7 +8,7 @@ from orbitoda import hqe
 from orbitoda.algebra import symmetric_e, symmetric_h
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import WindowUnderflow
-from orbitoda.hqe import (a_matrix_entry, apply_vertex, build_gamma,
+from orbitoda.hqe import (a_matrix_row, apply_vertex, build_gamma,
                           commutation_factor, fock_one, fock_var,
                           hqe_residue_eval, lemma_inv_sums, toda_hqe_eval,
                           translate, translation_symbol, verify_change_matrix,
@@ -110,9 +110,10 @@ def test_gamma_creation_matches_display():
     gamma = build_gamma(k, m, +1, False, 8, depth=6)
     # mode lambda^{k+1} (N=1, i=1): the L-expansion equals -a_{1,L}
     slot = gamma.creation[k + 1]
+    row = a_matrix_row(k, 1, 1, 6)
     for (L, alpha), c in slot.items():
         assert alpha == SectorIndex("k", 1)
-        assert (c + a_matrix_entry(k, 1, 1, L)).is_zero()
+        assert (c + row[L]).is_zero()
 
 
 def test_commutation_factors():

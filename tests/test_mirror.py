@@ -260,15 +260,24 @@ def test_gaussian_moment_oracle():
 
 
 def test_residue_pairing_single_pair_surface():
-    from orbitoda.mirror import residue_pairing
+    from orbitoda.mirror import residue_pairing_matrix
     from orbitoda.rationals import PR
+
+    def entry(result, alpha, beta):
+        # the matrix holds the upper triangle: row a, entries b >= a
+        matrix, alphas, _ = result
+        a, b = sorted(alphas.index((s.side, s.i)) for s in (alpha, beta))
+        return matrix[a][b - a]
+
     # pinned single-pair values per the pairing table
-    v = residue_pairing(3, 2, SectorIndex("k", 1), SectorIndex("k", 2))
+    symbolic = residue_pairing_matrix(3, 2)
+    v = entry(symbolic, SectorIndex("k", 1), SectorIndex("k", 2))
     assert v == TS.scalar(F(1, 3), v.wins)
-    v = residue_pairing(3, 2, SectorIndex("k", 0), SectorIndex("k", 0))
+    v = entry(symbolic, SectorIndex("k", 0), SectorIndex("k", 0))
     assert v == TS.scalar(PR.diff().inverse(), v.wins)
     tv = {1: F(1, 2), 2: F(1, 3), 3: F(0), 4: F(2, 7), 5: F(1, 5)}
-    v = residue_pairing(3, 2, SectorIndex("k", 1), SectorIndex("m", 1), tv)
+    v = entry(residue_pairing_matrix(3, 2, tv), SectorIndex("k", 1),
+              SectorIndex("m", 1))
     assert v.is_zero()
 
 

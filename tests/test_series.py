@@ -14,7 +14,8 @@ from orbitoda.errors import (NonConvergent, NonUnit, NotInvertible,
                              WindowUnderflow)
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win, exact_win,
-                             series_reversion, taylor_shift, up_win)
+                             series_reversion, sum_series, taylor_shift,
+                             up_win)
 
 
 def test_geometric_inverse():
@@ -742,11 +743,42 @@ def summand_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(summand_lists())
 def test_fold_matches_chain_of_additions(summands):
-    pair = raises_like(lambda: functools.reduce(chain_add, summands),
-                       lambda: series._fold(summands[0], summands[1:],
-                                            "addition"))
-    if pair:
-        assert_same_series(*pair)
+    def want():
+        return functools.reduce(chain_add, summands)
+
+    for got in (lambda: series._fold(summands[0], summands[1:], "addition"),
+                lambda: sum_series(summands),
+                lambda: sum_series(iter(summands[1:]), summands[0])):
+        pair = raises_like(want, got)
+        if pair:
+            assert_same_series(*pair)
+
+
+def test_sum_series_edge_cases():
+    u = TS.var("u", up_win(4))
+    start = TS.scalar(0, {"u": up_win(2)})
+    # empty: zero, or the start itself
+    assert_same_series(sum_series([]), TS.zero())
+    assert_same_series(sum_series(iter(()), start), start)
+    # one summand is returned as it is, as by reduce
+    assert sum_series([u]) is u
+    # an explicit start takes part in the window merge
+    got = sum_series([u, u * u, u * u * u], start)
+    assert_same_series(got, functools.reduce(chain_add, [start, u, u * u,
+                                                         u * u * u]))
+    assert got.wins == {"u": up_win(2)}
+    # a generator is consumed once, one summand at a time
+    built = []
+
+    def powers():
+        p = u
+        for _ in range(3):
+            built.append(p)
+            yield p
+            p = p * u
+    got = sum_series(powers())
+    assert len(built) == 3
+    assert_same_series(got, functools.reduce(chain_add, built))
 
 
 def test_fold_takes_the_least_cap_and_readds_a_cancelled_key():
