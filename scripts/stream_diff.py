@@ -10,14 +10,17 @@ Runs, under each tree's ``src``, ``orbitoda all``, the default ``hqe`` and
 a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
 reports and the exit codes must then be identical.  Then ``--help`` of the
 group and of every subcommand either tree has must print the same text
-with the same exit code.  Prints the first difference and exits 1 on any,
-else exits 0.
+with the same exit code.  Every invocation and help text is run; each
+differing report is printed with its invocation, check id and every
+differing field as old -> new, then the count of differing reports, and
+the script exits 1.  An identical run exits 0.
 """
 
 import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,18 +60,17 @@ def finish(proc: subprocess.Popen):
     return proc.returncode, reports, err
 
 
-def first_difference(old, new) -> str | None:
-    (old_code, old_reps, old_err), (new_code, new_reps, new_err) = old, new
-    for i, (a, b) in enumerate(zip(old_reps, new_reps)):
+def report_diffs(old_reps: list, new_reps: list) -> list:
+    """(check id, {field: (old, new)}) for each report that differs; a
+    report missing on one side reads as {}."""
+    out = []
+    for a, b in zip_longest(old_reps, new_reps, fillvalue={}):
         if a != b:
-            return (f"report {i} ({a.get('check')}):\n  old {json.dumps(a)}"
-                    f"\n  new {json.dumps(b)}")
-    if len(old_reps) != len(new_reps):
-        return f"{len(old_reps)} reports vs {len(new_reps)}"
-    if old_code != new_code:
-        return (f"exit code {old_code} vs {new_code}\n  old stderr: "
-                f"{old_err[-500:]}\n  new stderr: {new_err[-500:]}")
-    return None
+            fields = {f: (a.get(f), b.get(f))
+                      for f in sorted(a.keys() | b.keys())
+                      if a.get(f) != b.get(f)}
+            out.append((a.get("check", b.get("check")), fields))
+    return out
 
 
 def main():
@@ -77,27 +79,41 @@ def main():
     old_tree, new_tree = (Path(p).resolve() for p in sys.argv[1:])
     runs = [["all"], ["hqe"], ["toda"]] + [
         argv for w in WORKLOADS for argv, _, _ in invocations(w, 1)]
-    total = 0
+    total = differing = mismatches = 0
     for argv in runs:
+        cmd = "orbitoda " + " ".join(argv)
         procs = start(old_tree, argv), start(new_tree, argv)
-        old, new = (finish(p) for p in procs)
-        diff = first_difference(old, new)
-        if diff is not None:
-            print(f"DIFFERENT on orbitoda {' '.join(argv)}: {diff}")
-            sys.exit(1)
-        total += len(old[1])
-        print(f"same: orbitoda {' '.join(argv)} "
-              f"({len(old[1])} reports, exit {old[0]})")
+        (old_code, old_reps, old_err), (new_code, new_reps, new_err) = \
+            (finish(p) for p in procs)
+        diffs = report_diffs(old_reps, new_reps)
+        for check, fields in diffs:
+            print(f"DIFFERENT on {cmd}: {check}")
+            for f, (a, b) in fields.items():
+                print(f"  {f}: {json.dumps(a)} -> {json.dumps(b)}")
+        if old_code != new_code:
+            mismatches += 1
+            print(f"DIFFERENT on {cmd}: exit code {old_code} -> {new_code}"
+                  f"\n  old stderr: {old_err[-500:]}"
+                  f"\n  new stderr: {new_err[-500:]}")
+        elif not diffs:
+            print(f"same: {cmd} ({len(old_reps)} reports, exit {old_code})")
+        total += len(old_reps)
+        differing += len(diffs)
     helps = [["--help"]] + [[name, "--help"] for name in
                             sorted(commands(old_tree) | commands(new_tree))]
     for argv in helps:
+        cmd = "orbitoda " + " ".join(argv)
         old, new = ((*p.communicate(), p.returncode) for p in
                     (start(old_tree, argv), start(new_tree, argv)))
         if old != new:
-            print(f"DIFFERENT on orbitoda {' '.join(argv)}:\n  old "
-                  f"{old!r}\n  new {new!r}")
-            sys.exit(1)
-        print(f"same: orbitoda {' '.join(argv)} (exit {old[2]})")
+            mismatches += 1
+            print(f"DIFFERENT on {cmd}:\n  old {old!r}\n  new {new!r}")
+        else:
+            print(f"same: {cmd} (exit {old[2]})")
+    if differing or mismatches:
+        print(f"different: {differing} of {total} reports, {mismatches} exit "
+              f"codes or help texts")
+        sys.exit(1)
     print(f"identical: {len(runs)} invocations, {total} reports, "
           f"{len(helps)} help texts")
 

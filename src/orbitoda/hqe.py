@@ -351,9 +351,11 @@ def fock_var(leg: str, n: int, alpha: SectorIndex) -> str:
     return f"q{leg}{n}_{alpha.side}{alpha.i}"
 
 
-def flow_var(leg: str, barred: bool, n: int, diff: bool = False) -> str:
-    base = "w" if barred else "y"
-    return f"{base}{'d' if diff else leg}{n}"
+def flow_var(leg: str, barred: bool, n: int) -> str:
+    """Leg ``leg``'s copy of the flow time y_n (w_n for the barred y-bar_n),
+    named index-first (``y1a``, ``w2b``) so that no leg copy can coincide
+    with a time of the tau jet (``toda.yname``, ``toda.ybname``)."""
+    return f"{'w' if barred else 'y'}{n}{leg}"
 
 
 def miwa_part(f: TruncSeries, sign: int, barred: bool, leg: str,
@@ -398,6 +400,10 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
 
     with independent flow variables on the two legs.  Returns the residue
     as a series; the tau family satisfies the equations iff it vanishes.
+    The residue is read in the legs' own times y', y'' (``flow_var``), whose
+    windows are exact.  Hirota's form s = (y'+y'')/2, d = (y'-y'')/2 is an
+    invertible linear change that keeps each flow bidegree, so it cannot
+    change which bidegree classes of the residue vanish.
     """
     extra = abs(n - l) + 2
 
@@ -429,22 +435,7 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
     gab = mult_part(fa2, m2a, -1, True, "a", depth, eps_win, span2)
     gbb = mult_part(fb2, m2b, +1, True, "b", depth, eps_win, span2)
     term2 = gab.mul_coeff(gbb, "lam", -s2).shift_exponent("Q", l - n)
-    resid = term1 - term2
-    # Hirota substitution: leg a = s + d, leg b = s - d
-    for j in range(1, depth + 1):
-        for barred in (False, True):
-            s_v = flow_var("s", barred, j)
-            d_v = flow_var("", barred, j, diff=True)
-            sw = VarWindow(0, 2 * depth, True, False)
-            splus = TruncSeries.var(s_v, sw) + TruncSeries.var(d_v, sw)
-            sminus = TruncSeries.var(s_v, sw) - TruncSeries.var(d_v, sw)
-            a_v = flow_var("a", barred, j)
-            b_v = flow_var("b", barred, j)
-            if a_v in resid.wins:
-                resid = resid.subst(a_v, splus)
-            if b_v in resid.wins:
-                resid = resid.subst(b_v, sminus)
-    return resid
+    return term1 - term2
 
 
 def residual_bidegree(resid: TruncSeries, key) -> tuple[int, int]:

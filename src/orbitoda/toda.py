@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb
 from operator import add
 
@@ -430,20 +431,21 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
         eps_win = up_win(eps_ord)
         L = _generic_l(eps_win)
         lbar = _generic_lbar(eps_win)
-        powers = {n: L.pow(n, eps_win) for n in range(k_flows + 1)}
+        powers = [identity_op()]
+        for _ in range(k_flows):
+            powers.append(powers[-1].mul(L, eps_win))
         delta = {n: powers[n].split_plus().commutator(L, eps_win)
                  for n in range(1, k_flows + 1)}
-        for n in range(1, k_flows + 1):
-            for l in range(1, k_flows + 1):
-                lhs = _dpow_plus(powers, delta[l], n, eps_win) \
-                    - _dpow_plus(powers, delta[n], l, eps_win) \
-                    + powers[n].split_plus().commutator(
-                        powers[l].split_plus(), eps_win)
-                if not lhs.is_zero():
-                    d = lhs.eq_report(ShiftOp({}, lhs.lo, lhs.lo_hard))
-                    rep.fail({"n": n, "l": l, **(d or {})},
-                             "ZS residual", "0")
-                    return rep
+        # the residual is antisymmetric in (n, l) and zero at n = l
+        for n, l in combinations(range(1, k_flows + 1), 2):
+            lhs = _dpow_plus(powers, delta[l], n, eps_win) \
+                - _dpow_plus(powers, delta[n], l, eps_win) \
+                + powers[n].split_plus().commutator(
+                    powers[l].split_plus(), eps_win)
+            if not lhs.is_zero():
+                d = lhs.eq_report(ShiftOp({}, lhs.lo, lhs.lo_hard))
+                rep.fail({"n": n, "l": l, **(d or {})}, "ZS residual", "0")
+                return rep
         # mixed flows commute on L: d_{y1} d_{yb1} L = d_{yb1} d_{y1} L
         dy_l = powers[1].split_plus().commutator(L, eps_win)
         dy_lbar = powers[1].split_plus().commutator(lbar, eps_win)
@@ -458,10 +460,10 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
     return rep
 
 
-def _dpow_plus(powers: dict, dL: ShiftOp, n: int,
+def _dpow_plus(powers: list, dL: ShiftOp, n: int,
                eps_win: VarWindow) -> ShiftOp:
     """(d (L^n))_+ with dL substituted for the derivative of L, from
-    ``powers = {r: L^r}`` (r from 0)."""
+    ``powers[r] = L^r`` (r from 0)."""
     return reduce(add, (powers[r].mul(dL, eps_win).mul(powers[n - 1 - r],
                                                         eps_win)
                         for r in range(n))).split_plus()

@@ -9,12 +9,14 @@ from orbitoda.algebra import symmetric_e, symmetric_h
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import WindowUnderflow
 from orbitoda.hqe import (a_matrix_row, apply_vertex, build_gamma,
-                          commutation_factor, fock_one, fock_var,
+                          commutation_factor, flow_var, fock_one, fock_var,
                           hqe_residue_eval, lemma_inv_sums, toda_hqe_eval,
-                          translate, translation_symbol, verify_change_matrix,
-                          verify_lemma_inv, verify_theorem2_transform)
+                          toda_hqe_report, translate, translation_symbol,
+                          verify_change_matrix, verify_lemma_inv,
+                          verify_theorem2_transform)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, down_win, exact_win, up_win
+from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
+                             exact_win, up_win)
 from orbitoda.toda import TauJet, two_toda_vacuum_tau
 
 EW = exact_win(-16, 16)
@@ -209,7 +211,6 @@ def test_residue_only_products_match_full_products():
 def test_toda_hqe_vacuum_family():
     # the exact polynomial jet of exp(eps^-2 sum n y_n yb_n Q^n): all-zero
     # through flow-bidegree (2,2); jet errors only above the caps
-    from orbitoda.hqe import toda_hqe_report
     tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
     for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         rep = toda_hqe_report(tau, n, l, 2, EW, dcap=2)
@@ -226,20 +227,77 @@ def test_toda_hqe_constant_tau_fails_off_diagonal():
     assert not toda_hqe_eval(tau, 0, 1, 2, EW).is_zero()
 
 
-def test_toda_hqe_negative_control_located():
-    # a wrong dispersion coefficient (2 instead of 1) is caught with a
-    # located slot at low bidegree
-    from orbitoda.hqe import toda_hqe_report
+def _perturbed_tau():
+    """exp(2 eps^-2 y1 yb1 Q): the vacuum with a wrong dispersion
+    coefficient (2 instead of 1), so not a 2-Toda tau function."""
     yw = up_win(8)
     arg = TS.monomial({"y1": 1, "yb1": 1, "Q": 1, "eps": -2},
                       {"y1": yw, "yb1": yw, "Q": exact_win(-16, 16),
                        "eps": EW}, coeff=2)
     arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
-    bad = TauJet(arg.exp().as_exact(), 1, 1)
-    rep = toda_hqe_report(bad, 1, 0, 1, EW, dcap=2)
+    return TauJet(arg.exp().as_exact(), 1, 1)
+
+
+def test_toda_hqe_negative_control_located():
+    # a wrong dispersion coefficient is caught with a located slot at low
+    # bidegree
+    rep = toda_hqe_report(_perturbed_tau(), 1, 0, 1, EW, dcap=2)
     assert not rep.ok
     assert rep.first_discrepancy is not None
     assert rep.first_discrepancy["at"]["bidegree"] == [1, 0]
+
+
+def _hirota_form(resid, depth, top):
+    """Hirota's form of a leg residue: y' = s + d and y'' = s - d for every
+    time of either kind, with s and d on the windows [0, top] (soft top)."""
+    sw = VarWindow(0, top, True, False)
+    for j in range(1, depth + 1):
+        for barred in (False, True):
+            s_v = TS.var(flow_var("s", barred, j), sw)
+            d_v = TS.var(flow_var("d", barred, j), sw)
+            for leg, repl in (("a", s_v + d_v), ("b", s_v - d_v)):
+                name = flow_var(leg, barred, j)
+                if name in resid.wins:
+                    resid = resid.subst(name, repl)
+    return resid
+
+
+def _first_offender_and_jet_error(rep):
+    at = rep.first_discrepancy
+    return (at and tuple(at["at"]["bidegree"]),
+            tuple(rep.max_order_verified["first_jet_error_at"]))
+
+
+@pytest.mark.parametrize("case, n, l, want", [
+    ("vacuum", 0, 0, (None, (4, 4))),
+    ("vacuum", 0, 1, (None, (3, 4))),
+    ("vacuum", 1, 0, (None, (4, 3))),
+    ("vacuum", 1, 1, (None, (4, 4))),
+    ("perturbed", 1, 0, ((1, 0), (3, 2))),
+])
+def test_leg_reading_matches_hirota_form(monkeypatch, case, n, l, want):
+    # the s/d change keeps each flow bidegree and is invertible, so the leg
+    # residue and its Hirota form (on s/d windows that cut nothing) have the
+    # same first offender and the same first jet error
+    tau = two_toda_vacuum_tau(1, 3, exact_jet=True) if case == "vacuum" \
+        else _perturbed_tau()
+    legs = toda_hqe_report(tau, n, l, 1, EW, dcap=2)
+    monkeypatch.setattr(hqe, "toda_hqe_eval", lambda *args: _hirota_form(
+        toda_hqe_eval(*args), 1, 20))
+    hirota = toda_hqe_report(tau, n, l, 1, EW, dcap=2)
+    assert _first_offender_and_jet_error(legs) == want
+    assert _first_offender_and_jet_error(hirota) == want
+
+
+@pytest.mark.parametrize("ycap", [3, 4])
+def test_jet_error_follows_the_flow_degree_cap(ycap):
+    # the vacuum jet is exact through flow degree ycap; the first nonzero
+    # residue class sits one degree above it on each side
+    tau = two_toda_vacuum_tau(1, ycap, exact_jet=True)
+    rep = toda_hqe_report(tau, 0, 0, 1, EW, dcap=2)
+    assert rep.ok
+    assert rep.max_order_verified["first_jet_error_at"] == \
+        (ycap + 1, ycap + 1)
 
 
 GOLDEN_HIROTA_D2 = "(2)*c2^2"
@@ -249,9 +307,10 @@ def test_lowest_hirota_golden_extraction():
     """Lowest bilinear constraints at n = l on a small generic tau jet.
 
     tau = 1 + c1 x + c2 (y1 + yb1) + c3 y1 yb1 with free coefficient
-    variables.  The machine extraction places the lowest nonvanishing
-    Hirota content of this jet in the pure d^2-slots (the mixed (1,1)-slot
-    vanishes identically on it); the yd1^2-coefficient is frozen golden.
+    variables.  In Hirota's form (s/d windows [0, 2]) the extraction places
+    the lowest nonvanishing content of this jet in the pure d^2-slots (the
+    mixed (1,1)-slot vanishes identically on it); the d_1^2-coefficient
+    is frozen golden.
     """
     cw = exact_win(0, 2)
     xw = exact_win(0, 4)
@@ -263,11 +322,12 @@ def test_lowest_hirota_golden_extraction():
     ser = (1 + c1 * TS.var("x", xw) + c2 * (yv + ybv) + c3 * yv * ybv) \
         .truncated({"eps": EW}).as_exact()
     tau = TauJet(ser, 1, 1)
-    resid = toda_hqe_eval(tau, 0, 0, 1, EW)
+    resid = _hirota_form(toda_hqe_eval(tau, 0, 0, 1, EW), 1, 2)
     assert not resid.is_zero()
-    mixed = resid.coeff_of("yd1", 1).coeff_of("wd1", 1)
+    yd, wd = flow_var("d", False, 1), flow_var("d", True, 1)
+    mixed = resid.coeff_of(yd, 1).coeff_of(wd, 1)
     assert mixed.is_zero()
-    d2 = resid.coeff_of("yd1", 2)
+    d2 = resid.coeff_of(yd, 2)
     for v in list(d2.wins):
         if v != "c2":
             d2 = d2.coeff_of(v, 0)

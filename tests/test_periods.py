@@ -7,7 +7,8 @@ import pytest
 
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import SingularFiber
-from orbitoda.periods import (DOp, _inv_linear, bi_infinite_sum, d_apply,
+from orbitoda.periods import (DOp, _inv_linear, _phi_mode_seed,
+                              bi_infinite_sum, d_apply,
                               d_classical, d_inverse, d_x_operator, mode_chain,
                               phase_primitive_check, verify_c_constant,
                               verify_fixed_point, verify_lemma_d_branches,
@@ -70,6 +71,21 @@ def test_fixed_point_and_zero_mode():
     assert verify_fixed_point(2, 1, SectorIndex("k", 1)).ok
     assert verify_fixed_point(3, 2, SectorIndex("k", 2)).ok
     assert verify_fixed_point(3, 2, SectorIndex("k", 0)).ok
+
+
+@pytest.mark.xfail(
+    reason="each d_inverse of a soft-bottomed series raises the lam bottom "
+    "by k, and the negative D-chain runs until z leaves its window: the "
+    "(4,3) sum comes back as one term, known only from lam 10",
+    strict=True)
+def test_fixed_point_sum_known_on_its_compared_window():
+    # verify_fixed_point(4, 3, ...) compares D f with f on lam down to
+    # lam_lo + k + m = -3; the sum must be known there
+    k, m = 4, 3
+    f = bi_infinite_sum(d_x_operator(k, m),
+                        _phi_mode_seed(k, m, SectorIndex("k", 1)),
+                        down_win(-10, hi=2 * k), down_win(-5, hi=12))
+    assert f.wins["lam"].lo <= -10 + k + m
 
 
 def test_sum_stabilizes():
