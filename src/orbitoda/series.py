@@ -729,27 +729,16 @@ class TruncSeries:
             groups.setdefault(key[i], {})[key[:i] + key[i + 1:]] = c
         nvars = self.vars[:i] + self.vars[i + 1:]
         nwins = {u: wv for u, wv in self.wins.items() if u != v}
+        # every power is built before the first window merge, so a repl
+        # with no inverse fails in recip, not in a merge of its windows
         pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, repl.wins)}
-        repl_inv = None
-
-        def power(e: int) -> TruncSeries:
-            # Steps out from the nearest power already built.  It does not
-            # call itself: a self-reference would hold the table in a cycle
-            # until the garbage collector runs, well after this call ends.
-            nonlocal repl_inv
-            step = 1 if e > 0 else -1
-            j = e
-            while j not in pows:
-                j -= step
-            if j != e and step < 0 and repl_inv is None:
-                repl_inv = repl.recip()
-            factor = repl if step > 0 else repl_inv
-            while j != e:
-                j += step
-                pows[j] = pows[j - step] * factor
-            return pows[e]
-
-        images = (TruncSeries(nvars, nwins, sub, self.caps) * power(e)
+        for e in range(1, max(groups, default=0) + 1):
+            pows[e] = pows[e - 1] * repl
+        if min(groups, default=0) < 0:
+            repl_inv = repl.recip()
+            for e in range(-1, min(groups) - 1, -1):
+                pows[e] = pows[e + 1] * repl_inv
+        images = (TruncSeries(nvars, nwins, sub, self.caps) * pows[e]
                   for e, sub in sorted(groups.items()))
         out = _fold(TruncSeries(nvars, nwins, {}, self.caps), chain(
             (TruncSeries.scalar(0, repl.wins),), images), "substitution")

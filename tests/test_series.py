@@ -871,6 +871,11 @@ def substitutions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(substitutions())
+# a zero repl for a negative power whose window in u cannot merge with
+# self's: the reference fails in recip before it merges any window
+@example((TS(("u", "w"), {"u": VarWindow(0, 0, True, False),
+                          "w": exact_win(-1, -1)}, {(0, -1): PR.rational(1)}),
+          "w", TS(("u",), {"u": VarWindow(1, 1, False, True)}, {})))
 def test_subst_matches_chain_of_additions(case):
     s, v, repl = case
     pair = raises_like(lambda: chain_subst(s, v, repl),
