@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
-from orbitoda.jfunction import inv_poch, poch
+from orbitoda.jfunction import (_apply_delta, build_j, inv_poch,
+                                operator_ladder, poch)
 from orbitoda.mirror import solve_chart_change, superpotential
 from orbitoda.periods import _d_inverse_monomial, d_x_operator
 from orbitoda.rationals import PR
@@ -85,6 +86,11 @@ def main():
           lambda: poch(nu, x).recip_within({"z": zwin}), n=50)
     bench("1/poch in closed form (inv_poch)", lambda: inv_poch(nu, x, zwin),
           n=50)
+    # the J of `jfunc --k 5 --m 3`: q-degree 45, z-window [-14, 10]
+    j, op = build_j(5, 3, 45, down_win(-14, hi=10)), \
+        operator_ladder(5, 3).deltas[-1]
+    bench("delta application, (5,3) J", lambda: _apply_delta(j, 5, 3, op),
+          n=20)
     bench("capped 9-variable reciprocal", capped_unit().recip, n=10)
     a = capped_unit()
     b = capped_unit(6).truncated({"lam": down_win(-6)})

@@ -51,7 +51,7 @@ def _matrix(ctx, param, value):
 
 
 def _zwindow(ctx, param, value):
-    """Parse a ``lo:hi`` z-window with lo <= hi."""
+    """Parse a ``lo:hi`` z-window with lo <= hi and lo <= 1."""
     try:
         zlo, zhi = (int(x) for x in value.split(":"))
     except ValueError:
@@ -59,6 +59,10 @@ def _zwindow(ctx, param, value):
             f"{value!r} is not of the form lo:hi") from None
     if zlo > zhi:
         raise click.BadParameter(f"empty window {value!r}: lo > hi")
+    if zlo >= 2:
+        raise click.BadParameter(
+            f"window {value!r} lies above z^1, where J and every z dJ have "
+            f"no term: every check would compare zeros; need lo <= 1")
     return zlo, zhi
 
 
@@ -95,12 +99,10 @@ OUT_OPT = click.option("--out", type=click.File("w"), default="-",
 
 
 def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
-    from .jfunction import verify_ladder_identities, verify_qde
+    from .jfunction import verify_jfunc
     return _rows(
         {"k": k, "m": m, "qdeg": qdeg, "zwin": [zlo, zhi], "negate": negate},
-        ("ladder", lambda: verify_ladder_identities(k, m, qdeg, zlo, zhi,
-                                                    negate=negate)),
-        ("qde", lambda: verify_qde(k, m, qdeg, zlo, zhi, negate=negate)))
+        ("jfunc", lambda: verify_jfunc(k, m, qdeg, zlo, zhi, negate)))
 
 
 @main.command()

@@ -438,17 +438,6 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
     return term1 - term2
 
 
-def residual_bidegree(resid: TruncSeries, key) -> tuple[int, int]:
-    """(unbarred, barred) flow-degree of a residual monomial."""
-    du = dw = 0
-    for v, e in zip(resid.vars, key):
-        if v.startswith("y"):
-            du += e
-        elif v.startswith("w"):
-            dw += e
-    return du, dw
-
-
 def toda_hqe_report(tau, n: int, l: int, depth: int, eps_win: VarWindow,
                     dcap: int = 2) -> CheckReport:
     """All-zero check of the (n, l) residue through flow-bidegree
@@ -460,8 +449,13 @@ def toda_hqe_report(tau, n: int, l: int, depth: int, eps_win: VarWindow,
         resid = toda_hqe_eval(tau, n, l, depth, eps_win)
         offenders = []
         beyond = None
+        # a monomial's flow bidegree: its exponent sums over the unbarred
+        # (y...) and the barred (w...) flow times
+        ys = [i for i, v in enumerate(resid.vars) if v.startswith("y")]
+        ws = [i for i, v in enumerate(resid.vars) if v.startswith("w")]
         for key in sorted(resid.terms):
-            du, dw = residual_bidegree(resid, key)
+            du = sum([key[i] for i in ys])
+            dw = sum([key[i] for i in ws])
             if du <= dcap and dw <= dcap:
                 offenders.append((key, (du, dw)))
             else:

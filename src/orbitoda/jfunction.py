@@ -130,43 +130,47 @@ class JSeries:
             return
         bucket[idx] = new
 
+    def pieces(self):
+        """(sector, qdeg, idx, zser) of every stored piece."""
+        for sector, grades in self.sectors.items():
+            for qdeg, bucket in grades.items():
+                for idx, zser in bucket.items():
+                    yield sector, qdeg, idx, zser
+
     def map_terms(self, fn) -> "JSeries":
         """fn(sector, qdeg, idx, zser) -> zser."""
         out = JSeries(self.k, self.m, self.qmax, self.zwin)
-        for sector, grades in self.sectors.items():
-            for qdeg, bucket in grades.items():
-                for idx, zser in bucket.items():
-                    out.add_term(sector, qdeg, idx, fn(sector, qdeg, idx, zser))
+        for sector, qdeg, idx, zser in self.pieces():
+            out.add_term(sector, qdeg, idx, fn(sector, qdeg, idx, zser))
         return out
 
     def apply_zdtau_affine(self, coeff_fn) -> "JSeries":
-        """Apply an operator acting on (s, a) as multiplication by a z-poly.
+        """Apply an operator acting on (s, a) as multiplication by c0 + c1 z.
 
-        coeff_fn(sector, qdeg) returns the exact multiplier series in z.
+        coeff_fn(sector, qdeg) returns the pair (c0, c1) of ``ParamRat``s;
+        each piece A becomes c0 A + c1 z A, a scale, a z-shift and one sum,
+        with a zero part skipped.
         """
-        return self.map_terms(lambda s, a, idx, z: z * coeff_fn(s, a))
+        def piece(sector, qdeg, idx, zser):
+            c0, c1 = coeff_fn(sector, qdeg)
+            parts = [] if c0.is_zero() else [zser.scale(c0)]
+            if not c1.is_zero():
+                parts.append(zser.shift_exponent("z", 1).scale(c1))
+            return sum_series(parts)
+        return self.map_terms(piece)
 
     def shift_q(self, delta: int) -> "JSeries":
         out = JSeries(self.k, self.m, self.qmax + delta, self.zwin)
-        for sector, grades in self.sectors.items():
-            for qdeg, bucket in grades.items():
-                for idx, zser in bucket.items():
-                    out.add_term(sector, qdeg + delta, idx, zser)
+        for sector, qdeg, idx, zser in self.pieces():
+            out.add_term(sector, qdeg + delta, idx, zser)
         return out
 
     def scale(self, c) -> "JSeries":
         return self.map_terms(lambda s, a, idx, z: z.scale(c))
 
     def low_q_part(self, below: int) -> list:
-        """Nonzero (sector, qdeg, idx) entries with qdeg < below."""
-        out = []
-        for sector, grades in self.sectors.items():
-            for qdeg, bucket in grades.items():
-                if qdeg < below:
-                    for idx, zser in bucket.items():
-                        if not zser.is_zero():
-                            out.append((sector, qdeg, idx, zser))
-        return out
+        """Nonzero (sector, qdeg, idx, zser) pieces with qdeg < below."""
+        return [p for p in self.pieces() if p[1] < below and not p[3].is_zero()]
 
     def diff_report(self, other: "JSeries", qmax: int):
         """First discrepancy (dict) or None; compares through q-degree qmax."""
@@ -282,20 +286,22 @@ class DeltaOp:
 
     For a k-foot value s: (z/m) d_tau - nu0/m - s k z; for an m-foot value:
     (z/k) d_tau - nu1/k - s m z.  Acting on the (sector, q-degree a) piece it
-    multiplies by an exact degree-1 polynomial in z.
+    multiplies by c0 + c1 z, with c0 zero or +-(nu0 - nu1)/div and c1
+    rational.
     """
     foot: str          # 'k' or 'm'
     s: Fraction
 
-    def multiplier(self, k: int, m: int, sector: str, qdeg: int) -> TruncSeries:
+    def multiplier(self, k: int, m: int, sector: str,
+                   qdeg: int) -> tuple[ParamRat, ParamRat]:
+        """The pair (c0, c1) on the (sector, qdeg) piece."""
         nus = PR.nu0() if sector == "0" else PR.nu1()
         if self.foot == "k":
             div, sub, mult = m, PR.nu0(), k
         else:
             div, sub, mult = k, PR.nu1(), m
         c0 = (nus - sub) / div
-        c1 = PR.rational(Fraction(qdeg, div) - self.s * mult)
-        return TruncSeries.from_poly("z", {0: c0, 1: c1})
+        return c0, PR.rational(Fraction(qdeg, div) - self.s * mult)
 
 
 @dataclass
@@ -358,13 +364,17 @@ def _apply_delta(j: JSeries, k: int, m: int, op: DeltaOp) -> JSeries:
                                 op.multiplier(k, m, sector, qdeg))
 
 
-def verify_ladder_identities(k: int, m: int, qcheck: int,
-                               zlo: int = -6, zhi: int = 2,
-                               negate: bool = False) -> list[CheckReport]:
-    """Identities delta_1 J, delta_2 J, and D_alpha J = z d_{s~alpha} J.
+def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
+                 negate: bool = False) -> list[CheckReport]:
+    """The ladder identities delta_1 J, delta_2 J and D_alpha J =
+    z d_{s~alpha} J, one report per alpha, then the QDE
+    prod_alpha delta_alpha J = q^{km} J as the report ``qde``.
 
     Verified exactly through q-degree ``qcheck`` on the z-window
-    [zlo, zhi].  Returns one report per alpha.
+    [zlo, zhi], on one J and one delta chain: each delta multiplies every
+    (sector, q-degree) piece by its own c0 + c1 z, so the deltas commute,
+    and the QDE's left side is the chain after the last rung with the one
+    delta it lacks, ``seq.deltas[-1]``, applied.
     """
     _require_coprime(k, m)
     seq = operator_ladder(k, m)
@@ -373,7 +383,10 @@ def verify_ladder_identities(k: int, m: int, qcheck: int,
     zwin = VarWindow(zlo - pad, zhi + pad, False, True)
     zwin_check = _check_window(zlo, zhi)
     qmax = qcheck + K * M
-    j = build_j(k, m, qmax, zwin)
+    # build_j keeps each piece 2n orders below zwin.lo (inv_poch's recip
+    # window); the K + M deltas lift none of those terms into the check
+    # window, so the chain starts from J truncated to zwin
+    j = _truncate_j(build_j(k, m, qmax, zwin), zwin)
     coh = Cohomology(k, m)
     reports = []
 
@@ -388,13 +401,12 @@ def verify_ladder_identities(k: int, m: int, qcheck: int,
                         "zwin": [zlo, zhi]},
                 max_order_verified={"q": qcheck, "z": [zlo, zhi]}) as rep:
             n = k if side == "k" else m
-            lhs = _apply_delta(j, k, m, seq.deltas[alpha - 1])
+            # delta_2 J, the last lhs, starts the chain of alpha >= 3
+            lhs = chain = _apply_delta(j, k, m, seq.deltas[alpha - 1])
             g = coh.g(SectorIndex(side, 0))
             rhs = build_dj(k, m, side, n, qmax, zwin).scale((g * n).inverse())
             if negate and alpha == 1:
-                # negative control: use delta_1 + z instead of delta_1
-                lhs = _add_j(lhs, j.map_terms(
-                    lambda s, a, i, z: z.shift_exponent("z", 1)))
+                lhs = _negate_delta_1(lhs, j, zwin_check, qcheck)
             lhs = _truncate_j(lhs, zwin_check)
             rhs = _truncate_j(rhs, zwin_check)
             disc = lhs.diff_report(rhs, qcheck)
@@ -403,8 +415,7 @@ def verify_ladder_identities(k: int, m: int, qcheck: int,
         reports.append(rep)
 
     # alpha >= 3: D_alpha J = z d_{s~alpha} J
-    chain = _apply_delta(_apply_delta(j, k, m, seq.deltas[0]),
-                         k, m, seq.deltas[1])
+    chain = _apply_delta(chain, k, m, seq.deltas[0])
     for alpha in range(3, K + M + 1):
         s_alpha = seq.s[alpha - 1][0]
         shift = int(K * M * s_alpha)
@@ -435,6 +446,21 @@ def verify_ladder_identities(k: int, m: int, qcheck: int,
             disc = lhs.diff_report(rhs, min(qcheck, qmax - shift))
             if disc is not None:
                 rep.fail(disc, "D-alpha chain", "derivative formula")
+
+    with CheckReport(name="qde",
+                     params={"k": k, "m": m, "qdeg": qcheck,
+                             "zwin": [zlo, zhi]},
+                     max_order_verified={"q": qcheck, "z": [zlo, zhi]}) as rep:
+        chain = _apply_delta(chain, k, m, seq.deltas[-1])
+        rhs = j.shift_q(k * m)
+        if negate:
+            rhs = _perturb(rhs, zwin_check, qcheck)
+        lhs = _truncate_j(chain, zwin_check)
+        rhs = _truncate_j(rhs, zwin_check)
+        disc = lhs.diff_report(rhs, qcheck)
+        if disc is not None:
+            rep.fail(disc, "QDE operator product", "q^{km} J")
+    reports.append(rep)
     return reports
 
 
@@ -452,11 +478,8 @@ def _truncate_j(j: JSeries, zwin: VarWindow) -> JSeries:
 
 def _add_j(a: JSeries, b: JSeries) -> JSeries:
     out = JSeries(a.k, a.m, min(a.qmax, b.qmax), a.zwin)
-    for src in (a, b):
-        for sector, grades in src.sectors.items():
-            for qdeg, bucket in grades.items():
-                for idx, zser in bucket.items():
-                    out.add_term(sector, qdeg, idx, zser)
+    for piece in (*a.pieces(), *b.pieces()):
+        out.add_term(*piece)
     return out
 
 
@@ -467,9 +490,7 @@ def _perturb(j: JSeries, zwin: VarWindow, qcheck: int) -> JSeries:
     ``zwin``, add z^hi to the same class at q-degree min(q, qcheck) instead,
     so that the perturbation always lands where the check compares.
     """
-    sector, qdeg, idx, zser = next(
-        (s, a, i, z) for s, grades in j.sectors.items()
-        for a, bucket in grades.items() if a > 0 for i, z in bucket.items())
+    sector, qdeg, idx, zser = next(p for p in j.pieces() if p[1] > 0)
     shifted = zser.shift_exponent("z", 1)
     if qdeg <= qcheck and \
             not (shifted - zser).truncated({"z": zwin}).is_zero():
@@ -481,34 +502,15 @@ def _perturb(j: JSeries, zwin: VarWindow, qcheck: int) -> JSeries:
     return out
 
 
-def verify_qde(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
-               negate: bool = False) -> CheckReport:
-    """prod_i (z/m d_tau - nu0/m - i z) prod_j (z/k d_tau - nu1/k - j z) J
-    equals q^{km} J, through q-degree ``qcheck``."""
-    _require_coprime(k, m)
-    pad = k + m
-    zwin = VarWindow(zlo - pad, zhi + pad, False, True)
-    zwin_check = _check_window(zlo, zhi)
-    qmax = qcheck + k * m
-    with CheckReport(name="qde",
-                     params={"k": k, "m": m, "qdeg": qcheck,
-                             "zwin": [zlo, zhi]},
-                     max_order_verified={"q": qcheck, "z": [zlo, zhi]}) as rep:
-        j = build_j(k, m, qmax, zwin)
-        lhs = j
-        for i in range(k):
-            lhs = _apply_delta(lhs, k, m, DeltaOp("k", Fraction(i, k)))
-        for jj in range(m):
-            lhs = _apply_delta(lhs, k, m, DeltaOp("m", Fraction(jj, m)))
-        rhs = j.shift_q(k * m)
-        if negate:
-            rhs = _perturb(rhs, zwin_check, qcheck)
-        lhs = _truncate_j(lhs, zwin_check)
-        rhs = _truncate_j(rhs, zwin_check)
-        disc = lhs.diff_report(rhs, qcheck)
-        if disc is not None:
-            rep.fail(disc, "QDE operator product", "q^{km} J")
-    return rep
+def _negate_delta_1(lhs: JSeries, j: JSeries, zwin: VarWindow,
+                    qcheck: int) -> JSeries:
+    """Negative control of ladder-alpha-1: delta_1 + z in place of delta_1,
+    or ``_perturb`` where z J has no term through q-degree ``qcheck``
+    inside ``zwin``."""
+    zj = j.map_terms(lambda s, a, i, z: z.shift_exponent("z", 1))
+    if _truncate_j(zj, zwin).low_q_part(qcheck + 1):
+        return _add_j(lhs, zj)
+    return _perturb(lhs, zwin, qcheck)
 
 
 def expand_prefactors(j: JSeries, tau_order: int) -> dict:

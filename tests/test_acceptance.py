@@ -23,11 +23,12 @@ def _line(name, ok, extra=""):
 
 
 def test_criterion_1_ladder_suite():
-    from orbitoda.jfunction import verify_ladder_identities
+    from orbitoda.jfunction import verify_jfunc
     ok = True
     for (k, m) in MATRIX:
         t0 = time.monotonic()
-        reps = verify_ladder_identities(k, m, 2 * k * m, -6, 2)
+        reps = [r for r in verify_jfunc(k, m, 2 * k * m, -6, 2)
+                if r.name.startswith("ladder-alpha-")]
         dt = time.monotonic() - t0
         good = all(r.ok for r in reps) and dt < 60.0
         ok = _line(f"1 ladder ({k},{m}) qdeg={2*k*m} z=[-6,2] {dt:.1f}s",
@@ -36,10 +37,11 @@ def test_criterion_1_ladder_suite():
 
 
 def test_criterion_2_qde():
-    from orbitoda.jfunction import j_small_z_expansion, verify_qde
+    from orbitoda.jfunction import j_small_z_expansion, verify_jfunc
     ok = True
     for (k, m) in MATRIX:
-        rep = verify_qde(k, m, 2 * k * m, -6, 2)
+        (rep,) = [r for r in verify_jfunc(k, m, 2 * k * m, -6, 2)
+                  if r.name == "qde"]
         ok = _line(f"2 qde ({k},{m}) qdeg={2*k*m}", rep.ok) and ok
     sanity = j_small_z_expansion(3, 2) and j_small_z_expansion(5, 3)
     ok = _line("2 q^0 sanity z*1 + tau*p", sanity) and ok

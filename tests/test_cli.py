@@ -56,6 +56,8 @@ def test_bad_flags_exit_2():
     (["--k", "3", "--m", "2", "--zdeg", "2:-6"], "lo > hi"),
     (["--k", "2", "--m", "4"], "coprime"),
     (["--k", "2", "--m", "2"], "distinct"),
+    (["--k", "2", "--m", "1", "--zdeg", "3:3"], "lies above z^1"),
+    (["--k", "3", "--m", "2", "--zdeg", "2:4"], "need lo <= 1"),
 ])
 def test_bad_jfunc_flags_exit_2(flags, message):
     result = CliRunner().invoke(main, ["jfunc"] + flags)
@@ -184,11 +186,12 @@ def test_error_report_names_the_row_params(monkeypatch):
 
     def broken(*args, **kwargs):
         raise ZeroDivisionError("planted")
-    monkeypatch.setattr(orbitoda.jfunction, "verify_qde", broken)
+    monkeypatch.setattr(orbitoda.jfunction, "verify_jfunc", broken)
     result = CliRunner().invoke(main, ["jfunc", "--k", "3", "--m", "2"])
     assert result.exit_code == 3
-    (error,) = [r for r in _reports(result) if r["status"] == "error"]
-    assert error["check"] == "qde"
+    (error,) = _reports(result)
+    assert error["status"] == "error"
+    assert error["check"] == "jfunc"
     assert error["params"] == {"k": 3, "m": 2, "qdeg": 12, "zwin": [-6, 2],
                                "negate": False}
 

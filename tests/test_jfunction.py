@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import BadIndex, NonUnit, NotCoprime
-from orbitoda.jfunction import (JSeries, operator_ladder, build_dj, build_j,
-                                inv_poch, j_small_z_expansion, poch,
-                                poch_ratio, verify_ladder_identities,
-                                verify_qde)
+from orbitoda.jfunction import (DeltaOp, JSeries, _check_window, _perturb,
+                                _truncate_j, operator_ladder, build_dj,
+                                build_j, inv_poch, j_small_z_expansion, poch,
+                                poch_ratio, verify_jfunc)
+from orbitoda.reports import CheckReport
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, VarWindow
 
@@ -84,6 +85,97 @@ def test_inv_poch_rejects_other_window_shapes():
         inv_poch(PR.nu(3), F(5, 3), VarWindow(-4, 2, True, True))
 
 
+def _generic_delta(j, k, m, op):
+    """Reference: each piece times the z-polynomial c0 + c1 z by the
+    generic series product."""
+    def piece(s, a, i, z):
+        c0, c1 = op.multiplier(k, m, s, a)
+        return z * TS.from_poly("z", {0: c0, 1: c1})
+    return j.map_terms(piece)
+
+
+def _qde_reference(k, m, qcheck, zlo, zhi, negate=False):
+    """The QDE as a check of its own: the k-foot deltas, then the m-foot
+    ones, applied to a J of its own by the generic product."""
+    pad = k + m
+    zwin = VarWindow(zlo - pad, zhi + pad, False, True)
+    zwin_check = _check_window(zlo, zhi)
+    qmax = qcheck + k * m
+    with CheckReport(name="qde", params={"k": k, "m": m, "qdeg": qcheck,
+                                         "zwin": [zlo, zhi]},
+                     max_order_verified={"q": qcheck, "z": [zlo, zhi]}) as rep:
+        j = build_j(k, m, qmax, zwin)
+        lhs = j
+        for i in range(k):
+            lhs = _generic_delta(lhs, k, m, DeltaOp("k", F(i, k)))
+        for jj in range(m):
+            lhs = _generic_delta(lhs, k, m, DeltaOp("m", F(jj, m)))
+        rhs = j.shift_q(k * m)
+        if negate:
+            rhs = _perturb(rhs, zwin_check, qcheck)
+        disc = _truncate_j(lhs, zwin_check).diff_report(
+            _truncate_j(rhs, zwin_check), qcheck)
+        if disc is not None:
+            rep.fail(disc, "QDE operator product", "q^{km} J")
+    return rep
+
+
+def _same_verdict(a, b):
+    return (a.name, a.params, a.status, a.max_order_verified,
+            a.first_discrepancy) == (b.name, b.params, b.status,
+                                     b.max_order_verified, b.first_discrepancy)
+
+
+PAIRS = [(2, 1), (3, 2), (5, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("k, m", PAIRS)
+def test_affine_delta_matches_generic_product(k, m):
+    # every delta of the ladder, on both sectors of J: the shift, scale and
+    # add equals the product by from_poly(c0 + c1 z) on the check window
+    qcheck, zwin_check = 2 * k * m, _check_window(-6, 2)
+    j = build_j(k, m, qcheck + k * m, VarWindow(-6 - k - m, 2 + k + m,
+                                                False, True))
+    assert set(j.sectors) == {"0", "inf"} and all(j.sectors.values())
+    for op in operator_ladder(k, m).deltas:
+        got = _truncate_j(j.apply_zdtau_affine(
+            lambda s, a: op.multiplier(k, m, s, a)), zwin_check)
+        want = _truncate_j(_generic_delta(j, k, m, op), zwin_check)
+        assert got.diff_report(want, qcheck) is None, op
+        assert [(s, a, i, z.wins, sorted(z.terms.items()))
+                for s, a, i, z in got.pieces()] == \
+            [(s, a, i, z.wins, sorted(z.terms.items()))
+             for s, a, i, z in want.pieces()], op
+
+
+def test_delta_chain_forms_no_generic_product(monkeypatch):
+    j = build_j(3, 2, 8, ZWIN)
+
+    def no_product(*args):
+        raise AssertionError("generic product of a J piece")
+    monkeypatch.setattr(TS, "__mul__", no_product)
+    for op in operator_ladder(3, 2).deltas:
+        j = j.apply_zdtau_affine(lambda s, a: op.multiplier(3, 2, s, a))
+
+
+def test_one_j_per_run(monkeypatch):
+    import orbitoda.jfunction
+    built = []
+    monkeypatch.setattr(orbitoda.jfunction, "build_j",
+                        lambda *args: built.append(args) or build_j(*args))
+    assert all(r.ok for r in verify_jfunc(3, 2, 12))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("k, m", PAIRS)
+@pytest.mark.parametrize("negate", [False, True])
+def test_qde_report_matches_the_operator_product(k, m, negate):
+    qdeg = 2 * k * m
+    rep = verify_jfunc(k, m, qdeg, negate=negate)[-1]
+    assert _same_verdict(rep, _qde_reference(k, m, qdeg, -6, 2, negate))
+    assert rep.ok != negate
+
+
 @pytest.mark.parametrize("k, m, zlo, zhi", [(2, 1, -9, -5), (3, 2, -12, -6),
                                             (3, 2, -3, -1), (3, 2, 0, 0)])
 def test_low_z_windows(k, m, zlo, zhi):
@@ -91,11 +183,12 @@ def test_low_z_windows(k, m, zlo, zhi):
     # pruned while dJ keeps its own; the checks must look only inside.
     # Narrow windows below z^1 must still catch the QDE negative control.
     qdeg = 2 * k * m
-    reps = verify_ladder_identities(k, m, qdeg, zlo, zhi) + \
-        [verify_qde(k, m, qdeg, zlo, zhi)]
+    reps = verify_jfunc(k, m, qdeg, zlo, zhi)
     assert all(r.ok for r in reps), [r.first_discrepancy for r in reps]
-    neg = verify_ladder_identities(k, m, qdeg, zlo, zhi, negate=True) + \
-        [verify_qde(k, m, qdeg, zlo, zhi, negate=True)]
+    neg = verify_jfunc(k, m, qdeg, zlo, zhi, negate=True)
+    for negate, qde in ((False, reps[-1]), (True, neg[-1])):
+        assert _same_verdict(qde, _qde_reference(k, m, qdeg, zlo, zhi,
+                                                 negate))
     found = [r.first_discrepancy["at"] for r in neg if not r.ok]
     assert found
     for at in found:
@@ -178,19 +271,29 @@ def test_operator_ladder_rejects_non_coprime():
         operator_ladder(4, 2)
 
 
+def _ladder(reps):
+    return [r for r in reps if r.name.startswith("ladder-alpha-")]
+
+
+def _qde(reps):
+    (rep,) = [r for r in reps if r.name == "qde"]
+    return rep
+
+
 def test_ladder_identities_3_2():
-    reps = verify_ladder_identities(3, 2, 12)
-    assert [r.name for r in reps] == [f"ladder-alpha-{a}" for a in range(1, 6)]
+    reps = verify_jfunc(3, 2, 12)
+    assert [r.name for r in reps] == \
+        [f"ladder-alpha-{a}" for a in range(1, 6)] + ["qde"]
     assert all(r.ok for r in reps)
 
 
 def test_ladder_identities_5_3():
-    reps = verify_ladder_identities(5, 3, 15)
-    assert all(r.ok for r in reps)
+    reps = _ladder(verify_jfunc(5, 3, 15))
+    assert len(reps) == 8 and all(r.ok for r in reps)
 
 
 def test_ladder_negative_control():
-    reps = verify_ladder_identities(3, 2, 6, negate=True)
+    reps = _ladder(verify_jfunc(3, 2, 6, negate=True))
     bad = [r for r in reps if not r.ok]
     assert bad and bad[0].name == "ladder-alpha-1"
     assert bad[0].first_discrepancy is not None
@@ -199,25 +302,37 @@ def test_ladder_negative_control():
 
 
 def test_qde():
-    assert verify_qde(3, 2, 12).ok
-    assert verify_qde(2, 1, 8).ok
+    assert _qde(verify_jfunc(3, 2, 12)).ok
+    assert _qde(verify_jfunc(2, 1, 8)).ok
 
 
 def test_qde_negative_control():
     # at qdeg 3 < km the QDE compares only q-degrees that the shifted J
     # never reaches; the perturbation must land there all the same
     for qdeg in (6, 3):
-        rep = verify_qde(3, 2, qdeg, negate=True)
+        rep = _qde(verify_jfunc(3, 2, qdeg, negate=True))
         assert not rep.ok
         assert rep.first_discrepancy is not None
         assert rep.first_discrepancy["at"]["q_degree"] <= qdeg
 
 
+@pytest.mark.parametrize("k, m", [(3, 2), (2, 3), (5, 3), (2, 1)])
+def test_negative_controls_land_on_the_top_window(k, m):
+    # on [1, 1] the added z J of ladder-alpha-1 has no term, so the control
+    # falls back to a perturbation that lands inside the window
+    qdeg = 2 * k * m
+    reps = verify_jfunc(k, m, qdeg, 1, 1, negate=True)
+    bad = {r.name: r.first_discrepancy["at"] for r in reps if not r.ok}
+    assert set(bad) == {"ladder-alpha-1", "qde"}
+    for at in bad.values():
+        assert at["z_power"] == "1" and at["q_degree"] <= qdeg, at
+    assert all(r.ok for r in verify_jfunc(k, m, qdeg, 1, 1))
+
+
 def test_swapped_feet_engine():
     # k < m goes through the same engine with feet relabeled
-    reps = verify_ladder_identities(2, 3, 10)
-    assert all(r.ok for r in reps)
-    assert verify_qde(2, 3, 10).ok
+    reps = verify_jfunc(2, 3, 10)
+    assert len(reps) == 6 and all(r.ok for r in reps)
 
 
 def test_tau_derivative_decomposes_over_untwisted_directions():
@@ -226,9 +341,8 @@ def test_tau_derivative_decomposes_over_untwisted_directions():
     k, m, qmax = 3, 2, 8
     j = build_j(k, m, qmax, ZWIN)
     lhs = j.apply_zdtau_affine(
-        lambda sector, qdeg: TS.from_poly(
-            "z", {0: PR.nu0() if sector == "0" else PR.nu1(),
-                  1: PR.rational(qdeg)}))
+        lambda sector, qdeg: (PR.nu0() if sector == "0" else PR.nu1(),
+                              PR.rational(qdeg)))
     djk = build_dj(k, m, "k", k, qmax, ZWIN)
     djm = build_dj(k, m, "m", m, qmax, ZWIN)
     rhs = JSeries(k, m, qmax, ZWIN)
