@@ -104,6 +104,10 @@ def main():
     sp = superpotential(4, 3, None, 4)
     bench("chart change (4,3), degree 4, depth 10",
           lambda: solve_chart_change(sp, 10), n=3)
+    # x = lam (1 + u)
+    u = solve_chart_change(sp, 10).shift_exponent("lam", -1) - 1
+    bench(f"log1p of the (4,3) chart-change u ({len(u.terms)} terms)",
+          u.log1p, n=20)
     bench("verify_lemma_inv(5, 8)", lambda: verify_lemma_inv(5, 8), n=3)
     u = TS.var("u", up_win(10))
     bench("series exp (order 10)", lambda: (u + u * u).exp(), n=200)
@@ -117,6 +121,9 @@ def main():
                if s.caps), key=lambda s: len(s.vars))
     bench(f"apply_vertex exp ({len(arg.vars)} variables, cap "
           f"{min(arg.caps.values())})", arg.exp, n=5)
+    vacuum = two_toda_vacuum_tau(2, 3).series
+    bench(f"recip of the vacuum tau ({len(vacuum.terms)} terms)",
+          vacuum.recip, n=20)
     tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
     bench("toda_hqe_eval at depth 2, (n, l) = (0, 0)",
           lambda: toda_hqe_eval(tau, 0, 0, 2, HQE_EPS), n=3)

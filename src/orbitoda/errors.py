@@ -31,7 +31,7 @@ class SingularFiber(OrbitodaError):
 
 class NonConvergent(OrbitodaError):
     """An expansion that should terminate does not: a truncated power sum
-    (exp, log1p, a reciprocal, an operator inverse, a D-chain of a
+    (the exponential of a derivation, an operator inverse, a D-chain of a
     bi-infinite sum) whose powers still do not vanish after its limit."""
 
 

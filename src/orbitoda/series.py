@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
-from operator import add, gt, mul
+from operator import add, gt, le, mul
 from typing import Mapping
 
 from .errors import NonConvergent, NonUnit, NotInvertible, WindowUnderflow
@@ -421,20 +421,14 @@ class TruncSeries:
         return {g: sum(e for v, e in zip(self.vars, lead) if v in g)
                 for g in self.caps}
 
-    def _recip_parts(self):
-        """(lead, c0^-1, tail, gwins, gcaps) of 1/self = x^-lead c0^-1 / (1 + h).
+    def _offset_window(self, lead, what: str) -> dict[str, VarWindow]:
+        """Window of a sum whose support starts at offset 0 from ``lead``.
 
-        ``tail`` holds h = self / (c0 x^lead) - 1 by exponent offset from the
-        leading key; ``gwins`` and ``gcaps`` are the window and group caps of
-        the geometric sum sum_j (-h)^j (support starts at 0).  A cap C on a
-        group where the leading key has degree d knows h to offset degree
-        C - d.  Exactly-tracked variables keep a neutral window and grow
-        freely.
+        An up-type variable is known to offset hi - lead, a down-type one
+        from lo - lead; an exactly-tracked variable gets the point 0 (the
+        grade solve grows it freely).  NonUnit for a window soft on both
+        sides, WindowUnderflow for an empty window.
         """
-        lead = self._leading_key()
-        c0_inv = self.terms[lead].inverse()
-        tail = {tuple(a - b for a, b in zip(key, lead)): c * c0_inv
-                for key, c in self.terms.items() if key != lead}
         gwins = {}
         for i, v in enumerate(self.vars):
             w = self.wins[v]
@@ -449,14 +443,30 @@ class TruncSeries:
         for i, v in enumerate(self.vars):
             if gwins[v].lo > gwins[v].hi:
                 raise WindowUnderflow(
-                    f"variable {v}: empty window in recip (leading exponent "
+                    f"variable {v}: empty window in {what} (leading exponent "
                     f"{lead[i]} outside {self.wins[v]})")
+        return gwins
+
+    def _recip_parts(self):
+        """(lead, c0^-1, tail, gwins, gcaps) of 1/self = x^-lead c0^-1 / (1 + h).
+
+        ``tail`` holds h = self / (c0 x^lead) - 1 by exponent offset from the
+        leading key; ``gwins`` and ``gcaps`` are the window and group caps of
+        the geometric sum sum_j (-h)^j (support starts at 0).  A cap C on a
+        group where the leading key has degree d knows h to offset degree
+        C - d.
+        """
+        lead = self._leading_key()
+        c0_inv = self.terms[lead].inverse()
+        tail = {tuple(a - b for a, b in zip(key, lead)): c * c0_inv
+                for key, c in self.terms.items() if key != lead}
+        gwins = self._offset_window(lead, "recip")
         degrees = self._lead_degrees(lead)
         gcaps = {g: c - degrees[g] for g, c in self.caps.items()}
         return lead, c0_inv, tail, gwins, gcaps
 
     def _times_lead_inverse(self, total: "TruncSeries", lead, c0_inv):
-        """total * c0^-1 x^-lead, the last step of both reciprocals.
+        """total * c0^-1 x^-lead, the last step of a reciprocal.
 
         The shift by -lead moves each cap of ``total`` down by the leading
         degree d, so the result is known to degree C - 2d; the product tests
@@ -471,118 +481,35 @@ class TruncSeries:
         return TruncSeries(total.vars, total.wins, total.terms, caps) * minv
 
     def recip(self) -> "TruncSeries":
-        """1/self.  Every variable the tail moves must carry a truncation.
+        """1/self = c0^-1 x^-lead / (1 + h), for a self led by one
+        dominating monomial (``_leading_key``).
 
-        Solves b = 1 - h b one grade at a time, where the grade of a key is
-        its oriented exponent sum over the soft-truncated variables: every
-        tail term has grade >= 1, so once a grade of b is complete each of
-        its terms is pushed forward by each tail term, and each (tail term,
-        result term) pair is formed once.  A pushed key is kept by the same
-        window and cap test as the power-by-power sum of (-h)^j, so the
-        result equals that sum term for term.  A tail that moves an
-        exactly-tracked variable grows that variable's window with the
-        support of each power; such inputs go through
-        ``_recip_by_powers``.
+        b = 1/(1 + h) solves b = 1 - h b: ``_grade_solve`` with seed 1,
+        tail -h and weight 1.
         """
         lead, c0_inv, tail, gwins, gcaps = self._recip_parts()
-        exact = [i for i, v in enumerate(self.vars) if gwins[v].lo_hard
-                 and gwins[v].hi_hard]
-        if any(key[i] for key in tail for i in exact):
-            return self._recip_by_powers()
-        dirs = [0 if i in exact else self._direction(v)
-                for i, v in enumerate(self.vars)]
-        top = sum(gwins[v].hi if d > 0 else -gwins[v].lo
-                  for v, d in zip(self.vars, dirs) if d)
-        lows, highs, capspec = _key_bounds(self.vars, gwins, gcaps)
-        push = [(t, -c, sum(map(mul, dirs, t)), sums)
-                for t, c, sums in _with_cap_sums(tail, capspec)]
-        grades: list[dict] = [{} for _ in range(top + 1)]
-        zero = (0,) * len(self.vars)
-        if _under_caps(zero, capspec):     # every gwins window holds 0
-            grades[0][zero] = PR.one()
-        terms = {}
-        for g, layer in enumerate(grades):
-            for key, c in layer.items():
-                if c.is_zero():
-                    continue
-                terms[key] = c
-                room = _cap_room(key, capspec) if capspec else ()
-                for t, ct, step, sums in push:
-                    if room and any(map(gt, sums, room)):
-                        continue
-                    nk = tuple(map(add, key, t))
-                    for e, lo, hi in zip(nk, lows, highs):
-                        if e < lo or e > hi:
-                            break
-                    else:
-                        nxt = grades[g + step]
-                        cur = nxt.get(nk)
-                        nxt[nk] = c * ct if cur is None else cur + c * ct
-        total = TruncSeries(self.vars, gwins, terms, gcaps)
-        return self._times_lead_inverse(total, lead, c0_inv)
-
-    def _recip_by_powers(self) -> "TruncSeries":
-        """1/self as the truncated geometric sum of (-h)^j, one full power at
-        a time; windows of exactly-tracked variables grow with each power."""
-        lead, c0_inv, tail, gwins, gcaps = self._recip_parts()
-        hwins = {v: VarWindow(w.lo - lead[i], w.hi - lead[i], w.lo_hard,
-                              w.hi_hard)
-                 for i, (v, w) in enumerate(
-                     (v, self.wins[v]) for v in self.vars)}
-        h = TruncSeries(self.vars, hwins, tail, gcaps)
-        total = power_sum(TruncSeries.scalar(1, gwins, gcaps),
-                          lambda p: (p * (-1 * h)).truncated(gwins),
-                          what="reciprocal expansion")
+        total = _grade_solve(self, gwins, gcaps, {(0,) * len(lead): PR.one()},
+                             {t: -c for t, c in tail.items()}, None, "recip")
         return self._times_lead_inverse(total, lead, c0_inv)
 
     def recip_within(self, wins: Mapping[str, VarWindow]) -> "TruncSeries":
         return self.truncated(wins).recip()
 
-    def _smallness_window(self, what: str) -> dict[str, VarWindow]:
-        """Check each term is adically small; return the natural sum window.
-
-        Smallness: every term must move at least one soft-truncated variable
-        strictly toward its truncation and none away from it.  Movement in
-        exactly-tracked (both-hard) variables is unrestricted: those windows
-        grow with the computed support and stay exact.
-        """
-        soft = {}
-        for v in self.vars:
-            w = self.wins[v]
-            if w.lo_hard and w.hi_hard:
-                continue
-            if not w.lo_hard and not w.hi_hard:
-                raise NonUnit(f"variable {v}: window soft on both sides")
-            soft[v] = self._direction(v)
-        for key in self.terms:
-            o = [soft[v] * e for v, e in zip(self.vars, key) if v in soft]
-            if not all(x >= 0 for x in o) or not any(x > 0 for x in o):
-                raise NonUnit(f"{what} argument has non-nilpotent term {key}")
-        gwins = {}
-        for v in self.vars:
-            w = self.wins[v]
-            if v not in soft:
-                gwins[v] = POINT
-            elif w.lo_hard:
-                gwins[v] = up_win(w.hi)
-            else:
-                gwins[v] = down_win(w.lo)
-        return gwins
-
     def exp(self) -> "TruncSeries":
-        gwins = self._smallness_window("exp")
-        return power_sum(TruncSeries.scalar(1, gwins, self.caps),
-                         lambda p: (p * self).truncated(gwins),
-                         lambda j: Fraction(1, _factorial(j)),
-                         what="exp expansion")
+        """exp(self) for an adically small self.  With E the Euler operator
+        (the oriented v d/dv of each soft variable v), E exp(h) =
+        E(h) exp(h) gives seed 1, tail h and weight r/(g+r)."""
+        zero = (0,) * len(self.vars)
+        gwins = self._offset_window(zero, "exp")
+        return _grade_solve(self, gwins, self.caps, {zero: PR.one()},
+                            self.terms, lambda g, r: Fraction(r, g + r), "exp")
 
     def log1p(self) -> "TruncSeries":
-        gwins = self._smallness_window("log1p")
-        return power_sum(TruncSeries.scalar(1, gwins, self.caps),
-                         lambda p: (p * self).truncated(gwins),
-                         lambda j: Fraction((-1) ** (j + 1), j),
-                         TruncSeries.scalar(0, gwins, self.caps),
-                         what="log1p expansion")
+        """log(1 + self) for an adically small self: (1 + h) E log(1 + h)
+        = E(h) gives seed h, tail h and weight -g/(g+r)."""
+        gwins = self._offset_window((0,) * len(self.vars), "log1p")
+        return _grade_solve(self, gwins, self.caps, self.terms, self.terms,
+                            lambda g, r: Fraction(-g, g + r), "log1p")
 
     def log(self) -> "TruncSeries":
         lead = self._leading_key()
@@ -993,6 +920,71 @@ def _pair_products(pairs, bounds) -> dict:
                     else:
                         out[key] = s
     return out
+
+
+def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
+                 weight, what: str) -> TruncSeries:
+    """The series b over s's variables with
+    b_K = seed_K + sum_t tail_t b_(K-t) weight(g, r), g and r the grades of
+    K - t and of t (weight None is 1), on the window ``gwins`` under the
+    caps ``gcaps``.
+
+    The grade of a key is its exponent sum over the soft-truncated
+    variables, each oriented toward its truncation.  Every tail term must
+    move some soft variable forward and none backward (NonUnit otherwise),
+    so it has grade >= 1 and b is solved one grade at a time: once a grade
+    of b is complete, each of its terms is pushed forward by each tail
+    term, weighted once per grade, under the window and cap test of a
+    truncated product.  The soft grade bounds the recursion, so exactly
+    tracked variables (a point window in ``gwins``) move freely; their
+    window is the hull of 0 and the stored support.
+    """
+    dirs = [0 if gwins[v].lo_hard and gwins[v].hi_hard else s._direction(v)
+            for v in s.vars]
+    lows, highs, capspec = _key_bounds(s.vars, gwins, gcaps)
+    lows = tuple(lo if d else NEG_INF for lo, d in zip(lows, dirs))
+    highs = tuple(hi if d else POS_INF for hi, d in zip(highs, dirs))
+    push = []
+    for t, c, sums in _with_cap_sums(tail, capspec):
+        o = [d * e for d, e in zip(dirs, t) if d]
+        if min(o, default=0) < 0 or not any(o):
+            raise NonUnit(f"{what} argument has non-nilpotent term {t}")
+        push.append((t, c, sum(o), sums))
+    grades: list[dict] = [{} for _ in range(1 + sum(
+        gwins[v].hi if d > 0 else -gwins[v].lo
+        for v, d in zip(s.vars, dirs) if d))]
+    for key, c in seed.items():
+        if all(map(le, lows, key)) and all(map(le, key, highs)) and \
+                _under_caps(key, capspec):
+            grades[sum(map(mul, dirs, key))][key] = c
+    terms = {}
+    for g, layer in enumerate(grades):
+        if layer and weight is not None:
+            layer_push = [(t, c * w, r, sums) for t, c, r, sums in push
+                          if (w := weight(g, r))]
+        else:
+            layer_push = push
+        for key, c in layer.items():
+            if c.is_zero():
+                continue
+            terms[key] = c
+            room = _cap_room(key, capspec) if capspec else ()
+            for t, ct, step, sums in layer_push:
+                if room and any(map(gt, sums, room)):
+                    continue
+                nk = tuple(map(add, key, t))
+                for e, lo, hi in zip(nk, lows, highs):
+                    if e < lo or e > hi:
+                        break
+                else:
+                    nxt = grades[g + step]
+                    cur = nxt.get(nk)
+                    nxt[nk] = c * ct if cur is None else cur + c * ct
+    wins = dict(gwins)
+    for v, d, col in zip(s.vars, dirs, zip(*terms) if 0 in dirs else ()):
+        if not d:
+            wins[v] = exact_win(min(0, *col), max(0, *col))
+    return TruncSeries(s.vars, wins, terms, gcaps)
 
 
 def _add_b(a, b):
