@@ -937,7 +937,10 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
     term, weighted once per grade, under the window and cap test of a
     truncated product.  The soft grade bounds the recursion, so exactly
     tracked variables (a point window in ``gwins``) move freely; their
-    window is the hull of 0 and the stored support.
+    window is the hull of 0 and the stored support.  The weights of exp and
+    log1p count every ordering of the tail terms, a truncated power only
+    those whose partial products stay under each cap; the two differ, and a
+    weighted solve raises NonUnit, if a capped group has terms of both signs.
     """
     dirs = [0 if gwins[v].lo_hard and gwins[v].hi_hard else s._direction(v)
             for v in s.vars]
@@ -950,6 +953,10 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
         if min(o, default=0) < 0 or not any(o):
             raise NonUnit(f"{what} argument has non-nilpotent term {t}")
         push.append((t, c, sum(o), sums))
+    for (positions, _), degrees in zip(capspec, zip(*[p[3] for p in push])):
+        if weight is not None and min(degrees) < 0 < max(degrees):
+            raise NonUnit(f"{what} argument has terms of both signs in the "
+                          f"capped group {sorted(s.vars[i] for i in positions)}")
     grades: list[dict] = [{} for _ in range(1 + sum(
         gwins[v].hi if d > 0 else -gwins[v].lo
         for v, d in zip(s.vars, dirs) if d))]

@@ -834,16 +834,41 @@ def chain_recip_by_powers(s):
     return s._times_lead_inverse(total, lead, c0_inv)
 
 
+def caps_hold_both_signs(s):
+    """Whether a capped group holds terms of positive and negative degree."""
+    for g in s.caps:
+        degrees = [sum(e for v, e in zip(s.vars, key) if v in g)
+                   for key in s.terms]
+        if degrees and min(degrees) < 0 < max(degrees):
+            return True
+    return False
+
+
+def cap_crossed_both_ways():
+    """h = u^2 + w^-1, u up and w down, capped at degree 2 in u and w."""
+    wins = {"u": up_win(4), "w": down_win(-4, hi=0)}
+    h = TS.monomial({"u": 2}, wins) + TS.monomial({"w": -1}, wins)
+    return h.with_cap({"u", "w"}, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_series())
+@example(cap_crossed_both_ways())
 def test_exp_and_log1p_match_chain_of_additions(s):
     # the grade solve keeps an exact window to the hull of 0 and the stored
     # support; the power sum's may overstate it by a power that was cut
+    both = caps_hold_both_signs(s)
     for got, want in ((s.exp, lambda: chain_exp(s)),
                       (s.log1p, lambda: chain_log1p(s))):
-        pair = raises_like(want, got)
+        try:
+            pair = raises_like(want, got)
+        except NonUnit as exc:
+            # the reference computed; only a cap crossed both ways raises
+            assert both and "both signs" in str(exc)
+            continue
         if not pair:
             continue
+        assert not both
         got, want = pair
         assert got.vars == want.vars
         assert got.caps == want.caps
@@ -856,6 +881,27 @@ def test_exp_and_log1p_match_chain_of_additions(s):
             exps = [0] + [key[i] for key in got.terms]
             assert gw == exact_win(min(exps), max(exps))
             assert ww.lo <= gw.lo and gw.hi <= ww.hi
+
+
+def test_exp_and_log1p_reject_a_cap_crossed_both_ways():
+    # In exp(u^2 + w^-1) under the cap 2 on {u, w}, u^4 w^-2 comes from the
+    # 6 orderings of u^2, u^2, w^-1, w^-1; the truncated power sum keeps the
+    # 3 whose partial products stay under the cap (3/24), the Euler weights
+    # count all 6 (1/6).  The same holds for an exact variable that a term
+    # moves down inside the capped group.
+    crossed = cap_crossed_both_ways()
+    assert chain_exp(crossed).terms[(4, -2)] == F(1, 8)
+    wins = {"u": up_win(4), "x": exact_win(-2, 0)}
+    exact = TS.monomial({"u": 3}, wins) + TS.monomial({"u": 1, "x": -2}, wins)
+    exact = exact.with_cap({"u", "x"}, 3)
+    for h in (crossed, exact):
+        for op in ("exp", "log1p"):
+            with pytest.raises(NonUnit, match=rf"^{op} argument has terms "
+                               r"of both signs in the capped group"):
+                getattr(h, op)()
+        # a reciprocal weighs every ordering by 1: it keeps the power loop's
+        assert (1 + h).recip().terms == chain_recip_by_powers(1 + h).terms
+        assert len((1 + h).recip().terms) > 1
 
 
 @pytest.mark.parametrize("op", ["exp", "log1p"])
