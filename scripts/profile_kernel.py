@@ -14,7 +14,8 @@ from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
 from orbitoda.jfunction import (_apply_delta, build_j, inv_poch,
                                 operator_ladder, poch)
-from orbitoda.mirror import solve_chart_change, superpotential
+from orbitoda.mirror import (flat_coords_residue, solve_chart_change,
+                             superpotential)
 from orbitoda.periods import _d_inverse_monomial, d_x_operator
 from orbitoda.rationals import PR
 from orbitoda.series import TruncSeries as TS, down_win, up_win
@@ -103,9 +104,11 @@ def main():
           n=20)
     sp = superpotential(4, 3, None, 4)
     bench("chart change (4,3), degree 4, depth 10",
-          lambda: solve_chart_change(sp, 10), n=3)
+          lambda: solve_chart_change(sp, 10, 13), n=3)
+    bench("flat_coords_residue(4, 3, 4)",
+          lambda: flat_coords_residue(4, 3, 4), n=3)
     # x = lam (1 + u)
-    u = solve_chart_change(sp, 10).shift_exponent("lam", -1) - 1
+    u = solve_chart_change(sp, 10, 13).shift_exponent("lam", -1) - 1
     bench(f"log1p of the (4,3) chart-change u ({len(u.terms)} terms)",
           u.log1p, n=20)
     bench("verify_lemma_inv(5, 8)", lambda: verify_lemma_inv(5, 8), n=3)

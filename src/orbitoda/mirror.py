@@ -116,13 +116,17 @@ def newton_schedule(depth: int) -> list[int]:
     return out[::-1]
 
 
-def solve_chart_change(sp: Superpotential, depth: int) -> TruncSeries:
+def solve_chart_change(sp: Superpotential, depth: int,
+                       qtop: int) -> TruncSeries:
     """x(lam) = lam (1 + u) solving f_t(x) = lam^k + (log-normal form).
 
-    Returns x(lam) with the lam-window soft down to lam^{1-depth}.
+    Returns x(lam) with the lam-window soft down to lam^{1-depth} and the
+    q-window soft above q^qtop.  The caller states both: a check solves on
+    the window it reads (the period checks pass qtop = depth + m, the flat
+    coordinates a q-window deeper than their lam-window).
     """
     k = sp.k
-    qwin = up_win(depth + sp.m)
+    qwin = up_win(qtop)
     lam_pow = {e: TruncSeries.from_poly("lam", {e: 1}) for e in range(-sp.m, k + 1)}
 
     def subst_x(powers, e):
@@ -188,7 +192,15 @@ def flat_coords_residue(k: int, m: int, degree: int) -> dict:
     Returns {('k', i): polynomial in the t's}; i = 0 holds t_k + nu0 t_N.
     """
     sp = superpotential(k, m, None, degree)
-    x_of_lam = solve_chart_change(sp, k + m + 3)
+    # The residues read x^0 of lam^i for i <= k.  x(lam) is known to
+    # lam^(1-depth).  series_reversion loses one order per Newton step (it
+    # forms f(g) from 1 * g) and takes at most two here (every coprime pair
+    # with k, m <= 8, degrees 1-6), so lam(x) is known to x^(3-depth), and
+    # lam^i, i products from 1 on that window, to x^(3-depth+i).  So depth
+    # k + 3 knows x^0 of lam^k; at k + 2, for k >= 4 and degree >= 3, the
+    # coeff_of raises WindowUnderflow.  The q-window is that of the solve at
+    # depth k + m + 3, q^(k+2m+3).
+    x_of_lam = solve_chart_change(sp, k + 3, k + 2 * m + 3)
     lam_of_x = series_reversion(x_of_lam, "lam", out_var="x")
     out = {}
     pows = TruncSeries.scalar(1, lam_of_x.wins)
@@ -791,28 +803,27 @@ def gaussian_moment_oracle(n_max: int) -> CheckReport:
                 yield binom_c.scale(Fraction(1, fact)) * \
                     TruncSeries.monomial({"u": c}, {"u": uw})
 
-        F = F * sum_series(binomial_terms(),
-                           TruncSeries.scalar(0, {"s": swin, "u": uw}))
-        # moment integration: u^a v^b -> (a-1)!! (-1)^{a/2} w^{a/2-b}
+        S = sum_series(binomial_terms(),
+                       TruncSeries.scalar(0, {"s": swin, "u": uw}))
+        # moment integration: u^a v^b -> (a-1)!! (-1)^{a/2} w^{a/2-b}.  It
+        # reads a even and a/2 - b in [0, n_max - 1], so of F * S only the
+        # pairs of F's terms with such a b and u-exponents summing to a are
+        # formed
         wwin = up_win(n_max - 1)
 
         def moments():
-            for key, c in F.terms.items():
-                exps = dict(zip(F.vars, key))
-                a = exps.get("u", 0)
-                b = exps.get("v", 0)
-                if a % 2:
-                    continue
-                wexp = a // 2 - b
-                if wexp < 0 or wexp > n_max - 1:
-                    continue
-                mom = Fraction(1)
-                for t in range(1, a, 2):
-                    mom *= t
-                mom *= (-1) ** (a // 2)
-                yield TruncSeries.monomial(
-                    {"w": wexp, "s": exps.get("s", 0)},
-                    {"w": wwin, "s": swin}, coeff=c * mom)
+            mom = Fraction(1)
+            for a in range(0, U + 1, 2):
+                if a:
+                    mom *= 1 - a
+                part = F.below_slice("v", min(a // 2, vw.hi) + 1) \
+                    .hard_slice("v", a // 2 - n_max + 1)
+                coeff = part.mul_coeff(S, "u", a)
+                for key, c in coeff.terms.items():
+                    exps = dict(zip(coeff.vars, key))
+                    yield TruncSeries.monomial(
+                        {"w": a // 2 - exps["v"], "s": exps.get("s", 0)},
+                        {"w": wwin, "s": swin}, coeff=c * mom)
 
         logR = sum_series(moments(),
                           TruncSeries.scalar(0, {"w": wwin, "s": swin})).log()

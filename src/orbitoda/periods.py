@@ -442,7 +442,7 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
         # W approaches its constant: the log-argument tends to 1
         depth = 2 * (k + m) + 4
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
-        x_of_lam = solve_chart_change(sp, depth)
+        x_of_lam = solve_chart_change(sp, depth, depth + m)
         lam = series_reversion(x_of_lam, "lam", out_var="x")
         x2f = TruncSeries.from_poly("x", {2: 1}) * sp.df_dx()
         arg = lam * ((lam ** k).scale(PR.rational(k)) - PR.diff()) * \
@@ -465,7 +465,7 @@ def verify_w_derivative(k: int, m: int) -> CheckReport:
     with CheckReport(name="w-derivative", params={"k": k, "m": m,
                                                   "depth": depth}) as rep:
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
-        x_of_lam = solve_chart_change(sp, depth)
+        x_of_lam = solve_chart_change(sp, depth, depth + m)
         lam_of_x = series_reversion(x_of_lam, "lam", out_var="x")
         lam = lam_of_x
         nu = PR.nu(k)
@@ -525,7 +525,7 @@ def verify_s_action_replay(k: int, m: int) -> CheckReport:
         D = d_x_operator(k, m)
         depth = -lam_lo + k + m + 2
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
-        x_l = solve_chart_change(sp, depth).truncated(
+        x_l = solve_chart_change(sp, depth, depth + m).truncated(
             {"lam": down_win(lam_lo - k - m, hi=1)})
         expo = phi_primitive_difference(D, x_l)
         closed = TruncSeries.from_poly("lam", {-m: 1}) * \

@@ -320,13 +320,74 @@ class TruncSeries:
             wins[v] = VarWindow(int(lo), int(hi), lo_hard, hi_hard)
         return wins
 
+    def _bottom(self, group) -> int | float:
+        """The sum of the window bottoms of the group's variables (0 for a
+        variable outside ``vars``); -inf if one is soft below."""
+        least = 0
+        for v in group:
+            w = self.wins.get(v, POINT)
+            if not w.lo_hard:
+                return NEG_INF
+            least += w.lo
+        return least
+
+    def _least_above(self, group, g, c) -> int | float:
+        """The least group degree of a key inside the windows above the cap
+        c on g (+inf if there is none): from the window bottoms, raise g's
+        variables outside the group first, then those in it."""
+        wins = {v: self._win(v) for v in g | group}
+
+        def span(vs):
+            return sum(wins[v].hi - wins[v].lo for v in vs)
+        need = c + 1 - sum(wins[v].lo for v in g) - span(g - group)
+        if need > span(g & group):
+            return POS_INF
+        return sum(wins[v].lo for v in group) + max(need, 0)
+
+    def _least_degree(self, group, other: "TruncSeries") -> int | float:
+        """The least degree in ``group`` of a term of self that a product
+        with ``other`` (capped on the group) can pair under its caps: a
+        stored term, or an unknown one inside the windows above self's cap
+        on the group, or above another cap g of self that ``other`` can
+        meet at negative degree in g (else the pair lands above the
+        product's cap on g).  WindowUnderflow if a variable of the group is
+        soft below."""
+        least = self._bottom(group)
+        if least == NEG_INF:
+            raise WindowUnderflow(
+                f"group {sorted(group)}: cap in a product with a factor "
+                "unbounded below in the group")
+        if least >= 0:
+            return least
+        idx = [i for i, v in enumerate(self.vars) if v in group]
+        out = min((sum([key[i] for i in idx]) for key in self.terms),
+                  default=POS_INF)
+        for g, c in self.caps.items():
+            if g == group or other._bottom(g) < 0:
+                out = min(out, self._least_above(group, g, c))
+        return out
+
+    def _product_caps(self, other: "TruncSeries") -> dict:
+        """Group caps of self * other: a factor known to degree C in a group
+        gives the product to degree C + d, d the other factor's least
+        degree there (``_least_degree``) where it is negative.  A term of
+        degree C + 1 times one of degree -1 lands at C."""
+        caps = {}
+        if not (self.caps or other.caps):
+            return caps
+        for a, b in ((self, other), (other, self)):
+            for g, c in a.caps.items():
+                c += min(0, b._least_degree(g, a))
+                caps[g] = min(caps.get(g, c), c)
+        return caps
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ParamRat)):
             return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         allvars, ta, tb = self._aligned(other)
-        caps = _cap_merge(self.caps, other.caps)
+        caps = self._product_caps(other)
         wins = self._product_wins(other, allvars)
         bounds = _key_bounds(allvars, wins, caps)
         tb = _with_cap_sums(tb, bounds[2])
@@ -344,7 +405,7 @@ class TruncSeries:
         if v not in self.wins and v not in other.wins:
             return (self * other).coeff_of(v, e)
         allvars, ta, tb = self._aligned(other)
-        caps = _cap_merge(self.caps, other.caps)
+        caps = self._product_caps(other)
         wins = self._product_wins(other, allvars)
         terms = {}
         i = allvars.index(v)
@@ -469,15 +530,17 @@ class TruncSeries:
         """total * c0^-1 x^-lead, the last step of a reciprocal.
 
         The shift by -lead moves each cap of ``total`` down by the leading
-        degree d, so the result is known to degree C - 2d; the product tests
-        the shifted caps on the shifted keys.
+        degree d, so the result is known to degree C - 2d; the product
+        lowers a cap by d where d > 0 and keeps it where d <= 0, so the rest
+        of the shift, -min(d, 0), comes first, and the product tests the
+        shifted caps on the shifted keys.
         """
         minv = TruncSeries(self.vars,
                            {v: exact_win(-lead[i], -lead[i])
                             for i, v in enumerate(self.vars)},
                            {tuple(-e for e in lead): c0_inv})
         degrees = self._lead_degrees(lead)
-        caps = {g: c - degrees[g] for g, c in total.caps.items()}
+        caps = {g: c - min(degrees[g], 0) for g, c in total.caps.items()}
         return TruncSeries(total.vars, total.wins, total.terms, caps) * minv
 
     def recip(self) -> "TruncSeries":
@@ -937,10 +1000,11 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
     term, weighted once per grade, under the window and cap test of a
     truncated product.  The soft grade bounds the recursion, so exactly
     tracked variables (a point window in ``gwins``) move freely; their
-    window is the hull of 0 and the stored support.  The weights of exp and
-    log1p count every ordering of the tail terms, a truncated power only
-    those whose partial products stay under each cap; the two differ, and a
-    weighted solve raises NonUnit, if a capped group has terms of both signs.
+    window is the hull of 0 and the stored support.  A cap is kept as it
+    is, which is sound only while no tail term lowers the degree in its
+    group (a truncated power lowers it at each product): a term of negative
+    degree raises NonUnit, and a variable of the group soft below
+    WindowUnderflow, as in a truncated product.
     """
     dirs = [0 if gwins[v].lo_hard and gwins[v].hi_hard else s._direction(v)
             for v in s.vars]
@@ -953,10 +1017,15 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
         if min(o, default=0) < 0 or not any(o):
             raise NonUnit(f"{what} argument has non-nilpotent term {t}")
         push.append((t, c, sum(o), sums))
+    for positions, _ in capspec:
+        if any(dirs[i] < 0 for i in positions):
+            raise WindowUnderflow(f"group {sorted(s.vars[i] for i in positions)}"
+                                  f": cap in {what} of a series unbounded "
+                                  "below in the group")
     for (positions, _), degrees in zip(capspec, zip(*[p[3] for p in push])):
-        if weight is not None and min(degrees) < 0 < max(degrees):
-            raise NonUnit(f"{what} argument has terms of both signs in the "
-                          f"capped group {sorted(s.vars[i] for i in positions)}")
+        if min(degrees) < 0:
+            raise NonUnit(f"{what} argument has a term of negative degree in "
+                          f"the capped group {sorted(s.vars[i] for i in positions)}")
     grades: list[dict] = [{} for _ in range(1 + sum(
         gwins[v].hi if d > 0 else -gwins[v].lo
         for v, d in zip(s.vars, dirs) if d))]

@@ -8,6 +8,7 @@ import pytest
 
 from orbitoda.algebra import bernoulli_number, poly_derivative
 from orbitoda.cohomology import Cohomology, SectorIndex
+from orbitoda.errors import WindowUnderflow
 from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
                              flat_coords_binomial, flat_coords_residue,
                              gaussian_moment_oracle, residue_pairing_matrix,
@@ -17,7 +18,8 @@ from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
                              unit_powers, verify_flat_coordinates,
                              verify_tangent_product)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, VarWindow, up_win
+from orbitoda.series import (TruncSeries as TS, VarWindow, series_reversion,
+                             up_win)
 
 
 def test_flat_coordinate_displays():
@@ -42,6 +44,43 @@ def test_flat_routes_agree(k, m):
     assert verify_flat_coordinates(k, m, 4).ok
 
 
+def _residue_taus(sp, depth, qtop):
+    """{('k', i % k): (k/i) [x^0] lam^i} for i = 1..k, lam(x) the reversion
+    of the chart change solved at lam-depth ``depth`` and q-top ``qtop``."""
+    k = sp.k
+    lam = series_reversion(solve_chart_change(sp, depth, qtop), "lam",
+                           out_var="x")
+    out = {}
+    pows = TS.scalar(1, lam.wins)
+    for i in range(1, k + 1):
+        pows = pows * lam
+        out[("k", i % k)] = pows.coeff_of("x", 0).scale(F(k, i))
+    return out
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3), (5, 2), (5, 3)])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_flat_coords_residue_matches_full_window_route(k, m, degree):
+    # the reference solves at lam-depth k + m + 3 and reverses all of it
+    want = _residue_taus(superpotential(k, m, None, degree), k + m + 3,
+                         k + 2 * m + 3)
+    got = flat_coords_residue(k, m, degree)
+    assert sorted(got) == sorted(want)
+    for key, a in got.items():
+        b = want[key]
+        assert (a.vars, a.wins, a.caps) == (b.vars, b.wins, b.caps), key
+        assert a.terms == b.terms, key
+
+
+@pytest.mark.parametrize("k,m", [(4, 3), (5, 2), (5, 3)])
+def test_flat_coords_residue_depth_is_tight(k, m):
+    # one lam-order less leaves x^0 of lam^k unknown (for k <= 3 the
+    # reversion takes one Newton step less, and lam-depth k + 2 suffices)
+    sp = superpotential(k, m, None, 4)
+    with pytest.raises(WindowUnderflow, match="coefficient of x\\^0"):
+        _residue_taus(sp, k + 2, k + 2 * m + 3)
+
+
 def test_chart_change_leaves_no_cyclic_garbage():
     # each Newton step's powers of 1 + u are freed with the step, not later
     # by the cycle collector
@@ -49,18 +88,18 @@ def test_chart_change_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        solve_chart_change(sp, 6)
+        solve_chart_change(sp, 6, 6 + sp.m)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def _chart_change_full_window(sp, depth):
+def _chart_change_full_window(sp, depth, qtop):
     """The chart-change Newton loop with every step on the full lam-window,
     the reference for the precision-doubling ``solve_chart_change``."""
     k = sp.k
     lamw = VarWindow(-depth, 0, False, True)
-    qwin = up_win(depth + sp.m)
+    qwin = up_win(qtop)
     rat = sp.rational
 
     def lam(e):
@@ -106,14 +145,16 @@ def _chart_change_full_window(sp, depth):
 
 @pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3), (5, 2)])
 def test_chart_change_doubling_matches_full_window(k, m):
-    # a degree-4 t-jet at the flat-coordinate depth, and the small slice at
-    # the depths of the period checks
-    cases = [(superpotential(k, m, None, 4), k + m + 3)]
+    # a degree-4 t-jet at the flat-coordinate window and at the deeper one
+    # of the full-window route, and the small slice at the windows of the
+    # period checks
+    jet = superpotential(k, m, None, 4)
+    cases = [(jet, k + 3, k + 2 * m + 3), (jet, k + m + 3, k + 2 * m + 3)]
     small = superpotential(k, m, {i: 0 for i in range(1, k + m)})
-    cases += [(small, 18), (small, 25)]
-    for sp, depth in cases:
-        got = solve_chart_change(sp, depth)
-        want = _chart_change_full_window(sp, depth)
+    cases += [(small, 18, 18 + m), (small, 25, 25 + m)]
+    for sp, depth, qtop in cases:
+        got = solve_chart_change(sp, depth, qtop)
+        want = _chart_change_full_window(sp, depth, qtop)
         assert (got.vars, got.wins, got.caps) == \
             (want.vars, want.wins, want.caps)
         assert got.terms == want.terms
@@ -123,7 +164,7 @@ def test_unit_power_table_matches_powers():
     # 1 + u of a degree-2 (4,3) chart change: lam soft below, q soft above,
     # seven capped t's
     k, m = 4, 3
-    one_u = solve_chart_change(superpotential(k, m, None, 2), 7) * \
+    one_u = solve_chart_change(superpotential(k, m, None, 2), 7, 7 + m) * \
         TS.from_poly("lam", {-1: 1})
     table = unit_powers(one_u, -m - 1, k)
     assert sorted(table) == list(range(-m - 1, k + 1))

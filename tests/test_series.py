@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import math
 import re
 from fractions import Fraction as F
@@ -315,13 +316,46 @@ def truncated_factors(draw):
     return factors
 
 
+def bottom(y, g):
+    """The sum of y's window bottoms over g; -inf if one is soft below."""
+    wins = [y.wins.get(v, exact_win(0, 0)) for v in g]
+    return sum(w.lo if w.lo_hard else -math.inf for w in wins)
+
+
+def least_degree(y, g, x):
+    """The least degree in g of a term of y that can meet x under the caps:
+    y's stored terms, and the keys inside y's windows above y's cap on g or
+    above a cap g2 of y where x's window bottoms sum below 0, by
+    enumerating the keys."""
+    degrees = [sum(e for v, e in zip(y.vars, key) if v in g)
+               for key in y.terms]
+    for key in itertools.product(*[range(y.wins[v].lo, y.wins[v].hi + 1)
+                                   for v in y.vars]):
+        exps = dict(zip(y.vars, key))
+        if any(sum(exps.get(v, 0) for v in g2) > c2
+               and (g2 == g or bottom(x, g2) < 0)
+               for g2, c2 in y.caps.items()):
+            degrees.append(sum(exps.get(v, 0) for v in g))
+    return min(degrees, default=math.inf)
+
+
+def product_caps(a, b):
+    """The group caps of a * b for factors with no soft-below variable in a
+    capped group: each factor's cap, lowered by the other factor's least
+    degree in the group where that is negative."""
+    caps = {}
+    for x, y in ((a, b), (b, a)):
+        for g, c in x.caps.items():
+            c += min(0, least_degree(y, g, x))
+            caps[g] = min(caps.get(g, c), c)
+    return caps
+
+
 def every_pair_product(a, b):
     """a * b for factors over the same variables, by the schoolbook loop
     over every pair of terms: the keep test of the window and the caps."""
     wins = a._product_wins(b, a.vars)
-    caps = dict(a.caps)
-    for g, c in b.caps.items():
-        caps[g] = min(caps.get(g, c), c)
+    caps = product_caps(a, b)
     terms = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -370,8 +404,9 @@ def test_windowed_product_matches_every_pair_loop(factors):
 
 @st.composite
 def capped_factors(draw):
-    """Two factors of 10-16 terms over u, v, w (each up, down or exact) under
-    one or two group caps, each cap on one factor or on both."""
+    """Two factors of 10-16 terms over u, v, w (each up, down or exact), as
+    drawn and under one or two group caps, each cap on one factor or on
+    both: ``(plain factors, capped factors)``."""
     names = ("u", "v", "w")
     coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
     wins = {}
@@ -381,22 +416,23 @@ def capped_factors(draw):
         wins[v] = VarWindow(lo, lo + draw(st.integers(2, 5)),
                             kind != "down", kind != "up")
     key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
-    factors = [TS(names, wins, draw(st.dictionaries(key, coeff, min_size=10,
-                                                    max_size=16)))
-               for _ in range(2)]
+    plain = [TS(names, wins, draw(st.dictionaries(key, coeff, min_size=10,
+                                                  max_size=16)))
+             for _ in range(2)]
+    factors = plain
     for _ in range(draw(st.integers(1, 2))):
         group = draw(st.sets(st.sampled_from(names), min_size=1))
         cap = draw(st.integers(-2, 6))
         on = draw(st.sampled_from([(0,), (1,), (0, 1)]))
         factors = [f.with_cap(group, cap) if i in on else f
                    for i, f in enumerate(factors)]
-    return factors
+    return plain, factors
 
 
 @settings(max_examples=200, deadline=None)
 @given(capped_factors())
 def test_capped_product_matches_under_caps_pair_loop(factors):
-    a, b = factors
+    _, (a, b) = factors
     try:
         got = a * b
     except WindowUnderflow:
@@ -414,8 +450,59 @@ def test_capped_product_matches_under_caps_pair_loop(factors):
                 del want[key]
             else:
                 want[key] = s
-    assert got.caps == series._cap_merge(a.caps, b.caps)
+    assert got.caps == product_caps(a, b)
     assert list(got.terms.items()) == list(want.items())
+
+
+def cap_against_negative_degree():
+    """a = u^2 + u^3 (u up, w down) times the exact w^-1, as drawn and with
+    a known to degree 2 in {u, w}, so that a stores u^2 only, in the shape
+    of ``capped_factors``."""
+    wins = {"u": up_win(4), "w": down_win(-4)}
+    full = TS.monomial({"u": 2}, wins) + TS.monomial({"u": 3}, wins)
+    winv = TS.from_poly("w", {-1: 1})
+    return (full, winv), (full.with_cap({"u", "w"}, 2), winv)
+
+
+def test_product_cap_lowered_by_a_factor_of_negative_degree():
+    # the unknown u^3 of a lands at u^3 w^-1, degree 2: a * w^-1 is known
+    # to degree 1 only, and so is its u^3 coefficient, to w-degree -2
+    (full, winv), (a, _) = cap_against_negative_degree()
+    got = a * winv
+    assert got.caps == {frozenset("uw"): 1}
+    assert got.terms == {(2, -1): PR.one()}
+    assert (got - full * winv).is_zero()
+    coeff = a.mul_coeff(winv, "u", 3)
+    assert coeff.caps == {frozenset("w"): -2}
+    assert (coeff - (full * winv).coeff_of("u", 3)).is_zero()
+    # a factor with w soft below bounds no degree in {u, w}
+    with pytest.raises(WindowUnderflow, match=r"group \['u', 'w'\]"):
+        a * TS.var("w", down_win(-4), power=-1)
+    with pytest.raises(WindowUnderflow, match=r"group \['u', 'w'\]"):
+        TS.var("w", down_win(-4), power=-1).mul_coeff(a, "u", 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_factors())
+@example(cap_against_negative_degree())
+def test_capped_product_is_the_uncapped_product_under_its_caps(factors):
+    # a capped factor may hold anything above its cap, so where the capped
+    # product claims a term it must agree with the product of the factors
+    # as drawn
+    (pa, pb), (a, b) = factors
+    try:
+        got = a * b
+    except WindowUnderflow as exc:
+        # a cap raises only against a factor unbounded below in its group
+        assert not str(exc).startswith("group") or any(
+            not y.wins[v].lo_hard
+            for x, y in ((a, b), (b, a)) for g in x.caps for v in g)
+        return
+    want = pa * pb
+    for g, c in got.caps.items():
+        want = want.with_cap(g, c)
+    assert got.vars == want.vars
+    assert (got - want).is_zero()
 
 
 @st.composite
@@ -458,6 +545,12 @@ def test_recip_matches_power_loop(s):
         want = chain_recip_by_powers(s)
     except (NonUnit, WindowUnderflow) as exc:
         with pytest.raises(type(exc)):
+            s.recip()
+        return
+    if lowers_a_cap(s, s._leading_key()):
+        # the power loop lowers the cap at each product; the grade solve,
+        # which keeps it, refuses
+        with pytest.raises(NonUnit, match="negative degree"):
             s.recip()
         return
     got = s.recip()
@@ -834,14 +927,12 @@ def chain_recip_by_powers(s):
     return s._times_lead_inverse(total, lead, c0_inv)
 
 
-def caps_hold_both_signs(s):
-    """Whether a capped group holds terms of positive and negative degree."""
-    for g in s.caps:
-        degrees = [sum(e for v, e in zip(s.vars, key) if v in g)
-                   for key in s.terms]
-        if degrees and min(degrees) < 0 < max(degrees):
-            return True
-    return False
+def lowers_a_cap(s, lead=None):
+    """Whether a term of s, as an offset from ``lead`` (default 0), has
+    negative degree in a capped group."""
+    lead = lead or (0,) * len(s.vars)
+    return any(sum(e - b for v, e, b in zip(s.vars, key, lead) if v in g) < 0
+               for g in s.caps for key in s.terms)
 
 
 def cap_crossed_both_ways():
@@ -857,18 +948,19 @@ def cap_crossed_both_ways():
 def test_exp_and_log1p_match_chain_of_additions(s):
     # the grade solve keeps an exact window to the hull of 0 and the stored
     # support; the power sum's may overstate it by a power that was cut
-    both = caps_hold_both_signs(s)
+    lowers = lowers_a_cap(s)
     for got, want in ((s.exp, lambda: chain_exp(s)),
                       (s.log1p, lambda: chain_log1p(s))):
         try:
             pair = raises_like(want, got)
         except NonUnit as exc:
-            # the reference computed; only a cap crossed both ways raises
-            assert both and "both signs" in str(exc)
+            # the reference computed, lowering the cap at each power; only
+            # a term of negative degree in a capped group raises
+            assert lowers and "negative degree" in str(exc)
             continue
         if not pair:
             continue
-        assert not both
+        assert not lowers
         got, want = pair
         assert got.vars == want.vars
         assert got.caps == want.caps
@@ -884,24 +976,32 @@ def test_exp_and_log1p_match_chain_of_additions(s):
 
 
 def test_exp_and_log1p_reject_a_cap_crossed_both_ways():
-    # In exp(u^2 + w^-1) under the cap 2 on {u, w}, u^4 w^-2 comes from the
-    # 6 orderings of u^2, u^2, w^-1, w^-1; the truncated power sum keeps the
-    # 3 whose partial products stay under the cap (3/24), the Euler weights
-    # count all 6 (1/6).  The same holds for an exact variable that a term
-    # moves down inside the capped group.
+    # Under the cap 2 on {u, w}, h = u^2 + w^-1 (w down) may hold any u^3,
+    # and w^-1 carries it back under the cap: no power of h is known in the
+    # group, so exp, log1p and the reciprocal refuse h, as the truncated
+    # power sum does.  A term that moves an exact variable down inside the
+    # group lowers the cap at each power; the grade solve keeps its caps,
+    # so it refuses that too.
     crossed = cap_crossed_both_ways()
-    assert chain_exp(crossed).terms[(4, -2)] == F(1, 8)
+    with pytest.raises(WindowUnderflow, match=r"^group \['u', 'w'\]"):
+        chain_exp(crossed)
     wins = {"u": up_win(4), "x": exact_win(-2, 0)}
     exact = TS.monomial({"u": 3}, wins) + TS.monomial({"u": 1, "x": -2}, wins)
     exact = exact.with_cap({"u", "x"}, 3)
-    for h in (crossed, exact):
-        for op in ("exp", "log1p"):
-            with pytest.raises(NonUnit, match=rf"^{op} argument has terms "
-                               r"of both signs in the capped group"):
-                getattr(h, op)()
-        # a reciprocal weighs every ordering by 1: it keeps the power loop's
-        assert (1 + h).recip().terms == chain_recip_by_powers(1 + h).terms
-        assert len((1 + h).recip().terms) > 1
+    assert chain_exp(exact).caps[frozenset("ux")] < 3
+    for op in ("exp", "log1p"):
+        with pytest.raises(WindowUnderflow,
+                           match=rf"^group \['u', 'w'\]: cap in {op} "):
+            getattr(crossed, op)()
+        with pytest.raises(NonUnit, match=rf"^{op} argument has a term of "
+                           r"negative degree in the capped group \['u', 'x'\]"):
+            getattr(exact, op)()
+    with pytest.raises(WindowUnderflow, match=r"^group \['u', 'w'\]: cap in "
+                       "recip "):
+        (1 + crossed).recip()
+    with pytest.raises(NonUnit, match=r"^recip argument has a term of "
+                       "negative degree"):
+        (1 + exact).recip()
 
 
 @pytest.mark.parametrize("op", ["exp", "log1p"])
