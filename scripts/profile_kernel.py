@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
-from orbitoda.jfunction import (_apply_delta, build_j, inv_poch,
+from orbitoda.jfunction import (_apply_delta, build_dj, build_j, inv_poch,
                                 operator_ladder, poch)
 from orbitoda.mirror import (flat_coords_residue, solve_chart_change,
                              superpotential)
@@ -85,13 +85,17 @@ def main():
     nu, x, zwin = PR.nu(5), Fraction(37, 5), down_win(-14, hi=2)
     bench("1/poch by product and recip (n=8, 23 terms)",
           lambda: poch(nu, x).recip_within({"z": zwin}), n=50)
-    bench("1/poch in closed form (inv_poch)", lambda: inv_poch(nu, x, zwin),
-          n=50)
-    # the J of `jfunc --k 5 --m 3`: q-degree 45, z-window [-14, 10]
+    bench(f"1/poch in closed form (inv_poch, "
+          f"{len(inv_poch(nu, x, zwin).terms)} terms)",
+          lambda: inv_poch(nu, x, zwin), n=50)
+    # the J of `jfunc --k 5 --m 3`: q-degree 45, z-window [-14, 10]; its dJ
+    # from the check bottom -6
     j, op = build_j(5, 3, 45, down_win(-14, hi=10)), \
         operator_ladder(5, 3).deltas[-1]
     bench("delta application, (5,3) J", lambda: _apply_delta(j, 5, 3, op),
           n=20)
+    bench("build_dj(5, 3, 'm', 3), (5,3) check bottom",
+          lambda: build_dj(5, 3, "m", 3, 45, down_win(-6, hi=10)), n=5)
     bench("capped 9-variable reciprocal", capped_unit().recip, n=10)
     a = capped_unit()
     b = capped_unit(6).truncated({"lam": down_win(-6)})

@@ -40,19 +40,21 @@ def poch(param: ParamRat, x: Fraction) -> TruncSeries:
 
 
 def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
-    """``poch(param, x).recip_within({"z": zwin})`` in closed form: the same
-    terms, in the same order, with the same window.
+    """``poch(param, x).recip_within({"z": zwin})`` truncated to the soft
+    bottom ``zwin.lo``, in closed form: the same terms, in the same order,
+    with the same window.
 
     With b_i = {x} + i - 1 (i = 1..n) the factors of ``poch``,
 
         1/poch = sum_j (-param)^j h_j(1/b_1, ..., 1/b_n) z^(-n-j) / prod b_i,
 
     h_j the complete homogeneous symmetric polynomial, kept for
-    -n-j >= zwin.lo - 2n; the window is [zwin.lo - 2n, -n], soft below and
-    hard above, as ``recip`` makes it.  Writing b_i = N_i/D and L = lcm(N_i),
-    h_j = (D/L)^j H_j with H_j the integer h_j of the L/N_i, so each
-    coefficient costs integer adds and one content gcd.  ``zwin`` must be soft
-    below and hard above, the shape every J-function window has.
+    -n-j >= zwin.lo; the window is [zwin.lo, -n] (the point zwin.lo, with
+    no term, when -n < zwin.lo), soft below and hard above.  Writing
+    b_i = N_i/D and L = lcm(N_i), h_j = (D/L)^j H_j with H_j the integer h_j
+    of the L/N_i, so each coefficient costs integer adds and one content
+    gcd.  ``zwin`` must be soft below and hard above, the shape every
+    J-function window has; NonUnit when zwin.lo > n, as ``recip`` raises.
     """
     if zwin.lo_hard or not zwin.hi_hard:
         raise ValueError(f"inv_poch needs a z-window soft below and hard "
@@ -68,7 +70,7 @@ def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     lcm = 1
     for num in nums:
         lcm = lcm * num // gcd(lcm, num)
-    top = n - zwin.lo
+    top = -n - zwin.lo
     h = [1] + [0] * top
     for num in nums:
         a = lcm // num
@@ -88,7 +90,7 @@ def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
             terms[(-n - j,)] = ParamRat.from_ints(
                 {key: num * v for key, v in power.num.items()},
                 den_scale * power.den)
-    return TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2 * n, -n,
+    return TruncSeries(("z",), {"z": VarWindow(zwin.lo, max(-n, zwin.lo),
                                                False, True)}, terms)
 
 
@@ -210,8 +212,26 @@ def _points(k: int, m: int) -> dict:
     return {"k": ("0", PR.nu(k), k, m), "m": ("inf", PR.nubar(m), m, k)}
 
 
+def _piece(ratio, param: ParamRat, x: Fraction, d: int,
+           zwin: VarWindow) -> TruncSeries:
+    """ratio(param, x, w) z^(1-d), a Pochhammer ratio of z-degree
+    {x} - 1 - x, on zwin: built on w, zwin moved up by d - 1, and not built
+    at all (zero) when its top power lies below zwin.lo."""
+    if frac_part_unit(x) - x - d < zwin.lo:
+        return TruncSeries.zero()
+    w = VarWindow(zwin.lo + d - 1, zwin.hi + d - 1, zwin.lo_hard,
+                  zwin.hi_hard)
+    return ratio(param, x, w).shift_exponent("z", 1 - d)
+
+
+def _one(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
+    """J's d = 0 ratio, 1 on zwin."""
+    return TruncSeries.scalar(1, {"z": zwin})
+
+
 def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> JSeries:
-    """Exact truncation of the equivariant J-series (both sectors)."""
+    """Exact truncation of the equivariant J-series (both sectors) to the
+    z-window ``zwin``: each piece is known from zwin.lo (``_piece``)."""
     _require_coprime(k, m)
     if qmax < 0:
         raise ValueError("qmax must be nonnegative")
@@ -221,12 +241,11 @@ def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> JSeries:
         for d in range(0, qmax // other + 1):
             if d > 0:
                 fact *= d
-            x = Fraction(d * other, own)
-            ser = inv_poch(param, x, zwin) if d > 0 else \
-                TruncSeries.scalar(1, {"z": zwin})
-            ser = ser.shift_exponent("z", 1 - d).scale(Fraction(1, 1) / fact)
+            ser = _piece(inv_poch if d > 0 else _one, param,
+                         Fraction(d * other, own), d, zwin)
             out.add_term(sector, d * other,
-                         SectorIndex(side, (-d * other) % own), ser)
+                         SectorIndex(side, (-d * other) % own),
+                         ser.scale(Fraction(1, 1) / fact))
     return out
 
 
@@ -258,8 +277,8 @@ def build_dj(k: int, m: int, side: str, index: int, qmax: int,
     for d in range(0, qmax // other + 1):
         if d > 0:
             fact *= d
-        ser = poch_ratio(param, Fraction(d * other - index, own), zwin)
-        ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
+        ser = _piece(poch_ratio, param, Fraction(d * other - index, own), d,
+                     zwin).scale(pref / fact)
         out.add_term(sector, d * other,
                      SectorIndex(side, (index - d * other) % own), ser)
     fact = Fraction(1)
@@ -268,8 +287,8 @@ def build_dj(k: int, m: int, side: str, index: int, qmax: int,
         if d > 0:
             fact *= d
         a = d * own + index
-        ser = inv_poch(o_param, Fraction(a, other), zwin)
-        ser = ser.shift_exponent("z", 1 - d).scale(pref / fact)
+        ser = _piece(inv_poch, o_param, Fraction(a, other), d,
+                     zwin).scale(pref / fact)
         out.add_term(o_sector, a, SectorIndex(o_side, -a % other), ser)
         d += 1
     return out
@@ -375,6 +394,11 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
     (sector, q-degree) piece by its own c0 + c1 z, so the deltas commute,
     and the QDE's left side is the chain after the last rung with the one
     delta it lacks, ``seq.deltas[-1]``, applied.
+
+    Every piece of J and dJ is built only from the lowest z-power its side
+    reads: J from zlo - (K + M), since each of the K + M deltas lifts the
+    soft bottom by at most one order, and dJ, which no delta acts on, from
+    zlo.
     """
     _require_coprime(k, m)
     seq = operator_ladder(k, m)
@@ -382,11 +406,9 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
     pad = K + M  # one z-order of erosion per delta application
     zwin = VarWindow(zlo - pad, zhi + pad, False, True)
     zwin_check = _check_window(zlo, zhi)
+    djwin = VarWindow(zlo, zwin.hi, False, True)
     qmax = qcheck + K * M
-    # build_j keeps each piece 2n orders below zwin.lo (inv_poch's recip
-    # window); the K + M deltas lift none of those terms into the check
-    # window, so the chain starts from J truncated to zwin
-    j = _truncate_j(build_j(k, m, qmax, zwin), zwin)
+    j = build_j(k, m, qmax, zwin)
     coh = Cohomology(k, m)
     reports = []
 
@@ -404,7 +426,7 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
             # delta_2 J, the last lhs, starts the chain of alpha >= 3
             lhs = chain = _apply_delta(j, k, m, seq.deltas[alpha - 1])
             g = coh.g(SectorIndex(side, 0))
-            rhs = build_dj(k, m, side, n, qmax, zwin).scale((g * n).inverse())
+            rhs = build_dj(k, m, side, n, qmax, djwin).scale((g * n).inverse())
             if negate and alpha == 1:
                 lhs = _negate_delta_1(lhs, j, zwin_check, qcheck)
             lhs = _truncate_j(lhs, zwin_check)
@@ -440,7 +462,7 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
                 continue
             lhs = chain.shift_q(-shift)
             foot, index = seq.s_tilde[alpha - 1]
-            rhs = build_dj(k, m, foot, index, qmax, zwin)
+            rhs = build_dj(k, m, foot, index, qmax, djwin)
             lhs = _truncate_j(lhs, zwin_check)
             rhs = _truncate_j(rhs, zwin_check)
             disc = lhs.diff_report(rhs, min(qcheck, qmax - shift))
@@ -467,8 +489,8 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
 def _check_window(zlo: int, zhi: int) -> VarWindow:
     """The declared window [zlo, zhi], soft on both sides, so truncating to
     it drops every term outside.  A hard top would keep the terms above zhi,
-    where J and its derivatives need not agree: J's d = 0 term 1 is pruned
-    when 0 lies above the build window, while dJ keeps its own."""
+    where J and its derivatives need not agree: J's d = 0 term z is pruned
+    when z lies above the build window, while dJ keeps its own."""
     return VarWindow(zlo, zhi, False, False)
 
 
@@ -498,7 +520,7 @@ def _perturb(j: JSeries, zwin: VarWindow, qcheck: int) -> JSeries:
                            shifted if (s, a, i) == (sector, qdeg, idx) else z)
     out = j.map_terms(lambda s, a, i, z: z)
     out.add_term(sector, min(qdeg, qcheck), idx,
-                 TruncSeries.monomial({"z": zwin.hi}, zser.wins))
+                 TruncSeries.monomial({"z": zwin.hi}, {"z": zwin}))
     return out
 
 

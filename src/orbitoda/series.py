@@ -350,8 +350,11 @@ class TruncSeries:
         stored term, or an unknown one inside the windows above self's cap
         on the group, or above another cap g of self that ``other`` can
         meet at negative degree in g (else the pair lands above the
-        product's cap on g).  WindowUnderflow if a variable of the group is
-        soft below."""
+        product's cap on g), or an unknown one beyond a soft window side
+        of self that meets an unknown term of ``other`` above its cap
+        where ``support_bounds``, which counts stored terms only, lets the
+        product claim the pair known.  WindowUnderflow if a variable of the
+        group is soft below."""
         least = self._bottom(group)
         if least == NEG_INF:
             raise WindowUnderflow(
@@ -362,6 +365,22 @@ class TruncSeries:
         idx = [i for i, v in enumerate(self.vars) if v in group]
         out = min((sum([key[i] for i in idx]) for key in self.terms),
                   default=POS_INF)
+        c = other.caps[group]
+        for v, w in self.wins.items():
+            if w.lo_hard and w.hi_hard:
+                continue
+            # a term of self beyond its soft top in v (at the bottoms, v
+            # one above the top) times a term of other above its cap lands
+            # inside the product's known window when other's term lies
+            # below other's stored support in v; likewise below a soft
+            # bottom (v is outside the group there)
+            slo, shi = other.support_bounds(v)
+            below = not w.hi_hard and \
+                other._least_above(frozenset((v,)), group, c) < slo
+            above = not w.lo_hard and other._win(v).hi > shi and \
+                other._least_above(group, group, c) < POS_INF
+            if below or above:
+                out = min(out, least + (w.hi + 1 - w.lo if v in group else 0))
         for g, c in self.caps.items():
             if g == group or other._bottom(g) < 0:
                 out = min(out, self._least_above(group, g, c))

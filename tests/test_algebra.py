@@ -3,8 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import examples
 
 from orbitoda.algebra import (bernoulli_number, bernoulli_poly,
                               binom_frac, frac_factorial, frac_part_unit,
@@ -152,7 +154,7 @@ symmetric_arg = st.one_of(
                      PR.nu(2) + F(1, 3), PR.diff()]))
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(st.integers(0, 6), st.lists(symmetric_arg, max_size=5))
 def test_symmetric_one_row_matches_per_degree_loop(l, xs):
     # covers empty xs, l = 0 and l > len(xs)

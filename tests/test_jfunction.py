@@ -3,9 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import examples
+
+from orbitoda import jfunction
+from orbitoda.algebra import frac_part_unit
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import BadIndex, NonUnit, NotCoprime
 from orbitoda.jfunction import (DeltaOp, JSeries, _check_window, _perturb,
@@ -17,6 +21,7 @@ from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, VarWindow
 
 ZWIN = VarWindow(-8, 2, False, True)
+PAIRS = [(2, 1), (3, 2), (5, 3), (2, 3)]
 
 
 def test_build_j_q0_layer():
@@ -66,18 +71,59 @@ def _outcome(build):
 INV_POCH_PARAMS = {"nu": PR.nu(3), "nubar": PR.nubar(2), "nu0": PR.nu0()}
 
 
-@settings(max_examples=120, deadline=None)
+@examples(120)
 @given(st.integers(-12, 24), st.integers(1, 7),
        st.sampled_from(sorted(INV_POCH_PARAMS)), st.integers(-8, 2),
        st.integers(0, 12))
 @example(0, 1, "nu", 2, 0)
 def test_inv_poch_equals_recip_of_poch(num, den, param, zlo, pad):
     # N <= 0 gives the empty product; zlo above the leading power z^n
-    # raises NonUnit on both paths
+    # raises NonUnit on both paths.  recip knows 1/poch 2n orders below
+    # zwin.lo; inv_poch stops at zwin.lo
     x, p = F(num, den), INV_POCH_PARAMS[param]
     zwin = VarWindow(zlo - pad, 2 + pad, False, True)
+    bottom = {"z": VarWindow(zwin.lo, zwin.lo, False, True)}
     assert _outcome(lambda: inv_poch(p, x, zwin)) == \
-        _outcome(lambda: poch(p, x).recip_within({"z": zwin}))
+        _outcome(lambda: poch(p, x).recip_within({"z": zwin})
+                 .truncated(bottom))
+
+
+def _deep_piece(ratio, param, x, d, zwin):
+    """A J or dJ piece as recip builds it: 1/poch on recip's own window,
+    2n orders below zwin, times z^(1-d), with no piece skipped."""
+    if ratio is not jfunction._one and x >= frac_part_unit(x):
+        ser = poch(param, x).recip_within({"z": zwin})
+    else:
+        ser = ratio(param, x, zwin)
+    return ser.shift_exponent("z", 1 - d)
+
+
+def _piece_terms(j):
+    return {(s, a, i): z.terms for s, a, i, z in j.pieces()}
+
+
+@pytest.mark.parametrize("k, m, zlo, zhi",
+                         [(k, m, -6, 2) for k, m in PAIRS] + [(3, 2, -12, -6)])
+def test_pieces_start_at_their_window(monkeypatch, k, m, zlo, zhi):
+    # J on verify_jfunc's build window and every dJ on the check bottom:
+    # no stored term lies below zwin.lo, and each piece is the deep piece
+    # (scaled by its builder) truncated to zwin
+    pad, qmax = k + m, 3 * k * m
+    jwin = VarWindow(zlo - pad, zhi + pad, False, True)
+    djwin = VarWindow(zlo, zhi + pad, False, True)
+    builds = [(build_j, (k, m, qmax), jwin)]
+    builds += [(build_dj, (k, m, side, i, qmax), djwin)
+               for side, n in (("k", k), ("m", m)) for i in range(1, n + 1)]
+    for build, args, zwin in builds:
+        got = build(*args, zwin)
+        for _, _, _, z in got.pieces():
+            assert z.wins["z"].lo == zwin.lo and not z.wins["z"].lo_hard
+            assert min(e for e, in z.terms) >= zwin.lo
+        with monkeypatch.context() as patch:
+            patch.setattr(jfunction, "_piece", _deep_piece)
+            deep = build(*args, zwin)
+        assert _piece_terms(got) == _piece_terms(_truncate_j(deep, zwin)), \
+            (build.__name__, args)
 
 
 def test_inv_poch_rejects_other_window_shapes():
@@ -124,9 +170,6 @@ def _same_verdict(a, b):
     return (a.name, a.params, a.status, a.max_order_verified,
             a.first_discrepancy) == (b.name, b.params, b.status,
                                      b.max_order_verified, b.first_discrepancy)
-
-
-PAIRS = [(2, 1), (3, 2), (5, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("k, m", PAIRS)
@@ -179,7 +222,7 @@ def test_qde_report_matches_the_operator_product(k, m, negate):
 @pytest.mark.parametrize("k, m, zlo, zhi", [(2, 1, -9, -5), (3, 2, -12, -6),
                                             (3, 2, -3, -1), (3, 2, 0, 0)])
 def test_low_z_windows(k, m, zlo, zhi):
-    # zhi + k + m < 0: 0 lies above the build window, so J's d = 0 term is
+    # zhi + k + m < 1: z lies above the build window, so J's d = 0 term is
     # pruned while dJ keeps its own; the checks must look only inside.
     # Narrow windows below z^1 must still catch the QDE negative control.
     qdeg = 2 * k * m

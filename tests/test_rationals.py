@@ -10,7 +10,9 @@ from fractions import Fraction as F
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
+
+from conftest import examples
 
 from orbitoda.errors import NonUnit
 from orbitoda.rationals import PR
@@ -136,7 +138,7 @@ def elements(draw, max_terms=4):
     return PR.from_ints(num, den), FracRat(terms)
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(elements(), elements())
 def test_ring_operations_match_the_fraction_reference(a, b):
     (x, rx), (y, ry) = a, b
@@ -149,7 +151,7 @@ def test_ring_operations_match_the_fraction_reference(a, b):
     assert str(x) == str(rx) and str(x * y) == str(rx * ry)
 
 
-@settings(max_examples=100, deadline=None)
+@examples(100)
 @given(elements(), elements())
 def test_sums_that_cancel(a, c):
     (x, _), (z, rz) = a, c
@@ -161,7 +163,7 @@ def test_sums_that_cancel(a, c):
     assert (x - x) == PR.zero() and hash(x - x) == hash(0)
 
 
-@settings(max_examples=100, deadline=None)
+@examples(100)
 @given(elements(max_terms=2), st.integers(-4, 4))
 def test_inverse_and_powers(a, n):
     x, rx = a
@@ -182,7 +184,7 @@ def test_inverse_and_powers(a, n):
         agree(x ** n, want)
 
 
-@settings(max_examples=100, deadline=None)
+@examples(100)
 @given(elements(), st.one_of(st.integers(-BIG, BIG), COEFFS).filter(bool))
 def test_division_by_a_rational(a, c):
     x, rx = a
@@ -192,7 +194,7 @@ def test_division_by_a_rational(a, c):
         x / 0
 
 
-@settings(max_examples=100, deadline=None)
+@examples(100)
 @given(elements())
 def test_swap_nu(a):
     x, rx = a
@@ -200,7 +202,7 @@ def test_swap_nu(a):
     agree(x.swap_nu().swap_nu(), rx)
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(elements(), elements(), elements())
 def test_equality_and_hash_follow_the_element(a, b, c):
     (x, rx), (y, ry), (z, _) = a, b, c

@@ -8,8 +8,10 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+
+from conftest import examples
 
 from orbitoda import series
 from orbitoda.errors import (NonConvergent, NonUnit, NotInvertible,
@@ -171,7 +173,7 @@ def random_series(name, draw_coeffs):
     return TS.from_poly(name, terms).truncated({name: up_win(6)})
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(st.lists(small_coeff, min_size=1, max_size=4),
        st.lists(small_coeff, min_size=1, max_size=4),
        st.lists(small_coeff, min_size=1, max_size=4))
@@ -184,7 +186,7 @@ def test_ring_axioms(a, b, c):
     assert ((A + B) * C - (A * C + B * C)).is_zero()
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(st.lists(small_coeff, min_size=2, max_size=5))
 def test_recip_is_right_inverse(coeffs):
     if coeffs[0] == 0:
@@ -204,7 +206,7 @@ def build_pr(triples):
     return out
 
 
-@settings(max_examples=80, deadline=None)
+@examples(80)
 @given(st.lists(pr_coeff, min_size=1, max_size=3),
        st.lists(pr_coeff, min_size=1, max_size=3),
        st.lists(pr_coeff, min_size=1, max_size=3))
@@ -216,7 +218,7 @@ def test_coefficient_field_axioms(a, b, c):
     assert A * B == B * A
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 2))
 def test_monomial_inverse_roundtrip(c, d, s):
     if c == 0 or s:
@@ -225,7 +227,7 @@ def test_monomial_inverse_roundtrip(c, d, s):
     assert x * x.inverse() == PR.one()
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(st.lists(small_coeff, min_size=1, max_size=3),
        st.lists(small_coeff, min_size=1, max_size=3),
        st.integers(-2, 2))
@@ -266,7 +268,7 @@ def windowed_series(draw, min_vars):
     return s
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(windowed_series(2), windowed_series(1),
        st.sampled_from(NAMES * 3 + ("z",)), st.integers(-5, 7),
        st.integers(0, 63))
@@ -324,18 +326,43 @@ def bottom(y, g):
 
 def least_degree(y, g, x):
     """The least degree in g of a term of y that can meet x under the caps:
-    y's stored terms, and the keys inside y's windows above y's cap on g or
-    above a cap g2 of y where x's window bottoms sum below 0, by
-    enumerating the keys."""
-    degrees = [sum(e for v, e in zip(y.vars, key) if v in g)
-               for key in y.terms]
-    for key in itertools.product(*[range(y.wins[v].lo, y.wins[v].hi + 1)
-                                   for v in y.vars]):
-        exps = dict(zip(y.vars, key))
-        if any(sum(exps.get(v, 0) for v in g2) > c2
+    y's stored terms, the keys inside y's windows above y's cap on g or
+    above a cap g2 of y where x's window bottoms sum below 0, and the keys
+    one step beyond a soft side of y's windows in a variable v where x has
+    a key inside its windows above its cap on g beyond all of x's stored
+    v-exponents toward that side, by enumerating the keys."""
+    def exps(s, key):
+        return {v: e for v, e in zip(s.vars, key)}
+
+    def degree(key):
+        return sum(e for v, e in key.items() if v in g)
+    degrees = [degree(exps(y, key)) for key in y.terms]
+    ranges = [range(y.wins[v].lo, y.wins[v].hi + 1) for v in y.vars]
+    x_above = [key for key in map(
+        functools.partial(exps, x),
+        itertools.product(*[range(x.wins[v].lo, x.wins[v].hi + 1)
+                            for v in x.vars])) if degree(key) > x.caps[g]]
+    for i, v in enumerate(y.vars):
+        w, xw = y.wins[v], x.wins.get(v, exact_win(0, 0))
+        stored = [exps(x, key).get(v, 0) for key in x.terms]
+        beyond = []
+        if not w.hi_hard and xw.lo_hard and any(
+                key.get(v, 0) < min(stored, default=math.inf)
+                for key in x_above):
+            beyond.append(w.hi + 1)
+        if not w.lo_hard and xw.hi_hard and any(
+                key.get(v, 0) > max(stored, default=-math.inf)
+                for key in x_above):
+            beyond.append(w.lo - 1)
+        for e in beyond:
+            for key in itertools.product(*ranges[:i], [e], *ranges[i + 1:]):
+                degrees.append(degree(exps(y, key)))
+    for key in itertools.product(*ranges):
+        key = exps(y, key)
+        if any(sum(key.get(v, 0) for v in g2) > c2
                and (g2 == g or bottom(x, g2) < 0)
                for g2, c2 in y.caps.items()):
-            degrees.append(sum(exps.get(v, 0) for v in g))
+            degrees.append(degree(key))
     return min(degrees, default=math.inf)
 
 
@@ -374,7 +401,7 @@ def every_pair_product(a, b):
     return TS(a.vars, wins, terms, caps)
 
 
-@settings(max_examples=200, deadline=None)
+@examples(200)
 @given(truncated_factors())
 def test_windowed_product_matches_every_pair_loop(factors):
     a, b = factors
@@ -429,7 +456,7 @@ def capped_factors(draw):
     return plain, factors
 
 
-@settings(max_examples=200, deadline=None)
+@examples(200)
 @given(capped_factors())
 def test_capped_product_matches_under_caps_pair_loop(factors):
     _, (a, b) = factors
@@ -482,9 +509,33 @@ def test_product_cap_lowered_by_a_factor_of_negative_degree():
         TS.var("w", down_win(-4), power=-1).mul_coeff(a, "u", 2)
 
 
-@settings(max_examples=200, deadline=None)
+def cap_against_a_truncated_factor():
+    """a = v + u known to degree 0 in {u}, so that a stores v only, times
+    b = 1 + u^-1 v^2 truncated to v <= 1, so that b stores 1 only, as
+    drawn and as stored, in the shape of ``capped_factors``."""
+    wa = {"u": up_win(4), "v": exact_win(0, 2)}
+    wb = {"u": exact_win(-1, 0), "v": exact_win(0, 2)}
+    full_a = TS.monomial({"v": 1}, wa) + TS.monomial({"u": 1}, wa)
+    full_b = TS.scalar(1, wb) + TS.monomial({"u": -1, "v": 2}, wb)
+    return (full_a, full_b), (full_a.with_cap({"u"}, 0),
+                              full_b.truncated({"v": up_win(1)}))
+
+
+def test_product_cap_counts_the_unknown_terms_beyond_a_soft_window():
+    # the unknown u of a times the unknown u^-1 v^2 of b lands at u^0 v^2
+    # with coefficient 1; b's least u-degree -1 lowers the cap below it,
+    # where a cap of 0 claimed coefficient 0 there
+    (full_a, full_b), (a, b) = cap_against_a_truncated_factor()
+    got = a * b
+    assert got.caps == {frozenset("u"): -1}
+    assert (got - (full_a * full_b).with_cap({"u"}, -1)).is_zero()
+    assert (full_a * full_b).terms[(0, 2)] == PR.one()
+
+
+@examples(200)
 @given(capped_factors())
 @example(cap_against_negative_degree())
+@example(cap_against_a_truncated_factor())
 def test_capped_product_is_the_uncapped_product_under_its_caps(factors):
     # a capped factor may hold anything above its cap, so where the capped
     # product claims a term it must agree with the product of the factors
@@ -535,7 +586,7 @@ def unit_series(draw):
     return s
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(unit_series())
 @example(TS.from_poly("u", {1: 1, 2: 1}).truncated({"u": up_win(5)}))
 @example(TS.from_poly("u", {1: 1, 3: 1}).truncated({"u": up_win(5)})
@@ -625,7 +676,7 @@ def test_paramrat_hash_agrees_with_equality():
         assert lhs == rhs and hash(lhs) == hash(rhs)
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(st.lists(small_coeff, min_size=1, max_size=5),
        st.integers(-3, 3).filter(bool))
 def test_exp_derivation_is_taylor_shift(coeffs, c):
@@ -799,7 +850,7 @@ def any_window(lo_range=(-3, 3)):
         st.sampled_from(["up", "down", "exact"]))
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(windowed_series(1),
        st.dictionaries(st.sampled_from(NAMES + ("z",)), any_window(),
                        max_size=4))
@@ -835,7 +886,7 @@ def summand_lists(draw):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(summand_lists())
 def test_fold_matches_chain_of_additions(summands):
     def want():
@@ -942,7 +993,7 @@ def cap_crossed_both_ways():
     return h.with_cap({"u", "w"}, 2)
 
 
-@settings(max_examples=200, deadline=None)
+@examples(200)
 @given(small_series())
 @example(cap_crossed_both_ways())
 def test_exp_and_log1p_match_chain_of_additions(s):
@@ -1061,7 +1112,7 @@ def substitutions(draw):
     return s, v, TS.from_poly(x, {1: 1, **tail}).truncated({x: win})
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(substitutions())
 # a zero repl for a negative power whose window in u cannot merge with
 # self's: the reference fails in recip before it merges any window
