@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
-from orbitoda.jfunction import (_apply_delta, build_dj, build_j, inv_poch,
-                                operator_ladder, poch)
+from orbitoda.jfunction import (build_dj, build_j, inv_poch, operator_ladder,
+                                poch)
 from orbitoda.mirror import (flat_coords_residue, solve_chart_change,
                              superpotential)
 from orbitoda.periods import _d_inverse_monomial, d_x_operator
@@ -92,8 +92,7 @@ def main():
     # from the check bottom -6
     j, op = build_j(5, 3, 45, down_win(-14, hi=10)), \
         operator_ladder(5, 3).deltas[-1]
-    bench("delta application, (5,3) J", lambda: _apply_delta(j, 5, 3, op),
-          n=20)
+    bench("delta application, (5,3) J", lambda: op.apply(5, 3, j), n=20)
     bench("build_dj(5, 3, 'm', 3), (5,3) check bottom",
           lambda: build_dj(5, 3, "m", 3, 45, down_win(-6, hi=10)), n=5)
     bench("capped 9-variable reciprocal", capped_unit().recip, n=10)

@@ -1,17 +1,20 @@
 """The equivariant J-series, its derivative formulas, and the full
 differential-operator verification engine.
 
-A ``JSeries`` keeps two sectors, tagged by which exponential prefactor they
-carry (e^{tau nu0/z} at the 0-foot, e^{tau nu1/z} at the infinity-foot).
-Inside a sector, terms are graded by the integer power of q = Q e^tau and
-each graded piece is a cohomology-valued Laurent series in z.  tau only ever
-enters through q-powers and the prefactor, so z d/dtau acts on the (sector s,
-q-degree a) piece as multiplication by (nu_s + a z).
+J and each derivative z dJ/dtau^alpha are stored in the J format: a dict
+from each class (``SectorIndex``) to one ``TruncSeries`` in q = Q e^tau and
+z, its q-window hard at 0 and soft above the q-degree it is built through.
+A class's side names its sector, the exponential prefactor it carries:
+side "k" the 0-foot's e^{tau nu0/z} (sector "0"), side "m" the
+infinity-foot's e^{tau nu1/z} (sector "inf").  tau only ever enters
+through q-powers and the prefactor, so on a class of sector s, z d/dtau
+acts as nu_s + z q d/dq, the Euler operator in q
+(``TruncSeries.euler_weight``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import frac_part_unit
@@ -19,9 +22,9 @@ from .cohomology import Cohomology, SectorIndex
 from .errors import BadIndex, NonUnit, NotCoprime
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import TruncSeries, VarWindow, sum_series
+from .series import TruncSeries, VarWindow, exact_win, sum_series
 
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 
 def poch(param: ParamRat, x: Fraction) -> TruncSeries:
@@ -112,94 +115,6 @@ def poch_ratio(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     return out.truncated({"z": zwin})
 
 
-@dataclass
-class JSeries:
-    k: int
-    m: int
-    qmax: int
-    zwin: VarWindow
-    # sector tag -> q-degree -> SectorIndex -> z-series
-    sectors: dict = field(default_factory=lambda: {"0": {}, "inf": {}})
-
-    def add_term(self, sector: str, qdeg: int, idx: SectorIndex,
-                 zser: TruncSeries):
-        if qdeg > self.qmax or zser.is_zero():
-            return
-        bucket = self.sectors[sector].setdefault(qdeg, {})
-        cur = bucket.get(idx)
-        new = zser if cur is None else cur + zser
-        if new.is_zero() and cur is None:
-            return
-        bucket[idx] = new
-
-    def pieces(self):
-        """(sector, qdeg, idx, zser) of every stored piece."""
-        for sector, grades in self.sectors.items():
-            for qdeg, bucket in grades.items():
-                for idx, zser in bucket.items():
-                    yield sector, qdeg, idx, zser
-
-    def map_terms(self, fn) -> "JSeries":
-        """fn(sector, qdeg, idx, zser) -> zser."""
-        out = JSeries(self.k, self.m, self.qmax, self.zwin)
-        for sector, qdeg, idx, zser in self.pieces():
-            out.add_term(sector, qdeg, idx, fn(sector, qdeg, idx, zser))
-        return out
-
-    def apply_zdtau_affine(self, coeff_fn) -> "JSeries":
-        """Apply an operator acting on (s, a) as multiplication by c0 + c1 z.
-
-        coeff_fn(sector, qdeg) returns the pair (c0, c1) of ``ParamRat``s;
-        each piece A becomes c0 A + c1 z A, a scale, a z-shift and one sum,
-        with a zero part skipped.
-        """
-        def piece(sector, qdeg, idx, zser):
-            c0, c1 = coeff_fn(sector, qdeg)
-            parts = [] if c0.is_zero() else [zser.scale(c0)]
-            if not c1.is_zero():
-                parts.append(zser.shift_exponent("z", 1).scale(c1))
-            return sum_series(parts)
-        return self.map_terms(piece)
-
-    def shift_q(self, delta: int) -> "JSeries":
-        out = JSeries(self.k, self.m, self.qmax + delta, self.zwin)
-        for sector, qdeg, idx, zser in self.pieces():
-            out.add_term(sector, qdeg + delta, idx, zser)
-        return out
-
-    def scale(self, c) -> "JSeries":
-        return self.map_terms(lambda s, a, idx, z: z.scale(c))
-
-    def low_q_part(self, below: int) -> list:
-        """Nonzero (sector, qdeg, idx, zser) pieces with qdeg < below."""
-        return [p for p in self.pieces() if p[1] < below and not p[3].is_zero()]
-
-    def diff_report(self, other: "JSeries", qmax: int):
-        """First discrepancy (dict) or None; compares through q-degree qmax."""
-        for sector in ("0", "inf"):
-            for qdeg in range(0, qmax + 1):
-                a = self.sectors[sector].get(qdeg, {})
-                b = other.sectors[sector].get(qdeg, {})
-                for idx in sorted(set(a) | set(b)):
-                    za = a.get(idx)
-                    zb = b.get(idx)
-                    if za is None:
-                        za = TruncSeries.scalar(0, {"z": zb.wins["z"]})
-                    if zb is None:
-                        zb = TruncSeries.scalar(0, {"z": za.wins["z"]})
-                    rep = za.eq_report(zb)
-                    if rep is not None:
-                        exps, resid = rep
-                        return {
-                            "sector": sector,
-                            "q_degree": qdeg,
-                            "class": idx.label(self.k, self.m),
-                            "z_power": str(exps.get("z", 0)),
-                            "difference": str(resid),
-                        }
-        return None
-
-
 def _require_coprime(k: int, m: int):
     if gcd(k, m) != 1:
         raise NotCoprime(f"k={k}, m={m} must be coprime")
@@ -208,8 +123,16 @@ def _require_coprime(k: int, m: int):
 def _points(k: int, m: int) -> dict:
     """The two orbifold points by side: 0 (side 'k', uniformized by z^k,
     parameter nu) and infinity (side 'm', w^m, nubar), each as
-    (sector, parameter, own foot, other foot)."""
-    return {"k": ("0", PR.nu(k), k, m), "m": ("inf", PR.nubar(m), m, k)}
+    (parameter, own foot, other foot)."""
+    return {"k": (PR.nu(k), k, m), "m": (PR.nubar(m), m, k)}
+
+
+_SECTOR = {"k": "0", "m": "inf"}     # the sector of a class, by its side
+
+
+def _sector_nu(side: str) -> ParamRat:
+    """nu_s of the sector of a class on ``side``: nu0 at 0, nu1 at inf."""
+    return PR.nu0() if side == "k" else PR.nu1()
 
 
 def _piece(ratio, param: ParamRat, x: Fraction, d: int,
@@ -229,69 +152,71 @@ def _one(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     return TruncSeries.scalar(1, {"z": zwin})
 
 
-def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> JSeries:
+def _classes(pieces, qmax: int) -> dict:
+    """The J format of the (q-degree a, class, z-series) ``pieces``: each
+    class the sum of its q^a pieces on the q-window [0, qmax], hard below
+    and soft above; a zero piece adds nothing."""
+    qwin = VarWindow(0, qmax, True, False)
+    parts: dict = {}
+    for a, idx, ser in pieces:
+        if ser.terms:
+            parts.setdefault(idx, []).append(TruncSeries(
+                ("q", "z"), {"q": qwin, "z": ser.wins["z"]},
+                {(a, *key): c for key, c in ser.terms.items()}))
+    return {idx: sum_series(p) for idx, p in parts.items()}
+
+
+def build_j(k: int, m: int, qmax: int, zwin: VarWindow) -> dict:
     """Exact truncation of the equivariant J-series (both sectors) to the
-    z-window ``zwin``: each piece is known from zwin.lo (``_piece``)."""
+    z-window ``zwin`` through q-degree ``qmax``, in the J format: each
+    piece is known from zwin.lo (``_piece``)."""
     _require_coprime(k, m)
     if qmax < 0:
         raise ValueError("qmax must be nonnegative")
-    out = JSeries(k, m, qmax, zwin)
-    for side, (sector, param, own, other) in _points(k, m).items():
-        fact = Fraction(1)
-        for d in range(0, qmax // other + 1):
-            if d > 0:
-                fact *= d
-            ser = _piece(inv_poch if d > 0 else _one, param,
-                         Fraction(d * other, own), d, zwin)
-            out.add_term(sector, d * other,
-                         SectorIndex(side, (-d * other) % own),
-                         ser.scale(Fraction(1, 1) / fact))
-    return out
+    pieces = ((d * other, SectorIndex(side, (-d * other) % own),
+               _piece(inv_poch if d > 0 else _one, param,
+                      Fraction(d * other, own), d, zwin)
+               .scale(Fraction(1, factorial(d))))
+              for side, (param, own, other) in _points(k, m).items()
+              for d in range(qmax // other + 1))
+    return _classes(pieces, qmax)
 
 
 def build_dj(k: int, m: int, side: str, index: int, qmax: int,
-             zwin: VarWindow) -> JSeries:
+             zwin: VarWindow) -> dict:
     """z d/dtau^alpha J for alpha = index/k (side 'k', 1<=index<=k) or
     index/m (side 'm', 1<=index<=m); index k (resp. m) is the untwisted
     direction 0/k (resp. 0/m).
 
     Built from the closed derivative formulas, including the k g_alpha
-    (resp. m g_alpha) normalization, so the result is exactly z dJ/dtau^alpha.
-    The own point's sector is a sum of Pochhammer ratios at q-degrees
-    d * other; the other point's sector starts at q-degree ``index`` and
-    steps by the own foot.
+    (resp. m g_alpha) normalization, so the result is exactly z dJ/dtau^alpha,
+    in the J format.  The own point's sector is a sum of Pochhammer ratios
+    at q-degrees d * other; the other point's sector starts at q-degree
+    ``index`` and steps by the own foot.
     """
     _require_coprime(k, m)
     points = _points(k, m)
     if side not in points:
         raise BadIndex(f"side must be 'k' or 'm', got {side!r}")
-    sector, param, own, other = points[side]
+    param, own, other = points[side]
     if not (1 <= index <= own):
         letter = {"k": "i", "m": "j"}[side]
         raise BadIndex(f"need 1 <= {letter} <= {side}, got {index}")
     o_side = "m" if side == "k" else "k"
-    o_sector, o_param = points[o_side][:2]
+    o_param = points[o_side][0]
     pref = Cohomology(k, m).g(SectorIndex(side, index % own)) * own
-    out = JSeries(k, m, qmax, zwin)
-    fact = Fraction(1)
-    for d in range(0, qmax // other + 1):
-        if d > 0:
-            fact *= d
-        ser = _piece(poch_ratio, param, Fraction(d * other - index, own), d,
-                     zwin).scale(pref / fact)
-        out.add_term(sector, d * other,
-                     SectorIndex(side, (index - d * other) % own), ser)
-    fact = Fraction(1)
-    d = 0
-    while d * own + index <= qmax:
-        if d > 0:
-            fact *= d
-        a = d * own + index
-        ser = _piece(inv_poch, o_param, Fraction(a, other), d,
-                     zwin).scale(pref / fact)
-        out.add_term(o_sector, a, SectorIndex(o_side, -a % other), ser)
-        d += 1
-    return out
+
+    def pieces():
+        for d in range(qmax // other + 1):
+            yield (d * other, SectorIndex(side, (index - d * other) % own),
+                   _piece(poch_ratio, param, Fraction(d * other - index, own),
+                          d, zwin).scale(pref / factorial(d)))
+        for d in range((qmax - index) // own + 1):
+            a = d * own + index
+            yield (a, SectorIndex(o_side, -a % other),
+                   _piece(inv_poch, o_param, Fraction(a, other), d,
+                          zwin).scale(pref / factorial(d)))
+    return _classes(pieces(), qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -304,35 +229,34 @@ class DeltaOp:
     """First-order operator attached to one s-value of one foot.
 
     For a k-foot value s: (z/m) d_tau - nu0/m - s k z; for an m-foot value:
-    (z/k) d_tau - nu1/k - s m z.  Acting on the (sector, q-degree a) piece it
-    multiplies by c0 + c1 z, with c0 zero or +-(nu0 - nu1)/div and c1
-    rational.
+    (z/k) d_tau - nu1/k - s m z.  With z d_tau = nu_s + z q d/dq on the
+    sector s, it is c0 + z (q d/dq / div - s mult) there, with
+    c0 = (nu_s - nu_foot)/div zero on the foot's own sector.
     """
     foot: str          # 'k' or 'm'
     s: Fraction
 
-    def multiplier(self, k: int, m: int, sector: str,
-                   qdeg: int) -> tuple[ParamRat, ParamRat]:
-        """The pair (c0, c1) on the (sector, qdeg) piece."""
-        nus = PR.nu0() if sector == "0" else PR.nu1()
-        if self.foot == "k":
-            div, sub, mult = m, PR.nu0(), k
-        else:
-            div, sub, mult = k, PR.nu1(), m
-        c0 = (nus - sub) / div
-        return c0, PR.rational(Fraction(qdeg, div) - self.s * mult)
+    def apply(self, k: int, m: int, j: dict) -> dict:
+        """The operator on each class A of the J format ``j``:
+        c0 A + z E(A), E the Euler weight (q d/dq / div - s mult), with no
+        generic product."""
+        div, mult = (m, k) if self.foot == "k" else (k, m)
+        c0 = {side: (_sector_nu(side) - _sector_nu(self.foot)) / div
+              for side in _SECTOR}
+        out = {}
+        for idx, ser in j.items():
+            lifted = ser.euler_weight("q", Fraction(1, div),
+                                      -self.s * mult).shift_exponent("z", 1)
+            c = c0[idx.side]
+            out[idx] = lifted if c.is_zero() else ser.scale(c) + lifted
+        return out
 
 
 @dataclass
 class LadderSequence:
-    k: int
-    m: int
-    q: list          # q_0..q_M for the normalized pair K > M
-    r: list          # r_1..r_{M-1}
     s: list          # s_1..s_{k+m} as (Fraction, foot) in caller naming
     s_tilde: list    # per alpha >= 3: (foot, index) derivative labels
     deltas: list     # DeltaOp per alpha (deltas[alpha-1])
-    swapped: bool    # True iff k < m (the normalized big foot is then the m-foot)
 
 
 def operator_ladder(k: int, m: int) -> LadderSequence:
@@ -341,28 +265,17 @@ def operator_ladder(k: int, m: int) -> LadderSequence:
     The sequence merges {0/k..(k-1)/k} and {0/m..(m-1)/m} in increasing
     order, with zero of the larger foot first.  The literal closed-form
     index ranges would overproduce entries, so the sequence is built
-    directly from the sort; the q_i, r_i data are kept for reference.
+    directly from the sort.
     """
     _require_coprime(k, m)
     if k == m:
         raise NotCoprime(f"k = m = {k} is not a coprime pair unless 1;"
                          " the engine needs distinct feet")
-    swapped = k < m
-    K, M = (m, k) if swapped else (k, m)
-    big_foot = "m" if swapped else "k"
-    small_foot = "k" if swapped else "m"
-
-    q = [0] * (M + 1)
-    r = [0] * M
-    for i in range(1, M):
-        q[i], r[i] = divmod(i * K, M)
-        assert r[i] != 0, "coprimality guarantees nonzero remainders"
-    q[M] = K
-
+    (K, big_foot), (M, small_foot) = sorted(((k, "k"), (m, "m")),
+                                            reverse=True)
     entries = [(Fraction(i, K), big_foot) for i in range(K)]
     entries += [(Fraction(j, M), small_foot) for j in range(M)]
     entries.sort(key=lambda t: (t[0], 0 if t[1] == big_foot else 1))
-    assert len(entries) == K + M
 
     deltas = [DeltaOp(foot, s) for (s, foot) in entries]
     s_tilde: list = [None, None]
@@ -374,13 +287,7 @@ def operator_ladder(k: int, m: int) -> LadderSequence:
         else:
             f = frac_part_unit(-k * s_alpha)
             s_tilde.append(("m", int(f * m)))
-    return LadderSequence(k=k, m=m, q=q, r=r, s=entries, s_tilde=s_tilde,
-                            deltas=deltas, swapped=swapped)
-
-
-def _apply_delta(j: JSeries, k: int, m: int, op: DeltaOp) -> JSeries:
-    return j.apply_zdtau_affine(lambda sector, qdeg:
-                                op.multiplier(k, m, sector, qdeg))
+    return LadderSequence(s=entries, s_tilde=s_tilde, deltas=deltas)
 
 
 def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
@@ -390,9 +297,9 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
     prod_alpha delta_alpha J = q^{km} J as the report ``qde``.
 
     Verified exactly through q-degree ``qcheck`` on the z-window
-    [zlo, zhi], on one J and one delta chain: each delta multiplies every
-    (sector, q-degree) piece by its own c0 + c1 z, so the deltas commute,
-    and the QDE's left side is the chain after the last rung with the one
+    [zlo, zhi], on one J and one delta chain: each delta acts on every
+    class as c0 + z E, E an Euler weight in q, so the deltas commute, and
+    the QDE's left side is the chain after the last rung with the one
     delta it lacks, ``seq.deltas[-1]``, applied.
 
     Every piece of J and dJ is built only from the lowest z-power its side
@@ -424,20 +331,19 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
                 max_order_verified={"q": qcheck, "z": [zlo, zhi]}) as rep:
             n = k if side == "k" else m
             # delta_2 J, the last lhs, starts the chain of alpha >= 3
-            lhs = chain = _apply_delta(j, k, m, seq.deltas[alpha - 1])
-            g = coh.g(SectorIndex(side, 0))
-            rhs = build_dj(k, m, side, n, qmax, djwin).scale((g * n).inverse())
+            lhs = chain = seq.deltas[alpha - 1].apply(k, m, j)
+            unscale = (coh.g(SectorIndex(side, 0)) * n).inverse()
+            rhs = {idx: ser.scale(unscale) for idx, ser
+                   in build_dj(k, m, side, n, qmax, djwin).items()}
             if negate and alpha == 1:
                 lhs = _negate_delta_1(lhs, j, zwin_check, qcheck)
-            lhs = _truncate_j(lhs, zwin_check)
-            rhs = _truncate_j(rhs, zwin_check)
-            disc = lhs.diff_report(rhs, qcheck)
+            disc = _first_discrepancy(k, m, lhs, rhs, zwin_check, qcheck)
             if disc is not None:
                 rep.fail(disc, "delta-chain", "derivative formula")
         reports.append(rep)
 
     # alpha >= 3: D_alpha J = z d_{s~alpha} J
-    chain = _apply_delta(chain, k, m, seq.deltas[0])
+    chain = seq.deltas[0].apply(k, m, chain)
     for alpha in range(3, K + M + 1):
         s_alpha = seq.s[alpha - 1][0]
         shift = int(K * M * s_alpha)
@@ -449,23 +355,18 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
                                     "z": [zlo, zhi]}) as rep:
             reports.append(rep)
             if alpha > 3:
-                chain = _apply_delta(chain, k, m, seq.deltas[alpha - 2])
-            low = [(s, a, i, z) for (s, a, i, z)
-                   in (chain.low_q_part(shift))
-                   if not z.truncated({"z": zwin_check}).is_zero()]
-            if low:
-                sector, qdeg, idx, zser = low[0]
-                rep.fail({"sector": sector, "q_degree": qdeg,
-                          "class": idx.label(k, m)},
-                         str(zser), "0",
+                chain = seq.deltas[alpha - 2].apply(k, m, chain)
+            low = _first_discrepancy(k, m, chain, {}, zwin_check, shift - 1)
+            if low is not None:
+                rep.fail(low, "delta chain", "0",
                          "delta chain must annihilate q-degrees below the shift")
                 continue
-            lhs = chain.shift_q(-shift)
+            lhs = {idx: ser.shift_exponent("q", -shift)
+                   for idx, ser in chain.items()}
             foot, index = seq.s_tilde[alpha - 1]
             rhs = build_dj(k, m, foot, index, qmax, djwin)
-            lhs = _truncate_j(lhs, zwin_check)
-            rhs = _truncate_j(rhs, zwin_check)
-            disc = lhs.diff_report(rhs, min(qcheck, qmax - shift))
+            disc = _first_discrepancy(k, m, lhs, rhs, zwin_check,
+                                      min(qcheck, qmax - shift))
             if disc is not None:
                 rep.fail(disc, "D-alpha chain", "derivative formula")
 
@@ -473,13 +374,11 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
                      params={"k": k, "m": m, "qdeg": qcheck,
                              "zwin": [zlo, zhi]},
                      max_order_verified={"q": qcheck, "z": [zlo, zhi]}) as rep:
-        chain = _apply_delta(chain, k, m, seq.deltas[-1])
-        rhs = j.shift_q(k * m)
+        chain = seq.deltas[-1].apply(k, m, chain)
+        rhs = {idx: ser.shift_exponent("q", k * m) for idx, ser in j.items()}
         if negate:
             rhs = _perturb(rhs, zwin_check, qcheck)
-        lhs = _truncate_j(chain, zwin_check)
-        rhs = _truncate_j(rhs, zwin_check)
-        disc = lhs.diff_report(rhs, qcheck)
+        disc = _first_discrepancy(k, m, chain, rhs, zwin_check, qcheck)
         if disc is not None:
             rep.fail(disc, "QDE operator product", "q^{km} J")
     reports.append(rep)
@@ -494,67 +393,80 @@ def _check_window(zlo: int, zhi: int) -> VarWindow:
     return VarWindow(zlo, zhi, False, False)
 
 
-def _truncate_j(j: JSeries, zwin: VarWindow) -> JSeries:
-    return j.map_terms(lambda s, a, idx, z: z.truncated({"z": zwin}))
+def _compared(ser: TruncSeries, zwin: VarWindow, qtop: int) -> TruncSeries:
+    """A class on the window a check compares: q-degrees 0..qtop, z in
+    ``zwin``."""
+    return ser.below_slice("q", qtop + 1).truncated({"z": zwin}) \
+        .hard_slice("q", 0)
 
 
-def _add_j(a: JSeries, b: JSeries) -> JSeries:
-    out = JSeries(a.k, a.m, min(a.qmax, b.qmax), a.zwin)
-    for piece in (*a.pieces(), *b.pieces()):
-        out.add_term(*piece)
-    return out
+def _first_discrepancy(k: int, m: int, lhs: dict, rhs: dict,
+                       zwin: VarWindow, qtop: int) -> dict | None:
+    """Where two J-format dicts first differ on q-degrees 0..qtop inside
+    ``zwin``, None if nowhere: the least (sector, q-degree, class, z-power),
+    sector "0" first, with the difference there.  A class one side lacks
+    is zero there."""
+    zero = TruncSeries.zero()
+    found = []
+    for idx in lhs.keys() | rhs.keys():
+        diff = _compared(lhs.get(idx, zero), zwin, qtop) - \
+            _compared(rhs.get(idx, zero), zwin, qtop)
+        if diff.terms:
+            q, z = min(diff.terms)
+            found.append((idx, q, z, diff.terms[q, z]))
+    if not found:
+        return None
+    idx, q, z, resid = min(found, key=lambda f: (f[0].side, f[1], f[0], f[2]))
+    return {"sector": _SECTOR[idx.side], "q_degree": q,
+            "class": idx.label(k, m), "z_power": str(z),
+            "difference": str(resid)}
 
 
-def _perturb(j: JSeries, zwin: VarWindow, qcheck: int) -> JSeries:
-    """Negative control: multiply the first graded piece with q > 0 by z.
+def _perturb(j: dict, zwin: VarWindow, qcheck: int) -> dict:
+    """Negative control: multiply the piece of the lowest positive q-degree
+    of the first sector by z.
 
     Where that change would not show through q-degree ``qcheck`` inside
     ``zwin``, add z^hi to the same class at q-degree min(q, qcheck) instead,
     so that the perturbation always lands where the check compares.
     """
-    sector, qdeg, idx, zser = next(p for p in j.pieces() if p[1] > 0)
-    shifted = zser.shift_exponent("z", 1)
-    if qdeg <= qcheck and \
-            not (shifted - zser).truncated({"z": zwin}).is_zero():
-        return j.map_terms(lambda s, a, i, z:
-                           shifted if (s, a, i) == (sector, qdeg, idx) else z)
-    out = j.map_terms(lambda s, a, i, z: z)
-    out.add_term(sector, min(qdeg, qcheck), idx,
-                 TruncSeries.monomial({"z": zwin.hi}, {"z": zwin}))
-    return out
+    _, a, idx = min((idx.side, q, idx) for idx, ser in j.items()
+                    for q, _ in ser.terms if q > 0)
+    ser = j[idx]
+    piece = ser.below_slice("q", a + 1).hard_slice("q", a)
+    change = piece.shift_exponent("z", 1) - piece
+    if not _compared(change, zwin, qcheck):
+        qa = min(a, qcheck)
+        change = TruncSeries.monomial({"q": qa, "z": zwin.hi},
+                                      {"q": exact_win(qa, qa), "z": zwin})
+    return {**j, idx: ser + change}
 
 
-def _negate_delta_1(lhs: JSeries, j: JSeries, zwin: VarWindow,
-                    qcheck: int) -> JSeries:
+def _negate_delta_1(lhs: dict, j: dict, zwin: VarWindow,
+                    qcheck: int) -> dict:
     """Negative control of ladder-alpha-1: delta_1 + z in place of delta_1,
     or ``_perturb`` where z J has no term through q-degree ``qcheck``
     inside ``zwin``."""
-    zj = j.map_terms(lambda s, a, i, z: z.shift_exponent("z", 1))
-    if _truncate_j(zj, zwin).low_q_part(qcheck + 1):
-        return _add_j(lhs, zj)
+    zj = {idx: ser.shift_exponent("z", 1) for idx, ser in j.items()}
+    if any(_compared(ser, zwin, qcheck) for ser in zj.values()):
+        return {idx: ser + zj[idx] for idx, ser in lhs.items()}
     return _perturb(lhs, zwin, qcheck)
 
 
-def expand_prefactors(j: JSeries, tau_order: int) -> dict:
-    """Multiply each sector by its expanded prefactor e^{tau nu_s / z}.
+def expand_prefactors(j: dict, tau_order: int) -> dict:
+    """Multiply each class of the J format ``j`` by its sector's expanded
+    prefactor e^{tau nu_s / z}, a series in (q, tau, z).
 
-    Returns {SectorIndex: series in (z, tau, q)} with the q-grading folded
-    into an exact polynomial variable.  Used by the small-z sanity check; the
+    Used by the small-z sanity check and the c-constant check; the
     verification engine itself never expands prefactors.
     """
-    terms: dict = {}
     tau_win = VarWindow(0, tau_order, True, False)
-    for sector, grades in j.sectors.items():
-        nus = PR.nu0() if sector == "0" else PR.nu1()
-        pref_arg = (TruncSeries.var("tau", tau_win).scale(nus)
-                    * TruncSeries.var("z", j.zwin, power=-1))
-        pref = pref_arg.exp()
-        for qdeg, bucket in grades.items():
-            for idx, zser in bucket.items():
-                terms.setdefault(idx, []).append(
-                    (zser * pref).shift_exponent("q", qdeg))
-    return {idx: sum_series(t, TruncSeries.scalar(0))
-            for idx, t in terms.items()}
+    out = {}
+    for idx, ser in j.items():
+        pref_arg = (TruncSeries.var("tau", tau_win).scale(_sector_nu(idx.side))
+                    * TruncSeries.var("z", ser.wins["z"], power=-1))
+        out[idx] = ser * pref_arg.exp()
+    return out
 
 
 def j_small_z_expansion(k: int, m: int) -> bool:

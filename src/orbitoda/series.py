@@ -619,6 +619,22 @@ class TruncSeries:
         caps = {g: (c - 1 if v in g else c) for g, c in self.caps.items()}
         return TruncSeries(self.vars, wins, out, caps)._pruned()
 
+    def euler_weight(self, v: str, a, b) -> "TruncSeries":
+        """(a v d/dv + b) self: each term c v^e becomes (a e + b) c, with
+        one coefficient a e + b per distinct e; windows and caps stay."""
+        if v not in self.wins:
+            return self.scale(b)
+        i = self.vars.index(v)
+        weights: dict[int, ParamRat] = {}
+        terms = {}
+        for key, c in self.terms.items():
+            w = weights.get(key[i])
+            if w is None:
+                w = weights[key[i]] = _as_coeff(a * key[i] + b)
+            if not w.is_zero():
+                terms[key] = c * w
+        return TruncSeries(self.vars, self.wins, terms, self.caps)
+
     def exp_derivation(self, parts, wins: Mapping[str, VarWindow]) -> "TruncSeries":
         """exp(D) self for the derivation D = sum_i m_i d/dv_i.
 
@@ -684,7 +700,8 @@ class TruncSeries:
         return TruncSeries(self.vars, wins, terms, self.caps)
 
     def coeff_of(self, v: str, e: int) -> "TruncSeries":
-        """Exact coefficient of v^e; WindowUnderflow if outside window."""
+        """Exact coefficient of v^e; WindowUnderflow if outside window or
+        above a cap on v alone."""
         w = self._win(v)
         if not w.contains_known(e):
             raise WindowUnderflow(f"coefficient of {v}^{e} outside window {w}")
@@ -703,15 +720,14 @@ class TruncSeries:
         for g, c in self.caps.items():
             if v not in g:
                 caps[g] = c
+            elif g == {v}:
+                if e > c:
+                    raise WindowUnderflow(
+                        f"coefficient of {v}^{e} above the cap {c} on {v}")
             else:
                 rest = g - {v}
-                if rest:
-                    caps[rest] = min(caps.get(rest, c - e), c - e)
+                caps[rest] = min(caps.get(rest, c - e), c - e)
         return TruncSeries(nvars, wins, terms, caps)
-
-    def residue(self, v: str) -> "TruncSeries":
-        """Coefficient of v^-1."""
-        return self.coeff_of(v, -1)
 
     def subst(self, v: str, repl: "TruncSeries") -> "TruncSeries":
         """Substitute repl for v; negative v-powers use recip(repl).

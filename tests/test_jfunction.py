@@ -12,13 +12,13 @@ from orbitoda import jfunction
 from orbitoda.algebra import frac_part_unit
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import BadIndex, NonUnit, NotCoprime
-from orbitoda.jfunction import (DeltaOp, JSeries, _check_window, _perturb,
-                                _truncate_j, operator_ladder, build_dj,
-                                build_j, inv_poch, j_small_z_expansion, poch,
+from orbitoda.jfunction import (DeltaOp, _check_window, _first_discrepancy,
+                                _perturb, operator_ladder, build_dj, build_j,
+                                inv_poch, j_small_z_expansion, poch,
                                 poch_ratio, verify_jfunc)
 from orbitoda.reports import CheckReport
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, VarWindow
+from orbitoda.series import TruncSeries as TS, VarWindow, sum_series
 
 ZWIN = VarWindow(-8, 2, False, True)
 PAIRS = [(2, 1), (3, 2), (5, 3), (2, 3)]
@@ -26,16 +26,18 @@ PAIRS = [(2, 1), (3, 2), (5, 3), (2, 3)]
 
 def test_build_j_q0_layer():
     j = build_j(3, 2, 0, ZWIN)
-    z1 = j.sectors["0"][0][SectorIndex("k", 0)]
-    assert z1 == TS.var("z", z1.wins["z"])
-    zinf = j.sectors["inf"][0][SectorIndex("m", 0)]
-    assert zinf == TS.var("z", zinf.wins["z"])
+    assert set(j) == {SectorIndex("k", 0), SectorIndex("m", 0)}
+    for ser in j.values():
+        assert ser.vars == ("q", "z")
+        assert ser.wins["q"] == VarWindow(0, 0, True, False)
+        z1 = ser.coeff_of("q", 0)
+        assert z1 == TS.var("z", z1.wins["z"])
 
 
 def test_build_j_d1_term():
     # (k,m)=(3,2), 0-sector, d=1: q^2 z / (z (nu + (2/3) z)) 1_{1/3}
     j = build_j(3, 2, 2, ZWIN)
-    got = j.sectors["0"][2][SectorIndex("k", 1)]
+    got = j[SectorIndex("k", 1)].coeff_of("q", 2)
     want = TS.from_poly("z", {0: PR.nu(3), 1: F(2, 3)}).recip_within(
         {"z": got.wins["z"]})
     assert (got - want).is_zero()
@@ -90,16 +92,19 @@ def test_inv_poch_equals_recip_of_poch(num, den, param, zlo, pad):
 
 def _deep_piece(ratio, param, x, d, zwin):
     """A J or dJ piece as recip builds it: 1/poch on recip's own window,
-    2n orders below zwin, times z^(1-d), with no piece skipped."""
+    2n orders below zwin, times z^(1-d), with no piece skipped.  A finite
+    product, and J's d = 0 ratio 1, is built on zwin moved up by d - 1, so
+    that it too is known from zwin.lo and keeps its class known there."""
     if ratio is not jfunction._one and x >= frac_part_unit(x):
         ser = poch(param, x).recip_within({"z": zwin})
     else:
-        ser = ratio(param, x, zwin)
+        ser = ratio(param, x, VarWindow(zwin.lo + d - 1, zwin.hi + d - 1,
+                                        False, True))
     return ser.shift_exponent("z", 1 - d)
 
 
-def _piece_terms(j):
-    return {(s, a, i): z.terms for s, a, i, z in j.pieces()}
+def _class_terms(j):
+    return {idx: ser.terms for idx, ser in j.items() if ser.terms}
 
 
 @pytest.mark.parametrize("k, m, zlo, zhi",
@@ -116,14 +121,14 @@ def test_pieces_start_at_their_window(monkeypatch, k, m, zlo, zhi):
                for side, n in (("k", k), ("m", m)) for i in range(1, n + 1)]
     for build, args, zwin in builds:
         got = build(*args, zwin)
-        for _, _, _, z in got.pieces():
-            assert z.wins["z"].lo == zwin.lo and not z.wins["z"].lo_hard
-            assert min(e for e, in z.terms) >= zwin.lo
+        for ser in got.values():
+            assert ser.wins["z"].lo == zwin.lo and not ser.wins["z"].lo_hard
+            assert min(e for _, e in ser.terms) >= zwin.lo
         with monkeypatch.context() as patch:
             patch.setattr(jfunction, "_piece", _deep_piece)
             deep = build(*args, zwin)
-        assert _piece_terms(got) == _piece_terms(_truncate_j(deep, zwin)), \
-            (build.__name__, args)
+        deep = {idx: ser.truncated({"z": zwin}) for idx, ser in deep.items()}
+        assert _class_terms(got) == _class_terms(deep), (build.__name__, args)
 
 
 def test_inv_poch_rejects_other_window_shapes():
@@ -131,13 +136,28 @@ def test_inv_poch_rejects_other_window_shapes():
         inv_poch(PR.nu(3), F(5, 3), VarWindow(-4, 2, True, True))
 
 
+def _multiplier(op, k, m, side, qdeg):
+    """The pair (c0, c1) of op on the q-degree qdeg slice of a class on
+    ``side``: (z/div) d_tau - nu_foot/div - s mult z there is c0 + c1 z."""
+    div, mult = (m, k) if op.foot == "k" else (k, m)
+    nu = {"k": PR.nu0(), "m": PR.nu1()}
+    return (nu[side] - nu[op.foot]) / div, \
+        PR.rational(F(qdeg, div) - op.s * mult)
+
+
 def _generic_delta(j, k, m, op):
-    """Reference: each piece times the z-polynomial c0 + c1 z by the
-    generic series product."""
-    def piece(s, a, i, z):
-        c0, c1 = op.multiplier(k, m, s, a)
-        return z * TS.from_poly("z", {0: c0, 1: c1})
-    return j.map_terms(piece)
+    """Reference: each q-degree slice of each class times the z-polynomial
+    c0 + c1 z by the generic series product."""
+    out = {}
+    for idx, ser in j.items():
+        slices = []
+        for a in sorted({q for q, _ in ser.terms}):
+            c0, c1 = _multiplier(op, k, m, idx.side, a)
+            slices.append((ser.coeff_of("q", a) *
+                           TS.from_poly("z", {0: c0, 1: c1}))
+                          .shift_exponent("q", a))
+        out[idx] = sum_series(slices, TS.scalar(0, {"q": ser.wins["q"]}))
+    return out
 
 
 def _qde_reference(k, m, qcheck, zlo, zhi, negate=False):
@@ -156,14 +176,35 @@ def _qde_reference(k, m, qcheck, zlo, zhi, negate=False):
             lhs = _generic_delta(lhs, k, m, DeltaOp("k", F(i, k)))
         for jj in range(m):
             lhs = _generic_delta(lhs, k, m, DeltaOp("m", F(jj, m)))
-        rhs = j.shift_q(k * m)
+        rhs = {idx: ser.shift_exponent("q", k * m) for idx, ser in j.items()}
         if negate:
             rhs = _perturb(rhs, zwin_check, qcheck)
-        disc = _truncate_j(lhs, zwin_check).diff_report(
-            _truncate_j(rhs, zwin_check), qcheck)
+        disc = _first_discrepancy(k, m, lhs, rhs, zwin_check, qcheck)
         if disc is not None:
             rep.fail(disc, "QDE operator product", "q^{km} J")
     return rep
+
+
+def test_first_discrepancy_is_least_in_sector_q_class_z():
+    # sector "0" before "inf", then q-degree, class and z-power; z^-4
+    # lies outside the compared window and q^5 above the compared degree
+    wins = {"q": VarWindow(0, 6, True, False),
+            "z": VarWindow(-4, 2, False, True)}
+
+    def mono(q, z, c=1):
+        return TS.monomial({"q": q, "z": z}, wins, c)
+    k0, k1, k2, m0 = (SectorIndex("k", 0), SectorIndex("k", 1),
+                      SectorIndex("k", 2), SectorIndex("m", 0))
+    lhs = {m0: mono(0, -3), k0: mono(4, -3), k1: mono(3, 2),
+           k2: mono(2, -4) + mono(3, 1)}
+    rhs = {k1: mono(5, 0), k2: mono(3, 1, 5)}
+    assert _first_discrepancy(3, 2, lhs, rhs, _check_window(-3, 2), 4) == {
+        "sector": "0", "q_degree": 3, "class": "1/3", "z_power": "2",
+        "difference": "1"}
+    del lhs[k1]
+    assert _first_discrepancy(3, 2, lhs, rhs, _check_window(-3, 2), 4) == {
+        "sector": "0", "q_degree": 3, "class": "2/3", "z_power": "1",
+        "difference": "-4"}
 
 
 def _same_verdict(a, b):
@@ -174,21 +215,25 @@ def _same_verdict(a, b):
 
 @pytest.mark.parametrize("k, m", PAIRS)
 def test_affine_delta_matches_generic_product(k, m):
-    # every delta of the ladder, on both sectors of J: the shift, scale and
-    # add equals the product by from_poly(c0 + c1 z) on the check window
+    # every delta of the ladder, on both sectors of J: the Euler weight,
+    # z-shift, scale and add equals the product of each q-degree slice by
+    # from_poly(c0 + c1 z) on the check window
     qcheck, zwin_check = 2 * k * m, _check_window(-6, 2)
     j = build_j(k, m, qcheck + k * m, VarWindow(-6 - k - m, 2 + k + m,
                                                 False, True))
-    assert set(j.sectors) == {"0", "inf"} and all(j.sectors.values())
+    assert {idx.side for idx in j} == {"k", "m"}
+
+    def fields(j):
+        return {idx: (ser.vars, ser.wins, sorted(ser.terms.items()))
+                for idx, ser in j.items()}
     for op in operator_ladder(k, m).deltas:
-        got = _truncate_j(j.apply_zdtau_affine(
-            lambda s, a: op.multiplier(k, m, s, a)), zwin_check)
-        want = _truncate_j(_generic_delta(j, k, m, op), zwin_check)
-        assert got.diff_report(want, qcheck) is None, op
-        assert [(s, a, i, z.wins, sorted(z.terms.items()))
-                for s, a, i, z in got.pieces()] == \
-            [(s, a, i, z.wins, sorted(z.terms.items()))
-             for s, a, i, z in want.pieces()], op
+        got = {idx: ser.truncated({"z": zwin_check})
+               for idx, ser in op.apply(k, m, j).items()}
+        want = {idx: ser.truncated({"z": zwin_check})
+                for idx, ser in _generic_delta(j, k, m, op).items()}
+        assert _first_discrepancy(k, m, got, want, zwin_check, qcheck) \
+            is None, op
+        assert fields(got) == fields(want), op
 
 
 def test_delta_chain_forms_no_generic_product(monkeypatch):
@@ -198,7 +243,7 @@ def test_delta_chain_forms_no_generic_product(monkeypatch):
         raise AssertionError("generic product of a J piece")
     monkeypatch.setattr(TS, "__mul__", no_product)
     for op in operator_ladder(3, 2).deltas:
-        j = j.apply_zdtau_affine(lambda s, a: op.multiplier(3, 2, s, a))
+        j = op.apply(3, 2, j)
 
 
 def test_one_j_per_run(monkeypatch):
@@ -262,22 +307,22 @@ def test_poch_ratio_untwisted_direction():
 
 def test_build_dj_d0_only():
     dj = build_dj(3, 2, "m", 2, 0, ZWIN)
-    # only d=0 terms survive at qmax=0
-    assert list(dj.sectors["0"].keys()) == []
-    assert list(dj.sectors["inf"].keys()) == [0]
+    # only d=0 terms survive at qmax=0, all in the infinity sector
+    assert {idx.side for idx in dj} == {"m"}
+    assert {q for ser in dj.values() for q, _ in ser.terms} == {0}
 
 
 def test_build_dj_leading_terms():
     # z d_{0/m} J: highest-z term z nubar 1_{0/m} after unscaling m g
     dj = build_dj(3, 2, "m", 2, 4, ZWIN)
-    ser = dj.sectors["inf"][0][SectorIndex("m", 0)]
+    ser = dj[SectorIndex("m", 0)].coeff_of("q", 0)
     g0m = (-PR.diff()).inverse()
     top = ser.coeff_of("z", 1)
     # build_dj includes the m*g normalization: top = m g nubar
     assert top == TS.scalar(PR.nubar(2) * g0m * 2)
     # i = k case: d=0 sector-0 term is z * (k g nu) 1_{0/k} = z 1_{0/k}
     djk = build_dj(3, 2, "k", 3, 4, ZWIN)
-    ser = djk.sectors["0"][0][SectorIndex("k", 0)]
+    ser = djk[SectorIndex("k", 0)].coeff_of("q", 0)
     assert ser == TS.var("z", ser.wins["z"])
 
 
@@ -296,17 +341,18 @@ def test_build_dj_rejects_bad_side_and_index(side, index, message):
 
 def test_operator_ladder_3_2():
     seq = operator_ladder(3, 2)
-    assert seq.q == [0, 1, 3]
-    assert seq.r[1] == 1
     assert [(str(s), f) for s, f in seq.s] == [
         ("0", "k"), ("0", "m"), ("1/3", "k"), ("1/2", "m"), ("2/3", "k")]
     assert seq.s_tilde[2] == ("k", 1)   # s~_3 = (k-m)/k = 1/3
 
 
 def test_operator_ladder_remainders_nonzero():
+    # i K = q_i M + r_i with r_i != 0 for 0 < i < M: the two feet's
+    # s-values meet only at 0, so the merged sequence repeats only 0
     for (k, m) in [(5, 3), (7, 4), (4, 3)]:
-        seq = operator_ladder(k, m)
-        assert all(r != 0 for r in seq.r[1:])
+        values = [s for s, _ in operator_ladder(k, m).s]
+        assert values == sorted(values) and len(values) == k + m
+        assert [s for s in set(values) if values.count(s) > 1] == [0]
 
 
 def test_operator_ladder_rejects_non_coprime():
@@ -383,21 +429,17 @@ def test_tau_derivative_decomposes_over_untwisted_directions():
     # the restriction direction tau p through the derivative formulas
     k, m, qmax = 3, 2, 8
     j = build_j(k, m, qmax, ZWIN)
-    lhs = j.apply_zdtau_affine(
-        lambda sector, qdeg: (PR.nu0() if sector == "0" else PR.nu1(),
-                              PR.rational(qdeg)))
+    # z d/dtau is nu_s + z q d/dq on the sector s
+    lhs = {idx: ser.scale(PR.nu0() if idx.side == "k" else PR.nu1()) +
+           ser.euler_weight("q", 1, 0).shift_exponent("z", 1)
+           for idx, ser in j.items()}
     djk = build_dj(k, m, "k", k, qmax, ZWIN)
     djm = build_dj(k, m, "m", m, qmax, ZWIN)
-    rhs = JSeries(k, m, qmax, ZWIN)
-    for sec, grades in djk.sectors.items():
-        for qd, bucket in grades.items():
-            for idx, z in bucket.items():
-                rhs.add_term(sec, qd, idx, z.scale(PR.nu0()))
-    for sec, grades in djm.sectors.items():
-        for qd, bucket in grades.items():
-            for idx, z in bucket.items():
-                rhs.add_term(sec, qd, idx, z.scale(PR.nu1()))
-    assert lhs.diff_report(rhs, qmax) is None
+    rhs = {idx: sum_series(dj[idx].scale(nu) for dj, nu in
+                           ((djk, PR.nu0()), (djm, PR.nu1())) if idx in dj)
+           for idx in djk.keys() | djm.keys()}
+    assert lhs.keys() == rhs.keys()
+    assert _first_discrepancy(k, m, lhs, rhs, ZWIN, qmax) is None
 
 
 def test_poch_ratio_inverts_poch():

@@ -66,19 +66,29 @@ def test_mul_matches_naive_convolution():
 
 def test_residue_cases():
     lam = TS.var("lam", down_win(-4, hi=2))
-    assert lam.recip().residue("lam") == 1           # residue of 1/lam... via recip(lam)
-    assert (lam * lam + 3).residue("lam").is_zero()  # no pole
+    assert lam.recip().coeff_of("lam", -1) == 1      # residue of 1/lam
+    assert (lam * lam + 3).coeff_of("lam", -1).is_zero()  # no pole
     c = PR.rational(F(5, 3))
     expansion = (lam - c).recip()
-    assert expansion.residue("lam") == 1
+    assert expansion.coeff_of("lam", -1) == 1
 
 
 def test_residue_window_check():
     lam = TS.var("lam", exact_win(0, 2))
-    assert (lam * lam).residue("lam").is_zero()  # hard window: known zero
+    assert (lam * lam).coeff_of("lam", -1).is_zero()  # hard window: known zero
     truncated = TS.var("lam", VarWindow(0, 2, False, True))
     with pytest.raises(WindowUnderflow):
-        truncated.residue("lam")
+        truncated.coeff_of("lam", -1)
+
+
+def test_coeff_of_above_a_cap_on_its_variable_alone():
+    # the cap on {u} knows u^3 no better than a window would
+    s = (TS.var("u", up_win(4)) + TS.var("u", up_win(4), power=3)) \
+        .with_cap({"u"}, 1)
+    assert s.coeff_of("u", 1) == 1
+    with pytest.raises(WindowUnderflow,
+                       match="^coefficient of u\\^3 above the cap 1 on u$"):
+        s.coeff_of("u", 3)
 
 
 def test_reversion_identity_and_shift():
@@ -289,6 +299,23 @@ def test_mul_coeff_matches_full_product(a, b, v, e, pick):
     assert got.terms == want.terms
     assert got.wins == want.wins
     assert got.caps == want.caps
+
+
+@examples(200)
+@given(windowed_series(1), st.integers(0, 2), st.integers(-3, 3),
+       st.integers(-3, 3))
+def test_euler_weight_is_v_times_derivative_plus_scale(s, pick, a, b):
+    v = s.vars[pick % len(s.vars)]
+    got = s.euler_weight(v, a, b)
+    want = sum_series([s.derivative(v).shift_exponent(v, 1).scale(a),
+                       s.scale(b)])
+    assert got.caps == s.caps
+    # derivative lowers a cap on v by one and the shift does not raise it
+    for g, c in s.caps.items():
+        if v in g:
+            got = got.with_cap(g, c - 1)
+    assert (got.vars, got.wins, got.caps) == (want.vars, want.wins, want.caps)
+    assert sorted(got.terms.items()) == sorted(want.terms.items())
 
 
 @st.composite
