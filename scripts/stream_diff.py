@@ -5,9 +5,10 @@ Usage:
     python scripts/stream_diff.py OLD_TREE NEW_TREE
 
 Runs, under each tree's ``src``, ``orbitoda all``, the default ``hqe`` and
-``toda``, and every invocation of the benchmark workloads
-(``perfbench.verdicts.invocations(workload, 1)`` of this checkout), each in
-a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
+``toda``, every invocation of the benchmark workloads
+(``perfbench.verdicts.invocations(workload, 1)`` of this checkout), and
+three more that form capped jets beyond that list (``EXTRA``), each in a
+fresh interpreter.  ``elapsed_ms`` is removed from every report; the
 reports and the exit codes must then be identical.  Then ``--help`` of the
 group and of every subcommand either tree has must print the same text
 with the same exit code.  Every invocation and help text is run; each
@@ -28,6 +29,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True
 
 from verdicts import WORKLOADS, invocations  # noqa: E402
+
+# capped jets the benchmark's invocations do not form: the t-jet of a
+# degree-3 chart, and HQE and 2-Toda checks at flow depth 2
+EXTRA = [["mirror-pairing", "--k", "4", "--m", "3", "--degree", "3"],
+         ["hqe", "--k", "5", "--m", "2", "--times", "2", "--negate"],
+         ["toda", "--k", "3", "--m", "2", "--times", "2"]]
 
 RUN = "import sys; from orbitoda.cli import main; " \
     "main(args=sys.argv[1:], prog_name='orbitoda')"
@@ -78,7 +85,7 @@ def main():
         sys.exit(__doc__)
     old_tree, new_tree = (Path(p).resolve() for p in sys.argv[1:])
     runs = [["all"], ["hqe"], ["toda"]] + [
-        argv for w in WORKLOADS for argv, _, _ in invocations(w, 1)]
+        argv for w in WORKLOADS for argv, _, _ in invocations(w, 1)] + EXTRA
     total = differing = mismatches = 0
     for argv in runs:
         cmd = "orbitoda " + " ".join(argv)

@@ -14,7 +14,11 @@ Window semantics, per variable:
 
 Arithmetic computes the largest window on which the result is provably exact
 and never silently drops a term inside a window.  Optional group caps bound
-the total degree of a set of variables (jets in many t's at once).
+the total degree of a set of variables (jets in many t's at once).  A cap
+is a jet cap: each variable of its group is hard below at >= 0, so every
+term has degree >= 0 in the group and a product is known through the
+least cap of its factors.  ``with_cap``, products and the grade solve of
+recip, exp and log1p raise WindowUnderflow on a cap outside this rule.
 """
 
 from __future__ import annotations
@@ -211,9 +215,12 @@ class TruncSeries:
         return TruncSeries(self.vars, wins, dict(self.terms), {})
 
     def with_cap(self, group, cap: int) -> "TruncSeries":
+        """self known to total degree ``cap`` in the variables of ``group``,
+        each of which must be hard below at >= 0 (the jet rule)."""
         caps = dict(self.caps)
         g = frozenset(group)
         caps[g] = min(caps.get(g, cap), cap)
+        _check_jet_caps(self, caps, "with_cap")
         return TruncSeries(self.vars, self.wins, self.terms, caps)._pruned()
 
     def rename(self, names: Mapping[str, str]) -> "TruncSeries":
@@ -320,84 +327,15 @@ class TruncSeries:
             wins[v] = VarWindow(int(lo), int(hi), lo_hard, hi_hard)
         return wins
 
-    def _bottom(self, group) -> int | float:
-        """The sum of the window bottoms of the group's variables (0 for a
-        variable outside ``vars``); -inf if one is soft below."""
-        least = 0
-        for v in group:
-            w = self.wins.get(v, POINT)
-            if not w.lo_hard:
-                return NEG_INF
-            least += w.lo
-        return least
-
-    def _least_above(self, group, g, c) -> int | float:
-        """The least group degree of a key inside the windows above the cap
-        c on g (+inf if there is none): from the window bottoms, raise g's
-        variables outside the group first, then those in it."""
-        wins = {v: self._win(v) for v in g | group}
-
-        def span(vs):
-            return sum(wins[v].hi - wins[v].lo for v in vs)
-        need = c + 1 - sum(wins[v].lo for v in g) - span(g - group)
-        if need > span(g & group):
-            return POS_INF
-        return sum(wins[v].lo for v in group) + max(need, 0)
-
-    def _least_degree(self, group, other: "TruncSeries") -> int | float:
-        """The least degree in ``group`` of a term of self that a product
-        with ``other`` (capped on the group) can pair under its caps: a
-        stored term, or an unknown one inside the windows above self's cap
-        on the group, or above another cap g of self that ``other`` can
-        meet at negative degree in g (else the pair lands above the
-        product's cap on g), or an unknown one beyond a soft window side
-        of self that meets an unknown term of ``other`` above its cap
-        where ``support_bounds``, which counts stored terms only, lets the
-        product claim the pair known.  WindowUnderflow if a variable of the
-        group is soft below."""
-        least = self._bottom(group)
-        if least == NEG_INF:
-            raise WindowUnderflow(
-                f"group {sorted(group)}: cap in a product with a factor "
-                "unbounded below in the group")
-        if least >= 0:
-            return least
-        idx = [i for i, v in enumerate(self.vars) if v in group]
-        out = min((sum([key[i] for i in idx]) for key in self.terms),
-                  default=POS_INF)
-        c = other.caps[group]
-        for v, w in self.wins.items():
-            if w.lo_hard and w.hi_hard:
-                continue
-            # a term of self beyond its soft top in v (at the bottoms, v
-            # one above the top) times a term of other above its cap lands
-            # inside the product's known window when other's term lies
-            # below other's stored support in v; likewise below a soft
-            # bottom (v is outside the group there)
-            slo, shi = other.support_bounds(v)
-            below = not w.hi_hard and \
-                other._least_above(frozenset((v,)), group, c) < slo
-            above = not w.lo_hard and other._win(v).hi > shi and \
-                other._least_above(group, group, c) < POS_INF
-            if below or above:
-                out = min(out, least + (w.hi + 1 - w.lo if v in group else 0))
-        for g, c in self.caps.items():
-            if g == group or other._bottom(g) < 0:
-                out = min(out, self._least_above(group, g, c))
-        return out
-
     def _product_caps(self, other: "TruncSeries") -> dict:
-        """Group caps of self * other: a factor known to degree C in a group
-        gives the product to degree C + d, d the other factor's least
-        degree there (``_least_degree``) where it is negative.  A term of
-        degree C + 1 times one of degree -1 lands at C."""
-        caps = {}
-        if not (self.caps or other.caps):
-            return caps
-        for a, b in ((self, other), (other, self)):
-            for g, c in a.caps.items():
-                c += min(0, b._least_degree(g, a))
-                caps[g] = min(caps.get(g, c), c)
+        """Group caps of self * other: the least cap of the factors on each
+        group.  Every term of both factors has degree >= 0 in a capped group
+        (``_check_jet_caps``), so a product term at or under the least cap
+        pairs only terms that both factors know."""
+        caps = _cap_merge(self.caps, other.caps)
+        if caps:
+            _check_jet_caps(self, caps, "product")
+            _check_jet_caps(other, caps, "product")
         return caps
 
     def __mul__(self, other):
@@ -496,11 +434,6 @@ class TruncSeries:
                               f"(candidate {best}, offender {key})")
         return best
 
-    def _lead_degrees(self, lead) -> dict:
-        """Per group cap, the leading key's degree in the group."""
-        return {g: sum(e for v, e in zip(self.vars, lead) if v in g)
-                for g in self.caps}
-
     def _offset_window(self, lead, what: str) -> dict[str, VarWindow]:
         """Window of a sum whose support starts at offset 0 from ``lead``.
 
@@ -528,39 +461,28 @@ class TruncSeries:
         return gwins
 
     def _recip_parts(self):
-        """(lead, c0^-1, tail, gwins, gcaps) of 1/self = x^-lead c0^-1 / (1 + h).
+        """(c0^-1 x^-lead, tail, gwins) of 1/self = c0^-1 x^-lead / (1 + h).
 
         ``tail`` holds h = self / (c0 x^lead) - 1 by exponent offset from the
-        leading key; ``gwins`` and ``gcaps`` are the window and group caps of
-        the geometric sum sum_j (-h)^j (support starts at 0).  A cap C on a
-        group where the leading key has degree d knows h to offset degree
-        C - d.
+        leading key, and ``gwins`` is the window of the geometric sum
+        sum_j (-h)^j (support starts at 0).  The caps pass through: NonUnit
+        if the leading key has nonzero degree in a capped group, which would
+        shift the degree of every term of h there.
         """
         lead = self._leading_key()
+        for g in self.caps:
+            if sum(e for v, e in zip(self.vars, lead) if v in g):
+                raise NonUnit(f"recip of a series led by {lead}, of nonzero "
+                              f"degree in the capped group {sorted(g)}")
         c0_inv = self.terms[lead].inverse()
         tail = {tuple(a - b for a, b in zip(key, lead)): c * c0_inv
                 for key, c in self.terms.items() if key != lead}
         gwins = self._offset_window(lead, "recip")
-        degrees = self._lead_degrees(lead)
-        gcaps = {g: c - degrees[g] for g, c in self.caps.items()}
-        return lead, c0_inv, tail, gwins, gcaps
-
-    def _times_lead_inverse(self, total: "TruncSeries", lead, c0_inv):
-        """total * c0^-1 x^-lead, the last step of a reciprocal.
-
-        The shift by -lead moves each cap of ``total`` down by the leading
-        degree d, so the result is known to degree C - 2d; the product
-        lowers a cap by d where d > 0 and keeps it where d <= 0, so the rest
-        of the shift, -min(d, 0), comes first, and the product tests the
-        shifted caps on the shifted keys.
-        """
         minv = TruncSeries(self.vars,
                            {v: exact_win(-lead[i], -lead[i])
                             for i, v in enumerate(self.vars)},
                            {tuple(-e for e in lead): c0_inv})
-        degrees = self._lead_degrees(lead)
-        caps = {g: c - min(degrees[g], 0) for g, c in total.caps.items()}
-        return TruncSeries(total.vars, total.wins, total.terms, caps) * minv
+        return minv, tail, gwins
 
     def recip(self) -> "TruncSeries":
         """1/self = c0^-1 x^-lead / (1 + h), for a self led by one
@@ -569,10 +491,11 @@ class TruncSeries:
         b = 1/(1 + h) solves b = 1 - h b: ``_grade_solve`` with seed 1,
         tail -h and weight 1.
         """
-        lead, c0_inv, tail, gwins, gcaps = self._recip_parts()
-        total = _grade_solve(self, gwins, gcaps, {(0,) * len(lead): PR.one()},
+        minv, tail, gwins = self._recip_parts()
+        total = _grade_solve(self, gwins, self.caps,
+                             {(0,) * len(self.vars): PR.one()},
                              {t: -c for t, c in tail.items()}, None, "recip")
-        return self._times_lead_inverse(total, lead, c0_inv)
+        return total * minv
 
     def recip_within(self, wins: Mapping[str, VarWindow]) -> "TruncSeries":
         return self.truncated(wins).recip()
@@ -614,8 +537,11 @@ class TruncSeries:
             if e == 0:
                 continue
             out[key[:i] + (e - 1,) + key[i + 1:]] = c * e
+        lo = w.lo - 1
+        if w.lo_hard and lo == -1 and w.hi >= 1:
+            lo = 0      # the v^0 term vanishes: a hard bottom at 0 stays
         wins = dict(self.wins)
-        wins[v] = VarWindow(w.lo - 1, w.hi - 1, w.lo_hard, w.hi_hard)
+        wins[v] = VarWindow(lo, w.hi - 1, w.lo_hard, w.hi_hard)
         caps = {g: (c - 1 if v in g else c) for g, c in self.caps.items()}
         return TruncSeries(self.vars, wins, out, caps)._pruned()
 
@@ -653,7 +579,11 @@ class TruncSeries:
                          what="exp of a derivation")
 
     def shift_exponent(self, v: str, delta: int) -> "TruncSeries":
-        """Multiply by v^delta exactly; the window shifts along."""
+        """Multiply by v^delta exactly; the window shifts along.  v may sit
+        in no cap group: the shift would move the degree the cap counts."""
+        if any(v in g for g in self.caps):
+            raise NotInvertible(f"exponent shift of {v}, a cap-grouped "
+                                "variable")
         if delta == 0:
             return self
         if v not in self.wins:
@@ -701,7 +631,8 @@ class TruncSeries:
 
     def coeff_of(self, v: str, e: int) -> "TruncSeries":
         """Exact coefficient of v^e; WindowUnderflow if outside window or
-        above a cap on v alone."""
+        above the cap of a group that holds v.  The rest of such a group
+        keeps the cap less e."""
         w = self._win(v)
         if not w.contains_known(e):
             raise WindowUnderflow(f"coefficient of {v}^{e} outside window {w}")
@@ -720,11 +651,11 @@ class TruncSeries:
         for g, c in self.caps.items():
             if v not in g:
                 caps[g] = c
-            elif g == {v}:
-                if e > c:
-                    raise WindowUnderflow(
-                        f"coefficient of {v}^{e} above the cap {c} on {v}")
-            else:
+                continue
+            if e > c:
+                raise WindowUnderflow(f"coefficient of {v}^{e} above the cap "
+                                      f"{c} on {', '.join(sorted(g))}")
+            if g != {v}:
                 rest = g - {v}
                 caps[rest] = min(caps.get(rest, c - e), c - e)
         return TruncSeries(nvars, wins, terms, caps)
@@ -1036,11 +967,12 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
     truncated product.  The soft grade bounds the recursion, so exactly
     tracked variables (a point window in ``gwins``) move freely; their
     window is the hull of 0 and the stored support.  A cap is kept as it
-    is, which is sound only while no tail term lowers the degree in its
-    group (a truncated power lowers it at each product): a term of negative
-    degree raises NonUnit, and a variable of the group soft below
-    WindowUnderflow, as in a truncated product.
+    is: s must keep the jet rule in every capped group
+    (``_check_jet_caps``), and a reciprocal's leading term has degree 0
+    there, so no tail term has negative degree in the group and a term of
+    b at or under the cap is pushed from known terms only.
     """
+    _check_jet_caps(s, gcaps, what)
     dirs = [0 if gwins[v].lo_hard and gwins[v].hi_hard else s._direction(v)
             for v in s.vars]
     lows, highs, capspec = _key_bounds(s.vars, gwins, gcaps)
@@ -1052,15 +984,6 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
         if min(o, default=0) < 0 or not any(o):
             raise NonUnit(f"{what} argument has non-nilpotent term {t}")
         push.append((t, c, sum(o), sums))
-    for positions, _ in capspec:
-        if any(dirs[i] < 0 for i in positions):
-            raise WindowUnderflow(f"group {sorted(s.vars[i] for i in positions)}"
-                                  f": cap in {what} of a series unbounded "
-                                  "below in the group")
-    for (positions, _), degrees in zip(capspec, zip(*[p[3] for p in push])):
-        if min(degrees) < 0:
-            raise NonUnit(f"{what} argument has a term of negative degree in "
-                          f"the capped group {sorted(s.vars[i] for i in positions)}")
     grades: list[dict] = [{} for _ in range(1 + sum(
         gwins[v].hi if d > 0 else -gwins[v].lo
         for v, d in zip(s.vars, dirs) if d))]
@@ -1104,6 +1027,20 @@ def _add_b(a, b):
     if b in (NEG_INF, POS_INF):
         return b
     return a + b
+
+
+def _check_jet_caps(s: TruncSeries, caps, what: str):
+    """WindowUnderflow unless every variable of every group in ``caps`` is
+    hard below at >= 0 in s (the jet rule of a group cap; a variable s
+    lacks is the point 0), naming the group, a variable, its window and
+    the operation."""
+    for g in caps:
+        bad = [v for v in g if not s._win(v).lo_hard or s._win(v).lo < 0]
+        if bad:
+            v = min(bad)
+            raise WindowUnderflow(
+                f"group {sorted(g)}: cap in {what} on variable {v} with window "
+                f"{s._win(v)}, not hard below at >= 0")
 
 
 def _cap_merge(a: dict, b: dict) -> dict:

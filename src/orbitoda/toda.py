@@ -251,13 +251,6 @@ class TauJet:
         if c0 is None or not c0.is_monomial():
             raise DivisionByZeroTau("tau needs an invertible constant term")
 
-    def d_time(self, barred: bool, n: int) -> TruncSeries:
-        declared = self.ybtimes if barred else self.ytimes
-        if n > declared:
-            raise WindowUnderflow(
-                f"time {'yb' if barred else 'y'}{n} beyond the declared set")
-        return self.series.derivative(ybname(n) if barred else yname(n))
-
     def shifted(self, r: int, eps_win: VarWindow) -> TruncSeries:
         if r == 0 or "x" not in self.series.wins:
             return self.series

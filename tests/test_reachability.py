@@ -32,7 +32,6 @@ TEST_ONLY = {
     "jfunction.j_small_z_expansion",
     "jfunction.poch",
     "rationals.ParamRat.homogeneous_degree",
-    "toda.TauJet.d_time",
 }
 
 

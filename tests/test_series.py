@@ -2,7 +2,6 @@
 
 import functools
 import gc
-import itertools
 import math
 import re
 from fractions import Fraction as F
@@ -16,6 +15,7 @@ from conftest import examples
 from orbitoda import series
 from orbitoda.errors import (NonConvergent, NonUnit, NotInvertible,
                              WindowUnderflow)
+from orbitoda.mirror import FlatChart
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win, exact_win,
                              series_reversion, sum_series, taylor_shift,
@@ -89,6 +89,44 @@ def test_coeff_of_above_a_cap_on_its_variable_alone():
     with pytest.raises(WindowUnderflow,
                        match="^coefficient of u\\^3 above the cap 1 on u$"):
         s.coeff_of("u", 3)
+
+
+def test_coeff_of_above_a_cap_on_a_group_of_variables():
+    # u^3 has degree 3 in {u, w}, above the cap 2: its coefficient 1 + w is
+    # unknown, not the 0 that the rest's cap 2 - 3 would claim
+    wins = {"u": up_win(4), "w": up_win(4)}
+    s = (TS.monomial({"u": 1}, wins) + TS.monomial({"u": 3}, wins)
+         + TS.monomial({"u": 3, "w": 1}, wins)).with_cap({"u", "w"}, 2)
+    assert s.coeff_of("u", 1) == 1
+    assert s.coeff_of("u", 1).caps == {frozenset("w"): 1}
+    with pytest.raises(WindowUnderflow,
+                       match="^coefficient of u\\^3 above the cap 2 on u, w$"):
+        s.coeff_of("u", 3)
+
+
+def test_shift_exponent_refuses_a_capped_variable():
+    # u^2 + u^3 known to degree 2 in u stores u^2; shifted by -1 under the
+    # same cap it would claim a known 0 at u^2, where the true value is 1
+    s = TS.from_poly("u", {2: 1, 3: 1}).truncated({"u": up_win(4)}) \
+        .with_cap({"u"}, 2)
+    with pytest.raises(NotInvertible, match="^exponent shift of u"):
+        s.shift_exponent("u", -1)
+
+
+def test_derivative_keeps_a_hard_bottom_at_0():
+    # the u^0 term vanishes: the derivative is still a power series in u,
+    # so a cap on u still holds
+    s = TS.from_poly("u", {0: 1, 1: 2, 3: 1}).truncated({"u": up_win(4)})
+    d = s.derivative("u")
+    assert d.wins["u"] == up_win(3)
+    assert d.with_cap({"u"}, 1) == TS.from_poly("u", {0: 2})
+    # the t-jacobian of the flat coordinates, which the chart caps in t
+    chart = FlatChart(4, 3, 2)
+    for row in chart.jacobian:
+        for entry in row:
+            for t in chart.tnames:
+                w = entry._win(t)
+                assert w.lo_hard and w.lo >= 0, (t, w)
 
 
 def test_reversion_identity_and_shift():
@@ -254,26 +292,35 @@ def test_taylor_shift_is_multiplicative(a, b, r):
 NAMES = ("u", "v", "w")
 
 
+def any_window(lo_range=(-3, 3), width=(0, 4), kinds=("up", "down", "exact")):
+    return st.builds(lambda lo, width, kind: VarWindow(
+        lo, lo + width, kind != "down", kind != "up"),
+        st.integers(*lo_range), st.integers(*width), st.sampled_from(kinds))
+
+
+def jet_window(width=(0, 4)):
+    """An up or exact window hard below at 0 or 1: a capped variable."""
+    return any_window((0, 1), width, ("up", "exact"))
+
+
 @st.composite
 def windowed_series(draw, min_vars):
     """A small series over some of NAMES: up, down or exact windows, random
-    terms inside them (or none), and an optional group cap."""
+    terms inside them (or none), and an optional group cap.  A capped
+    variable is hard below at 0 or 1 (the jet rule)."""
     names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES),
                                       min_size=min_vars))))
-    wins = {}
-    for v in names:
-        kind = draw(st.sampled_from(["up", "down", "exact"]))
-        lo = draw(st.integers(-3, 1))
-        wins[v] = VarWindow(lo, lo + draw(st.integers(0, 4)),
-                            kind != "down", kind != "up")
+    group = draw(st.sets(st.sampled_from(names), min_size=1)) \
+        if draw(st.booleans()) else set()
+    wins = {v: draw(jet_window() if v in group else any_window((-3, 1)))
+            for v in names}
     key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
     coeff = st.integers(-5, 5).filter(bool).map(PR.rational)
     terms = draw(st.dictionaries(key, coeff, min_size=1, max_size=6))
     if draw(st.sampled_from(["terms"] * 5 + ["zero factor"])) == "zero factor":
         terms = {}
     s = TS(names, wins, terms)
-    if draw(st.booleans()):
-        group = draw(st.sets(st.sampled_from(names), min_size=1))
+    if group:
         s = s.with_cap(group, draw(st.integers(0, 5)))
     return s
 
@@ -307,13 +354,12 @@ def test_mul_coeff_matches_full_product(a, b, v, e, pick):
 def test_euler_weight_is_v_times_derivative_plus_scale(s, pick, a, b):
     v = s.vars[pick % len(s.vars)]
     got = s.euler_weight(v, a, b)
-    want = sum_series([s.derivative(v).shift_exponent(v, 1).scale(a),
-                       s.scale(b)])
-    assert got.caps == s.caps
-    # derivative lowers a cap on v by one and the shift does not raise it
+    # the reference shifts v, so it runs uncapped and takes s's caps after
+    plain = TS(s.vars, s.wins, s.terms)
+    want = sum_series([plain.derivative(v).shift_exponent(v, 1).scale(a),
+                       plain.scale(b)])
     for g, c in s.caps.items():
-        if v in g:
-            got = got.with_cap(g, c - 1)
+        want = want.with_cap(g, c)
     assert (got.vars, got.wins, got.caps) == (want.vars, want.wins, want.caps)
     assert sorted(got.terms.items()) == sorted(want.terms.items())
 
@@ -321,9 +367,10 @@ def test_euler_weight_is_v_times_derivative_plus_scale(s, pick, a, b):
 @st.composite
 def truncated_factors(draw):
     """Two factors of 12-20 terms over u (truncated, both up or both down),
-    v (exact) and maybe w (truncated up).  Each factor has terms at both
-    ends of its u window, so the product's u window rejects about half of
-    the pairs, and w another share; an optional cap on v and w."""
+    v (exact, hard below at 0) and maybe w (truncated up).  Each factor has
+    terms at both ends of its u window, so the product's u window rejects
+    about half of the pairs, and w another share; an optional cap on v and
+    w."""
     names = ("u", "v", "w") if draw(st.booleans()) else ("u", "v")
     kind = draw(st.sampled_from(["up", "down"]))
     coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
@@ -331,7 +378,7 @@ def truncated_factors(draw):
     for _ in range(2):
         depth = draw(st.integers(4, 9))
         wins = {"u": up_win(depth) if kind == "up" else down_win(-depth),
-                "v": exact_win(-2, 2), "w": up_win(draw(st.integers(2, 5)))}
+                "v": exact_win(0, 4), "w": up_win(draw(st.integers(2, 5)))}
         wins = {v: wins[v] for v in names}
         key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
         terms = draw(st.dictionaries(key, coeff, min_size=12, max_size=18))
@@ -345,62 +392,11 @@ def truncated_factors(draw):
     return factors
 
 
-def bottom(y, g):
-    """The sum of y's window bottoms over g; -inf if one is soft below."""
-    wins = [y.wins.get(v, exact_win(0, 0)) for v in g]
-    return sum(w.lo if w.lo_hard else -math.inf for w in wins)
-
-
-def least_degree(y, g, x):
-    """The least degree in g of a term of y that can meet x under the caps:
-    y's stored terms, the keys inside y's windows above y's cap on g or
-    above a cap g2 of y where x's window bottoms sum below 0, and the keys
-    one step beyond a soft side of y's windows in a variable v where x has
-    a key inside its windows above its cap on g beyond all of x's stored
-    v-exponents toward that side, by enumerating the keys."""
-    def exps(s, key):
-        return {v: e for v, e in zip(s.vars, key)}
-
-    def degree(key):
-        return sum(e for v, e in key.items() if v in g)
-    degrees = [degree(exps(y, key)) for key in y.terms]
-    ranges = [range(y.wins[v].lo, y.wins[v].hi + 1) for v in y.vars]
-    x_above = [key for key in map(
-        functools.partial(exps, x),
-        itertools.product(*[range(x.wins[v].lo, x.wins[v].hi + 1)
-                            for v in x.vars])) if degree(key) > x.caps[g]]
-    for i, v in enumerate(y.vars):
-        w, xw = y.wins[v], x.wins.get(v, exact_win(0, 0))
-        stored = [exps(x, key).get(v, 0) for key in x.terms]
-        beyond = []
-        if not w.hi_hard and xw.lo_hard and any(
-                key.get(v, 0) < min(stored, default=math.inf)
-                for key in x_above):
-            beyond.append(w.hi + 1)
-        if not w.lo_hard and xw.hi_hard and any(
-                key.get(v, 0) > max(stored, default=-math.inf)
-                for key in x_above):
-            beyond.append(w.lo - 1)
-        for e in beyond:
-            for key in itertools.product(*ranges[:i], [e], *ranges[i + 1:]):
-                degrees.append(degree(exps(y, key)))
-    for key in itertools.product(*ranges):
-        key = exps(y, key)
-        if any(sum(key.get(v, 0) for v in g2) > c2
-               and (g2 == g or bottom(x, g2) < 0)
-               for g2, c2 in y.caps.items()):
-            degrees.append(degree(key))
-    return min(degrees, default=math.inf)
-
-
-def product_caps(a, b):
-    """The group caps of a * b for factors with no soft-below variable in a
-    capped group: each factor's cap, lowered by the other factor's least
-    degree in the group where that is negative."""
+def least_caps(a, b):
+    """Per group, the least cap of the two factors: the caps of a * b."""
     caps = {}
-    for x, y in ((a, b), (b, a)):
+    for x in (a, b):
         for g, c in x.caps.items():
-            c += min(0, least_degree(y, g, x))
             caps[g] = min(caps.get(g, c), c)
     return caps
 
@@ -409,7 +405,7 @@ def every_pair_product(a, b):
     """a * b for factors over the same variables, by the schoolbook loop
     over every pair of terms: the keep test of the window and the caps."""
     wins = a._product_wins(b, a.vars)
-    caps = product_caps(a, b)
+    caps = least_caps(a, b)
     terms = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -460,22 +456,21 @@ def test_windowed_product_matches_every_pair_loop(factors):
 def capped_factors(draw):
     """Two factors of 10-16 terms over u, v, w (each up, down or exact), as
     drawn and under one or two group caps, each cap on one factor or on
-    both: ``(plain factors, capped factors)``."""
+    both and each on variables hard below at 0 or 1 (the jet rule):
+    ``(plain factors, capped factors)``."""
     names = ("u", "v", "w")
     coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
-    wins = {}
-    for v in names:
-        kind = draw(st.sampled_from(["up", "down", "exact"]))
-        lo = draw(st.integers(-3, 1))
-        wins[v] = VarWindow(lo, lo + draw(st.integers(2, 5)),
-                            kind != "down", kind != "up")
+    groups = [draw(st.sets(st.sampled_from(names), min_size=1))
+              for _ in range(draw(st.integers(1, 2)))]
+    capped = set().union(*groups)
+    wins = {v: draw(jet_window((2, 5)) if v in capped
+                    else any_window((-3, 1), (2, 5))) for v in names}
     key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
     plain = [TS(names, wins, draw(st.dictionaries(key, coeff, min_size=10,
                                                   max_size=16)))
              for _ in range(2)]
     factors = plain
-    for _ in range(draw(st.integers(1, 2))):
-        group = draw(st.sets(st.sampled_from(names), min_size=1))
+    for group in groups:
         cap = draw(st.integers(-2, 6))
         on = draw(st.sampled_from([(0,), (1,), (0, 1)]))
         factors = [f.with_cap(group, cap) if i in on else f
@@ -504,65 +499,12 @@ def test_capped_product_matches_under_caps_pair_loop(factors):
                 del want[key]
             else:
                 want[key] = s
-    assert got.caps == product_caps(a, b)
+    assert got.caps == least_caps(a, b)
     assert list(got.terms.items()) == list(want.items())
-
-
-def cap_against_negative_degree():
-    """a = u^2 + u^3 (u up, w down) times the exact w^-1, as drawn and with
-    a known to degree 2 in {u, w}, so that a stores u^2 only, in the shape
-    of ``capped_factors``."""
-    wins = {"u": up_win(4), "w": down_win(-4)}
-    full = TS.monomial({"u": 2}, wins) + TS.monomial({"u": 3}, wins)
-    winv = TS.from_poly("w", {-1: 1})
-    return (full, winv), (full.with_cap({"u", "w"}, 2), winv)
-
-
-def test_product_cap_lowered_by_a_factor_of_negative_degree():
-    # the unknown u^3 of a lands at u^3 w^-1, degree 2: a * w^-1 is known
-    # to degree 1 only, and so is its u^3 coefficient, to w-degree -2
-    (full, winv), (a, _) = cap_against_negative_degree()
-    got = a * winv
-    assert got.caps == {frozenset("uw"): 1}
-    assert got.terms == {(2, -1): PR.one()}
-    assert (got - full * winv).is_zero()
-    coeff = a.mul_coeff(winv, "u", 3)
-    assert coeff.caps == {frozenset("w"): -2}
-    assert (coeff - (full * winv).coeff_of("u", 3)).is_zero()
-    # a factor with w soft below bounds no degree in {u, w}
-    with pytest.raises(WindowUnderflow, match=r"group \['u', 'w'\]"):
-        a * TS.var("w", down_win(-4), power=-1)
-    with pytest.raises(WindowUnderflow, match=r"group \['u', 'w'\]"):
-        TS.var("w", down_win(-4), power=-1).mul_coeff(a, "u", 2)
-
-
-def cap_against_a_truncated_factor():
-    """a = v + u known to degree 0 in {u}, so that a stores v only, times
-    b = 1 + u^-1 v^2 truncated to v <= 1, so that b stores 1 only, as
-    drawn and as stored, in the shape of ``capped_factors``."""
-    wa = {"u": up_win(4), "v": exact_win(0, 2)}
-    wb = {"u": exact_win(-1, 0), "v": exact_win(0, 2)}
-    full_a = TS.monomial({"v": 1}, wa) + TS.monomial({"u": 1}, wa)
-    full_b = TS.scalar(1, wb) + TS.monomial({"u": -1, "v": 2}, wb)
-    return (full_a, full_b), (full_a.with_cap({"u"}, 0),
-                              full_b.truncated({"v": up_win(1)}))
-
-
-def test_product_cap_counts_the_unknown_terms_beyond_a_soft_window():
-    # the unknown u of a times the unknown u^-1 v^2 of b lands at u^0 v^2
-    # with coefficient 1; b's least u-degree -1 lowers the cap below it,
-    # where a cap of 0 claimed coefficient 0 there
-    (full_a, full_b), (a, b) = cap_against_a_truncated_factor()
-    got = a * b
-    assert got.caps == {frozenset("u"): -1}
-    assert (got - (full_a * full_b).with_cap({"u"}, -1)).is_zero()
-    assert (full_a * full_b).terms[(0, 2)] == PR.one()
 
 
 @examples(200)
 @given(capped_factors())
-@example(cap_against_negative_degree())
-@example(cap_against_a_truncated_factor())
 def test_capped_product_is_the_uncapped_product_under_its_caps(factors):
     # a capped factor may hold anything above its cap, so where the capped
     # product claims a term it must agree with the product of the factors
@@ -571,10 +513,8 @@ def test_capped_product_is_the_uncapped_product_under_its_caps(factors):
     try:
         got = a * b
     except WindowUnderflow as exc:
-        # a cap raises only against a factor unbounded below in its group
-        assert not str(exc).startswith("group") or any(
-            not y.wins[v].lo_hard
-            for x, y in ((a, b), (b, a)) for g in x.caps for v in g)
+        # both factors keep the jet rule, so only a window can raise
+        assert not str(exc).startswith("group")
         return
     want = pa * pb
     for g, c in got.caps.items():
@@ -583,19 +523,106 @@ def test_capped_product_is_the_uncapped_product_under_its_caps(factors):
     assert (got - want).is_zero()
 
 
+def capped_u2():
+    """u^2 + u^3, u up, known to degree 2 in {u, w}: it stores u^2."""
+    return TS.from_poly("u", {2: 1, 3: 1}).truncated({"u": up_win(4)}) \
+        .with_cap({"u", "w"}, 2)
+
+
+def v_capped_on_u_hard_at_minus_1():
+    """v (up to v^2) under the cap 0 on {u}, u hard below at -1 by a later
+    truncation, and w up to w^0.  v * v is known only through degree -1 in
+    {u}, so it stores nothing there, and a truncated power sum of exp(v)
+    that stops at that empty power claims v^2 a known 0 where 1/2 is
+    right."""
+    return TS.var("v", up_win(2)).with_cap({"u"}, 0).truncated(
+        {"u": VarWindow(-1, 1, True, False), "w": up_win(0)})
+
+
+def crossed_both_ways():
+    """u^2 + w^-1, u up and w down: under a cap on {u, w}, w^-1 would carry
+    any unknown u^3 back under the cap."""
+    wins = {"u": up_win(4), "w": down_win(-4, hi=0)}
+    return TS.monomial({"u": 2}, wins) + TS.monomial({"w": -1}, wins)
+
+
+def moved_down_in_x():
+    """u^3 + u x^-2, u up and x exact [-2, 0]: under a cap on {u, x}, each
+    power would lower the degree in the group."""
+    wins = {"u": up_win(4), "x": exact_win(-2, 0)}
+    return TS.monomial({"u": 3}, wins) + TS.monomial({"u": 1, "x": -2}, wins)
+
+
+def refused(group, op, v, win):
+    return (rf"^group \[{group}\]: cap in {op} on variable {v} with window "
+            + re.escape(repr(win)) + ", not hard below at >= 0$")
+
+
+# A cap counts the total degree of jet variables, each hard below at >= 0:
+# every entry point that meets a cap outside that rule refuses it
+CAP_REFUSALS = {
+    "with_cap-soft-below": (
+        lambda: crossed_both_ways().with_cap({"u", "w"}, 2), WindowUnderflow,
+        refused("'u', 'w'", "with_cap", "w", down_win(-4))),
+    "with_cap-exact-below-0": (
+        lambda: moved_down_in_x().with_cap({"u", "x"}, 3), WindowUnderflow,
+        refused("'u', 'x'", "with_cap", "x", exact_win(-2, 0))),
+    # the unknown u^3 of the capped factor would land at u^3 w^-1, degree 2
+    "product-negative-degree": (
+        lambda: capped_u2() * TS.from_poly("w", {-1: 1}), WindowUnderflow,
+        refused("'u', 'w'", "product", "w", exact_win(-1, -1))),
+    "mul_coeff-negative-degree": (
+        lambda: TS.from_poly("w", {-1: 1}).mul_coeff(capped_u2(), "u", 3),
+        WindowUnderflow, refused("'u', 'w'", "product", "w",
+                                 exact_win(-1, -1))),
+    # v + u known to degree 0 in {u} stores v; its unknown u times the
+    # u^-1 v^2 that the truncation to v <= 1 drops would land at v^2
+    "product-truncated-factor": (
+        lambda: (TS.var("v", exact_win(0, 2)) + TS.var("u", up_win(4)))
+        .with_cap({"u"}, 0) * (TS.scalar(1, {"u": exact_win(-1, 0)})
+                               + TS.from_poly("u", {-1: 1})
+                               * TS.from_poly("v", {2: 1}))
+        .truncated({"v": up_win(1)}), WindowUnderflow,
+        refused("'u'", "product", "u", exact_win(-1, 0))),
+    "exp-hard-below-at-minus-1": (
+        lambda: v_capped_on_u_hard_at_minus_1().exp(), WindowUnderflow,
+        refused("'u'", "exp", "u", VarWindow(-1, 1, True, False))),
+    "log1p-hard-below-at-minus-1": (
+        lambda: v_capped_on_u_hard_at_minus_1().log1p(), WindowUnderflow,
+        refused("'u'", "log1p", "u", VarWindow(-1, 1, True, False))),
+    "recip-hard-below-at-minus-1": (
+        lambda: (1 + v_capped_on_u_hard_at_minus_1()).recip(),
+        WindowUnderflow,
+        refused("'u'", "recip", "u", VarWindow(-1, 1, True, False))),
+    # 1/(u + u^3) = u^-1 (1 - u^2 + ...) would shift every degree by -1
+    "recip-led-by-a-capped-variable": (
+        lambda: TS.from_poly("u", {1: 1, 3: 1}).truncated({"u": up_win(5)})
+        .with_cap({"u"}, 3).recip(), NonUnit,
+        r"^recip of a series led by \(1,\), of nonzero degree in the "
+        r"capped group \['u'\]$"),
+}
+
+
+@pytest.mark.parametrize("case", CAP_REFUSALS)
+def test_cap_refusals(case):
+    call, error, match = CAP_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
 @st.composite
 def unit_series(draw):
     """A ``windowed_series`` plus a dominating leading monomial: the lowest
     exponent of an up window, the highest of a down window, any exponent of
-    an exact window.  The tail leaves some exact variables alone, and an
-    optional group cap sits a little above the leading monomial's degree
-    (caps bound the tail's powers only when that degree is positive)."""
+    an exact window (the lowest in a capped group, whose windows start at 0
+    or 1).  The tail leaves some exact variables alone."""
     s = draw(windowed_series(1))
+    capped = set().union(*s.caps)
     lead, still = [], []
     for i, v in enumerate(s.vars):
         w = s.wins[v]
         if w.lo_hard and w.hi_hard:
-            lead.append(draw(st.integers(w.lo, w.hi)))
+            lead.append(w.lo if v in capped else draw(st.integers(w.lo, w.hi)))
             if draw(st.booleans()):
                 still.append(i)
         else:
@@ -605,18 +632,13 @@ def unit_series(draw):
         key = tuple(lead[i] if i in still else e for i, e in enumerate(key))
         terms[key] = c
     terms[tuple(lead)] = PR.rational(draw(st.integers(-3, 3).filter(bool)))
-    s = TS(s.vars, s.wins, terms, s.caps)._pruned()
-    if draw(st.booleans()):
-        group = draw(st.sets(st.sampled_from(s.vars), min_size=1))
-        degree = sum(lead[s.vars.index(v)] for v in group)
-        s = s.with_cap(group, degree + draw(st.integers(0, 3)))
-    return s
+    return TS(s.vars, s.wins, terms, s.caps)._pruned()
 
 
 @examples(300)
 @given(unit_series())
 @example(TS.from_poly("u", {1: 1, 2: 1}).truncated({"u": up_win(5)}))
-@example(TS.from_poly("u", {1: 1, 3: 1}).truncated({"u": up_win(5)})
+@example(TS.from_poly("u", {0: 1, 3: 1}).truncated({"u": up_win(5)})
          .with_cap({"u"}, 3))
 def test_recip_matches_power_loop(s):
     try:
@@ -625,27 +647,11 @@ def test_recip_matches_power_loop(s):
         with pytest.raises(type(exc)):
             s.recip()
         return
-    if lowers_a_cap(s, s._leading_key()):
-        # the power loop lowers the cap at each product; the grade solve,
-        # which keeps it, refuses
-        with pytest.raises(NonUnit, match="negative degree"):
-            s.recip()
-        return
     got = s.recip()
     assert got.vars == want.vars
     assert got.terms == want.terms
     assert got.wins == want.wins
     assert got.caps == want.caps
-
-
-def test_recip_cap_counts_leading_degree():
-    # input known to degree 3 and led by u: 1/(u + u^3 + O(u^4)) is known
-    # to degree 3 - 2 = 1 only
-    s = TS.from_poly("u", {1: 1, 3: 1}).truncated({"u": up_win(5)}) \
-        .with_cap({"u"}, 3)
-    r = s.recip()
-    assert r.terms == {(-1,): PR.one(), (1,): -PR.one()}
-    assert r.caps == {frozenset({"u"}): 1}
 
 
 def test_subst_leaves_no_cyclic_garbage():
@@ -870,13 +876,6 @@ def raises_like(want_call, got_call):
     return got_call(), want
 
 
-def any_window(lo_range=(-3, 3)):
-    return st.builds(lambda lo, width, kind: VarWindow(
-        lo, lo + width, kind != "down", kind != "up"),
-        st.integers(*lo_range), st.integers(0, 4),
-        st.sampled_from(["up", "down", "exact"]))
-
-
 @examples(300)
 @given(windowed_series(1),
        st.dictionaries(st.sampled_from(NAMES + ("z",)), any_window(),
@@ -995,50 +994,31 @@ def chain_log1p(s):
 
 
 def chain_recip_by_powers(s):
-    lead, c0_inv, tail, gwins, gcaps = s._recip_parts()
+    """1/s by the truncated geometric sum of h, h = s / (c0 x^lead) - 1,
+    with s's caps on every power."""
+    lead = s._leading_key()
+    if any(sum(e for v, e in zip(s.vars, lead) if v in g) for g in s.caps):
+        raise NonUnit("leading term of nonzero degree in a capped group")
+    minv, tail, gwins = s._recip_parts()
     hwins = {v: VarWindow(s.wins[v].lo - lead[i], s.wins[v].hi - lead[i],
                           s.wins[v].lo_hard, s.wins[v].hi_hard)
              for i, v in enumerate(s.vars)}
-    h = TS(s.vars, hwins, tail, gcaps)
-    total = chain_power_sum(TS.scalar(1, gwins, gcaps),
+    h = TS(s.vars, hwins, tail, s.caps)
+    total = chain_power_sum(TS.scalar(1, gwins, s.caps),
                             lambda p: chain_truncated(p * (-1 * h), gwins))
-    return s._times_lead_inverse(total, lead, c0_inv)
-
-
-def lowers_a_cap(s, lead=None):
-    """Whether a term of s, as an offset from ``lead`` (default 0), has
-    negative degree in a capped group."""
-    lead = lead or (0,) * len(s.vars)
-    return any(sum(e - b for v, e, b in zip(s.vars, key, lead) if v in g) < 0
-               for g in s.caps for key in s.terms)
-
-
-def cap_crossed_both_ways():
-    """h = u^2 + w^-1, u up and w down, capped at degree 2 in u and w."""
-    wins = {"u": up_win(4), "w": down_win(-4, hi=0)}
-    h = TS.monomial({"u": 2}, wins) + TS.monomial({"w": -1}, wins)
-    return h.with_cap({"u", "w"}, 2)
+    return total * minv
 
 
 @examples(200)
 @given(small_series())
-@example(cap_crossed_both_ways())
 def test_exp_and_log1p_match_chain_of_additions(s):
     # the grade solve keeps an exact window to the hull of 0 and the stored
     # support; the power sum's may overstate it by a power that was cut
-    lowers = lowers_a_cap(s)
     for got, want in ((s.exp, lambda: chain_exp(s)),
                       (s.log1p, lambda: chain_log1p(s))):
-        try:
-            pair = raises_like(want, got)
-        except NonUnit as exc:
-            # the reference computed, lowering the cap at each power; only
-            # a term of negative degree in a capped group raises
-            assert lowers and "negative degree" in str(exc)
-            continue
+        pair = raises_like(want, got)
         if not pair:
             continue
-        assert not lowers
         got, want = pair
         assert got.vars == want.vars
         assert got.caps == want.caps
@@ -1051,35 +1031,6 @@ def test_exp_and_log1p_match_chain_of_additions(s):
             exps = [0] + [key[i] for key in got.terms]
             assert gw == exact_win(min(exps), max(exps))
             assert ww.lo <= gw.lo and gw.hi <= ww.hi
-
-
-def test_exp_and_log1p_reject_a_cap_crossed_both_ways():
-    # Under the cap 2 on {u, w}, h = u^2 + w^-1 (w down) may hold any u^3,
-    # and w^-1 carries it back under the cap: no power of h is known in the
-    # group, so exp, log1p and the reciprocal refuse h, as the truncated
-    # power sum does.  A term that moves an exact variable down inside the
-    # group lowers the cap at each power; the grade solve keeps its caps,
-    # so it refuses that too.
-    crossed = cap_crossed_both_ways()
-    with pytest.raises(WindowUnderflow, match=r"^group \['u', 'w'\]"):
-        chain_exp(crossed)
-    wins = {"u": up_win(4), "x": exact_win(-2, 0)}
-    exact = TS.monomial({"u": 3}, wins) + TS.monomial({"u": 1, "x": -2}, wins)
-    exact = exact.with_cap({"u", "x"}, 3)
-    assert chain_exp(exact).caps[frozenset("ux")] < 3
-    for op in ("exp", "log1p"):
-        with pytest.raises(WindowUnderflow,
-                           match=rf"^group \['u', 'w'\]: cap in {op} "):
-            getattr(crossed, op)()
-        with pytest.raises(NonUnit, match=rf"^{op} argument has a term of "
-                           r"negative degree in the capped group \['u', 'x'\]"):
-            getattr(exact, op)()
-    with pytest.raises(WindowUnderflow, match=r"^group \['u', 'w'\]: cap in "
-                       "recip "):
-        (1 + crossed).recip()
-    with pytest.raises(NonUnit, match=r"^recip argument has a term of "
-                       "negative degree"):
-        (1 + exact).recip()
 
 
 @pytest.mark.parametrize("op", ["exp", "log1p"])
@@ -1110,9 +1061,9 @@ def test_vacuum_tau_identities():
 
 def test_exp_of_log1p_is_one_plus_h():
     # u up, w down, v exact and moving, under a joint cap on u and v
-    wins = {"u": up_win(5), "w": down_win(-4, hi=1), "v": exact_win(-2, 2)}
+    wins = {"u": up_win(5), "w": down_win(-4, hi=1), "v": exact_win(0, 2)}
     h = sum_series(TS.monomial(exps, wins, coeff=c) for exps, c in (
-        ({"u": 1}, 2), ({"u": 1, "v": -1}, F(1, 3)), ({"w": -1}, -1),
+        ({"u": 1}, 2), ({"u": 1, "v": 1}, F(1, 3)), ({"w": -1}, -1),
         ({"u": 2, "w": -1, "v": 2}, 5), ({"w": -2, "v": 1}, F(-3, 4))))
     h = h.with_cap({"u", "v"}, 4)
     log = h.log1p()

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitoda.errors import DivisionByZeroTau, WindowUnderflow
+from orbitoda.errors import DivisionByZeroTau
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, up_win
 from orbitoda.toda import (ShiftOp, TauJet, check_wave_equations, dress,
@@ -78,12 +78,6 @@ def test_mul_associativity_random():
 def test_tau_requires_invertible_constant():
     with pytest.raises(DivisionByZeroTau):
         TauJet(TS.from_poly("x", {1: 1}), 0, 0)
-
-
-def test_tau_declared_times_contract():
-    tau = two_toda_vacuum_tau(2, 2)
-    with pytest.raises(WindowUnderflow):
-        tau.d_time(False, 5)
 
 
 def test_vacuum_tau_trivial_wave():
