@@ -7,8 +7,10 @@ Usage:
 Runs, under each tree's ``src``, ``orbitoda all``, the default ``hqe`` and
 ``toda``, every invocation of the benchmark workloads
 (``perfbench.verdicts.invocations(workload, 1)`` of this checkout), and
-three more that form capped jets beyond that list (``EXTRA``), each in a
-fresh interpreter.  ``elapsed_ms`` is removed from every report; the
+four more beyond that list (``EXTRA``): three that form capped jets, and
+``toda --k 2 --m 3 --eps-order 4 --times 3``, the one run with m > k,
+whose raising inverse runs at m = 3 on a wider eps-window.  Each runs in
+a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
 reports and the exit codes must then be identical.  Then ``--help`` of the
 group and of every subcommand either tree has must print the same text
 with the same exit code.  Every invocation and help text is run; each
@@ -31,10 +33,12 @@ sys.dont_write_bytecode = True
 from verdicts import WORKLOADS, invocations  # noqa: E402
 
 # capped jets the benchmark's invocations do not form: the t-jet of a
-# degree-3 chart, and HQE and 2-Toda checks at flow depth 2
+# degree-3 chart, and HQE and 2-Toda checks at flow depth 2; then the
+# raising inverse at m = 3 > k on eps-order 4
 EXTRA = [["mirror-pairing", "--k", "4", "--m", "3", "--degree", "3"],
          ["hqe", "--k", "5", "--m", "2", "--times", "2", "--negate"],
-         ["toda", "--k", "3", "--m", "2", "--times", "2"]]
+         ["toda", "--k", "3", "--m", "2", "--times", "2"],
+         ["toda", "--k", "2", "--m", "3", "--eps-order", "4", "--times", "3"]]
 
 RUN = "import sys; from orbitoda.cli import main; " \
     "main(args=sys.argv[1:], prog_name='orbitoda')"

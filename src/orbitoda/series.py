@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, count
 from operator import add, gt, le, mul
 from typing import Mapping
@@ -1138,12 +1137,11 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
 def power_sum(power, step, coeff=None, total=None, limit=100000,
               what="power sum"):
     """total + sum_{j>=1} coeff(j) p_j with p_0 = ``power`` and
-    p_j = step(p_{j-1}), stopping at the first zero p_j.
+    p_j = step(p_{j-1}), stopping at the first zero p_j; the p_j are
+    series, summed by ``_fold``.
 
-    ``total`` defaults to p_0 and ``coeff`` to 1; the terms need only
-    ``is_zero``, ``scale`` and ``+``, and series are summed by ``_fold``.
-    NonConvergent once ``limit`` powers have been added and the next one is
-    still nonzero.
+    ``total`` defaults to p_0 and ``coeff`` to 1.  NonConvergent once
+    ``limit`` powers have been added and the next one is still nonzero.
     """
     def terms(power):
         for j in count(1):
@@ -1154,10 +1152,7 @@ def power_sum(power, step, coeff=None, total=None, limit=100000,
                 raise NonConvergent(f"{what} did not terminate")
             yield power if coeff is None else power.scale(coeff(j))
 
-    total = power if total is None else total
-    if isinstance(total, TruncSeries):
-        return _fold(total, terms(power), "addition")
-    return reduce(add, terms(power), total)
+    return _fold(power if total is None else total, terms(power), "addition")
 
 
 _FACT = [1]

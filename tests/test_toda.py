@@ -6,8 +6,9 @@ import pytest
 
 from orbitoda.errors import DivisionByZeroTau
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, up_win
-from orbitoda.toda import (ShiftOp, TauJet, check_wave_equations, dress,
+from orbitoda.series import (TruncSeries as TS, down_win, sum_series,
+                             taylor_shift, up_win)
+from orbitoda.toda import (LAM, TauJet, band_op, check_wave_equations, dress,
                            gauge_qpower_check, identity_op, lambda_op,
                            log_lax, log_lax_bar, tau_to_wave,
                            two_toda_vacuum_tau, vacuum_lbar,
@@ -21,16 +22,16 @@ EW = up_win(3)
 def test_lambda_commutation():
     u = TS.from_poly("x", {1: 1}).truncated({"eps": EW})
     lam = lambda_op(1)
-    out = lam.mul(ShiftOp({0: u}, 0, True), EW)
+    out = lam.mul(band_op({0: u}, 0, True), EW)
     want = TS.from_poly("x", {1: 1}) + TS.from_poly("eps", {1: 1})
-    assert (out.bands[1] - want.truncated({"eps": EW})).is_zero()
+    assert (out.band(1) - want.truncated({"eps": EW})).is_zero()
 
 
 def test_split_projectors():
     a = TS.from_poly("x", {2: 1}).truncated({"eps": EW})
-    M = ShiftOp({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
+    M = band_op({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
     plus = M.split_plus()
-    assert list(plus.bands) == [1]
+    assert plus.degrees() == [1]
     assert plus.split_plus().eq_report(plus) is None
     assert plus.split_minus().is_zero()
     recombined = plus + M.split_minus()
@@ -41,14 +42,13 @@ def test_square_matches_application_oracle():
     # apply (Lambda + a Lambda^-1) twice to test monomials u and compare
     # with the banded square acting once
     a = TS.from_poly("x", {2: 1}).truncated({"eps": EW})
-    M = ShiftOp({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
+    M = band_op({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
     sq = M.mul(M, EW)
 
     def apply(op, u):
-        from orbitoda.series import taylor_shift
         out = None
-        for i, c in op.bands.items():
-            term = c * taylor_shift(u, "x", "eps", i, EW)
+        for i in op.degrees():
+            term = op.band(i) * taylor_shift(u, "x", "eps", i, EW)
             out = term if out is None else out + term
         return out
 
@@ -61,15 +61,66 @@ def test_square_matches_application_oracle():
     # band 0 carries a(x) + a(x+eps) per the shift bookkeeping
     xe = TS.from_poly("x", {1: 1}) + TS.from_poly("eps", {1: 1})
     want0 = (TS.from_poly("x", {2: 1}) + xe * xe).truncated({"eps": EW})
-    assert (sq.bands[0] - want0).is_zero()
+    assert (sq.band(0) - want0).is_zero()
+
+
+def apply_marked(op, u):
+    """op acting on the function u, its band i marked by s^i."""
+    return sum_series(op.band(i) * taylor_shift(u, "x", "eps", i, EW)
+                      * TS.from_poly("s", {i: 1}) for i in op.degrees())
+
+
+@pytest.mark.parametrize("hard_a, hard_b, lo, lo_hard", [
+    (False, True, 0, False),      # a.lo + b.top = -2 + 2
+    (True, False, -2, False),     # b.lo + a.top = -3 + 1
+    (False, False, 0, False),     # the larger of the two
+    (True, True, -2, True),       # lowest bands -1 + -1, exact
+])
+def test_banded_product_window_rule(hard_a, hard_b, lo, lo_hard):
+    # A = Lambda + a Lambda^-1 (soft floor -2), B = 2/7 Lambda^2 + b + a
+    # Lambda^-1 (soft floor -3); a hard floor sits at the lowest band
+    a = TS.from_poly("x", {2: 1}).truncated({"eps": EW})
+    b = TS.from_poly("x", {1: F(1, 2), 0: -1}).truncated({"eps": EW})
+    A = band_op({1: TS.scalar(1, {"eps": EW}), -1: a},
+                -1 if hard_a else -2, hard_a)
+    B = band_op({2: TS.scalar(F(2, 7), {"eps": EW}), 0: b, -1: a},
+                -1 if hard_b else -3, hard_b)
+    prod = A.mul(B, EW)
+    w = prod.series.wins[LAM]
+    assert (w.lo, w.lo_hard) == (lo, lo_hard)
+    assert lo in prod.degrees()
+    known = {} if lo_hard else {"s": down_win(lo)}
+    for u in (TS.from_poly("x", {0: 1}), TS.from_poly("x", {1: 1}),
+              TS.from_poly("x", {3: F(1, 2), 1: -2})):
+        u = u.truncated({"eps": EW})
+        twice = apply_marked(A, apply_marked(B, u))
+        once = apply_marked(prod, u)
+        assert (twice - once).truncated(known).is_zero()
+
+
+def test_single_band_inverse_keeps_a_soft_floor():
+    # (1 + unknown Lambda^{<-3})^-1 is not known below Lambda^-3
+    inv = band_op({0: TS.scalar(1, {"eps": EW})}, -3).inverse(EW)
+    w = inv.series.wins[LAM]
+    assert (w.lo, w.lo_hard) == (-3, False)
+    assert inv.eq_report(identity_op()
+                         + band_op({-5: TS.scalar(7)}, -5, True)) is None
+    # (2 Lambda + ...)^-1 = Lambda^-1 / 2, known from -2 - 2
+    op = band_op({1: TS.scalar(2, {"eps": EW})}, -2)
+    inv = op.inverse(EW)
+    w = inv.series.wins[LAM]
+    assert (w.lo, w.lo_hard) == (-4, False)
+    assert inv.eq_report(lambda_op(-1).scale(F(1, 2))) is None
+    assert op.mul(inv, EW).eq_report(identity_op()) is None
+    assert inv.mul(op, EW).eq_report(identity_op()) is None
 
 
 def test_mul_associativity_random():
     a = TS.from_poly("x", {1: F(1, 2)}).truncated({"eps": EW})
     b = TS.from_poly("x", {0: -1, 2: F(1, 3)}).truncated({"eps": EW})
-    A = ShiftOp({1: TS.scalar(1, {"eps": EW}), 0: a}, 0, True)
-    B = ShiftOp({-1: b, 1: TS.scalar(F(2, 7), {"eps": EW})}, -1, True)
-    C = ShiftOp({0: a, -2: b}, -2, True)
+    A = band_op({1: TS.scalar(1, {"eps": EW}), 0: a}, 0, True)
+    B = band_op({-1: b, 1: TS.scalar(F(2, 7), {"eps": EW})}, -1, True)
+    C = band_op({0: a, -2: b}, -2, True)
     lhs = A.mul(B, EW).mul(C, EW)
     rhs = A.mul(B.mul(C, EW), EW)
     assert lhs.eq_report(rhs) is None
@@ -100,7 +151,7 @@ def test_linearized_tau_wave_coefficient():
     tau_ser = (1 + TS.var(yname(1), up_win(4)).scale(c)).truncated({"eps": EW})
     tau = TauJet(tau_ser, 1, 0)
     p_op, _ = tau_to_wave(tau, 2, EW)
-    w1 = p_op.bands.get(-1)
+    w1 = p_op.band(-1)
     denom = (1 + TS.var(yname(1), up_win(4)).scale(c)).recip()
     want = (denom * TS.from_poly("eps", {1: 1})).scale(-c).truncated({"eps": EW})
     assert (w1 - want).is_zero()
@@ -120,10 +171,10 @@ def test_constant_tau_is_not_a_tau_function():
 
 def test_dressing_single_coefficient():
     w = TS.from_poly("x", {1: 1}).truncated({"eps": EW})
-    p = ShiftOp({0: TS.scalar(1, {"eps": EW}), -1: w}, -4, False)
+    p = band_op({0: TS.scalar(1, {"eps": EW}), -1: w}, -4)
     L = p.mul(lambda_op(1), EW).mul(p.inverse(EW), EW)
     # L = Lambda + (w(x) - w(x+eps)) + O(Lambda^-1)
-    band0 = L.bands[0]
+    band0 = L.band(0)
     want = -TS.from_poly("eps", {1: 1}).truncated({"eps": EW})
     assert (band0 - want).is_zero()
 
@@ -131,7 +182,7 @@ def test_dressing_single_coefficient():
 def test_log_lax_vacuum_forms():
     p = identity_op()
     lg = log_lax(p, EW)
-    assert all(c.is_zero() for c in lg.bands.values())
+    assert lg.series.is_zero()
     assert (lg.deriv - PR.one()).is_zero()
     lgb = log_lax_bar(identity_op(), EW, 3)
     assert (lgb.deriv + PR.one()).is_zero()
@@ -160,7 +211,7 @@ def test_dress_undress_roundtrip():
     # P^-1 L P = Lambda for any unit-leading dressing, to the band window
     w1 = TS.from_poly("x", {1: F(1, 3)}).truncated({"eps": EW})
     w2 = TS.from_poly("x", {2: F(-1, 5)}).truncated({"eps": EW})
-    p = ShiftOp({0: TS.scalar(1, {"eps": EW}), -1: w1, -2: w2}, -4, False)
+    p = band_op({0: TS.scalar(1, {"eps": EW}), -1: w1, -2: w2}, -4)
     p_inv = p.inverse(EW)
     L = p.mul(lambda_op(1), EW).mul(p_inv, EW)
     back = p_inv.mul(L, EW).mul(p, EW)
