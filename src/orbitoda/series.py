@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, count
 from operator import add, gt, le, mul
 from typing import Mapping
@@ -163,29 +164,9 @@ class TruncSeries:
     def support_bounds(self, v: str):
         """Sharpened (lo, hi) bounds of the true support; (+inf,-inf) if empty."""
         if v not in self.wins:
-            if any(True for _ in self.terms):
-                return (0, 0)
-            return (POS_INF, NEG_INF)
-        w = self.wins[v]
+            return (0, 0) if self.terms else (POS_INF, NEG_INF)
         i = self.vars.index(v)
-        stored = [key[i] for key in self.terms]
-        if not w.lo_hard:
-            slo = NEG_INF
-        elif stored:
-            slo = min(stored)
-        elif not w.hi_hard:
-            slo = w.hi + 1
-        else:
-            slo = POS_INF
-        if not w.hi_hard:
-            shi = POS_INF
-        elif stored:
-            shi = max(stored)
-        elif not w.lo_hard:
-            shi = w.lo - 1
-        else:
-            shi = NEG_INF
-        return (slo, shi)
+        return support_in(self.wins[v], [key[i] for key in self.terms])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -285,45 +266,11 @@ class TruncSeries:
         0 when a factor is identically zero."""
         wins = {}
         for v in allvars:
-            wa, wb = self._win(v), other._win(v)
-            sa_lo, sa_hi = self.support_bounds(v)
-            sb_lo, sb_hi = other.support_bounds(v)
-            if sa_lo > sa_hi or sb_lo > sb_hi:
+            sa, sb = self.support_bounds(v), other.support_bounds(v)
+            if sa[0] > sa[1] or sb[0] > sb[1]:
                 # one factor is identically zero
                 return {u: POINT for u in allvars}
-            plo = _add_b(sa_lo, sb_lo)
-            phi = _add_b(sa_hi, sb_hi)
-            khi = POS_INF
-            if not wa.hi_hard:
-                khi = min(khi, _add_b(wa.hi, sb_lo))
-            if not wb.hi_hard:
-                khi = min(khi, _add_b(wb.hi, sa_lo))
-            klo = NEG_INF
-            if not wa.lo_hard:
-                klo = max(klo, _add_b(wa.lo, sb_hi))
-            if not wb.lo_hard:
-                klo = max(klo, _add_b(wb.lo, sa_hi))
-            lo_hard = klo == NEG_INF
-            hi_hard = khi == POS_INF
-            lo = plo if lo_hard else max(plo, klo)
-            hi = phi if hi_hard else min(phi, khi)
-            if lo > hi:
-                # support and knowledge regions are disjoint: the product is
-                # known-zero on the whole known region.
-                if hi_hard and not lo_hard and klo > phi:
-                    lo = hi = int(klo)
-                    lo_hard = False
-                elif lo_hard and not hi_hard and khi < plo:
-                    lo = hi = int(khi)
-                    hi_hard = False
-                else:
-                    raise WindowUnderflow(
-                        f"variable {v}: unrepresentable window in product "
-                        f"(lo={lo}, hi={hi})")
-            if lo in (NEG_INF, POS_INF) or hi in (NEG_INF, POS_INF):
-                raise WindowUnderflow(
-                    f"variable {v}: unrepresentable window in product (lo={lo}, hi={hi})")
-            wins[v] = VarWindow(int(lo), int(hi), lo_hard, hi_hard)
+            wins[v] = product_win(self._win(v), other._win(v), sa, sb, v)
         return wins
 
     def _product_caps(self, other: "TruncSeries") -> dict:
@@ -775,7 +722,7 @@ def _remap(terms: dict, vars: tuple[str, ...],
     return out
 
 
-def _merge_win(wa: VarWindow, wb: VarWindow, v: str, op: str) -> VarWindow:
+def merge_win(wa: VarWindow, wb: VarWindow, v: str, op: str) -> VarWindow:
     """The window of v in a sum: the known region is the intersection of
     both, and the stored window the hull of both clipped to it."""
     klo = max(wa.known_lo(), wb.known_lo())
@@ -786,6 +733,68 @@ def _merge_win(wa: VarWindow, wb: VarWindow, v: str, op: str) -> VarWindow:
         raise WindowUnderflow(f"variable {v}: empty window in {op} of {wa} and {wb}")
     merged = (lo, hi, klo == NEG_INF, khi == POS_INF)
     return wa if merged == (wa.lo, wa.hi, wa.lo_hard, wa.hi_hard) else VarWindow(*merged)
+
+
+def support_in(w: VarWindow, stored) -> tuple:
+    """Sharpened (lo, hi) bounds of the true support in a variable with
+    window ``w`` whose nonzero terms have the exponents ``stored``;
+    (+inf, -inf) if it is known to be empty."""
+    if not w.lo_hard:
+        slo = NEG_INF
+    elif stored:
+        slo = min(stored)
+    elif not w.hi_hard:
+        slo = w.hi + 1
+    else:
+        slo = POS_INF
+    if not w.hi_hard:
+        shi = POS_INF
+    elif stored:
+        shi = max(stored)
+    elif not w.lo_hard:
+        shi = w.lo - 1
+    else:
+        shi = NEG_INF
+    return (slo, shi)
+
+
+def product_win(wa: VarWindow, wb: VarWindow, sa: tuple, sb: tuple,
+                v: str) -> VarWindow:
+    """The window of v in a product of factors with windows ``wa``, ``wb``
+    and support bounds ``sa``, ``sb`` (``support_in``), neither empty."""
+    plo = _add_b(sa[0], sb[0])
+    phi = _add_b(sa[1], sb[1])
+    khi = POS_INF
+    if not wa.hi_hard:
+        khi = min(khi, _add_b(wa.hi, sb[0]))
+    if not wb.hi_hard:
+        khi = min(khi, _add_b(wb.hi, sa[0]))
+    klo = NEG_INF
+    if not wa.lo_hard:
+        klo = max(klo, _add_b(wa.lo, sb[1]))
+    if not wb.lo_hard:
+        klo = max(klo, _add_b(wb.lo, sa[1]))
+    lo_hard = klo == NEG_INF
+    hi_hard = khi == POS_INF
+    lo = plo if lo_hard else max(plo, klo)
+    hi = phi if hi_hard else min(phi, khi)
+    if lo > hi:
+        # support and knowledge regions are disjoint: the product is
+        # known-zero on the whole known region.
+        if hi_hard and not lo_hard and klo > phi:
+            lo = hi = int(klo)
+            lo_hard = False
+        elif lo_hard and not hi_hard and khi < plo:
+            lo = hi = int(khi)
+            hi_hard = False
+        else:
+            raise WindowUnderflow(
+                f"variable {v}: unrepresentable window in product "
+                f"(lo={lo}, hi={hi})")
+    if lo in (NEG_INF, POS_INF) or hi in (NEG_INF, POS_INF):
+        raise WindowUnderflow(
+            f"variable {v}: unrepresentable window in product (lo={lo}, hi={hi})")
+    return VarWindow(int(lo), int(hi), lo_hard, hi_hard)
 
 
 def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
@@ -806,7 +815,7 @@ def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
             if not lacking.isdisjoint(s.vars):      # s brings new variables
                 vars = tuple(sorted(lacking.union(vars)))
         for v in s.vars:
-            wins[v] = _merge_win(wins[v], s.wins[v], v, op) if v in wins \
+            wins[v] = merge_win(wins[v], s.wins[v], v, op) if v in wins \
                 else s.wins[v]
         caps = _cap_merge(caps, s.caps)
         if not s.terms:
@@ -823,7 +832,7 @@ def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
                     continue
             terms[key] = c
     for v in missing:
-        wins[v] = _merge_win(wins[v], POINT, v, op)
+        wins[v] = merge_win(wins[v], POINT, v, op)
     if keyed != vars:
         terms = _remap(terms, keyed, vars)
     return TruncSeries(vars, wins, terms, caps)._pruned()
@@ -1137,11 +1146,12 @@ def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
 def power_sum(power, step, coeff=None, total=None, limit=100000,
               what="power sum"):
     """total + sum_{j>=1} coeff(j) p_j with p_0 = ``power`` and
-    p_j = step(p_{j-1}), stopping at the first zero p_j; the p_j are
-    series, summed by ``_fold``.
+    p_j = step(p_{j-1}), stopping at the first zero p_j.
 
-    ``total`` defaults to p_0 and ``coeff`` to 1.  NonConvergent once
-    ``limit`` powers have been added and the next one is still nonzero.
+    ``total`` defaults to p_0 and ``coeff`` to 1; the terms need only
+    ``is_zero``, ``scale`` and ``+``, and series are summed by ``_fold``.
+    NonConvergent once ``limit`` powers have been added and the next one is
+    still nonzero.
     """
     def terms(power):
         for j in count(1):
@@ -1152,7 +1162,10 @@ def power_sum(power, step, coeff=None, total=None, limit=100000,
                 raise NonConvergent(f"{what} did not terminate")
             yield power if coeff is None else power.scale(coeff(j))
 
-    return _fold(power if total is None else total, terms(power), "addition")
+    total = power if total is None else total
+    if isinstance(total, TruncSeries):
+        return _fold(total, terms(power), "addition")
+    return reduce(add, terms(power), total)
 
 
 _FACT = [1]
