@@ -22,8 +22,7 @@ from .cohomology import Cohomology, QuantumRing, SectorIndex
 from .errors import SingularFiber
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import (TruncSeries, down_win, exact_win, series_reversion,
-                     sum_series, up_win)
+from .series import TruncSeries, down_win, exact_win, sum_series, up_win
 
 
 def tname(i: int) -> str:
@@ -187,29 +186,22 @@ def solve_chart_change(sp: Superpotential, depth: int,
 
 
 def flat_coords_residue(k: int, m: int, degree: int) -> dict:
-    """tau^{i/k}(t) via reversion of the chart change and residues.
+    """tau^{i/k}(t) = (k/i) [x^0] lam(x)^i, read by Lagrange inversion.
+
+    With the chart change x(lam) = lam (1 + u), the substitution x = x(lam)
+    turns [x^0] lam^i into [lam^0] lam^i lam x'/x, and lam x'/x = 1 +
+    lam d/dlam log(1 + u), so tau^{i/k} = -k [lam^-i] log(1 + u): all k
+    coordinates are coefficients of one log1p, and lam(x) is never formed.
+    x(lam) is known to lam^(1-depth), so log(1 + u) to lam^-depth: depth k
+    knows lam^-k (at k - 1 the coeff_of raises WindowUnderflow).  The
+    q-window is q^(k+2m+3).
 
     Returns {('k', i): polynomial in the t's}; i = 0 holds t_k + nu0 t_N.
     """
     sp = superpotential(k, m, None, degree)
-    # The residues read x^0 of lam^i for i <= k.  x(lam) is known to
-    # lam^(1-depth).  series_reversion loses one order per Newton step (it
-    # forms f(g) from 1 * g) and takes at most two here (every coprime pair
-    # with k, m <= 8, degrees 1-6), so lam(x) is known to x^(3-depth), and
-    # lam^i, i products from 1 on that window, to x^(3-depth+i).  So depth
-    # k + 3 knows x^0 of lam^k; at k + 2, for k >= 4 and degree >= 3, the
-    # coeff_of raises WindowUnderflow.  The q-window is that of the solve at
-    # depth k + m + 3, q^(k+2m+3).
-    x_of_lam = solve_chart_change(sp, k + 3, k + 2 * m + 3)
-    lam_of_x = series_reversion(x_of_lam, "lam", out_var="x")
-    out = {}
-    pows = TruncSeries.scalar(1, lam_of_x.wins)
-    for i in range(1, k + 1):
-        pows = pows * lam_of_x
-        coef = pows.coeff_of("x", 0)
-        tau = coef.scale(Fraction(k, i))
-        out[("k", i % k)] = tau
-    return out
+    x_of_lam = solve_chart_change(sp, k, k + 2 * m + 3)
+    log_u = (x_of_lam.shift_exponent("lam", -1) - 1).log1p().scale(-k)
+    return {("k", i % k): log_u.coeff_of("lam", -i) for i in range(1, k + 1)}
 
 
 def flat_coords_binomial(k: int, m: int, degree: int | None = None) -> dict:
@@ -316,39 +308,43 @@ def to_y_chart(ser: TruncSeries) -> TruncSeries:
     return TruncSeries(sorted_vars, wins, terms, caps)
 
 
-def residue_both_ends(num: TruncSeries, den: TruncSeries) -> TruncSeries:
-    """-(res_0 + res_inf) of (num/den) dx for exact Laurent num, den.
+def residue_both_ends(nums: list[TruncSeries],
+                      den: TruncSeries) -> list[TruncSeries]:
+    """-(res_0 + res_inf) of (num/den) dx for each of the exact Laurent
+    ``nums`` over one exact Laurent ``den``.
 
-    The residue at infinity expands 1/den downward in x; the residue at
-    zero is taken on the y = q/x chart, where all q-offsets relative to the
-    leading monomial stay nonnegative.
+    1/den is expanded once per end, on the deepest window any numerator
+    reads, and each residue is one ``mul_coeff``: it forms only the term
+    pairs that land on x^-1 (y^-1 at zero).
     """
-    nlo, nhi = _laurent_support(num, "x")
     dlo, dhi = _laurent_support(den, "x")
-    qspan = (nhi - nlo) + (dhi - dlo) + 4
-    at_inf = TruncSeries.scalar(0)
-    if nhi - dhi >= -1:
-        # expand 1/den downward from x^{-dhi}; q-degrees only grow
-        inv_inf = den.recip_within({"x": down_win(-1 - nhi, hi=dhi),
+    spans = [_laurent_support(num, "x") for num in nums]
+    qspan = max(hi - lo for lo, hi in spans) + (dhi - dlo) + 4
+    zero = TruncSeries.scalar(0)
+    # res_inf(g dx) = -[x^-1]_inf g: 1/den expands downward from x^{-dhi},
+    # and q-degrees only grow
+    tops = [hi for _, hi in spans if hi - dhi >= -1]
+    if tops:
+        inv_inf = den.recip_within({"x": down_win(-1 - max(tops), hi=dhi),
                                     "q": up_win(qspan)})
-        at_inf = (num * inv_inf).coeff_of("x", -1)
-    at_zero = TruncSeries.scalar(0)
-    if nlo - dlo <= -1:
-        # res_{x=0}(g dx) = [y^{-1}] of q y^{-2} g(q/y) at y = infinity
-        num_y = to_y_chart(num)
+    at_inf = [num.mul_coeff(inv_inf, "x", -1) if hi - dhi >= -1 else zero
+              for num, (_, hi) in zip(nums, spans)]
+    # res_0(g dx) = +[y^-1] of q y^{-2} g(q/y) at y = infinity: on the
+    # y = q/x chart all q-offsets from the leading monomial are >= 0
+    on_y = {i: to_y_chart(num) for i, (num, (lo, _)) in
+            enumerate(zip(nums, spans)) if lo - dlo <= -1}
+    if on_y:
         den_y = to_y_chart(den)
-        ylo, yhi = _laurent_support(den_y, "y")
-        nylo, nyhi = _laurent_support(num_y, "y")
-        qloy = min(_laurent_support(den_y, "q")[0],
-                   _laurent_support(num_y, "q")[0], 0)
-        inv_y = den_y.recip_within(
-            {"y": down_win(-1 - nyhi - 1, hi=yhi),
+        nyhi = max(_laurent_support(num_y, "y")[1] for num_y in on_y.values())
+        qloy = min(0, *(_laurent_support(s, "q")[0]
+                        for s in (den_y, *on_y.values())))
+        inv_y = TruncSeries.monomial(
+            {"q": 1, "y": -2}, {"q": exact_win(1, 1), "y": exact_win(-2, -2)}
+        ) * den_y.recip_within(
+            {"y": down_win(-2 - nyhi, hi=_laurent_support(den_y, "y")[1]),
              "q": up_win(qspan, lo=2 * qloy - qspan)})
-        prefactor = TruncSeries.monomial(
-            {"q": 1, "y": -2}, {"q": exact_win(1, 1), "y": exact_win(-2, -2)})
-        at_zero = (prefactor * num_y * inv_y).coeff_of("y", -1)
-    # res_inf(g dx) = -[x^-1]_inf g;  res_0(g dx) = +[x^-1]_0 g(y-chart)
-    return at_inf - at_zero
+    return [val - on_y[i].mul_coeff(inv_y, "y", -1) if i in on_y else val
+            for i, val in enumerate(at_inf)]
 
 
 def _gauss_invert(mat: list[list[ParamRat]]) -> list[list[ParamRat]]:
@@ -505,21 +501,20 @@ def residue_pairing_matrix(k: int, m: int, tvals: dict | None = None,
         chart, v_alpha, den = _pairing_vectors(k, m, tvals, degree)
         coh = Cohomology(k, m)
         n = len(chart.alphas)
-        matrix = []
-        for a_pos in range(n):
-            row = []
-            for b_pos in range(a_pos, n):
-                num = v_alpha[a_pos] * v_alpha[b_pos]
-                val = residue_both_ends(num, den)
-                row.append(val)
-                want = coh.pairing(SectorIndex(*chart.alphas[a_pos]),
-                                   SectorIndex(*chart.alphas[b_pos]))
-                delta = val - TruncSeries.scalar(want, val.wins)
-                if not delta.is_zero():
-                    rep.fail({"alpha": str(chart.alphas[a_pos]),
-                              "beta": str(chart.alphas[b_pos])},
-                             str(val), str(want))
-            matrix.append(row)
+        pairs = [(a_pos, b_pos) for a_pos in range(n)
+                 for b_pos in range(a_pos, n)]
+        vals = residue_both_ends([v_alpha[a_pos] * v_alpha[b_pos]
+                                  for a_pos, b_pos in pairs], den)
+        matrix = [[] for _ in range(n)]
+        for (a_pos, b_pos), val in zip(pairs, vals):
+            matrix[a_pos].append(val)
+            want = coh.pairing(SectorIndex(*chart.alphas[a_pos]),
+                               SectorIndex(*chart.alphas[b_pos]))
+            delta = val - TruncSeries.scalar(want, val.wins)
+            if not delta.is_zero():
+                rep.fail({"alpha": str(chart.alphas[a_pos]),
+                          "beta": str(chart.alphas[b_pos])},
+                         str(val), str(want))
     return matrix, chart.alphas, rep
 
 

@@ -93,6 +93,8 @@ def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
                         inv_lin: dict[int, TruncSeries]) -> TruncSeries:
     """f with D f = lam^a, as sum_j f_j(z) lam^{a+k-j}.
 
+    Mode j > 0 is skipped when every term tail_i f_(j-i) of its right-hand
+    side is zero: the nonzero modes sit at sums of tail indices.
     ``inv_lin`` maps an exponent e to 1/(nu - (e/k) z) on ``zwin``; the
     missing ones are built here and added to it."""
     fj: dict[int, TruncSeries] = {}
@@ -100,9 +102,12 @@ def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
     def modes():
         for j in range(a + D.k - lam_out.lo + 1):
             e = a + D.k - j
-            rhs = sum_series(
-                (-(fj[j - i] * c) for i, c in D.tail.items() if j - i in fj),
-                TruncSeries.scalar(1 if j == 0 else 0, {"z": zwin}))
+            parts = [-(fj[j - i] * c) for i, c in D.tail.items()
+                     if j - i in fj]
+            if j and not any(parts):
+                continue
+            rhs = sum_series(parts, TruncSeries.scalar(1 if j == 0 else 0,
+                                                       {"z": zwin}))
             inv = inv_lin.get(e)
             if inv is None:
                 inv = inv_lin[e] = _inv_linear(D.nu, Fraction(e, D.k), zwin)

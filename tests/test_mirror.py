@@ -6,20 +6,22 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbitoda import mirror
 from orbitoda.algebra import bernoulli_number, poly_derivative
 from orbitoda.cohomology import Cohomology, SectorIndex
 from orbitoda.errors import WindowUnderflow
-from orbitoda.mirror import (FlatChart, classical_critical_data, classical_R,
+from orbitoda.mirror import (FlatChart, _laurent_support, _pairing_vectors,
+                             classical_critical_data, classical_R,
                              flat_coords_binomial, flat_coords_residue,
-                             gaussian_moment_oracle, residue_pairing_matrix,
-                             newton_schedule, solve_chart_change,
-                             stationary_phase_A, superpotential,
-                             tangent_reduce, tangent_relation, tname,
-                             unit_powers, verify_flat_coordinates,
-                             verify_tangent_product)
+                             gaussian_moment_oracle, residue_both_ends,
+                             residue_pairing_matrix, newton_schedule,
+                             solve_chart_change, stationary_phase_A,
+                             superpotential, tangent_reduce, tangent_relation,
+                             tname, to_y_chart, unit_powers,
+                             verify_flat_coordinates, verify_tangent_product)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import (TruncSeries as TS, VarWindow, series_reversion,
-                             up_win)
+from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
+                             exact_win, series_reversion, up_win)
 
 
 def test_flat_coordinate_displays():
@@ -73,12 +75,18 @@ def test_flat_coords_residue_matches_full_window_route(k, m, degree):
 
 
 @pytest.mark.parametrize("k,m", [(4, 3), (5, 2), (5, 3)])
-def test_flat_coords_residue_depth_is_tight(k, m):
-    # one lam-order less leaves x^0 of lam^k unknown (for k <= 3 the
-    # reversion takes one Newton step less, and lam-depth k + 2 suffices)
-    sp = superpotential(k, m, None, 4)
-    with pytest.raises(WindowUnderflow, match="coefficient of x\\^0"):
-        _residue_taus(sp, k + 2, k + 2 * m + 3)
+def test_flat_coords_residue_depth_is_tight(k, m, monkeypatch):
+    # the route solves at lam-depth k; one lam-order less leaves lam^-k of
+    # log(1 + u) unknown
+    solve, depths = mirror.solve_chart_change, []
+
+    def shallower(sp, depth, qtop):
+        depths.append(depth)
+        return solve(sp, depth - 1, qtop)
+    monkeypatch.setattr(mirror, "solve_chart_change", shallower)
+    with pytest.raises(WindowUnderflow, match=f"coefficient of lam\\^-{k} "):
+        flat_coords_residue(k, m, 4)
+    assert depths == [k]
 
 
 def test_chart_change_leaves_no_cyclic_garbage():
@@ -219,6 +227,100 @@ def test_pairing_random_rational_points():
     for tv in pts:
         _, _, rep = residue_pairing_matrix(4, 3, tv, 2)
         assert rep.ok, rep.first_discrepancy
+
+
+def _residue_per_pair(num, den):
+    """-(res_0 + res_inf) of (num/den) dx with 1/den expanded for this one
+    numerator at each end, and the full products: the reference for
+    ``residue_both_ends``."""
+    nlo, nhi = _laurent_support(num, "x")
+    dlo, dhi = _laurent_support(den, "x")
+    qspan = (nhi - nlo) + (dhi - dlo) + 4
+    at_inf = TS.scalar(0)
+    if nhi - dhi >= -1:
+        inv_inf = den.recip_within({"x": down_win(-1 - nhi, hi=dhi),
+                                    "q": up_win(qspan)})
+        at_inf = (num * inv_inf).coeff_of("x", -1)
+    at_zero = TS.scalar(0)
+    if nlo - dlo <= -1:
+        num_y = to_y_chart(num)
+        den_y = to_y_chart(den)
+        yhi = _laurent_support(den_y, "y")[1]
+        nyhi = _laurent_support(num_y, "y")[1]
+        qloy = min(_laurent_support(den_y, "q")[0],
+                   _laurent_support(num_y, "q")[0], 0)
+        inv_y = den_y.recip_within(
+            {"y": down_win(-1 - nyhi - 1, hi=yhi),
+             "q": up_win(qspan, lo=2 * qloy - qspan)})
+        prefactor = TS.monomial(
+            {"q": 1, "y": -2}, {"q": exact_win(1, 1), "y": exact_win(-2, -2)})
+        at_zero = (prefactor * num_y * inv_y).coeff_of("y", -1)
+    return at_inf - at_zero
+
+
+def _knows_at_least(a, b):
+    """Every coefficient that b knows, a knows: per variable the known
+    region of a holds that of b (a missing variable is known everywhere),
+    and each cap of a is at least b's."""
+    for v in set(a.vars) | set(b.vars):
+        wa, wb = a._win(v), b._win(v)
+        if wa.known_lo() > wb.known_lo() or wa.known_hi() < wb.known_hi():
+            return False
+    return all(b.caps.get(g, float("inf")) <= c for g, c in a.caps.items())
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3), (5, 2)])
+@pytest.mark.parametrize("point", [False, True])
+def test_residue_both_ends_matches_per_pair(k, m, point):
+    # one 1/den per end on the deepest window gives every entry of the
+    # matrix with the terms of the per-pair route, known at least as far
+    tvals = {i: F(i % 3 - 1, i + 1) for i in range(1, k + m + 1)} \
+        if point else None
+    _, v_alpha, den = _pairing_vectors(k, m, tvals, 2)
+    nums = [a * b for i, a in enumerate(v_alpha) for b in v_alpha[i:]]
+    got = residue_both_ends(nums, den)
+    assert len(got) == len(nums)
+    for num, val in zip(nums, got):
+        want = _residue_per_pair(num, den)
+        assert val.terms == want.terms
+        assert val.vars == want.vars
+        assert _knows_at_least(val, want)
+
+
+def test_flat_coordinates_negative_control(monkeypatch):
+    # the binomial route with its t1^2 coefficient of tau^{2/3} doubled:
+    # the residue route must catch it
+    binomial = mirror.flat_coords_binomial
+
+    def perturbed(k, m, degree=None):
+        out = binomial(k, m, degree)
+        out[("k", 2)] = out[("k", 2)] + \
+            TS.from_poly(tname(1), {2: F(-1, 6)})
+        return out
+    monkeypatch.setattr(mirror, "flat_coords_binomial", perturbed)
+    rep = verify_flat_coordinates(3, 2, 4)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy["at"] == {"tau": "2/3",
+                                           "at": "{'t1': Fraction(2, 1)}"}
+
+
+@pytest.mark.parametrize("tvals", [None, {1: F(1, 2), 2: F(-1, 3), 3: F(0),
+                                          4: F(2, 7), 5: F(1, 5)}])
+def test_residue_pairing_negative_control(monkeypatch, tvals):
+    # eta with (1_{1/3}, 1_{2/3}) doubled: that entry, and no earlier one,
+    # must fail
+    pairing = Cohomology.pairing
+
+    def perturbed(self, a, b):
+        eta = pairing(self, a, b)
+        return eta * 2 if (a, b) == (SectorIndex("k", 1),
+                                     SectorIndex("k", 2)) else eta
+    monkeypatch.setattr(Cohomology, "pairing", perturbed)
+    _, _, rep = residue_pairing_matrix(3, 2, tvals)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy == {
+        "at": {"alpha": "('k', 1)", "beta": "('k', 2)"},
+        "lhs": "(1/3)", "rhs": "2/3"}
 
 
 def test_tangent_product_matches_quantum_ring():

@@ -7,15 +7,15 @@ import pytest
 
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import SingularFiber
-from orbitoda.periods import (DOp, _inv_linear, _phi_mode_seed,
-                              bi_infinite_sum, d_apply,
+from orbitoda.periods import (DOp, _d_inverse_monomial, _inv_linear,
+                              _phi_mode_seed, bi_infinite_sum, d_apply,
                               d_classical, d_inverse, d_x_operator, mode_chain,
                               phase_primitive_check, verify_c_constant,
                               verify_fixed_point, verify_lemma_d_branches,
                               verify_mode_recursion,
                               verify_transformation_law, verify_w_derivative)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, down_win
+from orbitoda.series import TruncSeries as TS, down_win, sum_series
 
 
 def test_operator_invariants():
@@ -44,6 +44,46 @@ def test_inv_linear_matches_recip(zwin):
                 assert (got.vars, got.wins, got.caps) == \
                     (want.vars, want.wins, want.caps)
                 assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _d_inverse_dense(D, a, lam_out, zwin):
+    """D^-1 lam^a solving every mode j of sum_j f_j(z) lam^(a+k-j), zero
+    ones too: the reference for the sparse ``_d_inverse_monomial``."""
+    fj = {}
+
+    def modes():
+        for j in range(a + D.k - lam_out.lo + 1):
+            e = a + D.k - j
+            rhs = sum_series(
+                (-(fj[j - i] * c) for i, c in D.tail.items() if j - i in fj),
+                TS.scalar(1 if j == 0 else 0, {"z": zwin}))
+            fj[j] = rhs * _inv_linear(D.nu, F(e, D.k), zwin)
+            yield fj[j] * TS.from_poly("lam", {e: 1})
+
+    return sum_series(modes(), TS.scalar(0, {"lam": lam_out, "z": zwin}))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_d_inverse_skips_only_zero_modes(k):
+    # the tail-free, the mirror x-side and a two-index tail operator; the
+    # sparse modes give the dense loop's terms and known region in every
+    # variable (the dense loop's zero modes may widen a stored window)
+    ops = [d_classical(k), d_x_operator(k, max(1, k - 1)),
+           DOp(k, PR.nubar(k), {2: TS.from_poly("q", {1: F(1, 3)}),
+                                3: TS.from_poly("q", {2: -2})})]
+    for D in ops:
+        for zwin in (down_win(-6, hi=0), down_win(-4, hi=3)):
+            for a in range(-3 * k, 3 * k + 1):
+                for depth in (k, 2 * k + 1):
+                    lam_out = down_win(a - depth, hi=a + k)
+                    got = _d_inverse_monomial(D, a, lam_out, zwin, {})
+                    want = _d_inverse_dense(D, a, lam_out, zwin)
+                    assert got.vars == want.vars
+                    assert got.terms == want.terms
+                    for v in want.vars:
+                        gw, ww = got.wins[v], want.wins[v]
+                        assert (gw.known_lo(), gw.known_hi()) == \
+                            (ww.known_lo(), ww.known_hi())
 
 
 def test_d_inverse_leading_term():
