@@ -18,18 +18,19 @@ import random
 import statistics
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
-from orbitoda.jfunction import (build_dj, build_j, inv_poch, operator_ladder,
-                                poch)
+from orbitoda.jfunction import build_dj, build_j, inv_poch, operator_ladder
 from orbitoda.mirror import (flat_coords_residue, residue_pairing_matrix,
                              solve_chart_change, superpotential)
 from orbitoda.periods import (_d_inverse_monomial, d_x_operator,
                               verify_lemma_d_branches)
 from orbitoda.rationals import PR
 from orbitoda.series import TruncSeries as TS, down_win, up_win
-from orbitoda.toda import two_toda_vacuum_tau
+from orbitoda.toda import two_toda_vacuum_tau, verify_reduced_vacuum
 
 
 def bench(fn, n):
@@ -95,9 +96,13 @@ def rows():
     poly = TS.from_poly("z", {0: PR.nu(3), 1: Fraction(2, 3), 2: 1})
     yield ("series reciprocal (window 14)",
            lambda: poly.recip_within({"z": down_win(-12, hi=2)}), 200)
+    # the eight factors nu + b z, b = 2/5, 7/5, ..., 37/5, of inv_poch's
+    # product
     nu, x, poch_win = PR.nu(5), Fraction(37, 5), down_win(-14, hi=2)
+    factors = [TS.from_poly("z", {0: nu, 1: x - i})
+               for i in range(7, -1, -1)]
     yield ("1/poch by product and recip (n=8, 23 terms)",
-           lambda: poch(nu, x).recip_within({"z": poch_win}), 50)
+           lambda: reduce(mul, factors).recip_within({"z": poch_win}), 50)
     yield (f"1/poch in closed form (inv_poch, "
            f"{len(inv_poch(nu, x, poch_win).terms)} terms)",
            lambda: inv_poch(nu, x, poch_win), 50)
@@ -136,6 +141,10 @@ def rows():
     yield ("verify_lemma_inv(5, 8)", lambda: verify_lemma_inv(5, 8), 3)
     w = TS.var("w", up_win(10))
     yield ("series exp (order 10)", lambda: (w + w * w).exp(), 200)
+    # toda band products: every Lambda^i commutation is a Taylor shift
+    # through exp_derivation
+    yield ("verify_reduced_vacuum(2, 1)", lambda: verify_reduced_vacuum(2, 1),
+           3)
 
     # the hqe workload's shapes, taken from the calls the checks make
     sums = calls_of("__add__", lambda: verify_bilinearity(3, 2))

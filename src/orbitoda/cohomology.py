@@ -169,11 +169,6 @@ class QuantumRing:
             return {("y", b): _qpoly({0: 1})}
         return self._reduce_y(b)
 
-    def p_elem(self) -> dict:
-        """p = k x^k - nu0."""
-        return self.add(self.scale(self.x_pow(self.k), PR.rational(self.k)),
-                        self.scale(self.one_elem(), -PR.nu0()))
-
     def scale(self, elem: dict, c) -> dict:
         out = {}
         for key, coeff in elem.items():
@@ -259,41 +254,6 @@ class QuantumRing:
                     else:
                         out[key] = s
         return out
-
-    def eq(self, a: dict, b: dict) -> bool:
-        diff = self.add(a, self.scale(b, -1))
-        return not diff
-
-    def at_q0(self, elem: dict) -> dict:
-        out = {}
-        for key, c in elem.items():
-            v = c.coeff_of("q", 0)
-            if not v.is_zero():
-                out[key] = v
-        return out
-
-    def degree(self, key: tuple) -> Fraction:
-        if key == ONE:
-            return Fraction(0)
-        side, a = key
-        return Fraction(a, self.k) if side == "x" else Fraction(a, self.m)
-
-    def is_homogeneous(self, elem: dict):
-        """Total degree if homogeneous (deg q = 1/k + 1/m), else None."""
-        qdeg = Fraction(1, self.k) + Fraction(1, self.m)
-        degs = set()
-        for key, c in elem.items():
-            base = self.degree(key)
-            for (e,), coeff in c.terms.items():
-                nu_deg = coeff.homogeneous_degree()
-                if nu_deg is None:
-                    return None
-                degs.add(base + e * qdeg + nu_deg)
-        if not degs:
-            return Fraction(0)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     # -- identification with cohomology (the small-slice mirror map) --------
 

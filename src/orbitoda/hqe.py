@@ -506,17 +506,11 @@ def apply_vertex(sym: VertexSymbol, elem: TruncSeries, leg: str,
 
 def translate(elem: TruncSeries, leg: str, shifts: dict,
               eps_win: VarWindow) -> TruncSeries:
-    """e^{c 1-hat_alpha}: shift q_0^alpha by c eps for each alpha."""
-    out = elem
-    for alpha, c in shifts.items():
-        name = fock_var(leg, 0, alpha)
-        if name not in out.wins:
-            continue
-        w = out.wins[name]
-        repl = TruncSeries.var(name, w) + \
-            TruncSeries.from_poly("eps", {1: c}).truncated({"eps": eps_win})
-        out = out.subst(name, repl)
-    return out
+    """e^{c 1-hat_alpha}: shift q_0^alpha by c eps for each alpha, as the
+    exponential of the derivation sum_alpha c eps d/dq_0^alpha."""
+    parts = [(fock_var(leg, 0, alpha), TruncSeries.from_poly("eps", {1: c}))
+             for alpha, c in shifts.items()]
+    return elem.exp_derivation(parts, {"eps": eps_win})
 
 
 def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,

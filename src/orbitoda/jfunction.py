@@ -27,29 +27,16 @@ from .series import TruncSeries, VarWindow, exact_win, sum_series
 from math import factorial, gcd, prod
 
 
-def poch(param: ParamRat, x: Fraction) -> TruncSeries:
-    """prod_{b={x},{x}+1,...,x} (param + b z) as an exact z-polynomial.
-
-    Empty (= 1) when x < {x}; {x} is the (0,1]-normalized fractional part,
-    so integer x gives b = 1..x.
-    """
-    x = Fraction(x)
-    out = TruncSeries.from_poly("z", {0: 1})
-    b = frac_part_unit(x)
-    while b <= x:
-        out = out * TruncSeries.from_poly("z", {0: param, 1: PR.rational(b)})
-        b += 1
-    return out
-
-
 def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
-    """``poch(param, x).recip_within({"z": zwin})`` truncated to the soft
-    bottom ``zwin.lo``, in closed form: the same terms, in the same order,
-    with the same window.
+    """1/prod_{b={x},{x}+1,...,x} (param + b z), the reciprocal of an exact
+    z-polynomial as ``recip_within({"z": zwin})`` forms it, truncated to the
+    soft bottom ``zwin.lo``, in closed form: the same terms, in the same
+    order, with the same window.  {x} is the (0,1]-normalized fractional
+    part, so integer x gives b = 1..x.
 
-    With b_i = {x} + i - 1 (i = 1..n) the factors of ``poch``,
+    With b_i = {x} + i - 1 (i = 1..n) the factors, the reciprocal is
 
-        1/poch = sum_j (-param)^j h_j(1/b_1, ..., 1/b_n) z^(-n-j) / prod b_i,
+        sum_j (-param)^j h_j(1/b_1, ..., 1/b_n) z^(-n-j) / prod b_i,
 
     h_j the complete homogeneous symmetric polynomial, kept for
     -n-j >= zwin.lo; the window is [zwin.lo, -n] (the point zwin.lo, with
@@ -100,7 +87,7 @@ def inv_poch(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
 def poch_ratio(param: ParamRat, x: Fraction, zwin: VarWindow) -> TruncSeries:
     """[prod_{b<{x}} / prod_{b<=x}] (param + b z), by tail cancellation.
 
-    Equal to 1/poch(param, x) when x >= {x}, and to the finite product over
+    Equal to ``inv_poch(param, x, zwin)`` when x >= {x}, and to the finite product over
     {x} - Z>0 values b with x < b < {x} otherwise.
     """
     x = Fraction(x)

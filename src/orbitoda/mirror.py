@@ -411,7 +411,8 @@ class FlatChart:
         term = [[TruncSeries.scalar(Cinv[r][c]) for c in range(n)]
                 for r in range(n)]
         terms = [term]
-        for _ in range(self.degree + 1):
+        # N has t-degree >= 1, so the product past ``degree`` is all zero
+        for _ in range(self.degree):
             term = _mat_mul_series(CN, term)
             term = [[(-1) * e for e in row] for row in term]
             if all(e.is_zero() for row in term for e in row):

@@ -128,18 +128,6 @@ class ParamRat:
     def is_monomial(self) -> bool:
         return len(self.num) == 1
 
-    def homogeneous_degree(self):
-        """Total degree in (nu0, nu1) if homogeneous, else None.
-
-        Both D and S carry degree 1, matching deg nu0 = deg nu1 = 1.
-        """
-        degs = {a + b for (a, b) in self.num}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

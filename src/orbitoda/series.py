@@ -110,7 +110,7 @@ class TruncSeries:
 
     @staticmethod
     def zero() -> "TruncSeries":
-        return TruncSeries.scalar(0)
+        return TruncSeries((), {}, {})
 
     @staticmethod
     def var(name: str, win: VarWindow, power: int = 1, coeff=1) -> "TruncSeries":
@@ -511,18 +511,35 @@ class TruncSeries:
         """exp(D) self for the derivation D = sum_i m_i d/dv_i.
 
         ``parts`` lists the pairs (v_i, m_i); each m_i is an exact monomial
-        series free of the v_i, so D lowers v_i-degrees and the sum
-        terminates on a polynomial jet in the v_i.  The sum starts as ``self`` with ``wins``
-        declared, and each power D^j self is truncated to ``wins``.
+        c u^a free of the v_i, applied as an exponent shift and a scale (a
+        zero m_i drops out).  D lowers v_i-degrees, so the sum terminates
+        on a polynomial jet in the v_i or once the powers leave ``wins``.
+        The sum starts as ``self``; each power D^j self is truncated to
+        ``wins``, and the sum stops at the first zero power.  A power that
+        only the truncation empties still folds its windows and caps into
+        the sum: the tail from there on escapes ``wins``.
         """
-        def apply_d(power):
-            acc = sum_series(d * m for v, m in parts
-                             if (d := power.derivative(v)))
-            return acc.truncated(wins) if acc else acc
+        monos = [(v, m.vars, key, c) for v, m in parts
+                 for key, c in m.terms.items()]
 
-        return power_sum(self + TruncSeries.scalar(0, wins), apply_d,
-                         lambda j: Fraction(1, _factorial(j)),
-                         what="exp of a derivation")
+        def times_m(d, names, key, c):
+            for u, a in zip(names, key):
+                d = d.shift_exponent(u, a)
+            return d.scale(c)
+
+        def powers():
+            power = self
+            for j in count(1):
+                power = sum_series(times_m(d, *mono) for v, *mono in monos
+                                   if (d := power.derivative(v)))
+                if power.is_zero():
+                    return
+                power = power.truncated(wins)
+                yield power.scale(Fraction(1, _factorial(j)))
+                if power.is_zero():
+                    return
+
+        return sum_series(powers(), self)
 
     def shift_exponent(self, v: str, delta: int) -> "TruncSeries":
         """Multiply by v^delta exactly; the window shifts along.  v may sit
@@ -1103,44 +1120,6 @@ def series_reversion(f: TruncSeries, v: str, out_var: str | None = None) -> Trun
             return g
         g = g - err * fprime.subst(v, g).recip()
     raise NotInvertible("reversion did not converge inside the window")
-
-
-def taylor_shift(c: TruncSeries, xvar: str, epsvar: str, step: Fraction | int,
-                 eps_win: VarWindow | None = None) -> TruncSeries:
-    """sum_j (step*eps)^j d_x^j c / j!, bounded by the eps window.
-
-    Each summand multiplies by the exact monomial eps^j (an exponent
-    shift), so exact eps-Laurent structure is preserved; the result is
-    marked eps-truncated only when the remaining tail genuinely escapes
-    the declared window.
-    """
-    if eps_win is None:
-        if epsvar not in c.wins:
-            raise WindowUnderflow("taylor_shift needs an eps window")
-        eps_win = c.wins[epsvar]
-    hit_window = False
-
-    def terms():
-        nonlocal hit_window
-        d = c
-        for j in count(1):
-            d = d.derivative(xvar)
-            if d.is_zero():
-                return
-            supp_lo, _ = d.support_bounds(epsvar)
-            base = supp_lo if supp_lo != NEG_INF else d._win(epsvar).lo
-            if base + j > eps_win.hi:
-                hit_window = True
-                return
-            yield d.shift_exponent(epsvar, j).scale(
-                Fraction(step ** j, _factorial(j)))
-
-    out = sum_series(terms(), c)
-    if hit_window:
-        w = out._win(epsvar)
-        out = out.truncated(
-            {epsvar: VarWindow(w.lo, eps_win.hi, w.lo_hard, False)})
-    return out
 
 
 def power_sum(power, step, coeff=None, total=None, limit=100000,

@@ -3,7 +3,9 @@
 Operators are finite bands sum_i c_i(x; eps, times) Lambda^i with jet
 coefficients, plus an optional scalar multiple of eps d_x and a formal
 multiple of log Q.  The commutation rule Lambda^i u(x) = u(x + i eps)
-Lambda^i is realized by Taylor shifts, exact within the eps window.
+Lambda^i is the Taylor shift exp(i eps d_x) u, applied by
+``TruncSeries.exp_derivation`` (``x_shift``) and exact within the eps
+window.
 
 The band window is a series window in Lambda (``ShiftOp.win``): its floor
 ``lo`` is soft unless ``lo_hard``, and its top is exact (the highest
@@ -24,7 +26,7 @@ from .rationals import ParamRat, PR
 from .reports import CheckReport
 from .series import (TruncSeries, VarWindow, down_win, exact_win, merge_win,
                      power_sum, product_win, sum_series, support_in,
-                     taylor_shift, up_win)
+                     up_win)
 
 
 def yname(n: int) -> str:
@@ -91,11 +93,11 @@ class ShiftOp:
         win = product_win(self.win, other.win, sa, sb, "Lambda")
         terms: dict = {}
         for i, a in self.bands.items():
+            shift = x_shift(i)
             for j, b in other.bands.items():
                 if i + j >= win.lo:
                     terms.setdefault(i + j, []).append(
-                        a * taylor_shift(b, "x", "eps", i, eps_win) if i
-                        else a * b)
+                        a * b.exp_derivation(shift, {"eps": eps_win}))
         return ShiftOp({n: sum_series(t) for n, t in terms.items()},
                        win.lo, win.lo_hard)
 
@@ -162,8 +164,8 @@ class ShiftOp:
 
         # (c Lambda^t)^{-1} = c(x - t eps)^{-1} Lambda^{-t}
         c = self.bands[t]
-        lead_inv = ShiftOp({-t: (taylor_shift(c, "x", "eps", -t, eps_win)
-                                 if t else c).recip()}, -t, True)
+        shifted = c.exp_derivation(x_shift(-t), {"eps": eps_win})
+        lead_inv = ShiftOp({-t: shifted.recip()}, -t, True)
         rest = ShiftOp({i: b for i, b in self.bands.items() if i != t},
                        self.lo, self.lo_hard)
         h = lead_inv.mul(rest, eps_win)      # strictly lowering or raising
@@ -243,9 +245,13 @@ class TauJet:
             raise DivisionByZeroTau("tau needs an invertible constant term")
 
     def shifted(self, r: int, eps_win: VarWindow) -> TruncSeries:
-        if r == 0 or "x" not in self.series.wins:
-            return self.series
-        return taylor_shift(self.series, "x", "eps", r, eps_win)
+        return self.series.exp_derivation(x_shift(r), {"eps": eps_win})
+
+
+def x_shift(r) -> list:
+    """The part of r eps d_x, for ``TruncSeries.exp_derivation``: the
+    Taylor shift x -> x + r eps (none at r = 0)."""
+    return [("x", TruncSeries.from_poly("eps", {1: r}))]
 
 
 def miwa_shift(names, sign: int) -> list:
@@ -269,19 +275,14 @@ def tau_to_wave(tau: TauJet, depth: int, eps_win: VarWindow) -> tuple[ShiftOp, S
         miwa_shift([yname(n) for n in times], +1), lam_win) * tau_inv
     p_bands = {0: TruncSeries.scalar(1)}
     for i in range(1, depth + 1):
-        w = ratio_p.coeff_of("lam", -i)
-        if not w.is_zero():
-            p_bands[-i] = w
+        p_bands[-i] = ratio_p.coeff_of("lam", -i)
     p_op = ShiftOp(p_bands, -depth, False)
 
     ratio_q = tau.shifted(1, eps_win).exp_derivation(
         miwa_shift([ybname(n) for n in times], -1), lam_win) * tau_inv
-    q_bands = {}
-    for i in range(0, depth + 1):
-        w = ratio_q.coeff_of("lam", -i)
-        if not w.is_zero():
-            q_bands[i] = w * TruncSeries.from_poly("Q", {-i: 1})
-    q_op = ShiftOp(q_bands, 0, True)
+    q_op = ShiftOp({i: ratio_q.coeff_of("lam", -i)
+                    * TruncSeries.from_poly("Q", {-i: 1})
+                    for i in range(depth + 1)}, 0, True)
     return p_op, q_op
 
 
@@ -359,10 +360,10 @@ def check_wave_equations(tau: TauJet, depth: int, eps_win: VarWindow,
 
 
 def _d_time_op(op: ShiftOp, name: str) -> ShiftOp:
-    """eps d/d(name) of the bands of ``op``; a band it zeroes is dropped."""
-    bands = {i: c.derivative(name).shift_exponent("eps", 1)
-             for i, c in op.bands.items() if name in c.wins}
-    return ShiftOp({i: d for i, d in bands.items() if not d.is_zero()},
+    """eps d/d(name) of the bands of ``op`` that hold ``name``; a band
+    it zeroes is kept with the window on which the zero is known."""
+    return ShiftOp({i: c.derivative(name).shift_exponent("eps", 1)
+                    for i, c in op.bands.items() if name in c.wins},
                    op.lo, op.lo_hard)
 
 
@@ -535,8 +536,8 @@ def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
     diffc = PR.diff()
     w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
     for j in range(1, w_depth + 1):
-        r = sum_series((c * taylor_shift(w[j + sign * (b - t)], "x", "eps", b,
-                                         eps_win)
+        r = sum_series((c * w[j + sign * (b - t)].exp_derivation(
+                            x_shift(b), {"eps": eps_win})
                         for b, c in curly.bands.items()
                         if b != t and j + sign * (b - t) in w),
                        TruncSeries.scalar(0, {"eps": eps_win}))
@@ -563,7 +564,7 @@ def _solve_difference(rhs: TruncSeries, k: int,
         guard += 1
         if guard > 200:
             raise NonUnit("difference solve did not terminate")
-        resid = taylor_shift(w, "x", "eps", k, eps_win) - w - rhs
+        resid = w.exp_derivation(x_shift(k), {"eps": eps_win}) - w - rhs
         if resid.is_zero():
             return w
         # lowest eps-order of the residual fixes the next x-antiderivative

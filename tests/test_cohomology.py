@@ -60,6 +60,53 @@ def test_dual_example():
     assert d.coords == {SectorIndex("k", 2): PR.rational(3)}
 
 
+def p_elem(ring):
+    """p = k x^k - nu0."""
+    return ring.add(ring.scale(ring.x_pow(ring.k), PR.rational(ring.k)),
+                    ring.scale(ring.one_elem(), -PR.nu0()))
+
+
+def ring_eq(ring, a, b):
+    return not ring.add(a, ring.scale(b, -1))
+
+
+def at_q0(elem):
+    """The q^0 part of a ring element."""
+    out = {}
+    for key, c in elem.items():
+        v = c.coeff_of("q", 0)
+        if not v.is_zero():
+            out[key] = v
+    return out
+
+
+def homogeneous_degree(c):
+    """Total degree of a ParamRat in (nu0, nu1) if homogeneous, else None;
+    both D and S carry degree 1, matching deg nu0 = deg nu1 = 1."""
+    degs = {a + b for (a, b) in c.num}
+    if not degs:
+        return 0
+    return degs.pop() if len(degs) == 1 else None
+
+
+def is_homogeneous(ring, elem):
+    """Total degree of a ring element if homogeneous (deg x = 1/k,
+    deg y = 1/m, deg q = 1/k + 1/m), else None."""
+    qdeg = F(1, ring.k) + F(1, ring.m)
+    degs = set()
+    for key, c in elem.items():
+        base = 0 if key == ONE else F(key[1], ring.k if key[0] == "x"
+                                      else ring.m)
+        for (e,), coeff in c.terms.items():
+            nu_deg = homogeneous_degree(coeff)
+            if nu_deg is None:
+                return None
+            degs.add(base + e * qdeg + nu_deg)
+    if not degs:
+        return F(0)
+    return degs.pop() if len(degs) == 1 else None
+
+
 def test_quantum_relations():
     ring = QuantumRing(3, 2)
     x = ring.x_pow(1)
@@ -70,15 +117,15 @@ def test_quantum_relations():
     assert xy[ONE].terms == {(1,): PR.one()}
     # x^{k-1} * x = p/k + nu0/k, whose normal form is x^k
     lhs = ring.mul(ring.x_pow(2), x)
-    want = ring.add(ring.scale(ring.p_elem(), F(1, 3)),
+    want = ring.add(ring.scale(p_elem(ring), F(1, 3)),
                     ring.scale(ring.one_elem(), PR.nu0() / 3))
-    assert ring.eq(lhs, want)
+    assert ring_eq(ring, lhs, want)
     assert list(lhs) == [("x", 3)]
     # y^{m-1} * y = p/m + nu1/m
     lhs_y = ring.mul(ring.y_pow(1), y)
-    want_y = ring.add(ring.scale(ring.p_elem(), F(1, 2)),
+    want_y = ring.add(ring.scale(p_elem(ring), F(1, 2)),
                       ring.scale(ring.one_elem(), PR.nu1() / 2))
-    assert ring.eq(lhs_y, want_y)
+    assert ring_eq(ring, lhs_y, want_y)
 
 
 def test_quantum_commutative_associative_exhaustive():
@@ -90,13 +137,13 @@ def test_quantum_commutative_associative_exhaustive():
             + [ring.y_pow(b) for b in range(1, m)]
         for ea in basis:
             for eb in basis:
-                assert ring.eq(ring.mul(ea, eb), ring.mul(eb, ea))
+                assert ring_eq(ring, ring.mul(ea, eb), ring.mul(eb, ea))
         for ea in basis:
             for eb in basis:
                 for ec in basis:
                     lhs = ring.mul(ring.mul(ea, eb), ec)
                     rhs = ring.mul(ea, ring.mul(eb, ec))
-                    assert ring.eq(lhs, rhs)
+                    assert ring_eq(ring, lhs, rhs)
 
 
 def test_quantum_grading():
@@ -105,19 +152,19 @@ def test_quantum_grading():
              ring.y_pow(1)]
     for ea in basis:
         for eb in basis:
-            da, db = ring.is_homogeneous(ea), ring.is_homogeneous(eb)
+            da, db = is_homogeneous(ring, ea), is_homogeneous(ring, eb)
             prod = ring.mul(ea, eb)
             if prod:
-                assert ring.is_homogeneous(prod) == da + db
+                assert is_homogeneous(ring, prod) == da + db
 
 
 def test_classical_limit():
     ring = QuantumRing(3, 2)
     # at q=0 twisted sectors from different feet multiply to zero
     xy = ring.mul(ring.x_pow(1), ring.y_pow(1))
-    assert ring.at_q0(xy) == {}
+    assert at_q0(xy) == {}
     xx = ring.mul(ring.x_pow(1), ring.x_pow(2))
-    assert list(ring.at_q0(xx)) == [("x", 3)]
+    assert list(at_q0(xx)) == [("x", 3)]
 
 
 def test_k_equals_m_allowed():

@@ -147,6 +147,46 @@ def test_translation_composition():
     assert (one_then_two - three).is_zero()
 
 
+def _translate_by_subst(elem, leg, shifts, eps_win):
+    """e^{c 1-hat_alpha} as one substitution q_0^alpha -> q_0^alpha + c eps
+    per slot: the reference for ``translate``'s exponential of a
+    derivation."""
+    out = elem
+    for alpha, c in shifts.items():
+        name = fock_var(leg, 0, alpha)
+        if name not in out.wins:
+            continue
+        repl = TS.var(name, out.wins[name]) + \
+            TS.from_poly("eps", {1: c}).truncated({"eps": eps_win})
+        out = out.subst(name, repl)
+    return out
+
+
+def _known(s, v):
+    w = s._win(v)
+    return w.known_lo(), w.known_hi()
+
+
+@pytest.mark.parametrize("eps_win", [EW, up_win(3)])
+def test_translate_matches_substitution(eps_win):
+    k0, m0 = SectorIndex("k", 0), SectorIndex("m", 0)
+    qk, qm = fock_var("a", 0, k0), fock_var("a", 0, m0)
+    elems = [fock_one(eps_win),
+             (1 + TS.var(qk, exact_win(0, 1))).truncated({"eps": eps_win}),
+             ((2 + TS.var(qk, exact_win(0, 2))) ** 2
+              * (TS.var(qm, exact_win(0, 1)) - TS.from_poly("eps", {1: 3}))
+              ).truncated({"eps": eps_win})]
+    for elem in elems:
+        for shifts in ({k0: 1}, {m0: -2}, {k0: 2, m0: 1}, {k0: 0, m0: 3}):
+            got = translate(elem, "a", shifts, eps_win)
+            want = _translate_by_subst(elem, "a", shifts, eps_win)
+            assert got.vars == want.vars
+            assert got.terms == want.terms
+            assert got.caps == want.caps
+            for v in set(got.vars) | set(want.vars):
+                assert _known(got, v) == _known(want, v), (v, shifts)
+
+
 def test_hqe_trivial_residue():
     # D' = D'' = 1 with zero vertex windows: residue of
     # (lam^{n-l} - (Q/lam)^{n-l}) dlam/lam vanishes for every pair

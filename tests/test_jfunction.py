@@ -14,8 +14,8 @@ from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import BadIndex, NonUnit, NotCoprime
 from orbitoda.jfunction import (DeltaOp, _check_window, _first_discrepancy,
                                 _perturb, operator_ladder, build_dj, build_j,
-                                inv_poch, j_small_z_expansion, poch,
-                                poch_ratio, verify_jfunc)
+                                inv_poch, j_small_z_expansion, poch_ratio,
+                                verify_jfunc)
 from orbitoda.reports import CheckReport
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, VarWindow, sum_series
@@ -46,6 +46,22 @@ def test_build_j_d1_term():
 def test_small_z_expansion():
     assert j_small_z_expansion(3, 2)
     assert j_small_z_expansion(5, 3)
+
+
+def poch(param, x):
+    """prod_{b={x},{x}+1,...,x} (param + b z) as an exact z-polynomial,
+    the product whose reciprocal ``inv_poch`` forms in closed form.
+
+    Empty (= 1) when x < {x}; {x} is the (0,1]-normalized fractional part,
+    so integer x gives b = 1..x.
+    """
+    x = F(x)
+    out = TS.from_poly("z", {0: 1})
+    b = frac_part_unit(x)
+    while b <= x:
+        out = out * TS.from_poly("z", {0: param, 1: PR.rational(b)})
+        b += 1
+    return out
 
 
 def test_poch_conventions():

@@ -193,6 +193,22 @@ def test_newton_schedule_halves_down_from_depth():
         assert all(b <= 2 * a + 1 for a, b in zip([0] + sched, sched))
 
 
+def test_dt_dtau_jet_forms_no_product_past_its_degree(monkeypatch):
+    # N has t-degree >= 1, so the Neumann series of J^-1 to t-degree 2
+    # needs two products C^-1 N term, each with a nonzero entry
+    products = []
+    mat_mul = mirror._mat_mul_series
+
+    def spy(a, b):
+        products.append(mat_mul(a, b))
+        return products[-1]
+    monkeypatch.setattr(mirror, "_mat_mul_series", spy)
+    jet = FlatChart(4, 3, 2).dt_dtau_jet()
+    assert len(products) == 2
+    assert all(any(e for row in p for e in row) for p in products)
+    assert len(jet) == 7
+
+
 def test_y_chart_flat_coordinates():
     # mirror-symmetric displays: tau^{1/m} = t_{k+m-1}, tau^{0/m} = t_k + nu1 t_N
     chart = FlatChart(3, 2, 2)

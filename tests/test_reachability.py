@@ -23,15 +23,9 @@ TEST_ONLY = {
     "algebra.symmetric_h",
     "cohomology.Cohomology.p_class",
     "cohomology.Cohomology.pair_classes",
-    "cohomology.QuantumRing.at_q0",
-    "cohomology.QuantumRing.eq",
-    "cohomology.QuantumRing.is_homogeneous",
-    "cohomology.QuantumRing.p_elem",
     "hqe.commutation_factor",
     "hqe.translation_symbol",
     "jfunction.j_small_z_expansion",
-    "jfunction.poch",
-    "rationals.ParamRat.homogeneous_degree",
 }
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import math
 import re
 from fractions import Fraction as F
@@ -18,9 +19,43 @@ from orbitoda.errors import (NonConvergent, NonUnit, NotInvertible,
 from orbitoda.mirror import FlatChart
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win, exact_win,
-                             series_reversion, sum_series, taylor_shift,
-                             up_win)
-from orbitoda.toda import two_toda_vacuum_tau, ybname, yname
+                             series_reversion, sum_series, up_win)
+from orbitoda.toda import two_toda_vacuum_tau, x_shift, ybname, yname
+
+
+def taylor_shift(c, xvar, epsvar, step, eps_win=None):
+    """sum_j (step*eps)^j d_x^j c / j!, bounded by the eps window: the
+    reference Taylor shift for ``TruncSeries.exp_derivation``.
+
+    Each summand is d_x^j c shifted by eps^j; the result is marked
+    eps-truncated only when the next summand lies wholly above the eps
+    window.
+    """
+    if eps_win is None:
+        eps_win = c.wins[epsvar]
+    hit_window = False
+
+    def terms():
+        nonlocal hit_window
+        d = c
+        for j in itertools.count(1):
+            d = d.derivative(xvar)
+            if d.is_zero():
+                return
+            supp_lo, _ = d.support_bounds(epsvar)
+            base = supp_lo if supp_lo != series.NEG_INF else d._win(epsvar).lo
+            if base + j > eps_win.hi:
+                hit_window = True
+                return
+            yield d.shift_exponent(epsvar, j).scale(
+                F(step ** j, math.factorial(j)))
+
+    out = sum_series(terms(), c)
+    if hit_window:
+        w = out._win(epsvar)
+        out = out.truncated(
+            {epsvar: VarWindow(w.lo, eps_win.hi, w.lo_hard, False)})
+    return out
 
 
 def test_geometric_inverse():
@@ -721,6 +756,30 @@ def test_exp_derivation_is_taylor_shift(coeffs, c):
     want = taylor_shift(f, "y", "eps", c)
     assert got.terms == want.terms
     assert got == want
+
+
+@examples(60)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                 st.integers(0, 2)),
+                       small_coeff.filter(bool), min_size=1, max_size=6),
+       st.integers(-3, 3), st.integers(0, 5), st.booleans(), st.booleans())
+def test_x_shift_matches_taylor_shift_reference(terms, step, top, exact,
+                                                capped):
+    # c(x, y, eps), exact in x and a jet in y (capped or not), on an up eps
+    # window that the powers may escape, or an exact one holding them all
+    w = exact_win(0, 5) if exact else up_win(top)
+    wins = {"x": exact_win(0, 3), "y": up_win(3), "eps": w}
+    c = sum_series(TS.monomial({"x": a, "y": b, "eps": e}, wins, coeff)
+                   for (a, b, e), coeff in terms.items())
+    if capped:
+        c = c.with_cap({"y"}, 2)
+    got = c.exp_derivation(x_shift(step), {"eps": w})
+    want = taylor_shift(c, "x", "eps", step, w)
+    assert got.terms == want.terms
+    assert got.caps == want.caps
+    for v in want.vars:
+        assert (got.wins[v].known_lo(), got.wins[v].known_hi()) == \
+            (want.wins[v].known_lo(), want.wins[v].known_hi())
 
 
 def test_exp_derivation_of_commuting_parts_is_substitution():

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_series import taylor_shift
+
 from orbitoda.errors import DivisionByZeroTau
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import (TruncSeries as TS, down_win, sum_series,
-                             taylor_shift, up_win)
+from orbitoda.series import TruncSeries as TS, down_win, sum_series, up_win
 from orbitoda.toda import (ShiftOp, TauJet, check_wave_equations, dress,
                            gauge_qpower_check, identity_op, lambda_op,
-                           log_lax, log_lax_bar, tau_to_wave,
+                           _d_time_op, log_lax, log_lax_bar, tau_to_wave,
                            two_toda_vacuum_tau, vacuum_lbar,
                            verify_reduced_vacuum, verify_solve_recovery,
                            verify_flow_band_shape, verify_vacuum,
@@ -147,6 +148,30 @@ def test_vacuum_tau_trivial_wave():
     L, lbar = dress(p_op, q_op, EW, 3)
     assert L.eq_report(lambda_op(1)) is None
     assert lbar.eq_report(vacuum_lbar()) is None
+
+
+def test_miwa_shift_is_known_where_its_powers_are():
+    # at depth 2 the third power of the Miwa shift lies below lam^-2, so
+    # only the truncation empties it; its three y-derivatives take the
+    # y-windows from degree 6 to 3 and the cap from 3 to 0, and the wave
+    # bands know no more than that
+    p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2, EW)
+    for op, names, bands in ((p_op, ("y1", "y2"), (-1, -2)),
+                             (q_op, ("yb1", "yb2"), (0, 1, 2))):
+        for i in bands:
+            c = op.bands[i]
+            assert [c.wins[v] for v in names] == [up_win(3)] * 2
+            assert c.caps[frozenset(names)] == 0
+
+
+def test_d_time_op_keeps_the_bands_it_zeroes():
+    # a zero band carries the window on which eps d/dy1 is known to vanish
+    p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2, EW)
+    for op in (p_op, q_op):
+        d = _d_time_op(op, "y1")
+        assert set(d.bands) == {i for i, c in op.bands.items()
+                                if "y1" in c.wins}
+    assert all(c.is_zero() for c in _d_time_op(p_op, "y1").bands.values())
 
 
 def test_vacuum_report():
