@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
+from math import factorial
 from operator import add, gt, le, mul
 from typing import Mapping
 
@@ -514,32 +515,48 @@ class TruncSeries:
         c u^a free of the v_i, applied as an exponent shift and a scale (a
         zero m_i drops out).  D lowers v_i-degrees, so the sum terminates
         on a polynomial jet in the v_i or once the powers leave ``wins``.
-        The sum starts as ``self``; each power D^j self is truncated to
-        ``wins``, and the sum stops at the first zero power.  A power that
-        only the truncation empties still folds its windows and caps into
-        the sum: the tail from there on escapes ``wins``.
+        ``power_sum`` adds the powers D^j self, each truncated to ``wins``,
+        onto ``self``.  A power that only the truncation empties ends the
+        sum and bounds it.  Where the hard window of ``self``, moved j
+        times by D, puts D^j self outside a window of ``wins`` and no m_i
+        moves back towards it, the whole tail lies there, and the sum is
+        truncated to that window alone; else the power folds in all its
+        windows and caps.
         """
-        monos = [(v, m.vars, key, c) for v, m in parts
+        if not any(v in self.wins for v, _ in parts):
+            return self         # constant in every v_i: D self = 0
+        monos = [(v, dict(zip(m.vars, key)), c) for v, m in parts
                  for key, c in m.terms.items()]
+        # per variable of wins: the move of its exponent by each term of D
+        drift = {u: [exps.get(u, 0) - (v == u) for v, exps, _ in monos]
+                 for u in wins}
+        ends = []
+        steps = count(1)
 
-        def times_m(d, names, key, c):
-            for u, a in zip(names, key):
+        def times_m(d, exps, c):
+            for u, a in exps.items():
                 d = d.shift_exponent(u, a)
             return d.scale(c)
 
-        def powers():
-            power = self
-            for j in count(1):
-                power = sum_series(times_m(d, *mono) for v, *mono in monos
-                                   if (d := power.derivative(v)))
-                if power.is_zero():
-                    return
-                power = power.truncated(wins)
-                yield power.scale(Fraction(1, _factorial(j)))
-                if power.is_zero():
-                    return
+        def step(power):
+            j = next(steps)
+            raw = sum_series(times_m(d, exps, c) for v, exps, c in monos
+                             if (d := power.derivative(v)))
+            if not raw:
+                return raw
+            cut = raw.truncated(wins)
+            if not cut:
+                away = {u: w for u, w in wins.items()
+                        if _leaves(self._win(u), j, drift[u], w)}
+                ends.append(TruncSeries.scalar(0, away) if away else cut)
+            return cut
 
-        return sum_series(powers(), self)
+        spans = [self._win(v) for v in {v for v, _ in parts}.union(wins)]
+        limit = 1 + sum(abs(w.lo) + abs(w.hi)
+                        for w in chain(spans, wins.values()))
+        total = power_sum(self, step, lambda j: Fraction(1, factorial(j)),
+                          limit=limit, what="exp of a derivation")
+        return sum_series(ends, total)
 
     def shift_exponent(self, v: str, delta: int) -> "TruncSeries":
         """Multiply by v^delta exactly; the window shifts along.  v may sit
@@ -1122,6 +1139,16 @@ def series_reversion(f: TruncSeries, v: str, out_var: str | None = None) -> Trun
     raise NotInvertible("reversion did not converge inside the window")
 
 
+def _leaves(w: VarWindow, j: int, drift, within: VarWindow) -> bool:
+    """Whether j moves, each by one of ``drift``, take every exponent of
+    the hard window ``w`` outside the known region of ``within``, and
+    further moves keep it there."""
+    down, up = min(drift), max(drift)
+    if w.lo_hard and down >= 0 and w.lo + j * down > within.known_hi():
+        return True
+    return w.hi_hard and up <= 0 and w.hi + j * up < within.known_lo()
+
+
 def power_sum(power, step, coeff=None, total=None, limit=100000,
               what="power sum"):
     """total + sum_{j>=1} coeff(j) p_j with p_0 = ``power`` and
@@ -1145,12 +1172,3 @@ def power_sum(power, step, coeff=None, total=None, limit=100000,
     if isinstance(total, TruncSeries):
         return _fold(total, terms(power), "addition")
     return reduce(add, terms(power), total)
-
-
-_FACT = [1]
-
-
-def _factorial(n: int) -> int:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]

@@ -268,19 +268,25 @@ def tau_to_wave(tau: TauJet, depth: int, eps_win: VarWindow) -> tuple[ShiftOp, S
     P = 1 + sum w_i Lambda^{-i} from [exp(-sum (lam^-n/n) eps d_{y_n}) tau]/tau,
     Q = sum wbar_i (Lambda/Q)^i from [exp(+...ybar...) tau(x+eps)]/tau(x).
     """
-    lam_win = {"lam": down_win(-depth, hi=0)}
     tau_inv = tau.series.recip()
+
+    def ratio(ser, names, sign, i):
+        # the lam^-i coefficient takes the Miwa shift in names[:i] alone,
+        # truncated at lam^-i: it keeps the flow degrees that its own i
+        # powers know, not those of the deeper coefficients
+        shifted = ser.exp_derivation(miwa_shift(names[:i], sign),
+                                     {"lam": down_win(-i, hi=0)})
+        return shifted.coeff_of("lam", -i) * tau_inv
+
     times = range(1, depth + 1)
-    ratio_p = tau.series.exp_derivation(
-        miwa_shift([yname(n) for n in times], +1), lam_win) * tau_inv
+    ys, ybs = [yname(n) for n in times], [ybname(n) for n in times]
     p_bands = {0: TruncSeries.scalar(1)}
-    for i in range(1, depth + 1):
-        p_bands[-i] = ratio_p.coeff_of("lam", -i)
+    for i in times:
+        p_bands[-i] = ratio(tau.series, ys, +1, i)
     p_op = ShiftOp(p_bands, -depth, False)
 
-    ratio_q = tau.shifted(1, eps_win).exp_derivation(
-        miwa_shift([ybname(n) for n in times], -1), lam_win) * tau_inv
-    q_op = ShiftOp({i: ratio_q.coeff_of("lam", -i)
+    tau_x = tau.shifted(1, eps_win)
+    q_op = ShiftOp({i: ratio(tau_x, ybs, -1, i)
                     * TruncSeries.from_poly("Q", {-i: 1})
                     for i in range(depth + 1)}, 0, True)
     return p_op, q_op

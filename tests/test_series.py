@@ -58,6 +58,17 @@ def taylor_shift(c, xvar, epsvar, step, eps_win=None):
     return out
 
 
+def library_shift(c, xvar, epsvar, step, eps_win=None):
+    """The library's Taylor shift, exp(step eps d_x) by ``exp_derivation``,
+    with the signature of the reference."""
+    assert (xvar, epsvar) == ("x", "eps")
+    return c.exp_derivation(x_shift(step),
+                            {"eps": eps_win or c.wins[epsvar]})
+
+
+SHIFTS = (taylor_shift, library_shift)
+
+
 def test_geometric_inverse():
     u = TS.var("u", up_win(3))
     inv = (1 + u).recip()
@@ -187,12 +198,13 @@ def test_reversion_about_zero():
 
 def test_taylor_shift_examples():
     x = TS.from_poly("x", {1: 1}) + TS.scalar(0, {"eps": up_win(3)})
-    assert taylor_shift(x, "x", "eps", 1) == x + TS.var("eps", up_win(3))
     x2 = TS.from_poly("x", {2: 1}) + TS.scalar(0, {"eps": up_win(3)})
     want = TS.from_poly("x", {2: 1}) + \
         TS.from_poly("x", {1: 2}) * TS.var("eps", up_win(3)) + \
         TS.var("eps", up_win(3)) ** 2
-    assert taylor_shift(x2, "x", "eps", 1) == want
+    for shift in SHIFTS:
+        assert shift(x, "x", "eps", 1) == x + TS.var("eps", up_win(3))
+        assert shift(x2, "x", "eps", 1) == want
 
 
 def test_taylor_shift_matches_substitution_oracle():
@@ -200,20 +212,22 @@ def test_taylor_shift_matches_substitution_oracle():
     rng = random.Random(3)
     coeffs = {i: F(rng.randint(-5, 5)) for i in range(4)}
     c = TS.from_poly("x", coeffs) + TS.scalar(0, {"eps": up_win(4)})
-    got = taylor_shift(c, "x", "eps", 2)
     # oracle: substitute x -> x + 2 eps directly
     x_plus = TS.from_poly("x", {1: 1}) + TS.from_poly("eps", {1: 2})
     want = TS.scalar(0, {"eps": up_win(4)})
     for e, v in coeffs.items():
         want = want + (x_plus ** e).scale(v)
-    assert (got - want.truncated({"eps": up_win(4)})).is_zero()
+    for shift in SHIFTS:
+        got = shift(c, "x", "eps", 2)
+        assert (got - want.truncated({"eps": up_win(4)})).is_zero()
 
 
 def test_taylor_shift_additivity():
     c = TS.from_poly("x", {3: 2, 1: -1}) + TS.scalar(0, {"eps": up_win(5)})
-    lhs = taylor_shift(taylor_shift(c, "x", "eps", 2), "x", "eps", 3)
-    rhs = taylor_shift(c, "x", "eps", 5)
-    assert (lhs - rhs).is_zero()
+    for shift in SHIFTS:
+        lhs = shift(shift(c, "x", "eps", 2), "x", "eps", 3)
+        rhs = shift(c, "x", "eps", 5)
+        assert (lhs - rhs).is_zero()
 
 
 def test_power_sum_guard_names_the_expansion():
@@ -318,10 +332,11 @@ def test_taylor_shift_is_multiplicative(a, b, r):
     A = TS.from_poly("x", {i: c for i, c in enumerate(a)})
     B = TS.from_poly("x", {i: c for i, c in enumerate(b)})
     wins = {"eps": up_win(5)}
-    lhs = taylor_shift((A * B).truncated(wins), "x", "eps", r)
-    rhs = taylor_shift(A.truncated(wins), "x", "eps", r) * \
-        taylor_shift(B.truncated(wins), "x", "eps", r)
-    assert (lhs - rhs).is_zero()
+    for shift in SHIFTS:
+        lhs = shift((A * B).truncated(wins), "x", "eps", r)
+        rhs = shift(A.truncated(wins), "x", "eps", r) * \
+            shift(B.truncated(wins), "x", "eps", r)
+        assert (lhs - rhs).is_zero()
 
 
 NAMES = ("u", "v", "w")
@@ -744,31 +759,17 @@ def test_paramrat_hash_agrees_with_equality():
         assert lhs == rhs and hash(lhs) == hash(rhs)
 
 
-@examples(40)
-@given(st.lists(small_coeff, min_size=1, max_size=5),
-       st.integers(-3, 3).filter(bool))
-def test_exp_derivation_is_taylor_shift(coeffs, c):
-    # exp(c eps d/dy) f(y) = f(y + c eps) by Taylor's theorem; the eps
-    # window holds every power, so neither side truncates
-    f = TS.from_poly("y", dict(enumerate(coeffs))) + \
-        TS.scalar(0, {"eps": exact_win(0, 8)})
-    got = f.exp_derivation([("y", TS.from_poly("eps", {1: c}))], {})
-    want = taylor_shift(f, "y", "eps", c)
-    assert got.terms == want.terms
-    assert got == want
-
-
 @examples(60)
-@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3),
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3),
                                  st.integers(0, 2)),
                        small_coeff.filter(bool), min_size=1, max_size=6),
        st.integers(-3, 3), st.integers(0, 5), st.booleans(), st.booleans())
-def test_x_shift_matches_taylor_shift_reference(terms, step, top, exact,
-                                                capped):
-    # c(x, y, eps), exact in x and a jet in y (capped or not), on an up eps
-    # window that the powers may escape, or an exact one holding them all
-    w = exact_win(0, 5) if exact else up_win(top)
-    wins = {"x": exact_win(0, 3), "y": up_win(3), "eps": w}
+def test_exp_derivation_is_taylor_shift(terms, step, top, exact, capped):
+    # exp(step eps d/dx) c = c(x + step eps) by Taylor's theorem: c(x, y,
+    # eps) exact in x and a jet in y (capped or not), on an up eps window
+    # that the powers may escape, or an exact one holding them all
+    w = exact_win(0, 8) if exact else up_win(top)
+    wins = {"x": exact_win(0, 4), "y": up_win(3), "eps": w}
     c = sum_series(TS.monomial({"x": a, "y": b, "eps": e}, wins, coeff)
                    for (a, b, e), coeff in terms.items())
     if capped:
@@ -780,6 +781,40 @@ def test_x_shift_matches_taylor_shift_reference(terms, step, top, exact,
     for v in want.vars:
         assert (got.wins[v].known_lo(), got.wins[v].known_hi()) == \
             (want.wins[v].known_lo(), want.wins[v].known_hi())
+
+
+def test_exp_derivation_truncates_an_escaped_tail_in_its_window_alone():
+    # exp(eps lam^-1 d/dy) f to lam^-1: the second power lies below lam^-1
+    # in full, unknown y-orders included, so it narrows only lam; the sum
+    # knows y to degree 3, as its first power does, not 2
+    f = TS.from_poly("y", {0: 1, 1: 2, 3: -1, 4: 5}).truncated(
+        {"y": up_win(4)})
+    part = TS.from_poly("eps", {1: 1}) * TS.from_poly("lam", {-1: 1})
+    got = f.exp_derivation([("y", part)], {"lam": down_win(-1)})
+    want = (f + f.derivative("y") * part).truncated({"lam": down_win(-1)})
+    assert got.terms == want.terms
+    assert got.wins["y"] == up_win(3)
+    assert got.wins["lam"].known_lo() == -1
+
+
+def test_exp_derivation_escape_needs_a_tail_that_stays_out():
+    # a hard lam-window below -1 leaves down_win(-1) for good only if no
+    # move of D raises lam: a drift of 0 keeps it there, +1 may not
+    below = exact_win(-4, -2)
+    assert series._leaves(below, 1, [-1, 0], down_win(-1))
+    assert not series._leaves(below, 1, [-1, 1], down_win(-1))
+    # j moves of D take a series hard at lam^0 below lam^-j
+    assert not series._leaves(exact_win(0, 0), 1, [-1, -2], down_win(-1))
+    assert series._leaves(exact_win(0, 0), 2, [-1, -2], down_win(-1))
+    # an exact window is known everywhere: nothing lies outside it
+    assert not series._leaves(exact_win(0, 0), 5, [1], exact_win(-2, 2))
+
+
+def test_exp_derivation_without_end_raises():
+    # d/dy never empties y^-1, and no window bounds the powers
+    f = TS.from_poly("y", {-1: 1})
+    with pytest.raises(NonConvergent, match="exp of a derivation"):
+        f.exp_derivation([("y", TS.from_poly("eps", {1: 1}))], {})
 
 
 def test_exp_derivation_of_commuting_parts_is_substitution():

@@ -150,18 +150,38 @@ def test_vacuum_tau_trivial_wave():
     assert lbar.eq_report(vacuum_lbar()) is None
 
 
-def test_miwa_shift_is_known_where_its_powers_are():
-    # at depth 2 the third power of the Miwa shift lies below lam^-2, so
-    # only the truncation empties it; its three y-derivatives take the
-    # y-windows from degree 6 to 3 and the cap from 3 to 0, and the wave
-    # bands know no more than that
+def test_wave_band_knows_the_flow_orders_of_its_own_powers():
+    # band -i of P (i of Q) is the lam^-i coefficient of a Miwa shift,
+    # which only its first i powers reach: i derivatives take the y-cap
+    # from 3 to 3 - i and the y1-window from degree 6 to 6 - i
     p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2, EW)
-    for op, names, bands in ((p_op, ("y1", "y2"), (-1, -2)),
-                             (q_op, ("yb1", "yb2"), (0, 1, 2))):
-        for i in bands:
-            c = op.bands[i]
-            assert [c.wins[v] for v in names] == [up_win(3)] * 2
-            assert c.caps[frozenset(names)] == 0
+    for op, names, sign in ((p_op, ("y1", "y2"), -1),
+                            (q_op, ("yb1", "yb2"), 1)):
+        for i in (1, 2):
+            c = op.bands[sign * i]
+            assert c.caps[frozenset(names)] == 3 - i
+            assert c.wins[names[0]] == up_win(6 - i)
+    assert q_op.bands[0].caps[frozenset(("yb1", "yb2"))] == 3
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_wave_equations_compare_every_band(depth, monkeypatch):
+    # every difference band of every flow-1 check knows its flow-degree-0
+    # terms, so none of the checks is vacuous
+    diffs = []
+    eq_report = ShiftOp.eq_report
+
+    def spy(self, other):
+        diffs.append(self - other)
+        return eq_report(self, other)
+
+    monkeypatch.setattr(ShiftOp, "eq_report", spy)
+    assert check_wave_equations(two_toda_vacuum_tau(depth, 3), depth, EW).ok
+    assert len(diffs) == 4
+    for d in diffs:
+        assert d.bands
+        assert all(cap >= 0 for c in d.bands.values()
+                   for cap in c.caps.values())
 
 
 def test_d_time_op_keeps_the_bands_it_zeroes():
