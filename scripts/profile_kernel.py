@@ -29,7 +29,8 @@ from orbitoda.mirror import (flat_coords_residue, residue_pairing_matrix,
 from orbitoda.periods import (_d_inverse_monomial, d_x_operator,
                               verify_lemma_d_branches)
 from orbitoda.rationals import PR
-from orbitoda.series import TruncSeries as TS, down_win, up_win
+from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
+                             exact_win, sum_series, up_win)
 from orbitoda.toda import two_toda_vacuum_tau, verify_reduced_vacuum
 
 
@@ -92,6 +93,26 @@ def rows():
         yield (f"ParamRat monomial add, {label}", lambda a=a, c=c: a + c,
                20000)
     yield ("ParamRat monomial inverse", lambda: PR.diff().inverse(), 20000)
+    yield ("VarWindow build", lambda: VarWindow(-3, 5, True, False), 20000)
+
+    # the small products and sums that the geometry workload forms by the
+    # thousand: a factor with no terms or one term, a sum of three series
+    lam_q = {"lam": down_win(-10), "q": up_win(12)}
+    rng = random.Random(3)
+    big = TS(("lam", "q"), lam_q,
+             {(-(i % 11), i // 11): PR.rational(rng.randint(1, 9))
+              for i in range(99)})
+    mono = TS.monomial({"lam": -1}, {"lam": exact_win(-1, -1)},
+                       Fraction(2, 3))
+    nothing = TS.scalar(0, lam_q)
+    yield ("product by a factor of no terms", lambda: big * nothing, 2000)
+    yield (f"product {len(big.terms)} terms x one term",
+           lambda: big * mono, 500)
+    keys = [(-a, b) for a in range(11) for b in range(13)]
+    parts = [TS(("lam", "q"), lam_q, {key: PR.rational(rng.randint(1, 9))
+                                      for key in rng.sample(keys, 8)})
+             for _ in range(3)]
+    yield ("sum of three 8-term series", lambda: sum_series(parts), 2000)
 
     poly = TS.from_poly("z", {0: PR.nu(3), 1: Fraction(2, 3), 2: 1})
     yield ("series reciprocal (window 14)",

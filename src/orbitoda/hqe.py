@@ -479,29 +479,59 @@ def fock_one(eps_win: VarWindow) -> TruncSeries:
     return TruncSeries.scalar(1, {"eps": eps_win})
 
 
-def apply_vertex(sym: VertexSymbol, elem: TruncSeries, leg: str,
-                 eps_win: VarWindow, lam_span: int,
-                 qdeg_cap: int) -> TruncSeries:
-    """exp(creation) exp(annihilation) applied to a truncated Fock element."""
-    lam_w = exact_win(-lam_span, lam_span)
+@dataclass(frozen=True)
+class Vertex:
+    """A vertex operator on one leg, ready to apply: its annihilation half
+    as the parts of a derivation on the lambda-window ``lam_w``, and its
+    creation half as the exponential it multiplies by (None without
+    creation slots).  Neither depends on the element it acts on."""
+    parts: list
+    lam_w: VarWindow
+    creation: TruncSeries | None
 
+
+def vertex_on_leg(sym: VertexSymbol, leg: str, eps_win: VarWindow,
+                  lam_span: int, qdeg_cap: int) -> Vertex:
+    """The vertex operator of ``sym`` on the Fock slots of ``leg``, its
+    modes kept to |lambda-degree| <= lam_span and its creation exponential
+    capped at total q-degree ``qdeg_cap``."""
+    lam_w = exact_win(-lam_span, lam_span)
     parts = [(fock_var(leg, L, alpha), TruncSeries.from_poly("eps", {1: c})
               * TruncSeries.from_poly("lam", {p: 1}))
              for p, slot in sym.annihilation.items() if abs(p) <= lam_span
              for (L, alpha), c in slot.items()]
-    total = elem.exp_derivation(parts, {"lam": lam_w})
     # creation exponential: declared q-variable windows with a group cap
     slots = [(fock_var(leg, L, alpha), p, c)
              for p, slot in sym.creation.items() if abs(p) <= lam_span
              for (L, alpha), c in slot.items()]
     if not slots:
-        return total
+        return Vertex(parts, lam_w, None)
     arg = sum_series(TruncSeries.monomial(
         {name: 1, "eps": -1, "lam": p},
         {name: up_win(6), "eps": eps_win, "lam": lam_w}, coeff=c)
         for name, p, c in slots)
     arg = arg.with_cap([name for name, _, _ in slots], qdeg_cap)
-    return total * arg.exp()
+    return Vertex(parts, lam_w, arg.exp())
+
+
+def apply_vertex(vertex: Vertex, elem: TruncSeries) -> TruncSeries:
+    """exp(creation) exp(annihilation) applied to a truncated Fock element."""
+    total = elem.exp_derivation(vertex.parts, {"lam": vertex.lam_w})
+    return total if vertex.creation is None else total * vertex.creation
+
+
+def residue_vertices(k: int, m: int, n: int, l: int, mode_max: int,
+                     eps_win: VarWindow) -> tuple:
+    """The four vertex operators of ``hqe_residue_eval`` at (n, l): Gamma^-
+    on leg a, Gamma^+ on leg b, then the barred Gamma^+ on leg a and the
+    barred Gamma^- on leg b."""
+    lam_span = mode_max + abs(n - l) + 2
+    qdeg_cap, depth = 2, 4
+    return tuple(vertex_on_leg(build_gamma(k, m, sign, barred, mode_max,
+                                           depth),
+                               leg, eps_win, lam_span, qdeg_cap)
+                 for sign, barred, leg in [(-1, False, "a"), (+1, False, "b"),
+                                           (+1, True, "a"), (-1, True, "b")])
 
 
 def translate(elem: TruncSeries, leg: str, shifts: dict,
@@ -514,43 +544,39 @@ def translate(elem: TruncSeries, leg: str, shifts: dict,
 
 
 def hqe_residue_eval(k: int, m: int, d1: TruncSeries, d2: TruncSeries,
-                     n: int, l: int, mode_max: int,
-                     eps_win: VarWindow) -> TruncSeries:
+                     n: int, l: int, mode_max: int, eps_win: VarWindow,
+                     vertices: tuple | None = None) -> TruncSeries:
     """The lambda-residue of the orbifold bilinear form on d1 (x) d2.
 
     Vertex operators enter through their symbols with |mode| <= mode_max
     (mode_max = 0 strips them entirely), their creation parts capped at
     total q-degree 2 and their mode coefficients kept through q-index 4;
     translations shift the untwisted q_0-slots per the (n, l)-bookkeeping.
-    The residue is returned in the two legs' own Fock slots q' = ``qa*``
-    and q'' = ``qb*``: the change q' = x + y, q'' = x - y is linear and
-    invertible, so it does not change whether the residue vanishes.
+    ``vertices`` are ``residue_vertices(k, m, n, l, mode_max, eps_win)``,
+    built here when not given: residues of several elements at one (n, l)
+    share them.  The residue is returned in the two legs' own Fock slots
+    q' = ``qa*`` and q'' = ``qb*``: the change q' = x + y, q'' = x - y is
+    linear and invertible, so it does not change whether the residue
+    vanishes.
     """
-    lam_span = mode_max + abs(n - l) + 2
-    qdeg_cap, depth = 2, 4
     k0 = SectorIndex("k", 0)
     m0 = SectorIndex("m", 0)
     legs1 = [translate(d1, "a", {k0: n + 1, m0: n}, eps_win),
              translate(d2, "b", {k0: l, m0: l + 1}, eps_win)]
     if mode_max > 0:
-        ga = build_gamma(k, m, -1, False, mode_max, depth)
-        gb = build_gamma(k, m, +1, False, mode_max, depth)
-        a = apply_vertex(ga, legs1[0], "a", eps_win, lam_span, qdeg_cap)
-        b = apply_vertex(gb, legs1[1], "b", eps_win, lam_span, qdeg_cap)
+        if vertices is None:
+            vertices = residue_vertices(k, m, n, l, mode_max, eps_win)
+        a, b, ab, bb = (apply_vertex(vertex, leg) for vertex, leg
+                        in zip(vertices, legs1 + legs1))
     else:
+        lam_span = abs(n - l) + 2
         lam_w = exact_win(-lam_span, lam_span)
         a = legs1[0] + TruncSeries.scalar(0, {"lam": lam_w})
         b = legs1[1] + TruncSeries.scalar(0, {"lam": lam_w})
+        ab, bb = a, b
     # [lam^0] of lam^{n-l} a b and of lam^{l-n} ab bb: only the lambda-pairs
     # that reach the residue are formed
     term1 = a.mul_coeff(b, "lam", l - n)
-    if mode_max > 0:
-        gab = build_gamma(k, m, +1, True, mode_max, depth)
-        gbb = build_gamma(k, m, -1, True, mode_max, depth)
-        ab = apply_vertex(gab, legs1[0], "a", eps_win, lam_span, qdeg_cap)
-        bb = apply_vertex(gbb, legs1[1], "b", eps_win, lam_span, qdeg_cap)
-    else:
-        ab, bb = a, b
     term2 = ab.mul_coeff(bb, "lam", n - l).shift_exponent("Q", n - l)
     return term1 - term2
 
@@ -584,8 +610,10 @@ def verify_bilinearity(k: int, m: int) -> CheckReport:
             fock_var("a", 0, SectorIndex("k", 0)), exact_win(0, 1)) \
             .truncated({"eps": HQE_EPS})
         db = fock_one(HQE_EPS)
-        lhs = hqe_residue_eval(k, m, da.scale(2), db, 1, 0, 4, HQE_EPS)
-        resid = hqe_residue_eval(k, m, da, db, 1, 0, 4, HQE_EPS)
+        vertices = residue_vertices(k, m, 1, 0, 4, HQE_EPS)
+        lhs = hqe_residue_eval(k, m, da.scale(2), db, 1, 0, 4, HQE_EPS,
+                               vertices)
+        resid = hqe_residue_eval(k, m, da, db, 1, 0, 4, HQE_EPS, vertices)
         if resid.is_zero():
             # scaling a zero residue proves nothing
             rep.fail({}, "0", "a nonzero residue",

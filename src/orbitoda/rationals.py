@@ -87,12 +87,16 @@ class ParamRat:
 
     @staticmethod
     def monomial(c, d_pow: int, s_pow: int) -> "ParamRat":
-        c = _coerce(c)
+        if type(c) is int:      # no Fraction for an integer
+            num, den = c, 1
+        else:
+            c = _coerce(c)
+            num, den = c.numerator, c.denominator
         if s_pow < 0:
             raise ValueError("S-exponent must be nonnegative")
-        if not c:
+        if not num:
             return ParamRat({}, 1)
-        return ParamRat({(d_pow, s_pow): c.numerator}, c.denominator)
+        return ParamRat({(d_pow, s_pow): num}, den)
 
     @staticmethod
     def nu0() -> "ParamRat":
@@ -127,6 +131,10 @@ class ParamRat:
 
     def is_monomial(self) -> bool:
         return len(self.num) == 1
+
+    def is_one(self) -> bool:
+        return self.den == 1 and len(self.num) == 1 and \
+            self.num.get((0, 0)) == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -208,6 +216,11 @@ class ParamRat:
             ((ad, as_), av), = a.items()
             ((bd, bs), bv), = b.items()
             da, db = self.den, other.den
+            # a factor 1 returns the other, which is canonical
+            if av == 1 == da and not (ad or as_):
+                return other
+            if bv == 1 == db and not (bd or bs):
+                return self
             if da != 1:
                 g = gcd(bv, da)
                 if g != 1:

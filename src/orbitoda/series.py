@@ -23,12 +23,11 @@ recip, exp and log1p raise WindowUnderflow on a cap outside this rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
 from math import factorial
-from operator import add, gt, le, mul
+from operator import add, gt, itemgetter, le, lt, mul
 from typing import Mapping
 
 from .errors import NonConvergent, NonUnit, NotInvertible, WindowUnderflow
@@ -38,12 +37,33 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-@dataclass(frozen=True)
 class VarWindow:
-    lo: int
-    hi: int
-    lo_hard: bool
-    hi_hard: bool
+    """The window [lo, hi] of one variable and its two hardness flags.
+
+    A value: never changed after construction, equal and hashed by its
+    four fields.  A slotted class, as a window is built per variable of
+    every product and sum."""
+
+    __slots__ = ("lo", "hi", "lo_hard", "hi_hard")
+
+    def __init__(self, lo: int, hi: int, lo_hard: bool, hi_hard: bool):
+        self.lo = lo
+        self.hi = hi
+        self.lo_hard = lo_hard
+        self.hi_hard = hi_hard
+
+    def __eq__(self, other):
+        if other.__class__ is not VarWindow:
+            return NotImplemented
+        return (self.lo, self.hi, self.lo_hard, self.hi_hard) == \
+            (other.lo, other.hi, other.lo_hard, other.hi_hard)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.lo_hard, self.hi_hard))
+
+    def __repr__(self):
+        return (f"VarWindow(lo={self.lo!r}, hi={self.hi!r}, "
+                f"lo_hard={self.lo_hard!r}, hi_hard={self.hi_hard!r})")
 
     def known_lo(self):
         return NEG_INF if self.lo_hard else self.lo
@@ -87,7 +107,14 @@ def _as_coeff(value) -> ParamRat:
 
 
 class TruncSeries:
-    __slots__ = ("vars", "wins", "terms", "caps")
+    """A truncated series: ``terms`` maps exponent keys over ``vars`` to
+    nonzero coefficients, ``wins`` holds each variable's window and
+    ``caps`` the group caps.  A series is never changed after
+    construction: operations build new series (possibly sharing these
+    dicts), so what is derived from them (``_extremes``, ``_supports``) is
+    kept on the series."""
+
+    __slots__ = ("vars", "wins", "terms", "caps", "_ext", "_sup")
 
     def __init__(self, vars: tuple[str, ...], wins: dict[str, VarWindow],
                  terms: dict[tuple[int, ...], ParamRat],
@@ -104,10 +131,15 @@ class TruncSeries:
                caps: dict[frozenset, int] | None = None) -> "TruncSeries":
         c = _as_coeff(c)
         wins = dict(wins) if wins else {}
+        caps = dict(caps) if caps else {}
         vars = tuple(sorted(wins))
-        key = tuple(0 for _ in vars)
-        terms = {key: c} if not c.is_zero() else {}
-        return TruncSeries(vars, wins, terms, dict(caps) if caps else {})._pruned()
+        # the one key, of exponent and degree 0, is kept where a prune
+        # would keep it
+        kept = not c.is_zero() and all(w.lo <= 0 <= w.hi
+                                       for w in wins.values()) \
+            and all(cap >= 0 for cap in caps.values())
+        return TruncSeries(vars, wins, {(0,) * len(vars): c} if kept else {},
+                           caps)
 
     @staticmethod
     def zero() -> "TruncSeries":
@@ -162,12 +194,33 @@ class TruncSeries:
     def _win(self, v: str) -> VarWindow:
         return self.wins.get(v, POINT)
 
-    def support_bounds(self, v: str):
-        """Sharpened (lo, hi) bounds of the true support; (+inf,-inf) if empty."""
-        if v not in self.wins:
-            return (0, 0) if self.terms else (POS_INF, NEG_INF)
-        i = self.vars.index(v)
-        return support_in(self.wins[v], [key[i] for key in self.terms])
+    def _extremes(self) -> list:
+        """Per position of ``vars``, the (least, greatest) exponent of the
+        stored terms; empty without terms.  One pass over the keys on first
+        use, then kept on the series."""
+        try:
+            return self._ext
+        except AttributeError:
+            self._ext = [(min(col), max(col)) for col in zip(*self.terms)]
+            return self._ext
+
+    def _supports(self) -> dict:
+        """Per variable of ``vars``, the sharpened (lo, hi) bounds of the
+        true support (``support_in``), (+inf, -inf) if it is empty; from
+        ``_extremes`` on first use, then kept on the series."""
+        try:
+            return self._sup
+        except AttributeError:
+            sup = self._sup = {}
+            if not self.terms:
+                for v in self.vars:
+                    sup[v] = support_in(self.wins[v], ())
+                return sup
+            for v, (lo, hi) in zip(self.vars, self._extremes()):
+                w = self.wins[v]        # support_in of the extremes
+                sup[v] = (lo if w.lo_hard else NEG_INF,
+                          hi if w.hi_hard else POS_INF)
+            return sup
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -259,19 +312,27 @@ class TruncSeries:
         c = _as_coeff(c)
         if c.is_zero():
             return TruncSeries(self.vars, self.wins, {}, self.caps)
+        if c.is_one():
+            return self
         return TruncSeries(self.vars, self.wins,
                            {k: v * c for k, v in self.terms.items()}, self.caps)
 
     def _product_wins(self, other: "TruncSeries", allvars) -> dict:
         """Per-variable windows of self * other; every window is the point
         0 when a factor is identically zero."""
+        sup_a, sup_b = self._supports(), other._supports()
+        wins_a, wins_b = self.wins, other.wins
+        # a variable a factor lacks is the point 0, unless it has no terms
+        lack_a = (0, 0) if self.terms else (POS_INF, NEG_INF)
+        lack_b = (0, 0) if other.terms else (POS_INF, NEG_INF)
         wins = {}
         for v in allvars:
-            sa, sb = self.support_bounds(v), other.support_bounds(v)
+            sa, sb = sup_a.get(v, lack_a), sup_b.get(v, lack_b)
             if sa[0] > sa[1] or sb[0] > sb[1]:
                 # one factor is identically zero
                 return {u: POINT for u in allvars}
-            wins[v] = product_win(self._win(v), other._win(v), sa, sb, v)
+            wins[v] = product_win(wins_a.get(v, POINT), wins_b.get(v, POINT),
+                                  sa, sb, v)
         return wins
 
     def _product_caps(self, other: "TruncSeries") -> dict:
@@ -290,9 +351,19 @@ class TruncSeries:
             return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        allvars, ta, tb = self._aligned(other)
+        allvars = self.vars if self.vars == other.vars else \
+            tuple(sorted(set(self.vars).union(other.vars)))
         caps = self._product_caps(other)
         wins = self._product_wins(other, allvars)
+        if not self.terms or not other.terms:
+            return TruncSeries(allvars, wins, {}, caps)
+        if not caps and len(other.terms) == 1:
+            return TruncSeries(allvars, wins, _one_term_product(
+                self, other, allvars, wins, False), caps)
+        if not caps and len(self.terms) == 1:
+            return TruncSeries(allvars, wins, _one_term_product(
+                other, self, allvars, wins, True), caps)
+        _, ta, tb = self._aligned(other)
         bounds = _key_bounds(allvars, wins, caps)
         tb = _with_cap_sums(tb, bounds[2])
         terms = _pair_products(_window_pairs(ta, tb, bounds), bounds)
@@ -748,31 +819,75 @@ class TruncSeries:
 
 def _remap(terms: dict, vars: tuple[str, ...],
            allvars: tuple[str, ...]) -> dict:
-    """``terms``, keyed by ``vars``, keyed by ``allvars`` (a superset)."""
-    pos = [vars.index(v) if v in vars else None for v in allvars]
-    out = {}
-    for key, c in terms.items():
-        out[tuple(0 if p is None else key[p] for p in pos)] = c
-    return out
+    """``terms``, keyed by ``vars``, keyed by ``allvars`` (a superset): each
+    new key picks its exponents from the old key padded with one 0, which
+    a variable that ``vars`` lacks picks."""
+    pick = itemgetter(*[vars.index(v) if v in vars else len(vars)
+                        for v in allvars])
+    if len(allvars) == 1:       # one index picks an exponent, not a tuple
+        return {(pick(key + (0,)),): c for key, c in terms.items()}
+    return {pick(key + (0,)): c for key, c in terms.items()}
+
+
+def _one_term_product(many: TruncSeries, one: TruncSeries, allvars, wins,
+                      one_left: bool) -> dict:
+    """The terms of many * one, keyed by ``allvars``, for a ``one`` of one
+    term c x^k and no caps: each key of ``many`` moved by k and kept inside
+    ``wins``, its coefficient times c (c on the left when ``one_left``, as
+    the pair loop forms it), or the coefficient itself for c = 1.
+
+    The moved keys are distinct and a product of nonzero coefficients is
+    nonzero, so this is the dict ``_pair_products`` builds, in the same
+    order.  ``many``'s extremes, moved by k, show when every key lies
+    inside ``wins`` and no key needs the test."""
+    (k, c), = one.terms.items()
+    if one.vars != allvars:
+        exps = dict(zip(one.vars, k))
+        k = tuple(exps.get(v, 0) for v in allvars)
+    terms = many.terms
+    if many.vars != allvars:
+        terms = _remap(terms, many.vars, allvars)
+    if any(k):
+        terms = {tuple(map(add, key, k)): cm for key, cm in terms.items()}
+    ext = dict(zip(many.vars, many._extremes()))
+    for v, e in zip(allvars, k):
+        lo, hi = ext.get(v, (0, 0))
+        w = wins[v]
+        if lo + e < w.lo or hi + e > w.hi:
+            lows, highs, _ = _key_bounds(allvars, wins, {})
+            terms = {key: cm for key, cm in terms.items()
+                     if all(map(le, lows, key)) and all(map(le, key, highs))}
+            break
+    if c.is_one():
+        return terms
+    if one_left:
+        return {key: c * cm for key, cm in terms.items()}
+    return {key: cm * c for key, cm in terms.items()}
 
 
 def merge_win(wa: VarWindow, wb: VarWindow, v: str, op: str) -> VarWindow:
     """The window of v in a sum: the known region is the intersection of
-    both, and the stored window the hull of both clipped to it."""
-    klo = max(wa.known_lo(), wb.known_lo())
-    khi = min(wa.known_hi(), wb.known_hi())
-    lo = min(wa.lo, wb.lo) if klo == NEG_INF else max(min(wa.lo, wb.lo), int(klo))
-    hi = max(wa.hi, wb.hi) if khi == POS_INF else min(max(wa.hi, wb.hi), int(khi))
+    both, and the stored window the hull of both clipped to it: above
+    each soft bottom and below each soft top."""
+    lo, hi = min(wa.lo, wb.lo), max(wa.hi, wb.hi)
+    for w in (wa, wb):
+        if not w.lo_hard and w.lo > lo:
+            lo = w.lo
+        if not w.hi_hard and w.hi < hi:
+            hi = w.hi
     if lo > hi:
         raise WindowUnderflow(f"variable {v}: empty window in {op} of {wa} and {wb}")
-    merged = (lo, hi, klo == NEG_INF, khi == POS_INF)
-    return wa if merged == (wa.lo, wa.hi, wa.lo_hard, wa.hi_hard) else VarWindow(*merged)
+    lo_hard, hi_hard = wa.lo_hard and wb.lo_hard, wa.hi_hard and wb.hi_hard
+    if (lo, hi, lo_hard, hi_hard) == (wa.lo, wa.hi, wa.lo_hard, wa.hi_hard):
+        return wa
+    return VarWindow(lo, hi, lo_hard, hi_hard)
 
 
 def support_in(w: VarWindow, stored) -> tuple:
     """Sharpened (lo, hi) bounds of the true support in a variable with
-    window ``w`` whose nonzero terms have the exponents ``stored``;
-    (+inf, -inf) if it is known to be empty."""
+    window ``w`` whose nonzero terms have the exponents ``stored`` (or
+    just the least and greatest of them); (+inf, -inf) if it is known to
+    be empty."""
     if not w.lo_hard:
         slo = NEG_INF
     elif stored:
@@ -795,19 +910,22 @@ def support_in(w: VarWindow, stored) -> tuple:
 def product_win(wa: VarWindow, wb: VarWindow, sa: tuple, sb: tuple,
                 v: str) -> VarWindow:
     """The window of v in a product of factors with windows ``wa``, ``wb``
-    and support bounds ``sa``, ``sb`` (``support_in``), neither empty."""
-    plo = _add_b(sa[0], sb[0])
-    phi = _add_b(sa[1], sb[1])
+    and support bounds ``sa``, ``sb`` (``support_in``), neither empty.
+
+    A nonempty support has no lower bound +inf and no upper bound -inf, so
+    no sum below adds two infinities of opposite sign."""
+    plo = sa[0] + sb[0]
+    phi = sa[1] + sb[1]
     khi = POS_INF
     if not wa.hi_hard:
-        khi = min(khi, _add_b(wa.hi, sb[0]))
+        khi = wa.hi + sb[0]
     if not wb.hi_hard:
-        khi = min(khi, _add_b(wb.hi, sa[0]))
+        khi = min(khi, wb.hi + sa[0])
     klo = NEG_INF
     if not wa.lo_hard:
-        klo = max(klo, _add_b(wa.lo, sb[1]))
+        klo = wa.lo + sb[1]
     if not wb.lo_hard:
-        klo = max(klo, _add_b(wb.lo, sa[1]))
+        klo = max(klo, wb.lo + sa[1])
     lo_hard = klo == NEG_INF
     hi_hard = khi == POS_INF
     lo = plo if lo_hard else max(plo, klo)
@@ -833,11 +951,12 @@ def product_win(wa: VarWindow, wb: VarWindow, sa: tuple, sb: tuple,
 
 def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
     """first + the series of ``rest``, equal term for term to the chain of
-    ``__add__`` in that order, with one term dict and one prune.
+    ``__add__`` in that order, with one term dict and at most one prune.
 
     Window merges commute and the point window 0 of a summand lacking a
     variable merges once, at the end; the final prune drops every term a
-    prune inside the chain would (see README, Design notes).
+    prune inside the chain would (see README, Design notes), and runs only
+    when it can drop one (``_may_drop``).
     """
     vars, wins, caps = first.vars, dict(first.wins), first.caps
     keyed, terms = vars, dict(first.terms)
@@ -849,9 +968,14 @@ def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
             if not lacking.isdisjoint(s.vars):      # s brings new variables
                 vars = tuple(sorted(lacking.union(vars)))
         for v in s.vars:
-            wins[v] = merge_win(wins[v], s.wins[v], v, op) if v in wins \
-                else s.wins[v]
-        caps = _cap_merge(caps, s.caps)
+            w, sw = wins.get(v), s.wins[v]
+            if w is None:
+                wins[v] = sw
+            elif w is not sw or w.lo > w.hi:
+                # a window merged with itself stays, unless it is empty
+                wins[v] = merge_win(w, sw, v, op)
+        if s.caps:
+            caps = _cap_merge(caps, s.caps)
         if not s.terms:
             continue
         if keyed != vars:
@@ -869,7 +993,26 @@ def _fold(first: TruncSeries, rest, op: str) -> TruncSeries:
         wins[v] = merge_win(wins[v], POINT, v, op)
     if keyed != vars:
         terms = _remap(terms, keyed, vars)
-    return TruncSeries(vars, wins, terms, caps)._pruned()
+    out = TruncSeries(vars, wins, terms, caps)
+    return out._pruned() if _may_drop(out) else out
+
+
+def _may_drop(s: TruncSeries) -> bool:
+    """Whether ``s._pruned()`` could drop a term of s, which stores no zero
+    coefficient: whether the extremes of its terms leave a window, or the
+    greatest exponents of a capped group sum past its cap."""
+    if not s.terms:
+        return False
+    ext = s._extremes()
+    for v, (lo, hi) in zip(s.vars, ext):
+        w = s.wins[v]
+        if lo < w.lo or hi > w.hi:
+            return True
+    if s.caps:
+        top = dict(zip(s.vars, (hi for _, hi in ext)))
+        return any(sum(top.get(v, 0) for v in g) > cap
+                   for g, cap in s.caps.items())
+    return False
 
 
 def sum_series(summands, start: TruncSeries | None = None) -> TruncSeries:
@@ -917,6 +1060,8 @@ def _under_caps(key, capspec) -> bool:
 
 def _with_cap_sums(terms: dict, capspec) -> list:
     """``(key, coeff, degree per group cap)`` of each term."""
+    if not capspec:
+        return [(key, c, ()) for key, c in terms.items()]
     return [(key, c, tuple([sum([key[i] for i in positions])
                             for positions, _ in capspec]))
             for key, c in terms.items()]
@@ -1026,6 +1171,9 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
         if min(o, default=0) < 0 or not any(o):
             raise NonUnit(f"{what} argument has non-nilpotent term {t}")
         push.append((t, c, sum(o), sums))
+    # per capped group, the least degree a tail term adds: a key with less
+    # room left in some group pushes no term
+    least = tuple(map(min, zip(*[sums for *_, sums in push])))
     grades: list[dict] = [{} for _ in range(1 + sum(
         gwins[v].hi if d > 0 else -gwins[v].lo
         for v, d in zip(s.vars, dirs) if d))]
@@ -1045,6 +1193,8 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
                 continue
             terms[key] = c
             room = _cap_room(key, capspec) if capspec else ()
+            if room and any(map(lt, room, least)):
+                continue
             for t, ct, step, sums in layer_push:
                 if room and any(map(gt, sums, room)):
                     continue
@@ -1063,21 +1213,14 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
     return TruncSeries(s.vars, wins, terms, gcaps)
 
 
-def _add_b(a, b):
-    if a in (NEG_INF, POS_INF):
-        return a
-    if b in (NEG_INF, POS_INF):
-        return b
-    return a + b
-
-
 def _check_jet_caps(s: TruncSeries, caps, what: str):
     """WindowUnderflow unless every variable of every group in ``caps`` is
     hard below at >= 0 in s (the jet rule of a group cap; a variable s
     lacks is the point 0), naming the group, a variable, its window and
     the operation."""
     for g in caps:
-        bad = [v for v in g if not s._win(v).lo_hard or s._win(v).lo < 0]
+        bad = [v for v in g
+               if not (w := s.wins.get(v, POINT)).lo_hard or w.lo < 0]
         if bad:
             v = min(bad)
             raise WindowUnderflow(

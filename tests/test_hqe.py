@@ -10,10 +10,11 @@ from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import WindowUnderflow
 from orbitoda.hqe import (a_matrix_row, apply_vertex, build_gamma,
                           commutation_factor, flow_var, fock_one, fock_var,
-                          hqe_residue_eval, lemma_inv_sums, toda_hqe_eval,
-                          toda_hqe_report, translate, translation_symbol,
-                          verify_change_matrix, verify_lemma_inv,
-                          verify_theorem2_transform)
+                          hqe_residue_eval, lemma_inv_sums, residue_vertices,
+                          toda_hqe_eval, toda_hqe_report, translate,
+                          translation_symbol, verify_change_matrix,
+                          verify_lemma_inv, verify_theorem2_transform,
+                          vertex_on_leg)
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              exact_win, up_win)
@@ -213,6 +214,33 @@ def test_hqe_bilinearity():
     assert (s - s2).is_zero()
 
 
+def test_bilinearity_builds_each_vertex_operator_once(monkeypatch):
+    import orbitoda.hqe
+    built = []
+    build = orbitoda.hqe.build_gamma
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+    monkeypatch.setattr(orbitoda.hqe, "build_gamma", counting)
+    rep = orbitoda.hqe.verify_bilinearity(3, 2)
+    assert rep.ok and len(built) == 4
+
+
+def test_shared_vertex_operators_give_the_residue():
+    d_a = fock_one(EW) + TS.var(fock_var("a", 0, SectorIndex("k", 0)),
+                                exact_win(0, 1)).truncated({"eps": EW})
+    d_b = fock_one(EW)
+    vertices = residue_vertices(3, 2, 1, 0, 4, EW)
+    for d in (d_a, d_a.scale(F(2))):
+        got = hqe_residue_eval(3, 2, d, d_b, 1, 0, 4, EW, vertices)
+        want = hqe_residue_eval(3, 2, d, d_b, 1, 0, 4, EW)
+        assert not got.is_zero()
+        assert (got.vars, got.wins, got.caps) == \
+            (want.vars, want.wins, want.caps)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 def _full_product_residue(k, m, d1, d2, n, l, mode_max, eps_win,
                           qdeg_cap=2, depth=4):
     """The residue formula that forms both full products over every
@@ -225,7 +253,8 @@ def _full_product_residue(k, m, d1, d2, n, l, mode_max, eps_win,
 
     def dressed(sign, barred, leg, elem):
         sym = build_gamma(k, m, sign, barred, mode_max, depth)
-        return apply_vertex(sym, elem, leg, eps_win, span, qdeg_cap)
+        return apply_vertex(vertex_on_leg(sym, leg, eps_win, span, qdeg_cap),
+                            elem)
 
     term1 = (dressed(-1, False, "a", leg_a) * dressed(+1, False, "b", leg_b)) \
         .shift_exponent("lam", n - l)

@@ -214,3 +214,29 @@ def test_equality_and_hash_follow_the_element(a, b, c):
         value = rx.terms.get((0, 0), F(0))
         assert x == value and hash(x) == hash(value)
         assert {value: 1}.get(x) == 1
+
+
+# the element 1, built four ways
+ONES = (PR.one(), PR.rational(1), PR.monomial(1, 0, 0),
+        PR.from_ints({(0, 0): 7}, 7))
+
+
+@examples(100)
+@given(elements(), st.sampled_from(ONES))
+def test_products_by_one_are_the_general_product(a, one):
+    x, rx = a
+    assert one.is_one()
+    assert x.is_one() == (rx.terms == {(0, 0): F(1)})
+    want = rx * FracRat({(0, 0): F(1)})
+    for got in (x * one, one * x):
+        agree(got, want)
+        assert (got.num, got.den) == (x.num, x.den)
+
+
+@examples(60)
+@given(st.integers(-BIG, BIG), st.integers(-3, 3), st.integers(0, 3))
+def test_monomial_of_an_int_is_the_monomial_of_its_fraction(n, d, s):
+    got, want = PR.monomial(n, d, s), PR.monomial(F(n), d, s)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert type(got.den) is int
+    agree(got, FracRat({(d, s): F(n)} if n else {}))

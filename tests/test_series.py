@@ -42,7 +42,11 @@ def taylor_shift(c, xvar, epsvar, step, eps_win=None):
             d = d.derivative(xvar)
             if d.is_zero():
                 return
-            supp_lo, _ = d.support_bounds(epsvar)
+            supp_lo = 0         # a nonzero d lacking eps sits at eps^0
+            if epsvar in d.wins:
+                i = d.vars.index(epsvar)
+                supp_lo, _ = series.support_in(d.wins[epsvar],
+                                               [key[i] for key in d.terms])
             base = supp_lo if supp_lo != series.NEG_INF else d._win(epsvar).lo
             if base + j > eps_win.hi:
                 hit_window = True
@@ -573,6 +577,129 @@ def test_capped_product_is_the_uncapped_product_under_its_caps(factors):
     assert (got - want).is_zero()
 
 
+def pair_loop_product(a, b):
+    """a * b by the general pair loop of ``__mul__`` for any factors: keys
+    remapped one by one, the support bounds of each variable taken from a
+    list of the factor's exponents, every pair formed by ``_window_pairs``
+    and ``_pair_products``.  The reference of the product's fast exits and
+    of the support bounds a series keeps."""
+    allvars = tuple(sorted(set(a.vars) | set(b.vars)))
+
+    def keyed(s):
+        return {tuple(dict(zip(s.vars, key)).get(v, 0) for v in allvars): c
+                for key, c in s.terms.items()}
+
+    def support(s, v):
+        if v not in s.wins:
+            return (0, 0) if s.terms else (series.POS_INF, series.NEG_INF)
+        i = s.vars.index(v)
+        return series.support_in(s.wins[v], [key[i] for key in s.terms])
+
+    caps = a._product_caps(b)
+    wins = {}
+    for v in allvars:
+        sa, sb = support(a, v), support(b, v)
+        if sa[0] > sa[1] or sb[0] > sb[1]:
+            wins = {u: series.POINT for u in allvars}
+            break
+        wins[v] = series.product_win(a._win(v), b._win(v), sa, sb, v)
+    bounds = series._key_bounds(allvars, wins, caps)
+    right = [(key, c, tuple(sum(key[i] for i in pos) for pos, _ in bounds[2]))
+             for key, c in keyed(b).items()]
+    terms = series._pair_products(
+        series._window_pairs(keyed(a), right, bounds), bounds)
+    return TS(allvars, wins, terms, caps)
+
+
+@st.composite
+def term_factors(draw):
+    """(a, b): a ``windowed_series`` and, in either order, a factor with
+    no terms or one term, its coefficient 1 or not, over any of NAMES (or
+    none), maybe under a cap of its own."""
+    many = draw(windowed_series(1))
+    names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES)))))
+    group = draw(st.sets(st.sampled_from(names), min_size=1)) \
+        if names and draw(st.booleans()) else set()
+    wins = {v: draw(jet_window() if v in group else any_window((-3, 1)))
+            for v in names}
+    terms = {}
+    kind = draw(st.sampled_from(["no term", "coefficient 1", "another"]))
+    if kind != "no term":
+        key = tuple(draw(st.integers(wins[v].lo, wins[v].hi)) for v in names)
+        terms[key] = PR.one() if kind == "coefficient 1" else draw(
+            st.sampled_from([PR.rational(-1), PR.rational(F(2, 3)), PR.nu(3),
+                             PR.diff() + PR.nu1()]))
+    small = TS(names, wins, terms)
+    if group:
+        small = small.with_cap(group, draw(st.integers(0, 5)))
+    return (small, many) if draw(st.booleans()) else (many, small)
+
+
+@examples(300)
+@given(term_factors())
+def test_products_by_a_factor_of_at_most_one_term_match_the_pair_loop(
+        factors):
+    a, b = factors
+    try:
+        want = pair_loop_product(a, b)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            a * b
+        return
+    formed = []
+    pair_products = series._pair_products
+
+    def counting(pairs, bounds):
+        formed.append(1)
+        return pair_products(pairs, bounds)
+    series._pair_products = counting
+    try:
+        got = a * b
+    finally:
+        series._pair_products = pair_products
+    assert_same_series(got, want)
+    if not a.terms or not b.terms or \
+            (not want.caps and 1 in (len(a.terms), len(b.terms))):
+        assert not formed       # a fast exit formed no pair
+
+
+@examples(300)
+@given(windowed_series(1), windowed_series(1))
+def test_kept_support_bounds_give_the_pair_loop_product(a, b):
+    # the factors' support bounds are computed once and kept, also by a
+    # first product that raises
+    for _ in range(2):
+        pair = raises_like(lambda: pair_loop_product(a, b), lambda: a * b)
+        if pair:
+            assert_same_series(*pair)
+
+
+@examples(200)
+@given(st.dictionaries(st.sampled_from(NAMES), any_window(), max_size=3),
+       st.dictionaries(st.frozensets(st.sampled_from(NAMES), min_size=1),
+                       st.integers(-2, 3), max_size=2),
+       st.integers(-2, 2))
+def test_scalar_keeps_its_term_where_a_prune_would(wins, caps, c):
+    # windows that exclude 0 and negative caps drop the term, as does c = 0
+    vars = tuple(sorted(wins))
+    want = TS(vars, dict(wins), {(0,) * len(vars): PR.rational(c)},
+              dict(caps))._pruned()
+    assert_same_series(TS.scalar(c, wins, caps), want)
+
+
+def test_var_window_is_a_value():
+    w = VarWindow(-2, 3, True, False)
+    assert repr(w) == "VarWindow(lo=-2, hi=3, lo_hard=True, hi_hard=False)"
+    assert w == VarWindow(-2, 3, True, False) == up_win(3, lo=-2)
+    # the hash of a frozen dataclass of the four fields
+    assert hash(w) == hash(up_win(3, lo=-2)) == hash((-2, 3, True, False))
+    assert {w: 1}[up_win(3, lo=-2)] == 1
+    for other in (VarWindow(-1, 3, True, False), VarWindow(-2, 4, True, False),
+                  VarWindow(-2, 3, False, False), VarWindow(-2, 3, True, True),
+                  (-2, 3, True, False), None):
+        assert w != other and not w == other
+
+
 def capped_u2():
     """u^2 + u^3, u up, known to degree 2 in {u, w}: it stores u^2."""
     return TS.from_poly("u", {2: 1, 3: 1}).truncated({"u": up_win(4)}) \
@@ -1018,6 +1145,45 @@ def test_fold_matches_chain_of_additions(summands):
         pair = raises_like(want, got)
         if pair:
             assert_same_series(*pair)
+
+
+@examples(300)
+@given(summand_lists())
+def test_fold_skips_only_prunes_that_drop_nothing(summands):
+    try:
+        got = series._fold(summands[0], summands[1:], "addition")
+    except WindowUnderflow:
+        return
+    assert_same_series(got, got._pruned())
+
+
+def test_fold_prunes_when_a_window_narrows_or_a_cap_applies(monkeypatch):
+    pruned = []
+    prune = TS._pruned
+
+    def counting(s):
+        pruned.append(1)
+        return prune(s)
+
+    def fold(*summands):
+        pruned.clear()
+        monkeypatch.setattr(TS, "_pruned", counting)
+        try:
+            return series._fold(summands[0], summands[1:], "addition"), \
+                len(pruned)
+        finally:
+            monkeypatch.setattr(TS, "_pruned", prune)
+    u = TS.var("u", up_win(4))
+    # every term inside the merged windows: no prune
+    assert fold(u, u * u)[1] == 0
+    # u^2 leaves the merged window [0, 1]
+    got, prunes = fold(u * u, TS.scalar(1, {"u": up_win(1)}))
+    assert prunes == 1 and list(got.terms) == [(0,)]
+    # degree 3 under the cap 3: no prune; the cap 1 of -u drops u^2, u^3
+    jet = (1 + u + u * u).with_cap({"u"}, 3)
+    assert fold(jet, u * u * u)[1] == 0
+    got, prunes = fold(jet, (-u).with_cap({"u"}, 1), u * u * u)
+    assert prunes == 1 and list(got.terms) == [(0,)]
 
 
 def test_sum_series_edge_cases():
