@@ -10,16 +10,20 @@ the bounded-degree shapes these verifications produce.
 Each row prints microseconds per operation.  With --repeat N every row
 runs N times, the rows interleaved (row 1, row 2, ..., row 1, ...), and
 each prints the median and the interquartile range of its N timings, so a
-drift of the host's speed spreads over all rows alike.
+drift of the host's speed spreads over all rows alike.  The speed probe of
+``perfbench/run.py`` runs before each round, and the first line prints its
+seconds per round: a round on a slow or shifting host shows there.
 """
 
 import argparse
 import random
 import statistics
+import sys
 import time
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from pathlib import Path
 
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
@@ -31,7 +35,12 @@ from orbitoda.periods import (_d_inverse_monomial, d_x_operator,
 from orbitoda.rationals import PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              exact_win, sum_series, up_win)
-from orbitoda.toda import two_toda_vacuum_tau, verify_reduced_vacuum
+from orbitoda.toda import (ShiftOp, _generic_l, two_toda_vacuum_tau,
+                           verify_reduced_vacuum)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.dont_write_bytecode = True      # nothing written into perfbench/
+from run import speed_probe  # noqa: E402
 
 
 def bench(fn, n):
@@ -82,16 +91,20 @@ def rows():
     binds its own operands: the rows run after all of them are built."""
     # the two coefficient shapes the workloads multiply and add: monomials
     # with small fractions (geometry) and with ~600-bit numerators (ladder)
-    shapes = {"small": (Fraction(-2, 15), Fraction(9, 4)),
+    shapes = {"small": (Fraction(-2, 15), Fraction(9, 4), 6),
               "600-bit": (Fraction(7 ** 213 + 1, 3 ** 150),
-                          Fraction(-(5 ** 258) - 2, 7 * 2 ** 400))}
-    for label, (p, q) in shapes.items():
+                          Fraction(-(5 ** 258) - 2, 7 * 2 ** 400), 3 ** 120)}
+    for label, (p, q, n) in shapes.items():
         a, b, c = PR.monomial(p, 3, 1), PR.monomial(q, -2, 0), \
             PR.monomial(q, 3, 1)
         yield (f"ParamRat monomial multiply, {label}",
                lambda a=a, b=b: a * b, 20000)
-        yield (f"ParamRat monomial add, {label}", lambda a=a, c=c: a + c,
-               20000)
+        yield (f"ParamRat monomial times int, {label}",
+               lambda a=a, n=n: a * n, 20000)
+        yield (f"ParamRat monomial add, same key, {label}",
+               lambda a=a, c=c: a + c, 20000)
+        yield (f"ParamRat monomial add, distinct keys, {label}",
+               lambda a=a, b=b: a + b, 20000)
     yield ("ParamRat monomial inverse", lambda: PR.diff().inverse(), 20000)
     yield ("VarWindow build", lambda: VarWindow(-3, 5, True, False), 20000)
 
@@ -144,7 +157,7 @@ def rows():
            lambda: unit * wide_unit, 20)
     D, zwin = d_x_operator(4, 3), down_win(-6, hi=0)
     yield ("D^-1 lam^-4 (4,3), lemma-d-branches window",
-           lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin, {}),
+           lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin),
            20)
     yield ("verify_lemma_d_branches(5)", lambda: verify_lemma_d_branches(5),
            3)
@@ -166,6 +179,15 @@ def rows():
     # through exp_derivation
     yield ("verify_reduced_vacuum(2, 1)", lambda: verify_reduced_vacuum(2, 1),
            3)
+    # a product of the zakharov-shabat powers of L: on a fresh L each band
+    # is Taylor-shifted anew, on a kept L its shifted bands are reused
+    eps_win = up_win(3)
+    L = _generic_l(eps_win)
+    L2 = L.mul(L, eps_win)
+    yield ("ShiftOp.mul L^2 * L, fresh L",
+           lambda: L2.mul(ShiftOp(L.bands, L.lo, L.lo_hard), eps_win), 20)
+    yield ("ShiftOp.mul L^2 * L, shifts kept",
+           lambda: L2.mul(L, eps_win), 20)
 
     # the hqe workload's shapes, taken from the calls the checks make
     sums = calls_of("__add__", lambda: verify_bilinearity(3, 2))
@@ -193,9 +215,13 @@ def main():
         parser.error("--repeat must be at least 1")
     table = list(rows())
     times = [[] for _ in table]
+    probes = []
     for _ in range(repeat):
+        probes.append(speed_probe())
         for (_, fn, n), row_times in zip(table, times):
             row_times.append(bench(fn, n))
+    print("speed probe before each round (s): " +
+          " ".join(f"{p:.3f}" for p in probes))
     for (label, _, _), row_times in zip(table, times):
         line = f"{label:45s} {statistics.median(row_times):10.2f} us/op"
         if repeat > 1:

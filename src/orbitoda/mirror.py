@@ -424,9 +424,29 @@ class FlatChart:
     def dt_dtau_at(self, tvals: dict) -> list[list[ParamRat]]:
         """Exact J(t0)^{-1} at a rational parameter point."""
         n = len(self.alphas)
-        jac = [[_const_part(_eval_t(self.jacobian[r][c], tvals))
-                for c in range(n)] for r in range(n)]
+        point = {tname(i): Fraction(v) for i, v in tvals.items()}
+        jac = [[_value_at(self.jacobian[r][c], point) for c in range(n)]
+               for r in range(n)]
         return _gauss_invert(jac)
+
+
+def _value_at(ser: TruncSeries, point: dict) -> ParamRat:
+    """The value of a polynomial on hard windows with no caps at the
+    rational ``point`` (variable -> value; a variable it lacks is 0), in
+    one pass over its terms."""
+    if ser.caps or not all(w.lo_hard and w.hi_hard
+                           for w in ser.wins.values()):
+        raise ValueError("a point value needs hard windows and no caps")
+    vals = [point.get(v, 0) for v in ser.vars]
+    total = PR.zero()
+    for key, c in ser.terms.items():
+        x = Fraction(1)
+        for val, e in zip(vals, key):
+            if e:
+                x *= val ** e
+        if x:
+            total = total + c * x
+    return total
 
 
 def _const_part(ser: TruncSeries) -> ParamRat:
@@ -534,18 +554,6 @@ def verify_residue_pairing(k: int, m: int, degree: int = 2, seed: int = 0,
         rep.params["seed"] = seed
         reps.append(rep)
     return reps
-
-
-def _eval_t(ser: TruncSeries, tvals: dict) -> TruncSeries:
-    out = ser
-    for i, v in tvals.items():
-        if tname(i) in out.wins:
-            out = out.subst(tname(i), TruncSeries.scalar(Fraction(v)))
-    # drop leftover zero t-variables
-    for v in list(out.wins):
-        if v.startswith("t") and v in out.wins:
-            out = out.subst(v, TruncSeries.scalar(0))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -83,20 +83,18 @@ def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
                         lam_w.hi + D.k, False, lam_w.hi_hard)
     if not groups:
         return TruncSeries.scalar(0, {"lam": lam_out, "z": zwin})
-    inv_lin: dict[int, TruncSeries] = {}
-    return sum_series(_d_inverse_monomial(D, a, lam_out, zwin, inv_lin) *
+    return sum_series(_d_inverse_monomial(D, a, lam_out, zwin) *
                       sum_series(pieces)
                       for a, pieces in sorted(groups.items()))
 
 
-def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
-                        inv_lin: dict[int, TruncSeries]) -> TruncSeries:
+def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow,
+                        zwin: VarWindow) -> TruncSeries:
     """f with D f = lam^a, as sum_j f_j(z) lam^{a+k-j}.
 
     Mode j > 0 is skipped when every term tail_i f_(j-i) of its right-hand
-    side is zero: the nonzero modes sit at sums of tail indices.
-    ``inv_lin`` maps an exponent e to 1/(nu - (e/k) z) on ``zwin``; the
-    missing ones are built here and added to it."""
+    side is zero: the nonzero modes sit at sums of tail indices.  Each mode
+    divides its right-hand side by nu - (e/k) z (``_over_linear``)."""
     fj: dict[int, TruncSeries] = {}
 
     def modes():
@@ -108,34 +106,61 @@ def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
                 continue
             rhs = sum_series(parts, TruncSeries.scalar(1 if j == 0 else 0,
                                                        {"z": zwin}))
-            inv = inv_lin.get(e)
-            if inv is None:
-                inv = inv_lin[e] = _inv_linear(D.nu, Fraction(e, D.k), zwin)
-            fj[j] = rhs * inv
+            fj[j] = _over_linear(rhs, D.nu, Fraction(e, D.k), zwin)
             yield fj[j] * TruncSeries.from_poly("lam", {e: 1})
 
     return sum_series(modes(),
                       TruncSeries.scalar(0, {"lam": lam_out, "z": zwin}))
 
 
-def _inv_linear(nu: ParamRat, beta: Fraction, zwin: VarWindow) -> TruncSeries:
-    """``from_poly("z", {0: nu, 1: -beta}).recip_within({"z": zwin})`` in
-    closed form, term for term and in order: on a z-window soft below the
-    lead is -beta z, so 1/(nu - beta z) = -sum_n nu^n beta^(-n-1) z^(-n-1)
-    on [zwin.lo - 2, -1]; for beta = 0 it is 1/nu on [zwin.lo, 0]."""
-    if zwin.lo_hard or not zwin.hi_hard:
-        raise ValueError(f"1/(nu - beta z) needs a z-window soft below and "
-                         f"hard above, got {zwin}")
+def _over_linear(rhs: TruncSeries, nu: ParamRat, beta: Fraction,
+                 zwin: VarWindow) -> TruncSeries:
+    """rhs / (nu - beta z): the product of rhs with the reciprocal of
+    nu - beta z on a z-window soft below and hard above, and equal to it in
+    terms, windows and caps.
+
+    On ``zwin`` the reciprocal is -sum_n nu^n beta^(-n-1) z^(-n-1) on
+    [zwin.lo - 2, -1] and, for beta = 0, 1/nu on [zwin.lo, 0].  Its leading
+    term alone has its windows and support bounds, so rhs times that term
+    has the product's windows and caps.  For beta = 0 that is the product.
+    Else the quotient f solves (nu - beta z) f = rhs, so one slice of the
+    other variables at a time, from the top down,
+    f_(t-1) = (nu/beta) f_t - rhs_t/beta: O(n) coefficient operations,
+    where the product costs n^2.  The product's z-bottom is soft at
+    zwin.lo - 2 plus the top of rhs or above, and there no rhs term meets
+    the truncated tail of the reciprocal, so there the product is f.
+    """
+    if zwin.lo_hard or not zwin.hi_hard or zwin.lo > 0:
+        raise ValueError(f"1/(nu - beta z) needs a z-window soft below at "
+                         f"or under 0 and hard above, got {zwin}")
     if not beta:
-        return TruncSeries(("z",), {"z": VarWindow(zwin.lo, 0, False, True)},
-                           {(0,): nu.inverse()})
+        recip = TruncSeries(("z",), {"z": VarWindow(zwin.lo, 0, False, True)},
+                            {(0,): nu.inverse()})
+        return rhs * recip
     inv = 1 / beta
-    ratio, c, terms = nu * PR.rational(inv), PR.rational(-inv), {}
-    for e in range(-1, zwin.lo - 3, -1):
-        terms[(e,)] = c
-        c = c * ratio
-    return TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2, -1, False, True)},
-                       terms)
+    # rhs times the leading term -z^-1/beta: the terms -rhs_t/beta at
+    # z^(t-1), inside the product's windows
+    lead = TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2, -1, False, True)},
+                       {(-1,): PR.rational(-inv)})
+    lead = rhs * lead
+    i = lead.vars.index("z")
+    lo = lead.wins["z"].lo
+    ratio = nu * PR.rational(inv)
+    slices: dict[tuple, dict[int, ParamRat]] = {}
+    for key, c in lead.terms.items():
+        slices.setdefault(key[:i] + key[i + 1:], {})[key[i]] = c
+    terms = {}
+    for rest, col in slices.items():
+        top = max(col)
+        f = terms[rest[:i] + (top,) + rest[i:]] = col[top]
+        for t in range(top - 1, lo - 1, -1):
+            f = f * ratio
+            c = col.get(t)
+            if c is not None:
+                f = f + c
+            if not f.is_zero():
+                terms[rest[:i] + (t,) + rest[i:]] = f
+    return TruncSeries(lead.vars, lead.wins, terms, lead.caps)
 
 
 def bi_infinite_sum(D: DOp, g: TruncSeries, lam_win: VarWindow,
@@ -161,10 +186,9 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
                      params={"k": k, "alpha_bound": alpha_bound}) as rep:
         zwin = down_win(-6, hi=0)
         for D in (d_classical(k), d_x_operator(k, max(1, k - 1))):
-            inv_lin: dict[int, TruncSeries] = {}
             for a in range(-alpha_bound * k, alpha_bound * k + 1):
                 lam_out = down_win(a - 3 * k, hi=a + k)
-                inv = _d_inverse_monomial(D, a, lam_out, zwin, inv_lin)
+                inv = _d_inverse_monomial(D, a, lam_out, zwin)
                 z0 = inv.coeff_of("z", 0)
                 want_const = a == -k  # alpha = a/k = -1
                 got = not z0.is_zero()

@@ -11,14 +11,18 @@ in the adapted symbols
 
 with integer numerators over one shared integer denominator, the layout of
 FLINT's ``fmpq_poly``: ``num`` maps (d, s) to the integer numerator of
-D^d S^s and ``den`` is shared by all of them.  Every operation returns the
-canonical form -- ``den > 0``, gcd(den, numerators) = 1, no zero numerator,
-``den == 1`` for zero -- so equal elements have equal fields.  Reduction is
+D^d S^s and ``den`` is shared by all of them.  Most elements are monomials
+v/den D^d S^s, and those keep v, d and s in slots with no dict: only zero
+and an element of two or more terms keep a dict of numerators.  Every
+operation returns the canonical form -- ``den > 0``, gcd(den, numerators)
+= 1, no zero numerator, ``den == 1`` for zero, the dict only for zero or
+two or more terms -- so equal elements have equal fields.  Reduction is
 eager, one content gcd per result and none when the denominator is 1; a sum
 takes it against the gcd of its operands' denominators, and a product of
-two monomials cancels crosswise, as ``Fraction`` does.  Division is only
-defined by invertible elements (monomials c*D^a), which is what the
-formulas actually require.
+two monomials cancels crosswise, as ``Fraction`` does.  A product by a
+Python int builds no element for the int.  Division is only defined by
+invertible elements (monomials c*D^a), which is what the formulas actually
+require.
 
 The derived parameters nu = (nu0-nu1)/k and nubar = (nu1-nu0)/m are
 constructors, never independent symbols.
@@ -43,15 +47,29 @@ def _coerce(value) -> Fraction:
 class ParamRat:
     """Element of Q[nu1][ (nu0-nu1)^{+-1} ], in canonical form.
 
-    The constructor takes ``num`` and ``den`` as they are; ``from_ints``
+    A monomial v/den D^d S^s sits in the slots ``d``, ``s``, ``v`` and
+    ``den``, with ``terms`` None; zero and an element of two or more terms
+    keep their numerators in the dict ``terms`` (and None in ``d``, ``s``,
+    ``v``).  The constructor takes the slots as they are; ``from_ints``
     brings any integer numerators and denominator into canonical form.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("d", "s", "v", "den", "terms")
 
-    def __init__(self, num: dict[tuple[int, int], int], den: int = 1):
-        self.num = num
+    def __init__(self, d, s, v, den: int = 1,
+                 terms: dict[tuple[int, int], int] | None = None):
+        self.d = d
+        self.s = s
+        self.v = v
         self.den = den
+        self.terms = terms
+
+    @property
+    def num(self) -> dict[tuple[int, int], int]:
+        """{(d, s): numerator of D^d S^s}, the same in both layouts; read
+        only (a monomial builds it anew)."""
+        terms = self.terms
+        return {(self.d, self.s): self.v} if terms is None else terms
 
     # -- constructors ------------------------------------------------------
 
@@ -62,7 +80,7 @@ class ParamRat:
         ``num`` holds no zero and is taken over; ``den`` is nonzero.
         """
         if not num:
-            return ParamRat({}, 1)
+            return _zero()
         if den < 0:
             den = -den
             num = {k: -v for k, v in num.items()}
@@ -71,15 +89,15 @@ class ParamRat:
             if g != 1:
                 den //= g
                 num = {k: v // g for k, v in num.items()}
-        return ParamRat(num, den)
+        return _laid_out(num, den)
 
     @staticmethod
     def zero() -> "ParamRat":
-        return ParamRat({}, 1)
+        return _zero()
 
     @staticmethod
     def one() -> "ParamRat":
-        return ParamRat({(0, 0): 1}, 1)
+        return ParamRat(0, 0, 1)
 
     @staticmethod
     def rational(r) -> "ParamRat":
@@ -95,21 +113,21 @@ class ParamRat:
         if s_pow < 0:
             raise ValueError("S-exponent must be nonnegative")
         if not num:
-            return ParamRat({}, 1)
-        return ParamRat({(d_pow, s_pow): num}, den)
+            return _zero()
+        return ParamRat(d_pow, s_pow, num, den)
 
     @staticmethod
     def nu0() -> "ParamRat":
-        return ParamRat({(1, 0): 1, (0, 1): 1}, 1)
+        return _laid_out({(1, 0): 1, (0, 1): 1}, 1)
 
     @staticmethod
     def nu1() -> "ParamRat":
-        return ParamRat({(0, 1): 1}, 1)
+        return ParamRat(0, 1, 1)
 
     @staticmethod
     def diff() -> "ParamRat":
         """nu0 - nu1."""
-        return ParamRat({(1, 0): 1}, 1)
+        return ParamRat(1, 0, 1)
 
     @staticmethod
     def nu(k: int) -> "ParamRat":
@@ -124,17 +142,21 @@ class ParamRat:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        terms = self.terms
+        return terms is not None and not terms
 
     def is_rational(self) -> bool:
-        return not self.num or (len(self.num) == 1 and (0, 0) in self.num)
+        terms = self.terms
+        if terms is None:
+            return not (self.d or self.s)
+        return not terms
 
     def is_monomial(self) -> bool:
-        return len(self.num) == 1
+        return self.terms is None
 
     def is_one(self) -> bool:
-        return self.den == 1 and len(self.num) == 1 and \
-            self.num.get((0, 0)) == 1
+        return self.terms is None and self.v == 1 == self.den and \
+            not (self.d or self.s)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -143,10 +165,10 @@ class ParamRat:
             other = _as_paramrat(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self.num, other.num
-        if not a:
+        ta, tb = self.terms, other.terms
+        if ta is not None and not ta:
             return other
-        if not b:
+        if tb is not None and not tb:
             return self
         # Over the lcm of the denominators, a prime that divides the sum's
         # den and every numerator divides g = gcd(a.den, b.den) (Knuth,
@@ -157,21 +179,22 @@ class ParamRat:
             g = gcd(den, other.den)
             scale_a, scale_b = other.den // g, den // g
             den *= scale_a
-        if len(a) == 1 == len(b):
-            (ka, va), = a.items()
-            (kb, vb), = b.items()
-            va *= scale_a
-            vb *= scale_b
-            if ka != kb:
-                out = {ka: va, kb: vb}
-            else:
+        if ta is None and tb is None:
+            d, s = self.d, self.s
+            va, vb = self.v * scale_a, other.v * scale_b
+            if d == other.d and s == other.s:
                 va += vb
                 if not va:
-                    return ParamRat({}, 1)
-                out = {ka: va}
+                    return _zero()
+                if g != 1:
+                    g = gcd(g, va)
+                    if g != 1:
+                        return ParamRat(d, s, va // g, den // g)
+                return ParamRat(d, s, va, den)
+            out = {(d, s): va, (other.d, other.s): vb}
         else:
-            out = {k: v * scale_a for k, v in a.items()}
-            for key, val in b.items():
+            out = {k: v * scale_a for k, v in self.num.items()}
+            for key, val in other.num.items():
                 val *= scale_b
                 acc = out.get(key)
                 if acc is None:
@@ -183,18 +206,22 @@ class ParamRat:
                     else:
                         del out[key]
             if not out:
-                return ParamRat({}, 1)
+                return _zero()
         if g != 1:
             g = gcd(g, *out.values())
             if g != 1:
                 den //= g
                 out = {k: v // g for k, v in out.items()}
-        return ParamRat(out, den)
+        return _laid_out(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamRat({k: -v for k, v in self.num.items()}, self.den)
+        terms = self.terms
+        if terms is None:
+            return ParamRat(self.d, self.s, -self.v, self.den)
+        return ParamRat(None, None, None, self.den,
+                        {k: -v for k, v in terms.items()})
 
     def __sub__(self, other):
         other = _as_paramrat(other)
@@ -204,18 +231,17 @@ class ParamRat:
 
     def __mul__(self, other):
         if type(other) is not ParamRat:
+            if type(other) is int:
+                return self._times_int(other)
             other = _as_paramrat(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self.num, other.num
-        if not a or not b:
-            return ParamRat({}, 1)
-        if len(a) == 1 == len(b):
+        ta, tb = self.terms, other.terms
+        if ta is None and tb is None:
             # cancel crosswise: two gcds of the factors cost less than one
             # of the products when the numerators are long
-            ((ad, as_), av), = a.items()
-            ((bd, bs), bv), = b.items()
-            da, db = self.den, other.den
+            ad, as_, av, da = self.d, self.s, self.v, self.den
+            bd, bs, bv, db = other.d, other.s, other.v, other.den
             # a factor 1 returns the other, which is canonical
             if av == 1 == da and not (ad or as_):
                 return other
@@ -231,8 +257,11 @@ class ParamRat:
                 if g != 1:
                     av //= g
                     db //= g
-            return ParamRat({(ad + bd, as_ + bs): av * bv}, da * db)
-        if len(b) == 1:
+            return ParamRat(ad + bd, as_ + bs, av * bv, da * db)
+        if (ta is not None and not ta) or (tb is not None and not tb):
+            return _zero()
+        a, b = self.num, other.num
+        if tb is None:
             ((bd, bs), bv), = b.items()
             out = {(ad + bd, as_ + bs): av * bv
                    for (ad, as_), av in a.items()}
@@ -254,16 +283,36 @@ class ParamRat:
 
     __rmul__ = __mul__
 
+    def _times_int(self, n: int) -> "ParamRat":
+        """self * n, with no element built for the integer n: n cancels
+        against den, and gcd(den, numerators) = 1 keeps the rest
+        canonical."""
+        if n == 1:
+            return self
+        terms = self.terms
+        if not n or (terms is not None and not terms):
+            return _zero()
+        den = self.den
+        if den != 1:
+            g = gcd(n, den)
+            if g != 1:
+                n //= g
+                den //= g
+        if terms is None:
+            return ParamRat(self.d, self.s, self.v * n, den)
+        return ParamRat(None, None, None, den,
+                        {k: v * n for k, v in terms.items()})
+
     def inverse(self) -> "ParamRat":
-        if len(self.num) != 1:
+        if self.terms is not None:
             raise NonUnit(f"cannot invert non-monomial coefficient {self}")
-        ((d, s), v), = self.num.items()
-        if s != 0:
+        if self.s != 0:
             # 1/nu1^s stays outside the localized ring.
             raise NonUnit(f"cannot invert {self}: nonzero nu1-degree")
+        v = self.v
         if v < 0:
-            return ParamRat({(-d, 0): -self.den}, -v)
-        return ParamRat({(-d, 0): self.den}, v)
+            return ParamRat(-self.d, 0, -self.den, -v)
+        return ParamRat(-self.d, 0, self.den, v)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -312,12 +361,17 @@ class ParamRat:
             other = _as_paramrat(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.den == other.den and self.num == other.num
+        terms = self.terms
+        if terms is None:       # equal elements have the same layout
+            return other.terms is None and self.v == other.v and \
+                self.d == other.d and self.s == other.s and \
+                self.den == other.den
+        return self.den == other.den and terms == other.terms
 
     def __hash__(self):
         # a pure rational equals its Fraction (and int), so it hashes as one
         if self.is_rational():
-            return hash(Fraction(self.num.get((0, 0), 0), self.den))
+            return hash(Fraction(self.v or 0, self.den))
         return hash((self.den, frozenset(self.num.items())))
 
     # -- display -----------------------------------------------------------
@@ -374,11 +428,24 @@ def _binomial_signs(e: int) -> list[int]:
     return [(-1) ** j * comb(e, j) for j in range(e + 1)]
 
 
+def _zero() -> ParamRat:
+    return ParamRat(None, None, None, 1, {})
+
+
+def _laid_out(num: dict[tuple[int, int], int], den: int) -> ParamRat:
+    """The element of canonical numerators ``num`` (taken over) over
+    ``den``, in the layout of its number of terms."""
+    if len(num) == 1:
+        ((d, s), v), = num.items()
+        return ParamRat(d, s, v, den)
+    return ParamRat(None, None, None, den, num)
+
+
 def _as_paramrat(value):
     if isinstance(value, ParamRat):
         return value
     if isinstance(value, int):
-        return ParamRat({(0, 0): value}, 1) if value else ParamRat({}, 1)
+        return ParamRat(0, 0, value) if value else _zero()
     if isinstance(value, Fraction):
         return ParamRat.rational(value)
     return NotImplemented

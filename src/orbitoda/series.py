@@ -366,7 +366,8 @@ class TruncSeries:
         _, ta, tb = self._aligned(other)
         bounds = _key_bounds(allvars, wins, caps)
         tb = _with_cap_sums(tb, bounds[2])
-        terms = _pair_products(_window_pairs(ta, tb, bounds), bounds)
+        terms = _pair_products(_window_pairs(ta, tb, bounds), bounds,
+                               _overhangs(self, other, allvars, bounds))
         return TruncSeries(allvars, wins, terms, caps)
 
     def mul_coeff(self, other: "TruncSeries", v: str, e: int) -> "TruncSeries":
@@ -391,7 +392,8 @@ class TruncSeries:
                 buckets.setdefault(right[0][i], []).append(right)
             pairs = ((ka, ca, buckets[e - ka[i]]) for ka, ca in ta.items()
                      if e - ka[i] in buckets)
-            terms = _pair_products(pairs, bounds)
+            terms = _pair_products(pairs, bounds,
+                                   _overhangs(self, other, allvars, bounds))
         return TruncSeries(allvars, wins, terms, caps).coeff_of(v, e)
 
     __rmul__ = __mul__
@@ -525,14 +527,14 @@ class TruncSeries:
         zero = (0,) * len(self.vars)
         gwins = self._offset_window(zero, "exp")
         return _grade_solve(self, gwins, self.caps, {zero: PR.one()},
-                            self.terms, lambda g, r: Fraction(r, g + r), "exp")
+                            self.terms, "r", "exp")
 
     def log1p(self) -> "TruncSeries":
         """log(1 + self) for an adically small self: (1 + h) E log(1 + h)
         = E(h) gives seed h, tail h and weight -g/(g+r)."""
         gwins = self._offset_window((0,) * len(self.vars), "log1p")
         return _grade_solve(self, gwins, self.caps, self.terms, self.terms,
-                            lambda g, r: Fraction(-g, g + r), "log1p")
+                            "-g", "log1p")
 
     def log(self) -> "TruncSeries":
         lead = self._leading_key()
@@ -1108,10 +1110,30 @@ def _window_pairs(ta: dict, tb: list, bounds):
     return pairs()
 
 
-def _pair_products(pairs, bounds) -> dict:
+def _overhangs(a: TruncSeries, b: TruncSeries, allvars, bounds) -> tuple:
+    """The positions of ``allvars`` where a key of a * b may leave the
+    window of ``bounds``: where the factors' least (greatest) exponents,
+    their kept ``_extremes`` (0 for a variable a factor lacks), sum to
+    below (above) it."""
+    lows, highs, _ = bounds
+    ext_a = dict(zip(a.vars, a._extremes()))
+    ext_b = dict(zip(b.vars, b._extremes()))
+    out = []
+    for p, v in enumerate(allvars):
+        lo_a, hi_a = ext_a.get(v, (0, 0))
+        lo_b, hi_b = ext_b.get(v, (0, 0))
+        if lo_a + lo_b < lows[p] or hi_a + hi_b > highs[p]:
+            out.append(p)
+    return tuple(out)
+
+
+def _pair_products(pairs, bounds, where) -> dict:
     """Sum ca * cb at key ka + kb over ``(ka, ca, [(kb, cb, sums), ...])``
-    pairs under the caps (tested first) and ``bounds``, skipping zero sums."""
+    pairs under the caps (tested first) and ``bounds``, skipping zero sums.
+    The window is tested only at the positions ``where``
+    (``_overhangs``)."""
     lows, highs, capspec = bounds
+    tests = [(p, lows[p], highs[p]) for p in where]
     out: dict[tuple[int, ...], ParamRat] = {}
     for ka, ca, tb in pairs:
         room = _cap_room(ka, capspec) if capspec else ()
@@ -1119,7 +1141,8 @@ def _pair_products(pairs, bounds) -> dict:
             if room and any(map(gt, sums, room)):
                 continue
             key = tuple(map(add, ka, kb))
-            for e, lo, hi in zip(key, lows, highs):
+            for p, lo, hi in tests:
+                e = key[p]
                 if e < lo or e > hi:
                     break
             else:
@@ -1141,17 +1164,21 @@ def _pair_products(pairs, bounds) -> dict:
 def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
                  weight, what: str) -> TruncSeries:
     """The series b over s's variables with
-    b_K = seed_K + sum_t tail_t b_(K-t) weight(g, r), g and r the grades of
-    K - t and of t (weight None is 1), on the window ``gwins`` under the
-    caps ``gcaps``.
+    b_K = seed_K + sum_t tail_t b_(K-t) w(g, r), g and r the grades of
+    K - t and of t, on the window ``gwins`` under the caps ``gcaps``.  The
+    weight w is 1 for ``weight`` None, r/(g+r) for "r" (exp) and
+    -g/(g+r) for "-g" (log1p).
 
     The grade of a key is its exponent sum over the soft-truncated
     variables, each oriented toward its truncation.  Every tail term must
     move some soft variable forward and none backward (NonUnit otherwise),
     so it has grade >= 1 and b is solved one grade at a time: once a grade
     of b is complete, each of its terms is pushed forward by each tail
-    term, weighted once per grade, under the window and cap test of a
-    truncated product.  The soft grade bounds the recursion, so exactly
+    term under the window and cap test of a truncated product.  A key of
+    grade G = g + r takes the weight in three parts: each tail term is
+    weighted by r once ("r"), or each pushed term by -g once ("-g"), and
+    the sum at G, which starts at G seed_K, is divided by G once it is
+    complete.  The soft grade bounds the recursion, so exactly
     tracked variables (a point window in ``gwins``) move freely; their
     window is the hull of 0 and the stored support.  A cap is kept as it
     is: s must keep the jet rule in every capped group
@@ -1170,7 +1197,8 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
         o = [d * e for d, e in zip(dirs, t) if d]
         if min(o, default=0) < 0 or not any(o):
             raise NonUnit(f"{what} argument has non-nilpotent term {t}")
-        push.append((t, c, sum(o), sums))
+        r = sum(o)
+        push.append((t, c * r if weight == "r" else c, r, sums))
     # per capped group, the least degree a tail term adds: a key with less
     # room left in some group pushes no term
     least = tuple(map(min, zip(*[sums for *_, sums in push])))
@@ -1180,22 +1208,26 @@ def _grade_solve(s: TruncSeries, gwins, gcaps, seed: dict, tail: dict,
     for key, c in seed.items():
         if all(map(le, lows, key)) and all(map(le, key, highs)) and \
                 _under_caps(key, capspec):
-            grades[sum(map(mul, dirs, key))][key] = c
+            g = sum(map(mul, dirs, key))
+            grades[g][key] = c * g if weight and g else c
     terms = {}
     for g, layer in enumerate(grades):
-        if layer and weight is not None:
-            layer_push = [(t, c * w, r, sums) for t, c, r, sums in push
-                          if (w := weight(g, r))]
-        else:
-            layer_push = push
+        if weight and g and layer:
+            inv = PR.rational(Fraction(1, g))
         for key, c in layer.items():
+            if weight and g:
+                c = c * inv
             if c.is_zero():
                 continue
             terms[key] = c
+            if weight == "-g":
+                if not g:
+                    continue        # weight 0
+                c = c * -g
             room = _cap_room(key, capspec) if capspec else ()
             if room and any(map(lt, room, least)):
                 continue
-            for t, ct, step, sums in layer_push:
+            for t, ct, step, sums in push:
                 if room and any(map(gt, sums, room)):
                     continue
                 nk = tuple(map(add, key, t))

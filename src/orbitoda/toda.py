@@ -42,12 +42,19 @@ class ShiftOp:
     """sum_i bands[i] Lambda^i + deriv * eps d_x + logq * log Q.
 
     ``bands`` holds only bands at or above ``lo``; a zero-valued band is
-    kept, since it carries the window on which the zero is known."""
+    kept, since it carries the window on which the zero is known.
+
+    ``shifted`` keeps each band that ``mul`` has Taylor-shifted, by the
+    (i, j, eps window) of its shift by i of band j; ``replace`` starts it
+    afresh and ``==`` ignores it.  An operator is not changed after
+    construction, so a kept band stays valid."""
     bands: dict
     lo: int                   # band window floor (soft unless lo_hard)
     lo_hard: bool = False
     deriv: ParamRat = field(default_factory=PR.zero)
     logq: ParamRat = field(default_factory=PR.zero)
+    shifted: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     @property
     def win(self) -> VarWindow:
@@ -92,26 +99,39 @@ class ShiftOp:
             return ShiftOp({}, 0, True)
         win = product_win(self.win, other.win, sa, sb, "Lambda")
         terms: dict = {}
+        memo = other.shifted
         for i, a in self.bands.items():
-            shift = x_shift(i)
             for j, b in other.bands.items():
-                if i + j >= win.lo:
-                    terms.setdefault(i + j, []).append(
-                        a * b.exp_derivation(shift, {"eps": eps_win}))
+                if i + j < win.lo:
+                    continue
+                if i:           # a shift by 0 is the band itself
+                    key = (i, j, eps_win)
+                    shifted = memo.get(key)
+                    if shifted is None:
+                        shifted = memo[key] = b.exp_derivation(
+                            x_shift(i), {"eps": eps_win})
+                    b = shifted
+                terms.setdefault(i + j, []).append(a * b)
         return ShiftOp({n: sum_series(t) for n, t in terms.items()},
                        win.lo, win.lo_hard)
 
     def commutator(self, other: "ShiftOp", eps_win: VarWindow) -> "ShiftOp":
         """[self, other] with scalar eps d_x parts handled by the rule
         [c eps d_x, B] = c * eps d_x(B-coefficients); log Q is central."""
-        a_band = ShiftOp(self.bands, self.lo, self.lo_hard)
-        b_band = ShiftOp(other.bands, other.lo, other.lo_hard)
+        a_band, b_band = self.band_part(), other.band_part()
         out = a_band.mul(b_band, eps_win) - b_band.mul(a_band, eps_win)
         if not self.deriv.is_zero():
             out = out + b_band.eps_dx().scale(self.deriv)
         if not other.deriv.is_zero():
             out = out - a_band.eps_dx().scale(other.deriv)
         return out
+
+    def band_part(self) -> "ShiftOp":
+        """The bands alone: the operator itself, with its kept shifts, when
+        it has no eps d_x and no log Q part."""
+        if self.deriv.is_zero() and self.logq.is_zero():
+            return self
+        return ShiftOp(self.bands, self.lo, self.lo_hard)
 
     def eps_dx(self) -> "ShiftOp":
         return ShiftOp({i: c.derivative("x").shift_exponent("eps", 1)

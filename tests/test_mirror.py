@@ -2,6 +2,7 @@
 classical limits, stationary-phase polynomials."""
 
 import gc
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,8 @@ from orbitoda import mirror
 from orbitoda.algebra import bernoulli_number, poly_derivative
 from orbitoda.cohomology import Cohomology, SectorIndex
 from orbitoda.errors import WindowUnderflow
-from orbitoda.mirror import (FlatChart, _laurent_support, _pairing_vectors,
+from orbitoda.mirror import (FlatChart, _gauss_invert, _laurent_support,
+                             _pairing_vectors,
                              classical_critical_data, classical_R,
                              flat_coords_binomial, flat_coords_residue,
                              gaussian_moment_oracle, residue_both_ends,
@@ -207,6 +209,34 @@ def test_dt_dtau_jet_forms_no_product_past_its_degree(monkeypatch):
     assert len(products) == 2
     assert all(any(e for row in p for e in row) for p in products)
     assert len(jet) == 7
+
+
+def subst_value(ser, tvals):
+    """ser at the point by one ``subst`` per t-variable, the t-variables
+    that ``tvals`` leaves out by 0, then the constant term: the reference
+    of ``FlatChart.dt_dtau_at``'s point values."""
+    for v in ser.vars:
+        i = int(v[1:])
+        ser = ser.subst(v, TS.scalar(F(tvals.get(i, 0))))
+    return ser.terms.get((), PR.zero())
+
+
+@pytest.mark.parametrize("k, m, degree", [(2, 1, 2), (4, 3, 2), (5, 2, 3)])
+def test_point_inverse_jacobian_matches_substitution(k, m, degree):
+    # the Jacobian entries at seeded rational points, one point with t_1
+    # left out and one with a zero value, equal their subst values, and so
+    # does the inverse
+    chart = FlatChart(k, m, degree)
+    n = k + m
+    rng = random.Random(7)
+    points = [{j: F(rng.randint(-9, 9), rng.randint(1, 9))
+               for j in range(1, n + 1)} for _ in range(3)]
+    points[1].pop(1)
+    points[2][2] = F(0)
+    for tvals in points:
+        jac = [[subst_value(e, tvals) for e in row] for row in chart.jacobian]
+        assert chart.dt_dtau_at(tvals) == _gauss_invert(jac)
+        assert any(not e.is_rational() for row in jac for e in row)
 
 
 def test_y_chart_flat_coordinates():

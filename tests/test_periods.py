@@ -4,10 +4,13 @@ phase-form primitives."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
+
+from conftest import examples
 
 from orbitoda.cohomology import SectorIndex
-from orbitoda.errors import SingularFiber
-from orbitoda.periods import (DOp, _d_inverse_monomial, _inv_linear,
+from orbitoda.errors import SingularFiber, WindowUnderflow
+from orbitoda.periods import (DOp, _d_inverse_monomial, _over_linear,
                               _phi_mode_seed, bi_infinite_sum, d_apply,
                               d_classical, d_inverse, d_x_operator, mode_chain,
                               phase_primitive_check, verify_c_constant,
@@ -15,7 +18,8 @@ from orbitoda.periods import (DOp, _d_inverse_monomial, _inv_linear,
                               verify_mode_recursion,
                               verify_transformation_law, verify_w_derivative)
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, down_win, sum_series
+from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
+                             exact_win, sum_series, up_win)
 
 
 def test_operator_invariants():
@@ -31,6 +35,22 @@ def test_lemma_d_branches():
     assert verify_lemma_d_branches(3).ok
 
 
+def _inv_linear(nu, beta, zwin):
+    """1/(nu - beta z) on ``zwin`` in closed form: on a z-window soft below
+    the lead is -beta z, so 1/(nu - beta z) = -sum_n nu^n beta^(-n-1)
+    z^(-n-1) on [zwin.lo - 2, -1]; for beta = 0 it is 1/nu on [zwin.lo, 0].
+    The reference of ``_over_linear``: rhs times it is rhs / (nu - beta z)."""
+    if not beta:
+        return TS(("z",), {"z": VarWindow(zwin.lo, 0, False, True)},
+                  {(0,): nu.inverse()})
+    inv = 1 / beta
+    ratio, c, terms = nu * PR.rational(inv), PR.rational(-inv), {}
+    for e in range(-1, zwin.lo - 3, -1):
+        terms[(e,)] = c
+        c = c * ratio
+    return TS(("z",), {"z": VarWindow(zwin.lo - 2, -1, False, True)}, terms)
+
+
 @pytest.mark.parametrize("zwin", [down_win(-6, hi=0), down_win(-5, hi=12)])
 def test_inv_linear_matches_recip(zwin):
     # beta = (a + k - j)/k over a grid that includes beta = 0
@@ -44,6 +64,48 @@ def test_inv_linear_matches_recip(zwin):
                 assert (got.vars, got.wins, got.caps) == \
                     (want.vars, want.wins, want.caps)
                 assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def linear_divisions(draw):
+    """(rhs, nu, beta, zwin): a right-hand side over (q, z), as the modes of
+    ``_d_inverse_monomial`` form it but with random terms, its z-window
+    soft below and hard above, maybe under a cap on q; nu a monomial of
+    D-degree 1 and beta = e/k, 0 included; zwin the window of the
+    division."""
+    zlo = draw(st.integers(-8, 0))
+    zwin = down_win(zlo, hi=draw(st.integers(max(zlo, -2), 3)))
+    rzlo = draw(st.integers(-8, 2))
+    wins = {"z": down_win(rzlo, hi=draw(st.integers(rzlo, 4))),
+            "q": draw(st.sampled_from([up_win(4), exact_win(0, 3),
+                                       down_win(-2, hi=2)]))}
+    coeff = st.sampled_from([PR.rational(c) for c in (1, -1, 2, F(-3, 5))] +
+                            [PR.nu(3), PR.nu1(), PR.diff() + PR.nu1()])
+    key = st.tuples(st.integers(wins["q"].lo, wins["q"].hi),
+                    st.integers(wins["z"].lo, wins["z"].hi))
+    rhs = TS(("q", "z"), wins, draw(st.dictionaries(key, coeff, max_size=12)))
+    if wins["q"].lo_hard and draw(st.booleans()):
+        rhs = rhs.with_cap({"q"}, draw(st.integers(0, 3)))
+    k = draw(st.integers(1, 5))
+    nu = draw(st.sampled_from([PR.nu(k), PR.nubar(k)]))
+    return rhs, nu, F(draw(st.integers(-2 * k, 2 * k)), k), zwin
+
+
+@examples(300)
+@given(linear_divisions())
+def test_division_by_a_linear_form_is_the_product_by_its_reciprocal(case):
+    # the recurrence gives the terms, windows and caps of the product of
+    # rhs with the truncated reciprocal, for beta = 0 and beta != 0
+    rhs, nu, beta, zwin = case
+    try:
+        want = rhs * _inv_linear(nu, beta, zwin)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            _over_linear(rhs, nu, beta, zwin)
+        return
+    got = _over_linear(rhs, nu, beta, zwin)
+    assert (got.vars, got.wins, got.caps) == (want.vars, want.wins, want.caps)
+    assert got.terms == want.terms
 
 
 def _d_inverse_dense(D, a, lam_out, zwin):
@@ -76,7 +138,7 @@ def test_d_inverse_skips_only_zero_modes(k):
             for a in range(-3 * k, 3 * k + 1):
                 for depth in (k, 2 * k + 1):
                     lam_out = down_win(a - depth, hi=a + k)
-                    got = _d_inverse_monomial(D, a, lam_out, zwin, {})
+                    got = _d_inverse_monomial(D, a, lam_out, zwin)
                     want = _d_inverse_dense(D, a, lam_out, zwin)
                     assert got.vars == want.vars
                     assert got.terms == want.terms

@@ -104,8 +104,15 @@ class FracRat:
 
 
 def as_ref(x):
-    """The reference element of a ParamRat, after checking its form."""
+    """The reference element of a ParamRat, after checking its form: a
+    monomial in the slots, zero and two or more terms in the dict."""
     assert type(x.den) is int and x.den > 0
+    if x.terms is None:
+        assert all(type(e) is int for e in (x.d, x.s, x.v)) and x.s >= 0
+        assert x.num == {(x.d, x.s): x.v}
+    else:
+        assert len(x.terms) != 1 and (x.d, x.s, x.v) == (None,) * 3
+        assert x.num is x.terms
     assert all(type(v) is int and v for v in x.num.values())
     assert gcd(x.den, *x.num.values()) == 1  # so den == 1 for zero
     return FracRat({k: F(v, x.den) for k, v in x.num.items()})
@@ -149,6 +156,48 @@ def test_ring_operations_match_the_fraction_reference(a, b):
     agree(x * y, rx * ry)
     agree(y * x, rx * ry)
     assert str(x) == str(rx) and str(x * y) == str(rx * ry)
+
+
+@st.composite
+def monomials(draw):
+    """(ParamRat, reference) of one term, on three keys, so that two of
+    them often share their key."""
+    key = draw(st.sampled_from([(0, 0), (1, 0), (-1, 2)]))
+    c = draw(COEFFS.filter(bool))
+    return PR.monomial(c, *key), FracRat({key: c})
+
+
+MIXED = st.one_of(monomials(), elements())
+INTS = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+
+
+def old_hash(x):
+    """The hash of the dict layout, for every element."""
+    if x.is_rational():
+        return hash(F(x.num.get((0, 0), 0), x.den))
+    return hash((x.den, frozenset(x.num.items())))
+
+
+@examples(200)
+@given(MIXED, MIXED, INTS)
+def test_both_layouts_and_int_operands_match_the_reference(a, b, n):
+    # monomial and polynomial operands in either order, a Python int on
+    # either side, in canonical form and layout; == and hash agree with
+    # the reference and with the dict layout's hash
+    (x, rx), (y, ry) = a, b
+    rn = FracRat({(0, 0): F(n)} if n else {})
+    for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                      (y * x, rx * ry), (x * n, rx * rn), (n * x, rx * rn),
+                      (x + n, rx + rn), (n + x, rx + rn), (x - n, rx - rn)):
+        agree(got, want)
+        assert hash(got) == old_hash(got)
+        rebuilt = PR.from_ints(dict(got.num), got.den)
+        assert rebuilt == got and hash(rebuilt) == hash(got)
+        for other, rother in ((x, rx), (y, ry)):
+            assert (got == other) == (want.terms == rother.terms)
+    assert (x == n) == (rx.terms == rn.terms)
+    if rx.terms == rn.terms:
+        assert hash(x) == hash(n)
 
 
 @examples(100)

@@ -486,13 +486,13 @@ def test_windowed_product_matches_every_pair_loop(factors):
     formed = 0
     pair_products = series._pair_products
 
-    def counting(pairs, bounds):
+    def counting(pairs, bounds, where):
         def counted():
             nonlocal formed
             for ka, ca, tb in pairs:
                 formed += len(tb)
                 yield ka, ca, tb
-        return pair_products(counted(), bounds)
+        return pair_products(counted(), bounds, where)
     series._pair_products = counting
     try:
         got = a * b
@@ -581,8 +581,9 @@ def pair_loop_product(a, b):
     """a * b by the general pair loop of ``__mul__`` for any factors: keys
     remapped one by one, the support bounds of each variable taken from a
     list of the factor's exponents, every pair formed by ``_window_pairs``
-    and ``_pair_products``.  The reference of the product's fast exits and
-    of the support bounds a series keeps."""
+    and ``_pair_products``, which tests the window at every position.  The
+    reference of the product's fast exits, of the support bounds a series
+    keeps and of the positions it tests."""
     allvars = tuple(sorted(set(a.vars) | set(b.vars)))
 
     def keyed(s):
@@ -607,7 +608,8 @@ def pair_loop_product(a, b):
     right = [(key, c, tuple(sum(key[i] for i in pos) for pos, _ in bounds[2]))
              for key, c in keyed(b).items()]
     terms = series._pair_products(
-        series._window_pairs(keyed(a), right, bounds), bounds)
+        series._window_pairs(keyed(a), right, bounds), bounds,
+        range(len(allvars)))
     return TS(allvars, wins, terms, caps)
 
 
@@ -649,9 +651,9 @@ def test_products_by_a_factor_of_at_most_one_term_match_the_pair_loop(
     formed = []
     pair_products = series._pair_products
 
-    def counting(pairs, bounds):
+    def counting(pairs, bounds, where):
         formed.append(1)
-        return pair_products(pairs, bounds)
+        return pair_products(pairs, bounds, where)
     series._pair_products = counting
     try:
         got = a * b
@@ -1291,6 +1293,75 @@ def test_exp_and_log1p_match_chain_of_additions(s):
             exps = [0] + [key[i] for key in got.terms]
             assert gw == exact_win(min(exps), max(exps))
             assert ww.lo <= gw.lo and gw.hi <= ww.hi
+
+
+def per_layer_grade_solve(s, gwins, gcaps, seed, tail, weight, what):
+    """``series._grade_solve`` weighting the whole tail at every grade
+    layer g by ``weight(g, r)``: the reference of the solve that weights
+    each term once."""
+    series._check_jet_caps(s, gcaps, what)
+    dirs = [0 if gwins[v].lo_hard and gwins[v].hi_hard else s._direction(v)
+            for v in s.vars]
+    lows, highs, capspec = series._key_bounds(s.vars, gwins, gcaps)
+    lows = tuple(lo if d else series.NEG_INF for lo, d in zip(lows, dirs))
+    highs = tuple(hi if d else series.POS_INF for hi, d in zip(highs, dirs))
+    push = []
+    for t, c, sums in series._with_cap_sums(tail, capspec):
+        o = [d * e for d, e in zip(dirs, t) if d]
+        if min(o, default=0) < 0 or not any(o):
+            raise NonUnit(f"{what} argument has non-nilpotent term {t}")
+        push.append((t, c, sum(o), sums))
+    grades = [{} for _ in range(1 + sum(
+        gwins[v].hi if d > 0 else -gwins[v].lo
+        for v, d in zip(s.vars, dirs) if d))]
+    for key, c in seed.items():
+        if all(lo <= e <= hi for e, lo, hi in zip(key, lows, highs)) and \
+                series._under_caps(key, capspec):
+            grades[sum(d * e for d, e in zip(dirs, key))][key] = c
+    terms = {}
+    for g, layer in enumerate(grades):
+        layer_push = [(t, c * weight(g, r), r, sums) for t, c, r, sums in push
+                      if weight(g, r)]
+        for key, c in layer.items():
+            if c.is_zero():
+                continue
+            terms[key] = c
+            room = series._cap_room(key, capspec) if capspec else ()
+            for t, ct, step, sums in layer_push:
+                if room and any(x > y for x, y in zip(sums, room)):
+                    continue
+                nk = tuple(a + b for a, b in zip(key, t))
+                if all(lo <= e <= hi for e, lo, hi in zip(nk, lows, highs)):
+                    nxt = grades[g + step]
+                    nxt[nk] = nxt.get(nk, PR.zero()) + c * ct
+    wins = dict(gwins)
+    for i, (v, d) in enumerate(zip(s.vars, dirs)):
+        if not d:
+            col = [0] + [key[i] for key in terms]
+            wins[v] = exact_win(min(col), max(col))
+    return TS(s.vars, wins, terms, gcaps)
+
+
+@examples(200)
+@given(small_series())
+def test_grade_solve_weighting_each_term_once_is_the_per_layer_loop(s):
+    # exp weights each tail term by r and log1p each pushed term by -g,
+    # once, and divides each finished grade: the per-layer weights
+    # r/(g+r) and -g/(g+r) give the same terms in the same order
+    zero = (0,) * len(s.vars)
+    for what, weight, seed in (("exp", lambda g, r: F(r, g + r),
+                                {zero: PR.one()}),
+                               ("log1p", lambda g, r: F(-g, g + r), s.terms)):
+        try:
+            gwins = s._offset_window(zero, what)
+        except (NonUnit, WindowUnderflow):
+            continue
+        pair = raises_like(
+            lambda: per_layer_grade_solve(s, gwins, s.caps, seed, s.terms,
+                                          weight, what),
+            getattr(s, what))
+        if pair:
+            assert_same_series(*pair)
 
 
 @pytest.mark.parametrize("op", ["exp", "log1p"])

@@ -1,5 +1,6 @@
 """Shift-operator algebra, wave operators, flows, and the reduction."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,8 @@ from test_series import taylor_shift
 from orbitoda.errors import DivisionByZeroTau
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, down_win, sum_series, up_win
-from orbitoda.toda import (ShiftOp, TauJet, check_wave_equations, dress,
+from orbitoda.toda import (ShiftOp, TauJet, _generic_l, _generic_lbar,
+                           check_wave_equations, dress,
                            gauge_qpower_check, identity_op, lambda_op,
                            _d_time_op, log_lax, log_lax_bar, tau_to_wave,
                            two_toda_vacuum_tau, vacuum_lbar,
@@ -26,6 +28,49 @@ def test_lambda_commutation():
     out = lam.mul(ShiftOp({0: u}, 0, True), EW)
     want = TS.from_poly("x", {1: 1}) + TS.from_poly("eps", {1: 1})
     assert (out.bands[1] - want.truncated({"eps": EW})).is_zero()
+
+
+def fresh(op):
+    """op with no Taylor shift kept."""
+    return ShiftOp(op.bands, op.lo, op.lo_hard, op.deriv, op.logq)
+
+
+def test_kept_band_shifts_give_the_fresh_products():
+    # products that reuse the shifted bands of their right factor, on two
+    # eps windows and across a power, equal products of fresh operators
+    ew2 = up_win(2)
+    L, Lb = _generic_l(EW), _generic_lbar(EW)
+    for a, b, ew in ((L, Lb, EW), (Lb, L, EW), (L, L, EW), (L, Lb, ew2),
+                     (L.mul(Lb, EW), Lb, EW), (Lb, L.mul(Lb, EW), EW)):
+        for _ in range(2):
+            got = a.mul(b, ew)
+            want = fresh(a).mul(fresh(b), ew)
+            assert got == want
+            assert got.eq_report(want) is None
+            for i in got.bands:
+                assert got.bands[i].wins == want.bands[i].wins
+                assert got.bands[i].caps == want.bands[i].caps
+                assert got.bands[i].terms == want.bands[i].terms
+    assert {key[2] for key in Lb.shifted} == {EW, ew2}
+    # a commutator of operators with no eps d_x part keeps the shifts on
+    # its factors themselves
+    M = L.mul(L, EW)
+    assert M.commutator(Lb, EW) == fresh(M).commutator(fresh(Lb), EW)
+    assert M.shifted
+    # each shift by i of band j is kept once per eps window, none by 0
+    assert all(i for i, _, _ in L.shifted)
+    assert len(L.shifted) == len(set(L.shifted))
+
+
+def test_replace_and_equality_ignore_the_kept_shifts():
+    L = _generic_l(EW)
+    L.mul(L, EW)
+    assert L.shifted
+    assert L == fresh(L) and "shifted" not in repr(L)
+    trimmed = replace(L, bands={i: c for i, c in L.bands.items() if i <= 0})
+    assert trimmed.shifted == {}
+    assert trimmed.mul(L, EW) == fresh(trimmed).mul(fresh(L), EW)
+    assert L.mul(trimmed, EW) == fresh(L).mul(fresh(trimmed), EW)
 
 
 def test_split_projectors():
