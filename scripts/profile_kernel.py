@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Micro-benchmarks for the exact kernel: coefficient field and series ops.
 
-    python scripts/profile_kernel.py [--repeat N]
+    python scripts/profile_kernel.py [--repeat N] [--spawns N]
 
 The coefficient field is a sparse Laurent ring in (nu0 - nu1) over Q[nu1],
 chosen after sympy's generic fraction field benchmarked ~1000x slower on
@@ -13,11 +13,20 @@ each prints the median and the interquartile range of its N timings, so a
 drift of the host's speed spreads over all rows alike.  The speed probe of
 ``perfbench/run.py`` runs before each round, and the first line prints its
 seconds per round: a round on a slow or shifting host shows there.
+
+The start-up layer has its own rows: the median wall time and peak RSS
+(``VmHWM`` of /proc, so Linux only) of --spawns fresh interpreters that
+run ``pass``, and of as many that import orbitoda and its CLI, the two
+kinds alternating.  Compile the tree first (``python -m compileall src``)
+where PYTHONDONTWRITEBYTECODE is set: otherwise every spawn compiles the
+package, and the CLI row times the compiler.
 """
 
 import argparse
+import os
 import random
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +34,7 @@ from functools import reduce
 from operator import mul
 from pathlib import Path
 
+import orbitoda
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
 from orbitoda.jfunction import build_dj, build_j, inv_poch, operator_ladder
@@ -41,6 +51,35 @@ from orbitoda.toda import (ShiftOp, _generic_l, two_toda_vacuum_tau,
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.dont_write_bytecode = True      # nothing written into perfbench/
 from run import speed_probe  # noqa: E402
+
+
+# the start-up layer: an interpreter alone, and one that loads the CLI
+COLD = {"pass": "pass",
+        "import orbitoda and its CLI":
+        "import orbitoda; from orbitoda.cli import main"}
+# printed by each spawn last: its own peak RSS in kB.  ru_maxrss of a child
+# also counts the high-water mark of the process that spawned it, and this
+# script has loaded the kernel, so that would read the same for both rows.
+PEAK_RSS = ("\nprint(next(line.split()[1] for line in "
+            "open('/proc/self/status') if line.startswith('VmHWM')))")
+
+
+def cold_starts(spawns):
+    """{label: [median wall s, median peak RSS MB]} of ``spawns`` fresh
+    interpreters per COLD code, the codes alternating."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(orbitoda.__file__).resolve().parents[1]))
+    runs = {label: [] for label in COLD}
+    for _ in range(spawns):
+        for label, code in COLD.items():
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", code + PEAK_RSS],
+                                 env=env, capture_output=True, text=True,
+                                 check=True).stdout
+            runs[label].append((time.perf_counter() - t0,
+                                int(out) / 1024))
+    return {label: [statistics.median(x) for x in zip(*r)]
+            for label, r in runs.items()}
 
 
 def bench(fn, n):
@@ -210,9 +249,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="interleaved timings per row (default 1)")
-    repeat = parser.parse_args().repeat
-    if repeat < 1:
-        parser.error("--repeat must be at least 1")
+    parser.add_argument("--spawns", type=int, default=10, metavar="N",
+                        help="fresh interpreters per cold-start row "
+                        "(default 10)")
+    args = parser.parse_args()
+    repeat = args.repeat
+    if repeat < 1 or args.spawns < 1:
+        parser.error("--repeat and --spawns must be at least 1")
+    cold = cold_starts(args.spawns)
     table = list(rows())
     times = [[] for _ in table]
     probes = []
@@ -222,6 +266,9 @@ def main():
             row_times.append(bench(fn, n))
     print("speed probe before each round (s): " +
           " ".join(f"{p:.3f}" for p in probes))
+    for label, (wall, rss) in cold.items():
+        print(f"{'cold start, ' + label:45s} {wall * 1e3:10.2f} ms"
+              f"  peak RSS {rss:.2f} MB")
     for (label, _, _), row_times in zip(table, times):
         line = f"{label:45s} {statistics.median(row_times):10.2f} us/op"
         if repeat > 1:

@@ -52,8 +52,11 @@ def start(tree: Path, argv: list) -> subprocess.Popen:
 
 
 def commands(tree: Path) -> set:
-    """The subcommand names of the tree's CLI group."""
-    code = "from orbitoda.cli import main; print(*main.commands)"
+    """The subcommand names of the tree's CLI: the keys of its command
+    table, or the commands of its click group in a tree from before the
+    table."""
+    code = ("from orbitoda import cli; "
+            "print(*getattr(cli, 'COMMANDS', None) or cli.main.commands)")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
                          capture_output=True, text=True, check=True).stdout

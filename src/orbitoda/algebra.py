@@ -10,7 +10,6 @@ change-of-variables machinery relies on is stated for exactly this h.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -63,17 +62,15 @@ def symmetric_h(l: int, xs: Sequence) -> ParamRat:
 # -- Bernoulli polynomials ---------------------------------------------------
 
 _bernoulli_cache: list[dict[int, Fraction]] = []
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli_poly(n: int) -> dict[int, Fraction]:
     """B_n(x) as {power: coefficient}, from e^{tx} t/(e^t - 1); memoized."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            _extend_bernoulli()
-        return dict(_bernoulli_cache[n])
+    while len(_bernoulli_cache) <= n:
+        _extend_bernoulli()
+    return dict(_bernoulli_cache[n])
 
 
 def _extend_bernoulli():

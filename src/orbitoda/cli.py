@@ -8,59 +8,65 @@ with status "error", named by the row id and carrying the row's params,
 and the next row runs.  Truncation parameters are explicit flags with
 defaults and are echoed into the reports, so a "pass" always names its
 window.  Checks run one after another, and every report carries a stable
-check id.
+check id.  The subcommands are one table, ``COMMANDS``, parsed with the
+standard library's ``argparse``.
 """
 
-from __future__ import annotations
-
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
+from contextlib import nullcontext
 from math import gcd
-
-import click
 
 from .cohomology import SectorIndex
 from .reports import CheckReport
 from .series import up_win
 
 
-def _check_pair(k, m, param_hint=None):
-    """Exit 2 unless k and m are positive, distinct and coprime."""
+def _check_pair(k, m):
+    """Raise unless k and m are positive, distinct and coprime."""
     if k < 1 or m < 1 or k == m or gcd(k, m) != 1:
-        raise click.BadParameter(
-            f"k={k}, m={m} must be positive, distinct and coprime",
-            param_hint=param_hint)
+        raise ArgumentTypeError(
+            f"k={k}, m={m} must be positive, distinct and coprime")
 
 
-POSITIVE = click.IntRange(min=1)
-NONNEGATIVE = click.IntRange(min=0)
-KM_HINT = "'--k'/'--m'"
+def _at_least(lo):
+    """The converter of an integer flag whose value must be >= lo."""
+    def integer(text):
+        value = int(text)
+        if value < lo:
+            raise ArgumentTypeError(f"{value} is not in the range x>={lo}")
+        return value
+    return integer
 
 
-def _matrix(ctx, param, value):
+POSITIVE, NONNEGATIVE = _at_least(1), _at_least(0)
+
+
+def _matrix(value):
     """Parse a ``k,m;k,m;...`` matrix of valid (k, m) pairs."""
     out = []
     for chunk in value.split(";"):
         try:
             k, m = (int(x) for x in chunk.split(","))
         except ValueError:
-            raise click.BadParameter(
+            raise ArgumentTypeError(
                 f"{chunk!r} is not of the form k,m") from None
         _check_pair(k, m)
         out.append((k, m))
     return out
 
 
-def _zwindow(ctx, param, value):
+def _zwindow(value):
     """Parse a ``lo:hi`` z-window with lo <= hi and lo <= 1."""
     try:
         zlo, zhi = (int(x) for x in value.split(":"))
     except ValueError:
-        raise click.BadParameter(
+        raise ArgumentTypeError(
             f"{value!r} is not of the form lo:hi") from None
     if zlo > zhi:
-        raise click.BadParameter(f"empty window {value!r}: lo > hi")
+        raise ArgumentTypeError(f"empty window {value!r}: lo > hi")
     if zlo >= 2:
-        raise click.BadParameter(
+        raise ArgumentTypeError(
             f"window {value!r} lies above z^1, where J and every z dJ have "
             f"no term: every check would compare zeros; need lo <= 1")
     return zlo, zhi
@@ -83,19 +89,9 @@ def _run(rows, out):
                 error.detail = f"{type(exc).__name__}: {exc}"
                 reps = error
         for rep in reps if isinstance(reps, list) else [reps]:
-            click.echo(rep.to_json(), file=out)
+            print(rep.to_json(), file=out, flush=True)
             statuses.add(rep.status)
     sys.exit(3 if "error" in statuses else 0 if statuses <= {"pass"} else 1)
-
-
-@click.group()
-def main():
-    """Exact symbolic verification of the orbifold J-function calculus and
-    the bi-graded 2-Toda reduction."""
-
-
-OUT_OPT = click.option("--out", type=click.File("w"), default="-",
-                       help="Report stream destination (default stdout).")
 
 
 def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
@@ -103,24 +99,6 @@ def jfunc_jobs(k, m, qdeg, zlo, zhi, negate):
     return _rows(
         {"k": k, "m": m, "qdeg": qdeg, "zwin": [zlo, zhi], "negate": negate},
         ("jfunc", lambda: verify_jfunc(k, m, qdeg, zlo, zhi, negate)))
-
-
-@main.command()
-@click.option("--k", required=True, type=POSITIVE)
-@click.option("--m", required=True, type=POSITIVE)
-@click.option("--qdeg", type=NONNEGATIVE, default=None,
-              help="q-degree to verify through (default 2km).")
-@click.option("--zdeg", type=str, default="-6:2", callback=_zwindow,
-              help="z-window lo:hi.")
-@click.option("--negate", is_flag=True,
-              help="Perturb one operator as a negative control.")
-@OUT_OPT
-def jfunc(k, m, qdeg, zdeg, negate, out):
-    """The derivative-operator ladder identities and the quantum
-    differential equation."""
-    _check_pair(k, m, KM_HINT)
-    _run(jfunc_jobs(k, m, 2 * k * m if qdeg is None else qdeg, *zdeg,
-                    negate), out)
 
 
 def mirror_jobs(k, m, degree, seed, points):
@@ -135,21 +113,6 @@ def mirror_jobs(k, m, degree, seed, points):
         ("classical-critical", lambda: classical_critical_data(k, m)))
 
 
-@main.command("mirror-pairing")
-@click.option("--k", required=True, type=POSITIVE)
-@click.option("--m", required=True, type=POSITIVE)
-@click.option("--degree", type=NONNEGATIVE, default=2,
-              help="Symbolic jet degree.")
-@click.option("--seed", type=int, default=0)
-@click.option("--points", type=NONNEGATIVE, default=3,
-              help="Random rational parameter points to test.")
-@OUT_OPT
-def mirror_pairing(k, m, degree, seed, points, out):
-    """Residue pairing vs the Poincare pairing; flat-coordinate routes."""
-    _check_pair(k, m, KM_HINT)
-    _run(mirror_jobs(k, m, degree, seed, points), out)
-
-
 def asymptotics_jobs(k, m, n):
     from .mirror import (gaussian_moment_oracle, verify_a_polynomials,
                          verify_classical_r)
@@ -158,18 +121,6 @@ def asymptotics_jobs(k, m, n):
         ("a-polynomials", lambda: verify_a_polynomials(n)),
         ("gaussian-moment-oracle", lambda: gaussian_moment_oracle(min(n, 5))),
         ("classical-r", lambda: verify_classical_r(k, m)))
-
-
-@main.command()
-@click.option("--k", type=POSITIVE, default=3)
-@click.option("--m", type=POSITIVE, default=2)
-@click.option("--n", type=click.IntRange(min=2), default=12,
-              help="Highest A_n checked.")
-@OUT_OPT
-def asymptotics(k, m, n, out):
-    """Stationary-phase polynomials and the Gaussian-moment oracle."""
-    _check_pair(k, m, KM_HINT)
-    _run(asymptotics_jobs(k, m, n), out)
 
 
 def periods_jobs(k, m):
@@ -188,17 +139,6 @@ def periods_jobs(k, m):
         ("phase-primitives", lambda: phase_primitive_check(k, m)),
         ("w-derivative", lambda: verify_w_derivative(k, m)),
         ("c-constant", lambda: verify_c_constant(k, m)))
-
-
-@main.command()
-@click.option("--k", required=True, type=POSITIVE)
-@click.option("--m", required=True, type=POSITIVE)
-@OUT_OPT
-def periods(k, m, out):
-    """Lemma-D branches, bi-infinite sums, the transformation law, and the
-    phase-form primitives."""
-    _check_pair(k, m, KM_HINT)
-    _run(periods_jobs(k, m), out)
 
 
 def toda_jobs(k, m, eps_order, times):
@@ -221,20 +161,6 @@ def toda_jobs(k, m, eps_order, times):
         ("gauge-qpower", gauge_qpower_check))
 
 
-@main.command()
-@click.option("--k", type=POSITIVE, default=2)
-@click.option("--m", type=POSITIVE, default=1)
-@click.option("--eps-order", type=click.IntRange(min=3), default=3,
-              help="eps-truncation order of the jets.")
-@click.option("--times", type=POSITIVE, default=3,
-              help="Flow times carried by tau jets.")
-@OUT_OPT
-def toda(k, m, eps_order, times, out):
-    """Shift-operator flows, wave equations, and the bi-graded reduction."""
-    _check_pair(k, m, KM_HINT)
-    _run(toda_jobs(k, m, eps_order, times), out)
-
-
 def vertex_jobs(k, m, modes, negate):
     from .hqe import (verify_change_matrix, verify_lemma_inv,
                       verify_theorem2_transform)
@@ -244,18 +170,6 @@ def vertex_jobs(k, m, modes, negate):
          lambda: verify_theorem2_transform(k, m, modes, negate=negate)),
         ("lemma-inv", lambda: verify_lemma_inv(k, 8)),
         ("change-matrix", lambda: verify_change_matrix(k, 4, 8)))
-
-
-@main.command()
-@click.option("--k", required=True, type=POSITIVE)
-@click.option("--m", required=True, type=POSITIVE)
-@click.option("--modes", type=POSITIVE, default=12)
-@click.option("--negate", is_flag=True)
-@OUT_OPT
-def vertex(k, m, modes, negate, out):
-    """The flow-variable change of the vertex operators and its inversion."""
-    _check_pair(k, m, KM_HINT)
-    _run(vertex_jobs(k, m, modes, negate), out)
 
 
 def hqe_jobs(k, m, times, negate):
@@ -270,20 +184,6 @@ def hqe_jobs(k, m, times, negate):
           if negate else []))
 
 
-@main.command()
-@click.option("--k", type=POSITIVE, default=3)
-@click.option("--m", type=POSITIVE, default=2)
-@click.option("--times", type=POSITIVE, default=2,
-              help="Flow depth of the bilinear residue checks.")
-@click.option("--negate", is_flag=True,
-              help="Also run the perturbed-tau negative control.")
-@OUT_OPT
-def hqe(k, m, times, negate, out):
-    """Bilinear residue checks on truncated Fock elements and tau jets."""
-    _check_pair(k, m, KM_HINT)
-    _run(hqe_jobs(k, m, times, negate), out)
-
-
 def all_jobs(matrix, qdeg, modes, seed):
     return [row for (k, m) in matrix for row in
             jfunc_jobs(k, m, 2 * k * m if qdeg is None else qdeg, -6, 2,
@@ -295,16 +195,115 @@ def all_jobs(matrix, qdeg, modes, seed):
         hqe_jobs(3, 2, 2, True)
 
 
-@main.command("all")
-@click.option("--matrix", default="2,1;3,2", callback=_matrix,
-              help="Semicolon-separated k,m pairs.")
-@click.option("--qdeg", type=NONNEGATIVE, default=None)
-@click.option("--modes", type=POSITIVE, default=12)
-@click.option("--seed", type=int, default=0)
-@OUT_OPT
-def run_everything(matrix, qdeg, modes, seed, out):
-    """Aggregate verification over a (k, m) matrix."""
-    _run(all_jobs(matrix, qdeg, modes, seed), out)
+# A flag is (flag, converter, default, help); the converter bool makes a
+# switch, the default REQUIRED a flag that must be given.
+REQUIRED = ...
+K, M = ("--k", POSITIVE, REQUIRED, None), ("--m", POSITIVE, REQUIRED, None)
+OUT = ("--out", str, "-", "Report stream destination (default stdout).")
+
+# name -> (help, flags, rows builder called with the flags by name)
+COMMANDS = {
+    "jfunc": (
+        "The derivative-operator ladder identities and the quantum "
+        "differential equation.",
+        [K, M,
+         ("--qdeg", NONNEGATIVE, None,
+          "q-degree to verify through (default 2km)."),
+         ("--zdeg", _zwindow, "-6:2", "z-window lo:hi."),
+         ("--negate", bool, False,
+          "Perturb one operator as a negative control.")],
+        lambda k, m, qdeg, zdeg, negate: jfunc_jobs(
+            k, m, 2 * k * m if qdeg is None else qdeg, *zdeg, negate)),
+    "mirror-pairing": (
+        "Residue pairing vs the Poincare pairing; flat-coordinate routes.",
+        [K, M, ("--degree", NONNEGATIVE, 2, "Symbolic jet degree."),
+         ("--seed", int, 0, None),
+         ("--points", NONNEGATIVE, 3,
+          "Random rational parameter points to test.")],
+        mirror_jobs),
+    "asymptotics": (
+        "Stationary-phase polynomials and the Gaussian-moment oracle.",
+        [("--k", POSITIVE, 3, None), ("--m", POSITIVE, 2, None),
+         ("--n", _at_least(2), 12, "Highest A_n checked.")],
+        asymptotics_jobs),
+    "periods": (
+        "Lemma-D branches, bi-infinite sums, the transformation law, and "
+        "the phase-form primitives.",
+        [K, M], periods_jobs),
+    "toda": (
+        "Shift-operator flows, wave equations, and the bi-graded reduction.",
+        [("--k", POSITIVE, 2, None), ("--m", POSITIVE, 1, None),
+         ("--eps-order", _at_least(3), 3, "eps-truncation order of the jets."),
+         ("--times", POSITIVE, 3, "Flow times carried by tau jets.")],
+        toda_jobs),
+    "vertex": (
+        "The flow-variable change of the vertex operators and its inversion.",
+        [K, M, ("--modes", POSITIVE, 12, None),
+         ("--negate", bool, False, None)],
+        vertex_jobs),
+    "hqe": (
+        "Bilinear residue checks on truncated Fock elements and tau jets.",
+        [("--k", POSITIVE, 3, None), ("--m", POSITIVE, 2, None),
+         ("--times", POSITIVE, 2,
+          "Flow depth of the bilinear residue checks."),
+         ("--negate", bool, False,
+          "Also run the perturbed-tau negative control.")],
+        hqe_jobs),
+    "all": (
+        "Aggregate verification over a (k, m) matrix.",
+        [("--matrix", _matrix, "2,1;3,2", "Semicolon-separated k,m pairs."),
+         ("--qdeg", NONNEGATIVE, None, None),
+         ("--modes", POSITIVE, 12, None), ("--seed", int, 0, None)],
+        all_jobs),
+}
+
+
+def _no_command(prog, args):
+    """Exit with the command list: 0 on --help, 2 on a missing or unknown
+    command."""
+    group = ArgumentParser(prog=prog, description=main.__doc__)
+    commands = group.add_subparsers(title="commands", metavar="COMMAND",
+                                    required=True)
+    for name, (doc, _, _) in COMMANDS.items():
+        commands.add_parser(name, help=doc)
+    group.parse_args(args[:1])
+
+
+def main(args=None, prog_name=None):
+    """Exact symbolic verification of the orbifold J-function calculus and
+    the bi-graded 2-Toda reduction."""
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "orbitoda"
+    if not args or args[0] not in COMMANDS:
+        _no_command(prog, args)
+    doc, flags, jobs = COMMANDS[args[0]]
+    parser = ArgumentParser(prog=f"{prog} {args[0]}", description=doc,
+                            allow_abbrev=False)
+    valued = set()
+    for flag, convert, default, text in flags + [OUT]:
+        if convert is bool:
+            parser.add_argument(flag, action="store_true", help=text)
+        else:
+            parser.add_argument(flag, type=convert, default=default,
+                                required=default is REQUIRED, help=text)
+            valued.add(flag)
+    # a flag with a value takes the next token, even one such as "-8:2"
+    # that argparse would read as a flag: join the two as --flag=value
+    tokens = iter(args[1:])
+    tokens = [f"{t}={next(tokens, '')}" if t in valued else t for t in tokens]
+    params, extra = parser.parse_known_args(tokens)
+    if extra:
+        parser.error(f"No such option: {extra[0]}" if extra[0][:1] == "-"
+                     else f"unexpected extra argument ({extra[0]})")
+    out = vars(params).pop("out")
+    try:
+        if hasattr(params, "k"):
+            _check_pair(params.k, params.m)
+        stream = nullcontext(sys.stdout) if out == "-" else open(out, "w")
+    except (ArgumentTypeError, OSError) as exc:
+        parser.error(str(exc))
+    with stream as out:
+        _run(jobs(**vars(params)), out)
 
 
 if __name__ == "__main__":

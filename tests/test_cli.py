@@ -1,11 +1,31 @@
 """CLI: report schema, determinism, exit codes, golden trivial cases."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from orbitoda.cli import main
+from orbitoda.cli import COMMANDS, main
+
+Result = namedtuple("Result", "exit_code output")
+
+
+def _invoke(args):
+    """Run the CLI in this process: its exit code, and its stdout and
+    stderr together as ``output``."""
+    out, code = io.StringIO(), None
+    with redirect_stdout(out), redirect_stderr(out):
+        try:
+            main(args=args, prog_name="orbitoda")
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue())
 
 
 def _reports(result):
@@ -17,9 +37,7 @@ def _strip_time(rep):
 
 
 def test_jfunc_stream_and_exit():
-    runner = CliRunner()
-    result = runner.invoke(main, ["jfunc", "--k", "2", "--m", "1",
-                                  "--qdeg", "4"])
+    result = _invoke(["jfunc", "--k", "2", "--m", "1", "--qdeg", "4"])
     assert result.exit_code == 0
     reps = _reports(result)
     assert [r["check"] for r in reps] == [
@@ -29,24 +47,21 @@ def test_jfunc_stream_and_exit():
 
 
 def test_negate_flag_fails_with_discrepancy():
-    runner = CliRunner()
-    result = runner.invoke(main, ["jfunc", "--k", "3", "--m", "2",
-                                  "--qdeg", "6", "--negate"])
+    result = _invoke(["jfunc", "--k", "3", "--m", "2", "--qdeg", "6",
+                      "--negate"])
     assert result.exit_code == 1
     bad = [r for r in _reports(result) if r["status"] == "fail"]
     assert bad and "first_discrepancy" in bad[0]
 
 
 def test_vertex_negate():
-    runner = CliRunner()
-    result = runner.invoke(main, ["vertex", "--k", "3", "--m", "2",
-                                  "--modes", "6", "--negate"])
+    result = _invoke(["vertex", "--k", "3", "--m", "2", "--modes", "6",
+                      "--negate"])
     assert result.exit_code == 1
 
 
 def test_bad_flags_exit_2():
-    runner = CliRunner()
-    result = runner.invoke(main, ["jfunc", "--k", "3"])
+    result = _invoke(["jfunc", "--k", "3"])
     assert result.exit_code == 2
 
 
@@ -60,7 +75,7 @@ def test_bad_flags_exit_2():
     (["--k", "3", "--m", "2", "--zdeg", "2:4"], "need lo <= 1"),
 ])
 def test_bad_jfunc_flags_exit_2(flags, message):
-    result = CliRunner().invoke(main, ["jfunc"] + flags)
+    result = _invoke(["jfunc"] + flags)
     assert result.exit_code == 2
     assert message in result.output
 
@@ -87,7 +102,7 @@ def test_bad_jfunc_flags_exit_2(flags, message):
     (["asymptotics", "--n", "-5"], "x>=2"),
 ])
 def test_bad_pair_flags_exit_2(args, message):
-    result = CliRunner().invoke(main, args)
+    result = _invoke(args)
     assert result.exit_code == 2
     assert message in result.output
 
@@ -95,18 +110,17 @@ def test_bad_pair_flags_exit_2(args, message):
 @pytest.mark.parametrize("args", [["asymptotics"],
                                   ["hqe", "--times", "1", "--negate"]])
 def test_every_report_is_timed(args):
-    reps = _reports(CliRunner().invoke(main, args))
+    reps = _reports(_invoke(args))
     assert reps
     assert all(r["elapsed_ms"] > 0 for r in reps), \
         [r["check"] for r in reps if not r["elapsed_ms"] > 0]
 
 
 def test_deterministic_reports():
-    runner = CliRunner()
     args = ["mirror-pairing", "--k", "2", "--m", "1", "--points", "2",
             "--seed", "7"]
-    a = runner.invoke(main, args)
-    b = runner.invoke(main, args)
+    a = _invoke(args)
+    b = _invoke(args)
     assert a.exit_code == b.exit_code == 0
     ra = [_strip_time(r) for r in _reports(a)]
     rb = [_strip_time(r) for r in _reports(b)]
@@ -168,7 +182,7 @@ def test_raising_check_becomes_error_report(monkeypatch):
     def broken(n):
         raise ZeroDivisionError("planted")
     monkeypatch.setattr(orbitoda.mirror, "verify_a_polynomials", broken)
-    result = CliRunner().invoke(main, ["asymptotics", "--n", "4"])
+    result = _invoke(["asymptotics", "--n", "4"])
     assert result.exit_code == 3
     reps = _reports(result)
     errors = [r for r in reps if r["status"] == "error"]
@@ -187,13 +201,97 @@ def test_error_report_names_the_row_params(monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("planted")
     monkeypatch.setattr(orbitoda.jfunction, "verify_jfunc", broken)
-    result = CliRunner().invoke(main, ["jfunc", "--k", "3", "--m", "2"])
+    result = _invoke(["jfunc", "--k", "3", "--m", "2"])
     assert result.exit_code == 3
     (error,) = _reports(result)
     assert error["status"] == "error"
     assert error["check"] == "jfunc"
     assert error["params"] == {"k": 3, "m": 2, "qdeg": 12, "zwin": [-6, 2],
                                "negate": False}
+
+
+def _exit(args, capsys):
+    """The SystemExit code of a run, and its stdout and stderr apart."""
+    with pytest.raises(SystemExit) as exc:
+        main(args=args, prog_name="orbitoda")
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("args, code", [
+    (["jfunc", "--k", "2", "--m", "1", "--qdeg", "2"], 0),
+    (["vertex", "--k", "3", "--m", "2", "--modes", "6", "--negate"], 1),
+    (["--help"], 0),
+    *[([name, "--help"], 0) for name in COMMANDS],
+])
+def test_exit_code_and_stdout(args, code, capsys):
+    got, out, err = _exit(args, capsys)
+    assert (got, err) == (code, "")
+    assert out
+
+
+def test_bad_flag_exits_2_with_the_message_on_stderr(capsys):
+    code, out, err = _exit(["jfunc", "--k", "2", "--m", "1", "--qdeg", "-1"],
+                           capsys)
+    assert (code, out) == (2, "")
+    assert "--qdeg" in err and "x>=0" in err
+
+
+def test_raising_row_exits_3(monkeypatch, capsys):
+    import orbitoda.mirror
+
+    def broken(n):
+        raise ZeroDivisionError("planted")
+    monkeypatch.setattr(orbitoda.mirror, "verify_a_polynomials", broken)
+    code, out, err = _exit(["asymptotics", "--n", "2"], capsys)
+    assert (code, err) == (3, "")
+    assert json.loads(out.splitlines()[0])["status"] == "error"
+
+
+@pytest.mark.parametrize("zdeg", [["--zdeg", "-8:2"], ["--zdeg=-8:2"]])
+def test_a_negative_window_is_read_as_the_flag_value(zdeg):
+    result = _invoke(["jfunc", "--k", "2", "--m", "1", "--qdeg", "2", *zdeg])
+    assert result.exit_code == 0
+    reps = _reports(result)
+    assert reps and all(r["params"]["zwin"] == [-8, 2] for r in reps)
+
+
+def test_out_file_is_closed_and_stdout_is_not(tmp_path, monkeypatch):
+    from orbitoda import cli
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    path = tmp_path / "reports.jsonl"
+    args = ["asymptotics", "--n", "2"]
+    assert _invoke([*args, "--out", str(path)]) == (0, "")
+    (stream,) = opened
+    assert stream.closed
+    checks = ["a-polynomials", "gaussian-moment-oracle", "classical-r"]
+    assert [json.loads(line)["check"]
+            for line in path.read_text().splitlines()] == checks
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), pytest.raises(SystemExit):
+        main(args=args, prog_name="orbitoda")
+    assert not stdout.closed
+    assert [r["check"] for r in _reports(Result(0, stdout.getvalue()))] == \
+        checks
+
+
+def test_the_cli_loads_no_third_party_module():
+    code = ("import sys; before = set(sys.modules); import orbitoda; "
+            "from orbitoda.cli import main; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    packages = {name.split(".")[0] for name in loaded}
+    assert "orbitoda" in packages and "click" not in packages
+    assert packages - {"orbitoda"} <= set(sys.stdlib_module_names)
 
 
 def test_all_is_the_concatenation_of_the_subcommand_rows():

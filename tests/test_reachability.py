@@ -1,8 +1,8 @@
 """Library code that no command reaches.
 
 An ``ast`` scan of ``src/orbitoda``: the roots are ``cli.py``'s module-level
-code and its click commands, and a definition is reached when a reached
-body refers to its name (as a name or as an attribute).  Module-level
+code (its command table) and ``main``, and a definition is reached when a
+reached body refers to its name (as a name or as an attribute).  Module-level
 functions, classes, constants and methods are definitions; a method is
 reached only through its own name, and dunder methods (and the class body)
 come with their class.  Names are matched without resolving imports, so a
@@ -48,19 +48,13 @@ def _is_dunder(name: str) -> bool:
 def _definitions():
     """{qualified name: (own name, refs of its body, qualified names that
     come with it)}, plus the roots' refs."""
-    defs, roots = {}, set()
+    defs, roots = {}, {"main"}
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{mod}.{node.name}"
                 defs[qual] = (node.name, _refs([node]), set())
-                if mod == "cli" and any(
-                        isinstance(d, ast.Call) and isinstance(
-                            d.func, ast.Attribute)
-                        and d.func.attr in ("command", "group")
-                        for d in node.decorator_list):
-                    roots.add(node.name)
             elif isinstance(node, ast.ClassDef):
                 qual = f"{mod}.{node.name}"
                 body, companions = [*node.decorator_list, *node.bases], set()
