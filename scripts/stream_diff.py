@@ -7,9 +7,10 @@ Usage:
 Runs, under each tree's ``src``, ``orbitoda all``, the default ``hqe`` and
 ``toda``, every invocation of the benchmark workloads
 (``perfbench.verdicts.invocations(workload, 1)`` of this checkout), and
-four more beyond that list (``EXTRA``): three that form capped jets, and
+five more beyond that list (``EXTRA``): three that form capped jets, and
 ``toda --k 2 --m 3 --eps-order 4 --times 3``, the one run with m > k,
-whose raising inverse runs at m = 3 on a wider eps-window.  Each runs in
+whose raising inverse runs at m = 3 on a wider eps-window, and the sweep
+of ``all`` over every coprime pair with k, m <= 6 (``SWEEP``).  Each runs in
 a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
 reports and the exit codes must then be identical.  Then ``--help`` of the
 group and of every subcommand either tree has must print the same text
@@ -24,6 +25,7 @@ import os
 import subprocess
 import sys
 from itertools import zip_longest
+from math import gcd
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,13 +34,18 @@ sys.dont_write_bytecode = True
 
 from verdicts import WORKLOADS, invocations  # noqa: E402
 
+# every row at the 22 coprime pairs (k, m) with k, m <= 6
+SWEEP = ";".join(f"{k},{m}" for k in range(1, 7) for m in range(1, 7)
+                 if k != m and gcd(k, m) == 1)
+
 # capped jets the benchmark's invocations do not form: the t-jet of a
 # degree-3 chart, and HQE and 2-Toda checks at flow depth 2; then the
-# raising inverse at m = 3 > k on eps-order 4
+# raising inverse at m = 3 > k on eps-order 4, and the sweep
 EXTRA = [["mirror-pairing", "--k", "4", "--m", "3", "--degree", "3"],
          ["hqe", "--k", "5", "--m", "2", "--times", "2", "--negate"],
          ["toda", "--k", "3", "--m", "2", "--times", "2"],
-         ["toda", "--k", "2", "--m", "3", "--eps-order", "4", "--times", "3"]]
+         ["toda", "--k", "2", "--m", "3", "--eps-order", "4", "--times", "3"],
+         ["all", "--matrix", SWEEP]]
 
 RUN = "import sys; from orbitoda.cli import main; " \
     "main(args=sys.argv[1:], prog_name='orbitoda')"

@@ -147,9 +147,8 @@ def verify_change_matrix(k: int, N_max: int, L_max: int) -> CheckReport:
                 row = a_matrix_row_generating(k, i, N, L_max)
                 want = a_matrix_row(k, i, N, L_max)
                 for L in range(L_max + 1):
-                    if not (row[L] - want[L]).is_zero():
-                        rep.fail({"i": i, "N": N, "L": L}, str(row[L]),
-                                 str(want[L]))
+                    if not rep.compare(row[L], want[L],
+                                       {"i": i, "N": N, "L": L}):
                         return rep
     return rep
 
@@ -199,12 +198,11 @@ def verify_lemma_inv(k: int, L_max: int) -> CheckReport:
                      max_order_verified={"L": L_max}) as rep:
         for i, L, N, acc, top in lemma_inv_sums(k, L_max):
             want = PR.one() if L == N else PR.zero()
-            if not (acc - want).is_zero():
-                rep.fail({"i": i, "N": N, "L": L}, str(acc), str(want))
+            if not rep.compare(acc, want, {"i": i, "N": N, "L": L}):
                 return rep
-            if top is not None and not top.is_zero():
-                rep.fail({"i": i, "N": N, "L": L, "route": "generating"},
-                         str(top), "0")
+            if top is not None and not rep.compare(
+                    top, PR.zero(),
+                    {"i": i, "N": N, "L": L, "route": "generating"}):
                 return rep
     return rep
 
@@ -227,15 +225,16 @@ def verify_theorem2_transform(k: int, m: int, mode_max: int,
                 max_order_verified={"lambda": mode_max}) as rep:
             gamma = build_gamma(k, m, +1, barred, mode_max,
                                 depth=mode_max // kk + L_pad)
-            disc = _check_modes(gamma, k, m, barred, mode_max, L_pad, negate)
-            if disc is not None:
-                rep.fail(disc, disc.get("lhs", "?"), disc.get("rhs", "?"))
+            _check_modes(rep, gamma, k, m, barred, mode_max, L_pad, negate)
         out.append(rep)
     return out
 
 
-def _check_modes(gamma: VertexSymbol, k: int, m: int, barred: bool,
-                 mode_max: int, L_pad: int, negate: bool = False):
+def _check_modes(rep: CheckReport, gamma: VertexSymbol, k: int, m: int,
+                 barred: bool, mode_max: int, L_pad: int,
+                 negate: bool = False) -> None:
+    """Compare every mode of ``gamma`` with its 2-Toda form on ``rep``,
+    up to the first discrepancy."""
     kk = m if barred else k
     side = "m" if barred else "k"
     # rows[i][N] = a_{N, 0..L_max}: N <= mode_max // kk covers every mode,
@@ -266,44 +265,31 @@ def _check_modes(gamma: VertexSymbol, k: int, m: int, barred: bool,
         if negate and M == 1:
             want = {M: PR.rational(Fraction(1, M + 1))}
         for idx in sorted(set(y_coeff) | set(want)):
-            got = y_coeff.get(idx, PR.zero())
-            expect = want.get(idx, PR.zero())
-            if not (got - expect).is_zero():
-                return {"mode": p, "flow_index": idx, "lhs": str(got),
-                        "rhs": str(expect), "side": side}
+            if not rep.compare(y_coeff.get(idx, PR.zero()),
+                               want.get(idx, PR.zero()),
+                               {"mode": p, "flow_index": idx, "side": side}):
+                return
     # lambda^0 mode: exactly the untwisted translation eps d/dq_0
     slot = gamma.annihilation.get(0, {})
     want_key = (0, SectorIndex(side, 0))
-    for key, c in slot.items():
-        expect = PR.one() if key == want_key else PR.zero()
-        if not (c - expect).is_zero():
-            return {"mode": 0, "slot": str(key), "lhs": str(c),
-                    "rhs": str(expect), "side": side}
-    if want_key not in slot:
-        return {"mode": 0, "slot": str(want_key), "lhs": "0", "rhs": "1",
-                "side": side}
+    for key, c in {**slot, want_key: slot.get(want_key, PR.zero())}.items():
+        if not rep.compare(c, PR.one() if key == want_key else PR.zero(),
+                           {"mode": 0, "slot": str(key), "side": side}):
+            return
     # positive modes: creation entries must match -eps^-1 y_{N kk + i}
     for p in range(1, mode_max + 1):
         slot = gamma.creation.get(p, {})
         i = p % kk if p % kk else kk
         N = (p - i) // kk
-        for (L, alpha), c in slot.items():
-            expect_alpha = SectorIndex(side, i % kk)
-            if alpha != expect_alpha:
-                return {"mode": p, "slot": str((L, alpha)), "lhs": str(c),
-                        "rhs": "0", "side": side}
-            want = -rows[i][N][L]
-            if not (c - want).is_zero():
-                return {"mode": p, "slot": str((L, alpha)), "lhs": str(c),
-                        "rhs": str(want), "side": side}
-        for L in range(N, N + L_pad + 1):
-            key = (L, SectorIndex(side, i % kk))
-            if key not in slot:
-                want = rows[i][N][L]
-                if not want.is_zero():
-                    return {"mode": p, "slot": str(key), "lhs": "0",
-                            "rhs": str(-want), "side": side}
-    return None
+        alpha_p = SectorIndex(side, i % kk)
+        # the stored slots, then the mode's sector through L_pad
+        for L, alpha in dict.fromkeys([*slot, *((L, alpha_p) for L in
+                                                range(N, N + L_pad + 1))]):
+            want = -rows[i][N][L] if alpha == alpha_p else PR.zero()
+            if not rep.compare(slot.get((L, alpha), PR.zero()), want,
+                               {"mode": p, "slot": str((L, alpha)),
+                                "side": side}):
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +582,8 @@ def verify_trivial_residue(k: int, m: int) -> CheckReport:
                      params={"k": k, "m": m}) as rep:
         one = fock_one(HQE_EPS)
         for (n, l) in [(0, 0), (1, 0), (0, 1)]:
-            if not hqe_residue_eval(k, m, one, one, n, l, 0,
-                                    HQE_EPS).is_zero():
-                rep.fail({"n": n, "l": l}, "nonzero", "0")
+            if not rep.compare(hqe_residue_eval(k, m, one, one, n, l, 0,
+                                                HQE_EPS), 0, {"n": n, "l": l}):
                 break
     return rep
 
@@ -618,8 +603,8 @@ def verify_bilinearity(k: int, m: int) -> CheckReport:
             # scaling a zero residue proves nothing
             rep.fail({}, "0", "a nonzero residue",
                      detail="the residue being scaled vanishes identically")
-        elif not (lhs - resid.scale(2)).is_zero():
-            rep.fail({}, "scaling", "bilinear")
+        else:
+            rep.compare(lhs, resid.scale(2), {})
     return rep
 
 

@@ -464,12 +464,8 @@ def j_small_z_expansion(k: int, m: int) -> bool:
     expanded = expand_prefactors(j, 2)
     unit = coh.unit()
     p = coh.p_class()
-    for idx in (SectorIndex("k", 0), SectorIndex("m", 0)):
-        ser = expanded[idx].coeff_of("q", 0)
-        z1 = ser.coeff_of("z", 1).coeff_of("tau", 0)
-        if not (z1 - TruncSeries.scalar(unit.coords[idx])).is_zero():
-            return False
-        z0t1 = ser.coeff_of("z", 0).coeff_of("tau", 1)
-        if not (z0t1 - TruncSeries.scalar(p.coords[idx])).is_zero():
-            return False
-    return True
+    q0 = {idx: expanded[idx].coeff_of("q", 0)
+          for idx in (SectorIndex("k", 0), SectorIndex("m", 0))}
+    return all(ser.coeff_of("z", 1).coeff_of("tau", 0) == unit.coords[idx]
+               and ser.coeff_of("z", 0).coeff_of("tau", 1) == p.coords[idx]
+               for idx, ser in q0.items())

@@ -196,19 +196,18 @@ def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
                     rep.fail({"alpha": f"{a}/{k}", "tail": bool(D.tail)},
                              str(z0), "1/nu iff alpha=-1")
                     break
-                if want_const:
-                    if not (z0.coeff_of("lam", 0) -
-                            TruncSeries.scalar(D.nu.inverse())).is_zero():
-                        rep.fail({"alpha": f"{a}/{k}"}, str(z0), "1/nu")
-                        break
+                if want_const and not rep.compare(
+                        z0.coeff_of("lam", 0),
+                        TruncSeries.scalar(D.nu.inverse()),
+                        {"alpha": f"{a}/{k}"}):
+                    break
                 # inverse property: D (D^{-1} g) = g within windows
                 back = d_apply(D, inv).truncated(
                     {"lam": down_win(a - 2 * k, hi=a), "z": zwin})
                 target = TruncSeries.from_poly("lam", {a: 1}).truncated(
                     {"lam": down_win(a - 2 * k, hi=a), "z": zwin})
-                if not (back - target).is_zero():
-                    rep.fail({"alpha": f"{a}/{k}", "check": "D o D^-1"},
-                             str(back), "lam^a")
+                if not rep.compare(back, target, {"alpha": f"{a}/{k}",
+                                                  "check": "D o D^-1"}):
                     break
             if not rep.ok:
                 break
@@ -228,9 +227,7 @@ def verify_fixed_point(k: int, m: int, alpha: SectorIndex) -> CheckReport:
         f = bi_infinite_sum(D, g, lam_win, zwin)
         shrunk = {"lam": down_win(lam_lo + k + m, hi=k), "z": zwin}
         df = d_apply(D, f).truncated(shrunk)
-        d = df.eq_report(f.truncated(shrunk))
-        if d is not None:
-            rep.fail({"at": str(d[0])}, "D f", "f")
+        rep.compare(df, f.truncated(shrunk), {})
         # z^0 mode: phi_alpha(x) / (x f'(x)) expanded at infinity
         z0 = f.coeff_of("z", 0)
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
@@ -239,9 +236,7 @@ def verify_fixed_point(k: int, m: int, alpha: SectorIndex) -> CheckReport:
         den = TruncSeries.from_poly("lam", {1: 1}) * fprime
         want = phi * den.recip_within({"lam": down_win(lam_lo, hi=k),
                                        "q": up_win(abs(lam_lo) + 4)})
-        d2 = z0.eq_report(want.truncated(z0.wins))
-        if d2 is not None:
-            rep.fail({"mode": "z^0", "at": str(d2[0])}, "sum", "phi w/df")
+        rep.compare(z0, want.truncated(z0.wins), {"mode": "z^0"})
     return rep
 
 
@@ -311,9 +306,7 @@ def verify_transformation_law(k: int, m: int) -> list[CheckReport]:
                 rhs = f * factor
                 window = {"lam": down_win(lam_lo + k + m + 2, hi=k),
                           "z": zwin}
-                d = lhs.truncated(window).eq_report(rhs.truncated(window))
-                if d is not None:
-                    rep.fail({"at": str(d[0])}, "f(x(lam))", "f(lam) exp(...)")
+                rep.compare(lhs.truncated(window), rhs.truncated(window), {})
             reports.append(rep)
     return reports
 
@@ -375,9 +368,8 @@ def verify_mode_recursion(k: int, m: int) -> CheckReport:
             for n in range(3):
                 lhs = modes[n].num.derivative("x") * fprime - \
                     modes[n].num.scale(modes[n].dpow) * fsecond
-                if not (lhs - modes[n + 1].num).is_zero():
-                    rep.fail({"alpha": alpha.label(k, m), "n": n},
-                             "d_x I^n", "f' I^{n+1}")
+                if not rep.compare(lhs, modes[n + 1].num,
+                                   {"alpha": alpha.label(k, m), "n": n}):
                     break
             # denominators divide powers of x d_x f (after clearing x-powers)
             # by construction: num stays an exact Laurent polynomial
@@ -422,8 +414,7 @@ def phase_primitive_check(k: int, m: int) -> CheckReport:
             x2f * (fprime + (qx ** m).scale(2 * m) *
                    TruncSeries.from_poly("x", {-1: 1}))
         rhs1 = target_num.scale(diffc)
-        if not (lhs1 - rhs1).is_zero():
-            rep.fail({"identity": "x-side primitive"}, str(lhs1), str(rhs1))
+        rep.compare(lhs1, rhs1, {"identity": "x-side primitive"})
         # identity 2 (lam-side): d/dlam[lam^k/(nu0-nu1) + log(lam^k - nu)]
         #           = ((k-1) lam^k + nu^{-1} lam^{2k}) / (lam (lam^k - nu))
         lam_k = TruncSeries.from_poly("lam", {k: 1})
@@ -432,12 +423,10 @@ def phase_primitive_check(k: int, m: int) -> CheckReport:
                 lam_k.derivative("lam")) * TruncSeries.from_poly("lam", {1: 1})
         rhs2 = TruncSeries.from_poly("lam", {k: k - 1}) + \
             TruncSeries.from_poly("lam", {2 * k: 1}).scale(nu.inverse())
-        if not (lhs2 - rhs2).is_zero():
-            rep.fail({"identity": "lam-side primitive"}, str(lhs2), str(rhs2))
+        rep.compare(lhs2, rhs2, {"identity": "lam-side primitive"})
         # identity 3: (I0, I0) df numerator equals the displayed form
-        quad = pairing_quadratic_form(k, m)
-        if not (quad - target_num).is_zero():
-            rep.fail({"identity": "(I0,I0) df"}, str(quad), str(target_num))
+        rep.compare(pairing_quadratic_form(k, m), target_num,
+                    {"identity": "(I0,I0) df"})
     return rep
 
 
@@ -465,9 +454,7 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
         eta = coh.pairing(a0k, a0k)
         got = paired.coeff_of("q", 0).coeff_of("z", 0).coeff_of("tau", 1)
         want = TruncSeries.scalar(PR.nu0() * PR.diff().inverse())
-        cval = got * eta
-        if not (cval - want).is_zero():
-            rep.fail({"route": "dJ z^-1 coefficient"}, str(cval), str(want))
+        rep.compare(got * eta, want, {"route": "dJ z^-1 coefficient"})
         # W approaches its constant: the log-argument tends to 1
         depth = 2 * (k + m) + 4
         sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
@@ -477,9 +464,9 @@ def verify_c_constant(k: int, m: int) -> CheckReport:
         arg = lam * ((lam ** k).scale(PR.rational(k)) - PR.diff()) * \
             x2f.recip_within({"x": down_win(lam.wins["x"].lo, hi=0),
                               "q": up_win(depth)})
-        top = arg.coeff_of("x", 0).coeff_of("q", 0)
-        if not (top - TruncSeries.scalar(1)).is_zero():
-            rep.fail({"route": "W log-argument at infinity"}, str(top), "1")
+        rep.compare(arg.coeff_of("x", 0).coeff_of("q", 0),
+                    TruncSeries.scalar(1),
+                    {"route": "W log-argument at infinity"})
     return rep
 
 
@@ -525,16 +512,14 @@ def verify_w_derivative(k: int, m: int) -> CheckReport:
         rhs = -quad * x2f.recip_within(xwin) + \
             (lam_k.scale(k - 1) + (lam ** (2 * k)).scale(nu.inverse())) * \
             (lam * (lam_k - nu)).recip_within(xwin) * lam_prime
-        diff = lhs - rhs
-        got = diff.wins["x"]
-        rep.max_order_verified = {"x": [got.lo, got.hi],
-                                  "q": diff.wins["q"].hi}
-        if got.lo > -(k + m) or diff.wins["q"].hi < m:
+        # the verified window is the known window of the difference
+        wins = (lhs - rhs).wins
+        got = wins["x"]
+        rep.max_order_verified = {"x": [got.lo, got.hi], "q": wins["q"].hi}
+        if got.lo > -(k + m) or wins["q"].hi < m:
             rep.fail({"window": str(got)}, "window too shallow", "")
-        elif not diff.is_zero():
-            key = min(diff.terms)
-            rep.fail({"at": str(dict(zip(diff.vars, key)))},
-                     "dW/dx", "phase-form difference")
+        else:
+            rep.compare(lhs, rhs, {})
     return rep
 
 
@@ -559,10 +544,8 @@ def verify_s_action_replay(k: int, m: int) -> CheckReport:
         expo = phi_primitive_difference(D, x_l)
         closed = TruncSeries.from_poly("lam", {-m: 1}) * \
             TruncSeries.from_poly("q", {m: 1})
-        d = expo.eq_report(closed.truncated(expo.wins))
-        if d is not None:
-            rep.fail({"at": str(d[0])}, "primitive difference",
-                     "q^m lam^-m")
+        if not rep.compare(expo, closed.truncated(expo.wins),
+                           {"identity": "primitive difference"}):
             return rep
         lam_win = down_win(lam_lo - k - m, hi=2 * k + 2)
         zwin = down_win(z_lo, hi=0)
@@ -574,8 +557,6 @@ def verify_s_action_replay(k: int, m: int) -> CheckReport:
                   * zinv).exp()
         rhs = f * factor
         window = {"lam": down_win(lam_lo + k + m + 2, hi=k), "z": zwin}
-        d = lhs.truncated(window).eq_report(rhs.truncated(window))
-        if d is not None:
-            rep.fail({"at": str(d[0])}, "f(x(lam))",
-                     "exp(q^m lam^-m / z) f(lam)")
+        rep.compare(lhs.truncated(window), rhs.truncated(window),
+                    {"identity": "f(x(lam)) = exp(q^m lam^-m / z) f(lam)"})
     return rep

@@ -1,4 +1,11 @@
-"""Check reports: the one JSON schema every verification emits."""
+"""Check reports: the one JSON schema every verification emits.
+
+A check states that two objects, built independently, agree; it says so
+through ``CheckReport.compare``, which takes their difference once, and on
+a difference records where it lies and returns False.  ``fail`` stays for
+verdicts that are not an equality of two objects: a window too shallow to
+check, bands outside their range, an "iff".
+"""
 
 from __future__ import annotations
 
@@ -32,6 +39,28 @@ class CheckReport:
         if detail:
             self.detail = detail
         return self
+
+    def compare(self, lhs, rhs, where: dict) -> bool:
+        """Whether ``lhs`` equals ``rhs``; where they differ, fail at
+        ``where`` and return False.
+
+        An operand with an ``eq_report`` (a series, a shift operator) takes
+        the difference itself: its least differing key joins ``where``, and
+        the discrepancy's lhs and rhs are the two sides' coefficients there.
+        Other values (``ParamRat``, ``Fraction``, dicts) compare by ``==``
+        and are recorded whole.  Nothing is turned into a string on a pass.
+        """
+        if not hasattr(lhs, "eq_report"):
+            if lhs == rhs:
+                return True
+            at = {}
+        else:
+            found = lhs.eq_report(rhs)
+            if found is None:
+                return True
+            at, lhs, rhs = found
+        self.fail({**where, **at}, str(lhs), str(rhs))
+        return False
 
     def __enter__(self):
         self._t0 = time.perf_counter()

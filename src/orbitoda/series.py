@@ -767,14 +767,26 @@ class TruncSeries:
 
     # -- comparisons ---------------------------------------------------------
 
+    def coeff_at(self, exps: Mapping[str, int]) -> ParamRat:
+        """The stored coefficient of the monomial with exponents ``exps``
+        (exponent 0 for a variable it omits), zero if none is stored."""
+        if any(e and v not in self.wins for v, e in exps.items()):
+            return PR.zero()
+        return self.terms.get(tuple(exps.get(v, 0) for v in self.vars),
+                              PR.zero())
+
     def eq_report(self, other: "TruncSeries"):
-        """None if equal on the joint known window, else (exponents, residual)."""
+        """None if equal on the joint known window, else (where, lhs, rhs):
+        ``where`` names the least differing key, {"at": str(exponents)},
+        and lhs and rhs are the two sides' coefficients there."""
         diff = self - other
         if diff.is_zero():
             return None
         key = min(diff.terms)
-        return ({v: Fraction(e) for v, e in zip(diff.vars, key) if e},
-                diff.terms[key])
+        exps = {v: e for v, e in zip(diff.vars, key) if e}
+        lhs = self.coeff_at(exps)
+        return ({"at": str({v: Fraction(e) for v, e in exps.items()})},
+                lhs, lhs - diff.terms[key])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ParamRat)):

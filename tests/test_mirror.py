@@ -365,8 +365,8 @@ def test_residue_pairing_negative_control(monkeypatch, tvals):
     _, _, rep = residue_pairing_matrix(3, 2, tvals)
     assert rep.status == "fail"
     assert rep.first_discrepancy == {
-        "at": {"alpha": "('k', 1)", "beta": "('k', 2)"},
-        "lhs": "(1/3)", "rhs": "2/3"}
+        "at": {"alpha": "('k', 1)", "beta": "('k', 2)", "at": "{}"},
+        "lhs": "1/3", "rhs": "2/3"}
 
 
 def test_tangent_product_matches_quantum_ring():

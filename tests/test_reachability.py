@@ -104,3 +104,76 @@ def test_only_the_listed_definitions_are_test_only():
     assert got - TEST_ONLY == set(), "reached by no command"
     assert TEST_ONLY - got == set(), "now reached or gone: drop from the list"
 
+
+
+# -- the comparison lint ---------------------------------------------------
+
+CHECK_MODULES = ("cohomology", "hqe", "jfunction", "mirror", "periods",
+                 "toda")
+
+# the `.fail(` sites of the check modules, per function: verdicts that are
+# not an equality of two objects, which go through `CheckReport.compare`
+FAIL_SITES = {
+    # the (sector, q, class, z) order of `_first_discrepancy`
+    "jfunction.verify_jfunc": 4,
+    # all-zero on a flow-bidegree box, whose edge is the verified window
+    "hqe.toda_hqe_report": 1,
+    # scaling a vanishing residue proves nothing
+    "hqe.verify_bilinearity": 1,
+    # a perturbation the inner report did not locate
+    "hqe.verify_toda_hqe_negative_control": 1,
+    # the iff of Lemma D
+    "periods.verify_lemma_d_branches": 1,
+    # a window too shallow to check
+    "periods.verify_w_derivative": 1,
+    # bands outside [-m, k-1]
+    "toda.verify_flow_band_shape": 1,
+}
+
+
+def _calls(node, attr: str) -> list:
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute) and sub.func.attr == attr]
+
+
+def _negated_is_zero(test) -> bool:
+    """Whether ``test`` holds a ``not (...).is_zero()``."""
+    return any(isinstance(sub, ast.UnaryOp) and isinstance(sub.op, ast.Not)
+               and _calls(sub.operand, "is_zero")
+               for sub in ast.walk(test))
+
+
+def _functions(tree):
+    """(qualified name, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def comparison_sites():
+    """(calls of `.eq_report(`, `if not (...).is_zero()` sent to `.fail(`,
+    {function: its `.fail(` calls}) in the check modules."""
+    eq_reports, zero_tests, fails = [], [], {}
+    for mod in CHECK_MODULES:
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        for name, fn in _functions(tree):
+            where = f"{mod}.{name}"
+            eq_reports += [where] * len(_calls(fn, "eq_report"))
+            zero_tests += [where for sub in ast.walk(fn)
+                           if isinstance(sub, ast.If)
+                           and _negated_is_zero(sub.test)
+                           and any(_calls(stmt, "fail") for stmt in sub.body)]
+            if n := len(_calls(fn, "fail")):
+                fails[where] = n
+    return eq_reports, zero_tests, fails
+
+
+def test_checks_compare_through_the_report():
+    eq_reports, zero_tests, fails = comparison_sites()
+    assert eq_reports == [], "compare with rep.compare, not eq_report"
+    assert zero_tests == [], "compare with rep.compare, not is_zero + fail"
+    assert fails == FAIL_SITES

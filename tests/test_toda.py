@@ -155,18 +155,19 @@ def test_failing_eq_report_names_band_exponents_and_difference():
     M = ShiftOp({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
     N = M + ShiftOp({-1: TS.from_poly("x", {1: 3}),
                      0: TS.from_poly("eps", {2: F(1, 2)})}, -1, True)
-    # the lowest differing band, then its least key
-    assert M.eq_report(N) == {"band": -1, "at": "{'eps': 0, 'x': 1}",
-                              "difference": "-3"}
+    # the lowest differing band, then its least key, with both sides'
+    # coefficients there
+    assert M.eq_report(N) == ({"band": -1, "at": "{'eps': 0, 'x': 1}",
+                               "difference": "-3"}, 0, 3)
     assert M.eq_report(ShiftOp(M.bands, -1, True, PR.one())) == \
-        {"band": "eps d_x", "difference": "-1"}
+        ({"band": "eps d_x", "difference": "-1"}, 0, 1)
     assert M.eq_report(ShiftOp(M.bands, -1, True, logq=PR.rational(F(2, 3)))) \
-        == {"band": "log Q", "difference": "-2/3"}
+        == ({"band": "log Q", "difference": "-2/3"}, 0, F(2, 3))
     # a soft floor hides a difference below it
     S = ShiftOp({0: TS.scalar(1, {"eps": EW})}, -2)
     assert S.eq_report(S + ShiftOp({-3: TS.scalar(5)}, -3, True)) is None
     assert S.eq_report(S + ShiftOp({-2: TS.scalar(5)}, -2, True)) == \
-        {"band": -2, "at": "{}", "difference": "-5"}
+        ({"band": -2, "at": "{}", "difference": "-5"}, 0, 5)
 
 
 def test_mul_associativity_random():
