@@ -38,8 +38,10 @@ import orbitoda
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
 from orbitoda.jfunction import build_dj, build_j, inv_poch, operator_ladder
+from orbitoda.cohomology import Cohomology, QuantumRing
 from orbitoda.mirror import (flat_coords_residue, residue_pairing_matrix,
-                             solve_chart_change, superpotential)
+                             solve_chart_change, superpotential,
+                             verify_tangent_product)
 from orbitoda.periods import (_d_inverse_monomial, d_x_operator,
                               verify_lemma_d_branches)
 from orbitoda.rationals import PR
@@ -211,6 +213,13 @@ def rows():
            u.log1p, 20)
     yield ("residue_pairing_matrix(5, 2)",
            lambda: residue_pairing_matrix(5, 2), 3)
+    # the quantum ring of the tangent-product check
+    ring = QuantumRing(4, 3)
+    elems = [ring.from_sector(a) for a in Cohomology(4, 3).sectors()]
+    yield (f"QuantumRing.mul, all {len(elems) ** 2} sector products (4,3)",
+           lambda: [ring.mul(a, b) for a in elems for b in elems], 20)
+    yield ("verify_tangent_product(4, 3)",
+           lambda: verify_tangent_product(4, 3), 20)
     yield ("verify_lemma_inv(5, 8)", lambda: verify_lemma_inv(5, 8), 3)
     w = TS.var("w", up_win(10))
     yield ("series exp (order 10)", lambda: (w + w * w).exp(), 200)

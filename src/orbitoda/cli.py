@@ -108,7 +108,7 @@ def mirror_jobs(k, m, degree, seed, points):
         {"k": k, "m": m, "degree": degree, "seed": seed, "points": points},
         ("mirror-pairing",
          lambda: verify_residue_pairing(k, m, degree, seed, points)),
-        ("flat-coordinates", lambda: verify_flat_coordinates(k, m, 4)),
+        ("flat-coordinates", lambda: verify_flat_coordinates(k, m)),
         ("tangent-product", lambda: verify_tangent_product(k, m)),
         ("classical-critical", lambda: classical_critical_data(k, m)))
 

@@ -6,7 +6,16 @@ untwisted indices 0/k and 0/m are distinct.  Pairing table:
     (1_{0/k}, 1_{0/k}) = 1/(nu0-nu1)    (1_{i/k}, 1_{(k-i)/k}) = 1/k
     (1_{0/m}, 1_{0/m}) = 1/(nu1-nu0)    (1_{j/m}, 1_{(m-j)/m}) = 1/m
 
-and all other pairs vanish.
+and all other pairs vanish.  A class is read by its plain coordinates on
+this basis: the dual class 1^alpha is the one coordinate
+``dual(alpha) = (-alpha, 1/g_alpha)``.
+
+An element of the small quantum ring is one exact kernel series in x, y
+and q over ParamRat, and a product is the kernel product brought to normal
+form by the ring's own two-generator presentation (``QuantumRing.normal``).
+The ring is the oracle of ``mirror.verify_tangent_product``, so it stays
+independent of the mirror side, which reduces a Laurent polynomial in x
+by the tangent relation (``mirror.tangent_reduce``).
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from fractions import Fraction
 
 from .errors import BadIndex
 from .rationals import ParamRat, PR
-from .series import TruncSeries
+from .series import TruncSeries, exact_win, sum_series
 
 
 @dataclass(frozen=True, order=True)
@@ -34,7 +43,7 @@ class SectorIndex:
 
 
 class Cohomology:
-    """Pairing, duals, and distinguished classes for fixed (k, m)."""
+    """Pairing and duals for fixed (k, m)."""
 
     def __init__(self, k: int, m: int):
         if k < 1 or m < 1:
@@ -64,205 +73,74 @@ class Cohomology:
         """g_alpha = (1_alpha, 1_{-alpha})."""
         return self.pairing(a, self.neg(a))
 
-    def dual(self, a: SectorIndex) -> "CohClass":
-        """1^alpha with (1^alpha, 1_beta) = delta^alpha_beta."""
-        return CohClass({self.neg(a): self.g(a).inverse()})
-
-    def unit(self) -> "CohClass":
-        return CohClass({SectorIndex("k", 0): PR.one(),
-                         SectorIndex("m", 0): PR.one()})
-
-    def p_class(self) -> "CohClass":
-        """Equivariant hyperplane class: nu0 1_{0/k} + nu1 1_{0/m}."""
-        return CohClass({SectorIndex("k", 0): PR.nu0(),
-                         SectorIndex("m", 0): PR.nu1()})
-
-    def pair_classes(self, x: "CohClass", y: "CohClass"):
-        out = None
-        for a, ca in x.coords.items():
-            for b, cb in y.coords.items():
-                eta = self.pairing(a, b)
-                if eta.is_zero():
-                    continue
-                term = ca * cb * eta
-                out = term if out is None else out + term
-        return PR.zero() if out is None else out
-
-
-class CohClass:
-    """Finite-support map SectorIndex -> coefficient (ParamRat or series)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: dict):
-        self.coords = {a: c for a, c in coords.items() if not _is_zero(c)}
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        out = dict(self.coords)
-        for a, c in other.coords.items():
-            out[a] = out[a] + c if a in out else c
-        return CohClass(out)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CohClass":
-        return CohClass({a: v * c for a, v in self.coords.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, ParamRat):
-        return c.is_zero()
-    if isinstance(c, TruncSeries):
-        return c.is_zero()
-    return not c
+    def dual(self, a: SectorIndex) -> tuple[SectorIndex, ParamRat]:
+        """1^alpha, with (1^alpha, 1_beta) = delta^alpha_beta, as its one
+        coordinate: (-alpha, 1/g_alpha)."""
+        return self.neg(a), self.g(a).inverse()
 
 
 # ---------------------------------------------------------------------------
 # Small equivariant quantum cohomology ring
 # ---------------------------------------------------------------------------
 
-ONE = ("one", 0)
 
-
-def _qpoly(coeffs: dict[int, object]) -> TruncSeries:
-    return TruncSeries.from_poly("q", coeffs)
+def _monomial(a: int, b: int, t: int, c: ParamRat) -> TruncSeries:
+    """c x^a y^b q^t, exact."""
+    return TruncSeries(("q", "x", "y"), {"q": exact_win(t, t),
+                                         "x": exact_win(a, a),
+                                         "y": exact_win(b, b)},
+                       {(t, a, b): c})
 
 
 class QuantumRing:
     """C[[q]][nu0,nu1][x,y] / (k x^k - nu0 = m y^m - nu1,  x y = q).
 
-    Normal-form basis: 1, x..x^{k-1}, y..y^{m-1}, x^k; the class y^m is
-    eliminated through the linear relation.  Coefficients are exact
-    polynomials in q over ParamRat.  Valid for any k, m >= 1 (coprimality
-    is not needed here).
+    An element is an exact series in x, y and q; in normal form it has
+    support 1, x..x^k, y..y^{m-1} in x and y.  Valid for any k, m >= 1
+    (coprimality is not needed here).
     """
 
     def __init__(self, k: int, m: int):
         self.k = k
         self.m = m
-        self.coh = Cohomology(k, m)
-
-    # elements are dicts basis_key -> TruncSeries in q
-    def one_elem(self) -> dict:
-        return {ONE: _qpoly({0: 1})}
-
-    def x_pow(self, a: int) -> dict:
-        if a == 0:
-            return self.one_elem()
-        if 1 <= a <= self.k:
-            return {("x", a): _qpoly({0: 1})}
-        return self._reduce_x(a)
-
-    def y_pow(self, b: int) -> dict:
-        if b == 0:
-            return self.one_elem()
-        if 1 <= b <= self.m - 1:
-            return {("y", b): _qpoly({0: 1})}
-        return self._reduce_y(b)
-
-    def scale(self, elem: dict, c) -> dict:
-        out = {}
-        for key, coeff in elem.items():
-            s = coeff * c
-            if not s.is_zero():
-                out[key] = s
-        return out
-
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for key, coeff in b.items():
-            s = out[key] + coeff if key in out else coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
-    def _reduce_x(self, a: int) -> dict:
-        """Normal form of x^a for a > k."""
-        r = a - self.k
-        # x^a = x^r * x^k = x^r (m y^m + nu0 - nu1)/k
         diff = PR.diff()
-        if r >= self.m:
-            lowered = self.scale(self.x_pow(r - self.m),
-                                 PR.rational(Fraction(self.m, self.k)))
-            lowered = {key: c.shift_exponent("q", self.m)
-                       for key, c in lowered.items()}
-        else:
-            lowered = self.scale(self.y_pow(self.m - r),
-                                 PR.rational(Fraction(self.m, self.k)))
-            lowered = {key: c.shift_exponent("q", r) for key, c in lowered.items()}
-        return self.add(lowered, self.scale(self.x_pow(r), diff / self.k))
+        # the linear relation solved for x^k and for y^m
+        self._xk = TruncSeries.from_poly("y", {m: Fraction(m, k),
+                                               0: diff / k})
+        self._ym = TruncSeries.from_poly("x", {k: Fraction(k, m),
+                                               0: -diff / m})
 
-    def _reduce_y(self, b: int) -> dict:
-        """Normal form of y^b for b >= m."""
-        s = b - self.m
-        # y^b = y^s * y^m = y^s (k x^k + nu1 - nu0)/m
-        diff = PR.diff()
-        if s == 0:
-            core = self.scale(self.x_pow(self.k), PR.rational(Fraction(self.k, self.m)))
-        elif s <= self.k:
-            core = self.scale(self.x_pow(self.k - s),
-                              PR.rational(Fraction(self.k, self.m)))
-            core = {key: c.shift_exponent("q", s) for key, c in core.items()}
-        else:
-            core = self.scale(self.y_pow(s - self.k),
-                              PR.rational(Fraction(self.k, self.m)))
-            core = {key: c.shift_exponent("q", self.k) for key, c in core.items()}
-        return self.add(core, self.scale(self.y_pow(s), (-diff) / self.m))
+    def normal(self, s: TruncSeries) -> TruncSeries:
+        """s rewritten by x y -> q, x^a -> x^(a-k) x^k for a > k and
+        y^b -> y^(b-m) y^m for b >= m, with x^k and y^m read off the linear
+        relation, until only 1, x..x^k and y..y^(m-1) remain."""
+        done = []
+        while s.terms:
+            todo = []
+            for key, c in s.terms.items():
+                e = dict(zip(s.vars, key))
+                a, b, t = e.get("x", 0), e.get("y", 0), e.get("q", 0)
+                if a and b:
+                    n = min(a, b)
+                    todo.append(_monomial(a - n, b - n, t + n, c))
+                elif a > self.k:
+                    todo.append(_monomial(a - self.k, 0, t, c) * self._xk)
+                elif b >= self.m:
+                    todo.append(_monomial(0, b - self.m, t, c) * self._ym)
+                else:
+                    done.append(_monomial(a, b, t, c))
+            s = sum_series(todo)
+        return sum_series(done)
 
-    def _key_product(self, ka: tuple, kb: tuple) -> dict:
-        if ka == ONE:
-            return {kb: _qpoly({0: 1})}
-        if kb == ONE:
-            return {ka: _qpoly({0: 1})}
-        sa, a = ka
-        sb, b = kb
-        if sa == sb == "x":
-            return self.x_pow(a + b) if a + b > self.k else {("x", a + b): _qpoly({0: 1})}
-        if sa == sb == "y":
-            return self.y_pow(a + b) if a + b >= self.m else {("y", a + b): _qpoly({0: 1})}
-        if sa == "y":
-            sa, a, sb, b = sb, b, sa, a
-        # x^a * y^b -> q^min(a,b) * leftover
-        c = min(a, b)
-        rest = self.x_pow(a - c) if a >= b else self.y_pow(b - a)
-        return {key: coeff.shift_exponent("q", c) for key, coeff in rest.items()}
-
-    def mul(self, ea: dict, eb: dict) -> dict:
-        out: dict = {}
-        for ka, ca in ea.items():
-            for kb, cb in eb.items():
-                c = ca * cb
-                if c.is_zero():
-                    continue
-                for key, unit in self._key_product(ka, kb).items():
-                    term = unit * c
-                    cur = out.get(key)
-                    s = term if cur is None else cur + term
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return out
+    def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+        return self.normal(a * b)
 
     # -- identification with cohomology (the small-slice mirror map) --------
 
-    def from_sector(self, a: SectorIndex) -> dict:
+    def from_sector(self, a: SectorIndex) -> TruncSeries:
         """1_{i/k} -> x^i, 1_{0/k} -> k x^k/(nu0-nu1), and mirrored."""
-        if a.side == "k":
-            if a.i == 0:
-                return self.scale(self.x_pow(self.k), PR.rational(self.k) * PR.diff().inverse())
-            return self.x_pow(a.i)
-        if a.i == 0:
-            return self.scale(self.y_pow(self.m), PR.rational(self.m) * (-PR.diff()).inverse())
-        return self.y_pow(a.i)
+        n, v = (self.k, "x") if a.side == "k" else (self.m, "y")
+        if a.i:
+            return TruncSeries.from_poly(v, {a.i: 1})
+        g = Cohomology(self.k, self.m).g(a)
+        return self.normal(TruncSeries.from_poly(v, {n: PR.rational(n) * g}))

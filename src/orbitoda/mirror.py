@@ -240,8 +240,10 @@ def flat_coords_binomial(k: int, m: int, degree: int | None = None) -> dict:
     return out
 
 
-def verify_flat_coordinates(k: int, m: int, degree: int = 4) -> CheckReport:
-    """Residue route == truncated-binomial route, plus the pinned values."""
+def verify_flat_coordinates(k: int, m: int) -> CheckReport:
+    """Residue route == truncated-binomial route, plus the pinned values,
+    on the t-jet of degree 4."""
+    degree = 4
     with CheckReport(name="flat-coordinates",
                      params={"k": k, "m": m, "degree": degree},
                      max_order_verified={"t": degree}) as rep:
@@ -612,28 +614,16 @@ def verify_tangent_product(k: int, m: int) -> CheckReport:
         def normal_form(poly: TruncSeries) -> TruncSeries:
             return tangent_reduce(k, m, rel, poly)
 
-        x = TruncSeries.from_poly("x", {1: 1})
-        q = TruncSeries.from_poly("q", {1: 1})
-
-        def ring_base(key) -> TruncSeries:
-            if key == ("one", 0):
-                return TruncSeries.scalar(1)
-            if key[0] == "x":
-                return x ** key[1]
-            return (q ** key[1]) * TruncSeries.from_poly("x", {-key[1]: 1})
-
-        def ring_to_poly(elem: dict) -> TruncSeries:
-            return normal_form(sum_series(
-                (ring_base(key) * c for key, c in elem.items()),
-                TruncSeries.scalar(0)))
-
-        coh = Cohomology(k, m)
-        sectors = coh.sectors()
+        # the ring's y is q/x on the x-chart
+        y_on_x = TruncSeries.from_poly("q", {1: 1}) * \
+            TruncSeries.from_poly("x", {-1: 1})
+        sectors = Cohomology(k, m).sectors()
         ring_elems = {a: ring.from_sector(a) for a in sectors}
         for a in sectors:
             for b in sectors:
                 lhs = normal_form(phi_poly(k, m, a) * phi_poly(k, m, b))
-                rhs = ring_to_poly(ring.mul(ring_elems[a], ring_elems[b]))
+                rhs = normal_form(ring.mul(ring_elems[a], ring_elems[b])
+                                  .subst("y", y_on_x))
                 if not rep.compare(lhs, rhs, {"a": a.label(k, m),
                                               "b": b.label(k, m)}):
                     return rep
@@ -660,8 +650,8 @@ def classical_critical_data(k: int, m: int) -> CheckReport:
 
         x f'(x) = n (x^n - val)  and  (x d_x)^2 f = n^2 val + n x f'(x).
 
-    The m-foot is the superpotential with the feet exchanged and
-    nu0 <-> nu1, as on the y-chart of ``periods.mode_chain``."""
+    The m-foot is read on the y-chart y = q/x, where the small-slice
+    superpotential is the one with the feet exchanged and nu0 <-> nu1."""
     with CheckReport(name="classical-critical",
                      params={"k": k, "m": m}) as rep:
         small = {i: 0 for i in range(1, k + m)}

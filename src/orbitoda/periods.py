@@ -176,12 +176,13 @@ def bi_infinite_sum(D: DOp, g: TruncSeries, lam_win: VarWindow,
                      total=total, limit=limit, what="negative D-chain")
 
 
-def verify_lemma_d_branches(k: int, alpha_bound: int = 3) -> CheckReport:
+def verify_lemma_d_branches(k: int) -> CheckReport:
     """D^{-1} xi^alpha has constant z-term 1/nu iff alpha = -1.
 
-    Checked for all alpha in (1/k)Z with |alpha| <= alpha_bound on both a
-    tail-free operator and the mirror x-side operator.
+    Checked for all alpha in (1/k)Z with |alpha| <= 3 on both a tail-free
+    operator and the mirror x-side operator.
     """
+    alpha_bound = 3
     with CheckReport(name="lemma-d-branches",
                      params={"k": k, "alpha_bound": alpha_bound}) as rep:
         zwin = down_win(-6, hi=0)
@@ -324,35 +325,22 @@ class PeriodMode:
     dpow: int
 
 
-def mode_chain(k: int, m: int, alpha: SectorIndex, n_max: int,
-               chart: str = "x") -> list[PeriodMode]:
+def mode_chain(k: int, m: int, alpha: SectorIndex,
+               n_max: int) -> list[PeriodMode]:
     """I^{(0)}..I^{(n_max)} on the small slice, with the defining recursion
     d_x I^{(n)} = f' I^{(n+1)} kept exactly."""
-    sp = superpotential(k, m, {i: 0 for i in range(1, k + m)})
-    if chart == "x":
-        fprime = sp.df_dx()
-        phi = phi_poly(k, m, alpha)
-        var = "x"
-    else:
-        # y-chart: feet exchanged
-        spy = superpotential(m, k, {i: 0 for i in range(1, k + m)})
-        fprime = spy.df_dx().map_coeffs(PR.swap_nu)
-        phi = phi_poly(m, k, _flip(alpha)).map_coeffs(PR.swap_nu)
-        var = "x"
+    fprime = superpotential(k, m, {i: 0 for i in range(1, k + m)}).df_dx()
     if fprime.is_zero():
         raise SingularFiber("df vanishes identically")
-    fsecond = fprime.derivative(var)
-    modes = [PeriodMode(0, phi * TruncSeries.from_poly(var, {-1: 1}), 1)]
+    fsecond = fprime.derivative("x")
+    modes = [PeriodMode(0, phi_poly(k, m, alpha) *
+                        TruncSeries.from_poly("x", {-1: 1}), 1)]
     for n in range(n_max):
         prev = modes[-1]
-        num = prev.num.derivative(var) * fprime - \
+        num = prev.num.derivative("x") * fprime - \
             prev.num.scale(prev.dpow) * fsecond
         modes.append(PeriodMode(n + 1, num, prev.dpow + 2))
     return modes
-
-
-def _flip(alpha: SectorIndex) -> SectorIndex:
-    return SectorIndex("k" if alpha.side == "m" else "m", alpha.i)
 
 
 def verify_mode_recursion(k: int, m: int) -> CheckReport:
@@ -387,10 +375,11 @@ def pairing_quadratic_form(k: int, m: int) -> TruncSeries:
     """sum eta^{ab} phi_a phi_b = k nu^{-1} x^{2k} + m nubar^{-1} (q/x)^{2m}
     + k(k-1) x^k + m(m-1)(q/x)^m, assembled from the dual pairing."""
     coh = Cohomology(k, m)
-    return sum_series(((phi_poly(k, m, a) * phi_poly(k, m, b)).scale(gb)
-                       for a in coh.sectors()
-                       for b, gb in coh.dual(a).coords.items()),
-                      TruncSeries.scalar(0))
+
+    def term(a):
+        b, gb = coh.dual(a)
+        return (phi_poly(k, m, a) * phi_poly(k, m, b)).scale(gb)
+    return sum_series(map(term, coh.sectors()), TruncSeries.scalar(0))
 
 
 def phase_primitive_check(k: int, m: int) -> CheckReport:

@@ -739,8 +739,14 @@ class TruncSeries:
         nvars = self.vars[:i] + self.vars[i + 1:]
         nwins = {u: wv for u, wv in self.wins.items() if u != v}
         # every power is built before the first window merge, so a repl
-        # with no inverse fails in recip, not in a merge of its windows
-        pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, repl.wins)}
+        # with no inverse fails in recip, not in a merge of its windows;
+        # repl^0 = 1 keeps repl's windows, each widened to hold 0 where it
+        # does not (a 1 on a window without 0 stores no term)
+        one_wins = {u: wu if wu.lo <= 0 <= wu.hi else
+                    VarWindow(min(wu.lo, 0), max(wu.hi, 0), wu.lo_hard,
+                              wu.hi_hard)
+                    for u, wu in repl.wins.items()}
+        pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, one_wins)}
         for e in range(1, max(groups, default=0) + 1):
             pows[e] = pows[e - 1] * repl
         if min(groups, default=0) < 0:

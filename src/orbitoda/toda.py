@@ -635,15 +635,13 @@ def gauge_qpower_check() -> CheckReport:
 
 
 def vacuum_curly(k: int, m: int, eps_win: VarWindow,
-                 perturb: TruncSeries | None = None,
-                 perturb_band: int = 0) -> ShiftOp:
-    """Lambda^k + Q^m Lambda^{-m} + (nu1-nu0) eps d_x, optionally with one
-    perturbed interior coefficient."""
+                 perturb: TruncSeries | None = None) -> ShiftOp:
+    """Lambda^k + Q^m Lambda^{-m} + (nu1-nu0) eps d_x, optionally with
+    ``perturb`` added to the interior band 0."""
     bands = {k: TruncSeries.scalar(1, {"eps": eps_win}),
              -m: TruncSeries.from_poly("Q", {m: 1}).truncated({"eps": eps_win})}
     if perturb is not None:
-        cur = bands.get(perturb_band, TruncSeries.scalar(0, {"eps": eps_win}))
-        bands[perturb_band] = cur + perturb
+        bands[0] = TruncSeries.scalar(0, {"eps": eps_win}) + perturb
     return ShiftOp(bands, -m, True, -PR.diff())
 
 
@@ -722,7 +720,7 @@ def verify_flow_band_shape(k: int, m: int) -> CheckReport:
         bump = (TruncSeries.from_poly("x", {1: Fraction(1, 2)}) *
                 TruncSeries.from_poly("eps", {1: 1}) *
                 TruncSeries.from_poly("Q", {1: 1})).truncated({"eps": eps_win})
-        curly = vacuum_curly(k, m, eps_win, perturb=bump, perturb_band=0)
+        curly = vacuum_curly(k, m, eps_win, perturb=bump)
         L, _ = solve_reduced(curly, k, eps_win, w_depth)
         for n in (1, 2):
             gen = L.pow(n, eps_win).split_plus()

@@ -93,7 +93,7 @@ def test_criterion_6_flat_coordinates():
     from orbitoda.mirror import flat_coords_residue, tname, verify_flat_coordinates
     ok = True
     for (k, m) in [(2, 1), (3, 2), (4, 3), (5, 2)]:
-        rep = verify_flat_coordinates(k, m, 4)
+        rep = verify_flat_coordinates(k, m)
         ok = _line(f"6 flat routes agree ({k},{m}) degree 4", rep.ok) and ok
     taus = flat_coords_residue(3, 2, 4)
     t1 = TS.from_poly(tname(1), {1: 1})
@@ -134,7 +134,7 @@ def test_criterion_8_periods():
         rep = phase_primitive_check(k, m)
         ok = _line(f"8 phase primitives + (I0,I0)df ({k},{m})", rep.ok) and ok
     for k in (2, 3):
-        rep = verify_lemma_d_branches(k, alpha_bound=3)
+        rep = verify_lemma_d_branches(k)
         ok = _line(f"8 lemma-D branches k={k} |alpha|<=3", rep.ok) and ok
     assert ok
 

@@ -2,21 +2,37 @@
 
 from fractions import Fraction as F
 
-from orbitoda.cohomology import ONE, CohClass, Cohomology, QuantumRing, SectorIndex
+from orbitoda.cohomology import Cohomology, QuantumRing, SectorIndex
 from orbitoda.rationals import ParamRat as PR
+from orbitoda.series import TruncSeries as TS, sum_series
+
+K0, M0 = SectorIndex("k", 0), SectorIndex("m", 0)
+ONE = TS.scalar(1)
+
+
+def x(a):
+    return TS.from_poly("x", {a: 1})
+
+
+def y(b):
+    return TS.from_poly("y", {b: 1})
+
+
+def monomials(elem):
+    """{(q, x, y) exponents: coefficient} of a ring element."""
+    return {tuple(dict(zip(elem.vars, key)).get(v, 0) for v in "qxy"): c
+            for key, c in elem.terms.items()}
 
 
 def test_pairing_table():
     coh = Cohomology(3, 2)
-    k0 = SectorIndex("k", 0)
-    m0 = SectorIndex("m", 0)
-    assert coh.pairing(k0, k0) == PR.diff().inverse()
-    assert coh.pairing(m0, m0) == (-PR.diff()).inverse()
+    assert coh.pairing(K0, K0) == PR.diff().inverse()
+    assert coh.pairing(M0, M0) == (-PR.diff()).inverse()
     assert coh.pairing(SectorIndex("k", 1), SectorIndex("k", 2)) == PR.rational(F(1, 3))
     assert coh.pairing(SectorIndex("m", 1), SectorIndex("m", 1)) == PR.rational(F(1, 2))
     # twisted sectors from different feet are orthogonal
     assert coh.pairing(SectorIndex("k", 1), SectorIndex("m", 1)).is_zero()
-    assert coh.pairing(k0, m0).is_zero()
+    assert coh.pairing(K0, M0).is_zero()
     assert coh.pairing(SectorIndex("k", 1), SectorIndex("k", 1)).is_zero()
 
 
@@ -28,56 +44,50 @@ def test_pairing_symmetric_and_dual_involutive():
             for b in secs:
                 assert coh.pairing(a, b) == coh.pairing(b, a)
         for a in secs:
-            dual = coh.dual(a)
+            dual, g = coh.dual(a)
             # (1^a, 1_b) = delta
             for b in secs:
-                val = coh.pair_classes(dual, CohClass({b: PR.one()}))
+                val = g * coh.pairing(dual, b)
                 assert val == (PR.one() if a == b else PR.zero())
         # the dual basis of the dual basis is the original basis:
         # 1_a is the unique class pairing to delta against {1^b}
         for a in secs:
             for b in secs:
-                val = coh.pair_classes(CohClass({a: PR.one()}), coh.dual(b))
+                dual, g = coh.dual(b)
+                val = coh.pairing(a, dual) * g
                 assert val == (PR.one() if a == b else PR.zero())
 
 
 def test_unit_and_p_class():
-    coh = Cohomology(3, 2)
-    unit = coh.unit()
-    assert unit.coords == {SectorIndex("k", 0): PR.one(), SectorIndex("m", 0): PR.one()}
-    # p = nu0 1_{0/k} + nu1 1_{0/m} inverts the defining relations
-    p = coh.p_class()
-    # 1_{0/k} = (p - nu1)/(nu0 - nu1): check p - nu1*unit = (nu0-nu1) 1_{0/k}
-    lhs = p - unit.scale(PR.nu1())
-    assert lhs == CohClass({SectorIndex("k", 0): PR.diff()})
-    lhs2 = p - unit.scale(PR.nu0())
-    assert lhs2 == CohClass({SectorIndex("m", 0): -PR.diff()})
+    # plain coordinates on (1_{0/k}, 1_{0/m}): the unit is (1, 1) and the
+    # equivariant hyperplane class p is (nu0, nu1)
+    unit = {K0: PR.one(), M0: PR.one()}
+    p = {K0: PR.nu0(), M0: PR.nu1()}
+    # p inverts the defining relations: p - nu1 = (nu0-nu1) 1_{0/k} and
+    # p - nu0 = (nu1-nu0) 1_{0/m}
+    p_less_nu1 = {a: p[a] - PR.nu1() * unit[a] for a in p}
+    assert p_less_nu1 == {K0: PR.diff(), M0: PR.zero()}
+    p_less_nu0 = {a: p[a] - PR.nu0() * unit[a] for a in p}
+    assert p_less_nu0 == {K0: PR.zero(), M0: -PR.diff()}
+    # and so in the quantum ring, where the unit class is 1
+    ring = QuantumRing(3, 2)
+
+    def image(cls):
+        return sum_series((ring.from_sector(a).scale(c) for a, c in cls.items()),
+                          TS.scalar(0))
+    assert image(unit) == ONE
+    assert image(p_less_nu1) == ring.from_sector(K0).scale(PR.diff())
+    assert image(p_less_nu0) == ring.from_sector(M0).scale(-PR.diff())
 
 
 def test_dual_example():
     coh = Cohomology(3, 2)
-    d = coh.dual(SectorIndex("k", 1))
-    assert d.coords == {SectorIndex("k", 2): PR.rational(3)}
+    assert coh.dual(SectorIndex("k", 1)) == (SectorIndex("k", 2), PR.rational(3))
 
 
 def p_elem(ring):
     """p = k x^k - nu0."""
-    return ring.add(ring.scale(ring.x_pow(ring.k), PR.rational(ring.k)),
-                    ring.scale(ring.one_elem(), -PR.nu0()))
-
-
-def ring_eq(ring, a, b):
-    return not ring.add(a, ring.scale(b, -1))
-
-
-def at_q0(elem):
-    """The q^0 part of a ring element."""
-    out = {}
-    for key, c in elem.items():
-        v = c.coeff_of("q", 0)
-        if not v.is_zero():
-            out[key] = v
-    return out
+    return TS.from_poly("x", {ring.k: ring.k, 0: -PR.nu0()})
 
 
 def homogeneous_degree(c):
@@ -94,14 +104,11 @@ def is_homogeneous(ring, elem):
     deg y = 1/m, deg q = 1/k + 1/m), else None."""
     qdeg = F(1, ring.k) + F(1, ring.m)
     degs = set()
-    for key, c in elem.items():
-        base = 0 if key == ONE else F(key[1], ring.k if key[0] == "x"
-                                      else ring.m)
-        for (e,), coeff in c.terms.items():
-            nu_deg = homogeneous_degree(coeff)
-            if nu_deg is None:
-                return None
-            degs.add(base + e * qdeg + nu_deg)
+    for (e, a, b), coeff in monomials(elem).items():
+        nu_deg = homogeneous_degree(coeff)
+        if nu_deg is None:
+            return None
+        degs.add(F(a, ring.k) + F(b, ring.m) + e * qdeg + nu_deg)
     if not degs:
         return F(0)
     return degs.pop() if len(degs) == 1 else None
@@ -109,23 +116,15 @@ def is_homogeneous(ring, elem):
 
 def test_quantum_relations():
     ring = QuantumRing(3, 2)
-    x = ring.x_pow(1)
-    y = ring.y_pow(1)
-    xy = ring.mul(x, y)
     # x*y = q * 1
-    assert list(xy) == [ONE]
-    assert xy[ONE].terms == {(1,): PR.one()}
+    assert monomials(ring.mul(x(1), y(1))) == {(1, 0, 0): PR.one()}
     # x^{k-1} * x = p/k + nu0/k, whose normal form is x^k
-    lhs = ring.mul(ring.x_pow(2), x)
-    want = ring.add(ring.scale(p_elem(ring), F(1, 3)),
-                    ring.scale(ring.one_elem(), PR.nu0() / 3))
-    assert ring_eq(ring, lhs, want)
-    assert list(lhs) == [("x", 3)]
+    lhs = ring.mul(x(2), x(1))
+    assert lhs == p_elem(ring).scale(F(1, 3)) + PR.nu0() / 3
+    assert list(monomials(lhs)) == [(0, 3, 0)]
     # y^{m-1} * y = p/m + nu1/m
-    lhs_y = ring.mul(ring.y_pow(1), y)
-    want_y = ring.add(ring.scale(p_elem(ring), F(1, 2)),
-                      ring.scale(ring.one_elem(), PR.nu1() / 2))
-    assert ring_eq(ring, lhs_y, want_y)
+    lhs_y = ring.mul(y(1), y(1))
+    assert lhs_y == p_elem(ring).scale(F(1, 2)) + PR.nu1() / 2
 
 
 def test_quantum_commutative_associative_exhaustive():
@@ -133,23 +132,22 @@ def test_quantum_commutative_associative_exhaustive():
         if k + m > 9:
             continue
         ring = QuantumRing(k, m)
-        basis = [ring.one_elem()] + [ring.x_pow(a) for a in range(1, k + 1)] \
-            + [ring.y_pow(b) for b in range(1, m)]
+        basis = [ONE] + [x(a) for a in range(1, k + 1)] \
+            + [y(b) for b in range(1, m)]
         for ea in basis:
             for eb in basis:
-                assert ring_eq(ring, ring.mul(ea, eb), ring.mul(eb, ea))
+                assert ring.mul(ea, eb) == ring.mul(eb, ea)
         for ea in basis:
             for eb in basis:
                 for ec in basis:
                     lhs = ring.mul(ring.mul(ea, eb), ec)
                     rhs = ring.mul(ea, ring.mul(eb, ec))
-                    assert ring_eq(ring, lhs, rhs)
+                    assert lhs == rhs
 
 
 def test_quantum_grading():
     ring = QuantumRing(3, 2)
-    basis = [ring.one_elem(), ring.x_pow(1), ring.x_pow(2), ring.x_pow(3),
-             ring.y_pow(1)]
+    basis = [ONE, x(1), x(2), x(3), y(1)]
     for ea in basis:
         for eb in basis:
             da, db = is_homogeneous(ring, ea), is_homogeneous(ring, eb)
@@ -161,15 +159,13 @@ def test_quantum_grading():
 def test_classical_limit():
     ring = QuantumRing(3, 2)
     # at q=0 twisted sectors from different feet multiply to zero
-    xy = ring.mul(ring.x_pow(1), ring.y_pow(1))
-    assert at_q0(xy) == {}
-    xx = ring.mul(ring.x_pow(1), ring.x_pow(2))
-    assert list(at_q0(xx)) == [("x", 3)]
+    assert ring.mul(x(1), y(1)).coeff_of("q", 0).is_zero()
+    xx = ring.mul(x(1), x(2)).coeff_of("q", 0)
+    assert list(monomials(xx)) == [(0, 3, 0)]
 
 
 def test_k_equals_m_allowed():
     ring = QuantumRing(2, 2)
-    lhs = ring.mul(ring.x_pow(1), ring.x_pow(1))
-    assert list(lhs) == [("x", 2)]
-    prod = ring.mul(ring.y_pow(1), ring.y_pow(1))  # y^2 eliminated
-    assert ("y", 2) not in prod
+    assert list(monomials(ring.mul(x(1), x(1)))) == [(0, 2, 0)]
+    prod = ring.mul(y(1), y(1))  # y^2 eliminated
+    assert prod and all(b < 2 for _, _, b in monomials(prod))

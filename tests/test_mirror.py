@@ -9,7 +9,7 @@ import pytest
 
 from orbitoda import mirror
 from orbitoda.algebra import bernoulli_number, poly_derivative
-from orbitoda.cohomology import Cohomology, SectorIndex
+from orbitoda.cohomology import Cohomology, QuantumRing, SectorIndex
 from orbitoda.errors import WindowUnderflow
 from orbitoda.mirror import (FlatChart, _gauss_invert, _laurent_support,
                              _pairing_vectors,
@@ -45,7 +45,7 @@ def test_flat_coordinate_k3_correction():
 
 @pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3), (5, 2)])
 def test_flat_routes_agree(k, m):
-    assert verify_flat_coordinates(k, m, 4).ok
+    assert verify_flat_coordinates(k, m).ok
 
 
 def _residue_taus(sp, depth, qtop):
@@ -344,7 +344,7 @@ def test_flat_coordinates_negative_control(monkeypatch):
             TS.from_poly(tname(1), {2: F(-1, 6)})
         return out
     monkeypatch.setattr(mirror, "flat_coords_binomial", perturbed)
-    rep = verify_flat_coordinates(3, 2, 4)
+    rep = verify_flat_coordinates(3, 2)
     assert rep.status == "fail"
     assert rep.first_discrepancy["at"] == {"tau": "2/3",
                                            "at": "{'t1': Fraction(2, 1)}"}
@@ -372,6 +372,25 @@ def test_residue_pairing_negative_control(monkeypatch, tvals):
 def test_tangent_product_matches_quantum_ring():
     assert verify_tangent_product(2, 1).ok
     assert verify_tangent_product(3, 2).ok
+
+
+def test_tangent_product_negative_control(monkeypatch):
+    # the ring product 1_{1/3} 1_{2/3} = x^3 gains q x: that product, and
+    # no earlier one, must fail
+    mul = QuantumRing.mul
+
+    def perturbed(self, a, b):
+        out = mul(self, a, b)
+        if (a, b) == (TS.from_poly("x", {1: 1}), TS.from_poly("x", {2: 1})):
+            out = out + TS.from_poly("q", {1: 1}) * TS.from_poly("x", {1: 1})
+        return out
+    monkeypatch.setattr(QuantumRing, "mul", perturbed)
+    rep = verify_tangent_product(3, 2)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy == {
+        "at": {"a": "1/3", "b": "2/3",
+               "at": "{'q': Fraction(1, 1), 'x': Fraction(1, 1)}"},
+        "lhs": "0", "rhs": "1"}
 
 
 def tangent_product(k, m, rel, phi1, phi2):

@@ -263,20 +263,6 @@ def test_bi_infinite_sum_linear_in_seed():
     assert (lhs.truncated(shrunk) - rhs.truncated(shrunk)).is_zero()
 
 
-def test_mode_chain_y_side():
-    # the mirrored chain satisfies its own defining recursion
-    from orbitoda.mirror import superpotential
-    k, m = 3, 2
-    modes = mode_chain(k, m, SectorIndex("m", 1), 2, chart="y")
-    spy = superpotential(m, k, {i: 0 for i in range(1, k + m)})
-    fprime = spy.df_dx().map_coeffs(PR.swap_nu)
-    fsecond = fprime.derivative("x")
-    for n in range(2):
-        lhs = modes[n].num.derivative("x") * fprime - \
-            modes[n].num.scale(modes[n].dpow) * fsecond
-        assert (lhs - modes[n + 1].num).is_zero()
-
-
 def test_s_action_replay():
     from orbitoda.periods import verify_s_action_replay
     assert verify_s_action_replay(2, 1).ok

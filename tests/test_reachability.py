@@ -21,8 +21,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "orbitoda"
 TEST_ONLY = {
     "algebra.symmetric_e",
     "algebra.symmetric_h",
-    "cohomology.Cohomology.p_class",
-    "cohomology.Cohomology.pair_classes",
     "hqe.commutation_factor",
     "hqe.translation_symbol",
     "jfunction.j_small_z_expansion",

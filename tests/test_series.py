@@ -862,6 +862,19 @@ def test_subst_keeps_a_truncation_off_exact_variables():
         f.subst("q", shift)
 
 
+def test_subst_keeps_the_constant_group_under_a_replacement_without_1():
+    # each window of q and of q/x leaves out exponent 0, and a 1 on such a
+    # window stores no term: repl^0 = 1 needs its windows widened to hold 0
+    q = TS.from_poly("q", {1: 1})
+    got = TS.from_poly("y", {0: 1, 1: 1}).subst("y", q)
+    assert_same_series(got, TS.from_poly("q", {0: 1, 1: 1}))
+    q_over_x = q * TS.from_poly("x", {-1: 1})
+    got = TS.from_poly("y", {0: 1, 1: 1}).subst("y", q_over_x)
+    want = TS(("q", "x"), {"q": exact_win(0, 1), "x": exact_win(-1, 0)},
+              {(0, 0): PR.one(), (1, -1): PR.one()})
+    assert_same_series(got, want)
+
+
 def test_recip_empty_window_names_variable():
     # the leading term u^3 lies above the u window [0, 2]
     s = TS(("u", "w"), {"u": up_win(2), "w": exact_win(0, 0)},
@@ -1056,7 +1069,10 @@ def chain_subst(s, v, repl):
         groups.setdefault(key[i], {})[key[:i] + key[i + 1:]] = c
     nvars = s.vars[:i] + s.vars[i + 1:]
     nwins = {u: wv for u, wv in s.wins.items() if u != v}
-    pows = {0: TS.scalar(1, repl.wins)}
+    # repl^0 = 1 on repl's windows, each widened to hold 0
+    pows = {0: TS.scalar(1, {u: VarWindow(min(wu.lo, 0), max(wu.hi, 0),
+                                          wu.lo_hard, wu.hi_hard)
+                             for u, wu in repl.wins.items()})}
     for e in range(1, max(groups, default=0) + 1):
         pows[e] = pows[e - 1] * repl
     if min(groups, default=0) < 0:
