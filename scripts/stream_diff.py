@@ -16,8 +16,9 @@ reports and the exit codes must then be identical.  Then ``--help`` of the
 group and of every subcommand either tree has must print the same text
 with the same exit code.  Every invocation and help text is run; each
 differing report is printed with its invocation, check id and every
-differing field as old -> new, then the count of differing reports, and
-the script exits 1.  An identical run exits 0.
+differing field as old -> new, then the count of differing reports and
+of those among them that pass on either tree (0 when only failing reports
+moved), and the script exits 1.  An identical run exits 0.
 """
 
 import json
@@ -82,15 +83,17 @@ def finish(proc: subprocess.Popen):
 
 
 def report_diffs(old_reps: list, new_reps: list) -> list:
-    """(check id, {field: (old, new)}) for each report that differs; a
-    report missing on one side reads as {}."""
+    """(check id, {field: (old, new)}, whether it passes on either tree)
+    for each report that differs; a report missing on one side reads as
+    {}."""
     out = []
     for a, b in zip_longest(old_reps, new_reps, fillvalue={}):
         if a != b:
             fields = {f: (a.get(f), b.get(f))
                       for f in sorted(a.keys() | b.keys())
                       if a.get(f) != b.get(f)}
-            out.append((a.get("check", b.get("check")), fields))
+            out.append((a.get("check", b.get("check")), fields,
+                        "pass" in (a.get("status"), b.get("status"))))
     return out
 
 
@@ -100,14 +103,14 @@ def main():
     old_tree, new_tree = (Path(p).resolve() for p in sys.argv[1:])
     runs = [["all"], ["hqe"], ["toda"]] + [
         argv for w in WORKLOADS for argv, _, _ in invocations(w, 1)] + EXTRA
-    total = differing = mismatches = 0
+    total = differing = passing = mismatches = 0
     for argv in runs:
         cmd = "orbitoda " + " ".join(argv)
         procs = start(old_tree, argv), start(new_tree, argv)
         (old_code, old_reps, old_err), (new_code, new_reps, new_err) = \
             (finish(p) for p in procs)
         diffs = report_diffs(old_reps, new_reps)
-        for check, fields in diffs:
+        for check, fields, passes in diffs:
             print(f"DIFFERENT on {cmd}: {check}")
             for f, (a, b) in fields.items():
                 print(f"  {f}: {json.dumps(a)} -> {json.dumps(b)}")
@@ -120,6 +123,7 @@ def main():
             print(f"same: {cmd} ({len(old_reps)} reports, exit {old_code})")
         total += len(old_reps)
         differing += len(diffs)
+        passing += sum(passes for _, _, passes in diffs)
     helps = [["--help"]] + [[name, "--help"] for name in
                             sorted(commands(old_tree) | commands(new_tree))]
     for argv in helps:
@@ -132,8 +136,8 @@ def main():
         else:
             print(f"same: {cmd} (exit {old[2]})")
     if differing or mismatches:
-        print(f"different: {differing} of {total} reports, {mismatches} exit "
-              f"codes or help texts")
+        print(f"different: {differing} of {total} reports ({passing} pass on "
+              f"either tree), {mismatches} exit codes or help texts")
         sys.exit(1)
     print(f"identical: {len(runs)} invocations, {total} reports, "
           f"{len(helps)} help texts")

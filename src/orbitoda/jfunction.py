@@ -324,9 +324,7 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
                    in build_dj(k, m, side, n, qmax, djwin).items()}
             if negate and alpha == 1:
                 lhs = _negate_delta_1(lhs, j, zwin_check, qcheck)
-            disc = _first_discrepancy(k, m, lhs, rhs, zwin_check, qcheck)
-            if disc is not None:
-                rep.fail(disc, "delta-chain", "derivative formula")
+            compare_classes(rep, k, m, lhs, rhs, zwin_check, qcheck)
         reports.append(rep)
 
     # alpha >= 3: D_alpha J = z d_{s~alpha} J
@@ -343,19 +341,16 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
             reports.append(rep)
             if alpha > 3:
                 chain = seq.deltas[alpha - 2].apply(k, m, chain)
-            low = _first_discrepancy(k, m, chain, {}, zwin_check, shift - 1)
-            if low is not None:
-                rep.fail(low, "delta chain", "0",
-                         "delta chain must annihilate q-degrees below the shift")
+            # the chain vanishes below the shift
+            if not compare_classes(rep, k, m, chain, {}, zwin_check,
+                                   shift - 1):
                 continue
             lhs = {idx: ser.shift_exponent("q", -shift)
                    for idx, ser in chain.items()}
             foot, index = seq.s_tilde[alpha - 1]
             rhs = build_dj(k, m, foot, index, qmax, djwin)
-            disc = _first_discrepancy(k, m, lhs, rhs, zwin_check,
-                                      min(qcheck, qmax - shift))
-            if disc is not None:
-                rep.fail(disc, "D-alpha chain", "derivative formula")
+            compare_classes(rep, k, m, lhs, rhs, zwin_check,
+                            min(qcheck, qmax - shift))
 
     with CheckReport(name="qde",
                      params={"k": k, "m": m, "qdeg": qcheck,
@@ -365,18 +360,14 @@ def verify_jfunc(k: int, m: int, qcheck: int, zlo: int = -6, zhi: int = 2,
         rhs = {idx: ser.shift_exponent("q", k * m) for idx, ser in j.items()}
         if negate:
             rhs = _perturb(rhs, zwin_check, qcheck)
-        disc = _first_discrepancy(k, m, chain, rhs, zwin_check, qcheck)
-        if disc is not None:
-            rep.fail(disc, "QDE operator product", "q^{km} J")
+        compare_classes(rep, k, m, chain, rhs, zwin_check, qcheck)
     reports.append(rep)
     return reports
 
 
 def _check_window(zlo: int, zhi: int) -> VarWindow:
     """The declared window [zlo, zhi], soft on both sides, so truncating to
-    it drops every term outside.  A hard top would keep the terms above zhi,
-    where J and its derivatives need not agree: J's d = 0 term z is pruned
-    when z lies above the build window, while dJ keeps its own."""
+    it drops every term outside: a check compares no power above zhi."""
     return VarWindow(zlo, zhi, False, False)
 
 
@@ -387,26 +378,17 @@ def _compared(ser: TruncSeries, zwin: VarWindow, qtop: int) -> TruncSeries:
         .hard_slice("q", 0)
 
 
-def _first_discrepancy(k: int, m: int, lhs: dict, rhs: dict,
-                       zwin: VarWindow, qtop: int) -> dict | None:
-    """Where two J-format dicts first differ on q-degrees 0..qtop inside
-    ``zwin``, None if nowhere: the least (sector, q-degree, class, z-power),
-    sector "0" first, with the difference there.  A class one side lacks
-    is zero there."""
+def compare_classes(rep: CheckReport, k: int, m: int, lhs: dict, rhs: dict,
+                    zwin: VarWindow, qtop: int) -> bool:
+    """Compare two J-format dicts class by class on q-degrees 0..qtop inside
+    ``zwin``, sector "0" first and classes in order, through ``rep``; a class
+    one side lacks is zero there.  At the first class that differs, the
+    report names it and its least differing (q, z) key."""
     zero = TruncSeries.zero()
-    found = []
-    for idx in lhs.keys() | rhs.keys():
-        diff = _compared(lhs.get(idx, zero), zwin, qtop) - \
-            _compared(rhs.get(idx, zero), zwin, qtop)
-        if diff.terms:
-            q, z = min(diff.terms)
-            found.append((idx, q, z, diff.terms[q, z]))
-    if not found:
-        return None
-    idx, q, z, resid = min(found, key=lambda f: (f[0].side, f[1], f[0], f[2]))
-    return {"sector": _SECTOR[idx.side], "q_degree": q,
-            "class": idx.label(k, m), "z_power": str(z),
-            "difference": str(resid)}
+    return all(rep.compare(_compared(lhs.get(idx, zero), zwin, qtop),
+                           _compared(rhs.get(idx, zero), zwin, qtop),
+                           {"class": idx.label(k, m)})
+               for idx in sorted(lhs.keys() | rhs.keys()))
 
 
 def _perturb(j: dict, zwin: VarWindow, qcheck: int) -> dict:
@@ -444,8 +426,8 @@ def expand_prefactors(j: dict, tau_order: int) -> dict:
     """Multiply each class of the J format ``j`` by its sector's expanded
     prefactor e^{tau nu_s / z}, a series in (q, tau, z).
 
-    Used by the small-z sanity check and the c-constant check; the
-    verification engine itself never expands prefactors.
+    Used by the c-constant check; the verification engine itself never
+    expands prefactors.
     """
     tau_win = VarWindow(0, tau_order, True, False)
     out = {}
@@ -454,19 +436,3 @@ def expand_prefactors(j: dict, tau_order: int) -> dict:
                     * TruncSeries.var("z", ser.wins["z"], power=-1))
         out[idx] = ser * pref_arg.exp()
     return out
-
-
-def j_small_z_expansion(k: int, m: int) -> bool:
-    """Sanity: the q^0 layer of J expands as z*1 + tau*p + O(z^-1).  The
-    unit 1 = 1_{0/k} + 1_{0/m} and the hyperplane class
-    p = nu0 1_{0/k} + nu1 1_{0/m} have the coordinates 1 and nu_s on the
-    untwisted classes."""
-    zwin = VarWindow(-3, 1, False, True)
-    j = build_j(k, m, 0, zwin)
-    expanded = expand_prefactors(j, 2)
-    q0 = {idx: expanded[idx].coeff_of("q", 0)
-          for idx in (SectorIndex("k", 0), SectorIndex("m", 0))}
-    return all(ser.coeff_of("z", 1).coeff_of("tau", 0) == 1
-               and ser.coeff_of("z", 0).coeff_of("tau", 1)
-               == _sector_nu(idx.side)
-               for idx, ser in q0.items())

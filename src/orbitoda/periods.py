@@ -191,24 +191,20 @@ def verify_lemma_d_branches(k: int) -> CheckReport:
                 lam_out = down_win(a - 3 * k, hi=a + k)
                 inv = _d_inverse_monomial(D, a, lam_out, zwin)
                 z0 = inv.coeff_of("z", 0)
-                want_const = a == -k  # alpha = a/k = -1
-                got = not z0.is_zero()
-                if got != want_const:
-                    rep.fail({"alpha": f"{a}/{k}", "tail": bool(D.tail)},
-                             str(z0), "1/nu iff alpha=-1")
-                    break
-                if want_const and not rep.compare(
-                        z0.coeff_of("lam", 0),
-                        TruncSeries.scalar(D.nu.inverse()),
-                        {"alpha": f"{a}/{k}"}):
+                where = {"alpha": f"{a}/{k}", "tail": bool(D.tail)}
+                # a z^0 term, 1/nu at lam^0, on the branch alpha = a/k = -1
+                # and none off it
+                ok = rep.compare(z0.coeff_of("lam", 0), D.nu.inverse(),
+                                 where) if a == -k else rep.compare(z0, 0, where)
+                if not ok:
                     break
                 # inverse property: D (D^{-1} g) = g within windows
                 back = d_apply(D, inv).truncated(
                     {"lam": down_win(a - 2 * k, hi=a), "z": zwin})
                 target = TruncSeries.from_poly("lam", {a: 1}).truncated(
                     {"lam": down_win(a - 2 * k, hi=a), "z": zwin})
-                if not rep.compare(back, target, {"alpha": f"{a}/{k}",
-                                                  "check": "D o D^-1"}):
+                if not rep.compare(back, target,
+                                   {**where, "check": "D o D^-1"}):
                     break
             if not rep.ok:
                 break

@@ -2,9 +2,11 @@
 
 A check states that two objects, built independently, agree; it says so
 through ``CheckReport.compare``, which takes their difference once, and on
-a difference records where it lies and returns False.  ``fail`` stays for
-verdicts that are not an equality of two objects: a window too shallow to
-check, bands outside their range, an "iff".
+a difference records where it lies, in the one format of
+``series.discrepancy``, and returns False.  ``fail`` stays for verdicts
+that are not an equality of two objects: a window too shallow to check, a
+residue that vanishes where scaling it must show, a planted perturbation
+left unlocated.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class CheckReport:
         ``where`` and return False.
 
         An operand with an ``eq_report`` (a series, a shift operator) takes
-        the difference itself: its least differing key joins ``where``, and
-        the discrepancy's lhs and rhs are the two sides' coefficients there.
+        the difference itself: its least differing key joins ``where`` as
+        {"at": {variable: nonzero exponent}} (and a shift operator's band),
+        and the discrepancy's lhs and rhs are the two sides' coefficients
+        there.
         Other values (``ParamRat``, ``Fraction``, dicts) compare by ``==``
         and are recorded whole.  Nothing is turned into a string on a pass.
         """

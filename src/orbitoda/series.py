@@ -129,15 +129,20 @@ class TruncSeries:
     @staticmethod
     def scalar(c, wins: Mapping[str, VarWindow] | None = None,
                caps: dict[frozenset, int] | None = None) -> "TruncSeries":
+        """c on ``wins``; a nonzero c is known at exponent 0, so it widens
+        each window that leaves 0 out to hold it."""
         c = _as_coeff(c)
         wins = dict(wins) if wins else {}
         caps = dict(caps) if caps else {}
         vars = tuple(sorted(wins))
+        if not c.is_zero():
+            for v, w in wins.items():
+                if not w.lo <= 0 <= w.hi:
+                    wins[v] = VarWindow(min(w.lo, 0), max(w.hi, 0),
+                                        w.lo_hard, w.hi_hard)
         # the one key, of exponent and degree 0, is kept where a prune
         # would keep it
-        kept = not c.is_zero() and all(w.lo <= 0 <= w.hi
-                                       for w in wins.values()) \
-            and all(cap >= 0 for cap in caps.values())
+        kept = not c.is_zero() and all(cap >= 0 for cap in caps.values())
         return TruncSeries(vars, wins, {(0,) * len(vars): c} if kept else {},
                            caps)
 
@@ -739,14 +744,8 @@ class TruncSeries:
         nvars = self.vars[:i] + self.vars[i + 1:]
         nwins = {u: wv for u, wv in self.wins.items() if u != v}
         # every power is built before the first window merge, so a repl
-        # with no inverse fails in recip, not in a merge of its windows;
-        # repl^0 = 1 keeps repl's windows, each widened to hold 0 where it
-        # does not (a 1 on a window without 0 stores no term)
-        one_wins = {u: wu if wu.lo <= 0 <= wu.hi else
-                    VarWindow(min(wu.lo, 0), max(wu.hi, 0), wu.lo_hard,
-                              wu.hi_hard)
-                    for u, wu in repl.wins.items()}
-        pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, one_wins)}
+        # with no inverse fails in recip, not in a merge of its windows
+        pows: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, repl.wins)}
         for e in range(1, max(groups, default=0) + 1):
             pows[e] = pows[e - 1] * repl
         if min(groups, default=0) < 0:
@@ -782,17 +781,9 @@ class TruncSeries:
                               PR.zero())
 
     def eq_report(self, other: "TruncSeries"):
-        """None if equal on the joint known window, else (where, lhs, rhs):
-        ``where`` names the least differing key, {"at": str(exponents)},
-        and lhs and rhs are the two sides' coefficients there."""
-        diff = self - other
-        if diff.is_zero():
-            return None
-        key = min(diff.terms)
-        exps = {v: e for v, e in zip(diff.vars, key) if e}
-        lhs = self.coeff_at(exps)
-        return ({"at": str({v: Fraction(e) for v, e in exps.items()})},
-                lhs, lhs - diff.terms[key])
+        """None if equal on the joint known window, else
+        ``discrepancy(self, self - other)``."""
+        return discrepancy(self, self - other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ParamRat)):
@@ -835,6 +826,19 @@ class TruncSeries:
 
 
 # -- free functions ------------------------------------------------------
+
+
+def discrepancy(side: TruncSeries, diff: TruncSeries):
+    """None if ``diff`` = side - other has no term, else (where, lhs, rhs)
+    at its least key: ``where`` is {"at": {variable: exponent}} over the
+    nonzero exponents of that key, and lhs and rhs are the coefficients of
+    side and of the other there."""
+    if diff.is_zero():
+        return None
+    key = min(diff.terms)
+    exps = {v: e for v, e in zip(diff.vars, key) if e}
+    lhs = side.coeff_at(exps)
+    return {"at": exps}, lhs, lhs - diff.terms[key]
 
 
 def _remap(terms: dict, vars: tuple[str, ...],

@@ -24,9 +24,9 @@ from math import comb
 from .errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import (TruncSeries, VarWindow, down_win, exact_win, merge_win,
-                     power_sum, product_win, sum_series, support_in,
-                     up_win)
+from .series import (TruncSeries, VarWindow, discrepancy, down_win,
+                     exact_win, merge_win, power_sum, product_win, sum_series,
+                     support_in, up_win)
 
 
 def yname(n: int) -> str:
@@ -204,24 +204,20 @@ class ShiftOp:
 
     def eq_report(self, other: "ShiftOp"):
         """None if equal, else (where, lhs, rhs) at the lowest differing
-        band: ``where`` names the band, its least differing key and the
-        difference there, and lhs and rhs are the two sides' coefficients
-        there."""
+        band: ``where`` names the band and, as a series does
+        (``discrepancy``), its least differing key; lhs and rhs are the two
+        sides' coefficients there."""
         d = self - other
         for i in sorted(d.bands):
-            c = d.bands[i]
-            if not c.is_zero():
-                key = min(c.terms)
-                exps = dict(zip(c.vars, key))
-                lhs = self.bands[i].coeff_at(exps) if i in self.bands \
-                    else PR.zero()
-                return ({"band": i, "at": str(exps),
-                         "difference": str(c.terms[key])},
-                        lhs, lhs - c.terms[key])
-        for name, a, b, diff in (("eps d_x", self.deriv, other.deriv, d.deriv),
-                                 ("log Q", self.logq, other.logq, d.logq)):
-            if not diff.is_zero():
-                return {"band": name, "difference": str(diff)}, a, b
+            found = discrepancy(self.bands.get(i, TruncSeries.zero()),
+                                d.bands[i])
+            if found:
+                where, lhs, rhs = found
+                return {"band": i, **where}, lhs, rhs
+        for name, a, b in (("eps d_x", self.deriv, other.deriv),
+                           ("log Q", self.logq, other.logq)):
+            if a != b:
+                return {"band": name}, a, b
         return None
 
 
@@ -725,11 +721,10 @@ def verify_flow_band_shape(k: int, m: int) -> CheckReport:
         for n in (1, 2):
             gen = L.pow(n, eps_win).split_plus()
             rhs = gen.commutator(curly, eps_win)
-            bad = [i for i, c in rhs.bands.items()
-                   if not c.is_zero() and (i >= k or i < -m)]
-            if bad:
-                rep.fail({"flow": f"y{n}", "bands": sorted(bad)},
-                         "outside [-m, k-1]", "")
+            outside = ShiftOp({i: c for i, c in rhs.bands.items()
+                               if i >= k or i < -m}, rhs.lo, rhs.lo_hard)
+            if not rep.compare(outside, ShiftOp({}, rhs.lo, rhs.lo_hard),
+                               {"flow": f"y{n}"}):
                 break
     return rep
 

@@ -37,7 +37,8 @@ def test_criterion_1_ladder_suite():
 
 
 def test_criterion_2_qde():
-    from orbitoda.jfunction import j_small_z_expansion, verify_jfunc
+    from orbitoda.jfunction import verify_jfunc
+    from test_jfunction import j_small_z_expansion
     ok = True
     for (k, m) in MATRIX:
         (rep,) = [r for r in verify_jfunc(k, m, 2 * k * m, -6, 2)

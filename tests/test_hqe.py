@@ -282,7 +282,7 @@ def test_toda_hqe_vacuum_family():
     # through flow-bidegree (2,2); jet errors only above the caps
     tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
     for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        rep = toda_hqe_report(tau, n, l, 2, EW, dcap=2)
+        rep = toda_hqe_report(tau, n, l, 2, EW)
         assert rep.ok, (n, l, rep.first_discrepancy)
 
 
@@ -310,10 +310,17 @@ def _perturbed_tau():
 def test_toda_hqe_negative_control_located():
     # a wrong dispersion coefficient is caught with a located slot at low
     # bidegree
-    rep = toda_hqe_report(_perturbed_tau(), 1, 0, 1, EW, dcap=2)
+    rep = toda_hqe_report(_perturbed_tau(), 1, 0, 1, EW)
     assert not rep.ok
     assert rep.first_discrepancy is not None
-    assert rep.first_discrepancy["at"]["bidegree"] == [1, 0]
+    assert _bidegree(rep.first_discrepancy["at"]["at"]) == (1, 0)
+
+
+def _bidegree(exps):
+    """The flow bidegree of a monomial's exponents: their sums over the
+    unbarred (y...) and the barred (w...) flow times."""
+    return tuple(sum(e for v, e in exps.items() if v.startswith(t))
+                 for t in "yw")
 
 
 def _hirota_form(resid, depth, top):
@@ -333,7 +340,7 @@ def _hirota_form(resid, depth, top):
 
 def _first_offender_and_jet_error(rep):
     at = rep.first_discrepancy
-    return (at and tuple(at["at"]["bidegree"]),
+    return (at and _bidegree(at["at"]["at"]),
             tuple(rep.max_order_verified["first_jet_error_at"]))
 
 
@@ -350,10 +357,10 @@ def test_leg_reading_matches_hirota_form(monkeypatch, case, n, l, want):
     # same first offender and the same first jet error
     tau = two_toda_vacuum_tau(1, 3, exact_jet=True) if case == "vacuum" \
         else _perturbed_tau()
-    legs = toda_hqe_report(tau, n, l, 1, EW, dcap=2)
+    legs = toda_hqe_report(tau, n, l, 1, EW)
     monkeypatch.setattr(hqe, "toda_hqe_eval", lambda *args: _hirota_form(
         toda_hqe_eval(*args), 1, 20))
-    hirota = toda_hqe_report(tau, n, l, 1, EW, dcap=2)
+    hirota = toda_hqe_report(tau, n, l, 1, EW)
     assert _first_offender_and_jet_error(legs) == want
     assert _first_offender_and_jet_error(hirota) == want
 
@@ -363,7 +370,7 @@ def test_jet_error_follows_the_flow_degree_cap(ycap):
     # the vacuum jet is exact through flow degree ycap; the first nonzero
     # residue class sits one degree above it on each side
     tau = two_toda_vacuum_tau(1, ycap, exact_jet=True)
-    rep = toda_hqe_report(tau, 0, 0, 1, EW, dcap=2)
+    rep = toda_hqe_report(tau, 0, 0, 1, EW)
     assert rep.ok
     assert rep.max_order_verified["first_jet_error_at"] == \
         (ycap + 1, ycap + 1)

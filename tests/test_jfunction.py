@@ -12,10 +12,10 @@ from orbitoda import jfunction
 from orbitoda.algebra import frac_part_unit
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import BadIndex, NonUnit, NotCoprime
-from orbitoda.jfunction import (DeltaOp, _check_window, _first_discrepancy,
-                                _perturb, operator_ladder, build_dj, build_j,
-                                inv_poch, j_small_z_expansion, poch_ratio,
-                                verify_jfunc)
+from orbitoda.jfunction import (DeltaOp, _check_window, _perturb,
+                                build_dj, build_j, compare_classes,
+                                expand_prefactors, inv_poch, operator_ladder,
+                                poch_ratio, verify_jfunc)
 from orbitoda.reports import CheckReport
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, VarWindow, sum_series
@@ -43,9 +43,37 @@ def test_build_j_d1_term():
     assert (got - want).is_zero()
 
 
+def j_small_z_expansion(k: int, m: int) -> bool:
+    """Sanity: the q^0 layer of J expands as z*1 + tau*p + O(z^-1).  The
+    unit 1 = 1_{0/k} + 1_{0/m} and the hyperplane class
+    p = nu0 1_{0/k} + nu1 1_{0/m} have the coordinates 1 and nu_s on the
+    untwisted classes."""
+    zwin = VarWindow(-3, 1, False, True)
+    j = build_j(k, m, 0, zwin)
+    expanded = expand_prefactors(j, 2)
+    q0 = {idx: expanded[idx].coeff_of("q", 0)
+          for idx in (SectorIndex("k", 0), SectorIndex("m", 0))}
+    return all(ser.coeff_of("z", 1).coeff_of("tau", 0) == 1
+               and ser.coeff_of("z", 0).coeff_of("tau", 1)
+               == (PR.nu0() if idx.side == "k" else PR.nu1())
+               for idx, ser in q0.items())
+
+
 def test_small_z_expansion():
     assert j_small_z_expansion(3, 2)
     assert j_small_z_expansion(5, 3)
+
+
+def test_j_keeps_its_z_term_above_a_low_build_window():
+    # J's d = 0 piece is z 1, built as a scalar 1 on the window moved down
+    # by one: [-7, -2] holds no exponent 0, and the 1 widens it to [-7, 0]
+    one = TS.scalar(1, {"z": VarWindow(-7, -2, False, True)})
+    assert one.wins == {"z": VarWindow(-7, 0, False, True)}
+    assert one.terms == {(0,): PR.one()}
+    j = build_j(3, 2, 0, VarWindow(-6, -1, False, True))
+    assert set(j) == {SectorIndex("k", 0), SectorIndex("m", 0)}
+    for ser in j.values():
+        assert ser.terms == {(0, 1): PR.one()}
 
 
 def poch(param, x):
@@ -195,32 +223,50 @@ def _qde_reference(k, m, qcheck, zlo, zhi, negate=False):
         rhs = {idx: ser.shift_exponent("q", k * m) for idx, ser in j.items()}
         if negate:
             rhs = _perturb(rhs, zwin_check, qcheck)
-        disc = _first_discrepancy(k, m, lhs, rhs, zwin_check, qcheck)
-        if disc is not None:
-            rep.fail(disc, "QDE operator product", "q^{km} J")
+        compare_classes(rep, k, m, lhs, rhs, zwin_check, qcheck)
     return rep
 
 
-def test_first_discrepancy_is_least_in_sector_q_class_z():
-    # sector "0" before "inf", then q-degree, class and z-power; z^-4
-    # lies outside the compared window and q^5 above the compared degree
+def _agree(k, m, lhs, rhs, zwin, qtop):
+    """Whether ``compare_classes`` finds the two J-format dicts equal."""
+    return compare_classes(CheckReport(name="t", params={}), k, m, lhs, rhs,
+                           zwin, qtop)
+
+
+def test_class_compare_is_least_in_sector_class_q_z():
+    # sector "0" before "inf", then class, then (q, z); z^-4 lies outside
+    # the compared window and q^5 above the compared degree
     wins = {"q": VarWindow(0, 6, True, False),
             "z": VarWindow(-4, 2, False, True)}
 
     def mono(q, z, c=1):
         return TS.monomial({"q": q, "z": z}, wins, c)
+
+    def first(lhs, rhs):
+        rep = CheckReport(name="t", params={})
+        assert not compare_classes(rep, 3, 2, lhs, rhs, _check_window(-3, 2),
+                                   4)
+        return rep.first_discrepancy
     k0, k1, k2, m0 = (SectorIndex("k", 0), SectorIndex("k", 1),
                       SectorIndex("k", 2), SectorIndex("m", 0))
     lhs = {m0: mono(0, -3), k0: mono(4, -3), k1: mono(3, 2),
            k2: mono(2, -4) + mono(3, 1)}
     rhs = {k1: mono(5, 0), k2: mono(3, 1, 5)}
-    assert _first_discrepancy(3, 2, lhs, rhs, _check_window(-3, 2), 4) == {
-        "sector": "0", "q_degree": 3, "class": "1/3", "z_power": "2",
-        "difference": "1"}
+    # class 0/3 comes before the lower q-degree of class 1/3
+    assert first(lhs, rhs) == {"at": {"class": "0/3", "at": {"q": 4, "z": -3}},
+                               "lhs": "1", "rhs": "0"}
+    del lhs[k0]
+    assert first(lhs, rhs) == {"at": {"class": "1/3", "at": {"q": 3, "z": 2}},
+                               "lhs": "1", "rhs": "0"}
     del lhs[k1]
-    assert _first_discrepancy(3, 2, lhs, rhs, _check_window(-3, 2), 4) == {
-        "sector": "0", "q_degree": 3, "class": "2/3", "z_power": "1",
-        "difference": "-4"}
+    assert first(lhs, rhs) == {"at": {"class": "2/3", "at": {"q": 3, "z": 1}},
+                               "lhs": "1", "rhs": "5"}
+    # an exponent 0 is left out of the location
+    del lhs[k2], rhs[k2]
+    assert first(lhs, rhs) == {"at": {"class": "0/2", "at": {"z": -3}},
+                               "lhs": "1", "rhs": "0"}
+    del lhs[m0]
+    assert _agree(3, 2, lhs, rhs, _check_window(-3, 2), 4)
 
 
 def _same_verdict(a, b):
@@ -247,8 +293,7 @@ def test_affine_delta_matches_generic_product(k, m):
                for idx, ser in op.apply(k, m, j).items()}
         want = {idx: ser.truncated({"z": zwin_check})
                 for idx, ser in _generic_delta(j, k, m, op).items()}
-        assert _first_discrepancy(k, m, got, want, zwin_check, qcheck) \
-            is None, op
+        assert _agree(k, m, got, want, zwin_check, qcheck), op
         assert fields(got) == fields(want), op
 
 
@@ -283,8 +328,8 @@ def test_qde_report_matches_the_operator_product(k, m, negate):
 @pytest.mark.parametrize("k, m, zlo, zhi", [(2, 1, -9, -5), (3, 2, -12, -6),
                                             (3, 2, -3, -1), (3, 2, 0, 0)])
 def test_low_z_windows(k, m, zlo, zhi):
-    # zhi + k + m < 1: z lies above the build window, so J's d = 0 term is
-    # pruned while dJ keeps its own; the checks must look only inside.
+    # zhi + k + m < 1: J's d = 0 term z lies above the build window; the
+    # checks must look only inside.
     # Narrow windows below z^1 must still catch the QDE negative control.
     qdeg = 2 * k * m
     reps = verify_jfunc(k, m, qdeg, zlo, zhi)
@@ -293,13 +338,13 @@ def test_low_z_windows(k, m, zlo, zhi):
     for negate, qde in ((False, reps[-1]), (True, neg[-1])):
         assert _same_verdict(qde, _qde_reference(k, m, qdeg, zlo, zhi,
                                                  negate))
-    found = [r.first_discrepancy["at"] for r in neg if not r.ok]
+    found = [r.first_discrepancy["at"]["at"] for r in neg if not r.ok]
     assert found
     for at in found:
-        assert zlo <= int(at["z_power"]) <= zhi, at
+        assert zlo <= at.get("z", 0) <= zhi, at
     qde = neg[-1]
     assert qde.name == "qde" and qde.status == "fail"
-    assert zlo <= int(qde.first_discrepancy["at"]["z_power"]) <= zhi
+    assert zlo <= qde.first_discrepancy["at"]["at"].get("z", 0) <= zhi
 
 
 def test_poch_ratio_d0_simplifies_to_one():
@@ -402,8 +447,8 @@ def test_ladder_negative_control():
     bad = [r for r in reps if not r.ok]
     assert bad and bad[0].name == "ladder-alpha-1"
     assert bad[0].first_discrepancy is not None
-    assert "difference" in bad[0].first_discrepancy["at"] or \
-        bad[0].first_discrepancy["at"].get("q_degree") is not None
+    assert bad[0].first_discrepancy["at"]["class"] == "0/3"
+    assert bad[0].first_discrepancy["at"]["at"]
 
 
 def test_qde():
@@ -418,7 +463,7 @@ def test_qde_negative_control():
         rep = _qde(verify_jfunc(3, 2, qdeg, negate=True))
         assert not rep.ok
         assert rep.first_discrepancy is not None
-        assert rep.first_discrepancy["at"]["q_degree"] <= qdeg
+        assert rep.first_discrepancy["at"]["at"].get("q", 0) <= qdeg
 
 
 @pytest.mark.parametrize("k, m", [(3, 2), (2, 3), (5, 3), (2, 1)])
@@ -427,10 +472,10 @@ def test_negative_controls_land_on_the_top_window(k, m):
     # falls back to a perturbation that lands inside the window
     qdeg = 2 * k * m
     reps = verify_jfunc(k, m, qdeg, 1, 1, negate=True)
-    bad = {r.name: r.first_discrepancy["at"] for r in reps if not r.ok}
+    bad = {r.name: r.first_discrepancy["at"]["at"] for r in reps if not r.ok}
     assert set(bad) == {"ladder-alpha-1", "qde"}
     for at in bad.values():
-        assert at["z_power"] == "1" and at["q_degree"] <= qdeg, at
+        assert at["z"] == 1 and at.get("q", 0) <= qdeg, at
     assert all(r.ok for r in verify_jfunc(k, m, qdeg, 1, 1))
 
 
@@ -455,7 +500,7 @@ def test_tau_derivative_decomposes_over_untwisted_directions():
                            ((djk, PR.nu0()), (djm, PR.nu1())) if idx in dj)
            for idx in djk.keys() | djm.keys()}
     assert lhs.keys() == rhs.keys()
-    assert _first_discrepancy(k, m, lhs, rhs, ZWIN, qmax) is None
+    assert _agree(k, m, lhs, rhs, ZWIN, qmax)
 
 
 def test_poch_ratio_inverts_poch():

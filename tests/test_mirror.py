@@ -346,8 +346,7 @@ def test_flat_coordinates_negative_control(monkeypatch):
     monkeypatch.setattr(mirror, "flat_coords_binomial", perturbed)
     rep = verify_flat_coordinates(3, 2)
     assert rep.status == "fail"
-    assert rep.first_discrepancy["at"] == {"tau": "2/3",
-                                           "at": "{'t1': Fraction(2, 1)}"}
+    assert rep.first_discrepancy["at"] == {"tau": "2/3", "at": {"t1": 2}}
 
 
 @pytest.mark.parametrize("tvals", [None, {1: F(1, 2), 2: F(-1, 3), 3: F(0),
@@ -365,7 +364,7 @@ def test_residue_pairing_negative_control(monkeypatch, tvals):
     _, _, rep = residue_pairing_matrix(3, 2, tvals)
     assert rep.status == "fail"
     assert rep.first_discrepancy == {
-        "at": {"alpha": "('k', 1)", "beta": "('k', 2)", "at": "{}"},
+        "at": {"alpha": "('k', 1)", "beta": "('k', 2)", "at": {}},
         "lhs": "1/3", "rhs": "2/3"}
 
 
@@ -388,8 +387,7 @@ def test_tangent_product_negative_control(monkeypatch):
     rep = verify_tangent_product(3, 2)
     assert rep.status == "fail"
     assert rep.first_discrepancy == {
-        "at": {"a": "1/3", "b": "2/3",
-               "at": "{'q': Fraction(1, 1), 'x': Fraction(1, 1)}"},
+        "at": {"a": "1/3", "b": "2/3", "at": {"q": 1, "x": 1}},
         "lhs": "0", "rhs": "1"}
 
 
@@ -424,7 +422,7 @@ def test_classical_critical_negative_control(monkeypatch):
     rep = classical_critical_data(3, 2)
     assert rep.status == "fail"
     assert rep.first_discrepancy["at"] == {"foot": 3, "identity": "x f'",
-                                           "at": "{}"}
+                                           "at": {}}
 
 
 def test_stationary_A_initial_conditions():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import examples
 
+from orbitoda import periods
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import SingularFiber, WindowUnderflow
 from orbitoda.periods import (DOp, _d_inverse_monomial, _over_linear,
@@ -33,6 +34,22 @@ def test_lemma_d_branches():
     # 1/nu constant branch iff alpha = -1, for |alpha| <= 3 in (1/k)Z
     assert verify_lemma_d_branches(2).ok
     assert verify_lemma_d_branches(3).ok
+
+
+def test_lemma_d_branches_negative_control(monkeypatch):
+    # D^-1 lam^1 gains a z^0 lam^1 term off the branch alpha = -1: the
+    # report must fail there, at alpha 1/3 on the tail-free operator
+    inverse = periods._d_inverse_monomial
+
+    def perturbed(D, a, lam_out, zwin):
+        inv = inverse(D, a, lam_out, zwin)
+        return inv + TS.monomial({"lam": 1}, inv.wins) if a == 1 else inv
+    monkeypatch.setattr(periods, "_d_inverse_monomial", perturbed)
+    rep = verify_lemma_d_branches(3)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy == {
+        "at": {"alpha": "1/3", "tail": False, "at": {"lam": 1}},
+        "lhs": "1", "rhs": "0"}
 
 
 def _inv_linear(nu, beta, zwin):

@@ -1,11 +1,16 @@
 """``CheckReport.compare``: one comparison for every check, and the ratchet
 on the reports whose comparisons meet no term."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from test_hqe import EW as HQE_EW, _perturbed_tau
+
 from orbitoda import cli
+from orbitoda.hqe import toda_hqe_report
+from orbitoda.jfunction import verify_jfunc
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.reports import CheckReport
 from orbitoda.series import POINT, TruncSeries as TS, up_win
@@ -60,14 +65,13 @@ def test_a_series_difference_names_its_least_key_and_both_coefficients():
     assert not rep.compare(_series(), other, {"identity": "I"})
     # keys (1, 2) and (2, 0) differ; (1, 2) is the least
     assert rep.first_discrepancy == {
-        "at": {"identity": "I", "at": "{'x': Fraction(1, 1), "
-                                      "'y': Fraction(2, 1)}"},
+        "at": {"identity": "I", "at": {"x": 1, "y": 2}},
         "lhs": "3", "rhs": "7"}
     # a scalar side is the constant series
     rep = _report()
     assert not rep.compare(_series(), 1, {})
     assert rep.first_discrepancy == {
-        "at": {"at": "{'x': Fraction(1, 1)}"}, "lhs": "2", "rhs": "0"}
+        "at": {"at": {"x": 1}}, "lhs": "2", "rhs": "0"}
 
 
 def test_a_shift_operator_difference_names_its_band():
@@ -78,15 +82,32 @@ def test_a_shift_operator_difference_names_its_band():
     rep = _report()
     assert not rep.compare(M, N, {"op": "M"})
     assert rep.first_discrepancy == {
-        "at": {"op": "M", "band": -1, "at": "{'eps': 0, 'x': 1}",
-               "difference": "-3"},
+        "at": {"op": "M", "band": -1, "at": {"x": 1}},
         "lhs": "0", "rhs": "3"}
     rep = _report()
     assert not rep.compare(identity_op(),
                            ShiftOp({0: TS.scalar(1)}, 0, True, PR.one()), {})
     assert rep.first_discrepancy == {
-        "at": {"band": "eps d_x", "difference": "-1"}, "lhs": "0",
+        "at": {"band": "eps d_x"}, "lhs": "0",
         "rhs": "1"}
+
+
+def test_every_location_has_one_format():
+    # a series, a shift operator, a ladder class and the HQE box each name
+    # the least differing key as {variable: nonzero integer exponent}
+    series = _report()
+    series.compare(_series(), TS.scalar(1, {"x": up_win(3)}), {})
+    op = _report()
+    M = ShiftOp({1: TS.scalar(1, {"eps": EW})}, 0, True)
+    op.compare(M, M + ShiftOp({1: TS.from_poly("x", {2: 5})}, 0, True), {})
+    ladder = verify_jfunc(3, 2, 6, negate=True)[0]
+    box = toda_hqe_report(_perturbed_tau(), 1, 0, 1, HQE_EW)
+    for rep, want in [(series, {"x": 1}), (op, {"x": 2}),
+                      (ladder, {"z": 2}), (box, {"eps": -1, "y1b": 1})]:
+        assert rep.status == "fail"
+        at = json.loads(rep.to_json())["first_discrepancy"]["at"]["at"]
+        assert at == rep.first_discrepancy["at"]["at"] == want
+        assert all(type(e) is int and e for e in at.values())
 
 
 def test_nothing_is_turned_into_a_string_on_a_pass(monkeypatch):
@@ -119,9 +140,12 @@ VACUOUS = {(name, k, m) for k, m in [(2, 1), (3, 2)] for name in (
     "bi-infinite-fixed-point", "transformation-shift-classical",
     "transformation-shift-mirror-x", "transformation-shift+tail-classical",
     "transformation-shift+tail-mirror-x")}
-# reports that compare with 0 a difference the library forms itself: the
-# residue term1 - term2 of `hqe_residue_eval`, whose sides the spy cannot see
-ONE_SIDED = {("hqe-trivial-residue", 3, 2)}
+# reports that compare with 0 a difference the library forms itself, whose
+# sides the spy cannot see: the residue term1 - term2 of `hqe_residue_eval`
+# and of `toda_hqe_eval` (inside the flow-bidegree box), and the bands of
+# the commutator AB - BA outside [-m, k-1]
+ONE_SIDED = {("hqe-trivial-residue", 3, 2), ("reduced-flow-band", 2, 1)} | {
+    (f"toda-hqe-{n}-{l}", None, None) for n in (0, 1) for l in (0, 1)}
 
 
 def _known(s, d):
