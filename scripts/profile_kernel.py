@@ -16,14 +16,17 @@ seconds per round: a round on a slow or shifting host shows there.
 
 The start-up layer has its own rows: the median wall time and peak RSS
 (``VmHWM`` of /proc, so Linux only) of --spawns fresh interpreters that
-run ``pass``, and of as many that import orbitoda and its CLI, the two
-kinds alternating.  Compile the tree first (``python -m compileall src``)
+run ``pass``, of as many that import orbitoda and its CLI, and of as many
+that import every orbitoda module, the command modules that the CLI
+imports lazily too, so that their class definitions are timed; the three
+kinds alternate.  Compile the tree first (``python -m compileall src``)
 where PYTHONDONTWRITEBYTECODE is set: otherwise every spawn compiles the
 package, and the CLI row times the compiler.
 """
 
 import argparse
 import os
+import pkgutil
 import random
 import statistics
 import subprocess
@@ -55,13 +58,17 @@ sys.dont_write_bytecode = True      # nothing written into perfbench/
 from run import speed_probe  # noqa: E402
 
 
-# the start-up layer: an interpreter alone, and one that loads the CLI
+# the start-up layer: an interpreter alone, one that loads the CLI, and one
+# that loads every module (named here: pkgutil would load inspect there)
 COLD = {"pass": "pass",
         "import orbitoda and its CLI":
-        "import orbitoda; from orbitoda.cli import main"}
+        "import orbitoda; from orbitoda.cli import main",
+        "import every orbitoda module":
+        "import " + ", ".join(f"orbitoda.{info.name}" for info
+                              in pkgutil.iter_modules(orbitoda.__path__))}
 # printed by each spawn last: its own peak RSS in kB.  ru_maxrss of a child
 # also counts the high-water mark of the process that spawned it, and this
-# script has loaded the kernel, so that would read the same for both rows.
+# script has loaded the kernel, so that would read the same for every row.
 PEAK_RSS = ("\nprint(next(line.split()[1] for line in "
             "open('/proc/self/status') if line.startswith('VmHWM')))")
 

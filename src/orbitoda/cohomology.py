@@ -20,22 +20,28 @@ by the tangent relation (``mirror.tangent_reduce``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadIndex
 from .rationals import ParamRat, PR
 from .series import TruncSeries, exact_win, sum_series
 
 
-@dataclass(frozen=True, order=True)
-class SectorIndex:
+class _Sector(NamedTuple):
     side: str  # 'k' or 'm'
     i: int
 
-    def __post_init__(self):
-        if self.side not in ("k", "m"):
-            raise BadIndex(f"bad side {self.side!r}")
+
+class SectorIndex(_Sector):
+    """A basis class 1_{i/n}: a value, hashed, compared and ordered as the
+    tuple (side, i)."""
+    __slots__ = ()
+
+    def __new__(cls, side: str, i: int):
+        if side not in ("k", "m"):
+            raise BadIndex(f"bad side {side!r}")
+        return super().__new__(cls, side, i)
 
     def label(self, k: int, m: int) -> str:
         n = k if self.side == "k" else m

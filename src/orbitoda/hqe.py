@@ -14,8 +14,8 @@ for interpreting elements and never enters the symbol algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import e_row, frac_factorial, h_row
 from .cohomology import SectorIndex
@@ -26,15 +26,18 @@ from .series import (TruncSeries, VarWindow, down_win, exact_win, sum_series,
 from .toda import TauJet, miwa_shift, two_toda_vacuum_tau, ybname, yname
 
 
-@dataclass
 class VertexSymbol:
     """Normal-ordered symbol of exp(f-hat).
 
     creation[p][(L, alpha)]   = coefficient of eps^-1 q_L^alpha at lambda^p
     annihilation[p][(l, alpha)] = coefficient of eps d/dq_l^alpha at lambda^p
     """
-    creation: dict = field(default_factory=dict)
-    annihilation: dict = field(default_factory=dict)
+    __slots__ = ("creation", "annihilation")
+
+    def __init__(self, creation: dict | None = None,
+                 annihilation: dict | None = None):
+        self.creation = {} if creation is None else creation
+        self.annihilation = {} if annihilation is None else annihilation
 
     def add(self, kind: str, p: int, key, c: ParamRat):
         """Accumulate c at (p, key) of one kind, dropping what cancels."""
@@ -458,8 +461,7 @@ def fock_one(eps_win: VarWindow) -> TruncSeries:
     return TruncSeries.scalar(1, {"eps": eps_win})
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A vertex operator on one leg, ready to apply: its annihilation half
     as the parts of a derivation on the lambda-window ``lam_w``, and its
     creation half as the exponential it multiplies by (None without

@@ -14,8 +14,8 @@ acts as nu_s + z q d/dq, the Euler operator in q
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import frac_part_unit
 from .cohomology import Cohomology, SectorIndex
@@ -211,8 +211,7 @@ def build_dj(k: int, m: int, side: str, index: int, qmax: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaOp:
+class DeltaOp(NamedTuple):
     """First-order operator attached to one s-value of one foot.
 
     For a k-foot value s: (z/m) d_tau - nu0/m - s k z; for an m-foot value:
@@ -239,11 +238,14 @@ class DeltaOp:
         return out
 
 
-@dataclass
 class LadderSequence:
-    s: list          # s_1..s_{k+m} as (Fraction, foot) in caller naming
-    s_tilde: list    # per alpha >= 3: (foot, index) derivative labels
-    deltas: list     # DeltaOp per alpha (deltas[alpha-1])
+    """s: s_1..s_{k+m} as (Fraction, foot) in caller naming; s_tilde: per
+    alpha >= 3, the (foot, index) derivative labels; deltas: the DeltaOp
+    per alpha (deltas[alpha-1])."""
+    __slots__ = ("s", "s_tilde", "deltas")
+
+    def __init__(self, s: list, s_tilde: list, deltas: list):
+        self.s, self.s_tilde, self.deltas = s, s_tilde, deltas
 
 
 def operator_ladder(k: int, m: int) -> LadderSequence:

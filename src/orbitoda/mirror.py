@@ -10,7 +10,6 @@ two orientations of the same variable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import comb
@@ -29,20 +28,20 @@ def tname(i: int) -> str:
     return f"t{i}"
 
 
-@dataclass
 class Superpotential:
     """f_t on the x-chart: rational part + structural logs.
 
     rational: x^k + sum t_i x^{k-i} + sum t_{k+j} (q/x)^j + (q/x)^m over the
     declared t-variables (or numeric t); logs: c_x * log x + c_q * log q with
-    c_x = nu1 - nu0 and c_q = nu0 (from nu1 log x + nu0 log(q/x)).
+    c_x = nu1 - nu0 and c_q = nu0 (from nu1 log x + nu0 log(q/x));
+    tN_term = nu0 * t_N, entering the flat-coordinate equation.
     """
-    k: int
-    m: int
-    rational: TruncSeries
-    log_x: ParamRat
-    log_q: ParamRat
-    tN_term: TruncSeries  # nu0 * t_N, entering the flat-coordinate equation
+    __slots__ = ("k", "m", "rational", "log_x", "log_q", "tN_term")
+
+    def __init__(self, k: int, m: int, rational: TruncSeries,
+                 log_x: ParamRat, log_q: ParamRat, tN_term: TruncSeries):
+        self.k, self.m, self.rational = k, m, rational
+        self.log_x, self.log_q, self.tN_term = log_x, log_q, tN_term
 
     def df_dx(self) -> TruncSeries:
         return self.rational.derivative("x") + \

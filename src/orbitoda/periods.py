@@ -14,7 +14,6 @@ operator is the footwise mirror.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -27,22 +26,21 @@ from .series import (TruncSeries, VarWindow, down_win, power_sum,
                      series_reversion, sum_series, up_win)
 
 
-@dataclass
 class DOp:
     """D = -(z/k) lam^{1-k} d_lam + nu lam^{-k} + sum tail_i lam^{-k-i}.
 
     Both the residue coefficient nu and the polynomial part (degree k-1,
     encoded by k itself) must be nonzero.
     """
-    k: int
-    nu: ParamRat
-    tail: dict = field(default_factory=dict)   # i >= 1 -> coefficient series
+    __slots__ = ("k", "nu", "tail")
 
-    def __post_init__(self):
-        if self.nu.is_zero():
+    def __init__(self, k: int, nu: ParamRat, tail: dict | None = None):
+        if nu.is_zero():
             raise SingularFiber("the operator needs a nonzero residue")
-        if self.k < 1:
+        if k < 1:
             raise SingularFiber("the polynomial part must be nonzero")
+        self.k, self.nu = k, nu
+        self.tail = {} if tail is None else tail   # i >= 1 -> tail_i series
 
 
 def d_x_operator(k: int, m: int) -> DOp:
@@ -188,8 +186,11 @@ def verify_lemma_d_branches(k: int) -> CheckReport:
         zwin = down_win(-6, hi=0)
         for D in (d_classical(k), d_x_operator(k, max(1, k - 1))):
             for a in range(-alpha_bound * k, alpha_bound * k + 1):
-                lam_out = down_win(a - 3 * k, hi=a + k)
-                inv = _d_inverse_monomial(D, a, lam_out, zwin)
+                # lam^a known down to a - 4k: its inverse is known on
+                # lam [a - 3k, a + k]
+                g = TruncSeries.from_poly("lam", {a: 1}).truncated(
+                    {"lam": down_win(a - 4 * k, hi=a)})
+                inv = d_inverse(D, g, zwin)
                 z0 = inv.coeff_of("z", 0)
                 where = {"alpha": f"{a}/{k}", "tail": bool(D.tail)}
                 # a z^0 term, 1/nu at lam^0, on the branch alpha = a/k = -1
@@ -313,12 +314,12 @@ def verify_transformation_law(k: int, m: int) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PeriodMode:
     """I^{(n)} as num / (f')^{dpow}; num an exact Laurent polynomial."""
-    n: int
-    num: TruncSeries
-    dpow: int
+    __slots__ = ("n", "num", "dpow")
+
+    def __init__(self, n: int, num: TruncSeries, dpow: int):
+        self.n, self.num, self.dpow = n, num, dpow
 
 
 def mode_chain(k: int, m: int, alpha: SectorIndex,

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CheckReport:
     """One check's verdict.  Used as a context manager it times itself:
 
@@ -26,13 +24,19 @@ class CheckReport:
             ...
 
     stamps ``elapsed_ms`` when the block exits, by any route."""
-    name: str
-    params: dict
-    status: str = "pass"                      # pass | fail | error
-    max_order_verified: dict = field(default_factory=dict)
-    first_discrepancy: dict | None = None
-    elapsed_ms: float = 0.0
-    detail: str = ""
+    __slots__ = ("name", "params", "status", "max_order_verified",
+                 "first_discrepancy", "elapsed_ms", "detail", "_t0")
+
+    def __init__(self, name: str, params: dict,
+                 max_order_verified: dict | None = None, detail: str = ""):
+        self.name = name
+        self.params = params
+        self.status = "pass"                  # pass | fail | error
+        self.max_order_verified = ({} if max_order_verified is None
+                                   else max_order_verified)
+        self.first_discrepancy = None
+        self.elapsed_ms = 0.0
+        self.detail = detail
 
     def fail(self, where: dict, lhs: str, rhs: str, detail: str = ""):
         self.status = "fail"

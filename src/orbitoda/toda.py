@@ -16,7 +16,6 @@ coefficient windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -37,7 +36,6 @@ def ybname(n: int) -> str:
     return f"yb{n}"
 
 
-@dataclass
 class ShiftOp:
     """sum_i bands[i] Lambda^i + deriv * eps d_x + logq * log Q.
 
@@ -45,16 +43,26 @@ class ShiftOp:
     kept, since it carries the window on which the zero is known.
 
     ``shifted`` keeps each band that ``mul`` has Taylor-shifted, by the
-    (i, j, eps window) of its shift by i of band j; ``replace`` starts it
-    afresh and ``==`` ignores it.  An operator is not changed after
+    (i, j, eps window) of its shift by i of band j; a new operator starts
+    it afresh and ``==`` ignores it.  An operator is not changed after
     construction, so a kept band stays valid."""
-    bands: dict
-    lo: int                   # band window floor (soft unless lo_hard)
-    lo_hard: bool = False
-    deriv: ParamRat = field(default_factory=PR.zero)
-    logq: ParamRat = field(default_factory=PR.zero)
-    shifted: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
+    __slots__ = ("bands", "lo", "lo_hard", "deriv", "logq", "shifted")
+
+    def __init__(self, bands: dict, lo: int, lo_hard: bool = False,
+                 deriv: ParamRat | None = None, logq: ParamRat | None = None):
+        self.bands = bands
+        self.lo = lo              # band window floor (soft unless lo_hard)
+        self.lo_hard = lo_hard
+        self.deriv = PR.zero() if deriv is None else deriv
+        self.logq = PR.zero() if logq is None else logq
+        self.shifted = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not ShiftOp:
+            return NotImplemented
+        return ((self.bands, self.lo, self.lo_hard, self.deriv, self.logq)
+                == (other.bands, other.lo, other.lo_hard, other.deriv,
+                    other.logq))
 
     @property
     def win(self) -> VarWindow:
@@ -199,8 +207,8 @@ class ShiftOp:
     def ceiled(self, top: int) -> "ShiftOp":
         """Keep bands <= top; marks nothing (tops are exact) but trims the
         raising expansions, whose knowledge above ``top`` is then waived."""
-        return replace(self, bands={i: c for i, c in self.bands.items()
-                                    if i <= top})
+        return ShiftOp({i: c for i, c in self.bands.items() if i <= top},
+                       self.lo, self.lo_hard, self.deriv, self.logq)
 
     def eq_report(self, other: "ShiftOp"):
         """None if equal, else (where, lhs, rhs) at the lowest differing
@@ -255,16 +263,14 @@ def vacuum_lbar() -> ShiftOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TauJet:
     """Jet of a tau function: polynomial flow dependence, declared times."""
-    series: TruncSeries
-    ytimes: int
-    ybtimes: int
+    __slots__ = ("series", "ytimes", "ybtimes")
 
-    def __post_init__(self):
-        if not self.series.coeff_at({}).is_monomial():
+    def __init__(self, series: TruncSeries, ytimes: int, ybtimes: int):
+        if not series.coeff_at({}).is_monomial():
             raise DivisionByZeroTau("tau needs an invertible constant term")
+        self.series, self.ytimes, self.ybtimes = series, ytimes, ybtimes
 
     def shifted(self, r: int, eps_win: VarWindow) -> TruncSeries:
         return self.series.exp_derivation(x_shift(r), {"eps": eps_win})
@@ -328,14 +334,14 @@ def log_lax(p_op: ShiftOp, eps_win: VarWindow) -> ShiftOp:
     """log L = eps d_x - (eps d_x P) P^{-1}."""
     p_inv = p_op.inverse(eps_win)
     band = p_op.eps_dx().mul(p_inv, eps_win).scale(-1)
-    return replace(band, deriv=PR.one())
+    return ShiftOp(band.bands, band.lo, band.lo_hard, PR.one(), band.logq)
 
 
 def log_lax_bar(q_op: ShiftOp, eps_win: VarWindow, depth: int) -> ShiftOp:
     """log Lbar = -eps d_x + log Q + (eps d_x Q) Q^{-1}."""
     q_inv = q_op.inverse(eps_win, depth=depth)
     band = q_op.eps_dx().mul(q_inv, eps_win).ceiled(depth)
-    return replace(band, deriv=-PR.one(), logq=PR.one())
+    return ShiftOp(band.bands, band.lo, band.lo_hard, -PR.one(), PR.one())
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +509,8 @@ def reduced_operator(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int,
     q_inv = q_op.inverse(eps_win, depth=depth)
     minus = q_op.mul(vacuum_lbar().pow(m, eps_win), eps_win) \
         .mul(q_inv, eps_win).ceiled(depth).split_minus()
-    return replace(plus + minus, deriv=-PR.diff())
+    op = plus + minus
+    return ShiftOp(op.bands, op.lo, op.lo_hard, -PR.diff(), op.logq)
 
 
 def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
@@ -674,8 +681,9 @@ def verify_reduced_vacuum(k: int, m: int,
         lhs = L.pow(k, eps_win) + log_lax(p_op, eps_win).scale(-PR.diff())
         rep.compare(lhs, curly, {"identity": "L^k + (nu1-nu0) log L"})
         lbar, q_op = solve_reduced_bar(curly, m, eps_win, w_depth)
-        logq_less = log_lax_bar(q_op, eps_win, w_depth)
-        logq_less = replace(logq_less, logq=logq_less.logq - PR.one())
+        bar = log_lax_bar(q_op, eps_win, w_depth)
+        logq_less = ShiftOp(bar.bands, bar.lo, bar.lo_hard, bar.deriv,
+                            bar.logq - PR.one())
         lhs_bar = lbar.pow(m, eps_win).ceiled(w_depth) + \
             logq_less.scale(PR.diff())
         rep.compare(lhs_bar.ceiled(min(k, w_depth - m)),

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import namedtuple
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import orbitoda
 from orbitoda.cli import COMMANDS, main
 
 Result = namedtuple("Result", "exit_code output")
@@ -292,6 +294,23 @@ def test_the_cli_loads_no_third_party_module():
     packages = {name.split(".")[0] for name in loaded}
     assert "orbitoda" in packages and "click" not in packages
     assert packages - {"orbitoda"} <= set(sys.stdlib_module_names)
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # records are NamedTuples and slotted classes: dataclasses would load
+    # inspect, ast, dis and tokenize into every process.  pkgutil itself
+    # loads inspect, so the names are listed here and imported there.
+    names = [f"orbitoda.{info.name}"
+             for info in pkgutil.iter_modules(orbitoda.__path__)]
+    code = ("import importlib, sys\n"
+            f"for name in {names!r}: importlib.import_module(name)\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "orbitoda.cli" in names and loaded == []
 
 
 def test_all_is_the_concatenation_of_the_subcommand_rows():

@@ -2,12 +2,27 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from orbitoda.cohomology import Cohomology, QuantumRing, SectorIndex
+from orbitoda.errors import BadIndex
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import TruncSeries as TS, sum_series
 
 K0, M0 = SectorIndex("k", 0), SectorIndex("m", 0)
 ONE = TS.scalar(1)
+
+
+def test_a_sector_index_is_the_value_of_its_tuple():
+    # repr, order and hash are those of (side, i): dict and set order, and
+    # every str((L, alpha)) in a report, rest on them
+    K2 = SectorIndex("k", 2)
+    assert repr(K0) == "SectorIndex(side='k', i=0)"
+    assert str((1, K2)) == "(1, SectorIndex(side='k', i=2))"
+    assert sorted([M0, K2, K0]) == [K0, K2, M0]
+    assert hash(K0) == hash(("k", 0))
+    with pytest.raises(BadIndex):
+        SectorIndex("x", 0)
 
 
 def x(a):

@@ -46,6 +46,12 @@ def test_equal_operands_pass_with_no_discrepancy(lhs, rhs):
     assert rep.ok and rep.first_discrepancy is None and rep.detail == ""
 
 
+def test_reports_built_with_defaults_share_no_window():
+    a, b = CheckReport(name="a", params={}), CheckReport(name="b", params={})
+    a.max_order_verified["q"] = 3
+    assert b.max_order_verified == {}
+
+
 def test_the_first_failing_call_is_kept():
     rep = _report()
     assert not rep.compare(F(1), F(2), {"call": 1})

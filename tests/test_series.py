@@ -357,6 +357,16 @@ def jet_window(width=(0, 4)):
     return any_window((0, 1), width, ("up", "exact"))
 
 
+# strategies that depend on no drawn value, built once: a composite
+# strategy that builds them anew pays for it at every draw
+JET_WINDOW, FREE_WINDOW = jet_window(), any_window((-3, 1))
+WIDE_JET_WINDOW = jet_window((2, 5))
+WIDE_FREE_WINDOW = any_window((-3, 1), (2, 5))
+NONZERO_COEFF = st.integers(-5, 5).filter(bool).map(PR.rational)
+SAMPLED_COEFF = st.sampled_from([c for c in range(-5, 6) if c]).map(
+    PR.rational)
+
+
 @st.composite
 def windowed_series(draw, min_vars):
     """A small series over some of NAMES: up, down or exact windows, random
@@ -366,11 +376,10 @@ def windowed_series(draw, min_vars):
                                       min_size=min_vars))))
     group = draw(st.sets(st.sampled_from(names), min_size=1)) \
         if draw(st.booleans()) else set()
-    wins = {v: draw(jet_window() if v in group else any_window((-3, 1)))
+    wins = {v: draw(JET_WINDOW if v in group else FREE_WINDOW)
             for v in names}
     key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
-    coeff = st.integers(-5, 5).filter(bool).map(PR.rational)
-    terms = draw(st.dictionaries(key, coeff, min_size=1, max_size=6))
+    terms = draw(st.dictionaries(key, NONZERO_COEFF, min_size=1, max_size=6))
     if draw(st.sampled_from(["terms"] * 5 + ["zero factor"])) == "zero factor":
         terms = {}
     s = TS(names, wins, terms)
@@ -427,7 +436,6 @@ def truncated_factors(draw):
     w."""
     names = ("u", "v", "w") if draw(st.booleans()) else ("u", "v")
     kind = draw(st.sampled_from(["up", "down"]))
-    coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
     factors = []
     for _ in range(2):
         depth = draw(st.integers(4, 9))
@@ -435,10 +443,11 @@ def truncated_factors(draw):
                 "v": exact_win(0, 4), "w": up_win(draw(st.integers(2, 5)))}
         wins = {v: wins[v] for v in names}
         key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
-        terms = draw(st.dictionaries(key, coeff, min_size=12, max_size=18))
+        terms = draw(st.dictionaries(key, SAMPLED_COEFF, min_size=12,
+                                     max_size=18))
         rest = (0,) * (len(names) - 1)
         for e in (wins["u"].lo, wins["u"].hi):
-            terms[(e,) + rest] = draw(coeff)
+            terms[(e,) + rest] = draw(SAMPLED_COEFF)
         s = TS(names, wins, terms)
         if draw(st.booleans()):
             s = s.with_cap(set(names) - {"u"}, draw(st.integers(2, 6)))
@@ -513,15 +522,14 @@ def capped_factors(draw):
     both and each on variables hard below at 0 or 1 (the jet rule):
     ``(plain factors, capped factors)``."""
     names = ("u", "v", "w")
-    coeff = st.sampled_from([c for c in range(-5, 6) if c]).map(PR.rational)
     groups = [draw(st.sets(st.sampled_from(names), min_size=1))
               for _ in range(draw(st.integers(1, 2)))]
     capped = set().union(*groups)
-    wins = {v: draw(jet_window((2, 5)) if v in capped
-                    else any_window((-3, 1), (2, 5))) for v in names}
+    wins = {v: draw(WIDE_JET_WINDOW if v in capped else WIDE_FREE_WINDOW)
+            for v in names}
     key = st.tuples(*[st.integers(wins[v].lo, wins[v].hi) for v in names])
-    plain = [TS(names, wins, draw(st.dictionaries(key, coeff, min_size=10,
-                                                  max_size=16)))
+    plain = [TS(names, wins, draw(st.dictionaries(key, SAMPLED_COEFF,
+                                                  min_size=10, max_size=16)))
              for _ in range(2)]
     factors = plain
     for group in groups:
@@ -622,7 +630,7 @@ def term_factors(draw):
     names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES)))))
     group = draw(st.sets(st.sampled_from(names), min_size=1)) \
         if names and draw(st.booleans()) else set()
-    wins = {v: draw(jet_window() if v in group else any_window((-3, 1)))
+    wins = {v: draw(JET_WINDOW if v in group else FREE_WINDOW)
             for v in names}
     terms = {}
     kind = draw(st.sampled_from(["no term", "coefficient 1", "another"]))

@@ -1,6 +1,5 @@
 """Shift-operator algebra, wave operators, flows, and the reduction."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -62,12 +61,19 @@ def test_kept_band_shifts_give_the_fresh_products():
     assert len(L.shifted) == len(set(L.shifted))
 
 
+def test_each_operator_keeps_its_own_shifts():
+    L, M = _generic_l(EW), _generic_l(EW)
+    L.mul(M, EW)
+    assert M.shifted and _generic_l(EW).shifted == {}
+
+
 def test_replace_and_equality_ignore_the_kept_shifts():
     L = _generic_l(EW)
     L.mul(L, EW)
     assert L.shifted
     assert L == fresh(L) and "shifted" not in repr(L)
-    trimmed = replace(L, bands={i: c for i, c in L.bands.items() if i <= 0})
+    trimmed = ShiftOp({i: c for i, c in L.bands.items() if i <= 0}, L.lo,
+                      L.lo_hard, L.deriv, L.logq)
     assert trimmed.shifted == {}
     assert trimmed.mul(L, EW) == fresh(trimmed).mul(fresh(L), EW)
     assert L.mul(trimmed, EW) == fresh(L).mul(fresh(trimmed), EW)
