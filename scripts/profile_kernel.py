@@ -41,11 +41,12 @@ import orbitoda
 from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
                           verify_lemma_inv)
 from orbitoda.jfunction import build_dj, build_j, inv_poch, operator_ladder
-from orbitoda.cohomology import Cohomology, QuantumRing
+from orbitoda.cohomology import Cohomology, QuantumRing, SectorIndex
 from orbitoda.mirror import (flat_coords_residue, residue_pairing_matrix,
                              solve_chart_change, superpotential,
                              verify_tangent_product)
-from orbitoda.periods import (_d_inverse_monomial, d_x_operator,
+from orbitoda.periods import (_phi_mode_seed, bi_infinite_sum, d_apply,
+                              d_inverse, d_x_operator,
                               verify_lemma_d_branches)
 from orbitoda.rationals import PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
@@ -203,10 +204,21 @@ def rows():
     wide_unit = capped_unit(7)
     yield ("capped product at the chart-change window",
            lambda: unit * wide_unit, 20)
+    # the period layer at (4,3): D^-1 and D on the window of
+    # lemma-d-branches at alpha = -1, and the bi-infinite sum of
+    # bi-infinite-fixed-point at alpha = 1/4
     D, zwin = d_x_operator(4, 3), down_win(-6, hi=0)
+    seed = TS.from_poly("lam", {-4: 1}).truncated(
+        {"lam": down_win(-20, hi=-4)})
     yield ("D^-1 lam^-4 (4,3), lemma-d-branches window",
-           lambda: _d_inverse_monomial(D, -4, down_win(-16, hi=0), zwin),
-           20)
+           lambda: d_inverse(D, seed, zwin), 20)
+    inverse = d_inverse(D, seed, zwin)
+    yield ("D D^-1 lam^-4 (4,3), lemma-d-branches window",
+           lambda: d_apply(D, inverse), 20)
+    mode_seed = _phi_mode_seed(4, 3, SectorIndex("k", 1))
+    yield ("bi-infinite sum (4,3), fixed-point windows",
+           lambda: bi_infinite_sum(D, mode_seed, down_win(-10, hi=8),
+                                   down_win(-5, hi=12)), 5)
     yield ("verify_lemma_d_branches(5)", lambda: verify_lemma_d_branches(5),
            3)
     sp = superpotential(4, 3, None, 4)

@@ -33,15 +33,15 @@ class Superpotential:
 
     rational: x^k + sum t_i x^{k-i} + sum t_{k+j} (q/x)^j + (q/x)^m over the
     declared t-variables (or numeric t); logs: c_x * log x + c_q * log q with
-    c_x = nu1 - nu0 and c_q = nu0 (from nu1 log x + nu0 log(q/x));
-    tN_term = nu0 * t_N, entering the flat-coordinate equation.
+    c_x = nu1 - nu0 and c_q = nu0 (from nu1 log x + nu0 log(q/x)), only c_x
+    (log_x) entering df/dx; tN_term = nu0 * t_N, in the flat coordinates.
     """
-    __slots__ = ("k", "m", "rational", "log_x", "log_q", "tN_term")
+    __slots__ = ("k", "m", "rational", "log_x", "tN_term")
 
     def __init__(self, k: int, m: int, rational: TruncSeries,
-                 log_x: ParamRat, log_q: ParamRat, tN_term: TruncSeries):
+                 log_x: ParamRat, tN_term: TruncSeries):
         self.k, self.m, self.rational = k, m, rational
-        self.log_x, self.log_q, self.tN_term = log_x, log_q, tN_term
+        self.log_x, self.tN_term = log_x, tN_term
 
     def df_dx(self) -> TruncSeries:
         return self.rational.derivative("x") + \
@@ -71,8 +71,7 @@ def superpotential(k: int, m: int, tvals: dict | None = None,
         ((q ** m) * TruncSeries.from_poly("x", {-m: 1}),)), x ** k)
     return Superpotential(
         k=k, m=m, rational=rational,
-        log_x=PR.nu1() - PR.nu0(), log_q=PR.nu0(),
-        tN_term=tvar(N).scale(PR.nu0()))
+        log_x=PR.nu1() - PR.nu0(), tN_term=tvar(N).scale(PR.nu0()))
 
 
 def _retname_map(k: int, m: int) -> dict[str, str]:

@@ -16,21 +16,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from operator import add, le
 
 from .cohomology import Cohomology, SectorIndex
 from .errors import SingularFiber
 from .mirror import phi_poly, superpotential, solve_chart_change
 from .rationals import ParamRat, PR
 from .reports import CheckReport
-from .series import (TruncSeries, VarWindow, down_win, power_sum,
-                     series_reversion, sum_series, up_win)
+from .series import (POINT, TruncSeries, VarWindow, down_win, merge_win,
+                     power_sum, product_win, series_reversion, sum_series,
+                     support_in, up_win)
 
 
 class DOp:
     """D = -(z/k) lam^{1-k} d_lam + nu lam^{-k} + sum tail_i lam^{-k-i}.
 
-    Both the residue coefficient nu and the polynomial part (degree k-1,
-    encoded by k itself) must be nonzero.
+    The residue nu and the polynomial part (degree k-1, encoded by k) must
+    be nonzero; each tail_i is an exact polynomial free of lam and z.
     """
     __slots__ = ("k", "nu", "tail")
 
@@ -64,101 +66,102 @@ def d_apply(D: DOp, g: TruncSeries) -> TruncSeries:
 
 def d_inverse(D: DOp, g: TruncSeries, zwin: VarWindow) -> TruncSeries:
     """The Lemma-D inverse: the unique solution with leading term
-    lam^{A+k}/(-z(A+k)/k + nu) per lam-monomial of g, extended linearly."""
+    lam^{A+k}/(-z(A+k)/k + nu) per lam-monomial of g, extended linearly.
+    One pass down the lam-exponents e of f solves (nu - (e/k) z) f_e =
+    g_(e-k) - sum_i tail_i f_(e+i) on the kernel's windows of the sum over
+    a of D^-1(lam^a) times g's lam^a slice (README, Design notes)."""
     if "lam" not in g.wins:
         g = g + TruncSeries.scalar(0, {"lam": down_win(-1, hi=0)})
     lam_w = g.wins["lam"]
-    li = g.vars.index("lam")
-    rest_vars = g.vars[:li] + g.vars[li + 1:]
-    rest_wins = {v: w for v, w in g.wins.items() if v != "lam"}
-    groups: dict[int, list] = {}
-    for key, c in g.terms.items():
-        groups.setdefault(key[li], []).append(TruncSeries(
-            rest_vars, rest_wins, {key[:li] + key[li + 1:]: c}, g.caps))
     # the inverse has an infinite descending tail, and a soft seed window
     # pollutes the image k orders higher
     lam_out = VarWindow(lam_w.lo if lam_w.lo_hard else lam_w.lo + D.k,
                         lam_w.hi + D.k, False, lam_w.hi_hard)
-    if not groups:
+    if not g.terms:
         return TruncSeries.scalar(0, {"lam": lam_out, "z": zwin})
-    return sum_series(_d_inverse_monomial(D, a, lam_out, zwin) *
-                      sum_series(pieces)
-                      for a, pieces in sorted(groups.items()))
+    if zwin.lo_hard or not zwin.hi_hard or zwin.lo >= 0:
+        raise ValueError(f"zwin must be soft below 0, hard above: {zwin}")
+    k, gi = D.k, g.vars.index("lam")
+    top = max(key[gi] for key in g.terms)
+    tails = {i: c for i, c in D.tail.items() if top + k - i >= lam_out.lo}
+    vars = tuple(sorted({*g.vars, "z", *chain.from_iterable(
+        c.vars for c in tails.values())}))
+    steps = [(i, tuple(dict(zip(c.vars, key)).get(v, 0) for v in vars), x)
+             for i, c in tails.items() for key, x in c.terms.items()]
+    # g's keys by lam-exponent a, and its z-columns by e = a + k, each
+    # under its key with lam and z at 0; f_e takes their place
+    li, zi, slices, f, terms = vars.index("lam"), vars.index("z"), {}, {}, {}
+    for key, c in g.terms.items():
+        slices.setdefault(key[gi], []).append(key)
+        key = [dict(zip(g.vars, key)).get(v, 0) for v in vars]
+        e, t, key[li], key[zi] = key[li] + k, key[zi], 0, 0
+        f.setdefault(e, {}).setdefault(tuple(key), {})[t] = c
+    # the windows of D^-1(lam^a) times g's lam^a slice, merged over a
+    rest, wins = {v: w for v, w in g.wins.items() if v != "lam"}, {}
+    for a, keys in sorted(slices.items()):
+        sups = _inverse_support(D, a, lam_out, zwin, vars, steps)
+        ext = dict(zip(g.vars, zip(*keys)))
+        for v in vars:
+            sg = support_in(rest[v], ext[v]) if v in rest else (0, 0)
+            w = product_win({"lam": lam_out, "z": zwin}.get(v, POINT),
+                            rest.get(v, POINT), sups[v], sg, v)
+            wins[v] = merge_win(wins[v], w, v, "addition") if v in wins else w
+    for e in range(top + k, lam_out.lo - 1, -1):
+        rhs, f[e] = f.pop(e, {}), {}
+        for i, d, x in steps:
+            for key, col in f.get(e + i, {}).items():
+                into = rhs.setdefault(tuple(map(add, key, d)), {})
+                for t, c in col.items():
+                    into[t] = into[t] - c * x if t in into else -(c * x)
+        for key, col in rhs.items():
+            f[e][key] = col = _divide_column(col, D.nu, Fraction(e, k),
+                                             wins["z"].lo)
+            for t, c in col.items():
+                terms[key[:li] + (e,) + key[li + 1:zi] + (t,) +
+                      key[zi + 1:]] = c
+    lows, highs = [wins[v].lo for v in vars], [wins[v].hi for v in vars]
+    out = TruncSeries(vars, wins, {key: c for key, c in terms.items() if all(
+        map(le, lows, key)) and all(map(le, key, highs))})
+    for group, cap in g.caps.items():
+        out = out.with_cap(group, cap)
+    return out
 
 
-def _d_inverse_monomial(D: DOp, a: int, lam_out: VarWindow,
-                        zwin: VarWindow) -> TruncSeries:
-    """f with D f = lam^a, as sum_j f_j(z) lam^{a+k-j}.
-
-    Mode j > 0 is skipped when every term tail_i f_(j-i) of its right-hand
-    side is zero: the nonzero modes sit at sums of tail indices.  Each mode
-    divides its right-hand side by nu - (e/k) z (``_over_linear``)."""
-    fj: dict[int, TruncSeries] = {}
-
-    def modes():
-        for j in range(a + D.k - lam_out.lo + 1):
-            e = a + D.k - j
-            parts = [-(fj[j - i] * c) for i, c in D.tail.items()
-                     if j - i in fj]
-            if j and not any(parts):
-                continue
-            rhs = sum_series(parts, TruncSeries.scalar(1 if j == 0 else 0,
-                                                       {"z": zwin}))
-            fj[j] = _over_linear(rhs, D.nu, Fraction(e, D.k), zwin)
-            yield fj[j] * TruncSeries.from_poly("lam", {e: 1})
-
-    return sum_series(modes(),
-                      TruncSeries.scalar(0, {"lam": lam_out, "z": zwin}))
-
-
-def _over_linear(rhs: TruncSeries, nu: ParamRat, beta: Fraction,
-                 zwin: VarWindow) -> TruncSeries:
-    """rhs / (nu - beta z): the product of rhs with the reciprocal of
-    nu - beta z on a z-window soft below and hard above, and equal to it in
-    terms, windows and caps.
-
-    On ``zwin`` the reciprocal is -sum_n nu^n beta^(-n-1) z^(-n-1) on
-    [zwin.lo - 2, -1] and, for beta = 0, 1/nu on [zwin.lo, 0].  Its leading
-    term alone has its windows and support bounds, so rhs times that term
-    has the product's windows and caps.  For beta = 0 that is the product.
-    Else the quotient f solves (nu - beta z) f = rhs, so one slice of the
-    other variables at a time, from the top down,
-    f_(t-1) = (nu/beta) f_t - rhs_t/beta: O(n) coefficient operations,
-    where the product costs n^2.  The product's z-bottom is soft at
-    zwin.lo - 2 plus the top of rhs or above, and there no rhs term meets
-    the truncated tail of the reciprocal, so there the product is f.
-    """
-    if zwin.lo_hard or not zwin.hi_hard or zwin.lo > 0:
-        raise ValueError(f"1/(nu - beta z) needs a z-window soft below at "
-                         f"or under 0 and hard above, got {zwin}")
+def _divide_column(col: dict, nu: ParamRat, beta: Fraction, zlo: int) -> dict:
+    """The nonzero terms of the z-column col over nu - beta z down to z^zlo:
+    col/nu, or from the top down f_(t-1) = (nu/beta) f_t - col_t/beta."""
     if not beta:
-        recip = TruncSeries(("z",), {"z": VarWindow(zwin.lo, 0, False, True)},
-                            {(0,): nu.inverse()})
-        return rhs * recip
-    inv = 1 / beta
-    # rhs times the leading term -z^-1/beta: the terms -rhs_t/beta at
-    # z^(t-1), inside the product's windows
-    lead = TruncSeries(("z",), {"z": VarWindow(zwin.lo - 2, -1, False, True)},
-                       {(-1,): PR.rational(-inv)})
-    lead = rhs * lead
-    i = lead.vars.index("z")
-    lo = lead.wins["z"].lo
-    ratio = nu * PR.rational(inv)
-    slices: dict[tuple, dict[int, ParamRat]] = {}
-    for key, c in lead.terms.items():
-        slices.setdefault(key[:i] + key[i + 1:], {})[key[i]] = c
-    terms = {}
-    for rest, col in slices.items():
-        top = max(col)
-        f = terms[rest[:i] + (top,) + rest[i:]] = col[top]
-        for t in range(top - 1, lo - 1, -1):
-            f = f * ratio
-            c = col.get(t)
-            if c is not None:
-                f = f + c
-            if not f.is_zero():
-                terms[rest[:i] + (t,) + rest[i:]] = f
-    return TruncSeries(lead.vars, lead.wins, terms, lead.caps)
+        return {t: c * nu.inverse() for t, c in col.items()
+                if t >= zlo and not c.is_zero()}
+    lead, ratio = PR.rational(-1 / beta), nu * PR.rational(1 / beta)
+    out, f = {}, PR.zero()
+    for t in range(max(col, default=zlo), zlo, -1):
+        f = f * ratio + col[t] * lead if t in col else f * ratio
+        if not f.is_zero():
+            out[t - 1] = f
+    return out
+
+
+def _inverse_support(D: DOp, a: int, lam_out: VarWindow, zwin: VarWindow,
+                     vars: tuple, steps: list) -> dict:
+    """The support bounds of D^-1(lam^a) as the kernel builds it on lam_out
+    and zwin, from keys alone: mode j (lam^(a+k-j)) takes mode j - i's keys
+    moved by tail_i, and a key is kept while its top z-exponent, lowered
+    by each division by nu - (e/k) z with e != 0, is in zwin."""
+    top, modes = a + D.k, []
+    for j in range(top - lam_out.lo + 1 if steps else 1):
+        into = {(0,) * len(vars): 0} if j == 0 else {}
+        for i, d, _ in steps:
+            for key, t in (modes[j - i].items() if i <= j else ()):
+                key = tuple(map(add, key, d))
+                into[key] = max(into.get(key, t), t)
+        drop = 1 if top - j else 0
+        modes.append({key: t - drop for key, t in into.items()
+                      if t - drop >= zwin.lo})
+    kept = zip(vars, zip(*(key for mode in modes for key in mode)))
+    return {**{v: (min(col), max(col)) for v, col in kept},
+            "lam": support_in(lam_out, [top]),
+            "z": support_in(zwin, [0 if top == 0 else -1])}
 
 
 def bi_infinite_sum(D: DOp, g: TruncSeries, lam_win: VarWindow,
@@ -274,12 +277,10 @@ def verify_transformation_law(k: int, m: int) -> list[CheckReport]:
     coordinate changes, on a tail-free and on the mirror x-side operator."""
     zlo, lam_lo = -4, -9
     reports = []
-    cases = []
     c = PR.rational(Fraction(3, 2))
-    shift = TruncSeries.from_poly("lam", {1: 1, 0: c})
-    cases.append(("shift", shift))
-    wavy = TruncSeries.from_poly("lam", {1: 1, 0: c, -1: Fraction(-2, 5)})
-    cases.append(("shift+tail", wavy))
+    cases = [("shift", TruncSeries.from_poly("lam", {1: 1, 0: c})),
+             ("shift+tail", TruncSeries.from_poly(
+                 "lam", {1: 1, 0: c, -1: Fraction(-2, 5)}))]
     ops = [("classical", d_classical(k)), ("mirror-x", d_x_operator(k, m))]
     for cname, change in cases:
         for oname, D in ops:
@@ -316,10 +317,10 @@ def verify_transformation_law(k: int, m: int) -> list[CheckReport]:
 
 class PeriodMode:
     """I^{(n)} as num / (f')^{dpow}; num an exact Laurent polynomial."""
-    __slots__ = ("n", "num", "dpow")
+    __slots__ = ("num", "dpow")
 
-    def __init__(self, n: int, num: TruncSeries, dpow: int):
-        self.n, self.num, self.dpow = n, num, dpow
+    def __init__(self, num: TruncSeries, dpow: int):
+        self.num, self.dpow = num, dpow
 
 
 def mode_chain(k: int, m: int, alpha: SectorIndex,
@@ -330,13 +331,13 @@ def mode_chain(k: int, m: int, alpha: SectorIndex,
     if fprime.is_zero():
         raise SingularFiber("df vanishes identically")
     fsecond = fprime.derivative("x")
-    modes = [PeriodMode(0, phi_poly(k, m, alpha) *
+    modes = [PeriodMode(phi_poly(k, m, alpha) *
                         TruncSeries.from_poly("x", {-1: 1}), 1)]
-    for n in range(n_max):
+    for _ in range(n_max):
         prev = modes[-1]
         num = prev.num.derivative("x") * fprime - \
             prev.num.scale(prev.dpow) * fsecond
-        modes.append(PeriodMode(n + 1, num, prev.dpow + 2))
+        modes.append(PeriodMode(num, prev.dpow + 2))
     return modes
 
 

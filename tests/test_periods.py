@@ -4,16 +4,16 @@ phase-form primitives."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import examples
 
 from orbitoda import periods
 from orbitoda.cohomology import SectorIndex
 from orbitoda.errors import SingularFiber, WindowUnderflow
-from orbitoda.periods import (DOp, _d_inverse_monomial, _over_linear,
-                              _phi_mode_seed, bi_infinite_sum, d_apply,
-                              d_classical, d_inverse, d_x_operator, mode_chain,
+from orbitoda.periods import (DOp, _divide_column, _phi_mode_seed,
+                              bi_infinite_sum, d_apply, d_classical,
+                              d_inverse, d_x_operator, mode_chain,
                               phase_primitive_check, verify_c_constant,
                               verify_fixed_point, verify_lemma_d_branches,
                               verify_mode_recursion,
@@ -21,6 +21,94 @@ from orbitoda.periods import (DOp, _d_inverse_monomial, _over_linear,
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              exact_win, sum_series, up_win)
+
+
+# -- the reference: D^-1 as a composition of series operations -----------
+
+
+def _d_inverse_reference(D, g, zwin):
+    """D^-1 g mode by mode: g grouped by lam-exponent a, each group times
+    D^-1 lam^a (``_d_inverse_monomial``), the products summed."""
+    if "lam" not in g.wins:
+        g = g + TS.scalar(0, {"lam": down_win(-1, hi=0)})
+    lam_w = g.wins["lam"]
+    li = g.vars.index("lam")
+    rest_vars = g.vars[:li] + g.vars[li + 1:]
+    rest_wins = {v: w for v, w in g.wins.items() if v != "lam"}
+    groups = {}
+    for key, c in g.terms.items():
+        groups.setdefault(key[li], []).append(TS(
+            rest_vars, rest_wins, {key[:li] + key[li + 1:]: c}, g.caps))
+    lam_out = VarWindow(lam_w.lo if lam_w.lo_hard else lam_w.lo + D.k,
+                        lam_w.hi + D.k, False, lam_w.hi_hard)
+    if not groups:
+        return TS.scalar(0, {"lam": lam_out, "z": zwin})
+    return sum_series(_d_inverse_monomial(D, a, lam_out, zwin) *
+                      sum_series(pieces)
+                      for a, pieces in sorted(groups.items()))
+
+
+def _d_inverse_monomial(D, a, lam_out, zwin):
+    """f with D f = lam^a, as sum_j f_j(z) lam^{a+k-j}.
+
+    Mode j > 0 is skipped when every term tail_i f_(j-i) of its right-hand
+    side is zero: the nonzero modes sit at sums of tail indices.  Each mode
+    divides its right-hand side by nu - (e/k) z (``_over_linear``)."""
+    fj = {}
+
+    def modes():
+        for j in range(a + D.k - lam_out.lo + 1):
+            e = a + D.k - j
+            parts = [-(fj[j - i] * c) for i, c in D.tail.items()
+                     if j - i in fj]
+            if j and not any(parts):
+                continue
+            rhs = sum_series(parts, TS.scalar(1 if j == 0 else 0,
+                                              {"z": zwin}))
+            fj[j] = _over_linear(rhs, D.nu, F(e, D.k), zwin)
+            yield fj[j] * TS.from_poly("lam", {e: 1})
+
+    return sum_series(modes(), TS.scalar(0, {"lam": lam_out, "z": zwin}))
+
+
+def _over_linear(rhs, nu, beta, zwin):
+    """rhs / (nu - beta z): the product of rhs with the reciprocal of
+    nu - beta z on a z-window soft below and hard above, and equal to it in
+    terms, windows and caps.
+
+    For beta = 0 that is the product by 1/nu.  Else rhs times the leading
+    term -z^-1/beta of the reciprocal has the product's windows and caps,
+    and the quotient f solves (nu - beta z) f = rhs, one slice of the other
+    variables at a time, from the top down:
+    f_(t-1) = (nu/beta) f_t - rhs_t/beta."""
+    if zwin.lo_hard or not zwin.hi_hard or zwin.lo > 0:
+        raise ValueError(f"1/(nu - beta z) needs a z-window soft below at "
+                         f"or under 0 and hard above, got {zwin}")
+    if not beta:
+        recip = TS(("z",), {"z": VarWindow(zwin.lo, 0, False, True)},
+                   {(0,): nu.inverse()})
+        return rhs * recip
+    inv = 1 / beta
+    lead = rhs * TS(("z",), {"z": VarWindow(zwin.lo - 2, -1, False, True)},
+                    {(-1,): PR.rational(-inv)})
+    i = lead.vars.index("z")
+    lo = lead.wins["z"].lo
+    ratio = nu * PR.rational(inv)
+    slices = {}
+    for key, c in lead.terms.items():
+        slices.setdefault(key[:i] + key[i + 1:], {})[key[i]] = c
+    terms = {}
+    for rest, col in slices.items():
+        top = max(col)
+        f = terms[rest[:i] + (top,) + rest[i:]] = col[top]
+        for t in range(top - 1, lo - 1, -1):
+            f = f * ratio
+            c = col.get(t)
+            if c is not None:
+                f = f + c
+            if not f.is_zero():
+                terms[rest[:i] + (t,) + rest[i:]] = f
+    return TS(lead.vars, lead.wins, terms, lead.caps)
 
 
 def test_operator_invariants():
@@ -37,14 +125,17 @@ def test_lemma_d_branches():
 
 
 def test_lemma_d_branches_negative_control(monkeypatch):
-    # D^-1 lam^1 gains a z^0 lam^1 term off the branch alpha = -1: the
-    # report must fail there, at alpha 1/3 on the tail-free operator
-    inverse = periods._d_inverse_monomial
+    # D^-1 lam^1 gains a z^0 lam^1 term off the branch alpha = -1 (on the
+    # z-window of the check: the inverse's hard z top is its support, -1):
+    # the report must fail there, at alpha 1/3 on the tail-free operator
+    inverse = periods.d_inverse
 
-    def perturbed(D, a, lam_out, zwin):
-        inv = inverse(D, a, lam_out, zwin)
-        return inv + TS.monomial({"lam": 1}, inv.wins) if a == 1 else inv
-    monkeypatch.setattr(periods, "_d_inverse_monomial", perturbed)
+    def perturbed(D, g, zwin):
+        inv = inverse(D, g, zwin)
+        if list(g.terms) == [(1,)]:
+            return inv + TS.monomial({"lam": 1}, {**inv.wins, "z": zwin})
+        return inv
+    monkeypatch.setattr(periods, "d_inverse", perturbed)
     rep = verify_lemma_d_branches(3)
     assert rep.status == "fail"
     assert rep.first_discrepancy == {
@@ -111,8 +202,10 @@ def linear_divisions(draw):
 @examples(300)
 @given(linear_divisions())
 def test_division_by_a_linear_form_is_the_product_by_its_reciprocal(case):
-    # the recurrence gives the terms, windows and caps of the product of
-    # rhs with the truncated reciprocal, for beta = 0 and beta != 0
+    # the reference recurrence gives the terms, windows and caps of the
+    # product of rhs with the truncated reciprocal, for beta = 0 and
+    # beta != 0; so does the column division of d_inverse, one z-column
+    # at a time down to the product's z-bottom
     rhs, nu, beta, zwin = case
     try:
         want = rhs * _inv_linear(nu, beta, zwin)
@@ -123,6 +216,13 @@ def test_division_by_a_linear_form_is_the_product_by_its_reciprocal(case):
     got = _over_linear(rhs, nu, beta, zwin)
     assert (got.vars, got.wins, got.caps) == (want.vars, want.wins, want.caps)
     assert got.terms == want.terms
+    columns = {}
+    for (q, t), c in rhs.terms.items():
+        columns.setdefault(q, {})[t] = c
+    quotient = {(q, t): c for q, col in columns.items() for t, c in
+                _divide_column(col, nu, beta, want.wins["z"].lo).items()}
+    assert TS(want.vars, want.wins, quotient, want.caps)._pruned().terms == \
+        want.terms
 
 
 def _d_inverse_dense(D, a, lam_out, zwin):
@@ -142,27 +242,105 @@ def _d_inverse_dense(D, a, lam_out, zwin):
     return sum_series(modes(), TS.scalar(0, {"lam": lam_out, "z": zwin}))
 
 
+def _operators(k):
+    """The tail-free, the mirror x-side and a two-index tail operator."""
+    return [d_classical(k), d_x_operator(k, max(1, k - 1)),
+            DOp(k, PR.nubar(k), {2: TS.from_poly("q", {1: F(1, 3)}),
+                                 3: TS.from_poly("q", {2: -2})})]
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_d_inverse_skips_only_zero_modes(k):
-    # the tail-free, the mirror x-side and a two-index tail operator; the
-    # sparse modes give the dense loop's terms and known region in every
-    # variable (the dense loop's zero modes may widen a stored window)
-    ops = [d_classical(k), d_x_operator(k, max(1, k - 1)),
-           DOp(k, PR.nubar(k), {2: TS.from_poly("q", {1: F(1, 3)}),
-                                3: TS.from_poly("q", {2: -2})})]
-    for D in ops:
+    # the inverse of lam^a, known down to lam^(a - depth - k), skips the
+    # zero slices and gives the dense loop's terms and known region in
+    # every variable (the dense loop's zero modes may widen a stored window)
+    for D in _operators(k):
         for zwin in (down_win(-6, hi=0), down_win(-4, hi=3)):
             for a in range(-3 * k, 3 * k + 1):
                 for depth in (k, 2 * k + 1):
-                    lam_out = down_win(a - depth, hi=a + k)
-                    got = _d_inverse_monomial(D, a, lam_out, zwin)
-                    want = _d_inverse_dense(D, a, lam_out, zwin)
+                    g = TS.from_poly("lam", {a: 1}).truncated(
+                        {"lam": down_win(a - depth - k, hi=a)})
+                    got = d_inverse(D, g, zwin)
+                    want = _d_inverse_dense(
+                        D, a, down_win(a - depth, hi=a + k), zwin)
                     assert got.vars == want.vars
                     assert got.terms == want.terms
-                    for v in want.vars:
-                        gw, ww = got.wins[v], want.wins[v]
-                        assert (gw.known_lo(), gw.known_hi()) == \
-                            (ww.known_lo(), ww.known_hi())
+                    assert _known(got) == _known(want)
+
+
+def _known(s):
+    """The known region of each variable of s."""
+    return {v: (w.known_lo(), w.known_hi()) for v, w in s.wins.items()}
+
+
+def _window(draw, lo, hi, hard_hi):
+    """A window inside [lo, hi], each side hard or soft (the top hard
+    where ``hard_hi``)."""
+    a = draw(st.integers(lo, hi))
+    b = draw(st.integers(a, min(a + 5, hi)))
+    return VarWindow(a, b, draw(st.booleans()), hard_hi or draw(st.booleans()))
+
+
+@st.composite
+def lam_series(draw):
+    """(D, g, zwin): one of the three operators at k <= 4; g over lam, q
+    and z or some of them, on windows soft or hard on each side (z mostly
+    hard above), maybe under a cap on q; a z-window soft below 0 and hard
+    above."""
+    D = draw(st.sampled_from(_operators(draw(st.integers(1, 4)))))
+    vars = draw(st.sampled_from([("lam", "q", "z"), ("lam", "z"),
+                                 ("lam",), ("lam", "q"), ("q", "z")]))
+    wins = {"lam": _window(draw, -8, 4, False),
+            "q": _window(draw, -2, 4, False),
+            "z": _window(draw, -6, 2, draw(st.integers(0, 3)) > 0)}
+    wins = {v: wins[v] for v in vars}
+    key = st.tuples(*(st.integers(wins[v].lo, wins[v].hi) for v in vars))
+    coeff = st.sampled_from([PR.rational(c) for c in (1, -1, F(2, 3))] +
+                            [PR.nu1(), PR.diff()])
+    g = TS(vars, wins, draw(st.dictionaries(key, coeff, max_size=8)))
+    if "q" in vars and wins["q"].lo_hard and wins["q"].lo >= 0 \
+            and draw(st.booleans()):
+        g = g.with_cap({"q"}, draw(st.integers(0, 4)))
+    zlo = draw(st.integers(-6, -1))
+    return D, g, down_win(zlo, hi=draw(st.integers(zlo, 3)))
+
+
+FIXED = [
+    # an empty g
+    (d_x_operator(3, 2), TS(("lam", "z"), {"lam": down_win(-4, hi=1),
+                                          "z": down_win(-3, hi=0)}, {}),
+     down_win(-5, hi=0)),
+    # a g without lam
+    (d_x_operator(2, 1), TS.from_poly("q", {1: F(1, 4)}) *
+     TS.from_poly("z", {-1: 2, -2: 1}).truncated({"z": down_win(-4)}),
+     down_win(-4, hi=1)),
+    # a g with a cap on q
+    (_operators(3)[2], (TS.from_poly("lam", {-3: 1, -5: F(1, 4)}) *
+                        TS.from_poly("q", {0: 1, 2: -1, 3: 5})).truncated(
+        {"lam": down_win(-9, hi=0), "q": up_win(6)}).with_cap({"q"}, 4),
+     down_win(-6, hi=0)),
+]
+
+
+@examples(150)
+@given(lam_series())
+@example(FIXED[0])
+@example(FIXED[1])
+@example(FIXED[2])
+def test_d_inverse_matches_the_mode_by_mode_reference(case):
+    # the one pass has the reference's variables, terms, caps and known
+    # region in every variable, or raises its error
+    D, g, zwin = case
+    try:
+        want = _d_inverse_reference(D, g, zwin)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            d_inverse(D, g, zwin)
+        return
+    got = d_inverse(D, g, zwin)
+    assert (got.vars, got.caps) == (want.vars, want.caps)
+    assert got.terms == want.terms
+    assert _known(got) == _known(want)
 
 
 def test_d_inverse_leading_term():
