@@ -52,7 +52,8 @@ from orbitoda.rationals import PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              exact_win, sum_series, up_win)
 from orbitoda.toda import (ShiftOp, _generic_l, two_toda_vacuum_tau,
-                           verify_reduced_vacuum)
+                           verify_flow_band_shape, verify_reduced_vacuum,
+                           verify_solve_recovery)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 sys.dont_write_bytecode = True      # nothing written into perfbench/
@@ -246,6 +247,9 @@ def rows():
     # through exp_derivation
     yield ("verify_reduced_vacuum(2, 1)", lambda: verify_reduced_vacuum(2, 1),
            3)
+    yield ("verify_solve_recovery(3)", lambda: verify_solve_recovery(3), 3)
+    yield ("verify_flow_band_shape(3, 2)",
+           lambda: verify_flow_band_shape(3, 2), 3)
     # a product of the zakharov-shabat powers of L: on a fresh L each band
     # is Taylor-shifted anew, on a kept L its shifted bands are reused
     eps_win = up_win(3)

@@ -796,7 +796,7 @@ class TruncSeries:
     # can agree with it
     __hash__ = None
 
-    # -- display / serialization ---------------------------------------------
+    # -- display ---------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
@@ -813,16 +813,6 @@ class TruncSeries:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "windows": {v: {"lo": w.lo, "hi": w.hi, "lo_hard": w.lo_hard,
-                            "hi_hard": w.hi_hard}
-                        for v, w in sorted(self.wins.items())},
-            "terms": [[list(key), str(self.terms[key])]
-                      for key in sorted(self.terms)],
-        }
 
 
 # -- free functions ------------------------------------------------------

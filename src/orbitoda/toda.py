@@ -17,9 +17,10 @@ coefficient windows.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import accumulate, combinations
+from math import comb, factorial
 
+from .algebra import bernoulli_number
 from .errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from .rationals import ParamRat, PR
 from .reports import CheckReport
@@ -518,9 +519,9 @@ def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
     """Solve L^k + (nu1-nu0) log L = curly-L for L = Lambda + a_0 + ...
 
     Uses the linear form curly-L o P = P o (Lambda^k + (nu1-nu0) eps d_x):
-    each band of P satisfies a first-order difference equation solved order
-    by order in eps (x-antiderivatives fix the x-constants to zero; the
-    recovered L is gauge-independent).  Returns (L, P).
+    each band of P satisfies a first-order difference equation, solved in
+    closed form with its x-constants set to zero (``_solve_difference``;
+    the recovered L is gauge-independent).  Returns (L, P).
     """
     w = _dressing_bands(curly, k, 1, None, eps_win, w_depth)
     p_op = ShiftOp({-i: c for i, c in w.items() if not c.is_zero()},
@@ -553,7 +554,8 @@ def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
     Band j solves w_j(x + t eps) - w_j(x) = -R_j (times ``factor``, the
     Q^-m of the raising side, when given) with
     R_j = sum_{b != t} curly_b w_{j + sign(b - t)}(x + b eps)
-          - (nu1-nu0) eps d_x w_{j - sign t}.
+          - (nu1-nu0) eps d_x w_{j - sign t}
+    by ``_solve_difference``, so w_j is known one eps-order short of R_j.
     """
     diffc = PR.diff()
     w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
@@ -567,42 +569,35 @@ def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
             r = r - w[j - sign * t].derivative("x") \
                 .shift_exponent("eps", 1).scale(diffc)
         rhs = r.scale(-1) if factor is None else r.scale(-1) * factor
-        w[j] = _solve_difference(rhs, t, eps_win)
+        w[j] = _solve_difference(rhs, t)
     return w
 
 
-def _solve_difference(rhs: TruncSeries, k: int,
-                      eps_win: VarWindow) -> TruncSeries:
-    """w with w(x + k eps) - w(x) = rhs, order by order in eps.
+def _solve_difference(rhs: TruncSeries, k: int) -> TruncSeries:
+    """w with w(x + k eps) - w(x) = rhs and no x^0 term, for rhs a
+    polynomial in x.
 
-    The eps^{r+1} slot forces k d_x w^{(r)} = rhs^{(r+1)} - higher-shift
-    corrections; each x-antiderivative constant is set to zero.
+    The inverse of the shift difference is the Bernoulli sum
+    (e^t - 1)^-1 = sum_n B_n t^(n-1)/n! (B_1 = -1/2; Graham-Knuth-Patashnik,
+    Concrete Mathematics, 6.5) at t = k eps d_x, which ends on a
+    polynomial: d_x w = sum_n B_n/n! (k eps)^(n-1) d_x^n rhs, and w is its
+    x-antiderivative.  The x-constants, the kernel of the
+    shift difference, are set to zero.  The kernel's window rules give w
+    its windows: its eps^r slot takes rhs's eps^(r+1), so w is known one
+    eps-order short of rhs.
     """
-    if rhs.is_zero():
-        return TruncSeries.scalar(0, {"eps": eps_win})
-    w = TruncSeries.scalar(0, {"eps": eps_win})
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 200:
-            raise NonUnit("difference solve did not terminate")
-        resid = w.exp_derivation(x_shift(k), {"eps": eps_win}) - w - rhs
-        if resid.is_zero():
-            return w
-        # lowest eps-order of the residual fixes the next x-antiderivative
-        ei = resid.vars.index("eps")
-        r0 = min(key[ei] for key in resid.terms)
-        layer = resid.coeff_of("eps", r0)
-        anti = _x_antiderivative(layer).scale(Fraction(-1, k))
-        w = w + anti * TruncSeries.monomial({"eps": r0 - 1},
-                                            {"eps": eps_win})
-        if r0 - 1 < eps_win.lo:
-            raise NonUnit("difference solve fell below the eps window")
+    degree = rhs.wins["x"].hi if "x" in rhs.wins else 0
+    derivs = accumulate(range(degree), lambda d, _: d.derivative("x"),
+                        initial=rhs)
+    return _x_antiderivative(sum_series(
+        d.shift_exponent("eps", n - 1).scale(
+            bernoulli_number(n) / factorial(n) * Fraction(k) ** (n - 1))
+        for n, d in enumerate(derivs)))
 
 
 def _x_antiderivative(ser: TruncSeries) -> TruncSeries:
     if "x" not in ser.wins:
-        return ser * TruncSeries.from_poly("x", {1: 1})
+        return ser.shift_exponent("x", 1)
     i = ser.vars.index("x")
     w = ser.wins["x"]
     terms = {}
@@ -654,7 +649,7 @@ def verify_reduced_vacuum(k: int, m: int,
     at the trivial wave pair, zero flows there, and the defining equations
     verified on the operators solved from the vacuum curly-L."""
     w_depth = 4
-    eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
+    eps_win = up_win(eps_ord)
     reports = []
     with CheckReport(name="reduced-vacuum-split",
                      params={"k": k, "m": m}) as rep:
@@ -695,9 +690,9 @@ def verify_reduced_vacuum(k: int, m: int,
 
 def verify_solve_recovery(k: int, eps_ord: int = 3) -> CheckReport:
     """Build curly-L = L^k + (nu1-nu0) log L from a nontrivial dressing and
-    check the order-by-order solve reproduces L."""
+    check that the solve reproduces L."""
     w_depth = 3
-    eps_win = VarWindow(-(w_depth + 2), eps_ord, True, False)
+    eps_win = up_win(eps_ord)
     with CheckReport(name="reduced-solve-recovery",
                      params={"k": k, "w_depth": w_depth}) as rep:
         w1 = TruncSeries.from_poly("x", {1: Fraction(1, 2)}) * \
@@ -719,7 +714,7 @@ def verify_flow_band_shape(k: int, m: int) -> CheckReport:
     """The flow right-hand sides [(L^n)_+, curly-L] stay inside the band
     [-m, k-1] for operators solved from a perturbed banded curly-L."""
     w_depth = 3
-    eps_win = VarWindow(-(w_depth + 2), 2, True, False)
+    eps_win = up_win(2)
     with CheckReport(name="reduced-flow-band", params={"k": k, "m": m}) as rep:
         bump = (TruncSeries.from_poly("x", {1: Fraction(1, 2)}) *
                 TruncSeries.from_poly("eps", {1: 1}) *

@@ -145,27 +145,6 @@ def test_golden_vacuum_report():
     assert _strip_time(rep) == GOLDEN_VACUUM
 
 
-GOLDEN_SERIES_JSON = {
-    "vars": ["u", "z"],
-    "windows": {
-        "u": {"lo": 0, "hi": 2, "lo_hard": True, "hi_hard": True},
-        "z": {"lo": -2, "hi": 0, "lo_hard": False, "hi_hard": True},
-    },
-    "terms": [
-        [[0, -2], "nu0 - nu1"],
-        [[2, 0], "(1)/(nu0-nu1)"],
-    ],
-}
-
-
-def test_series_canonical_json():
-    from orbitoda.rationals import PR
-    from orbitoda.series import TruncSeries as TS, down_win
-    ser = (TS.from_poly("u", {2: 1}).scale(PR.diff().inverse()) +
-           TS.var("z", down_win(-2), power=-2, coeff=PR.diff()))
-    assert ser.to_json() == GOLDEN_SERIES_JSON
-
-
 def test_bilinearity_fails_on_zero_residue(monkeypatch):
     # scaling an identically zero residue would pass vacuously
     import orbitoda.hqe

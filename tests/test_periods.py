@@ -403,6 +403,24 @@ def test_mode_chain_recursion():
     assert verify_mode_recursion(2, 1).ok
 
 
+def test_mode_chain_negative_control(monkeypatch):
+    # one more term in the numerator of I^(2) at its x-top: the check reads
+    # it on the expansions of f' I^(2), in the first sector at n = 1
+    chain = periods.mode_chain
+
+    def perturbed(k, m, alpha, n_max):
+        modes = chain(k, m, alpha, n_max)
+        num = modes[2].num
+        top = max(key[num.vars.index("x")] for key in num.terms)
+        modes[2].num = num + TS.from_poly("x", {top: 1})
+        return modes
+    monkeypatch.setattr(periods, "mode_chain", perturbed)
+    rep = verify_mode_recursion(3, 2)
+    assert rep.status == "fail"
+    assert rep.first_discrepancy["at"] == {"alpha": "0/3", "n": 1,
+                                           "at": {"x": -13}}
+
+
 def test_mode_chain_first_derivative_oracle():
     # I^(1) = d_x(x^{i-1}/f') / f' for (2,1), phi = x
     k, m = 2, 1

@@ -684,6 +684,28 @@ def test_kept_support_bounds_give_the_pair_loop_product(a, b):
             assert_same_series(*pair)
 
 
+@pytest.mark.parametrize("other", [
+    None,
+    pytest.param("x", marks=pytest.mark.xfail(
+        reason="_supports reads a both-hard variable of a series with no "
+        "terms as an empty support, and _product_wins reads any empty "
+        "support as a factor known to be zero: the product claims eps and "
+        "x exact on [0, 0]",
+        strict=True)),
+])
+def test_a_factor_without_terms_keeps_its_soft_window(other):
+    # a = eps^4 (times x) known only through eps^3 has no terms; its
+    # product with b = 1 + eps (x) is unknown from eps^4, where the true
+    # product holds a's unknown eps^4 coefficient
+    eps4, eps = TS.from_poly("eps", {4: 1}), TS.from_poly("eps", {1: 1})
+    if other is not None:
+        eps4, eps = (s * TS.from_poly(other, {1: 1}) for s in (eps4, eps))
+    a = eps4.truncated({"eps": VarWindow(3, 3, True, False)})
+    b = (1 + eps).truncated({"eps": up_win(3)})
+    assert not a.terms
+    assert (a * b).wins["eps"] == VarWindow(3, 3, True, False)
+
+
 @examples(200)
 @given(st.dictionaries(st.sampled_from(NAMES), any_window(), max_size=3),
        st.dictionaries(st.frozensets(st.sampled_from(NAMES), min_size=1),

@@ -6,10 +6,12 @@ import pytest
 
 from test_series import taylor_shift
 
-from orbitoda.errors import DivisionByZeroTau
+from orbitoda.errors import DivisionByZeroTau, NonUnit
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, down_win, sum_series, up_win
+from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
+                             sum_series, up_win)
 from orbitoda.toda import (ShiftOp, TauJet, _generic_l, _generic_lbar,
+                           _solve_difference, _x_antiderivative, x_shift,
                            check_wave_equations, dress,
                            gauge_qpower_check, identity_op, lambda_op,
                            _d_time_op, log_lax, log_lax_bar, tau_to_wave,
@@ -337,3 +339,68 @@ def test_dress_undress_roundtrip():
     L = p.mul(lambda_op(1), EW).mul(p_inv, EW)
     back = p_inv.mul(L, EW).mul(p, EW)
     assert back.eq_report(lambda_op(1)) is None
+
+
+# -- the difference solve: the closed form against the residual loop ------
+
+
+def _solve_difference_reference(rhs, k, eps_win):
+    """w with w(x + k eps) - w(x) = rhs, order by order in eps, on the
+    declared ``eps_win``: the lowest eps-order r0 of the residual fixes the
+    x-antiderivative placed at eps^(r0 - 1), its x-constant set to zero."""
+    if rhs.is_zero():
+        return TS.scalar(0, {"eps": eps_win})
+    w = TS.scalar(0, {"eps": eps_win})
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 200:
+            raise NonUnit("difference solve did not terminate")
+        resid = w.exp_derivation(x_shift(k), {"eps": eps_win}) - w - rhs
+        if resid.is_zero():
+            return w
+        ei = resid.vars.index("eps")
+        r0 = min(key[ei] for key in resid.terms)
+        layer = resid.coeff_of("eps", r0)
+        anti = _x_antiderivative(layer).scale(F(-1, k))
+        w = w + anti * TS.monomial({"eps": r0 - 1}, {"eps": eps_win})
+        if r0 - 1 < eps_win.lo:
+            raise NonUnit("difference solve fell below the eps window")
+
+
+EPS_TAIL = TS.from_poly("eps", {1: 1, 2: F(1, 2), 3: 1, 4: 5, 5: 7, 6: -2})
+RHS = {
+    # x^0 terms, and an eps^0 term that puts w at eps^-1
+    "with x^0": TS.from_poly("x", {0: 1, 1: -1, 3: F(1, 3)})
+    * (EPS_TAIL + TS.from_poly("eps", {0: 2})),
+    "without x^0": TS.from_poly("x", {2: 1, 1: F(1, 3)}) * EPS_TAIL,
+    "free of x": TS.from_poly("Q", {1: 1}) * EPS_TAIL,
+    "zero": TS.scalar(0, {"eps": up_win(9)}),
+}
+TOP = 3
+
+
+def _known_to(rhs, top):
+    return rhs.truncated({"eps": up_win(top)})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(RHS))
+def test_difference_solve_in_closed_form(k, case):
+    rhs = _known_to(RHS[case], TOP)
+    w = _solve_difference(rhs, k)
+    # known one eps-order short of rhs, from the eps-order the solve starts
+    assert w.wins["eps"] == VarWindow(-1, TOP - 1, True, False)
+    assert w.coeff_of("x", 0).is_zero()
+    # the residual loop on a declared window agrees below rhs's eps-top
+    ref = _solve_difference_reference(rhs, k, VarWindow(-3, TOP, True, False))
+    for r in range(-3, TOP):
+        assert (w.coeff_of("eps", r) - ref.coeff_of("eps", r)).is_zero()
+    # w(x + k eps) - w(x) = rhs on w's whole known window
+    resid = taylor_shift(w, "x", "eps", k) - w - rhs
+    assert resid.wins["eps"].known_hi() == TOP - 1
+    assert resid.is_zero()
+    # each eps-order w claims is the one that rhs known deeper gives
+    deep = _solve_difference(_known_to(RHS[case], TOP + 3), k)
+    for r in range(-1, TOP):
+        assert (w.coeff_of("eps", r) - deep.coeff_of("eps", r)).is_zero()
