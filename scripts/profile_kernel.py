@@ -38,8 +38,7 @@ from operator import mul
 from pathlib import Path
 
 import orbitoda
-from orbitoda.hqe import (HQE_EPS, toda_hqe_eval, verify_bilinearity,
-                          verify_lemma_inv)
+from orbitoda.hqe import toda_hqe_eval, verify_bilinearity, verify_lemma_inv
 from orbitoda.jfunction import build_dj, build_j, inv_poch, operator_ladder
 from orbitoda.cohomology import Cohomology, QuantumRing, SectorIndex
 from orbitoda.mirror import (flat_coords_residue, residue_pairing_matrix,
@@ -252,13 +251,11 @@ def rows():
            lambda: verify_flow_band_shape(3, 2), 3)
     # a product of the zakharov-shabat powers of L: on a fresh L each band
     # is Taylor-shifted anew, on a kept L its shifted bands are reused
-    eps_win = up_win(3)
-    L = _generic_l(eps_win)
-    L2 = L.mul(L, eps_win)
+    L = _generic_l(up_win(3))
+    L2 = L.mul(L)
     yield ("ShiftOp.mul L^2 * L, fresh L",
-           lambda: L2.mul(ShiftOp(L.bands, L.lo, L.lo_hard), eps_win), 20)
-    yield ("ShiftOp.mul L^2 * L, shifts kept",
-           lambda: L2.mul(L, eps_win), 20)
+           lambda: L2.mul(ShiftOp(L.bands, L.lo, L.lo_hard)), 20)
+    yield ("ShiftOp.mul L^2 * L, shifts kept", lambda: L2.mul(L), 20)
 
     # the hqe workload's shapes, taken from the calls the checks make
     sums = calls_of("__add__", lambda: verify_bilinearity(3, 2))
@@ -274,7 +271,7 @@ def rows():
            vacuum.recip, 20)
     tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
     yield ("toda_hqe_eval at depth 2, (n, l) = (0, 0)",
-           lambda: toda_hqe_eval(tau, 0, 0, 2, HQE_EPS), 3)
+           lambda: toda_hqe_eval(tau, 0, 0, 2), 3)
 
 
 def main():

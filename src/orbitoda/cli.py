@@ -152,8 +152,7 @@ def toda_jobs(k, m, eps_order, times):
         ("zakharov-shabat",
          lambda: verify_zakharov_shabat(min(times, 3), eps_order)),
         ("wave-equations", lambda: check_wave_equations(
-            two_toda_vacuum_tau(times, 3), times, up_win(eps_order),
-            flows=min(times, 2))),
+            two_toda_vacuum_tau(times, 3), times, flows=min(times, 2))),
         ("reduced-vacuum", lambda: verify_reduced_vacuum(k, m, eps_order)),
         ("reduced-solve-recovery",
          lambda: verify_solve_recovery(k, eps_order)),

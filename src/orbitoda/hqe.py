@@ -363,25 +363,23 @@ def lam_depth(ser: TruncSeries) -> int:
 
 
 def mult_part(f: TruncSeries, miwa: TruncSeries, sign: int, barred: bool,
-              leg: str, depth: int, eps_win: VarWindow,
-              span: int) -> TruncSeries:
+              leg: str, depth: int, span: int) -> TruncSeries:
     """Multiply by exp(sign * sum (y_n/eps) lam^n) expanded to the given
-    lambda-span (recorded as a soft lambda-top)."""
+    lambda-span (recorded as a soft lambda-top), on the y_n- and
+    eps-windows of the leg ``f``, widened to hold y_n/eps."""
     lam_up = VarWindow(0, span, True, False)
 
     def term(n):
         name = flow_var(leg, barred, n)
-        w = f._win(name) if name in f.wins else exact_win(0, 0)
-        win = VarWindow(w.lo, max(w.hi, 1), w.lo_hard, w.hi_hard)
-        return TruncSeries.monomial({name: 1, "eps": -1, "lam": n},
-                                    {name: win, "eps": eps_win, "lam": lam_up},
-                                    coeff=sign)
+        return TruncSeries.monomial(
+            {name: 1, "eps": -1, "lam": n},
+            {name: f._win(name).holding(1), "eps": f._win("eps").holding(-1),
+             "lam": lam_up}, coeff=sign)
 
     return miwa * sum_series(map(term, range(1, depth + 1))).exp()
 
 
-def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
-                  eps_win: VarWindow) -> TruncSeries:
+def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int) -> TruncSeries:
     """The lambda-residue of the bilinear form at the pair (n, l):
 
         res [ lam^{l-n} (G+ tau_l)(G- tau_{n+1})
@@ -397,7 +395,7 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
     extra = abs(n - l) + 2
 
     def leg_series(r: int, leg: str) -> TruncSeries:
-        shifted = tau.shifted(r, eps_win)
+        shifted = tau.shifted(r)
         names = {}
         for j in range(1, tau.ytimes + 1):
             names[yname(j)] = flow_var(leg, False, j)
@@ -416,19 +414,18 @@ def toda_hqe_eval(tau: TauJet, n: int, l: int, depth: int,
     # partner's hard bottom is reachable
     s1 = l - n
     span1 = lam_depth(m1a) + lam_depth(m1b) + abs(s1) + extra
-    ga = mult_part(fa1, m1a, +1, False, "a", depth, eps_win, span1)
-    gb = mult_part(fb1, m1b, -1, False, "b", depth, eps_win, span1)
+    ga = mult_part(fa1, m1a, +1, False, "a", depth, span1)
+    gb = mult_part(fb1, m1b, -1, False, "b", depth, span1)
     term1 = ga.mul_coeff(gb, "lam", -s1)
     s2 = n - l
     span2 = lam_depth(m2a) + lam_depth(m2b) + abs(s2) + extra
-    gab = mult_part(fa2, m2a, -1, True, "a", depth, eps_win, span2)
-    gbb = mult_part(fb2, m2b, +1, True, "b", depth, eps_win, span2)
+    gab = mult_part(fa2, m2a, -1, True, "a", depth, span2)
+    gbb = mult_part(fb2, m2b, +1, True, "b", depth, span2)
     term2 = gab.mul_coeff(gbb, "lam", -s2).shift_exponent("Q", l - n)
     return term1 - term2
 
 
-def toda_hqe_report(tau, n: int, l: int, depth: int,
-                    eps_win: VarWindow) -> CheckReport:
+def toda_hqe_report(tau, n: int, l: int, depth: int) -> CheckReport:
     """All-zero check of the (n, l) residue through flow-bidegree (2, 2):
     the residue capped at total degree 2 in the unbarred (y...) and in the
     barred (w...) flow times is compared with 0.  Jet errors above the box
@@ -436,7 +433,7 @@ def toda_hqe_report(tau, n: int, l: int, depth: int,
     with CheckReport(name=f"toda-hqe-{n}-{l}",
                      params={"n": n, "l": l, "depth": depth,
                              "bidegree": [2, 2]}) as rep:
-        resid = toda_hqe_eval(tau, n, l, depth, eps_win)
+        resid = toda_hqe_eval(tau, n, l, depth)
         # a monomial's flow bidegree: its exponent sums over the unbarred
         # (y...) and the barred (w...) flow times
         ys = [i for i, v in enumerate(resid.vars) if v.startswith("y")]
@@ -607,7 +604,7 @@ def verify_toda_hqe_vacuum(times: int) -> list[CheckReport]:
     """The 2-Toda HQE on the vacuum exponential carrying ``times`` flow
     times, at (n, l) in {0, 1}^2 through flow-bidegree (2, 2)."""
     tau = two_toda_vacuum_tau(times, 3, exact_jet=True)
-    return [toda_hqe_report(tau, n, l, times, HQE_EPS)
+    return [toda_hqe_report(tau, n, l, times)
             for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]]
 
 
@@ -622,7 +619,7 @@ def verify_toda_hqe_negative_control() -> CheckReport:
             coeff=2)
         arg = arg.with_cap(["y1"], 4).with_cap(["yb1"], 4)
         bad = TauJet(arg.exp().as_exact(), 1, 1)
-        inner = toda_hqe_report(bad, 1, 0, 1, HQE_EPS)
+        inner = toda_hqe_report(bad, 1, 0, 1)
         if inner.first_discrepancy is None:
             rep.fail({}, "undetected perturbation", "a located discrepancy")
         else:

@@ -65,6 +65,11 @@ class VarWindow:
         return (f"VarWindow(lo={self.lo!r}, hi={self.hi!r}, "
                 f"lo_hard={self.lo_hard!r}, hi_hard={self.hi_hard!r})")
 
+    def holding(self, e: int) -> "VarWindow":
+        """The window widened to hold a known term at exponent e."""
+        return VarWindow(min(self.lo, e), max(self.hi, e), self.lo_hard,
+                         self.hi_hard)
+
     def known_lo(self):
         return NEG_INF if self.lo_hard else self.lo
 
@@ -136,10 +141,7 @@ class TruncSeries:
         caps = dict(caps) if caps else {}
         vars = tuple(sorted(wins))
         if not c.is_zero():
-            for v, w in wins.items():
-                if not w.lo <= 0 <= w.hi:
-                    wins[v] = VarWindow(min(w.lo, 0), max(w.hi, 0),
-                                        w.lo_hard, w.hi_hard)
+            wins = {v: w.holding(0) for v, w in wins.items()}
         # the one key, of exponent and degree 0, is kept where a prune
         # would keep it
         kept = not c.is_zero() and all(cap >= 0 for cap in caps.values())
@@ -212,14 +214,17 @@ class TruncSeries:
     def _supports(self) -> dict:
         """Per variable of ``vars``, the sharpened (lo, hi) bounds of the
         true support (``support_in``), (+inf, -inf) if it is empty; from
-        ``_extremes`` on first use, then kept on the series."""
+        ``_extremes`` on first use, then kept on the series.  Without terms,
+        a both-hard window is the support unless ``is_known_zero``."""
         try:
             return self._sup
         except AttributeError:
             sup = self._sup = {}
             if not self.terms:
-                for v in self.vars:
-                    sup[v] = support_in(self.wins[v], ())
+                known = self.is_known_zero()
+                for v, w in self.wins.items():
+                    hard = w.lo_hard and w.hi_hard and not known
+                    sup[v] = (w.lo, w.hi) if hard else support_in(w, ())
                 return sup
             for v, (lo, hi) in zip(self.vars, self._extremes()):
                 w = self.wins[v]        # support_in of the extremes
@@ -229,6 +234,11 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_known_zero(self) -> bool:
+        """No terms, and every window both-hard: zero, not just unknown."""
+        return not self.terms and all(w.lo_hard and w.hi_hard
+                                      for w in self.wins.values())
 
     def __bool__(self):
         return bool(self.terms)
@@ -327,9 +337,9 @@ class TruncSeries:
         0 when a factor is identically zero."""
         sup_a, sup_b = self._supports(), other._supports()
         wins_a, wins_b = self.wins, other.wins
-        # a variable a factor lacks is the point 0, unless it has no terms
-        lack_a = (0, 0) if self.terms else (POS_INF, NEG_INF)
-        lack_b = (0, 0) if other.terms else (POS_INF, NEG_INF)
+        # a variable a factor lacks is the point 0, unless it is a known zero
+        lack_a = (POS_INF, NEG_INF) if self.is_known_zero() else (0, 0)
+        lack_b = (POS_INF, NEG_INF) if other.is_known_zero() else (0, 0)
         wins = {}
         for v in allvars:
             sa, sb = sup_a.get(v, lack_a), sup_b.get(v, lack_b)
@@ -553,7 +563,7 @@ class TruncSeries:
 
     def derivative(self, v: str) -> "TruncSeries":
         if v not in self.wins:
-            return TruncSeries(self.vars, dict(self.wins), {}, self.caps)
+            return TruncSeries.zero()       # constant in v: an exact zero
         i = self.vars.index(v)
         w = self.wins[v]
         out = {}

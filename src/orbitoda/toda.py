@@ -4,8 +4,8 @@ Operators are finite bands sum_i c_i(x; eps, times) Lambda^i with jet
 coefficients, plus an optional scalar multiple of eps d_x and a formal
 multiple of log Q.  The commutation rule Lambda^i u(x) = u(x + i eps)
 Lambda^i is the Taylor shift exp(i eps d_x) u, applied by
-``TruncSeries.exp_derivation`` (``x_shift``) and exact within the eps
-window.
+``TruncSeries.exp_derivation`` (``x_shift``) on the windows of the band
+it shifts: the shift takes no truncation order.
 
 The band window is a series window in Lambda (``ShiftOp.win``): its floor
 ``lo`` is soft unless ``lo_hard``, and its top is exact (the highest
@@ -44,8 +44,8 @@ class ShiftOp:
     kept, since it carries the window on which the zero is known.
 
     ``shifted`` keeps each band that ``mul`` has Taylor-shifted, by the
-    (i, j, eps window) of its shift by i of band j; a new operator starts
-    it afresh and ``==`` ignores it.  An operator is not changed after
+    (i, j) of its shift by i of band j; a new operator starts it afresh
+    and ``==`` ignores it.  An operator is not changed after
     construction, so a kept band stays valid."""
     __slots__ = ("bands", "lo", "lo_hard", "deriv", "logq", "shifted")
 
@@ -94,7 +94,7 @@ class ShiftOp:
     def __sub__(self, other: "ShiftOp") -> "ShiftOp":
         return self + other.scale(-1)
 
-    def mul(self, other: "ShiftOp", eps_win: VarWindow) -> "ShiftOp":
+    def mul(self, other: "ShiftOp") -> "ShiftOp":
         """Banded product; requires both derivation/log parts to vanish on
         at least one side unless handled through ``commutator``.
 
@@ -114,21 +114,19 @@ class ShiftOp:
                 if i + j < win.lo:
                     continue
                 if i:           # a shift by 0 is the band itself
-                    key = (i, j, eps_win)
-                    shifted = memo.get(key)
+                    shifted = memo.get((i, j))
                     if shifted is None:
-                        shifted = memo[key] = b.exp_derivation(
-                            x_shift(i), {"eps": eps_win})
+                        shifted = memo[i, j] = b.exp_derivation(x_shift(i), {})
                     b = shifted
                 terms.setdefault(i + j, []).append(a * b)
         return ShiftOp({n: sum_series(t) for n, t in terms.items()},
                        win.lo, win.lo_hard)
 
-    def commutator(self, other: "ShiftOp", eps_win: VarWindow) -> "ShiftOp":
+    def commutator(self, other: "ShiftOp") -> "ShiftOp":
         """[self, other] with scalar eps d_x parts handled by the rule
         [c eps d_x, B] = c * eps d_x(B-coefficients); log Q is central."""
         a_band, b_band = self.band_part(), other.band_part()
-        out = a_band.mul(b_band, eps_win) - b_band.mul(a_band, eps_win)
+        out = a_band.mul(b_band) - b_band.mul(a_band)
         if not self.deriv.is_zero():
             out = out + b_band.eps_dx().scale(self.deriv)
         if not other.deriv.is_zero():
@@ -157,13 +155,13 @@ class ShiftOp:
         return ShiftOp({i: c for i, c in self.bands.items() if i < 0},
                        self.lo, self.lo_hard)
 
-    def pow(self, n: int, eps_win: VarWindow) -> "ShiftOp":
+    def pow(self, n: int) -> "ShiftOp":
         out = identity_op()
         for _ in range(n):
-            out = out.mul(self, eps_win)
+            out = out.mul(self)
         return out
 
-    def inverse(self, eps_win: VarWindow, depth: int | None = None) -> "ShiftOp":
+    def inverse(self, depth: int | None = None) -> "ShiftOp":
         """Inverse of an operator with invertible extreme coefficient.
 
         Works for unit-upper operators (P = c Lambda^t (1 + lower)) by the
@@ -193,16 +191,16 @@ class ShiftOp:
 
         # (c Lambda^t)^{-1} = c(x - t eps)^{-1} Lambda^{-t}
         c = self.bands[t]
-        shifted = c.exp_derivation(x_shift(-t), {"eps": eps_win})
+        shifted = c.exp_derivation(x_shift(-t), {})
         lead_inv = ShiftOp({-t: shifted.recip()}, -t, True)
         rest = ShiftOp({i: b for i, b in self.bands.items() if i != t},
                        self.lo, self.lo_hard)
-        h = lead_inv.mul(rest, eps_win)      # strictly lowering or raising
+        h = lead_inv.mul(rest)  # strictly lowering or raising
         out = power_sum(trim(identity_op()),
-                        lambda p: trim(p.mul(h, eps_win)),
+                        lambda p: trim(p.mul(h)),
                         lambda j: (-1) ** j, limit=1000,
                         what="operator inverse")
-        out = out.mul(lead_inv, eps_win)
+        out = out.mul(lead_inv)
         return out if lowering else out.ceiled(depth)
 
     def ceiled(self, top: int) -> "ShiftOp":
@@ -273,8 +271,8 @@ class TauJet:
             raise DivisionByZeroTau("tau needs an invertible constant term")
         self.series, self.ytimes, self.ybtimes = series, ytimes, ybtimes
 
-    def shifted(self, r: int, eps_win: VarWindow) -> TruncSeries:
-        return self.series.exp_derivation(x_shift(r), {"eps": eps_win})
+    def shifted(self, r: int) -> TruncSeries:
+        return self.series.exp_derivation(x_shift(r), {})
 
 
 def x_shift(r) -> list:
@@ -291,7 +289,7 @@ def miwa_shift(names, sign: int) -> list:
             for n, name in enumerate(names, 1)]
 
 
-def tau_to_wave(tau: TauJet, depth: int, eps_win: VarWindow) -> tuple[ShiftOp, ShiftOp]:
+def tau_to_wave(tau: TauJet, depth: int) -> tuple[ShiftOp, ShiftOp]:
     """The wave pair from the shifted-ratio expansions.
 
     P = 1 + sum w_i Lambda^{-i} from [exp(-sum (lam^-n/n) eps d_{y_n}) tau]/tau,
@@ -314,34 +312,30 @@ def tau_to_wave(tau: TauJet, depth: int, eps_win: VarWindow) -> tuple[ShiftOp, S
         p_bands[-i] = ratio(tau.series, ys, +1, i)
     p_op = ShiftOp(p_bands, -depth, False)
 
-    tau_x = tau.shifted(1, eps_win)
+    tau_x = tau.shifted(1)
     q_op = ShiftOp({i: ratio(tau_x, ybs, -1, i)
                     * TruncSeries.from_poly("Q", {-i: 1})
                     for i in range(depth + 1)}, 0, True)
     return p_op, q_op
 
 
-def dress(p_op: ShiftOp, q_op: ShiftOp, eps_win: VarWindow,
+def dress(p_op: ShiftOp, q_op: ShiftOp,
           depth: int) -> tuple[ShiftOp, ShiftOp]:
     """L = P Lambda P^{-1} and Lbar = Q (Q Lambda^{-1}) Q^{-1}."""
-    p_inv = p_op.inverse(eps_win)
-    L = p_op.mul(lambda_op(1), eps_win).mul(p_inv, eps_win)
-    q_inv = q_op.inverse(eps_win, depth=depth)
-    lbar = q_op.mul(vacuum_lbar(), eps_win).mul(q_inv, eps_win).ceiled(depth)
-    return L, lbar
+    L = p_op.mul(lambda_op(1)).mul(p_op.inverse())
+    lbar = q_op.mul(vacuum_lbar()).mul(q_op.inverse(depth=depth))
+    return L, lbar.ceiled(depth)
 
 
-def log_lax(p_op: ShiftOp, eps_win: VarWindow) -> ShiftOp:
+def log_lax(p_op: ShiftOp) -> ShiftOp:
     """log L = eps d_x - (eps d_x P) P^{-1}."""
-    p_inv = p_op.inverse(eps_win)
-    band = p_op.eps_dx().mul(p_inv, eps_win).scale(-1)
+    band = p_op.eps_dx().mul(p_op.inverse()).scale(-1)
     return ShiftOp(band.bands, band.lo, band.lo_hard, PR.one(), band.logq)
 
 
-def log_lax_bar(q_op: ShiftOp, eps_win: VarWindow, depth: int) -> ShiftOp:
+def log_lax_bar(q_op: ShiftOp, depth: int) -> ShiftOp:
     """log Lbar = -eps d_x + log Q + (eps d_x Q) Q^{-1}."""
-    q_inv = q_op.inverse(eps_win, depth=depth)
-    band = q_op.eps_dx().mul(q_inv, eps_win).ceiled(depth)
+    band = q_op.eps_dx().mul(q_op.inverse(depth=depth)).ceiled(depth)
     return ShiftOp(band.bands, band.lo, band.lo_hard, -PR.one(), PR.one())
 
 
@@ -351,38 +345,37 @@ def log_lax_bar(q_op: ShiftOp, eps_win: VarWindow, depth: int) -> ShiftOp:
 
 
 def lax_flow_rhs(L: ShiftOp, lbar: ShiftOp, n: int, which: str,
-                 eps_win: VarWindow, depth: int) -> tuple[ShiftOp, ShiftOp]:
+                 depth: int) -> tuple[ShiftOp, ShiftOp]:
     """eps d_{y_n} (L, Lbar) = [(L^n)_+, .] resp. -[(Lbar^n)_-, .]."""
     if which == "y":
-        gen = L.pow(n, eps_win).split_plus()
-        return (gen.commutator(L, eps_win), gen.commutator(lbar, eps_win))
-    gen = lbar.pow(n, eps_win).ceiled(depth).split_minus()
-    return (gen.commutator(L, eps_win).scale(-1),
-            gen.commutator(lbar, eps_win).scale(-1))
+        gen = L.pow(n).split_plus()
+        return (gen.commutator(L), gen.commutator(lbar))
+    gen = lbar.pow(n).ceiled(depth).split_minus()
+    return gen.commutator(L).scale(-1), gen.commutator(lbar).scale(-1)
 
 
-def check_wave_equations(tau: TauJet, depth: int, eps_win: VarWindow,
+def check_wave_equations(tau: TauJet, depth: int,
                          flows: int = 1) -> CheckReport:
     """eps d_{y_n} P = -(L^n)_- P and eps d_{y_n} Q = (L^n)_+ Q (and the
     ybar variants) for the wave pair of a polynomially-declared tau."""
     with CheckReport(name="wave-equations",
                      params={"depth": depth, "flows": flows}) as rep:
-        p_op, q_op = tau_to_wave(tau, depth, eps_win)
-        L, lbar = dress(p_op, q_op, eps_win, depth)
+        p_op, q_op = tau_to_wave(tau, depth)
+        L, lbar = dress(p_op, q_op, depth)
         for n in range(1, flows + 1):
-            ln = L.pow(n, eps_win)
-            lbn = lbar.pow(n, eps_win).ceiled(depth)
+            ln = L.pow(n)
+            lbn = lbar.pow(n).ceiled(depth)
             # the Q-side band ceiling erodes by n per generator application
             ceil = depth - n
             checks = [
                 ("y", "P", _d_time_op(p_op, yname(n)),
-                 ln.split_minus().mul(p_op, eps_win).scale(-1)),
+                 ln.split_minus().mul(p_op).scale(-1)),
                 ("y", "Q", _d_time_op(q_op, yname(n)).ceiled(ceil),
-                 ln.split_plus().mul(q_op, eps_win).ceiled(ceil)),
+                 ln.split_plus().mul(q_op).ceiled(ceil)),
                 ("yb", "P", _d_time_op(p_op, ybname(n)),
-                 lbn.split_minus().mul(p_op, eps_win).scale(-1)),
+                 lbn.split_minus().mul(p_op).scale(-1)),
                 ("yb", "Q", _d_time_op(q_op, ybname(n)).ceiled(ceil),
-                 lbn.split_plus().mul(q_op, eps_win).ceiled(ceil)),
+                 lbn.split_plus().mul(q_op).ceiled(ceil)),
             ]
             rep.max_order_verified[f"q_band_flow{n}"] = ceil
             for time, opname, lhs, rhs in checks:
@@ -405,21 +398,21 @@ def verify_vacuum(eps_win: VarWindow) -> CheckReport:
     depth = 4
     with CheckReport(name="toda-vacuum", params={"depth": depth}) as rep:
         tau = TauJet(TruncSeries.scalar(1, {"eps": eps_win}), 0, 0)
-        p_op, q_op = tau_to_wave(tau, depth, eps_win)
+        p_op, q_op = tau_to_wave(tau, depth)
         rep.compare(p_op, identity_op(), {"op": "P"})
         rep.compare(q_op, identity_op(), {"op": "Q"})
-        L, lbar = dress(p_op, q_op, eps_win, depth)
+        L, lbar = dress(p_op, q_op, depth)
         rep.compare(L, lambda_op(1), {"op": "L"})
         rep.compare(lbar, vacuum_lbar(), {"op": "Lbar"})
         for n in (1, 2, 3):
             for which in ("y", "yb"):
-                for op in lax_flow_rhs(L, lbar, n, which, eps_win, depth):
+                for op in lax_flow_rhs(L, lbar, n, which, depth):
                     rep.compare(op, ShiftOp({}, 0, True),
                                 {"flow": f"{which}{n}"})
         # log L = eps d_x and log Lbar = -eps d_x + log Q
-        rep.compare(log_lax(p_op, eps_win), ShiftOp({}, 0, True, PR.one()),
+        rep.compare(log_lax(p_op), ShiftOp({}, 0, True, PR.one()),
                     {"op": "log L"})
-        rep.compare(log_lax_bar(q_op, eps_win, depth),
+        rep.compare(log_lax_bar(q_op, depth),
                     ShiftOp({}, 0, True, -PR.one(), PR.one()),
                     {"op": "log Lbar"})
     return rep
@@ -436,35 +429,34 @@ def verify_zakharov_shabat(k_flows: int, eps_ord: int) -> CheckReport:
         lbar = _generic_lbar(eps_win)
         powers = [identity_op()]
         for _ in range(k_flows):
-            powers.append(powers[-1].mul(L, eps_win))
-        delta = {n: powers[n].split_plus().commutator(L, eps_win)
+            powers.append(powers[-1].mul(L))
+        delta = {n: powers[n].split_plus().commutator(L)
                  for n in range(1, k_flows + 1)}
         # the residual is antisymmetric in (n, l) and zero at n = l
         for n, l in combinations(range(1, k_flows + 1), 2):
-            lhs = _dpow_plus(powers, delta[l], n, eps_win) \
-                - _dpow_plus(powers, delta[n], l, eps_win) \
+            lhs = _dpow_plus(powers, delta[l], n) \
+                - _dpow_plus(powers, delta[n], l) \
                 + powers[n].split_plus().commutator(
-                    powers[l].split_plus(), eps_win)
+                    powers[l].split_plus())
             if not rep.compare(lhs, ShiftOp({}, 0, True), {"n": n, "l": l}):
                 return rep
         # mixed flows commute on L: d_{y1} d_{yb1} L = d_{yb1} d_{y1} L
-        dy_l = powers[1].split_plus().commutator(L, eps_win)
-        dy_lbar = powers[1].split_plus().commutator(lbar, eps_win)
-        dyb_l = lbar.split_minus().commutator(L, eps_win).scale(-1)
+        dy_l = powers[1].split_plus().commutator(L)
+        dy_lbar = powers[1].split_plus().commutator(lbar)
+        dyb_l = lbar.split_minus().commutator(L).scale(-1)
         # eps^2 d_y d_yb L = [ (eps d_y Lbar)_-, L ]*(-1) + [Lbar_-, eps d_y L]*(-1)
-        lhs = dy_lbar.split_minus().commutator(L, eps_win).scale(-1) + \
-            lbar.split_minus().commutator(dy_l, eps_win).scale(-1)
-        rhs = dyb_l.split_plus().commutator(L, eps_win) + \
-            powers[1].split_plus().commutator(dyb_l, eps_win)
+        lhs = dy_lbar.split_minus().commutator(L).scale(-1) + \
+            lbar.split_minus().commutator(dy_l).scale(-1)
+        rhs = dyb_l.split_plus().commutator(L) + \
+            powers[1].split_plus().commutator(dyb_l)
         rep.compare(lhs, rhs, {"check": "mixed-flow commutation"})
     return rep
 
 
-def _dpow_plus(powers: list, dL: ShiftOp, n: int,
-               eps_win: VarWindow) -> ShiftOp:
+def _dpow_plus(powers: list, dL: ShiftOp, n: int) -> ShiftOp:
     """(d (L^n))_+ with dL substituted for the derivative of L, from
     ``powers[r] = L^r`` (r from 0)."""
-    return sum_ops(powers[r].mul(dL, eps_win).mul(powers[n - 1 - r], eps_win)
+    return sum_ops(powers[r].mul(dL).mul(powers[n - 1 - r])
                    for r in range(n)).split_plus()
 
 
@@ -502,19 +494,18 @@ def _generic_lbar(eps_win: VarWindow) -> ShiftOp:
 
 
 def reduced_operator(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int,
-                     eps_win: VarWindow, depth: int) -> ShiftOp:
+                     depth: int) -> ShiftOp:
     """curly-L = (P Lambda^k P^{-1})_+ + (Q (Q Lambda^-1)^m Q^{-1})_- +
     (nu1 - nu0) eps d_x."""
-    p_inv = p_op.inverse(eps_win)
-    plus = p_op.mul(lambda_op(k), eps_win).mul(p_inv, eps_win).split_plus()
-    q_inv = q_op.inverse(eps_win, depth=depth)
-    minus = q_op.mul(vacuum_lbar().pow(m, eps_win), eps_win) \
-        .mul(q_inv, eps_win).ceiled(depth).split_minus()
+    plus = p_op.mul(lambda_op(k)).mul(p_op.inverse()).split_plus()
+    q_inv = q_op.inverse(depth=depth)
+    minus = q_op.mul(vacuum_lbar().pow(m)) \
+        .mul(q_inv).ceiled(depth).split_minus()
     op = plus + minus
     return ShiftOp(op.bands, op.lo, op.lo_hard, -PR.diff(), op.logq)
 
 
-def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
+def solve_reduced(curly: ShiftOp, k: int,
                   w_depth: int) -> tuple[ShiftOp, ShiftOp]:
     """Solve L^k + (nu1-nu0) log L = curly-L for L = Lambda + a_0 + ...
 
@@ -523,31 +514,26 @@ def solve_reduced(curly: ShiftOp, k: int, eps_win: VarWindow,
     closed form with its x-constants set to zero (``_solve_difference``;
     the recovered L is gauge-independent).  Returns (L, P).
     """
-    w = _dressing_bands(curly, k, 1, None, eps_win, w_depth)
-    p_op = ShiftOp({-i: c for i, c in w.items() if not c.is_zero()},
-                   -w_depth, False)
-    p_inv = p_op.inverse(eps_win)
-    return p_op.mul(lambda_op(1), eps_win).mul(p_inv, eps_win), p_op
+    w = _dressing_bands(curly, k, 1, None, w_depth)
+    p_op = ShiftOp({-i: c for i, c in w.items()}, -w_depth, False)
+    return p_op.mul(lambda_op(1)).mul(p_op.inverse()), p_op
 
 
-def solve_reduced_bar(curly: ShiftOp, m: int, eps_win: VarWindow,
+def solve_reduced_bar(curly: ShiftOp, m: int,
                       w_depth: int) -> tuple[ShiftOp, ShiftOp]:
     """Solve Lbar^m + (nu0-nu1) log(Q^-1 Lbar) = curly-L for the raising
     solution Lbar = Q e^v Lambda^{-1} + ..., via
     curly-L o Q = Q o (Q^m Lambda^{-m} - (nu0-nu1) eps d_x).  Returns
     (Lbar, Q-op); bands of the dressing rise to ``w_depth``."""
     wb = _dressing_bands(curly, -m, -1,
-                         TruncSeries.from_poly("Q", {m: 1}).recip(),
-                         eps_win, w_depth)
-    q_op = ShiftOp({i: c for i, c in wb.items() if not c.is_zero()}, 0, True)
-    q_inv = q_op.inverse(eps_win, depth=w_depth)
-    lbar = q_op.mul(vacuum_lbar(), eps_win).mul(q_inv, eps_win) \
-        .ceiled(w_depth)
-    return lbar, q_op
+                         TruncSeries.from_poly("Q", {m: 1}).recip(), w_depth)
+    q_op = ShiftOp(wb, 0, True)
+    lbar = q_op.mul(vacuum_lbar()).mul(q_op.inverse(depth=w_depth))
+    return lbar.ceiled(w_depth), q_op
 
 
 def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
-                    eps_win: VarWindow, w_depth: int) -> dict:
+                    w_depth: int) -> dict:
     """Bands w_0 = 1, w_1, ..., w_{w_depth} of the dressing whose leading
     band of ``curly`` is Lambda^t; w_j sits at Lambda^{-sign j}.
 
@@ -558,13 +544,11 @@ def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
     by ``_solve_difference``, so w_j is known one eps-order short of R_j.
     """
     diffc = PR.diff()
-    w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1, {"eps": eps_win})}
+    w: dict[int, TruncSeries] = {0: TruncSeries.scalar(1)}
     for j in range(1, w_depth + 1):
-        r = sum_series((c * w[j + sign * (b - t)].exp_derivation(
-                            x_shift(b), {"eps": eps_win})
-                        for b, c in curly.bands.items()
-                        if b != t and j + sign * (b - t) in w),
-                       TruncSeries.scalar(0, {"eps": eps_win}))
+        r = sum_series(c * w[j + sign * (b - t)].exp_derivation(x_shift(b), {})
+                       for b, c in curly.bands.items()
+                       if b != t and j + sign * (b - t) in w)
         if j - sign * t in w:
             r = r - w[j - sign * t].derivative("x") \
                 .shift_exponent("eps", 1).scale(diffc)
@@ -654,32 +638,32 @@ def verify_reduced_vacuum(k: int, m: int,
     with CheckReport(name="reduced-vacuum-split",
                      params={"k": k, "m": m}) as rep:
         p_id, q_id = identity_op(), identity_op()
-        curly_split = reduced_operator(p_id, q_id, k, m, eps_win, w_depth)
+        curly_split = reduced_operator(p_id, q_id, k, m, w_depth)
         want = vacuum_curly(k, m, eps_win)
         rep.compare(curly_split, want, {})
         # flows of the trivial vacuum vanish: [(Lambda^n)_+, curly] = 0
         for n in (1, 2):
-            rep.compare(lambda_op(n).commutator(want, eps_win),
+            rep.compare(lambda_op(n).commutator(want),
                         ShiftOp({}, 0, True), {"flow": f"y{n}"})
     reports.append(rep)
 
     curly = vacuum_curly(k, m, eps_win)
     with CheckReport(name="reduced-vacuum-solve",
                      params={"k": k, "m": m, "w_depth": w_depth}) as rep:
-        L, p_op = solve_reduced(curly, k, eps_win, w_depth)
+        L, p_op = solve_reduced(curly, k, w_depth)
         # L = Lambda at Q^0
         q0 = {i: c.coeff_of("Q", 0) for i, c in L.bands.items()}
         for i, c in q0.items():
             want_c = TruncSeries.scalar(1 if i == 1 else 0, c.wins)
             if not rep.compare(c, want_c, {"band": i, "order": "Q^0"}):
                 break
-        lhs = L.pow(k, eps_win) + log_lax(p_op, eps_win).scale(-PR.diff())
+        lhs = L.pow(k) + log_lax(p_op).scale(-PR.diff())
         rep.compare(lhs, curly, {"identity": "L^k + (nu1-nu0) log L"})
-        lbar, q_op = solve_reduced_bar(curly, m, eps_win, w_depth)
-        bar = log_lax_bar(q_op, eps_win, w_depth)
+        lbar, q_op = solve_reduced_bar(curly, m, w_depth)
+        bar = log_lax_bar(q_op, w_depth)
         logq_less = ShiftOp(bar.bands, bar.lo, bar.lo_hard, bar.deriv,
                             bar.logq - PR.one())
-        lhs_bar = lbar.pow(m, eps_win).ceiled(w_depth) + \
+        lhs_bar = lbar.pow(m).ceiled(w_depth) + \
             logq_less.scale(PR.diff())
         rep.compare(lhs_bar.ceiled(min(k, w_depth - m)),
                     curly.ceiled(min(k, w_depth - m)),
@@ -688,25 +672,34 @@ def verify_reduced_vacuum(k: int, m: int,
     return reports
 
 
+def solve_recovery_ops(k: int, eps_ord: int, w_depth: int = 3) -> dict:
+    """A nontrivial dressing P0 known through eps^eps_ord, L0 =
+    P0 Lambda P0^{-1}, curly-L = L0^k + (nu1-nu0) log L0, and the L and P
+    solved from curly-L, by name."""
+    eps_win = up_win(eps_ord)
+    w1 = TruncSeries.from_poly("x", {1: Fraction(1, 2)}) * \
+        TruncSeries.from_poly("eps", {1: 1})
+    w2 = TruncSeries.from_poly("x", {0: Fraction(-1, 3)}) * \
+        TruncSeries.from_poly("eps", {2: 1})
+    p0 = ShiftOp({0: TruncSeries.scalar(1, {"eps": eps_win}),
+                  -1: w1.truncated({"eps": eps_win}),
+                  -2: w2.truncated({"eps": eps_win})}, -w_depth, False)
+    p_inv, log_l = p0.inverse(), log_lax(p0)
+    L0 = p0.mul(lambda_op(1)).mul(p_inv)
+    l0k = L0.pow(k)
+    curly = l0k + log_l.scale(-PR.diff())
+    L, p_op = solve_reduced(curly, k, w_depth)
+    return {"L0^k": l0k, "curly-L": curly, "log L": log_l, "P0^-1": p_inv,
+            "L0": L0, "L": L, "P": p_op}
+
+
 def verify_solve_recovery(k: int, eps_ord: int = 3) -> CheckReport:
     """Build curly-L = L^k + (nu1-nu0) log L from a nontrivial dressing and
-    check that the solve reproduces L."""
-    w_depth = 3
-    eps_win = up_win(eps_ord)
+    check that the solve reproduces L (``solve_recovery_ops``)."""
     with CheckReport(name="reduced-solve-recovery",
-                     params={"k": k, "w_depth": w_depth}) as rep:
-        w1 = TruncSeries.from_poly("x", {1: Fraction(1, 2)}) * \
-            TruncSeries.from_poly("eps", {1: 1})
-        w2 = TruncSeries.from_poly("x", {0: Fraction(-1, 3)}) * \
-            TruncSeries.from_poly("eps", {2: 1})
-        p0 = ShiftOp({0: TruncSeries.scalar(1, {"eps": eps_win}),
-                      -1: w1.truncated({"eps": eps_win}),
-                      -2: w2.truncated({"eps": eps_win})}, -w_depth, False)
-        p_inv = p0.inverse(eps_win)
-        L0 = p0.mul(lambda_op(1), eps_win).mul(p_inv, eps_win)
-        curly = L0.pow(k, eps_win) + log_lax(p0, eps_win).scale(-PR.diff())
-        L, _ = solve_reduced(curly, k, eps_win, w_depth)
-        rep.compare(L, L0, {})
+                     params={"k": k, "w_depth": 3}) as rep:
+        ops = solve_recovery_ops(k, eps_ord)
+        rep.compare(ops["L"], ops["L0"], {})
     return rep
 
 
@@ -720,10 +713,10 @@ def verify_flow_band_shape(k: int, m: int) -> CheckReport:
                 TruncSeries.from_poly("eps", {1: 1}) *
                 TruncSeries.from_poly("Q", {1: 1})).truncated({"eps": eps_win})
         curly = vacuum_curly(k, m, eps_win, perturb=bump)
-        L, _ = solve_reduced(curly, k, eps_win, w_depth)
+        L, _ = solve_reduced(curly, k, w_depth)
         for n in (1, 2):
-            gen = L.pow(n, eps_win).split_plus()
-            rhs = gen.commutator(curly, eps_win)
+            gen = L.pow(n).split_plus()
+            rhs = gen.commutator(curly)
             outside = ShiftOp({i: c for i, c in rhs.bands.items()
                                if i >= k or i < -m}, rhs.lo, rhs.lo_hard)
             if not rep.compare(outside, ShiftOp({}, rhs.lo, rhs.lo_hard),

@@ -197,5 +197,5 @@ def test_criterion_10_constant_tau_as_stated():
     ew = exact_win(-24, 24)
     tau = TauJet(TS.scalar(1, {"eps": ew}), 2, 2)
     for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        resid = toda_hqe_eval(tau, n, l, 2, ew)
+        resid = toda_hqe_eval(tau, n, l, 2)
         assert resid.is_zero(), (n, l)

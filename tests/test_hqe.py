@@ -282,7 +282,7 @@ def test_toda_hqe_vacuum_family():
     # through flow-bidegree (2,2); jet errors only above the caps
     tau = two_toda_vacuum_tau(2, 3, exact_jet=True)
     for (n, l) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        rep = toda_hqe_report(tau, n, l, 2, EW)
+        rep = toda_hqe_report(tau, n, l, 2)
         assert rep.ok, (n, l, rep.first_discrepancy)
 
 
@@ -290,10 +290,10 @@ def test_toda_hqe_constant_tau_fails_off_diagonal():
     # by the defining wave equations the constant function is
     # not a tau function; the bilinear residue detects it off the diagonal
     tau = TauJet(TS.scalar(1, {"eps": EW}), 2, 2)
-    assert toda_hqe_eval(tau, 0, 0, 2, EW).is_zero()
-    assert toda_hqe_eval(tau, 1, 1, 2, EW).is_zero()
-    assert not toda_hqe_eval(tau, 1, 0, 2, EW).is_zero()
-    assert not toda_hqe_eval(tau, 0, 1, 2, EW).is_zero()
+    assert toda_hqe_eval(tau, 0, 0, 2).is_zero()
+    assert toda_hqe_eval(tau, 1, 1, 2).is_zero()
+    assert not toda_hqe_eval(tau, 1, 0, 2).is_zero()
+    assert not toda_hqe_eval(tau, 0, 1, 2).is_zero()
 
 
 def _perturbed_tau():
@@ -310,7 +310,7 @@ def _perturbed_tau():
 def test_toda_hqe_negative_control_located():
     # a wrong dispersion coefficient is caught with a located slot at low
     # bidegree
-    rep = toda_hqe_report(_perturbed_tau(), 1, 0, 1, EW)
+    rep = toda_hqe_report(_perturbed_tau(), 1, 0, 1)
     assert not rep.ok
     assert rep.first_discrepancy is not None
     assert _bidegree(rep.first_discrepancy["at"]["at"]) == (1, 0)
@@ -357,10 +357,10 @@ def test_leg_reading_matches_hirota_form(monkeypatch, case, n, l, want):
     # same first offender and the same first jet error
     tau = two_toda_vacuum_tau(1, 3, exact_jet=True) if case == "vacuum" \
         else _perturbed_tau()
-    legs = toda_hqe_report(tau, n, l, 1, EW)
+    legs = toda_hqe_report(tau, n, l, 1)
     monkeypatch.setattr(hqe, "toda_hqe_eval", lambda *args: _hirota_form(
         toda_hqe_eval(*args), 1, 20))
-    hirota = toda_hqe_report(tau, n, l, 1, EW)
+    hirota = toda_hqe_report(tau, n, l, 1)
     assert _first_offender_and_jet_error(legs) == want
     assert _first_offender_and_jet_error(hirota) == want
 
@@ -370,7 +370,7 @@ def test_jet_error_follows_the_flow_degree_cap(ycap):
     # the vacuum jet is exact through flow degree ycap; the first nonzero
     # residue class sits one degree above it on each side
     tau = two_toda_vacuum_tau(1, ycap, exact_jet=True)
-    rep = toda_hqe_report(tau, 0, 0, 1, EW)
+    rep = toda_hqe_report(tau, 0, 0, 1)
     assert rep.ok
     assert rep.max_order_verified["first_jet_error_at"] == \
         (ycap + 1, ycap + 1)
@@ -398,7 +398,7 @@ def test_lowest_hirota_golden_extraction():
     ser = (1 + c1 * TS.var("x", xw) + c2 * (yv + ybv) + c3 * yv * ybv) \
         .truncated({"eps": EW}).as_exact()
     tau = TauJet(ser, 1, 1)
-    resid = _hirota_form(toda_hqe_eval(tau, 0, 0, 1, EW), 1, 2)
+    resid = _hirota_form(toda_hqe_eval(tau, 0, 0, 1), 1, 2)
     assert not resid.is_zero()
     yd, wd = flow_var("d", False, 1), flow_var("d", True, 1)
     mixed = resid.coeff_of(yd, 1).coeff_of(wd, 1)

@@ -353,6 +353,19 @@ def test_d_inverse_leading_term():
     assert (z0 - TS.scalar(D.nu.inverse())).is_zero()
 
 
+def test_d_apply_of_a_g_without_lam_keeps_its_z_window():
+    # g is constant in lam, so d_lam g is an exact zero and its z-term
+    # narrows nothing: D g = nu lam^-1 g, known in z from 0 as g is
+    z_win = VarWindow(0, 3, False, True)
+    g = (TS.from_poly("z", {0: 1, 1: 2}) * TS.from_poly("q", {0: 1, 1: 1})) \
+        .truncated({"z": z_win, "q": up_win(2)})
+    D = d_classical(1)
+    got = d_apply(D, g)
+    want = g.shift_exponent("lam", -1).scale(D.nu)
+    assert got.wins["z"] == z_win
+    assert got.vars == want.vars and got.terms == want.terms
+
+
 def test_d_roundtrip_random():
     D = d_x_operator(3, 2)
     zwin = down_win(-5, hi=0)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_hqe import EW as HQE_EW, _perturbed_tau
+from test_hqe import _perturbed_tau
 
 from orbitoda import cli
 from orbitoda.hqe import toda_hqe_report
@@ -107,7 +107,7 @@ def test_every_location_has_one_format():
     M = ShiftOp({1: TS.scalar(1, {"eps": EW})}, 0, True)
     op.compare(M, M + ShiftOp({1: TS.from_poly("x", {2: 5})}, 0, True), {})
     ladder = verify_jfunc(3, 2, 6, negate=True)[0]
-    box = toda_hqe_report(_perturbed_tau(), 1, 0, 1, HQE_EW)
+    box = toda_hqe_report(_perturbed_tau(), 1, 0, 1)
     for rep, want in [(series, {"x": 1}), (op, {"x": 2}),
                       (ladder, {"z": 2}), (box, {"eps": -1, "y1b": 1})]:
         assert rep.status == "fail"

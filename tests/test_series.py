@@ -598,11 +598,21 @@ def pair_loop_product(a, b):
         return {tuple(dict(zip(s.vars, key)).get(v, 0) for v in allvars): c
                 for key, c in s.terms.items()}
 
+    # a factor with no terms is a known zero only when every window is
+    # both-hard; else a both-hard variable keeps its window as its support
+    def known_zero(s):
+        return not s.terms and all(w.lo_hard and w.hi_hard
+                                   for w in s.wins.values())
+
     def support(s, v):
         if v not in s.wins:
-            return (0, 0) if s.terms else (series.POS_INF, series.NEG_INF)
+            return (series.POS_INF, series.NEG_INF) if known_zero(s) \
+                else (0, 0)
+        w = s.wins[v]
+        if not s.terms and w.lo_hard and w.hi_hard and not known_zero(s):
+            return (w.lo, w.hi)
         i = s.vars.index(v)
-        return series.support_in(s.wins[v], [key[i] for key in s.terms])
+        return series.support_in(w, [key[i] for key in s.terms])
 
     caps = a._product_caps(b)
     wins = {}
@@ -684,26 +694,26 @@ def test_kept_support_bounds_give_the_pair_loop_product(a, b):
             assert_same_series(*pair)
 
 
-@pytest.mark.parametrize("other", [
-    None,
-    pytest.param("x", marks=pytest.mark.xfail(
-        reason="_supports reads a both-hard variable of a series with no "
-        "terms as an empty support, and _product_wins reads any empty "
-        "support as a factor known to be zero: the product claims eps and "
-        "x exact on [0, 0]",
-        strict=True)),
-])
-def test_a_factor_without_terms_keeps_its_soft_window(other):
+@pytest.mark.parametrize("other, in_a", [(None, False), ("x", True),
+                                         ("x", False)],
+                         ids=["None", "x", "x-of-b-only"])
+def test_a_factor_without_terms_keeps_its_soft_window(other, in_a):
     # a = eps^4 (times x) known only through eps^3 has no terms; its
-    # product with b = 1 + eps (x) is unknown from eps^4, where the true
-    # product holds a's unknown eps^4 coefficient
-    eps4, eps = TS.from_poly("eps", {4: 1}), TS.from_poly("eps", {1: 1})
+    # product with b = 1 + eps (times x) is unknown from eps^4, where the
+    # true product holds a's unknown eps^4 coefficient.  A variable that
+    # only b has is the point 0 in a, which is no known zero
+    eps4, eps = TS.from_poly("eps", {4: 1}), 1 + TS.from_poly("eps", {1: 1})
     if other is not None:
-        eps4, eps = (s * TS.from_poly(other, {1: 1}) for s in (eps4, eps))
+        eps = eps * TS.from_poly(other, {1: 1})
+        if in_a:
+            eps4 = eps4 * TS.from_poly(other, {1: 1})
     a = eps4.truncated({"eps": VarWindow(3, 3, True, False)})
-    b = (1 + eps).truncated({"eps": up_win(3)})
+    b = eps.truncated({"eps": up_win(3)})
     assert not a.terms
-    assert (a * b).wins["eps"] == VarWindow(3, 3, True, False)
+    prod = a * b
+    assert prod.wins["eps"] == VarWindow(3, 3, True, False)
+    if other is not None and not in_a:
+        assert prod.wins[other] == exact_win(1, 1)
 
 
 @examples(200)

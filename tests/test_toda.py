@@ -16,8 +16,9 @@ from orbitoda.toda import (ShiftOp, TauJet, _generic_l, _generic_lbar,
                            gauge_qpower_check, identity_op, lambda_op,
                            _d_time_op, log_lax, log_lax_bar, tau_to_wave,
                            two_toda_vacuum_tau, vacuum_lbar,
-                           verify_reduced_vacuum, verify_solve_recovery,
-                           verify_flow_band_shape, verify_vacuum,
+                           solve_recovery_ops, verify_reduced_vacuum,
+                           verify_solve_recovery, verify_flow_band_shape,
+                           verify_vacuum,
                            verify_zakharov_shabat, yname)
 
 EW = up_win(3)
@@ -26,7 +27,7 @@ EW = up_win(3)
 def test_lambda_commutation():
     u = TS.from_poly("x", {1: 1}).truncated({"eps": EW})
     lam = lambda_op(1)
-    out = lam.mul(ShiftOp({0: u}, 0, True), EW)
+    out = lam.mul(ShiftOp({0: u}, 0, True))
     want = TS.from_poly("x", {1: 1}) + TS.from_poly("eps", {1: 1})
     assert (out.bands[1] - want.truncated({"eps": EW})).is_zero()
 
@@ -37,48 +38,47 @@ def fresh(op):
 
 
 def test_kept_band_shifts_give_the_fresh_products():
-    # products that reuse the shifted bands of their right factor, on two
-    # eps windows and across a power, equal products of fresh operators
-    ew2 = up_win(2)
+    # products that reuse the shifted bands of their right factor, on
+    # operators of two eps windows and across a power, equal products of
+    # fresh operators
     L, Lb = _generic_l(EW), _generic_lbar(EW)
-    for a, b, ew in ((L, Lb, EW), (Lb, L, EW), (L, L, EW), (L, Lb, ew2),
-                     (L.mul(Lb, EW), Lb, EW), (Lb, L.mul(Lb, EW), EW)):
+    L2, Lb2 = _generic_l(up_win(2)), _generic_lbar(up_win(2))
+    for a, b in ((L, Lb), (Lb, L), (L, L), (L2, Lb2), (L, Lb2),
+                 (L.mul(Lb), Lb), (Lb, L.mul(Lb))):
         for _ in range(2):
-            got = a.mul(b, ew)
-            want = fresh(a).mul(fresh(b), ew)
+            got = a.mul(b)
+            want = fresh(a).mul(fresh(b))
             assert got == want
             assert got.eq_report(want) is None
             for i in got.bands:
                 assert got.bands[i].wins == want.bands[i].wins
                 assert got.bands[i].caps == want.bands[i].caps
                 assert got.bands[i].terms == want.bands[i].terms
-    assert {key[2] for key in Lb.shifted} == {EW, ew2}
     # a commutator of operators with no eps d_x part keeps the shifts on
     # its factors themselves
-    M = L.mul(L, EW)
-    assert M.commutator(Lb, EW) == fresh(M).commutator(fresh(Lb), EW)
+    M = L.mul(L)
+    assert M.commutator(Lb) == fresh(M).commutator(fresh(Lb))
     assert M.shifted
-    # each shift by i of band j is kept once per eps window, none by 0
-    assert all(i for i, _, _ in L.shifted)
-    assert len(L.shifted) == len(set(L.shifted))
+    # each shift by i of band j is kept once, keyed (i, j), none by 0
+    assert all(i and j in Lb.bands for i, j in Lb.shifted)
 
 
 def test_each_operator_keeps_its_own_shifts():
     L, M = _generic_l(EW), _generic_l(EW)
-    L.mul(M, EW)
+    L.mul(M)
     assert M.shifted and _generic_l(EW).shifted == {}
 
 
 def test_replace_and_equality_ignore_the_kept_shifts():
     L = _generic_l(EW)
-    L.mul(L, EW)
+    L.mul(L)
     assert L.shifted
     assert L == fresh(L) and "shifted" not in repr(L)
     trimmed = ShiftOp({i: c for i, c in L.bands.items() if i <= 0}, L.lo,
                       L.lo_hard, L.deriv, L.logq)
     assert trimmed.shifted == {}
-    assert trimmed.mul(L, EW) == fresh(trimmed).mul(fresh(L), EW)
-    assert L.mul(trimmed, EW) == fresh(L).mul(fresh(trimmed), EW)
+    assert trimmed.mul(L) == fresh(trimmed).mul(fresh(L))
+    assert L.mul(trimmed) == fresh(L).mul(fresh(trimmed))
 
 
 def test_split_projectors():
@@ -97,7 +97,7 @@ def test_square_matches_application_oracle():
     # with the banded square acting once
     a = TS.from_poly("x", {2: 1}).truncated({"eps": EW})
     M = ShiftOp({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
-    sq = M.mul(M, EW)
+    sq = M.mul(M)
     for u in (TS.from_poly("x", {0: 1}), TS.from_poly("x", {1: 1}),
               TS.from_poly("x", {3: F(1, 2), 1: -2})):
         u = u.truncated({"eps": EW})
@@ -131,7 +131,7 @@ def test_banded_product_window_rule(hard_a, hard_b, lo, lo_hard):
                 -1 if hard_a else -2, hard_a)
     B = ShiftOp({2: TS.scalar(F(2, 7), {"eps": EW}), 0: b, -1: a},
                 -1 if hard_b else -3, hard_b)
-    prod = A.mul(B, EW)
+    prod = A.mul(B)
     assert (prod.lo, prod.lo_hard) == (lo, lo_hard)
     assert not prod.bands[lo].is_zero()
     known = {} if lo_hard else {"s": down_win(lo)}
@@ -145,17 +145,17 @@ def test_banded_product_window_rule(hard_a, hard_b, lo, lo_hard):
 
 def test_single_band_inverse_keeps_a_soft_floor():
     # (1 + unknown Lambda^{<-3})^-1 is not known below Lambda^-3
-    inv = ShiftOp({0: TS.scalar(1, {"eps": EW})}, -3).inverse(EW)
+    inv = ShiftOp({0: TS.scalar(1, {"eps": EW})}, -3).inverse()
     assert (inv.lo, inv.lo_hard) == (-3, False)
     assert inv.eq_report(identity_op()
                          + ShiftOp({-5: TS.scalar(7)}, -5, True)) is None
     # (2 Lambda + ...)^-1 = Lambda^-1 / 2, known from -2 - 2
     op = ShiftOp({1: TS.scalar(2, {"eps": EW})}, -2)
-    inv = op.inverse(EW)
+    inv = op.inverse()
     assert (inv.lo, inv.lo_hard) == (-4, False)
     assert inv.eq_report(lambda_op(-1).scale(F(1, 2))) is None
-    assert op.mul(inv, EW).eq_report(identity_op()) is None
-    assert inv.mul(op, EW).eq_report(identity_op()) is None
+    assert op.mul(inv).eq_report(identity_op()) is None
+    assert inv.mul(op).eq_report(identity_op()) is None
 
 
 def test_failing_eq_report_names_band_and_exponents():
@@ -183,8 +183,8 @@ def test_mul_associativity_random():
     A = ShiftOp({1: TS.scalar(1, {"eps": EW}), 0: a}, 0, True)
     B = ShiftOp({-1: b, 1: TS.scalar(F(2, 7), {"eps": EW})}, -1, True)
     C = ShiftOp({0: a, -2: b}, -2, True)
-    lhs = A.mul(B, EW).mul(C, EW)
-    rhs = A.mul(B.mul(C, EW), EW)
+    lhs = A.mul(B).mul(C)
+    rhs = A.mul(B.mul(C))
     assert lhs.eq_report(rhs) is None
 
 
@@ -195,10 +195,10 @@ def test_tau_requires_invertible_constant():
 
 def test_vacuum_tau_trivial_wave():
     tau = TauJet(TS.scalar(1, {"eps": EW}), 0, 0)
-    p_op, q_op = tau_to_wave(tau, 3, EW)
+    p_op, q_op = tau_to_wave(tau, 3)
     assert p_op.eq_report(identity_op()) is None
     assert q_op.eq_report(identity_op()) is None
-    L, lbar = dress(p_op, q_op, EW, 3)
+    L, lbar = dress(p_op, q_op, 3)
     assert L.eq_report(lambda_op(1)) is None
     assert lbar.eq_report(vacuum_lbar()) is None
 
@@ -207,7 +207,7 @@ def test_wave_band_knows_the_flow_orders_of_its_own_powers():
     # band -i of P (i of Q) is the lam^-i coefficient of a Miwa shift,
     # which only its first i powers reach: i derivatives take the y-cap
     # from 3 to 3 - i and the y1-window from degree 6 to 6 - i
-    p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2, EW)
+    p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2)
     for op, names, sign in ((p_op, ("y1", "y2"), -1),
                             (q_op, ("yb1", "yb2"), 1)):
         for i in (1, 2):
@@ -229,7 +229,7 @@ def test_wave_equations_compare_every_band(depth, monkeypatch):
         return eq_report(self, other)
 
     monkeypatch.setattr(ShiftOp, "eq_report", spy)
-    assert check_wave_equations(two_toda_vacuum_tau(depth, 3), depth, EW).ok
+    assert check_wave_equations(two_toda_vacuum_tau(depth, 3), depth).ok
     assert len(diffs) == 4
     for d in diffs:
         assert d.bands
@@ -239,7 +239,7 @@ def test_wave_equations_compare_every_band(depth, monkeypatch):
 
 def test_d_time_op_keeps_the_bands_it_zeroes():
     # a zero band carries the window on which eps d/dy1 is known to vanish
-    p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2, EW)
+    p_op, q_op = tau_to_wave(two_toda_vacuum_tau(2, 3), 2)
     for op in (p_op, q_op):
         d = _d_time_op(op, "y1")
         assert set(d.bands) == {i for i, c in op.bands.items()
@@ -256,7 +256,7 @@ def test_linearized_tau_wave_coefficient():
     c = F(3, 5)
     tau_ser = (1 + TS.var(yname(1), up_win(4)).scale(c)).truncated({"eps": EW})
     tau = TauJet(tau_ser, 1, 0)
-    p_op, _ = tau_to_wave(tau, 2, EW)
+    p_op, _ = tau_to_wave(tau, 2)
     w1 = p_op.bands.get(-1)
     denom = (1 + TS.var(yname(1), up_win(4)).scale(c)).recip()
     want = (denom * TS.from_poly("eps", {1: 1})).scale(-c).truncated({"eps": EW})
@@ -265,20 +265,20 @@ def test_linearized_tau_wave_coefficient():
 
 def test_wave_equations_on_vacuum_family():
     tau = two_toda_vacuum_tau(4, 3)
-    assert check_wave_equations(tau, 4, EW, flows=2).ok
+    assert check_wave_equations(tau, 4, flows=2).ok
 
 
 def test_constant_tau_is_not_a_tau_function():
     # the wave equations fail for tau = 1: eps d Q-op = 0 but (L)_+ Q-op != 0
     tau = TauJet(TS.scalar(1, {"eps": EW}), 1, 1)
-    rep = check_wave_equations(tau, 2, EW, flows=1)
+    rep = check_wave_equations(tau, 2, flows=1)
     assert not rep.ok
 
 
 def test_dressing_single_coefficient():
     w = TS.from_poly("x", {1: 1}).truncated({"eps": EW})
     p = ShiftOp({0: TS.scalar(1, {"eps": EW}), -1: w}, -4, False)
-    L = p.mul(lambda_op(1), EW).mul(p.inverse(EW), EW)
+    L = p.mul(lambda_op(1)).mul(p.inverse())
     # L = Lambda + (w(x) - w(x+eps)) + O(Lambda^-1)
     band0 = L.bands[0]
     want = -TS.from_poly("eps", {1: 1}).truncated({"eps": EW})
@@ -287,10 +287,10 @@ def test_dressing_single_coefficient():
 
 def test_log_lax_vacuum_forms():
     p = identity_op()
-    lg = log_lax(p, EW)
+    lg = log_lax(p)
     assert all(c.is_zero() for c in lg.bands.values())
     assert (lg.deriv - PR.one()).is_zero()
-    lgb = log_lax_bar(identity_op(), EW, 3)
+    lgb = log_lax_bar(identity_op(), 3)
     assert (lgb.deriv + PR.one()).is_zero()
     assert (lgb.logq - PR.one()).is_zero()
 
@@ -309,13 +309,25 @@ def test_reduction_suite():
     assert verify_flow_band_shape(3, 2).ok
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_shift_algebra_claims_only_what_it_knows(k):
+    # verify_solve_recovery's operators with eps known through eps^3 equal
+    # those known through eps^9 on each band's own windows: no band claims
+    # an eps-order, or a zero, that a longer eps-window contradicts
+    short, long = solve_recovery_ops(k, 3), solve_recovery_ops(k, 9)
+    assert set(short["P"].bands) == set(range(-3, 1))
+    for name in ("L0^k", "curly-L", "log L", "P0^-1", "L", "P"):
+        assert short[name].eq_report(long[name]) is None, name
+    assert short["P"].inverse().eq_report(long["P"].inverse()) is None
+
+
 def test_flow_band_negative_control(monkeypatch):
     # every commutator gains x Lambda^2, above the band [-1, 1] of (2, 1):
     # the report must fail at that band in the first flow
     commutator = ShiftOp.commutator
 
-    def perturbed(self, other, eps_win):
-        out = commutator(self, other, eps_win)
+    def perturbed(self, other):
+        out = commutator(self, other)
         return out + ShiftOp({2: TS.from_poly("x", {1: 1})}, out.lo,
                              out.lo_hard)
     monkeypatch.setattr(ShiftOp, "commutator", perturbed)
@@ -335,9 +347,9 @@ def test_dress_undress_roundtrip():
     w1 = TS.from_poly("x", {1: F(1, 3)}).truncated({"eps": EW})
     w2 = TS.from_poly("x", {2: F(-1, 5)}).truncated({"eps": EW})
     p = ShiftOp({0: TS.scalar(1, {"eps": EW}), -1: w1, -2: w2}, -4, False)
-    p_inv = p.inverse(EW)
-    L = p.mul(lambda_op(1), EW).mul(p_inv, EW)
-    back = p_inv.mul(L, EW).mul(p, EW)
+    p_inv = p.inverse()
+    L = p.mul(lambda_op(1)).mul(p_inv)
+    back = p_inv.mul(L).mul(p)
     assert back.eq_report(lambda_op(1)) is None
 
 
