@@ -28,6 +28,8 @@ from .series import (TruncSeries, VarWindow, discrepancy, down_win,
                      exact_win, merge_win, power_sum, product_win, sum_series,
                      support_in, up_win)
 
+RECOVERY_DEPTH = 3      # the dressing depth of ``solve_recovery_ops``
+
 
 def yname(n: int) -> str:
     return f"y{n}"
@@ -672,10 +674,9 @@ def verify_reduced_vacuum(k: int, m: int,
     return reports
 
 
-def solve_recovery_ops(k: int, eps_ord: int, w_depth: int = 3) -> dict:
-    """A nontrivial dressing P0 known through eps^eps_ord, L0 =
-    P0 Lambda P0^{-1}, curly-L = L0^k + (nu1-nu0) log L0, and the L and P
-    solved from curly-L, by name."""
+def solve_recovery_ops(k: int, eps_ord: int) -> dict:
+    """A dressing P0 known through eps^eps_ord, L0 = P0 Lambda P0^{-1},
+    curly-L = L0^k + (nu1-nu0) log L0, and the L, P solved from it, by name."""
     eps_win = up_win(eps_ord)
     w1 = TruncSeries.from_poly("x", {1: Fraction(1, 2)}) * \
         TruncSeries.from_poly("eps", {1: 1})
@@ -683,12 +684,12 @@ def solve_recovery_ops(k: int, eps_ord: int, w_depth: int = 3) -> dict:
         TruncSeries.from_poly("eps", {2: 1})
     p0 = ShiftOp({0: TruncSeries.scalar(1, {"eps": eps_win}),
                   -1: w1.truncated({"eps": eps_win}),
-                  -2: w2.truncated({"eps": eps_win})}, -w_depth, False)
+                  -2: w2.truncated({"eps": eps_win})}, -RECOVERY_DEPTH, False)
     p_inv, log_l = p0.inverse(), log_lax(p0)
     L0 = p0.mul(lambda_op(1)).mul(p_inv)
     l0k = L0.pow(k)
     curly = l0k + log_l.scale(-PR.diff())
-    L, p_op = solve_reduced(curly, k, w_depth)
+    L, p_op = solve_reduced(curly, k, RECOVERY_DEPTH)
     return {"L0^k": l0k, "curly-L": curly, "log L": log_l, "P0^-1": p_inv,
             "L0": L0, "L": L, "P": p_op}
 
@@ -697,7 +698,7 @@ def verify_solve_recovery(k: int, eps_ord: int = 3) -> CheckReport:
     """Build curly-L = L^k + (nu1-nu0) log L from a nontrivial dressing and
     check that the solve reproduces L (``solve_recovery_ops``)."""
     with CheckReport(name="reduced-solve-recovery",
-                     params={"k": k, "w_depth": 3}) as rep:
+                     params={"k": k, "w_depth": RECOVERY_DEPTH}) as rep:
         ops = solve_recovery_ops(k, eps_ord)
         rep.compare(ops["L"], ops["L0"], {})
     return rep

@@ -700,15 +700,17 @@ def test_kept_support_bounds_give_the_pair_loop_product(a, b):
 def test_a_factor_without_terms_keeps_its_soft_window(other, in_a):
     # a = eps^4 (times x) known only through eps^3 has no terms; its
     # product with b = 1 + eps (times x) is unknown from eps^4, where the
-    # true product holds a's unknown eps^4 coefficient.  A variable that
-    # only b has is the point 0 in a, which is no known zero
-    eps4, eps = TS.from_poly("eps", {4: 1}), 1 + TS.from_poly("eps", {1: 1})
-    if other is not None:
-        eps = eps * TS.from_poly(other, {1: 1})
-        if in_a:
-            eps4 = eps4 * TS.from_poly(other, {1: 1})
+    # true product holds a's unknown eps^4 coefficient.  In x-of-b-only,
+    # a = eps^4 and b = (1 + eps) x: x is the point 0 in a, which is no
+    # known zero, so the product is exact in x where b is
+    eps4, eps = TS.from_poly("eps", {4: 1}), TS.from_poly("eps", {1: 1})
+    if in_a:
+        eps4, eps = (s * TS.from_poly(other, {1: 1}) for s in (eps4, eps))
+    b = 1 + eps
+    if other is not None and not in_a:
+        b = b * TS.from_poly(other, {1: 1})
     a = eps4.truncated({"eps": VarWindow(3, 3, True, False)})
-    b = eps.truncated({"eps": up_win(3)})
+    b = b.truncated({"eps": up_win(3)})
     assert not a.terms
     prod = a * b
     assert prod.wins["eps"] == VarWindow(3, 3, True, False)

@@ -10,8 +10,9 @@ from orbitoda.errors import DivisionByZeroTau, NonUnit
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              sum_series, up_win)
-from orbitoda.toda import (ShiftOp, TauJet, _generic_l, _generic_lbar,
-                           _solve_difference, _x_antiderivative, x_shift,
+from orbitoda.toda import (RECOVERY_DEPTH, ShiftOp, TauJet, _generic_l,
+                           _generic_lbar, _solve_difference,
+                           _x_antiderivative, x_shift,
                            check_wave_equations, dress,
                            gauge_qpower_check, identity_op, lambda_op,
                            _d_time_op, log_lax, log_lax_bar, tau_to_wave,
@@ -315,7 +316,7 @@ def test_the_shift_algebra_claims_only_what_it_knows(k):
     # those known through eps^9 on each band's own windows: no band claims
     # an eps-order, or a zero, that a longer eps-window contradicts
     short, long = solve_recovery_ops(k, 3), solve_recovery_ops(k, 9)
-    assert set(short["P"].bands) == set(range(-3, 1))
+    assert set(short["P"].bands) == set(range(-RECOVERY_DEPTH, 1))
     for name in ("L0^k", "curly-L", "log L", "P0^-1", "L", "P"):
         assert short[name].eq_report(long[name]) is None, name
     assert short["P"].inverse().eq_report(long["P"].inverse()) is None
