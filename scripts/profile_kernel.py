@@ -50,7 +50,8 @@ from orbitoda.periods import (_phi_mode_seed, bi_infinite_sum, d_apply,
 from orbitoda.rationals import PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              exact_win, sum_series, up_win)
-from orbitoda.toda import (ShiftOp, _generic_l, two_toda_vacuum_tau,
+from orbitoda.toda import (ShiftOp, _generic_l, check_wave_equations, dress,
+                           tau_to_wave, two_toda_vacuum_tau,
                            verify_flow_band_shape, verify_reduced_vacuum,
                            verify_solve_recovery)
 
@@ -256,6 +257,14 @@ def rows():
     yield ("ShiftOp.mul L^2 * L, fresh L",
            lambda: L2.mul(ShiftOp(L.bands, L.lo, L.lo_hard)), 20)
     yield ("ShiftOp.mul L^2 * L, shifts kept", lambda: L2.mul(L), 20)
+    # the raising side: a Q-operator with its soft top at depth 3, and the
+    # wave-equation check whose Q-rows read their bands off that top
+    q_tau = two_toda_vacuum_tau(3, 3)
+    p_op, q_op = tau_to_wave(q_tau, 3)
+    yield ("dress at depth 3, vacuum tau", lambda: dress(p_op, q_op), 5)
+    yield ("raising ShiftOp.inverse of its Q-operator", q_op.inverse, 5)
+    yield ("check_wave_equations(two_toda_vacuum_tau(3, 3), 3, flows=2)",
+           lambda: check_wave_equations(q_tau, 3, flows=2), 3)
 
     # the hqe workload's shapes, taken from the calls the checks make
     sums = calls_of("__add__", lambda: verify_bilinearity(3, 2))

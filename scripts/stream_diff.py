@@ -7,11 +7,12 @@ Usage:
 Runs, under each tree's ``src``, ``orbitoda all``, the default ``hqe`` and
 ``toda``, every invocation of the benchmark workloads
 (``perfbench.verdicts.invocations(workload, 1)`` of this checkout), and
-five more beyond that list (``EXTRA``): three that form capped jets, and
+six more beyond that list (``EXTRA``): three that form capped jets,
 ``toda --k 2 --m 3 --eps-order 4 --times 3``, the one run with m > k,
-whose raising inverse runs at m = 3 on a wider eps-window, and the sweep
-of ``all`` over every coprime pair with k, m <= 6 (``SWEEP``).  Each runs in
-a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
+whose raising inverse runs at m = 3 on a wider eps-window, ``toda --times
+1``, the smallest Q depth, where Lbar is known only through band 0, and
+the sweep of ``all`` over every coprime pair with k, m <= 6 (``SWEEP``).
+Each runs in a fresh interpreter.  ``elapsed_ms`` is removed from every report; the
 reports and the exit codes must then be identical.  Then ``--help`` of the
 group and of every subcommand either tree has must print the same text
 with the same exit code.  Every invocation and help text is run; each
@@ -41,11 +42,13 @@ SWEEP = ";".join(f"{k},{m}" for k in range(1, 7) for m in range(1, 7)
 
 # capped jets the benchmark's invocations do not form: the t-jet of a
 # degree-3 chart, and HQE and 2-Toda checks at flow depth 2; then the
-# raising inverse at m = 3 > k on eps-order 4, and the sweep
+# raising inverse at m = 3 > k on eps-order 4, the smallest Q depth, and
+# the sweep
 EXTRA = [["mirror-pairing", "--k", "4", "--m", "3", "--degree", "3"],
          ["hqe", "--k", "5", "--m", "2", "--times", "2", "--negate"],
          ["toda", "--k", "3", "--m", "2", "--times", "2"],
          ["toda", "--k", "2", "--m", "3", "--eps-order", "4", "--times", "3"],
+         ["toda", "--times", "1"],
          ["all", "--matrix", SWEEP]]
 
 RUN = "import sys; from orbitoda.cli import main; " \

@@ -8,10 +8,10 @@ Lambda^i is the Taylor shift exp(i eps d_x) u, applied by
 it shifts: the shift takes no truncation order.
 
 The band window is a series window in Lambda (``ShiftOp.win``): its floor
-``lo`` is soft unless ``lo_hard``, and its top is exact (the highest
-band).  The kernel's window rules give the band window of every sum
-(``merge_win``) and product (``product_win``); each band keeps its own
-coefficient windows.
+``lo`` is soft unless ``lo_hard``, and its top is soft at ``top`` if given
+(a raising Q's), else exact (the highest band).  The kernel's window rules
+give the band window of every sum (``merge_win``) and product
+(``product_win``); each band keeps its own coefficient windows.
 """
 
 from __future__ import annotations
@@ -42,20 +42,22 @@ def ybname(n: int) -> str:
 class ShiftOp:
     """sum_i bands[i] Lambda^i + deriv * eps d_x + logq * log Q.
 
-    ``bands`` holds only bands at or above ``lo``; a zero-valued band is
+    ``bands`` holds only bands in the band window; a zero-valued band is
     kept, since it carries the window on which the zero is known.
 
     ``shifted`` keeps each band that ``mul`` has Taylor-shifted, by the
     (i, j) of its shift by i of band j; a new operator starts it afresh
     and ``==`` ignores it.  An operator is not changed after
     construction, so a kept band stays valid."""
-    __slots__ = ("bands", "lo", "lo_hard", "deriv", "logq", "shifted")
+    __slots__ = ("bands", "lo", "lo_hard", "deriv", "logq", "top", "shifted")
 
     def __init__(self, bands: dict, lo: int, lo_hard: bool = False,
-                 deriv: ParamRat | None = None, logq: ParamRat | None = None):
+                 deriv: ParamRat | None = None, logq: ParamRat | None = None,
+                 top: int | None = None):
         self.bands = bands
         self.lo = lo              # band window floor (soft unless lo_hard)
         self.lo_hard = lo_hard
+        self.top = top            # soft band window top; None: exact
         self.deriv = PR.zero() if deriv is None else deriv
         self.logq = PR.zero() if logq is None else logq
         self.shifted = {}
@@ -63,15 +65,15 @@ class ShiftOp:
     def __eq__(self, other):
         if other.__class__ is not ShiftOp:
             return NotImplemented
-        return ((self.bands, self.lo, self.lo_hard, self.deriv, self.logq)
-                == (other.bands, other.lo, other.lo_hard, other.deriv,
-                    other.logq))
+        return ((self.bands, self.lo, self.lo_hard, self.top, self.deriv,
+                 self.logq) == (other.bands, other.lo, other.lo_hard,
+                                other.top, other.deriv, other.logq))
 
     @property
     def win(self) -> VarWindow:
-        """The Lambda-window: floored at ``lo``, exact on top."""
-        return VarWindow(self.lo, max([self.lo, *self.bands]), self.lo_hard,
-                         True)
+        """The Lambda-window: floor ``lo``; top soft at ``top``, else exact."""
+        top = max([self.lo, *self.bands]) if self.top is None else self.top
+        return VarWindow(self.lo, top, self.lo_hard, self.top is None)
 
     def support(self) -> tuple:
         """(lo, hi) bounds of the nonzero bands (``support_in``)."""
@@ -86,7 +88,8 @@ class ShiftOp:
         if isinstance(c, (int, Fraction)):
             c = PR.rational(c)
         return ShiftOp({i: s.scale(c) for i, s in self.bands.items()},
-                       self.lo, self.lo_hard, self.deriv * c, self.logq * c)
+                       self.lo, self.lo_hard, self.deriv * c, self.logq * c,
+                       self.top)
 
     def __add__(self, other: "ShiftOp") -> "ShiftOp":
         if not isinstance(other, ShiftOp):
@@ -101,7 +104,8 @@ class ShiftOp:
         at least one side unless handled through ``commutator``.
 
         The band window is the kernel's product window: soft at
-        max(a.lo + b.top, b.lo + a.top) when a floor is soft."""
+        max(a.lo + b.top, b.lo + a.top) when a floor is soft, and at
+        min(a.top + b.lo, b.top + a.lo) when a top is."""
         if (not self.deriv.is_zero() or not other.deriv.is_zero()
                 or not self.logq.is_zero() or not other.logq.is_zero()):
             raise NonUnit("use commutator/add for derivation-carrying operators")
@@ -109,11 +113,12 @@ class ShiftOp:
         if sa[0] > sa[1] or sb[0] > sb[1]:
             return ShiftOp({}, 0, True)
         win = product_win(self.win, other.win, sa, sb, "Lambda")
+        top = None if win.hi_hard else win.hi
         terms: dict = {}
         memo = other.shifted
         for i, a in self.bands.items():
             for j, b in other.bands.items():
-                if i + j < win.lo:
+                if i + j < win.lo or top is not None and i + j > top:
                     continue
                 if i:           # a shift by 0 is the band itself
                     shifted = memo.get((i, j))
@@ -122,7 +127,7 @@ class ShiftOp:
                     b = shifted
                 terms.setdefault(i + j, []).append(a * b)
         return ShiftOp({n: sum_series(t) for n, t in terms.items()},
-                       win.lo, win.lo_hard)
+                       win.lo, win.lo_hard, top=top)
 
     def commutator(self, other: "ShiftOp") -> "ShiftOp":
         """[self, other] with scalar eps d_x parts handled by the rule
@@ -140,20 +145,23 @@ class ShiftOp:
         it has no eps d_x and no log Q part."""
         if self.deriv.is_zero() and self.logq.is_zero():
             return self
-        return ShiftOp(self.bands, self.lo, self.lo_hard)
+        return ShiftOp(self.bands, self.lo, self.lo_hard, top=self.top)
 
     def eps_dx(self) -> "ShiftOp":
         return ShiftOp({i: c.derivative("x").shift_exponent("eps", 1)
                         for i, c in self.bands.items()},
-                       self.lo, self.lo_hard)
+                       self.lo, self.lo_hard, top=self.top)
 
     def split_plus(self) -> "ShiftOp":
-        if not self.lo_hard and self.lo > 0:
+        if (not self.lo_hard and self.lo > 0
+                or self.top is not None and self.top < 0):
             raise WindowUnderflow("plus-part needs the window to reach 0")
         return ShiftOp({i: c for i, c in self.bands.items() if i >= 0},
-                       0, True)
+                       0, True, top=self.top)
 
     def split_minus(self) -> "ShiftOp":
+        if self.top is not None and self.top < -1:
+            raise WindowUnderflow("minus-part needs the window to reach -1")
         return ShiftOp({i: c for i, c in self.bands.items() if i < 0},
                        self.lo, self.lo_hard)
 
@@ -163,53 +171,39 @@ class ShiftOp:
             out = out.mul(self)
         return out
 
-    def inverse(self, depth: int | None = None) -> "ShiftOp":
-        """Inverse of an operator with invertible extreme coefficient.
-
-        Works for unit-upper operators (P = c Lambda^t (1 + lower)) by the
-        geometric series in the lowering direction, and for band-raising
-        operators (Q-side) in the raising direction with a declared depth.
-        A lone band takes the lowering direction.  A soft floor lo leaves
-        the lowering inverse known from lo - 2t.
-        """
+    def inverse(self) -> "ShiftOp":
+        """Inverse of an operator with invertible extreme coefficient, in
+        the direction of its band window: lowering (lead at the top band t,
+        the geometric series floored, known from lo - 2t) for a soft floor
+        lo or a lone band under an exact top; raising (lead at the bottom
+        band t, ceiled, known through top - 2t) for a soft top over a hard
+        floor.  Any other window raises NonUnit."""
         if not self.deriv.is_zero() or not self.logq.is_zero():
             raise NonUnit("cannot invert derivation-carrying operators")
         if self.is_zero():
             raise NonUnit("cannot invert the zero operator")
         nz = sorted(i for i, c in self.bands.items() if not c.is_zero())
-        lowering = not self.lo_hard or len(nz) == 1
-        if lowering:
-            # lead at the top, powers floored by the window
+        if self.top is None and (not self.lo_hard or len(nz) == 1):
             t = nz[-1]
-            floor = ShiftOp({}, self.lo - t, self.lo_hard)
-        elif depth is None:
-            raise NonUnit("raising inverse needs a declared depth")
-        else:
-            # lead at the bottom, powers kept through ``depth``
+            trim = ShiftOp({}, self.lo - t, self.lo_hard)
+        elif self.top is not None and self.lo_hard:
             t = nz[0]
-
-        def trim(p: ShiftOp) -> ShiftOp:
-            return p + floor if lowering else p.ceiled(depth)
-
+            trim = ShiftOp({}, self.top - t, True, top=self.top - t)
+        else:
+            raise NonUnit("an inverse needs one soft end of the band "
+                          "window, or a lone band under an exact top")
         # (c Lambda^t)^{-1} = c(x - t eps)^{-1} Lambda^{-t}
         c = self.bands[t]
         shifted = c.exp_derivation(x_shift(-t), {})
         lead_inv = ShiftOp({-t: shifted.recip()}, -t, True)
         rest = ShiftOp({i: b for i, b in self.bands.items() if i != t},
-                       self.lo, self.lo_hard)
+                       self.lo, self.lo_hard, top=self.top)
         h = lead_inv.mul(rest)  # strictly lowering or raising
-        out = power_sum(trim(identity_op()),
-                        lambda p: trim(p.mul(h)),
+        out = power_sum(identity_op() + trim,
+                        lambda p: p.mul(h) + trim,
                         lambda j: (-1) ** j, limit=1000,
                         what="operator inverse")
-        out = out.mul(lead_inv)
-        return out if lowering else out.ceiled(depth)
-
-    def ceiled(self, top: int) -> "ShiftOp":
-        """Keep bands <= top; marks nothing (tops are exact) but trims the
-        raising expansions, whose knowledge above ``top`` is then waived."""
-        return ShiftOp({i: c for i, c in self.bands.items() if i <= top},
-                       self.lo, self.lo_hard, self.deriv, self.logq)
+        return out.mul(lead_inv)
 
     def eq_report(self, other: "ShiftOp"):
         """None if equal, else (where, lhs, rhs) at the lowest differing
@@ -238,13 +232,14 @@ def sum_ops(ops) -> ShiftOp:
     for op in rest:
         win = merge_win(win, op.win, "Lambda", "addition")
         deriv, logq = deriv + op.deriv, logq + op.logq
+    top = None if win.hi_hard else win.hi
     bands: dict = {}
     for op in (first, *rest):
         for i, c in op.bands.items():
-            if i >= win.lo:
+            if i >= win.lo and (top is None or i <= top):
                 bands.setdefault(i, []).append(c)
     return ShiftOp({i: sum_series(cs) for i, cs in bands.items()},
-                   win.lo, win.lo_hard, deriv, logq)
+                   win.lo, win.lo_hard, deriv, logq, top)
 
 
 def identity_op() -> ShiftOp:
@@ -296,6 +291,7 @@ def tau_to_wave(tau: TauJet, depth: int) -> tuple[ShiftOp, ShiftOp]:
 
     P = 1 + sum w_i Lambda^{-i} from [exp(-sum (lam^-n/n) eps d_{y_n}) tau]/tau,
     Q = sum wbar_i (Lambda/Q)^i from [exp(+...ybar...) tau(x+eps)]/tau(x).
+    P is known down to a soft floor at -depth, Q up to a soft top at depth.
     """
     tau_inv = tau.series.recip()
 
@@ -317,16 +313,15 @@ def tau_to_wave(tau: TauJet, depth: int) -> tuple[ShiftOp, ShiftOp]:
     tau_x = tau.shifted(1)
     q_op = ShiftOp({i: ratio(tau_x, ybs, -1, i)
                     * TruncSeries.from_poly("Q", {-i: 1})
-                    for i in range(depth + 1)}, 0, True)
+                    for i in range(depth + 1)}, 0, True, top=depth)
     return p_op, q_op
 
 
-def dress(p_op: ShiftOp, q_op: ShiftOp,
-          depth: int) -> tuple[ShiftOp, ShiftOp]:
-    """L = P Lambda P^{-1} and Lbar = Q (Q Lambda^{-1}) Q^{-1}."""
+def dress(p_op: ShiftOp, q_op: ShiftOp) -> tuple[ShiftOp, ShiftOp]:
+    """L = P Lambda P^{-1} and Lbar = Q (Q Lambda^{-1}) Q^{-1}; Lbar is
+    known one band short of Q's soft top."""
     L = p_op.mul(lambda_op(1)).mul(p_op.inverse())
-    lbar = q_op.mul(vacuum_lbar()).mul(q_op.inverse(depth=depth))
-    return L, lbar.ceiled(depth)
+    return L, q_op.mul(vacuum_lbar()).mul(q_op.inverse())
 
 
 def log_lax(p_op: ShiftOp) -> ShiftOp:
@@ -335,10 +330,11 @@ def log_lax(p_op: ShiftOp) -> ShiftOp:
     return ShiftOp(band.bands, band.lo, band.lo_hard, PR.one(), band.logq)
 
 
-def log_lax_bar(q_op: ShiftOp, depth: int) -> ShiftOp:
+def log_lax_bar(q_op: ShiftOp) -> ShiftOp:
     """log Lbar = -eps d_x + log Q + (eps d_x Q) Q^{-1}."""
-    band = q_op.eps_dx().mul(q_op.inverse(depth=depth)).ceiled(depth)
-    return ShiftOp(band.bands, band.lo, band.lo_hard, -PR.one(), PR.one())
+    band = q_op.eps_dx().mul(q_op.inverse())
+    return ShiftOp(band.bands, band.lo, band.lo_hard, -PR.one(), PR.one(),
+                   band.top)
 
 
 # ---------------------------------------------------------------------------
@@ -346,40 +342,40 @@ def log_lax_bar(q_op: ShiftOp, depth: int) -> ShiftOp:
 # ---------------------------------------------------------------------------
 
 
-def lax_flow_rhs(L: ShiftOp, lbar: ShiftOp, n: int, which: str,
-                 depth: int) -> tuple[ShiftOp, ShiftOp]:
+def lax_flow_rhs(L: ShiftOp, lbar: ShiftOp, n: int,
+                 which: str) -> tuple[ShiftOp, ShiftOp]:
     """eps d_{y_n} (L, Lbar) = [(L^n)_+, .] resp. -[(Lbar^n)_-, .]."""
     if which == "y":
         gen = L.pow(n).split_plus()
         return (gen.commutator(L), gen.commutator(lbar))
-    gen = lbar.pow(n).ceiled(depth).split_minus()
+    gen = lbar.pow(n).split_minus()
     return gen.commutator(L).scale(-1), gen.commutator(lbar).scale(-1)
 
 
 def check_wave_equations(tau: TauJet, depth: int,
                          flows: int = 1) -> CheckReport:
     """eps d_{y_n} P = -(L^n)_- P and eps d_{y_n} Q = (L^n)_+ Q (and the
-    ybar variants) for the wave pair of a polynomially-declared tau."""
+    ybar variants) for the wave pair of a polynomially-declared tau, each on
+    the band window both sides know; ``q_band_flow{n}`` is the Q-side top."""
     with CheckReport(name="wave-equations",
                      params={"depth": depth, "flows": flows}) as rep:
         p_op, q_op = tau_to_wave(tau, depth)
-        L, lbar = dress(p_op, q_op, depth)
+        L, lbar = dress(p_op, q_op)
         for n in range(1, flows + 1):
-            ln = L.pow(n)
-            lbn = lbar.pow(n).ceiled(depth)
-            # the Q-side band ceiling erodes by n per generator application
-            ceil = depth - n
+            ln, lbn = L.pow(n), lbar.pow(n)
             checks = [
                 ("y", "P", _d_time_op(p_op, yname(n)),
                  ln.split_minus().mul(p_op).scale(-1)),
-                ("y", "Q", _d_time_op(q_op, yname(n)).ceiled(ceil),
-                 ln.split_plus().mul(q_op).ceiled(ceil)),
+                ("y", "Q", _d_time_op(q_op, yname(n)),
+                 ln.split_plus().mul(q_op)),
                 ("yb", "P", _d_time_op(p_op, ybname(n)),
                  lbn.split_minus().mul(p_op).scale(-1)),
-                ("yb", "Q", _d_time_op(q_op, ybname(n)).ceiled(ceil),
-                 lbn.split_plus().mul(q_op).ceiled(ceil)),
+                ("yb", "Q", _d_time_op(q_op, ybname(n)),
+                 lbn.split_plus().mul(q_op)),
             ]
-            rep.max_order_verified[f"q_band_flow{n}"] = ceil
+            rep.max_order_verified[f"q_band_flow{n}"] = min(
+                merge_win(lhs.win, rhs.win, "Lambda", "comparison").hi
+                for _, opname, lhs, rhs in checks if opname == "Q")
             for time, opname, lhs, rhs in checks:
                 if not rep.compare(lhs, rhs, {"flow": f"{time}{n}",
                                               "operator": opname}):
@@ -392,29 +388,29 @@ def _d_time_op(op: ShiftOp, name: str) -> ShiftOp:
     it zeroes is kept with the window on which the zero is known."""
     return ShiftOp({i: c.derivative(name).shift_exponent("eps", 1)
                     for i, c in op.bands.items() if name in c.wins},
-                   op.lo, op.lo_hard)
+                   op.lo, op.lo_hard, top=op.top)
 
 
-def verify_vacuum(eps_win: VarWindow) -> CheckReport:
+def verify_vacuum(eps_ord: int) -> CheckReport:
     """tau = 1: P = Q = 1, L = Lambda, Lbar = Q Lambda^{-1}, zero flows."""
     depth = 4
     with CheckReport(name="toda-vacuum", params={"depth": depth}) as rep:
-        tau = TauJet(TruncSeries.scalar(1, {"eps": eps_win}), 0, 0)
+        tau = TauJet(TruncSeries.scalar(1, {"eps": up_win(eps_ord)}), 0, 0)
         p_op, q_op = tau_to_wave(tau, depth)
         rep.compare(p_op, identity_op(), {"op": "P"})
         rep.compare(q_op, identity_op(), {"op": "Q"})
-        L, lbar = dress(p_op, q_op, depth)
+        L, lbar = dress(p_op, q_op)
         rep.compare(L, lambda_op(1), {"op": "L"})
         rep.compare(lbar, vacuum_lbar(), {"op": "Lbar"})
         for n in (1, 2, 3):
             for which in ("y", "yb"):
-                for op in lax_flow_rhs(L, lbar, n, which, depth):
+                for op in lax_flow_rhs(L, lbar, n, which):
                     rep.compare(op, ShiftOp({}, 0, True),
                                 {"flow": f"{which}{n}"})
         # log L = eps d_x and log Lbar = -eps d_x + log Q
         rep.compare(log_lax(p_op), ShiftOp({}, 0, True, PR.one()),
                     {"op": "log L"})
-        rep.compare(log_lax_bar(q_op, depth),
+        rep.compare(log_lax_bar(q_op),
                     ShiftOp({}, 0, True, -PR.one(), PR.one()),
                     {"op": "log Lbar"})
     return rep
@@ -495,14 +491,11 @@ def _generic_lbar(eps_win: VarWindow) -> ShiftOp:
 # ---------------------------------------------------------------------------
 
 
-def reduced_operator(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int,
-                     depth: int) -> ShiftOp:
+def reduced_operator(p_op: ShiftOp, q_op: ShiftOp, k: int, m: int) -> ShiftOp:
     """curly-L = (P Lambda^k P^{-1})_+ + (Q (Q Lambda^-1)^m Q^{-1})_- +
     (nu1 - nu0) eps d_x."""
     plus = p_op.mul(lambda_op(k)).mul(p_op.inverse()).split_plus()
-    q_inv = q_op.inverse(depth=depth)
-    minus = q_op.mul(vacuum_lbar().pow(m)) \
-        .mul(q_inv).ceiled(depth).split_minus()
+    minus = q_op.mul(vacuum_lbar().pow(m)).mul(q_op.inverse()).split_minus()
     op = plus + minus
     return ShiftOp(op.bands, op.lo, op.lo_hard, -PR.diff(), op.logq)
 
@@ -526,12 +519,11 @@ def solve_reduced_bar(curly: ShiftOp, m: int,
     """Solve Lbar^m + (nu0-nu1) log(Q^-1 Lbar) = curly-L for the raising
     solution Lbar = Q e^v Lambda^{-1} + ..., via
     curly-L o Q = Q o (Q^m Lambda^{-m} - (nu0-nu1) eps d_x).  Returns
-    (Lbar, Q-op); bands of the dressing rise to ``w_depth``."""
+    (Lbar, Q-op); Q's soft top is ``w_depth``, and Lbar's one band lower."""
     wb = _dressing_bands(curly, -m, -1,
                          TruncSeries.from_poly("Q", {m: 1}).recip(), w_depth)
-    q_op = ShiftOp(wb, 0, True)
-    lbar = q_op.mul(vacuum_lbar()).mul(q_op.inverse(depth=w_depth))
-    return lbar.ceiled(w_depth), q_op
+    q_op = ShiftOp(wb, 0, True, top=w_depth)
+    return q_op.mul(vacuum_lbar()).mul(q_op.inverse()), q_op
 
 
 def _dressing_bands(curly: ShiftOp, t: int, sign: int, factor,
@@ -640,7 +632,7 @@ def verify_reduced_vacuum(k: int, m: int,
     with CheckReport(name="reduced-vacuum-split",
                      params={"k": k, "m": m}) as rep:
         p_id, q_id = identity_op(), identity_op()
-        curly_split = reduced_operator(p_id, q_id, k, m, w_depth)
+        curly_split = reduced_operator(p_id, q_id, k, m)
         want = vacuum_curly(k, m, eps_win)
         rep.compare(curly_split, want, {})
         # flows of the trivial vacuum vanish: [(Lambda^n)_+, curly] = 0
@@ -662,13 +654,11 @@ def verify_reduced_vacuum(k: int, m: int,
         lhs = L.pow(k) + log_lax(p_op).scale(-PR.diff())
         rep.compare(lhs, curly, {"identity": "L^k + (nu1-nu0) log L"})
         lbar, q_op = solve_reduced_bar(curly, m, w_depth)
-        bar = log_lax_bar(q_op, w_depth)
+        bar = log_lax_bar(q_op)
         logq_less = ShiftOp(bar.bands, bar.lo, bar.lo_hard, bar.deriv,
-                            bar.logq - PR.one())
-        lhs_bar = lbar.pow(m).ceiled(w_depth) + \
-            logq_less.scale(PR.diff())
-        rep.compare(lhs_bar.ceiled(min(k, w_depth - m)),
-                    curly.ceiled(min(k, w_depth - m)),
+                            bar.logq - PR.one(), bar.top)
+        lhs_bar = lbar.pow(m) + logq_less.scale(PR.diff())
+        rep.compare(lhs_bar, curly,
                     {"identity": "Lbar^m + (nu0-nu1) log(Q^-1 Lbar)"})
     reports.append(rep)
     return reports

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from orbitoda.rationals import ParamRat as PR
-from orbitoda.series import TruncSeries as TS, exact_win, up_win
+from orbitoda.series import TruncSeries as TS, exact_win
 
 MATRIX = [(2, 1), (3, 2), (4, 3), (5, 2), (5, 3)]
 
@@ -146,7 +146,7 @@ def test_criterion_9_toda():
                                verify_zakharov_shabat)
     ok = True
     ok = _line("9 vacuum tau: P=Q=1, L=Lambda, Lbar=Q/Lambda, zero flows",
-               verify_vacuum(up_win(3)).ok) and ok
+               verify_vacuum(3).ok) and ok
     ok = _line("9 zakharov-shabat n,l<=3 eps^3",
                verify_zakharov_shabat(3, 3).ok) and ok
     red = all(r.ok for km in [(2, 1), (3, 2)]

@@ -139,9 +139,8 @@ GOLDEN_VACUUM = {
 
 
 def test_golden_vacuum_report():
-    from orbitoda.series import up_win
     from orbitoda.toda import verify_vacuum
-    rep = json.loads(verify_vacuum(up_win(3)).to_json())
+    rep = json.loads(verify_vacuum(3).to_json())
     assert _strip_time(rep) == GOLDEN_VACUUM
 
 

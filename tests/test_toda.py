@@ -6,7 +6,7 @@ import pytest
 
 from test_series import taylor_shift
 
-from orbitoda.errors import DivisionByZeroTau, NonUnit
+from orbitoda.errors import DivisionByZeroTau, NonUnit, WindowUnderflow
 from orbitoda.rationals import ParamRat as PR
 from orbitoda.series import (TruncSeries as TS, VarWindow, down_win,
                              sum_series, up_win)
@@ -17,7 +17,8 @@ from orbitoda.toda import (RECOVERY_DEPTH, ShiftOp, TauJet, _generic_l,
                            gauge_qpower_check, identity_op, lambda_op,
                            _d_time_op, log_lax, log_lax_bar, tau_to_wave,
                            two_toda_vacuum_tau, vacuum_lbar,
-                           solve_recovery_ops, verify_reduced_vacuum,
+                           solve_recovery_ops, solve_reduced_bar,
+                           vacuum_curly, verify_reduced_vacuum,
                            verify_solve_recovery, verify_flow_band_shape,
                            verify_vacuum,
                            verify_zakharov_shabat, yname)
@@ -35,7 +36,7 @@ def test_lambda_commutation():
 
 def fresh(op):
     """op with no Taylor shift kept."""
-    return ShiftOp(op.bands, op.lo, op.lo_hard, op.deriv, op.logq)
+    return ShiftOp(op.bands, op.lo, op.lo_hard, op.deriv, op.logq, op.top)
 
 
 def test_kept_band_shifts_give_the_fresh_products():
@@ -91,6 +92,22 @@ def test_split_projectors():
     assert plus.split_minus().is_zero()
     recombined = plus + M.split_minus()
     assert recombined.eq_report(M) is None
+
+
+def test_splits_need_the_window_to_reach_their_part():
+    # a soft top below -1 leaves band -1 of the minus-part unknown, and
+    # one below 0 the whole plus-part, as a soft floor above 0 does
+    one = TS.scalar(1, {"eps": EW})
+    assert ShiftOp({-2: one}, -3, True, top=-1).split_minus().win == \
+        VarWindow(-3, -2, True, True)
+    with pytest.raises(WindowUnderflow):
+        ShiftOp({-2: one}, -3, True, top=-2).split_minus()
+    plus = ShiftOp({-1: one, 0: one}, -3, True, top=0).split_plus()
+    assert (list(plus.bands), plus.win) == ([0], VarWindow(0, 0, True, False))
+    with pytest.raises(WindowUnderflow):
+        ShiftOp({-1: one}, -3, True, top=-1).split_plus()
+    with pytest.raises(WindowUnderflow):
+        ShiftOp({1: one}, 1).split_plus()
 
 
 def test_square_matches_application_oracle():
@@ -159,6 +176,24 @@ def test_single_band_inverse_keeps_a_soft_floor():
     assert inv.mul(op).eq_report(identity_op()) is None
 
 
+def test_raising_inverse_is_ceiled_by_a_soft_top():
+    # (1 + a Lambda + b Lambda^2 + unknown Lambda^{>3})^-1 is known
+    # through Lambda^3, and a window with no soft end picks no direction
+    a = TS.from_poly("x", {1: 1}).truncated({"eps": EW})
+    b = TS.from_poly("x", {0: F(1, 3)}).truncated({"eps": EW})
+    bands = {0: TS.scalar(1, {"eps": EW}), 1: a, 2: b}
+    op = ShiftOp(bands, 0, True, top=3)
+    inv = op.inverse()
+    assert inv.win == VarWindow(0, 3, True, False)
+    assert set(inv.bands) == {0, 1, 2, 3}
+    assert op.mul(inv).eq_report(identity_op()) is None
+    assert inv.mul(op).eq_report(identity_op()) is None
+    with pytest.raises(NonUnit):
+        ShiftOp(bands, 0, True).inverse()
+    with pytest.raises(NonUnit):
+        ShiftOp(bands, -1, False, top=3).inverse()
+
+
 def test_failing_eq_report_names_band_and_exponents():
     a = TS.from_poly("x", {2: 1}).truncated({"eps": EW})
     M = ShiftOp({1: TS.scalar(1, {"eps": EW}), -1: a}, -1, True)
@@ -199,7 +234,7 @@ def test_vacuum_tau_trivial_wave():
     p_op, q_op = tau_to_wave(tau, 3)
     assert p_op.eq_report(identity_op()) is None
     assert q_op.eq_report(identity_op()) is None
-    L, lbar = dress(p_op, q_op, 3)
+    L, lbar = dress(p_op, q_op)
     assert L.eq_report(lambda_op(1)) is None
     assert lbar.eq_report(vacuum_lbar()) is None
 
@@ -249,7 +284,7 @@ def test_d_time_op_keeps_the_bands_it_zeroes():
 
 
 def test_vacuum_report():
-    assert verify_vacuum(EW).ok
+    assert verify_vacuum(3).ok
 
 
 def test_linearized_tau_wave_coefficient():
@@ -291,7 +326,7 @@ def test_log_lax_vacuum_forms():
     lg = log_lax(p)
     assert all(c.is_zero() for c in lg.bands.values())
     assert (lg.deriv - PR.one()).is_zero()
-    lgb = log_lax_bar(identity_op(), 3)
+    lgb = log_lax_bar(identity_op())
     assert (lgb.deriv + PR.one()).is_zero()
     assert (lgb.logq - PR.one()).is_zero()
 
@@ -320,6 +355,41 @@ def test_the_shift_algebra_claims_only_what_it_knows(k):
     for name in ("L0^k", "curly-L", "log L", "P0^-1", "L", "P"):
         assert short[name].eq_report(long[name]) is None, name
     assert short["P"].inverse().eq_report(long["P"].inverse()) is None
+
+
+@pytest.fixture(scope="module")
+def vacuum_tau7():
+    return two_toda_vacuum_tau(7, 3)
+
+
+def _q_side(name, d, tau):
+    """The raising-side operator ``name`` built on a Q known through
+    Lambda^d: Q's from the wave pair of ``tau``, or the one solved from
+    the vacuum curly-L of (2, 1)."""
+    if name.startswith("solved"):
+        lbar, q_op = solve_reduced_bar(vacuum_curly(2, 1, EW), 1, d)
+        return lbar if name == "solved Lbar" else log_lax_bar(q_op)
+    p_op, q_op = tau_to_wave(tau, d)
+    if name == "Q^-1":
+        return q_op.inverse()
+    if name == "log Lbar":
+        return log_lax_bar(q_op)
+    lbar = dress(p_op, q_op)[1]
+    return lbar if name == "Lbar" else lbar.pow(2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("name, short_by", [
+    ("Q^-1", 0), ("Lbar", 1), ("Lbar^2", 2), ("log Lbar", 0),
+    ("solved Lbar", 1), ("solved log Lbar", 0)])
+def test_the_q_side_claims_only_what_it_knows(name, short_by, d,
+                                              vacuum_tau7):
+    # built on Q to depth d and to d + 3, the raising-side operators agree
+    # on every band the shallow one claims; its soft top lies short of Q's
+    # by one band per factor Q Lambda^-1
+    shallow = _q_side(name, d, vacuum_tau7)
+    assert shallow.eq_report(_q_side(name, d + 3, vacuum_tau7)) is None
+    assert shallow.win.known_hi() == d - short_by
 
 
 def test_flow_band_negative_control(monkeypatch):
