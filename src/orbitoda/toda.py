@@ -176,8 +176,8 @@ class ShiftOp:
         the direction of its band window: lowering (lead at the top band t,
         the geometric series floored, known from lo - 2t) for a soft floor
         lo or a lone band under an exact top; raising (lead at the bottom
-        band t, ceiled, known through top - 2t) for a soft top over a hard
-        floor.  Any other window raises NonUnit."""
+        band t, trimmed at the top, known through top - 2t) for a soft top
+        over a hard floor.  Any other window raises NonUnit."""
         if not self.deriv.is_zero() or not self.logq.is_zero():
             raise NonUnit("cannot invert derivation-carrying operators")
         if self.is_zero():
